@@ -30,9 +30,10 @@ import numpy as np
 from .dressing import extract_u1
 from .errors import ShapeError
 from .exprs import eval_jet, parse_expr
-from .forms import MForm, block_matrix, eta_t, gcomm
+from .forms import MForm, block_matrix, eta_t, form_comps, gcomm
 from .grassmann import GeneratorPool
 from .jets import GhostJet, jmat_inv, jtrunc, order_of
+from .reduction import worst_of
 from .tensors import jeinsum
 
 SECTORS = ("W", "L", "i")
@@ -63,7 +64,9 @@ class Term:
         return self._s[sector]
 
     def stotal(self):
-        return Sum([self.svar(x) for x in SECTORS])
+        if "total" not in self._s:
+            self._s["total"] = Sum([self.svar(x) for x in SECTORS])
+        return self._s["total"]
 
     def ev(self, cache):
         # keyed on the node itself: the cache then also keeps temporaries
@@ -268,12 +271,6 @@ def neg(t):
     return Sum([t], [-1.0])
 
 
-def comm_term(a, b):
-    """Graded commutator as a term: a b - (-1)^{|a||b|} b a."""
-    sign = -1.0 if (a.total * b.total) % 2 else 1.0
-    return Sum([Prod(a, b), Prod(b, a)], [1.0, -sign])
-
-
 # ---------------------------------------------------------------------------
 # ghost assignment and the conformal BRS scenario
 # ---------------------------------------------------------------------------
@@ -287,10 +284,26 @@ class GhostSpec:
     lorentz: list = None       # m(m-1)/2 entries
 
 
-def _ghost_jet(expr, chart, point, order, pool, prefix, sector):
+def _ghost_jet(expr, chart, point, order, pool, prefix):
     e = parse_expr(expr) if isinstance(expr, str) else expr
     coeffs = eval_jet(e, chart, point, order).coeffs
-    return GhostJet.ghost_field(coeffs, chart.m, pool, prefix, sector)
+    return GhostJet.ghost_field(coeffs, chart.m, pool, prefix)
+
+
+def _lorentz_ghost(lorentz, chart, point, order, pool, eta):
+    """so(eta)-valued Lorentz ghost: sum of c_ab times the (a,b) generator."""
+    m = chart.m
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    jets = [_ghost_jet(x, chart, point, order, pool, f"vl{a}{b}")
+            for (a, b), x in zip(pairs, lorentz or ["1"] * len(pairs))]
+    order = min(j.order for j in jets)
+    out = MForm.zeros(m, (m, m), 0, 1, order, ghost=True)
+    for (a, b), jet in zip(pairs, jets):
+        jt = jet.truncate(order)
+        # (G_ab)^i_j = delta^i_a eta_bj - delta^i_b eta_aj
+        out.gdata[a, b, 0] = out.gdata[a, b, 0] + jt.scale(eta[b])
+        out.gdata[b, a, 0] = out.gdata[b, a, 0] + jt.scale(-eta[a])
+    return out
 
 
 def _ghost_scalar_mform(jet, m):
@@ -300,7 +313,12 @@ def _ghost_scalar_mform(jet, m):
 
 
 class ConformalBRS:
-    """Terms, leaves and ghost data for one Moebius scenario point."""
+    """Terms, leaves and ghost data for one Moebius scenario point.
+
+    ``cache`` is the one term-DAG evaluation context of the point: every
+    evaluation through this object reads and fills it, so each node, the
+    composite ghosts included, is evaluated once however many checks use it.
+    """
 
     def __init__(self, conn, e, ghost_spec, point, ghost_order=None):
         from .dressing import vielbein_of
@@ -315,21 +333,18 @@ class ConformalBRS:
         self.order = conn.order
         korder = ghost_order if ghost_order is not None else max(self.order, 2)
         self.pool = GeneratorPool()
+        self.cache = {}
+        self._vhat = {}
         gs = ghost_spec
         iota = gs.iota or ["1"] * m
-        lor = gs.lorentz or ["1"] * (m * (m - 1) // 2)
         self.eps_jet = _ghost_jet(gs.eps, self.chart, point, korder,
-                                  self.pool, "eps", "weyl")
+                                  self.pool, "eps")
         self.iota_jets = [_ghost_jet(x, self.chart, point, korder,
-                                     self.pool, f"iota{a}", "inversion")
+                                     self.pool, f"iota{a}")
                           for a, x in enumerate(iota)]
-        pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-        self.vl_jets = {}
-        for pair, x in zip(pairs, lor):
-            self.vl_jets[pair] = _ghost_jet(x, self.chart, point, korder,
-                                            self.pool, f"vl{pair[0]}{pair[1]}",
-                                            "lorentz")
-        self._build_leaves(conn)
+        vl = _lorentz_ghost(gs.lorentz, self.chart, point, korder, self.pool,
+                            model.eta)
+        self._build_leaves(conn, vl)
         self._register_images()
         self._build_composites()
 
@@ -353,19 +368,6 @@ class ConformalBRS:
             out.gdata[0, a, 0] = self.iota_jets[a].truncate(order)
         return out
 
-    def _vl_mform(self):
-        """so(eta)-valued Lorentz ghost: sum of c_ab times the (a,b) generator."""
-        m = self.m
-        sig = self.model.eta
-        order = min(j.order for j in self.vl_jets.values())
-        out = MForm.zeros(m, (m, m), 0, 1, order, ghost=True)
-        for (a, b), jet in self.vl_jets.items():
-            jt = jet.truncate(order)
-            # (G_ab)^i_j = delta^i_a eta_bj - delta^i_b eta_aj
-            out.gdata[a, b, 0] = out.gdata[a, b, 0] + jt.scale(sig[b])
-            out.gdata[b, a, 0] = out.gdata[b, a, 0] + jt.scale(-sig[a])
-        return out
-
     def _eps_eye(self, n):
         m = self.m
         out = MForm.zeros(m, (n, n), 0, 1, self.eps_jet.order, ghost=True)
@@ -375,13 +377,13 @@ class ConformalBRS:
 
     # -- leaves and images -----------------------------------------------------
 
-    def _build_leaves(self, conn):
+    def _build_leaves(self, conn, vl):
         m, n = self.m, self.model.n
         self.L_varpi = leaf("varpi", conn.omega, p=1, q=0)
         self.L_eps = leaf("eps", self._eps_mform(), q=1)
         self.L_deps = leaf("deps", self._deps_mform(), q=1)
         self.L_iota = leaf("iota", self._iota_mform(), q=1)
-        self.L_vl = leaf("vl", self._vl_mform(), q=1)
+        self.L_vl = leaf("vl", vl, q=1)
         self.L_epsI_m = leaf("eps_eye_m", self._eps_eye(m), q=1)
         eiv = MForm.zeros(m, (m, m), 0, 0, order_of(m, self.e))
         eiv.data[:, :, 0, :] = self.e
@@ -474,19 +476,18 @@ class ConformalBRS:
 
     # -- evaluation helpers ----------------------------------------------------
 
-    def fresh_cache(self):
-        return {}
-
-    def ev(self, term, cache=None):
-        return term.ev(cache if cache is not None else {})
+    def ev(self, term):
+        return term.ev(self.cache)
 
     def composite_ghost_term(self, stage):
-        """Composite ghost v-hat = u^-1 v u + u^-1 s u.
+        """Composite ghost v-hat = u^-1 v u + u^-1 s u, built once per stage.
 
         Stage 'u1' uses the unipotent dressing on the raw ghost, 'full' the
         combined u1 u0 in one step, and 'u0' chains the second reduction on
         top of the first composite ghost; the last two must agree.
         """
+        if stage in self._vhat:
+            return self._vhat[stage]
         if stage == "u1":
             u, uinv, v = self.T_u1, self.T_u1inv, self.T_v
         elif stage == "full":
@@ -497,17 +498,16 @@ class ConformalBRS:
         else:
             raise ValueError(stage)
         su = u.stotal()
-        return Sum([Prod(uinv, Prod(v, u)), Prod(uinv, su)])
+        self._vhat[stage] = Sum([Prod(uinv, Prod(v, u)), Prod(uinv, su)])
+        return self._vhat[stage]
 
     def expected_first_ghost(self):
         """[[eps, deps.e^-1, 0], [0, v_L, (.)^t], [0, 0, -eps]]."""
         m = self.m
         eta = self.model.eta
-        deps = self._deps_mform()
-        einvf = self.L_einv.value
-        row = deps.wedge(einvf)
-        vl = self._vl_mform()
-        one = self._eps_mform()
+        row = self.L_deps.value.wedge(self.L_einv.value)
+        vl = self.L_vl.value
+        one = self.L_eps.value
         grid = [[one, row, None],
                 [None, vl, eta_t(row, eta)],
                 [None, None, one.scale(-1.0)]]
@@ -516,7 +516,7 @@ class ConformalBRS:
     def expected_final_ghost(self):
         """[[eps, deps, 0], [0, eps delta, g^-1 deps^T], [0, 0, -eps]]."""
         m = self.m
-        deps = self._deps_mform()
+        deps = self.L_deps.value
         g = jeinsum("am,an->mn",
                     np.asarray(self.model.eta)[:, None, None] * self.e, self.e, m)
         ginv = jmat_inv(g, m)
@@ -531,7 +531,7 @@ class ConformalBRS:
         epsd = MForm.zeros(m, (m, m), 0, 1, self.eps_jet.order, ghost=True)
         for i in range(m):
             epsd.gdata[i, i, 0] = self.eps_jet
-        one = self._eps_mform()
+        one = self.L_eps.value
         grid = [[one, deps, None],
                 [None, epsd, col],
                 [None, None, one.scale(-1.0)]]
@@ -554,10 +554,10 @@ def brs_vary(scn, name, sector="all"):
     t = terms[name]
     st = t.stotal() if sector in ("all", "total") else t.svar(sector)
     if _is_zero(st):
-        base = t.ev({})
+        base = scn.ev(t)
         return MForm.zeros(scn.m, base.shape, base.p, base.q + 1, base.order,
                            ghost=True)
-    return st.ev({})
+    return scn.ev(st)
 
 
 def composite_ghost(scn, stage):
@@ -586,12 +586,9 @@ def nilpotency_residuals(scn, names=("varpi", "v", "u1", "u0")):
     }
     for name in names:
         t = terms[name]
-        cache = {}
 
         def ev0(term):
-            if _is_zero(term):
-                return None
-            return term.ev(cache)
+            return None if _is_zero(term) else scn.ev(term)
 
         def norm(x):
             return 0.0 if x is None else x.value_norm()
@@ -608,14 +605,14 @@ def nilpotency_residuals(scn, names=("varpi", "v", "u1", "u0")):
 
 def two_steps_in_one(scn):
     """su u^-1 = -ell + rho u^-1 decomposition and the resulting ghost."""
-    cache = {}
-    u = scn.T_u.ev(cache)
-    uinv = scn.T_uinv.ev(cache)
-    su = scn.T_u.stotal().ev(cache)
-    ell = (scn.V["L"].ev(cache) + scn.V["i"].ev(cache))
-    rho = scn.T_u.svar("W").ev(cache)
+    ev = scn.ev
+    u = ev(scn.T_u)
+    uinv = ev(scn.T_uinv)
+    su = ev(scn.T_u.stotal())
+    ell = ev(scn.V["L"]) + ev(scn.V["i"])
+    rho = ev(scn.T_u.svar("W"))
     resid_dec = (su + ell.wedge(u) - rho).value_norm()
-    vW = scn.V["W"].ev(cache)
+    vW = ev(scn.V["W"])
     vhat = uinv.wedge(vW.wedge(u)) + uinv.wedge(rho)
     resid_ghost = (vhat - scn.expected_final_ghost()).value_norm()
     return ell, rho, resid_dec, resid_ghost
@@ -628,14 +625,14 @@ def modified_brs_residuals(scn, stage="full"):
         At, Ft = scn.T_varpi1, scn.T_omega1
     else:
         At, Ft = scn.T_varpi0, scn.T_omega0
-    cache = {}
-    A = At.ev(cache)
-    F = Ft.ev(cache)
+    ev = scn.ev
+    A = ev(At)
+    F = ev(Ft)
     vhat_t = scn.composite_ghost_term(stage)
-    vhat = vhat_t.ev(cache)
-    sA = At.stotal().ev(cache)
-    sF = Ft.stotal().ev(cache)
-    svhat = vhat_t.stotal().ev(cache)
+    vhat = ev(vhat_t)
+    sA = ev(At.stotal())
+    sF = ev(Ft.stotal())
+    svhat = ev(vhat_t.stotal())
     rA = (sA + vhat.ext_d() + gcomm(A, vhat)).value_norm()
     rF = (sF - gcomm(F, vhat)).value_norm()
     rv = (svhat + vhat.wedge(vhat)).value_norm()
@@ -663,18 +660,14 @@ def residual_weyl_brs(fields, scn):
 
     # s_W g = 2 eps g (block (3,2), coefficient of dx^mu at entry nu)
     blk = model.block(s_varpi0, 3, 2)
-    worst = 0.0
-    for mu in range(m):
-        for nu in range(m):
-            got = blk.gdata[0, nu, mu]
-            want = (fj(fields.g[mu, nu]) * eps).scale(2.0)
-            worst = max(worst, (got - want).value_norm())
-    out["s_w_metric"] = worst
+    out["s_w_metric"] = worst_of(
+        (blk.gdata[0, nu, mu] - (fj(fields.g[mu, nu]) * eps).scale(2.0)).value_norm()
+        for mu in range(m) for nu in range(m))
     # s_W Gamma^r_mn = delta^r_n d_m eps + delta^r_m d_n eps - g^{rl} d_l eps g_mn
     blk = model.block(s_varpi0, 2, 2)
     ginv = jmat_inv(jtrunc(fields.g, m, min(order_of(m, fields.g), eps.order)), m)
     deps = [eps.derivative(mu) for mu in range(m)]
-    worst = 0.0
+    defects = []
     for r in range(m):
         for mu in range(m):
             for nu in range(m):
@@ -687,64 +680,58 @@ def residual_weyl_brs(fields, scn):
                 for lam in range(m):
                     corr = corr + (fj(ginv[r, lam]) * deps[lam]) * fj(fields.g[mu, nu])
                 want = want - corr
-                got = blk.gdata[r, nu, mu]
-                worst = max(worst, (got - want).value_norm())
-    out["s_w_gamma"] = worst
+                defects.append((blk.gdata[r, nu, mu] - want).value_norm())
+    out["s_w_gamma"] = worst_of(defects)
     # s_W P_mn = d_m d_n eps - d_l eps Gamma^l_mn
     blk = model.block(s_varpi0, 1, 2)
-    worst = 0.0
+    defects = []
     for mu in range(m):
         for nu in range(m):
             want = eps.derivative(mu).derivative(nu)
             for lam in range(m):
                 want = want - deps[lam] * fj(fields.Gamma[lam, mu, nu])
-            got = blk.gdata[0, nu, mu]
-            worst = max(worst, (got - want).value_norm())
-    out["s_w_schouten"] = worst
+            defects.append((blk.gdata[0, nu, mu] - want).value_norm())
+    out["s_w_schouten"] = worst_of(defects)
     # general two-form laws (they reduce to -d eps.W and 0 when T = f0 = 0):
     #   s_W C_{n,ms} = f0_{ms} d_n eps - d_l eps W^l_{n,ms}
     #   s_W W^r_{n,ms} = T^r_{ms} d_n eps - g^{rl} d_l eps T^a_{ms} g_{an}
     blkC = model.block(s_Omega0, 1, 2)
     blkW = model.block(s_Omega0, 2, 2)
-    worstC, worstW = 0.0, 0.0
+    defectsC, defectsW = [], []
     gval = fields.g[..., 0]
-    from .forms import form_comps
     for f, (mu, sg) in enumerate(form_comps(m, 2)):
         for nu in range(m):
             want = deps[nu].scale(fields.f0[mu, sg])
             for lam in range(m):
                 want = want - deps[lam].scale(fields.W[lam, nu, mu, sg])
-            got = blkC.gdata[0, nu, f]
-            worstC = max(worstC, (got - want).value_norm())
+            defectsC.append((blkC.gdata[0, nu, f] - want).value_norm())
         for r in range(m):
             for nu in range(m):
                 tlow = float(fields.T[:, mu, sg] @ gval[:, nu])
                 want = deps[nu].scale(fields.T[r, mu, sg])
                 for lam in range(m):
                     want = want - (fj(ginv[r, lam]) * deps[lam]).scale(tlow)
-                got = blkW.gdata[r, nu, f]
-                worstW = max(worstW, (got - want).value_norm())
-    out["s_w_cotton"] = worstC
-    out["s_w_weyl"] = worstW
+                defectsW.append((blkW.gdata[r, nu, f] - want).value_norm())
+    out["s_w_cotton"] = worst_of(defectsC)
+    out["s_w_weyl"] = worst_of(defectsW)
     # sector trivialities after full dressing
-    cache = {}
     for x in ("L", "i"):
         t0 = scn.T_varpi0.svar(x)
         t1 = scn.T_omega0.svar(x)
-        n0 = 0.0 if _is_zero(t0) else t0.ev(cache).value_norm()
-        n1 = 0.0 if _is_zero(t1) else t1.ev(cache).value_norm()
-        out[f"s_{x}_trivial"] = max(n0, n1)
+        n0 = 0.0 if _is_zero(t0) else scn.ev(t0).value_norm()
+        n1 = 0.0 if _is_zero(t1) else scn.ev(t1).value_norm()
+        out[f"s_{x}_trivial"] = worst_of((n0, n1))
     # abelian residual symmetry: s_W vhat entry (2,3) = -2 eps g^-1 deps
     vhat_t = scn.composite_ghost_term("full")
-    svhat = vhat_t.svar("W").ev({})
+    svhat = scn.ev(vhat_t.svar("W"))
     blk = model.block(svhat, 2, 3)
-    worst = 0.0
+    defects = []
     for r in range(m):
         want = GhostJet(m, deps[0].order)
         for lam in range(m):
             want = want - (fj(ginv[r, lam]) * (eps * deps[lam])).scale(2.0)
-        worst = max(worst, (blk.gdata[r, 0, 0] - want).value_norm())
-    out["s_w_vhat_23"] = worst
+        defects.append((blk.gdata[r, 0, 0] - want).value_norm())
+    out["s_w_vhat_23"] = worst_of(defects)
     sveps = model.block(svhat, 1, 1).value_norm()
     out["s_w_eps"] = sveps
     return out
@@ -762,11 +749,10 @@ def algebraic_connection(fields, scn):
     vhat = composite_ghost(scn, "full")
     expected = scn.expected_final_ghost()
     entry_defect = (vhat - expected).value_norm()
-    cache = {}
     A = fields.varpi0
     F = fields.Omega0
-    sA = scn.T_varpi0.stotal().ev(cache)
-    sv = scn.composite_ghost_term("full").stotal().ev(cache)
+    sA = scn.ev(scn.T_varpi0.stotal())
+    sv = scn.ev(scn.composite_ghost_term("full").stotal())
     rr = russian_residual(A, vhat, F, sA, sv)
     return vhat, entry_defect, rr
 
@@ -851,20 +837,9 @@ class PoincareBRS:
         self.order = conn.order
         korder = ghost_order if ghost_order is not None else max(self.order, 2)
         self.pool = GeneratorPool()
-        pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-        lor = lorentz_spec or ["1"] * len(pairs)
-        self.vl_jets = {}
-        for pair, x in zip(pairs, lor):
-            self.vl_jets[pair] = _ghost_jet(x, self.chart, point, korder,
-                                            self.pool, f"vl{pair[0]}{pair[1]}",
-                                            "lorentz")
-        sig = model.eta
-        order_vl = min(j.order for j in self.vl_jets.values())
-        vlm = MForm.zeros(m, (m, m), 0, 1, order_vl, ghost=True)
-        for (a, b), jet in self.vl_jets.items():
-            jt = jet.truncate(order_vl)
-            vlm.gdata[a, b, 0] = vlm.gdata[a, b, 0] + jt.scale(sig[b])
-            vlm.gdata[b, a, 0] = vlm.gdata[b, a, 0] + jt.scale(-sig[a])
+        self.cache = {}
+        vlm = _lorentz_ghost(lorentz_spec, self.chart, point, korder, self.pool,
+                             model.eta)
         self.L_vl = leaf("vl", vlm, q=1)
         self.L_vl.register("L", neg(Prod(self.L_vl, self.L_vl)))
         self.L_varpi = leaf("varpi", conn.omega, p=1, q=0)
@@ -879,7 +854,7 @@ class PoincareBRS:
         self.L_einv.register("L", Prod(self.L_einv, self.L_vl))
         one = leaf("one", MForm.identity(m, 1, self.order))
         self.V = Blk([[self.L_vl, None], [None, Zero(0, 1, (1, 1))]],
-                     0, 1, m, order_vl)
+                     0, 1, m, vlm.order)
         img = Sum([D(self.V), Prod(self.L_varpi, self.V),
                    Prod(self.V, self.L_varpi)], [-1.0, -1.0, -1.0])
         self.L_varpi.register("L", img)
@@ -891,23 +866,26 @@ class PoincareBRS:
                               Prod(self.T_uinv, D(self.T_u))])
         self.T_omega_h = Prod(self.T_uinv, Prod(self.T_omega, self.T_u))
 
+    def ev(self, term):
+        return term.ev(self.cache)
+
     def composite_ghost(self):
-        cache = {}
-        u = self.T_u.ev(cache)
-        uinv = self.T_uinv.ev(cache)
-        v = self.V.ev(cache)
-        su = self.T_u.svar("L").ev(cache)
+        ev = self.ev
+        u = ev(self.T_u)
+        uinv = ev(self.T_uinv)
+        v = ev(self.V)
+        su = ev(self.T_u.svar("L"))
         return uinv.wedge(v.wedge(u)) + uinv.wedge(su)
 
     def residuals(self):
-        cache = {}
+        ev = self.ev
         out = {}
         out["composite_ghost"] = self.composite_ghost().value_norm()
         # su = -v u
-        su = self.T_u.svar("L").ev(cache)
-        vu = self.V.ev(cache).wedge(self.T_u.ev(cache))
+        su = ev(self.T_u.svar("L"))
+        vu = ev(self.V).wedge(ev(self.T_u))
         out["su_rule"] = (su + vu).value_norm()
-        out["s_gamma_hat"] = self.T_varpi_h.svar("L").ev(cache).value_norm()
-        out["s_omega_hat"] = self.T_omega_h.svar("L").ev(cache).value_norm()
-        out["s2_varpi"] = self.L_varpi.svar("L").svar("L").ev(cache).value_norm()
+        out["s_gamma_hat"] = ev(self.T_varpi_h.svar("L")).value_norm()
+        out["s_omega_hat"] = ev(self.T_omega_h.svar("L")).value_norm()
+        out["s2_varpi"] = ev(self.L_varpi.svar("L").svar("L")).value_norm()
         return out

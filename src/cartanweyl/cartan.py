@@ -18,6 +18,7 @@ from .exprs import eval_jet, parse_expr
 from .forms import MForm, algebra_residual, block_matrix, eta_t, form_comps
 from .jets import (Chart, jcos, jcosh, jmat_inv, jmul, jrecip, jsin, jsinh,
                    order_of, space)
+from .reduction import worst_of
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,8 @@ def assemble(model, a=None, alpha=None, theta=None, A=None, tol=1e-9):
         omega = block_matrix([[A, theta], [zero_row, zero_c]],
                              model.chart.m, 1, 0, order)
         resid = algebra_residual(A, "so", eta=np.diag(eta))
-        scale = max(1.0, omega.full_norm())
-        if resid / scale > tol:
+        scale = worst_of((1.0, omega.full_norm()))
+        if not resid / scale <= tol:
             raise AlgebraResidualError(
                 f"A block is not so(eta)-valued: residual {resid:.3e}")
         return CartanConnection(model, omega)
@@ -156,8 +157,8 @@ def assemble(model, a=None, alpha=None, theta=None, A=None, tol=1e-9):
          [None, eta_t(theta, eta), a.scale(-1.0)]],
         model.chart.m, 1, 0, order)
     resid = algebra_residual(omega, "o2m", sigma=model.sigma)
-    scale = max(1.0, omega.full_norm())
-    if resid / scale > tol:
+    scale = worst_of((1.0, omega.full_norm()))
+    if not resid / scale <= tol:
         raise AlgebraResidualError(
             f"assembled connection is not g-valued: residual {resid:.3e}")
     return CartanConnection(model, omega)

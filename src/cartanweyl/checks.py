@@ -9,6 +9,7 @@ the byte-identical-report guarantee hold.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ from .dressing import (compatibility_residuals, dressed_normality,
 from .errors import CartanWeylError, ScenarioError
 from .forms import MForm, gcomm
 from .jets import jmul, jtrunc, order_of
+from .reduction import worst_of
 from .weyl import (WeylElement, closed_form_laws, state_of, weyl_group_law_residual,
                    weyl_matrices, weyl_transform_dressed, weyl_transform_midlevel)
 
@@ -40,7 +42,7 @@ class CheckRow:
 
     @property
     def passed(self):
-        return bool(self.residual <= self.threshold)
+        return bool(math.isfinite(self.residual) and self.residual <= self.threshold)
 
 
 @dataclass
@@ -89,7 +91,7 @@ class Report:
 
 def _merge(worst, new):
     for k, v in new.items():
-        worst[k] = max(worst.get(k, 0.0), v)
+        worst[k] = worst_of((worst.get(k, 0.0), v))
 
 
 # ---------------------------------------------------------------------------
@@ -462,20 +464,20 @@ def brs_suite(scn, report):
         scn_b = ConformalBRS(conn, e_full, spec, point)
         fields = full_pipeline(conn, e_full)
         res = {}
-        cache = {}
-        A = scn_b.L_varpi.ev(cache)
-        F = scn_b.T_omega.ev(cache)
-        v = scn_b.T_v.ev(cache)
-        sA = scn_b.L_varpi.stotal().ev(cache)
-        sv = scn_b.T_v.stotal().ev(cache)
+        ev = scn_b.ev
+        A = ev(scn_b.L_varpi)
+        F = ev(scn_b.T_omega)
+        v = ev(scn_b.T_v)
+        sA = ev(scn_b.L_varpi.stotal())
+        sv = ev(scn_b.T_v.stotal())
         r0, r1, r2 = russian_residual(A, v, F, sA, sv)
         res["russian_deg0"], res["russian_deg1"], res["russian_deg2"] = r0, r1, r2
-        Ah = scn_b.T_varpi0.ev(cache)
-        Fh = scn_b.T_omega0.ev(cache)
+        Ah = ev(scn_b.T_varpi0)
+        Fh = ev(scn_b.T_omega0)
         vh_t = scn_b.composite_ghost_term("full")
-        vh = vh_t.ev(cache)
-        sAh = scn_b.T_varpi0.stotal().ev(cache)
-        svh = vh_t.stotal().ev(cache)
+        vh = ev(vh_t)
+        sAh = ev(scn_b.T_varpi0.stotal())
+        svh = ev(vh_t.stotal())
         d0, d1, d2 = russian_residual(Ah, vh, Fh, sAh, svh)
         res["russian_dressed_deg0"] = d0
         res["russian_dressed_deg1"] = d1
@@ -486,19 +488,19 @@ def brs_suite(scn, report):
         _merge(worst, {"first_ghost": (v1 - scn_b.expected_first_ghost()).value_norm()})
         _merge(worst, {"final_ghost": (vh - scn_b.expected_final_ghost()).value_norm()})
         # sector transformation rules of the dressing fields
-        u1 = scn_b.T_u1.ev(cache)
-        vi = scn_b.V["i"].ev(cache)
-        vl = scn_b.V["L"].ev(cache)
+        u1 = ev(scn_b.T_u1)
+        vi = ev(scn_b.V["i"])
+        vl = ev(scn_b.V["L"])
         _merge(worst, {
-            "u1_inversion_rule": (scn_b.T_u1.svar("i").ev(cache) + vi.wedge(u1)).value_norm(),
-            "u1_lorentz_rule": (scn_b.T_u1.svar("L").ev(cache) - gcomm(u1, vl)).value_norm(),
+            "u1_inversion_rule": (ev(scn_b.T_u1.svar("i")) + vi.wedge(u1)).value_norm(),
+            "u1_lorentz_rule": (ev(scn_b.T_u1.svar("L")) - gcomm(u1, vl)).value_norm(),
         })
-        u0 = scn_b.T_u0.ev(cache)
+        u0 = ev(scn_b.T_u0)
         epst = MForm.zeros(m, (model.n, model.n), 0, 1, scn_b.eps_jet.order,
                            ghost=True)
         for i in range(1, m + 1):
             epst.gdata[i, i, 0] = scn_b.eps_jet
-        su0W = scn_b.T_u0.svar("W").ev(cache)
+        su0W = ev(scn_b.T_u0.svar("W"))
         _merge(worst, {"u0_weyl_rule": (su0W - epst.wedge(u0)).value_norm()})
         ell, rho, rd, rg = two_steps_in_one(scn_b)
         _merge(worst, {"two_steps_decomposition": rd, "two_steps_ghost": rg})
@@ -513,13 +515,12 @@ def brs_suite(scn, report):
         _merge(worst, residual_weyl_brs(fields, scn_b))
         vh2, entry_defect, rr = algebraic_connection(fields, scn_b)
         _merge(worst, {"algebraic_connection_entries": entry_defect,
-                       "algebraic_connection_russian": max(rr)})
+                       "algebraic_connection_russian": worst_of(rr)})
     phi = scn.weyl if scn.weyl else "x0/4"
     for point in scn.points:
         conn0 = build_normal(vb, model, point, scn.jet_order)
         lin = linearization_check(conn0, vb, model, phi, point, scn.jet_order)
-        for k, v in lin.items():
-            worst[f"linearization_{k}"] = max(worst.get(f"linearization_{k}", 0.0), v)
+        _merge(worst, {f"linearization_{k}": v for k, v in lin.items()})
     for name, v in sorted(worst.items()):
         if name.startswith("linearization"):
             thr = LINEAR
@@ -539,37 +540,16 @@ SUITES = {
 }
 
 
-def run_check(scn, suite="all", points_parallel=False):
+def run_check(scn, suite="all"):
     """Execute a named suite for a scenario; returns the Report.
 
-    With ``points_parallel`` the sample points run on a thread pool as
-    single-point sub-scenarios; the per-point seeding makes the merged
-    report identical to the sequential one.
+    Point ``i`` of the scenario is seeded as ``(seed, point_offset + i)``, so
+    a one-point sub-scenario with the matching ``point_offset`` reproduces
+    that point's residuals exactly.
     """
     if suite not in SUITES:
         raise ScenarioError(f"unknown suite {suite!r}: choose from {sorted(SUITES)}")
     t0 = time.perf_counter()
-    if points_parallel and len(scn.points) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        import copy
-        subs = []
-        for idx, point in enumerate(scn.points):
-            sub = copy.deepcopy(scn)
-            sub.points = [point]
-            sub.point_offset = idx
-            subs.append(sub)
-        with ThreadPoolExecutor(max_workers=min(8, len(subs))) as pool:
-            parts = list(pool.map(lambda s_: run_check(s_, suite), subs))
-        report = Report(scenario=scn.to_dict())
-        merged = {}
-        for part in parts:
-            for row in part.rows:
-                prev = merged.get(row.name)
-                if prev is None or row.residual > prev.residual:
-                    merged[row.name] = row
-        report.rows = [merged[k] for k in sorted(merged)]
-        report.wall_time = time.perf_counter() - t0
-        return report
     report = Report(scenario=scn.to_dict())
     for fn in SUITES[suite]:
         if fn is weyl_suite and scenario_model(scn).kind != "mobius":

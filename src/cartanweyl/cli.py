@@ -36,8 +36,6 @@ def _add_scenario_args(p):
                    help="override the scenario jet order")
     p.add_argument("--json", dest="json_path",
                    help="write the full report to this path")
-    p.add_argument("--points-parallel", action="store_true",
-                   help="evaluate sample points on a thread pool")
 
 
 def _load_scenario(args):
@@ -52,6 +50,7 @@ def _load_scenario(args):
         scn.tolerance = args.tolerance
     if args.jet_order is not None:
         scn.jet_order = args.jet_order
+    scn.validate()
     return scn
 
 
@@ -102,15 +101,14 @@ def main(argv=None):
                     fh.write(text + "\n")
             return 0 if table["columns_agree"] else 1
         scn = _load_scenario(args)
-        parallel = args.points_parallel
         if args.command == "check":
-            report = run_check(scn, args.suite, points_parallel=parallel)
+            report = run_check(scn, args.suite)
         elif args.command == "compute":
             report = compute_tensors(scn)
         elif args.command == "transform":
-            report = run_check(scn, "weyl", points_parallel=parallel)
+            report = run_check(scn, "weyl")
         else:
-            report = run_check(scn, "brs", points_parallel=parallel)
+            report = run_check(scn, "brs")
         return _emit(report, args)
     except CartanWeylError as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -18,6 +18,7 @@ from .cartan import KleinModel, curvature, k1_matrix
 from .errors import ShapeError
 from .forms import MForm, block_matrix, form_comps
 from .jets import jmat_inv, order_of, space
+from .reduction import worst_of
 from .tensors import jeinsum
 
 
@@ -186,8 +187,8 @@ def full_pipeline(conn, e=None, tol=1e-10):
     uinv = u0.inv.wedge(u1.inv)
     varpi0_b = dress(conn.omega, u, uinv, connection=True)
     Omega0_b = dress(Om, u, uinv)
-    single = max((varpi0 - varpi0_b).value_norm(),
-                 (Omega0 - Omega0_b).value_norm())
+    single = worst_of(((varpi0 - varpi0_b).value_norm(),
+                       (Omega0 - Omega0_b).value_norm()))
     g, Gamma, P, T, f0, C, W = extract_tensors(varpi0, Omega0, model)
     einv = jmat_inv(e, m)
     diag = {}
@@ -198,8 +199,8 @@ def full_pipeline(conn, e=None, tol=1e-10):
     for mu in range(m):
         expect[mu, mu] = 1.0
     diag["dx_residual"] = float(np.abs(b21.data[:, 0, :, 0] - expect).max())
-    diag["corner_residual"] = max(model.block(varpi0, 1, 1).value_norm(),
-                                  model.block(varpi0, 3, 3).value_norm())
+    diag["corner_residual"] = worst_of((model.block(varpi0, 1, 1).value_norm(),
+                                        model.block(varpi0, 3, 3).value_norm()))
     # metricity: d g - Gamma^T g - g Gamma = 0
     diag["metricity"] = metricity_residual(g, Gamma, m)
     # curvature compatibility of the dressed pair

@@ -230,7 +230,10 @@ class _Parser:
 
 def parse_expr(text, variables=None):
     """Parse ``text`` into an AST; optionally restrict variable names."""
-    return _Parser(text, variables).parse()
+    try:
+        return _Parser(text, variables).parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", 0) from None
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +311,6 @@ def eval_jet(node, chart, point, order):
         raise TypeError(f"not an Expr node: {n!r}")
 
     return ev(node)
-
-
-def eval_coeffs(node, chart, point, order):
-    """Raw coefficient array convenience wrapper around :func:`eval_jet`."""
-    return eval_jet(node, chart, point, order).coeffs
 
 
 # -- tiny builders used by the scenario generator ---------------------------

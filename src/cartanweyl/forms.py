@@ -17,7 +17,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import JetOrderError, ShapeError
-from .jets import GhostJet, jmat_mul, jtrunc, order_of, space
+from .jets import GhostJet, jmat_mul, jtrunc, space
+from .reduction import worst_of
 
 
 @lru_cache(maxsize=None)
@@ -108,18 +109,6 @@ class MForm:
         for i in range(n):
             out.data[i, i, 0, 0] = 1.0
         return out
-
-    @classmethod
-    def from_array(cls, arr, m, p=0, q=0):
-        """Float path from an (r, c, F, C) or (r, c, C) coefficient array."""
-        arr = np.asarray(arr, dtype=float)
-        if arr.ndim == 3:
-            arr = arr[:, :, None, :]
-        order = order_of(m, arr.shape[-1])
-        F = len(form_comps(m, p))
-        if arr.shape[2] != F:
-            raise ShapeError(f"expected {F} form components, got {arr.shape[2]}")
-        return cls(m, arr.shape[:2], p, q, order, data=arr.copy())
 
     @classmethod
     def constant(cls, matrix, m, order):
@@ -293,23 +282,13 @@ class MForm:
     def value_norm(self):
         """Max |value coefficient| over entries and form components."""
         if self.is_ghost:
-            best = 0.0
-            for idx in np.ndindex(self.gdata.shape):
-                n = self.gdata[idx].value_norm()
-                if n > best:
-                    best = n
-            return best
+            return worst_of(g.value_norm() for g in self.gdata.flat)
         return float(np.abs(self.data[..., 0]).max()) if self.data.size else 0.0
 
     def full_norm(self):
         """Max |coefficient| over all jet orders (used for relative scales)."""
         if self.is_ghost:
-            best = 0.0
-            for idx in np.ndindex(self.gdata.shape):
-                n = self.gdata[idx].norm()
-                if n > best:
-                    best = n
-            return best
+            return worst_of(g.norm() for g in self.gdata.flat)
         return float(np.abs(self.data).max()) if self.data.size else 0.0
 
     def body(self):
@@ -423,7 +402,7 @@ def algebra_residual(X, kind, eta=None, sigma=None):
     if X.is_ghost:
         raise ShapeError("algebra residuals are defined for float-valued forms")
     vals = X.data[..., 0]  # (r, c, F)
-    worst = 0.0
+    defects = []
     for f in range(vals.shape[2]):
         M = vals[:, :, f]
         if kind == "o2m":
@@ -442,11 +421,11 @@ def algebra_residual(X, kind, eta=None, sigma=None):
             n = M.shape[0]
             R = M.T @ sigma + sigma @ M
             low = np.concatenate([M[1:, 0], M[n - 1, 1:n - 1], [M[0, n - 1]]])
-            defect = max(float(np.linalg.norm(R)), float(np.linalg.norm(low)))
+            defect = worst_of((float(np.linalg.norm(R)), float(np.linalg.norm(low))))
         else:
             raise ValueError(f"unknown algebra kind {kind!r}")
-        worst = max(worst, defect)
-    return worst
+        defects.append(defect)
+    return worst_of(defects)
 
 
 def residual(a, b=None):
@@ -454,12 +433,3 @@ def residual(a, b=None):
     d = a if b is None else a - b
     return d.value_norm()
 
-
-def rel_residual(defect, *inputs):
-    """Residual scaled by max(1, largest input magnitude)."""
-    scale = 1.0
-    for x in inputs:
-        n = x.full_norm() if isinstance(x, MForm) else float(abs(x))
-        if n > scale:
-            scale = n
-    return defect / scale

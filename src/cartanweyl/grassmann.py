@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .reduction import worst_of
+
 _COEFF_EPS = 0.0  # exact zeros only are pruned; tiny residuals must survive
 
 
@@ -81,7 +83,7 @@ class GradedScalar:
         return None
 
     def norm(self):
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return worst_of(abs(c) for c in self.terms.values())
 
     def body(self):
         """Sum of all coefficients: the image under every generator -> 1."""
@@ -179,20 +181,11 @@ def gmul(a, b):
     return a * b
 
 
-def gnorm(c):
-    return c.norm() if isinstance(c, GradedScalar) else abs(c)
-
-
-def gbody(c):
-    return c.body() if isinstance(c, GradedScalar) else float(c)
-
-
 @dataclass(frozen=True)
 class GhostGenerator:
     """One independent odd quantity at the evaluation point."""
 
     name: str
-    sector: str  # "weyl" | "lorentz" | "inversion"
     index: int   # global order
 
 
@@ -203,10 +196,10 @@ class GeneratorPool:
     generators: list = field(default_factory=list)
     _by_name: dict = field(default_factory=dict)
 
-    def register(self, name, sector):
+    def register(self, name):
         if name in self._by_name:
             raise ValueError(f"generator {name!r} already registered")
-        gen = GhostGenerator(name, sector, len(self.generators))
+        gen = GhostGenerator(name, len(self.generators))
         self.generators.append(gen)
         self._by_name[name] = gen
         return gen

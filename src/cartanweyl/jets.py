@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ExprDomainError, JetOrderError
 from .grassmann import GradedScalar, gmul
+from .reduction import worst_of
 
 
 def _monomials(m, order):
@@ -163,15 +164,6 @@ def jder(a, m, nu):
     return a[..., sp.deriv_src[nu]] * sp.deriv_fac[nu]
 
 
-def jgrad(a, m):
-    """Stack of d_nu a over a new second-to-last axis."""
-    return np.stack([jder(a, m, nu) for nu in range(m)], axis=-2)
-
-
-def jvalue(a):
-    return a[..., 0]
-
-
 def jcompose(u, ders, m):
     """phi(u) for scalar phi given derivatives ders[k] = phi^(k)(u0)."""
     k = order_of(m, u)
@@ -251,22 +243,12 @@ def _sqrt_ders(v, k):
     return ders
 
 
-def _log_ders(v, k):
-    if v <= 0.0:
-        raise ExprDomainError("log of a non-positive value in jet evaluation")
-    ders = [math.log(v)]
-    for n in range(1, k + 1):
-        ders.append(math.factorial(n - 1) * (-1.0) ** (n - 1) / v ** n)
-    return ders
-
-
 jexp = _scalar_compose(_exp_ders)
 jsin = _scalar_compose(_sin_ders)
 jcos = _scalar_compose(_cos_ders)
 jcosh = _scalar_compose(_cosh_ders)
 jsinh = _scalar_compose(_sinh_ders)
 jsqrt = _scalar_compose(_sqrt_ders)
-jlog = _scalar_compose(_log_ders)
 
 
 def jipow(a, n, m):
@@ -502,7 +484,7 @@ class GhostJet:
                               for i in np.nonzero(coeffs)[0]})
 
     @classmethod
-    def ghost_field(cls, coeffs, m, pool, prefix, sector):
+    def ghost_field(cls, coeffs, m, pool, prefix):
         """Odd field whose derivative values are independent generators.
 
         The Taylor coefficient at beta becomes (d^beta f / beta!) times a
@@ -513,7 +495,7 @@ class GhostJet:
         sp = space(m, order)
         terms = {}
         for i, beta in enumerate(sp.monos):
-            gen = pool.register(f"{prefix}@{''.join(map(str, beta))}", sector)
+            gen = pool.register(f"{prefix}@{''.join(map(str, beta))}")
             c = float(coeffs[i])
             if c != 0.0:
                 terms[beta] = GradedScalar.generator(gen.index, c)
@@ -599,12 +581,8 @@ class GhostJet:
         return GhostJet(self.m, self.order - 1, out)
 
     def norm(self):
-        best = 0.0
-        for c in self.terms.values():
-            n = c.norm() if isinstance(c, GradedScalar) else abs(c)
-            if n > best:
-                best = n
-        return best
+        return worst_of(c.norm() if isinstance(c, GradedScalar) else abs(c)
+                        for c in self.terms.values())
 
     def value_norm(self):
         c = self.terms.get(tuple([0] * self.m))

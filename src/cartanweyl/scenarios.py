@@ -10,11 +10,65 @@ the field-expression grammar.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
-from .errors import ScenarioError
+from .errors import CartanWeylError, ScenarioError
 from .exprs import parse_expr
 from .jets import Chart
+
+MODELS = ("mobius", "poincare")
+# The Moebius model needs m >= 3, and so does the Poincare model's classical
+# oracle (its Schouten tensor divides by m - 2).  The ceilings bound every
+# allocation: the jet space has C(m + k, k) coefficients.
+MIN_DIMENSION = 3
+MAX_DIMENSION = 6
+MAX_JET_ORDER = 8
+
+
+def _is_int(x):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _check_exprs(exprs, count, what, names, optional=False):
+    """``count`` expression strings over the chart coordinates ``names``."""
+    if not isinstance(exprs, list) or len(exprs) != count:
+        raise ScenarioError(f"{what} must list {count} expressions, got {exprs!r}")
+    for e in exprs:
+        if e is None and optional:
+            continue
+        if not isinstance(e, str):
+            raise ScenarioError(f"{what} entry {e!r} is not an expression string")
+        try:
+            parse_expr(e, variables=names)
+        except CartanWeylError as ex:
+            raise ScenarioError(f"{what} entry {e!r}: {ex}") from ex
+
+
+def _check_table(table, arity, what, names, flags=()):
+    """A dict of expressions (a scalar where the arity is None, else a list of
+    that many) plus boolean ``flags``."""
+    if not isinstance(table, dict):
+        raise ScenarioError(f"{what} must be an object, got {table!r}")
+    extra = set(table) - set(arity) - set(flags)
+    if extra:
+        raise ScenarioError(f"unknown {what} keys: {sorted(extra)}")
+    for key in flags:
+        if key in table and not isinstance(table[key], bool):
+            raise ScenarioError(f"{what}.{key} must be true or false")
+    for key, count in arity.items():
+        val = table.get(key)
+        if val is None:
+            continue
+        if count is None:
+            _check_exprs([val], 1, f"{what}.{key}", names)
+        else:
+            _check_exprs(val, count, f"{what}.{key}", names, optional=key == "so")
 
 
 @dataclass
@@ -35,24 +89,66 @@ class Scenario:
     point_offset: int = 0       # internal: absolute index of points[0]
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self):
+        """Check every field, before any jet or matrix is allocated.
+
+        Normalizes the signature to a tuple of ints and the points to tuples;
+        anything malformed raises :class:`ScenarioError`.
+        """
+        if not isinstance(self.name, str):
+            raise ScenarioError("scenario name must be a string")
+        if not isinstance(self.model, str) or self.model not in MODELS:
+            raise ScenarioError(f"unknown model {self.model!r}: choose from {MODELS}")
         m = self.dimension
+        if not _is_int(m) or not MIN_DIMENSION <= m <= MAX_DIMENSION:
+            raise ScenarioError(f"dimension must be an integer in "
+                                f"[{MIN_DIMENSION}, {MAX_DIMENSION}], got {m!r}")
         if self.signature is None:
             self.signature = (1,) + (-1,) * (m - 1)
-        self.signature = tuple(int(s) for s in self.signature)
+        sig = self.signature
+        if (not isinstance(sig, (list, tuple)) or len(sig) != m
+                or not all(_is_real(s) and s in (1, -1) for s in sig)):
+            raise ScenarioError(f"signature must list {m} entries of +1 or -1, "
+                                f"got {sig!r}")
+        self.signature = tuple(int(s) for s in sig)
+        if not _is_int(self.jet_order) or not 3 <= self.jet_order <= MAX_JET_ORDER:
+            raise ScenarioError(f"jet order must be an integer in [3, {MAX_JET_ORDER}] "
+                                f"(at least 3 for Cotton checks), got {self.jet_order!r}")
+        tol = self.tolerance
+        if not _is_real(tol) or not math.isfinite(tol) or tol <= 0:
+            raise ScenarioError(f"tolerance must be finite and positive, got {tol!r}")
+        for key in ("seed", "point_offset"):
+            val = getattr(self, key)
+            if not _is_int(val) or val < 0:
+                raise ScenarioError(f"{key} must be a non-negative integer, got {val!r}")
+        if not isinstance(self.normal, bool):
+            raise ScenarioError(f"normal must be true or false, got {self.normal!r}")
+        if not isinstance(self.points, (list, tuple)) or not self.points:
+            raise ScenarioError("scenario needs at least one sample point")
+        for p in self.points:
+            if (not isinstance(p, (list, tuple)) or len(p) != m
+                    or not all(_is_real(x) and math.isfinite(x) for x in p)):
+                raise ScenarioError(f"point {p!r} must list {m} finite coordinates")
+        self.points = [tuple(p) for p in self.points]
+        names = tuple(f"x{i}" for i in range(m))
+        pairs = m * (m - 1) // 2
         if self.vielbein is None:
             self.vielbein = [["1" if i == j else "0" for j in range(m)]
                              for i in range(m)]
-        if not self.points:
-            raise ScenarioError("scenario needs at least one sample point")
-        if self.jet_order < 3:
-            raise ScenarioError("jet order must be at least 3 for Cotton checks")
-        names = tuple(f"x{i}" for i in range(m))
+        if not isinstance(self.vielbein, list) or len(self.vielbein) != m:
+            raise ScenarioError(f"vielbein must be a list of {m} rows")
         for row in self.vielbein:
-            for cell in row:
-                parse_expr(cell, variables=names)
-        for p in self.points:
-            if len(p) != m:
-                raise ScenarioError(f"point {p} has wrong dimension")
+            _check_exprs(row, m, "vielbein row", names)
+        if self.weyl is not None:
+            _check_exprs([self.weyl], 1, "weyl", names)
+        if self.gauge is not None:
+            _check_table(self.gauge, {"z": None, "so": pairs, "r": m}, "gauge",
+                         names, flags=("seeded",))
+        if self.ghosts is not None:
+            _check_table(self.ghosts, {"eps": None, "iota": m, "lorentz": pairs},
+                         "ghosts", names)
 
     @property
     def chart(self):
@@ -80,6 +176,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ScenarioError("a scenario must be a JSON object")
         known = {"name", "dimension", "signature", "model", "vielbein",
                  "gauge", "weyl", "ghosts", "points", "jet_order",
                  "tolerance", "seed", "normal", "point_offset"}
@@ -91,7 +189,6 @@ class Scenario:
         kwargs = dict(d)
         kwargs.setdefault("name", "unnamed")
         kwargs.setdefault("signature", None)
-        kwargs["points"] = [tuple(p) for p in d.get("points", [])]
         return cls(**kwargs)
 
     @classmethod

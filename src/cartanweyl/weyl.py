@@ -20,6 +20,7 @@ from .errors import ExprDomainError
 from .exprs import eval_jet, parse_expr
 from .forms import MForm
 from .jets import jder, jmul, jrecip, jtrunc, order_of
+from .reduction import worst_of
 from .tensors import jeinsum
 
 
@@ -285,5 +286,5 @@ def weyl_group_law_residual(state, w1, w2, chart, point, order):
     z12 = jmul(z1, z2, chart.m)
     zeta12 = zeta1 + zeta2
     s_both, _ = weyl_transform_dressed(state, z12, zeta12)
-    return max((s12.varpi0 - s_both.varpi0).value_norm(),
-               (s12.Omega0 - s_both.Omega0).value_norm())
+    return worst_of(((s12.varpi0 - s_both.varpi0).value_norm(),
+                     (s12.Omega0 - s_both.Omega0).value_norm()))

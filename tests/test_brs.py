@@ -1,14 +1,20 @@
+import numpy as np
 import pytest
 
+from cartanweyl import brs
 from cartanweyl.brs import (ConformalBRS, GhostSpec, PoincareBRS,
                             algebraic_connection, brs_vary, composite_ghost,
                             linearization_check, modified_brs_residuals,
                             nilpotency_residuals, residual_weyl_brs,
                             russian_residual, two_steps_in_one, _is_zero)
 from cartanweyl.cartan import build_normal, gauge_transform, random_gauge
+from cartanweyl.checks import (Report, base_connection, brs_suite, scenario_model,
+                               scenario_vielbein)
 from cartanweyl.dressing import full_pipeline
 from cartanweyl.forms import MForm, gcomm
+from cartanweyl.grassmann import GradedScalar
 from cartanweyl.jets import GhostJet
+from cartanweyl.scenarios import catalog
 
 from conftest import POINT3
 
@@ -364,3 +370,59 @@ def test_second_reduction_chains_to_final_ghost(scn):
     v0 = composite_ghost(scn, "u0")
     assert (v0 - scn.expected_final_ghost()).value_norm() < 1e-12
     assert (v0 - composite_ghost(scn, "full")).value_norm() < 1e-12
+
+
+# -- one evaluation context per point -------------------------------------------
+
+def _generic_one_point():
+    scn = catalog("generic", 3)
+    scn.points = scn.points[:1]
+    return scn
+
+
+def _generic_brs():
+    scn = _generic_one_point()
+    rng = np.random.default_rng((scn.seed, scn.point_offset))
+    conn, e = base_connection(scn, scenario_model(scn), scenario_vielbein(scn),
+                              scn.points[0], rng)
+    g = scn.ghosts
+    return ConformalBRS(conn, e, GhostSpec(g["eps"], g["iota"], g["lorentz"]),
+                        scn.points[0])
+
+
+def test_brs_suite_evaluates_each_node_once(monkeypatch):
+    counts = {}
+    for cls in (brs.Leaf, brs.Sum, brs.Prod, brs.D, brs.EtaT, brs.Blk):
+        def counted(self, cache, _orig=cls._ev):
+            counts[self] = counts.get(self, 0) + 1
+            return _orig(self, cache)
+        monkeypatch.setattr(cls, "_ev", counted)
+    report = Report(scenario={})
+    brs_suite(_generic_one_point(), report)
+    assert report.passed and len(report.rows) == 51
+    assert counts and max(counts.values()) == 1
+
+
+def test_composite_ghost_and_stotal_are_built_once():
+    s = _generic_brs()
+    for stage in ("u1", "full", "u0"):
+        assert s.composite_ghost_term(stage) is s.composite_ghost_term(stage)
+    vhat = s.composite_ghost_term("full")
+    assert vhat.stotal() is vhat.stotal()
+    assert s.composite_ghost_term("u0").terms[0].b.a is s.composite_ghost_term("u1")
+
+
+def _exact_terms(mform):
+    return [{b: (c.terms if isinstance(c, GradedScalar) else c)
+             for b, c in g.terms.items()} for g in mform.gdata.flat]
+
+
+def test_shared_cache_matches_cold_evaluation():
+    s = _generic_brs()
+    modified_brs_residuals(s, "full")   # fill the shared cache first
+    nilpotency_residuals(s, names=("v", "u1"))
+    vhat = s.composite_ghost_term("full")
+    for t in (vhat, vhat.stotal()):
+        warm, cold = s.ev(t), t.ev({})
+        assert np.array_equal(warm.body().data, cold.body().data)
+        assert _exact_terms(warm) == _exact_terms(cold)

@@ -1,11 +1,16 @@
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cartanweyl.checks import compute_tensors, dof_report, run_check
+from cartanweyl.checks import CheckRow, _merge, compute_tensors, dof_report, run_check
 from cartanweyl.cli import main
 from cartanweyl.errors import ScenarioError
 from cartanweyl.scenarios import CATALOG_NAMES, Scenario, catalog
@@ -80,11 +85,16 @@ def test_determinism_same_seed_same_payload():
 
 
 def test_parallel_matches_sequential():
-    scn = catalog("diag-poly", 3)
-    a = run_check(scn, "gauge")
-    b = run_check(scn, "gauge", points_parallel=True)
-    assert json.dumps(a.payload(), sort_keys=True) == \
-        json.dumps(b.payload(), sort_keys=True)
+    """One-point sub-scenarios with their point_offset merge to the full run."""
+    scn = catalog("generic", 3)
+    full = run_check(scn, "gauge")
+    merged = {}
+    for idx, point in enumerate(scn.points):
+        sub = Scenario.from_dict({**scn.to_dict(), "points": [point],
+                                  "point_offset": idx})
+        for row in run_check(sub, "gauge").rows:
+            merged[row.name] = max(merged.get(row.name, 0.0), row.residual)
+    assert [(r.name, r.residual) for r in full.rows] == sorted(merged.items())
 
 
 def test_cli_check_pass(tmp_path, capsys):
@@ -196,6 +206,91 @@ def test_cli_tolerance_and_jet_order_flags(tmp_path):
     assert doc["payload"]["scenario"]["jet_order"] == 5
 
 
-def test_cli_points_parallel_flag():
-    assert main(["check", "--catalog", "diag-poly", "--suite", "gauge",
-                 "--points-parallel"]) == 0
+def test_merge_keeps_nan():
+    worst = {}
+    _merge(worst, {"a": 1.0, "b": math.nan})
+    _merge(worst, {"a": math.nan, "b": 2.0})
+    _merge(worst, {"a": 3.0})
+    assert math.isnan(worst["a"]) and math.isnan(worst["b"])
+
+
+def test_non_finite_residual_never_passes():
+    assert CheckRow("x", math.nan, 1.0).passed is False
+    assert CheckRow("x", math.inf, math.inf).passed is False
+    assert CheckRow("x", 0.5, 1.0).passed is True
+
+
+def _one_point_m3():
+    d = catalog("generic", 3).to_dict()
+    d["points"] = d["points"][:1]
+    return d
+
+
+BAD_INPUTS = {
+    "jet_order_string": {"jet_order": "4"},
+    "jet_order_bool": {"jet_order": True},
+    "jet_order_huge": {"jet_order": 10 ** 6},
+    "unknown_model": {"model": "nope"},
+    "mobius_m2": {"dimension": 2, "signature": [1, -1], "points": [[0.1, 0.2]],
+                  "vielbein": [["1", "0"], ["0", "1"]], "gauge": None, "weyl": None,
+                  "ghosts": None},
+    "huge_dimension": {"dimension": 99},
+    "signature_entry": {"signature": [1, 2, -1]},
+    "signature_length": {"signature": [1, -1]},
+    "signature_text": {"signature": "abc"},
+    "negative_tolerance": {"tolerance": -1e-9},
+    "nan_tolerance": {"tolerance": math.nan},
+    "nan_point": {"points": [[math.nan, 0.1, 0.2]]},
+    "inf_point": {"points": [[math.inf, 0.1, 0.2]]},
+    "text_point": {"points": [["a", 0.1, 0.2]]},
+    "points_not_list": {"points": 5},
+    "negative_seed": {"seed": -1},
+    "ghost_arity": {"ghosts": {"eps": "1/2", "iota": ["1"], "lorentz": None}},
+    "ghost_not_text": {"ghosts": {"eps": 3}},
+    "gauge_not_object": {"gauge": [1]},
+    "unknown_variable": {"weyl": "x7"},
+    "deep_nesting": {"weyl": "(" * 3000 + "x0" + ")" * 3000},
+    "not_an_object": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_cli_bad_input_exits_2(case, tmp_path, capsys):
+    doc = [1, 2] if BAD_INPUTS[case] is None else {**_one_point_m3(), **BAD_INPUTS[case]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", "--scenario", str(path), "--suite", "gauge"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and err.startswith("error:")
+
+
+@pytest.mark.parametrize("flags", [["--tolerance", "-1"], ["--jet-order", "2"],
+                                   ["--seed", "-3"], ["--dimension", "2"]])
+def test_cli_bad_override_exits_2(flags, capsys):
+    code = main(["check", "--catalog", "flat", "--suite", "gauge"] + flags)
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_ANY = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9), st.text(max_size=6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.one_of(st.integers(-2, 2), st.floats(-1, 1), st.text(max_size=4)),
+             max_size=4),
+    st.dictionaries(st.sampled_from(["eps", "iota", "z", "seeded", "q"]),
+                    st.one_of(st.text(max_size=4), st.booleans()), max_size=2),
+)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(sorted(_one_point_m3())), value=_ANY)
+def test_cli_fuzzed_scenario_never_escapes(key, value, capsys):
+    doc = {**_one_point_m3(), key: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        code = main(["check", "--scenario", str(path), "--suite", "gauge"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err

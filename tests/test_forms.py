@@ -18,7 +18,7 @@ def rand_form(rng, shape, p, q=0, order=K, pool=None, tag=""):
     for i, j, f in np.ndindex(out.gdata.shape):
         coeffs = rng.normal(size=space(M, order).size)
         out.gdata[i, j, f] = GhostJet.ghost_field(coeffs, M, pool,
-                                                  f"{tag}{i}{j}{f}", "weyl")
+                                                  f"{tag}{i}{j}{f}")
     return out
 
 

@@ -37,11 +37,11 @@ def test_float_embedding():
 
 def test_generator_pool_ordering():
     pool = GeneratorPool()
-    a = pool.register("eps@000", "weyl")
-    b = pool.register("iota0@000", "inversion")
+    a = pool.register("eps@000")
+    b = pool.register("iota0@000")
     assert a.index == 0 and b.index == 1
     with pytest.raises(ValueError):
-        pool.register("eps@000", "weyl")
+        pool.register("eps@000")
 
 
 def _random_homogeneous(data, degree, max_gen=6):
