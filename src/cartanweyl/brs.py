@@ -31,8 +31,8 @@ from .dressing import extract_u1
 from .errors import ShapeError
 from .exprs import eval_jet, parse_expr
 from .forms import MForm, block_matrix, eta_t, form_comps, gcomm
-from .grassmann import GeneratorPool
-from .jets import GhostJet, jmat_inv, jtrunc, order_of
+from .grassmann import GeneratorPool, GradedScalar
+from .jets import Jet, jmat_inv, jtrunc, order_of, space
 from .reduction import worst_of
 from .tensors import jeinsum
 
@@ -285,9 +285,33 @@ class GhostSpec:
 
 
 def _ghost_jet(expr, chart, point, order, pool, prefix):
+    """Odd field whose Taylor coefficients are independent generators.
+
+    The field is sum_beta theta_{prefix@beta} c_beta (unit jet at beta), with
+    c_beta = d^beta f / beta!, so products like eps * d(eps) stay nonzero
+    exactly as the BRS identities require.  Every generator is registered,
+    also where c_beta is zero.
+    """
     e = parse_expr(expr) if isinstance(expr, str) else expr
     coeffs = eval_jet(e, chart, point, order).coeffs
-    return GhostJet.ghost_field(coeffs, chart.m, pool, prefix)
+    terms = {}
+    for i, beta in enumerate(space(chart.m, order).monos):
+        gen = pool.register(f"{prefix}@{''.join(map(str, beta))}")
+        if coeffs[i] != 0.0:
+            unit = np.zeros(coeffs.size)
+            unit[i] = coeffs[i]
+            terms[(gen.index,)] = Jet(chart.m, unit)
+    return GradedScalar(terms)
+
+
+def _d(g, nu):
+    """Derivative along x^nu of a ghost-valued jet."""
+    return g.map(lambda c: c.derivative(nu))
+
+
+def _value_defect(a, b):
+    """Largest value coefficient of the ghost-valued jet a - b."""
+    return (a - b).norm(lambda c: abs(c.value))
 
 
 def _lorentz_ghost(lorentz, chart, point, order, pool, eta):
@@ -296,20 +320,23 @@ def _lorentz_ghost(lorentz, chart, point, order, pool, eta):
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     jets = [_ghost_jet(x, chart, point, order, pool, f"vl{a}{b}")
             for (a, b), x in zip(pairs, lorentz or ["1"] * len(pairs))]
-    order = min(j.order for j in jets)
     out = MForm.zeros(m, (m, m), 0, 1, order, ghost=True)
     for (a, b), jet in zip(pairs, jets):
-        jt = jet.truncate(order)
         # (G_ab)^i_j = delta^i_a eta_bj - delta^i_b eta_aj
-        out.gdata[a, b, 0] = out.gdata[a, b, 0] + jt.scale(eta[b])
-        out.gdata[b, a, 0] = out.gdata[b, a, 0] + jt.scale(-eta[a])
+        out.gdata[a, b, 0] = out.gdata[a, b, 0] + jet * float(eta[b])
+        out.gdata[b, a, 0] = out.gdata[b, a, 0] + jet * float(-eta[a])
     return out
 
 
-def _ghost_scalar_mform(jet, m):
-    out = MForm.zeros(m, (1, 1), 0, 1, jet.order, ghost=True)
+def _ghost_scalar_mform(jet, m, order):
+    out = MForm.zeros(m, (1, 1), 0, 1, order, ghost=True)
     out.gdata[0, 0, 0] = jet
     return out
+
+
+def _composite_ghost(u, uinv, v, su):
+    """The composite ghost u^-1 v u + u^-1 s u as a term."""
+    return Sum([Prod(uinv, Prod(v, u)), Prod(uinv, su)])
 
 
 class ConformalBRS:
@@ -332,6 +359,7 @@ class ConformalBRS:
         self.e = vielbein_of(conn) if e is None else e
         self.order = conn.order
         korder = ghost_order if ghost_order is not None else max(self.order, 2)
+        self.ghost_order = korder
         self.pool = GeneratorPool()
         self.cache = {}
         self._vhat = {}
@@ -351,26 +379,24 @@ class ConformalBRS:
     # -- ghost matrices ------------------------------------------------------
 
     def _eps_mform(self):
-        return _ghost_scalar_mform(self.eps_jet, self.m)
+        return _ghost_scalar_mform(self.eps_jet, self.m, self.ghost_order)
 
     def _deps_mform(self):
         m = self.m
-        out = MForm.zeros(m, (1, m), 0, 1, self.eps_jet.order - 1, ghost=True)
+        out = MForm.zeros(m, (1, m), 0, 1, self.ghost_order - 1, ghost=True)
         for mu in range(m):
-            out.gdata[0, mu, 0] = self.eps_jet.derivative(mu)
+            out.gdata[0, mu, 0] = _d(self.eps_jet, mu)
         return out
 
     def _iota_mform(self):
         m = self.m
-        order = min(j.order for j in self.iota_jets)
-        out = MForm.zeros(m, (1, m), 0, 1, order, ghost=True)
+        out = MForm.zeros(m, (1, m), 0, 1, self.ghost_order, ghost=True)
         for a in range(m):
-            out.gdata[0, a, 0] = self.iota_jets[a].truncate(order)
+            out.gdata[0, a, 0] = self.iota_jets[a]
         return out
 
     def _eps_eye(self, n):
-        m = self.m
-        out = MForm.zeros(m, (n, n), 0, 1, self.eps_jet.order, ghost=True)
+        out = MForm.zeros(self.m, (n, n), 0, 1, self.ghost_order, ghost=True)
         for i in range(n):
             out.gdata[i, i, 0] = self.eps_jet
         return out
@@ -406,7 +432,7 @@ class ConformalBRS:
             return Blk([[self.L_eps, None, None],
                         [None, zmm, None],
                         [None, None, neg(self.L_eps)]],
-                       0, 1, m, self.eps_jet.order)
+                       0, 1, m, self.ghost_order)
         if which == "L":
             return Blk([[z11, None, None],
                         [None, self.L_vl, None],
@@ -497,8 +523,7 @@ class ConformalBRS:
             v = self.composite_ghost_term("u1")
         else:
             raise ValueError(stage)
-        su = u.stotal()
-        self._vhat[stage] = Sum([Prod(uinv, Prod(v, u)), Prod(uinv, su)])
+        self._vhat[stage] = _composite_ghost(u, uinv, v, u.stotal())
         return self._vhat[stage]
 
     def expected_first_ghost(self):
@@ -523,17 +548,14 @@ class ConformalBRS:
         k = min(deps.order, order_of(m, ginv))
         col = MForm.zeros(m, (m, 1), 0, 1, k, ghost=True)
         for r in range(m):
-            acc = GhostJet(m, k)
+            acc = GradedScalar()
             for lam in range(m):
-                gj = GhostJet.from_float(jtrunc(ginv[r, lam], m, k), m)
-                acc = acc + gj * deps.gdata[0, lam, 0].truncate(k)
+                # the jet product truncates to the lower order k
+                acc = acc + Jet(m, ginv[r, lam]) * deps.gdata[0, lam, 0]
             col.gdata[r, 0, 0] = acc
-        epsd = MForm.zeros(m, (m, m), 0, 1, self.eps_jet.order, ghost=True)
-        for i in range(m):
-            epsd.gdata[i, i, 0] = self.eps_jet
         one = self.L_eps.value
         grid = [[one, deps, None],
-                [None, epsd, col],
+                [None, self._eps_eye(m), col],
                 [None, None, one.scale(-1.0)]]
         return block_matrix(grid, m, 0, 1, k, ghost=True)
 
@@ -655,42 +677,42 @@ def residual_weyl_brs(fields, scn):
     eps = scn.eps_jet
     out = {}
 
-    def fj(arr):  # float jet array -> ghost jet, truncated lazily in products
-        return GhostJet.from_float(arr, m)
+    def fj(arr):  # float jet array -> jet coefficient, truncated in products
+        return Jet(m, arr)
 
     # s_W g = 2 eps g (block (3,2), coefficient of dx^mu at entry nu)
     blk = model.block(s_varpi0, 3, 2)
     out["s_w_metric"] = worst_of(
-        (blk.gdata[0, nu, mu] - (fj(fields.g[mu, nu]) * eps).scale(2.0)).value_norm()
+        _value_defect(blk.gdata[0, nu, mu], (fj(fields.g[mu, nu]) * eps) * 2.0)
         for mu in range(m) for nu in range(m))
     # s_W Gamma^r_mn = delta^r_n d_m eps + delta^r_m d_n eps - g^{rl} d_l eps g_mn
     blk = model.block(s_varpi0, 2, 2)
-    ginv = jmat_inv(jtrunc(fields.g, m, min(order_of(m, fields.g), eps.order)), m)
-    deps = [eps.derivative(mu) for mu in range(m)]
+    ginv = jmat_inv(jtrunc(fields.g, m, min(order_of(m, fields.g), scn.ghost_order)), m)
+    deps = [_d(eps, mu) for mu in range(m)]
     defects = []
     for r in range(m):
         for mu in range(m):
             for nu in range(m):
-                want = GhostJet(m, deps[0].order)
+                want = GradedScalar()
                 if r == nu:
                     want = want + deps[mu]
                 if r == mu:
                     want = want + deps[nu]
-                corr = GhostJet(m, deps[0].order)
+                corr = GradedScalar()
                 for lam in range(m):
                     corr = corr + (fj(ginv[r, lam]) * deps[lam]) * fj(fields.g[mu, nu])
                 want = want - corr
-                defects.append((blk.gdata[r, nu, mu] - want).value_norm())
+                defects.append(_value_defect(blk.gdata[r, nu, mu], want))
     out["s_w_gamma"] = worst_of(defects)
     # s_W P_mn = d_m d_n eps - d_l eps Gamma^l_mn
     blk = model.block(s_varpi0, 1, 2)
     defects = []
     for mu in range(m):
         for nu in range(m):
-            want = eps.derivative(mu).derivative(nu)
+            want = _d(deps[mu], nu)
             for lam in range(m):
                 want = want - deps[lam] * fj(fields.Gamma[lam, mu, nu])
-            defects.append((blk.gdata[0, nu, mu] - want).value_norm())
+            defects.append(_value_defect(blk.gdata[0, nu, mu], want))
     out["s_w_schouten"] = worst_of(defects)
     # general two-form laws (they reduce to -d eps.W and 0 when T = f0 = 0):
     #   s_W C_{n,ms} = f0_{ms} d_n eps - d_l eps W^l_{n,ms}
@@ -701,17 +723,17 @@ def residual_weyl_brs(fields, scn):
     gval = fields.g[..., 0]
     for f, (mu, sg) in enumerate(form_comps(m, 2)):
         for nu in range(m):
-            want = deps[nu].scale(fields.f0[mu, sg])
+            want = deps[nu] * float(fields.f0[mu, sg])
             for lam in range(m):
-                want = want - deps[lam].scale(fields.W[lam, nu, mu, sg])
-            defectsC.append((blkC.gdata[0, nu, f] - want).value_norm())
+                want = want - deps[lam] * float(fields.W[lam, nu, mu, sg])
+            defectsC.append(_value_defect(blkC.gdata[0, nu, f], want))
         for r in range(m):
             for nu in range(m):
                 tlow = float(fields.T[:, mu, sg] @ gval[:, nu])
-                want = deps[nu].scale(fields.T[r, mu, sg])
+                want = deps[nu] * float(fields.T[r, mu, sg])
                 for lam in range(m):
-                    want = want - (fj(ginv[r, lam]) * deps[lam]).scale(tlow)
-                defectsW.append((blkW.gdata[r, nu, f] - want).value_norm())
+                    want = want - (fj(ginv[r, lam]) * deps[lam]) * tlow
+                defectsW.append(_value_defect(blkW.gdata[r, nu, f], want))
     out["s_w_cotton"] = worst_of(defectsC)
     out["s_w_weyl"] = worst_of(defectsW)
     # sector trivialities after full dressing
@@ -727,10 +749,10 @@ def residual_weyl_brs(fields, scn):
     blk = model.block(svhat, 2, 3)
     defects = []
     for r in range(m):
-        want = GhostJet(m, deps[0].order)
+        want = GradedScalar()
         for lam in range(m):
-            want = want - (fj(ginv[r, lam]) * (eps * deps[lam])).scale(2.0)
-        defects.append((blk.gdata[r, 0, 0] - want).value_norm())
+            want = want - (fj(ginv[r, lam]) * (eps * deps[lam])) * 2.0
+        defects.append(_value_defect(blk.gdata[r, 0, 0], want))
     out["s_w_vhat_23"] = worst_of(defects)
     sveps = model.block(svhat, 1, 1).value_norm()
     out["s_w_eps"] = sveps
@@ -865,17 +887,14 @@ class PoincareBRS:
         self.T_varpi_h = Sum([Prod(self.T_uinv, Prod(w, self.T_u)),
                               Prod(self.T_uinv, D(self.T_u))])
         self.T_omega_h = Prod(self.T_uinv, Prod(self.T_omega, self.T_u))
+        self.T_vhat = _composite_ghost(self.T_u, self.T_uinv, self.V,
+                                       self.T_u.svar("L"))
 
     def ev(self, term):
         return term.ev(self.cache)
 
     def composite_ghost(self):
-        ev = self.ev
-        u = ev(self.T_u)
-        uinv = ev(self.T_uinv)
-        v = ev(self.V)
-        su = ev(self.T_u.svar("L"))
-        return uinv.wedge(v.wedge(u)) + uinv.wedge(su)
+        return self.ev(self.T_vhat)
 
     def residuals(self):
         ev = self.ev

@@ -177,14 +177,6 @@ def gauge_transform(conn, gamma, gamma_inv):
     return CartanConnection(conn.model, new)
 
 
-def conjugate(curv_or_form, gamma, gamma_inv):
-    x = curv_or_form.omega2 if isinstance(curv_or_form, Curvature) else curv_or_form
-    out = gamma_inv.wedge(x.wedge(gamma))
-    if isinstance(curv_or_form, Curvature):
-        return Curvature(curv_or_form.model, out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # vielbein fields and the normal connection
 # ---------------------------------------------------------------------------
@@ -277,7 +269,7 @@ def normality_residual(curv, e_values, model):
     comps = form_comps(m, 2)
     Fv = np.zeros((m, m, m, m))
     for f, (mu, nu) in enumerate(comps):
-        M = Fb.data[:, :, f, 0] if not Fb.is_ghost else None
+        M = Fb.data[:, :, f, 0]
         Fv[:, :, mu, nu] = M
         Fv[:, :, nu, mu] = -M
     einv_v = np.linalg.inv(e_values)

@@ -496,7 +496,7 @@ def brs_suite(scn, report):
             "u1_lorentz_rule": (ev(scn_b.T_u1.svar("L")) - gcomm(u1, vl)).value_norm(),
         })
         u0 = ev(scn_b.T_u0)
-        epst = MForm.zeros(m, (model.n, model.n), 0, 1, scn_b.eps_jet.order,
+        epst = MForm.zeros(m, (model.n, model.n), 0, 1, scn_b.ghost_order,
                            ghost=True)
         for i in range(1, m + 1):
             epst.gdata[i, i, 0] = scn_b.eps_jet

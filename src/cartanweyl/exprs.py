@@ -11,7 +11,8 @@ Grammar (whitespace-insensitive)::
 
 Numbers are rational literals (integers or decimals); functions are exp,
 sin, cos, sqrt.  Exponents are integers so the grammar is closed under
-differentiation.
+differentiation; their magnitude is at most :data:`MAX_EXPONENT`, because a
+power costs one jet product per unit of exponent.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import ExprDomainError, ExprSyntaxError
 from .jets import Jet
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt")
+MAX_EXPONENT = 64
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,9 @@ class _Parser:
             if not (ckind == "op" and cval == ")"):
                 raise ExprSyntaxError("expected ')' after exponent", cpos)
         n = int(val)
+        if n > MAX_EXPONENT:
+            raise ExprSyntaxError(
+                f"exponent magnitude {n} exceeds {MAX_EXPONENT}", pos)
         return -n if neg else n
 
     def _atom(self):

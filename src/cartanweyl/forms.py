@@ -17,7 +17,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import JetOrderError, ShapeError
-from .jets import GhostJet, jmat_mul, jtrunc, space
+from .grassmann import GradedScalar
+from .jets import Jet, jmat_mul, jtrunc, space
 from .reduction import worst_of
 
 
@@ -68,15 +69,16 @@ def d_plan(m, p):
     return tuple(plan)
 
 
-def _zero_ghost(m, order):
-    return GhostJet(m, order)
+def _abs_value(jet):
+    return abs(jet.value)
 
 
 class MForm:
     """Matrix of homogeneous-(p, q) forms with jet coefficients.
 
     Exactly one of ``data`` (float path, shape (r, c, F, C)) or ``gdata``
-    (ghost path, object array (r, c, F) of GhostJet) is set.
+    (ghost path, object array (r, c, F) of GradedScalar whose coefficients
+    are jets of order ``order``) is set.
     """
 
     __slots__ = ("m", "shape", "p", "q", "order", "data", "gdata")
@@ -98,7 +100,7 @@ class MForm:
         if ghost:
             g = np.empty((shape[0], shape[1], F), dtype=object)
             for idx in np.ndindex(g.shape):
-                g[idx] = _zero_ghost(m, order)
+                g[idx] = GradedScalar()
             return cls(m, shape, p, q, order, gdata=g)
         C = space(m, order).size
         return cls(m, shape, p, q, order, data=np.zeros((shape[0], shape[1], F, C)))
@@ -132,22 +134,32 @@ class MForm:
         return MForm(self.m, self.shape, self.p, self.q, self.order,
                      data=self.data.copy())
 
+    def _map_ghost(self, fn, order=None):
+        """Ghost MForm of the same shape with ``fn`` applied to every entry."""
+        g = np.empty(self.gdata.shape, dtype=object)
+        for idx, x in np.ndenumerate(self.gdata):
+            g[idx] = fn(x)
+        return MForm(self.m, self.shape, self.p, self.q,
+                     self.order if order is None else order, gdata=g)
+
     def to_ghost(self):
+        """Lift a float MForm: each nonzero entry c becomes GradedScalar({(): c})."""
         if self.is_ghost:
             return self
         g = np.empty(self.data.shape[:3], dtype=object)
-        for i, j, f in np.ndindex(g.shape):
-            g[i, j, f] = GhostJet.from_float(self.data[i, j, f], self.m)
+        for idx in np.ndindex(g.shape):
+            jet = Jet(self.m, self.data[idx].copy())
+            g[idx] = GradedScalar({(): jet} if jet else None)
         return MForm(self.m, self.shape, self.p, self.q, self.order, gdata=g)
 
     def truncate(self, to_order):
         if to_order == self.order:
             return self
         if self.is_ghost:
-            g = np.empty(self.gdata.shape, dtype=object)
-            for idx in np.ndindex(g.shape):
-                g[idx] = self.gdata[idx].truncate(to_order)
-            return MForm(self.m, self.shape, self.p, self.q, to_order, gdata=g)
+            if to_order > self.order:
+                raise JetOrderError(f"cannot raise jet order {self.order} to {to_order}")
+            return self._map_ghost(lambda x: x.map(lambda c: c.truncate(to_order)),
+                                   order=to_order)
         return MForm(self.m, self.shape, self.p, self.q, to_order,
                      data=jtrunc(self.data, self.m, to_order))
 
@@ -179,10 +191,8 @@ class MForm:
 
     def scale(self, factor):
         if self.is_ghost:
-            g = np.empty(self.gdata.shape, dtype=object)
-            for idx in np.ndindex(g.shape):
-                g[idx] = self.gdata[idx].scale(factor)
-            return MForm(self.m, self.shape, self.p, self.q, self.order, gdata=g)
+            factor = float(factor)
+            return self._map_ghost(lambda x: x * factor)
         return MForm(self.m, self.shape, self.p, self.q, self.order,
                      data=self.data * float(factor))
 
@@ -214,7 +224,8 @@ class MForm:
                             gb = b.gdata[t, j, f2]
                             if ga.is_zero() or gb.is_zero():
                                 continue
-                            acc = acc + (ga * gb).scale(s)
+                            prod = ga * gb
+                            acc = acc + prod if s > 0 else acc - prod
                         out.gdata[i, j, h] = acc
             return out
         out = MForm.zeros(self.m, out_shape, p, q, k)
@@ -239,8 +250,9 @@ class MForm:
                         src = self.gdata[i, j, f]
                         if src.is_zero():
                             continue
-                        out.gdata[i, j, h] = out.gdata[i, j, h] + \
-                            src.derivative(nu).scale(s)
+                        der = src.map(lambda c: c.derivative(nu))
+                        acc = out.gdata[i, j, h]
+                        out.gdata[i, j, h] = acc + der if s > 0 else acc - der
             return out
         for f, nu, h, sgn in plan:
             sp = space(self.m, self.order)
@@ -272,23 +284,16 @@ class MForm:
         else:
             self.data[r0:r1, c0:c1] = sub.truncate(self.order).data
 
-    def comp(self, comp):
-        """Coefficient array (or ghost matrix) of one form multi-index."""
-        f = _comp_index(self.m, self.p)[tuple(comp)]
-        if self.is_ghost:
-            return self.gdata[:, :, f]
-        return self.data[:, :, f, :]
-
     def value_norm(self):
         """Max |value coefficient| over entries and form components."""
         if self.is_ghost:
-            return worst_of(g.value_norm() for g in self.gdata.flat)
+            return worst_of(g.norm(_abs_value) for g in self.gdata.flat)
         return float(np.abs(self.data[..., 0]).max()) if self.data.size else 0.0
 
     def full_norm(self):
         """Max |coefficient| over all jet orders (used for relative scales)."""
         if self.is_ghost:
-            return worst_of(g.norm() for g in self.gdata.flat)
+            return worst_of(g.norm(Jet.norm) for g in self.gdata.flat)
         return float(np.abs(self.data).max()) if self.data.size else 0.0
 
     def body(self):
@@ -296,8 +301,9 @@ class MForm:
         if not self.is_ghost:
             return self
         out = MForm.zeros(self.m, self.shape, self.p, 0, self.order)
-        for i, j, f in np.ndindex(self.gdata.shape):
-            out.data[i, j, f, :] = self.gdata[i, j, f].body()
+        for idx, g in np.ndenumerate(self.gdata):
+            if not g.is_zero():
+                out.data[idx] = g.body().coeffs
         return out
 
     def __repr__(self):
@@ -376,7 +382,7 @@ def eta_t(v, eta_diag):
         for j in range(c):
             if v.is_ghost:
                 for f in range(v.n_comps):
-                    out.gdata[j, 0, f] = v.gdata[0, j, f].scale(w[j])
+                    out.gdata[j, 0, f] = v.gdata[0, j, f] * float(w[j])
             else:
                 out.data[j, 0] = v.data[0, j] * w[j]
         return out
@@ -385,7 +391,7 @@ def eta_t(v, eta_diag):
         for j in range(r):
             if v.is_ghost:
                 for f in range(v.n_comps):
-                    out.gdata[0, j, f] = v.gdata[j, 0, f].scale(w[j])
+                    out.gdata[0, j, f] = v.gdata[j, 0, f] * float(w[j])
             else:
                 out.data[0, j] = v.data[j, 0] * w[j]
         return out
@@ -426,10 +432,4 @@ def algebra_residual(X, kind, eta=None, sigma=None):
             raise ValueError(f"unknown algebra kind {kind!r}")
         defects.append(defect)
     return worst_of(defects)
-
-
-def residual(a, b=None):
-    """Value-level defect norm of a (or of a - b)."""
-    d = a if b is None else a - b
-    return d.value_norm()
 

@@ -1,9 +1,11 @@
 """Sparse Grassmann algebra over named anticommuting generators.
 
-Ghost-valued quantities live in the real algebra generated by a finite pool
-of odd generators.  Elements are stored as sparse maps from strictly sorted
-generator-id tuples (monomials) to real coefficients, so nilpotency and the
-anticommutation signs are structural.
+Ghost-valued quantities live in the algebra generated by a finite pool of odd
+generators over a commutative coefficient ring.  Elements are stored as sparse
+maps from strictly sorted generator-id tuples (monomials) to coefficients, so
+nilpotency and the anticommutation signs are structural.  A coefficient is a
+float or a :class:`~cartanweyl.jets.Jet`, so one ghost-valued jet is one
+element: a dense Taylor array per Grassmann monomial.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .reduction import worst_of
-
-_COEFF_EPS = 0.0  # exact zeros only are pruned; tiny residuals must survive
 
 
 def _merge_monomials(a, b):
@@ -48,10 +48,14 @@ def _merge_monomials(a, b):
 
 
 class GradedScalar:
-    """Element of the Grassmann algebra with real coefficients.
+    """Element of the Grassmann algebra over floats or jets.
 
-    ``terms`` maps strictly increasing generator-id tuples to floats.  The
-    empty tuple is the real (body) part, so plain numbers embed naturally.
+    ``terms`` maps strictly increasing generator-id tuples to coefficients.
+    The empty tuple is the even (body) part, so plain numbers and jets embed
+    as ``{(): c}``.  A coefficient that is exactly zero (``not c``: a float
+    0.0 or an all-zero jet) is dropped, never stored; products of ghost
+    fields cancel to exact zeros often, and dropping them saves the products
+    they would feed.
     """
 
     __slots__ = ("terms",)
@@ -82,84 +86,90 @@ class GradedScalar:
             return degs.pop()
         return None
 
-    def norm(self):
-        return worst_of(abs(c) for c in self.terms.values())
+    def norm(self, coeff_norm=abs):
+        """Largest ``coeff_norm`` over the coefficients; 0.0 when zero."""
+        return worst_of(coeff_norm(c) for c in self.terms.values())
 
     def body(self):
         """Sum of all coefficients: the image under every generator -> 1."""
-        return sum(self.terms.values())
+        vals = list(self.terms.values())
+        return sum(vals[1:], vals[0]) if vals else 0.0
 
     def real_part(self):
         return self.terms.get((), 0.0)
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _as_terms(self, other):
-        if isinstance(other, GradedScalar):
-            return other.terms
-        if isinstance(other, (int, float)):
-            return {(): float(other)} if other else {}
-        return NotImplemented
-
-    def __add__(self, other):
-        terms = self._as_terms(other)
-        if terms is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in terms.items():
-            v = out.get(k, 0.0) + c
-            if v == 0.0:
-                out.pop(k, None)
-            else:
+    def map(self, fn):
+        """Apply ``fn`` to every coefficient (an even, linear map such as a
+        derivative or a truncation); exact-zero results are dropped."""
+        out = {}
+        for k, c in self.terms.items():
+            v = fn(c)
+            if v:
                 out[k] = v
         return GradedScalar(out)
+
+    # -- arithmetic --------------------------------------------------------
+
+    @staticmethod
+    def _as_terms(other):
+        """Terms of ``other``; an even coefficient embeds as {(): other}."""
+        if isinstance(other, GradedScalar):
+            return other.terms
+        return {(): other} if other else {}
+
+    def _combine(self, other, negate):
+        out = dict(self.terms)
+        for k, c in self._as_terms(other).items():
+            prev = out.get(k)
+            if prev is None:
+                v = -c if negate else c
+            else:
+                v = prev - c if negate else prev + c
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+        return GradedScalar(out)
+
+    def __add__(self, other):
+        return self._combine(other, False)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return GradedScalar({k: -c for k, c in self.terms.items()})
-
     def __sub__(self, other):
-        terms = self._as_terms(other)
-        if terms is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in terms.items():
-            v = out.get(k, 0.0) - c
-            if v == 0.0:
-                out.pop(k, None)
-            else:
-                out[k] = v
-        return GradedScalar(out)
+        return self._combine(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def __neg__(self):
+        return GradedScalar({k: -c for k, c in self.terms.items()})
+
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            if other == 0.0:
-                return GradedScalar()
-            return GradedScalar({k: c * other for k, c in self.terms.items()})
-        if not isinstance(other, GradedScalar):
-            return NotImplemented
+        right = self._as_terms(other).items()
         out = {}
         for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
+            for kb, cb in right:
+                p = ca * cb
+                if not p:
+                    continue
                 merged = _merge_monomials(ka, kb)
                 if merged is None:
                     continue
                 mono, sign = merged
-                v = out.get(mono, 0.0) + sign * ca * cb
-                if v == 0.0:
-                    out.pop(mono, None)
+                prev = out.get(mono)
+                if prev is None:
+                    v = p if sign > 0 else -p
                 else:
+                    v = prev + p if sign > 0 else prev - p
+                if v:
                     out[mono] = v
+                else:
+                    out.pop(mono, None)
         return GradedScalar(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.__mul__(other)
-        return NotImplemented
+    # coefficients are even and commute with every generator
+    __rmul__ = __mul__
 
     def __repr__(self):
         if not self.terms:
@@ -168,17 +178,8 @@ class GradedScalar:
         for k in sorted(self.terms, key=lambda t: (len(t), t)):
             c = self.terms[k]
             mono = "*".join(f"g{i}" for i in k) if k else "1"
-            bits.append(f"{c:+.6g}*{mono}")
+            bits.append(f"{c:+.6g}*{mono}" if isinstance(c, float) else f"{c!r}*{mono}")
         return "GradedScalar(" + " ".join(bits) + ")"
-
-
-def gmul(a, b):
-    """Product in the Grassmann algebra; accepts floats on either side."""
-    if isinstance(a, GradedScalar):
-        return a * b
-    if isinstance(b, GradedScalar):
-        return b.__rmul__(a) if isinstance(a, (int, float)) else NotImplemented
-    return a * b
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ t_beta = (d^beta f)/beta! for every multi-index |beta| <= K.  Products are
 exact truncated polynomial convolutions driven by precomputed sparse tables,
 so identity residuals downstream are limited only by rounding.
 
-Float-valued jets are flat numpy arrays over the monomial basis of a cached
-:class:`JetSpace`; ghost-valued jets (Grassmann coefficients) live in
-:class:`GhostJet` with a sparse dict of the same monomials.
+Jets are flat numpy arrays over the monomial basis of a cached
+:class:`JetSpace`, wrapped as :class:`Jet` for scalar arithmetic.  A
+ghost-valued jet is a :class:`~cartanweyl.grassmann.GradedScalar` whose
+coefficients are jets: one dense Taylor array per Grassmann monomial.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import ExprDomainError, JetOrderError
-from .grassmann import GradedScalar, gmul
-from .reduction import worst_of
 
 
 def _monomials(m, order):
@@ -147,12 +146,10 @@ def jtrunc(a, m, to_order):
 
 def jmul(a, b, m):
     """Truncated product; broadcasts over leading axes, trims to min order."""
-    ka, kb = order_of(m, a), order_of(m, b)
-    k = min(ka, kb)
-    a = jtrunc(a, m, k)
-    b = jtrunc(b, m, k)
-    sp = space(m, k)
-    prod = a[..., sp.mul_i] * b[..., sp.mul_j]
+    # the order-k tables index only the first size(k) coefficients, so the
+    # longer operand needs no explicit truncation
+    sp = space(m, order_of(m, min(a.shape[-1], b.shape[-1])))
+    prod = a.take(sp.mul_i, axis=-1) * b.take(sp.mul_j, axis=-1)
     return np.add.reduceat(prod, sp.mul_starts, axis=-1)
 
 
@@ -342,14 +339,34 @@ class Chart:
         return self.names.index(name)
 
 
+@lru_cache(maxsize=None)
+def _zero_jet(m, size):
+    """Shared zero jet of one basis size; read-only, like every jet."""
+    coeffs = np.zeros(size)
+    coeffs.flags.writeable = False
+    return Jet(m, coeffs, math.inf)
+
+
+@lru_cache(maxsize=None)
+def _degrees(m, size):
+    return space(m, _size_to_order(m, size)).degrees
+
+
 class Jet:
-    """Value plus partial derivatives of a scalar at a chart point."""
+    """Value plus partial derivatives of a scalar at a chart point.
 
-    __slots__ = ("m", "coeffs")
+    :attr:`low` is the lowest degree with a nonzero coefficient.  A product
+    knows its own from its factors' and is skipped when that lies above the
+    order: ghost fields are sums of unit jets (one nonzero coefficient), so
+    most pairwise products of their Grassmann terms vanish by degree alone.
+    """
 
-    def __init__(self, m, coeffs):
+    __slots__ = ("m", "coeffs", "_low")
+
+    def __init__(self, m, coeffs, low=None):
         self.m = m
         self.coeffs = np.asarray(coeffs, dtype=float)
+        self._low = low
 
     @classmethod
     def constant(cls, value, m, order):
@@ -379,6 +396,23 @@ class Jet:
         return {b: float(self.coeffs[i] * sp.factorials[i])
                 for i, b in enumerate(sp.monos)}
 
+    def norm(self):
+        """Largest |Taylor coefficient|; NaN when any coefficient is NaN."""
+        return float(np.abs(self.coeffs).max())
+
+    @property
+    def low(self):
+        """Lowest degree with a nonzero coefficient; inf for the zero jet."""
+        if self._low is None:
+            nz = self.coeffs.nonzero()[0]
+            self._low = (int(_degrees(self.m, self.coeffs.size)[nz[0]])
+                         if nz.size else math.inf)
+        return self._low
+
+    def __bool__(self):
+        # like a float: false only for the exact zero
+        return self.low != math.inf
+
     def truncate(self, to_order):
         return Jet(self.m, jtrunc(self.coeffs, self.m, to_order))
 
@@ -396,28 +430,37 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        k = min(self.order, o.order)
-        return Jet(self.m, jtrunc(self.coeffs, self.m, k) + jtrunc(o.coeffs, self.m, k))
+        # the basis is sorted by degree: the lower order is a prefix
+        n = min(self.coeffs.size, o.coeffs.size)
+        return Jet(self.m, self.coeffs[:n] + o.coeffs[:n])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.m, -self.coeffs)
+        return Jet(self.m, -self.coeffs, self._low)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        n = min(self.coeffs.size, o.coeffs.size)
+        return Jet(self.m, self.coeffs[:n] - o.coeffs[:n])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.m, jmul(self.coeffs, o.coeffs, self.m))
+        if isinstance(other, Jet):
+            # the lowest-degree parts multiply to a nonzero homogeneous part
+            low = self.low + other.low
+            n = min(self.coeffs.size, other.coeffs.size)
+            if low > _size_to_order(self.m, n):
+                return _zero_jet(self.m, n)
+            return Jet(self.m, jmul(self.coeffs, other.coeffs, self.m), low)
+        if isinstance(other, (int, float)):
+            # same as the product with a constant jet, which only adds zeros
+            return Jet(self.m, self.coeffs * float(other))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -450,156 +493,3 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(m={self.m}, order={self.order}, value={self.value:.6g})"
-
-
-# ---------------------------------------------------------------------------
-# ghost-valued jets
-# ---------------------------------------------------------------------------
-
-class GhostJet:
-    """Jet whose Taylor coefficients live in the Grassmann algebra.
-
-    Sparse: ``terms`` maps exponent tuples to floats or GradedScalars.
-    """
-
-    __slots__ = ("m", "order", "terms")
-
-    def __init__(self, m, order, terms=None):
-        self.m = m
-        self.order = order
-        self.terms = {}
-        if terms:
-            for b, c in terms.items():
-                if isinstance(c, GradedScalar):
-                    if not c.is_zero():
-                        self.terms[b] = c
-                elif c != 0.0:
-                    self.terms[b] = c
-
-    @classmethod
-    def from_float(cls, coeffs, m):
-        order = order_of(m, coeffs)
-        sp = space(m, order)
-        return cls(m, order, {sp.monos[i]: float(coeffs[i])
-                              for i in np.nonzero(coeffs)[0]})
-
-    @classmethod
-    def ghost_field(cls, coeffs, m, pool, prefix):
-        """Odd field whose derivative values are independent generators.
-
-        The Taylor coefficient at beta becomes (d^beta f / beta!) times a
-        fresh generator named ``prefix@beta``, so products like eps * d(eps)
-        stay nonzero exactly as the BRS identities require.
-        """
-        order = order_of(m, coeffs)
-        sp = space(m, order)
-        terms = {}
-        for i, beta in enumerate(sp.monos):
-            gen = pool.register(f"{prefix}@{''.join(map(str, beta))}")
-            c = float(coeffs[i])
-            if c != 0.0:
-                terms[beta] = GradedScalar.generator(gen.index, c)
-        return cls(m, order, terms)
-
-    def value(self):
-        c = self.terms.get(tuple([0] * self.m), 0.0)
-        return c if isinstance(c, GradedScalar) else GradedScalar.scalar(c)
-
-    def truncate(self, to_order):
-        if to_order > self.order:
-            raise JetOrderError(f"cannot raise ghost jet order {self.order}")
-        if to_order == self.order:
-            return self
-        return GhostJet(self.m, to_order,
-                        {b: c for b, c in self.terms.items() if sum(b) <= to_order})
-
-    def __add__(self, other):
-        if not isinstance(other, GhostJet):
-            return NotImplemented
-        k = min(self.order, other.order)
-        out = {b: c for b, c in self.terms.items() if sum(b) <= k}
-        for b, c in other.terms.items():
-            if sum(b) > k:
-                continue
-            if b in out:
-                s = out[b] + c
-                if isinstance(s, GradedScalar) and s.is_zero():
-                    del out[b]
-                elif not isinstance(s, GradedScalar) and s == 0.0:
-                    del out[b]
-                else:
-                    out[b] = s
-            else:
-                out[b] = c
-        return GhostJet(self.m, k, out)
-
-    def __neg__(self):
-        return GhostJet(self.m, self.order, {b: -c for b, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, GhostJet):
-            return NotImplemented
-        k = min(self.order, other.order)
-        out = {}
-        for b1, c1 in self.terms.items():
-            d1 = sum(b1)
-            if d1 > k:
-                continue
-            for b2, c2 in other.terms.items():
-                if d1 + sum(b2) > k:
-                    continue
-                b = tuple(x + y for x, y in zip(b1, b2))
-                c = gmul(c1, c2)
-                if isinstance(c, GradedScalar) and c.is_zero():
-                    continue
-                if b in out:
-                    out[b] = out[b] + c
-                else:
-                    out[b] = c
-        return GhostJet(self.m, k, out)
-
-    def scale(self, factor):
-        """Multiply by a real number or a constant GradedScalar from the left."""
-        return GhostJet(self.m, self.order,
-                        {b: gmul(factor, c) for b, c in self.terms.items()})
-
-    def derivative(self, nu):
-        if self.order == 0:
-            raise JetOrderError("ghost jet order exhausted")
-        out = {}
-        for b, c in self.terms.items():
-            if b[nu] == 0:
-                continue
-            down = list(b)
-            down[nu] -= 1
-            if sum(down) > self.order - 1:
-                continue
-            out[tuple(down)] = gmul(float(b[nu]), c)
-        return GhostJet(self.m, self.order - 1, out)
-
-    def norm(self):
-        return worst_of(c.norm() if isinstance(c, GradedScalar) else abs(c)
-                        for c in self.terms.values())
-
-    def value_norm(self):
-        c = self.terms.get(tuple([0] * self.m))
-        if c is None:
-            return 0.0
-        return c.norm() if isinstance(c, GradedScalar) else abs(c)
-
-    def body(self):
-        """Float jet obtained by sending every generator to 1."""
-        sp = space(self.m, self.order)
-        out = np.zeros(sp.size)
-        for b, c in self.terms.items():
-            out[sp.index[b]] = c.body() if isinstance(c, GradedScalar) else float(c)
-        return out
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        return f"GhostJet(m={self.m}, order={self.order}, nnz={len(self.terms)})"

@@ -18,7 +18,7 @@ from .cartan import k1_matrix
 from .dressing import extract_tensors, full_pipeline, u0_from_vielbein
 from .errors import ExprDomainError
 from .exprs import eval_jet, parse_expr
-from .forms import MForm
+from .forms import MForm, eta_t
 from .jets import jder, jmul, jrecip, jtrunc, order_of
 from .reduction import worst_of
 from .tensors import jeinsum
@@ -193,7 +193,6 @@ def weyl_transform_midlevel(fields, z, zeta):
     Omega1W = k1W_inv.wedge(fields.Omega1.wedge(k1W))
     # closed forms
     xi = mats["xi"]
-    from .forms import eta_t
     eta = model.eta
     xit = eta_t(xi, eta)
     blk = lambda M, i, j: model.block(M, i, j)
@@ -206,17 +205,17 @@ def weyl_transform_midlevel(fields, z, zeta):
     Pi1 = blk(fields.Omega1, 1, 2)
     closed = {}
     closed["theta"] = _scale_rows(theta, z)
-    closed["A1"] = A1 + theta.wedge(xi) - xit.wedge(_transpose_theta(theta, eta))
+    closed["A1"] = A1 + theta.wedge(xi) - xit.wedge(eta_t(theta, eta))
     Dxi = xi.ext_d() - xi.wedge(A1)
     corr = (alpha1 + Dxi - xi.wedge(theta.wedge(xi))
-            + xi.wedge(xit).wedge(_transpose_theta(theta, eta)).scale(0.5))
+            + xi.wedge(xit).wedge(eta_t(theta, eta)).scale(0.5))
     closed["alpha1"] = _scale_rows(corr, mats["zinv"])
     closed["f1"] = f1 - xi.wedge(Theta1)
     closed["Theta1"] = _scale_rows(Theta1, z)
-    closed["F1"] = F1 + Theta1.wedge(xi) - xit.wedge(_transpose_theta(Theta1, eta))
+    closed["F1"] = F1 + Theta1.wedge(xi) - xit.wedge(eta_t(Theta1, eta))
     f1_eye = _eye_times(f1, m)
     corr2 = (Pi1 - xi.wedge(F1 - f1_eye) - xi.wedge(Theta1.wedge(xi))
-             + xi.wedge(xit).wedge(_transpose_theta(Theta1, eta)).scale(0.5))
+             + xi.wedge(xit).wedge(eta_t(Theta1, eta)).scale(0.5))
     closed["Pi1"] = _scale_rows(corr2, mats["zinv"])
     return varpi1W, Omega1W, closed, mats
 
@@ -229,12 +228,6 @@ def _scale_rows(M, z):
     zk = jtrunc(z, m, k)
     out.data = jmul(zk[None, None, None, :], out.data, m)
     return out
-
-
-def _transpose_theta(theta, eta):
-    """theta^t = (eta theta)^T for a column of forms."""
-    from .forms import eta_t
-    return eta_t(theta, eta)
 
 
 def _eye_times(f, m):

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,7 @@ BAD_INPUTS = {
     "gauge_not_object": {"gauge": [1]},
     "unknown_variable": {"weyl": "x7"},
     "deep_nesting": {"weyl": "(" * 3000 + "x0" + ")" * 3000},
+    "huge_exponent": {"weyl": "x0^1000000000"},
     "not_an_object": None,
 }
 
@@ -259,10 +261,13 @@ def test_cli_bad_input_exits_2(case, tmp_path, capsys):
     doc = [1, 2] if BAD_INPUTS[case] is None else {**_one_point_m3(), **BAD_INPUTS[case]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
+    start = time.perf_counter()
     code = main(["check", "--scenario", str(path), "--suite", "gauge"])
+    elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and err.startswith("error:")
+    assert elapsed < 1.0   # rejected at validation, before any jet arithmetic
 
 
 @pytest.mark.parametrize("flags", [["--tolerance", "-1"], ["--jet-order", "2"],

@@ -4,8 +4,8 @@ import pytest
 from cartanweyl.errors import ShapeError
 from cartanweyl.forms import (MForm, algebra_residual, block_matrix, eta_t,
                               form_comps, gcomm)
-from cartanweyl.grassmann import GeneratorPool
-from cartanweyl.jets import GhostJet, space
+from cartanweyl.grassmann import GeneratorPool, GradedScalar
+from cartanweyl.jets import Jet, space
 
 M, K = 3, 4
 
@@ -17,9 +17,19 @@ def rand_form(rng, shape, p, q=0, order=K, pool=None, tag=""):
         return out
     for i, j, f in np.ndindex(out.gdata.shape):
         coeffs = rng.normal(size=space(M, order).size)
-        out.gdata[i, j, f] = GhostJet.ghost_field(coeffs, M, pool,
-                                                  f"{tag}{i}{j}{f}")
+        out.gdata[i, j, f] = ghost_field(coeffs, order, pool, f"{tag}{i}{j}{f}")
     return out
+
+
+def ghost_field(coeffs, order, pool, prefix):
+    """Odd jet sum_beta theta_{prefix@beta} c_beta (unit jet at beta)."""
+    terms = {}
+    for i, beta in enumerate(space(M, order).monos):
+        gen = pool.register(f"{prefix}@{''.join(map(str, beta))}")
+        unit = np.zeros(len(coeffs))
+        unit[i] = coeffs[i]
+        terms[(gen.index,)] = Jet(M, unit)
+    return GradedScalar(terms)
 
 
 def test_wedge_antisymmetry_of_coordinate_forms():
