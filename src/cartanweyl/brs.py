@@ -419,7 +419,7 @@ class ConformalBRS:
         eivi = MForm.zeros(m, (m, m), 0, 0, order_of(m, einv_arr))
         eivi.data[:, :, 0, :] = einv_arr
         self.L_einv = leaf("einv", eivi)
-        u1 = extract_u1(conn, self.e)
+        u1 = extract_u1(conn, einv_arr)
         self.u1 = u1
         self.L_q = leaf("q", u1.q)
 

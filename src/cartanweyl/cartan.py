@@ -20,6 +20,10 @@ from .jets import (Chart, jcos, jcosh, jmat_inv, jmul, jrecip, jsin, jsinh,
                    order_of, space)
 from .reduction import worst_of
 
+# largest |x_i| of the catalog sample points; random gauge polynomials are
+# scaled for it
+SAMPLE_BOX = 0.31
+
 
 @dataclass(frozen=True)
 class KleinModel:
@@ -404,11 +408,13 @@ def k1_matrix(r, model):
         m, 0, 0, r.order)
 
 
-def random_polynomial(rng, m, names, degree=2, scale=1.0):
+def random_polynomial(rng, m, names, degree=2, scale=1.0, radius=SAMPLE_BOX):
     """Low-degree polynomial with coefficients drawn from [-1/2, 1/2].
 
     Nonconstant coefficients shrink with the monomial degree so values stay
-    bounded on the sample box and gauge z factors stay positive.
+    bounded for |x_i| <= radius and gauge z factors stay positive.  Past the
+    catalog box they shrink by (SAMPLE_BOX / radius)^degree as well; the rng
+    draws, and every polynomial for a point inside the box, stay the same.
     """
     from .exprs import poly_expr
     coeffs = {}
@@ -416,24 +422,32 @@ def random_polynomial(rng, m, names, degree=2, scale=1.0):
         deg = sum(beta)
         u = float(rng.uniform(-0.5, 0.5))
         if deg > 0:
-            u /= 2.0 * (m ** deg)
+            u /= 2.0 * (m * max(1.0, radius / SAMPLE_BOX)) ** deg
         coeffs[beta] = round(u * scale, 6)
     return poly_expr(coeffs, names)
 
 
-def random_gauge(model, rng, degree=2, with_z=True, with_s=True, with_r=True):
-    """Generic gauge element for scramble tests (seeded, deterministic)."""
+def random_gauge(model, rng, degree=2, with_z=True, with_s=True, with_r=True,
+                 point=None):
+    """Generic gauge element for scramble tests (seeded, deterministic).
+
+    Its polynomials are scaled to the coordinates of ``point`` when given.
+    """
     m = model.m
     names = model.chart.names
+    radius = max(map(abs, point)) if point is not None else SAMPLE_BOX
+
+    def poly():
+        return random_polynomial(rng, m, names, degree, radius=radius)
+
     z = None
     if with_z:
         from .exprs import add, const
-        z = add(const(1), random_polynomial(rng, m, names, degree))
+        z = add(const(1), poly())
     so = None
     if with_s:
-        so = [random_polynomial(rng, m, names, degree)
-              for _ in range(m * (m - 1) // 2)]
+        so = [poly() for _ in range(m * (m - 1) // 2)]
     r = None
     if with_r:
-        r = [random_polynomial(rng, m, names, degree) for _ in range(m)]
+        r = [poly() for _ in range(m)]
     return GaugeElement(z=z, so=so, r=r)

@@ -118,7 +118,7 @@ def base_connection(scn, model, vb, point, rng):
         conn = deformed_connection(conn, model, point, scn.jet_order, rng)
     if scn.gauge:
         if scn.gauge.get("seeded"):
-            ge = random_gauge(model, rng)
+            ge = random_gauge(model, rng, point=point)
         else:
             ge = GaugeElement(z=scn.gauge.get("z"), so=scn.gauge.get("so"),
                               r=scn.gauge.get("r"))
@@ -185,14 +185,14 @@ def gauge_suite(scn, report):
         res = {}
         res["bianchi"] = (Om.ext_d() + gcomm(w.truncate(Om.order), Om)).value_norm()
         if model.kind == "mobius":
-            ge = random_gauge(model, rng)
+            ge = random_gauge(model, rng, point=point)
             mats = ge.matrices(model, point, scn.jet_order)
             conn_g = gauge_transform(conn, mats["gamma"], mats["gamma_inv"])
             curv_g = curvature(conn_g)
             conj = mats["gamma_inv"].wedge(Om.wedge(mats["gamma"]))
             res["curvature_equivariance"] = (curv_g.omega2 - conj).value_norm()
             # right action on a random pair
-            g2 = random_gauge(model, rng)
+            g2 = random_gauge(model, rng, point=point)
             m2 = g2.matrices(model, point, scn.jet_order)
             lhs = gauge_transform(conn_g, m2["gamma"], m2["gamma_inv"])
             g12 = mats["gamma"].wedge(m2["gamma"])
@@ -242,8 +242,8 @@ def dressing_suite(scn, report, keep_tensors=False):
         res = dict(fields.diagnostics)
         res["single_step"] = fields.single_step_residual
         # invariance under the erased sectors, same composite output
-        ge1 = random_gauge(model, rng, with_z=False, with_s=False)
-        geS = random_gauge(model, rng, with_z=False, with_r=False)
+        ge1 = random_gauge(model, rng, with_z=False, with_s=False, point=point)
+        geS = random_gauge(model, rng, with_z=False, with_r=False, point=point)
         for tag, ge in (("k1", ge1), ("so", geS)):
             mats = ge.matrices(model, point, scn.jet_order)
             conn_g = gauge_transform(conn, mats["gamma"], mats["gamma_inv"])
@@ -312,7 +312,7 @@ def _poincare_dressing_suite(scn, report):
         res["oracle_R"] = float(np.abs(R - B["Riemann"][..., 0]).max())
         res["torsion"] = float(np.abs(T).max())
         # Lorentz invariance of the dressed outputs
-        ge = random_gauge(model, rng, with_z=False, with_r=False)
+        ge = random_gauge(model, rng, with_z=False, with_r=False, point=point)
         mats = ge.matrices(model, point, scn.jet_order)
         conn_S = gauge_transform(conn, mats["gamma"], mats["gamma_inv"])
         eS = tensors.jeinsum("ab,bm->am", mats["Sinv"], e, model.m)

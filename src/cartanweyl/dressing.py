@@ -36,6 +36,7 @@ class DressingU0:
     """Block-diagonal dressing diag(1, e, 1) (or diag(e, 1) for Poincare)."""
 
     e: np.ndarray     # (m, m, C) jets
+    einv: np.ndarray  # its inverse, for the callers that need e^-1 as well
     mat: MForm
     inv: MForm
 
@@ -80,21 +81,21 @@ def vielbein_of(conn):
     return e
 
 
-def extract_u1(conn, e, tol_det=1e-8):
+def extract_u1(conn, einv):
     """Dressing u1 from the vanishing of the dressed scalar block.
 
-    q = a . e^-1 pointwise with full jets; dressing by u1 zeroes block (1,1).
+    q = a . e^-1 pointwise with full jets, for the inverse vielbein ``einv``;
+    dressing by u1 zeroes block (1,1).
     """
     model = conn.model
     if model.kind != "mobius":
         raise ShapeError("u1 extraction applies to the Moebius model")
     m = model.m
     a = conn.a()  # (1,1) scalar 1-form
-    order = min(a.order, order_of(m, e))
+    order = min(a.order, order_of(m, einv))
     arow = np.empty((1, m, space(m, order).size))
     for mu in range(m):
         arow[0, mu] = a.truncate(order).data[0, 0, mu, :]
-    einv = jmat_inv(e, m)
     qarr = jeinsum("om,ma->oa", arow, einv, m)
     q = MForm.zeros(m, (1, m), 0, 0, order_of(m, qarr))
     q.data[:, :, 0, :] = qarr
@@ -120,7 +121,7 @@ def u0_from_vielbein(e, model):
                             [None, None, one]], m, 0, 0, order)
         inv = block_matrix([[one, None, None], [None, einvform, None],
                             [None, None, one]], m, 0, 0, order)
-    return DressingU0(e=e, mat=mat, inv=inv)
+    return DressingU0(e=e, einv=einv, mat=mat, inv=inv)
 
 
 def dress(x, mat, inv, connection=False):
@@ -175,11 +176,11 @@ def full_pipeline(conn, e=None, tol=1e-10):
     m = model.m
     if e is None:
         e = vielbein_of(conn)
-    u1 = extract_u1(conn, e)
+    u0 = u0_from_vielbein(e, model)
+    u1 = extract_u1(conn, u0.einv)
     Om = curvature(conn).omega2
     varpi1 = dress(conn.omega, u1.mat, u1.inv, connection=True)
     Omega1 = dress(Om, u1.mat, u1.inv)
-    u0 = u0_from_vielbein(e, model)
     varpi0 = dress(varpi1, u0.mat, u0.inv, connection=True)
     Omega0 = dress(Omega1, u0.mat, u0.inv)
     # single step through u = u1 u0
@@ -190,7 +191,6 @@ def full_pipeline(conn, e=None, tol=1e-10):
     single = worst_of(((varpi0 - varpi0_b).value_norm(),
                        (Omega0 - Omega0_b).value_norm()))
     g, Gamma, P, T, f0, C, W = extract_tensors(varpi0, Omega0, model)
-    einv = jmat_inv(e, m)
     diag = {}
     diag["a1_residual"] = model.block(varpi1, 1, 1).value_norm()
     # block (2,1) must be exactly dx and (3,3) zero
@@ -208,7 +208,7 @@ def full_pipeline(conn, e=None, tol=1e-10):
     diag["curvature_compat"] = (omega0_curv - Omega0).value_norm()
     return DressedFields(
         model=model, varpi1=varpi1, Omega1=Omega1, varpi0=varpi0, Omega0=Omega0,
-        u1=u1, u0=u0, e=e, einv=einv, g=g, Gamma=Gamma, P=P,
+        u1=u1, u0=u0, e=e, einv=u0.einv, g=g, Gamma=Gamma, P=P,
         T=T, f0=f0, C=C, W=W, single_step_residual=single, diagnostics=diag)
 
 
@@ -243,14 +243,14 @@ def compatibility_residuals(conn, e, gauge1, gaugeS, model, point, order):
     """
     from .cartan import gauge_transform
     m = model.m
-    u1 = extract_u1(conn, e)
     u0 = u0_from_vielbein(e, model)
+    u1 = extract_u1(conn, u0.einv)
     m1 = gauge1.matrices(model, point, order)
     mS = gaugeS.matrices(model, point, order)
     out = {}
     # gamma1 action: e is untouched
     conn_g1 = gauge_transform(conn, m1["gamma1"], m1["gamma1_inv"])
-    u1_g1 = extract_u1(conn_g1, e)
+    u1_g1 = extract_u1(conn_g1, u0.einv)
     expect = m1["gamma1_inv"].wedge(u1.mat)
     out["u1_gamma1"] = (u1_g1.mat - expect).value_norm()
     u0_g1 = u0_from_vielbein(e, model)
@@ -259,10 +259,10 @@ def compatibility_residuals(conn, e, gauge1, gaugeS, model, point, order):
     S, Sinv = mS["S"], mS["Sinv"]
     eS = jeinsum("ab,bm->am", Sinv, e, m)
     conn_S = gauge_transform(conn, mS["S_emb"], mS["Sinv_emb"])
-    u1_S = extract_u1(conn_S, eS)
+    u0_S = u0_from_vielbein(eS, model)
+    u1_S = extract_u1(conn_S, u0_S.einv)
     expect = mS["Sinv_emb"].wedge(u1.mat.wedge(mS["S_emb"]))
     out["u1_S"] = (u1_S.mat - expect).value_norm()
-    u0_S = u0_from_vielbein(eS, model)
     expect = mS["Sinv_emb"].wedge(u0.mat)
     out["u0_S"] = (u0_S.mat - expect).value_norm()
     return out

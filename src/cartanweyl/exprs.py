@@ -321,7 +321,8 @@ def eval_jet(node, chart, point, order):
 # -- tiny builders used by the scenario generator ---------------------------
 
 def const(v):
-    return Const(Fraction(v).limit_denominator(10**6))
+    """Exact constant for v rounded to 6 decimals (scenario coefficients are)."""
+    return Const(Fraction(round(v * 10**6), 10**6))
 
 
 def var(name):

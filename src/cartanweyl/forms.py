@@ -37,19 +37,22 @@ def _comp_index(m, p):
 
 @lru_cache(maxsize=None)
 def wedge_plan(m, p1, p2):
-    """(f1, f2, h, sign) entries for the component-level wedge."""
-    if p1 + p2 > m:
-        return ()
-    target = _comp_index(m, p1 + p2)
+    """Component-level wedge as index arrays (f1, f2, h, sign), one entry each.
+
+    Entries are empty when p1 + p2 > m; several entries share a target h.
+    """
     plan = []
-    for i1, c1 in enumerate(form_comps(m, p1)):
-        for i2, c2 in enumerate(form_comps(m, p2)):
-            if set(c1) & set(c2):
-                continue
-            inversions = sum(1 for a in c1 for b in c2 if a > b)
-            sign = -1.0 if inversions % 2 else 1.0
-            plan.append((i1, i2, target[tuple(sorted(c1 + c2))], sign))
-    return tuple(plan)
+    if p1 + p2 <= m:
+        target = _comp_index(m, p1 + p2)
+        for i1, c1 in enumerate(form_comps(m, p1)):
+            for i2, c2 in enumerate(form_comps(m, p2)):
+                if set(c1) & set(c2):
+                    continue
+                inversions = sum(1 for a in c1 for b in c2 if a > b)
+                sign = -1.0 if inversions % 2 else 1.0
+                plan.append((i1, i2, target[tuple(sorted(c1 + c2))], sign))
+    f1, f2, h = (np.array([e[k] for e in plan], dtype=int) for k in range(3))
+    return f1, f2, h, np.array([e[3] for e in plan])
 
 
 @lru_cache(maxsize=None)
@@ -208,13 +211,12 @@ class MForm:
         koszul = -1.0 if (self.p * other.q) % 2 else 1.0
         plan = wedge_plan(self.m, self.p, other.p)
         k = min(self.order, other.order)
-        a, b = self.truncate(k), other.truncate(k)
         out_shape = (self.shape[0], other.shape[1])
-        if a.is_ghost or b.is_ghost:
-            a, b = a.to_ghost(), b.to_ghost()
+        if self.is_ghost or other.is_ghost:
+            a, b = self.truncate(k).to_ghost(), other.truncate(k).to_ghost()
             out = MForm.zeros(self.m, out_shape, p, q, k, ghost=True)
             inner = self.shape[1]
-            for f1, f2, h, sgn in plan:
+            for f1, f2, h, sgn in zip(*plan):
                 s = sgn * koszul
                 for i in range(out_shape[0]):
                     for j in range(out_shape[1]):
@@ -229,9 +231,15 @@ class MForm:
                         out.gdata[i, j, h] = acc
             return out
         out = MForm.zeros(self.m, out_shape, p, q, k)
-        for f1, f2, h, sgn in plan:
-            out.data[:, :, h, :] += (sgn * koszul) * jmat_mul(
-                a.data[:, :, f1, :], b.data[:, :, f2, :], self.m)
+        f1, f2, h, sign = plan
+        if h.size:
+            # every plan entry in one product, stacked on a leading axis;
+            # jmat_mul trims both factors to order k
+            prod = jmat_mul(self.data[:, :, f1].transpose(2, 0, 1, 3),
+                            other.data[:, :, f2].transpose(2, 0, 1, 3), self.m)
+            # entries sharing a target need the unbuffered scatter-add
+            np.add.at(out.data.transpose(2, 0, 1, 3), h,
+                      (koszul * sign)[:, None, None, None] * prod)
         return out
 
     def ext_d(self):

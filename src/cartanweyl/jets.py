@@ -74,6 +74,14 @@ class JetSpace:
         mul_k = np.array(pairs_k)[order_perm]
         # every output index is hit (pairing with the constant monomial)
         self.mul_starts = np.searchsorted(mul_k, np.arange(self.size))
+        # degree-d sub-tables of jmat_inv: entries i, j -> k with deg k = d
+        # and deg i >= 1; every such k still has a (degree-1, rest) entry
+        self.inv_tables = []
+        for d in range(1, self.order + 1):
+            sel = (self.degrees[mul_k] == d) & (self.degrees[self.mul_i] > 0)
+            starts = np.searchsorted(mul_k[sel], np.arange(self.prefix[d - 1],
+                                                          self.prefix[d]))
+            self.inv_tables.append((self.mul_i[sel], self.mul_j[sel], starts))
 
     def _build_deriv_maps(self):
         # For direction nu: coefficients of d_nu f on the (order-1) basis.
@@ -261,47 +269,44 @@ def jipow(a, n, m):
 
 
 # ---------------------------------------------------------------------------
-# jet-valued matrices: (r, c, C) arrays
+# jet-valued matrices: (..., r, c, C) arrays
 # ---------------------------------------------------------------------------
 
 def jmat_mul(A, B, m):
-    """Matrix product with jet-coefficient entries: (r,k,C) x (k,c,C)."""
-    ka, kb = order_of(m, A), order_of(m, B)
-    k = min(ka, kb)
-    A = jtrunc(A, m, k)
-    B = jtrunc(B, m, k)
-    sp = space(m, k)
-    g1 = A[:, :, sp.mul_i]
-    g2 = B[:, :, sp.mul_j]
-    e = np.einsum("ikt,kjt->ijt", g1, g2)
-    return np.add.reduceat(e, sp.mul_starts, axis=-1)
+    """Matrix product with jet entries: (..., r, k, C) x (..., k, c, C).
 
-
-def jmat_eye(n, m, order):
-    out = np.zeros((n, n, space(m, order).size))
-    for i in range(n):
-        out[i, i, 0] = 1.0
-    return out
-
-
-def jmat_inv(E, m, newton_extra=1):
-    """Inverse of a jet-valued square matrix via Newton iteration.
-
-    The value-level inverse seeds X; each sweep X <- X(2I - EX) doubles the
-    corrected Taylor order, so ceil(log2(order+1)) sweeps suffice.
+    Broadcasts over leading axes and trims to the lower order.  The
+    multiplication-table axis goes in front of the matrix axes, so all table
+    entries are one batched ``matmul``; as in :func:`jmul`, the order-k
+    tables index only the first size(k) coefficients of the longer operand.
     """
-    order = order_of(m, E)
-    n = E.shape[0]
-    v = E[..., 0]
-    X = np.zeros_like(E)
-    X[..., 0] = np.linalg.inv(v)
-    if order == 0:
-        return X
-    sweeps = max(1, math.ceil(math.log2(order + 1))) + newton_extra
-    eye2 = 2.0 * jmat_eye(n, m, order)
-    for _ in range(sweeps):
-        X = jmat_mul(X, eye2 - jmat_mul(E, X, m), m)
-    return X
+    sp = space(m, order_of(m, min(A.shape[-1], B.shape[-1])))
+    # swapping the jet and row axes gives (..., C, k, r) stacks of transposed
+    # matrices, and (A_i B_j)^T = B_j^T A_i^T
+    At, Bt = A.swapaxes(-1, -3), B.swapaxes(-1, -3)
+    prod = Bt.take(sp.mul_j, axis=-3) @ At.take(sp.mul_i, axis=-3)
+    return np.add.reduceat(prod, sp.mul_starts, axis=-3).swapaxes(-1, -3)
+
+
+def jmat_inv(E, m):
+    """Inverse of a jet-valued square matrix (..., n, n, C), degree by degree.
+
+    Taylor division: X_0 = E_0^-1 and, for d = 1..order,
+    X_d = -X_0 (E X)_d, where (E X)_d runs only over the products E_i X_j
+    with deg i >= 1, so every X_j it reads is already solved (Griewank and
+    Walther, Evaluating Derivatives, 2nd ed., ch. 13).  The whole solve
+    costs about one jet-matrix product.
+    """
+    sp = space(m, order_of(m, E))
+    Et = np.moveaxis(E, -1, -3)                # (..., C, n, n)
+    X = np.empty(Et.shape)
+    X0 = np.linalg.inv(Et[..., 0, :, :])
+    X[..., 0, :, :] = X0
+    for d, (ti, tj, starts) in enumerate(sp.inv_tables, start=1):
+        EX = np.add.reduceat(Et.take(ti, axis=-3) @ X.take(tj, axis=-3),
+                             starts, axis=-3)
+        X[..., sp.prefix[d - 1]:sp.prefix[d], :, :] = -(X0[..., None, :, :] @ EX)
+    return np.moveaxis(X, -3, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .dressing import extract_tensors, full_pipeline, u0_from_vielbein
 from .errors import ExprDomainError
 from .exprs import eval_jet, parse_expr
 from .forms import MForm, eta_t
-from .jets import jder, jmul, jrecip, jtrunc, order_of
+from .jets import jder, jmat_inv, jmul, jrecip, jtrunc, order_of
 from .reduction import worst_of
 from .tensors import jeinsum
 
@@ -87,14 +87,13 @@ def weyl_matrices(model, z, zeta, e):
     for i in range(1, m + 1):
         Wt.data[i, i, 0] = jtrunc(z, m, order)
         Wtinv.data[i, i, 0] = jtrunc(zinv, m, order)
-    from .jets import jmat_inv
-    einv = jmat_inv(e, m)
+    u0 = u0_from_vielbein(e, model)
+    einv = u0.einv
     xi_arr = jeinsum("m,ma->a", zeta, einv, m)  # zeta . e^-1
     xi = MForm.zeros(m, (1, m), 0, 0, order_of(m, xi_arr))
     xi.data[0, :, 0, :] = xi_arr
     k1 = k1_matrix(xi, model)
     k1inv = k1_matrix(xi.scale(-1.0), model)
-    u0 = u0_from_vielbein(e, model)
     wbar = u0.inv.wedge(k1.wedge(u0.mat.wedge(W.wedge(Wt))))
     wbar_inv = Wtinv.wedge(Winv.wedge(u0.inv.wedge(k1inv.wedge(u0.mat))))
     # closed form for the same matrix
@@ -146,7 +145,6 @@ def closed_form_laws(state, z, zeta):
     m = state.model.m
     kv = min(order_of(m, state.g), order_of(m, zeta), order_of(m, z))
     g = jtrunc(state.g, m, kv)[..., 0]
-    from .jets import jmat_inv
     ginv = jmat_inv(jtrunc(state.g, m, kv), m)[..., 0]
     Gam = state.Gamma[..., 0]
     P = state.P[..., 0]

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from cartanweyl.cartan import (GaugeElement, KleinModel, VielbeinField, assemble,
-                               build_normal, curvature, gauge_transform,
+from cartanweyl.cartan import (SAMPLE_BOX, GaugeElement, KleinModel, VielbeinField,
+                               assemble, build_normal, curvature, gauge_transform,
                                normality_residual, random_gauge, spin_connection)
+from cartanweyl.checks import run_check
 from cartanweyl.errors import AlgebraResidualError, DegenerateVielbeinError
 from cartanweyl.exprs import eval_jet, parse_expr
 from cartanweyl.forms import MForm, algebra_residual, eta_t, gcomm
-from cartanweyl.jets import jmul
+from cartanweyl.jets import Chart, jmul
+from cartanweyl.scenarios import catalog
 from cartanweyl.tensors import classical_bundle
 
 from conftest import POINT3
@@ -290,3 +292,44 @@ def test_lorentz_factor_is_eta_orthogonal(mobius3, rng):
     S = mats["S"][..., 0]
     eta = np.diag(mobius3.eta)
     assert np.abs(S.T @ eta @ S - eta).max() < 1e-12
+
+
+# Schwarzschild points with r = x1 in 5.5-5.9, far outside the catalog box
+FAR_POINTS = [(0.038488, 5.849999, 1.279506, 0.051676),
+              (-0.010713, 5.632337, 1.197437, 0.113758),
+              (0.2, 5.5, 1.1, 0.4)]
+
+
+def test_random_gauge_unchanged_inside_catalog_box(mobius3):
+    point = (0.23, -SAMPLE_BOX, 0.17)
+    for seed in range(20):
+        plain = random_gauge(mobius3, np.random.default_rng(seed))
+        boxed = random_gauge(mobius3, np.random.default_rng(seed), point=point)
+        assert plain == boxed
+
+
+def test_random_gauge_scaled_to_far_point():
+    """z = 1 + p(x) stays positive at r ~ 5.5-5.9, where the box scaling fails.
+
+    The draws are the same, so the rng stream after the gauge is unchanged.
+    """
+    model = KleinModel("mobius", Chart(4, signature=(1, -1, -1, -1)))
+    for point in FAR_POINTS:
+        unscaled_bad = 0
+        for seed in range(300):
+            rng_box, rng_far = np.random.default_rng(seed), np.random.default_rng(seed)
+            plain = random_gauge(model, rng_box)
+            far = random_gauge(model, rng_far, point=point)
+            assert eval_jet(far.z, model.chart, point, 0).value > 0.5
+            unscaled_bad += eval_jet(plain.z, model.chart, point, 0).value <= 0
+            assert rng_box.uniform() == rng_far.uniform()
+        assert unscaled_bad > 0
+
+
+@pytest.mark.parametrize("seed,offset,point", [(200, 3, FAR_POINTS[0]),
+                                               (209, 6, FAR_POINTS[1])])
+def test_gauge_suite_on_far_schwarzschild_point(seed, offset, point):
+    """One-point scenarios whose seeded gauge factor z was once non-positive."""
+    scn = catalog("ricci-flat-m4", 4)
+    scn.points, scn.seed, scn.point_offset = [point], seed, offset
+    assert run_check(scn, "gauge").passed

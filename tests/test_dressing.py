@@ -8,7 +8,7 @@ from cartanweyl.dressing import (compatibility_residuals, dress,
                                  gr_dress, vielbein_of)
 from cartanweyl.errors import ShapeError
 from cartanweyl.forms import MForm, eta_t
-from cartanweyl.jets import jder, jmul, jrecip
+from cartanweyl.jets import jder, jmat_inv, jmul, jrecip
 from cartanweyl.tensors import classical_bundle, jeinsum
 
 from conftest import POINT3
@@ -18,7 +18,7 @@ K = 5
 
 def test_u1_identity_when_trace_block_vanishes(mobius3, vielbein3):
     conn = build_normal(vielbein3, mobius3, POINT3, K)
-    u1 = extract_u1(conn, vielbein3.jets_at(POINT3, K))
+    u1 = extract_u1(conn, jmat_inv(vielbein3.jets_at(POINT3, K), 3))
     assert u1.q.full_norm() == 0.0
     eye = MForm.identity(3, 5, u1.mat.order)
     assert (u1.mat - eye).full_norm() == 0.0
@@ -31,7 +31,7 @@ def test_u1_gamma1_shift(mobius3, vielbein3):
     ge = GaugeElement(r=["x0/3", "1/4", "x2/5 - x1/7"])
     mats = ge.matrices(mobius3, POINT3, K)
     conn_g = gauge_transform(conn, mats["gamma1"], mats["gamma1_inv"])
-    u1 = extract_u1(conn_g, e)
+    u1 = extract_u1(conn_g, jmat_inv(e, 3))
     assert (u1.q + mats["r"]).value_norm() < 1e-13
 
 
@@ -43,11 +43,10 @@ def test_u1_weyl_shift(mobius3, vielbein3):
     mats = ge.matrices(mobius3, POINT3, K)
     conn_w = gauge_transform(conn, mats["W"], mats["Winv"])
     e_w = jmul(mats["z"][None, None, :], e, 3)
-    u1 = extract_u1(conn_w, e_w)
+    einv_w = jmat_inv(e_w, 3)
+    u1 = extract_u1(conn_w, einv_w)
     z, zinv = mats["z"], jrecip(mats["z"], 3)
     zeta = np.stack([jmul(zinv, jder(z, 3, mu), 3) for mu in range(3)])
-    from cartanweyl.jets import jmat_inv
-    einv_w = jmat_inv(e_w, 3)
     want = jeinsum("m,ma->a", zeta, einv_w, 3)
     got = u1.q.data[0, :, 0, :]
     kk = min(got.shape[-1], want.shape[-1])
@@ -68,7 +67,7 @@ def test_varpi1_blocks(mobius3, vielbein3, rng):
     mats = ge.matrices(mobius3, POINT3, K)
     conn = gauge_transform(conn0, mats["gamma"], mats["gamma_inv"])
     e = vielbein_of(conn)
-    u1 = extract_u1(conn, e)
+    u1 = extract_u1(conn, jmat_inv(e, 3))
     varpi1 = dress(conn.omega, u1.mat, u1.inv, connection=True)
     m1 = KleinModel("mobius", mobius3.chart)
     assert m1.block(varpi1, 1, 1).value_norm() < 1e-12
@@ -165,12 +164,12 @@ def test_q_reextraction_after_S(mobius3, vielbein3, rng):
     m1 = ge1.matrices(mobius3, POINT3, K)
     conn = gauge_transform(conn0, m1["gamma1"], m1["gamma1_inv"])  # q = -r now
     e = vielbein_of(conn)
-    u1 = extract_u1(conn, e)
+    u1 = extract_u1(conn, jmat_inv(e, 3))
     gS = random_gauge(mobius3, rng, with_z=False, with_r=False)
     mS = gS.matrices(mobius3, POINT3, K)
     conn_S = gauge_transform(conn, mS["S_emb"], mS["Sinv_emb"])
     eS = jeinsum("ab,bm->am", mS["Sinv"], e, 3)
-    u1_S = extract_u1(conn_S, eS)
+    u1_S = extract_u1(conn_S, jmat_inv(eS, 3))
     qS = MForm.zeros(3, (1, 3), 0, 0, u1.q.order)
     qS.data[0, :, 0, :] = jeinsum("a,ab->b", u1.q.data[0, :, 0, :], mS["S"], 3)
     assert (u1_S.q - qS).value_norm() < 1e-12
@@ -234,7 +233,7 @@ def test_u1_group_inverse(mobius3, vielbein3, rng):
     ge = random_gauge(mobius3, rng)
     mats = ge.matrices(mobius3, POINT3, K)
     conn = gauge_transform(conn0, mats["gamma"], mats["gamma_inv"])
-    u1 = extract_u1(conn, vielbein_of(conn))
+    u1 = extract_u1(conn, jmat_inv(vielbein_of(conn), 3))
     prod = u1.mat.wedge(u1.inv)
     eye = MForm.identity(3, 5, prod.order)
     assert (prod - eye).full_norm() < 1e-13

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartanweyl.errors import ExprDomainError, ExprSyntaxError
-from cartanweyl.exprs import BinOp, Call, eval_jet, parse_expr, print_expr
+from cartanweyl.exprs import BinOp, Call, const, eval_jet, parse_expr, print_expr
 from cartanweyl.jets import Chart
 
 
@@ -132,3 +134,12 @@ def test_product_rule_on_random_polynomials(a, b):
     jab = eval_jet(parse_expr(f"({pa})*({pb})"), ch, pt, 4)
     scale = max(1.0, np.abs(jab.coeffs).max())
     assert np.abs((ja * jb).coeffs - jab.coeffs).max() <= 1e-12 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(min_value=-1000.0, max_value=1000.0))
+def test_const_of_six_decimal_value_is_its_best_rational(x):
+    """For a value rounded to 6 decimals, n / 10^6 is the closest fraction with
+    denominator <= 10^6, so const agrees with limit_denominator."""
+    v = round(x, 6)
+    assert const(v).value == Fraction(v).limit_denominator(10**6)

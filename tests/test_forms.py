@@ -3,9 +3,9 @@ import pytest
 
 from cartanweyl.errors import ShapeError
 from cartanweyl.forms import (MForm, algebra_residual, block_matrix, eta_t,
-                              form_comps, gcomm)
+                              form_comps, gcomm, wedge_plan)
 from cartanweyl.grassmann import GeneratorPool, GradedScalar
-from cartanweyl.jets import Jet, space
+from cartanweyl.jets import Jet, jmat_mul, space
 
 M, K = 3, 4
 
@@ -49,6 +49,45 @@ def test_wedge_components_antisymmetrized(rng):
         want = jmul(a.data[0, 0, mu], b.data[0, 0, nu], M) \
             - jmul(a.data[0, 0, nu], b.data[0, 0, mu], M)
         assert np.allclose(ab.data[0, 0, f], want, atol=1e-13)
+
+
+def _wedge_per_entry(a, b):
+    """Float wedge with one jet-matrix product per plan entry."""
+    koszul = -1.0 if (a.p * b.q) % 2 else 1.0
+    k = min(a.order, b.order)
+    out = MForm.zeros(M, (a.shape[0], b.shape[1]), a.p + b.p, a.q + b.q, k)
+    for f1, f2, h, sgn in zip(*wedge_plan(M, a.p, b.p)):
+        out.data[:, :, h, :] += (sgn * koszul) * jmat_mul(
+            a.data[:, :, f1, :], b.data[:, :, f2, :], M)
+    return out
+
+
+@pytest.mark.parametrize("p1", [0, 1, 2])
+@pytest.mark.parametrize("p2", [0, 1, 2])
+@pytest.mark.parametrize("q2", [0, 1])
+def test_batched_wedge_matches_per_entry_loop(rng, p1, p2, q2):
+    """One batched product plus a scatter-add equals the per-entry loop.
+
+    At m = 3, (1, 1) and (1, 2) plans send several entries to one target and
+    (2, 2) has no entries at all.
+    """
+    h = wedge_plan(M, p1, p2)[2]
+    if p1 + p2 > M:
+        assert h.size == 0
+    a = rand_form(rng, (2, 3), p1)
+    b = rand_form(rng, (3, 4), p2, order=K - 1)
+    b.q = q2
+    got = a.wedge(b)
+    want = _wedge_per_entry(a, b)
+    assert (got.p, got.q, got.order) == (want.p, want.q, want.order)
+    assert got.data.shape == want.data.shape
+    assert np.abs(got.data - want.data).max(initial=0.0) <= 1e-13
+
+
+def test_wedge_plans_repeat_targets():
+    for p1, p2 in ((1, 1), (1, 2), (2, 1)):
+        h = wedge_plan(M, p1, p2)[2]
+        assert np.unique(h).size < h.size
 
 
 def test_identity_is_wedge_unit(rng):

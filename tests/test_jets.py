@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,35 @@ def test_recip_is_exact_inverse():
     assert np.abs(one.coeffs - want).max() < 1e-14
 
 
+def _ref_mat_mul(A, B, m):
+    """Entrywise jet-matrix product: out[i, j] = sum_t jmul(A[i, t], B[t, j])."""
+    out = np.zeros((A.shape[0], B.shape[1],
+                    space(m, order_of(m, min(A.shape[-1], B.shape[-1]))).size))
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            for t in range(A.shape[1]):
+                out[i, j] += jmul(A[i, t], B[t, j], m)
+    return out
+
+
+def _newton_inv(E, m):
+    """Oracle inverse of one (n, n, C) matrix: Newton sweeps X <- X(2I - EX)."""
+    order = order_of(m, E)
+    X = np.zeros_like(E)
+    X[..., 0] = np.linalg.inv(E[..., 0])
+    eye2 = np.zeros_like(E)
+    eye2[..., 0] = 2.0 * np.eye(E.shape[0])
+    for _ in range(max(1, math.ceil(math.log2(order + 1))) + 1):
+        X = _ref_mat_mul(X, eye2 - _ref_mat_mul(E, X, m), m)
+    return X
+
+
+def _rand_invertible(rng, lead, n, m, order):
+    E = 0.5 * rng.normal(size=lead + (n, n, space(m, order).size))
+    E[..., 0] += 3.0 * np.eye(n)
+    return E
+
+
 def test_matrix_inverse_random(rng):
     m, K = 3, 4
     sp_ = space(m, K)
@@ -70,6 +101,42 @@ def test_matrix_inverse_random(rng):
     for i in range(4):
         expect[i, i, 0] = 1.0
     assert np.abs(I - expect).max() < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 6])
+def test_matrix_inverse_two_sided_against_newton(m, order):
+    """E X = X E = I to rounding; X equals the Newton oracle, batched or not."""
+    rng = np.random.default_rng(1000 * m + order)
+    n = 3
+    E = _rand_invertible(rng, (2,), n, m, order)
+    X = jmat_inv(E, m)
+    assert X.shape == E.shape
+    eye = np.zeros(E.shape[1:])
+    eye[..., 0] = np.eye(n)
+    for b in range(2):
+        ref = _newton_inv(E[b], m)
+        scale = max(1.0, np.abs(ref).max())
+        assert np.abs(X[b] - ref).max() <= 1e-13 * scale
+        assert np.abs(jmat_inv(E[b], m) - X[b]).max() <= 1e-14 * scale
+        assert np.abs(_ref_mat_mul(E[b], X[b], m) - eye).max() <= 1e-13 * scale
+        assert np.abs(_ref_mat_mul(X[b], E[b], m) - eye).max() <= 1e-13 * scale
+
+
+def test_matrix_product_broadcasts_and_mixes_orders(rng):
+    """Leading axes broadcast; the product takes the lower order of the two."""
+    m = 3
+    A = rng.normal(size=(2, 3, 4, 5, space(m, 4).size))
+    B = rng.normal(size=(3, 5, 2, space(m, 2).size))
+    out = jmat_mul(A, B, m)
+    assert out.shape == (2, 3, 4, 2, space(m, 2).size)
+    for i in range(2):
+        for j in range(3):
+            assert np.abs(out[i, j] - jmat_mul(A[i, j], B[j], m)).max() < 1e-13
+            assert np.abs(out[i, j] - _ref_mat_mul(A[i, j], B[j], m)).max() < 1e-13
+    # the higher-order factor on the right trims the same way
+    swapped = jmat_mul(B[0].swapaxes(0, 1), A[0, 0].swapaxes(0, 1), m)
+    assert np.abs(swapped - out[0, 0].swapaxes(0, 1)).max() < 1e-13
 
 
 def test_order_of_round_trip():
