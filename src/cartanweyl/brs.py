@@ -320,18 +320,16 @@ def _lorentz_ghost(lorentz, chart, point, order, pool, eta):
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     jets = [_ghost_jet(x, chart, point, order, pool, f"vl{a}{b}")
             for (a, b), x in zip(pairs, lorentz or ["1"] * len(pairs))]
-    out = MForm.zeros(m, (m, m), 0, 1, order, ghost=True)
+    entries = {}
     for (a, b), jet in zip(pairs, jets):
         # (G_ab)^i_j = delta^i_a eta_bj - delta^i_b eta_aj
-        out.gdata[a, b, 0] = out.gdata[a, b, 0] + jet * float(eta[b])
-        out.gdata[b, a, 0] = out.gdata[b, a, 0] + jet * float(-eta[a])
-    return out
+        entries[a, b, 0] = jet * float(eta[b])
+        entries[b, a, 0] = jet * float(-eta[a])
+    return MForm.from_entries(m, (m, m), 0, 1, order, entries)
 
 
 def _ghost_scalar_mform(jet, m, order):
-    out = MForm.zeros(m, (1, 1), 0, 1, order, ghost=True)
-    out.gdata[0, 0, 0] = jet
-    return out
+    return MForm.from_entries(m, (1, 1), 0, 1, order, {(0, 0, 0): jet})
 
 
 def _composite_ghost(u, uinv, v, su):
@@ -383,23 +381,17 @@ class ConformalBRS:
 
     def _deps_mform(self):
         m = self.m
-        out = MForm.zeros(m, (1, m), 0, 1, self.ghost_order - 1, ghost=True)
-        for mu in range(m):
-            out.gdata[0, mu, 0] = _d(self.eps_jet, mu)
-        return out
+        return MForm.from_entries(m, (1, m), 0, 1, self.ghost_order - 1,
+                                  {(0, mu, 0): _d(self.eps_jet, mu) for mu in range(m)})
 
     def _iota_mform(self):
         m = self.m
-        out = MForm.zeros(m, (1, m), 0, 1, self.ghost_order, ghost=True)
-        for a in range(m):
-            out.gdata[0, a, 0] = self.iota_jets[a]
-        return out
+        return MForm.from_entries(m, (1, m), 0, 1, self.ghost_order,
+                                  {(0, a, 0): g for a, g in enumerate(self.iota_jets)})
 
     def _eps_eye(self, n):
-        out = MForm.zeros(self.m, (n, n), 0, 1, self.ghost_order, ghost=True)
-        for i in range(n):
-            out.gdata[i, i, 0] = self.eps_jet
-        return out
+        return MForm.from_entries(self.m, (n, n), 0, 1, self.ghost_order,
+                                  {(i, i, 0): self.eps_jet for i in range(n)})
 
     # -- leaves and images -----------------------------------------------------
 
@@ -546,13 +538,15 @@ class ConformalBRS:
                     np.asarray(self.model.eta)[:, None, None] * self.e, self.e, m)
         ginv = jmat_inv(g, m)
         k = min(deps.order, order_of(m, ginv))
-        col = MForm.zeros(m, (m, 1), 0, 1, k, ghost=True)
+        deps_row = [deps.entry(0, lam, 0) for lam in range(m)]
+        entries = {}
         for r in range(m):
             acc = GradedScalar()
             for lam in range(m):
                 # the jet product truncates to the lower order k
-                acc = acc + Jet(m, ginv[r, lam]) * deps.gdata[0, lam, 0]
-            col.gdata[r, 0, 0] = acc
+                acc = acc + Jet(m, ginv[r, lam]) * deps_row[lam]
+            entries[r, 0, 0] = acc
+        col = MForm.from_entries(m, (m, 1), 0, 1, k, entries)
         one = self.L_eps.value
         grid = [[one, deps, None],
                 [None, self._eps_eye(m), col],
@@ -683,7 +677,7 @@ def residual_weyl_brs(fields, scn):
     # s_W g = 2 eps g (block (3,2), coefficient of dx^mu at entry nu)
     blk = model.block(s_varpi0, 3, 2)
     out["s_w_metric"] = worst_of(
-        _value_defect(blk.gdata[0, nu, mu], (fj(fields.g[mu, nu]) * eps) * 2.0)
+        _value_defect(blk.entry(0, nu, mu), (fj(fields.g[mu, nu]) * eps) * 2.0)
         for mu in range(m) for nu in range(m))
     # s_W Gamma^r_mn = delta^r_n d_m eps + delta^r_m d_n eps - g^{rl} d_l eps g_mn
     blk = model.block(s_varpi0, 2, 2)
@@ -702,7 +696,7 @@ def residual_weyl_brs(fields, scn):
                 for lam in range(m):
                     corr = corr + (fj(ginv[r, lam]) * deps[lam]) * fj(fields.g[mu, nu])
                 want = want - corr
-                defects.append(_value_defect(blk.gdata[r, nu, mu], want))
+                defects.append(_value_defect(blk.entry(r, nu, mu), want))
     out["s_w_gamma"] = worst_of(defects)
     # s_W P_mn = d_m d_n eps - d_l eps Gamma^l_mn
     blk = model.block(s_varpi0, 1, 2)
@@ -712,7 +706,7 @@ def residual_weyl_brs(fields, scn):
             want = _d(deps[mu], nu)
             for lam in range(m):
                 want = want - deps[lam] * fj(fields.Gamma[lam, mu, nu])
-            defects.append(_value_defect(blk.gdata[0, nu, mu], want))
+            defects.append(_value_defect(blk.entry(0, nu, mu), want))
     out["s_w_schouten"] = worst_of(defects)
     # general two-form laws (they reduce to -d eps.W and 0 when T = f0 = 0):
     #   s_W C_{n,ms} = f0_{ms} d_n eps - d_l eps W^l_{n,ms}
@@ -726,14 +720,14 @@ def residual_weyl_brs(fields, scn):
             want = deps[nu] * float(fields.f0[mu, sg])
             for lam in range(m):
                 want = want - deps[lam] * float(fields.W[lam, nu, mu, sg])
-            defectsC.append(_value_defect(blkC.gdata[0, nu, f], want))
+            defectsC.append(_value_defect(blkC.entry(0, nu, f), want))
         for r in range(m):
             for nu in range(m):
                 tlow = float(fields.T[:, mu, sg] @ gval[:, nu])
                 want = deps[nu] * float(fields.T[r, mu, sg])
                 for lam in range(m):
                     want = want - (fj(ginv[r, lam]) * deps[lam]) * tlow
-                defectsW.append(_value_defect(blkW.gdata[r, nu, f], want))
+                defectsW.append(_value_defect(blkW.entry(r, nu, f), want))
     out["s_w_cotton"] = worst_of(defectsC)
     out["s_w_weyl"] = worst_of(defectsW)
     # sector trivialities after full dressing
@@ -752,7 +746,7 @@ def residual_weyl_brs(fields, scn):
         want = GradedScalar()
         for lam in range(m):
             want = want - (fj(ginv[r, lam]) * (eps * deps[lam])) * 2.0
-        defects.append(_value_defect(blk.gdata[r, 0, 0], want))
+        defects.append(_value_defect(blk.entry(r, 0, 0), want))
     out["s_w_vhat_23"] = worst_of(defects)
     sveps = model.block(svhat, 1, 1).value_norm()
     out["s_w_eps"] = sveps

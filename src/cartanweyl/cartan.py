@@ -215,18 +215,18 @@ class VielbeinField:
         return e
 
 
-def spin_connection(e, signature, m):
+def spin_connection(e, einv, signature, m):
     """Unique torsion-free eta-antisymmetric A with d theta + A theta = 0.
 
     Solved in closed form from the anholonomy of e:
       K^a_bc = (d_mu e^a_nu - d_nu e^a_mu) einv^mu_b einv^nu_c
       omega_ab,c = (K_abc + K_bca - K_cab) / 2    (first index lowered)
       A^a_b = eta^aa omega_ab,c e^c_mu dx^mu
-    Returns the (m, m, m, C') array A[a, b, mu].
+    ``einv`` is the inverse jet matrix of ``e``.  Returns the (m, m, m, C')
+    array A[a, b, mu].
     """
     from .jets import jder
     sig = np.asarray(signature, dtype=float)
-    einv = jmat_inv(e, m)
     de = np.stack([jder(e, m, mu) for mu in range(m)])  # (mu, a, nu, C')
     anti = de - de.transpose(2, 1, 0, 3)  # anti[mu, a, nu] = d_mu e^a_nu - d_nu e^a_mu
     k1 = tensors.jeinsum("man,mb->abn", anti, einv, m)
@@ -247,7 +247,8 @@ def build_normal(vielbein, model, point, order, tol=1e-9):
     m = model.m
     ch = model.chart
     e = vielbein.jets_at(point, order) if isinstance(vielbein, VielbeinField) else vielbein
-    A_arr = spin_connection(e, ch.signature, m)  # (a, b, mu, C-1)
+    einv = jmat_inv(e, m)
+    A_arr = spin_connection(e, einv, ch.signature, m)  # (a, b, mu, C-1)
     theta = MForm.zeros(m, (m, 1), 1, 0, order)
     theta.data[:, 0, :, :] = e  # component mu <- e[a, mu]
     A = MForm.zeros(m, (m, m), 1, 0, order - 1)
@@ -256,7 +257,6 @@ def build_normal(vielbein, model, point, order, tol=1e-9):
         return assemble(model, theta=theta, A=A, tol=tol)
     bundle = tensors.classical_bundle(e, ch.signature, m)
     P = bundle["P"]  # (mu, nu, C-2)
-    einv = jmat_inv(e, m)
     alpha_arr = tensors.jeinsum("mn,na->ma", P, einv, m)  # (mu, a, C-2)
     kP = order_of(m, alpha_arr)
     alpha = MForm.zeros(m, (1, m), 1, 0, kP)

@@ -496,10 +496,8 @@ def brs_suite(scn, report):
             "u1_lorentz_rule": (ev(scn_b.T_u1.svar("L")) - gcomm(u1, vl)).value_norm(),
         })
         u0 = ev(scn_b.T_u0)
-        epst = MForm.zeros(m, (model.n, model.n), 0, 1, scn_b.ghost_order,
-                           ghost=True)
-        for i in range(1, m + 1):
-            epst.gdata[i, i, 0] = scn_b.eps_jet
+        epst = MForm.from_entries(m, (model.n, model.n), 0, 1, scn_b.ghost_order,
+                                  {(i, i, 0): scn_b.eps_jet for i in range(1, m + 1)})
         su0W = ev(scn_b.T_u0.svar("W"))
         _merge(worst, {"u0_weyl_rule": (su0W - epst.wedge(u0)).value_norm()})
         ell, rho, rd, rg = two_steps_in_one(scn_b)

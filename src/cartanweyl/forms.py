@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import JetOrderError, ShapeError
 from .grassmann import GradedScalar
-from .jets import Jet, jmat_mul, jtrunc, space
+from .jets import Jet, jmat_mul, jmul, jtrunc, space
 from .reduction import worst_of
 
 
@@ -72,16 +72,203 @@ def d_plan(m, p):
     return tuple(plan)
 
 
-def _abs_value(jet):
-    return abs(jet.value)
+# largest (pair x multiplication-table) product one jmul call of a ghost
+# wedge may hold: about 32 MB per float64 intermediate
+_PRODUCT_BLOCK = 1 << 22
+# fills a monomial row past its degree; sorts after every generator id
+_PAD = np.iinfo(np.int64).max
+
+
+@lru_cache(maxsize=None)
+def _plan_index(m, p1, p2):
+    """(F1, F2) table of the wedge-plan entry for each component pair; -1 if none."""
+    f1, f2, _, _ = wedge_plan(m, p1, p2)
+    out = np.full((len(form_comps(m, p1)), len(form_comps(m, p2))), -1)
+    out[f1, f2] = np.arange(f1.size)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _d_arrays(m, p):
+    """d_plan as arrays (nu, h, sign); the m - p entries of component f are
+    at f * (m - p) + (0 .. m - p - 1)."""
+    plan = d_plan(m, p)
+    return tuple(np.array([e[k] for e in plan]) for k in (1, 2, 3))
+
+
+def _unique_rows(x):
+    """Lexicographically sorted unique rows of a 2-D int array, and the index
+    of each input row among them."""
+    if not len(x):
+        return x, np.zeros(0, dtype=np.int64)
+    order = np.lexsort(x.T[::-1])
+    xs = x[order]
+    new = np.concatenate(([True], (xs[1:] != xs[:-1]).any(axis=1)))
+    inv = np.empty(len(x), dtype=np.int64)
+    inv[order] = np.cumsum(new) - 1
+    return xs[new], inv
+
+
+def _widen(monos, width):
+    if monos.shape[1] == width:
+        return monos
+    pad = np.full((len(monos), width - monos.shape[1]), _PAD)
+    return np.concatenate([monos, pad], axis=1)
+
+
+class _Terms:
+    """Sparse ghost term table: one jet row per (entry, Grassmann monomial).
+
+    ``ent`` holds the flat (row, col, comp) index of each row, ``mono`` an
+    index into ``monos`` and ``coef`` the (N, C) jet coefficients.  Row g of
+    ``monos`` is a monomial: its generator ids in increasing order, then
+    ``_PAD``; the rows are sorted and unique.  A table is canonical and never
+    changed in place: rows sorted by (ent, mono) with no repeated key and no
+    all-zero row, and every monomial of ``monos`` is used.
+    """
+
+    __slots__ = ("ent", "mono", "coef", "monos")
+
+    def __init__(self, ent, mono, coef, monos):
+        self.ent = ent
+        self.mono = mono
+        self.coef = coef
+        self.monos = monos
+
+    @classmethod
+    def empty(cls, size):
+        none = np.zeros(0, dtype=np.int64)
+        return cls(none, none, np.zeros((0, size)), np.zeros((0, 1), dtype=np.int64))
+
+
+def _collect(ent, mono, coef, monos):
+    """Canonical table of raw rows: equal (ent, mono) keys are summed in input
+    order (a stable argsort, then one ``reduceat``), then :func:`_nonzero`."""
+    if not ent.size:
+        return _Terms.empty(coef.shape[1])
+    n = len(monos)
+    key = ent * n + mono
+    order = np.argsort(key, kind="stable")
+    key, coef = key[order], coef[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    if starts.size < key.size:
+        # only keys with several rows need a sum; reduceat pays per group
+        lens = np.diff(starts, append=key.size)
+        multi = lens > 1
+        rows = np.repeat(multi, lens)
+        summed = np.add.reduceat(coef[rows], np.cumsum(lens[multi]) - lens[multi], axis=0)
+        key, coef = key[starts], coef[starts]
+        coef[multi] = summed
+    return _nonzero(key // n, key % n, coef, monos)
+
+
+def _nonzero(ent, mono, coef, monos):
+    """Canonical table of rows already sorted by unique (ent, mono) keys:
+    all-zero rows dropped, then unused monomials and all-pad columns."""
+    keep = coef.any(axis=1)
+    if not keep.all():
+        ent, mono, coef = ent[keep], mono[keep], coef[keep]
+    if not ent.size:
+        return _Terms.empty(coef.shape[1])
+    used = np.zeros(len(monos), dtype=bool)
+    used[mono] = True
+    if not used.all():
+        mono = (np.cumsum(used) - 1)[mono]
+        monos = monos[used]
+    while monos.shape[1] > 1 and (monos[:, -1] == _PAD).all():
+        monos = monos[:, :-1]
+    return _Terms(ent, mono, coef, monos)
+
+
+def _merged(tables, size):
+    """Canonical sum of tables that share one entry layout, each trimmed to
+    ``size`` jet coefficients; their monomial tables are merged first."""
+    width = max(t.monos.shape[1] for t in tables)
+    monos, inv = _unique_rows(np.concatenate([_widen(t.monos, width) for t in tables]))
+    offsets = np.cumsum([0] + [len(t.monos) for t in tables])
+    mono = np.concatenate([inv[o + t.mono] for o, t in zip(offsets, tables)])
+    return _collect(np.concatenate([t.ent for t in tables]), mono,
+                    np.concatenate([t.coef[:, :size] for t in tables]), monos)
+
+
+def _moved(t, shape, new_shape, n_comps, r0, c0):
+    """Rows of ``t`` re-indexed from ``shape`` into ``new_shape``, shifted by
+    (r0, c0); rows that fall outside ``new_shape`` are dropped."""
+    f = t.ent % n_comps
+    cell = t.ent // n_comps
+    r, c = cell // shape[1] + r0, cell % shape[1] + c0
+    sel = (r >= 0) & (r < new_shape[0]) & (c >= 0) & (c < new_shape[1])
+    ent = (r[sel] * new_shape[1] + c[sel]) * n_comps + f[sel]
+    return _Terms(ent, t.mono[sel], t.coef[sel], t.monos)
+
+
+def _low_degrees(coef, m, k):
+    """Lowest degree with a nonzero coefficient in each row, up to order k;
+    k + 1 for a row that is zero there."""
+    sp = space(m, k)
+    nz = coef[:, :sp.size] != 0
+    return np.where(nz.any(axis=1), sp.degrees[nz.argmax(axis=1)], k + 1)
+
+
+def _wedge_terms(a, b, A, B, koszul, k):
+    """Ghost table of the wedge of MForms a and b with term tables A and B.
+
+    Every A row meets every B row on the same inner index; pairs with no
+    wedge-plan entry, with a product that vanishes by degree or with a shared
+    generator drop out.  The rest are multiplied as jets, all at once, and
+    group-summed with their signs into the output entries.
+    """
+    m = a.m
+    inner, cols = a.shape[1], b.shape[1]
+    Fa, Fb = a.n_comps, b.n_comps
+    _, _, plan_h, plan_sign = wedge_plan(m, a.p, b.p)
+    size = space(m, k).size
+    if not (A.ent.size and B.ent.size and plan_h.size):
+        return _Terms.empty(size)
+    # B rows are sorted by entry, so its rows with inner index t are one run
+    tb = B.ent // (cols * Fb)
+    starts = np.searchsorted(tb, np.arange(inner + 1))
+    ta = (A.ent // Fa) % inner
+    lo, cnt = starts[ta], starts[ta + 1] - starts[ta]
+    ia = np.repeat(np.arange(A.ent.size), cnt)
+    ib = np.arange(ia.size) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
+    plan = _plan_index(m, a.p, b.p)[A.ent[ia] % Fa, B.ent[ib] % Fb]
+    # a product vanishes when its factors' lowest degrees add up beyond k;
+    # ghost fields are sums of unit jets, so most pairs of their terms do
+    low_a, low_b = _low_degrees(A.coef, m, k), _low_degrees(B.coef, m, k)
+    sel = (plan >= 0) & (low_a[ia] + low_b[ib] <= k)
+    ia, ib, plan = ia[sel], ib[sel], plan[sel]
+    # the Grassmann product of each distinct monomial pair
+    nb = len(B.monos)
+    pairs, inv = np.unique(A.mono[ia] * nb + B.mono[ib], return_inverse=True)
+    inv = inv.reshape(-1)
+    ga, gb = A.monos[pairs // nb], B.monos[pairs % nb]
+    both = (ga != _PAD)[:, :, None] & (gb != _PAD)[:, None, :]
+    shared = ((ga[:, :, None] == gb[:, None, :]) & both).any(axis=(1, 2))
+    # shuffle sign: each generator of b hops over the larger ones of a
+    hops = ((ga[:, :, None] > gb[:, None, :]) & both).sum(axis=(1, 2))
+    gsign = np.where(hops % 2, -1.0, 1.0)
+    monos, target = _unique_rows(np.sort(np.concatenate([ga, gb], axis=1), axis=1))
+    sel = ~shared[inv]
+    ia, ib, plan, inv = ia[sel], ib[sel], plan[sel], inv[sel]
+    # one jmul for all pairs, in blocks that bound its (pairs x table)
+    # intermediates when a product is large
+    step = max(1, _PRODUCT_BLOCK // len(space(m, k).mul_i))
+    coef = np.concatenate([jmul(A.coef[ia[s:s + step]], B.coef[ib[s:s + step]], m)
+                           for s in range(0, ia.size, step)] or [np.zeros((0, size))])
+    coef *= (koszul * plan_sign[plan] * gsign[inv])[:, None]
+    Fh = len(form_comps(m, a.p + b.p))
+    ent = ((A.ent[ia] // (Fa * inner)) * cols + (B.ent[ib] // Fb) % cols) * Fh + plan_h[plan]
+    return _collect(ent, target[inv], coef, monos)
 
 
 class MForm:
     """Matrix of homogeneous-(p, q) forms with jet coefficients.
 
     Exactly one of ``data`` (float path, shape (r, c, F, C)) or ``gdata``
-    (ghost path, object array (r, c, F) of GradedScalar whose coefficients
-    are jets of order ``order``) is set.
+    (ghost path, a sparse term table private to this module, jets of order
+    ``order``) is set.  Ghost forms are built with :meth:`from_entries` and
+    read with :meth:`entry`, one GradedScalar per (row, col, comp).
     """
 
     __slots__ = ("m", "shape", "p", "q", "order", "data", "gdata")
@@ -99,14 +286,32 @@ class MForm:
 
     @classmethod
     def zeros(cls, m, shape, p, q, order, ghost=False):
-        F = len(form_comps(m, p))
-        if ghost:
-            g = np.empty((shape[0], shape[1], F), dtype=object)
-            for idx in np.ndindex(g.shape):
-                g[idx] = GradedScalar()
-            return cls(m, shape, p, q, order, gdata=g)
         C = space(m, order).size
+        if ghost:
+            return cls(m, shape, p, q, order, gdata=_Terms.empty(C))
+        F = len(form_comps(m, p))
         return cls(m, shape, p, q, order, data=np.zeros((shape[0], shape[1], F, C)))
+
+    @classmethod
+    def from_entries(cls, m, shape, p, q, order, entries):
+        """Ghost MForm from {(row, col, comp): GradedScalar over jets}.
+
+        Coefficients are trimmed to ``order``; absent entries are zero.
+        """
+        F = len(form_comps(m, p))
+        size = space(m, order).size
+        ent, mono, coef = [], [], []
+        for (i, j, f), g in entries.items():
+            for k, c in g.terms.items():
+                ent.append((i * shape[1] + j) * F + f)
+                mono.append(k)
+                coef.append(jtrunc(c.coeffs, m, order))
+        width = max([1] + [len(k) for k in mono])
+        monos, idx = _unique_rows(np.array([k + (_PAD,) * (width - len(k)) for k in mono],
+                                           dtype=np.int64).reshape(-1, width))
+        table = _collect(np.array(ent, dtype=np.int64), idx,
+                         np.array(coef, dtype=float).reshape(-1, size), monos)
+        return cls(m, shape, p, q, order, gdata=table)
 
     @classmethod
     def identity(cls, m, n, order):
@@ -130,30 +335,34 @@ class MForm:
     def n_comps(self):
         return len(form_comps(self.m, self.p))
 
+    def entry(self, i, j, f):
+        """The (row i, col j, comp f) entry of a ghost MForm as a GradedScalar."""
+        t = self.gdata
+        e = (i * self.shape[1] + j) * self.n_comps + f
+        lo, hi = np.searchsorted(t.ent, (e, e + 1))
+        return GradedScalar({tuple(g for g in t.monos[t.mono[r]].tolist() if g != _PAD):
+                             Jet(self.m, t.coef[r].copy()) for r in range(lo, hi)})
+
+    def _with(self, table, order=None, shape=None, p=None):
+        return MForm(self.m, self.shape if shape is None else shape,
+                     self.p if p is None else p, self.q,
+                     self.order if order is None else order, gdata=table)
+
     def copy(self):
         if self.is_ghost:
-            return MForm(self.m, self.shape, self.p, self.q, self.order,
-                         gdata=self.gdata.copy())
+            return self._with(self.gdata)   # tables are never changed in place
         return MForm(self.m, self.shape, self.p, self.q, self.order,
                      data=self.data.copy())
 
-    def _map_ghost(self, fn, order=None):
-        """Ghost MForm of the same shape with ``fn`` applied to every entry."""
-        g = np.empty(self.gdata.shape, dtype=object)
-        for idx, x in np.ndenumerate(self.gdata):
-            g[idx] = fn(x)
-        return MForm(self.m, self.shape, self.p, self.q,
-                     self.order if order is None else order, gdata=g)
-
     def to_ghost(self):
-        """Lift a float MForm: each nonzero entry c becomes GradedScalar({(): c})."""
+        """Lift a float MForm: each nonzero entry c becomes the body term c."""
         if self.is_ghost:
             return self
-        g = np.empty(self.data.shape[:3], dtype=object)
-        for idx in np.ndindex(g.shape):
-            jet = Jet(self.m, self.data[idx].copy())
-            g[idx] = GradedScalar({(): jet} if jet else None)
-        return MForm(self.m, self.shape, self.p, self.q, self.order, gdata=g)
+        flat = self.data.reshape(-1, self.data.shape[-1])
+        ent = np.flatnonzero(flat.any(axis=1))
+        table = _Terms(ent, np.zeros(ent.size, dtype=np.int64), flat[ent],
+                       np.full((min(ent.size, 1), 1), _PAD))
+        return self._with(table)
 
     def truncate(self, to_order):
         if to_order == self.order:
@@ -161,8 +370,9 @@ class MForm:
         if self.is_ghost:
             if to_order > self.order:
                 raise JetOrderError(f"cannot raise jet order {self.order} to {to_order}")
-            return self._map_ghost(lambda x: x.map(lambda c: c.truncate(to_order)),
-                                   order=to_order)
+            t = self.gdata
+            return self._with(_nonzero(t.ent, t.mono, t.coef[:, :space(self.m, to_order).size],
+                                       t.monos), order=to_order)
         return MForm(self.m, self.shape, self.p, self.q, to_order,
                      data=jtrunc(self.data, self.m, to_order))
 
@@ -177,13 +387,11 @@ class MForm:
     def __add__(self, other):
         self._check_addable(other)
         k = min(self.order, other.order)
+        if self.is_ghost or other.is_ghost:
+            table = _merged([self.to_ghost().gdata, other.to_ghost().gdata],
+                            space(self.m, k).size)
+            return self._with(table, order=k)
         a, b = self.truncate(k), other.truncate(k)
-        if a.is_ghost or b.is_ghost:
-            a, b = a.to_ghost(), b.to_ghost()
-            g = np.empty(a.gdata.shape, dtype=object)
-            for idx in np.ndindex(g.shape):
-                g[idx] = a.gdata[idx] + b.gdata[idx]
-            return MForm(self.m, self.shape, self.p, self.q, k, gdata=g)
         return MForm(self.m, self.shape, self.p, self.q, k, data=a.data + b.data)
 
     def __sub__(self, other):
@@ -194,8 +402,8 @@ class MForm:
 
     def scale(self, factor):
         if self.is_ghost:
-            factor = float(factor)
-            return self._map_ghost(lambda x: x * factor)
+            t = self.gdata
+            return self._with(_nonzero(t.ent, t.mono, t.coef * float(factor), t.monos))
         return MForm(self.m, self.shape, self.p, self.q, self.order,
                      data=self.data * float(factor))
 
@@ -209,29 +417,14 @@ class MForm:
             raise ShapeError(f"shape mismatch {self.shape} x {other.shape}")
         p, q = self.p + other.p, self.q + other.q
         koszul = -1.0 if (self.p * other.q) % 2 else 1.0
-        plan = wedge_plan(self.m, self.p, other.p)
         k = min(self.order, other.order)
         out_shape = (self.shape[0], other.shape[1])
         if self.is_ghost or other.is_ghost:
-            a, b = self.truncate(k).to_ghost(), other.truncate(k).to_ghost()
-            out = MForm.zeros(self.m, out_shape, p, q, k, ghost=True)
-            inner = self.shape[1]
-            for f1, f2, h, sgn in zip(*plan):
-                s = sgn * koszul
-                for i in range(out_shape[0]):
-                    for j in range(out_shape[1]):
-                        acc = out.gdata[i, j, h]
-                        for t in range(inner):
-                            ga = a.gdata[i, t, f1]
-                            gb = b.gdata[t, j, f2]
-                            if ga.is_zero() or gb.is_zero():
-                                continue
-                            prod = ga * gb
-                            acc = acc + prod if s > 0 else acc - prod
-                        out.gdata[i, j, h] = acc
-            return out
+            table = _wedge_terms(self, other, self.to_ghost().gdata,
+                                 other.to_ghost().gdata, koszul, k)
+            return MForm(self.m, out_shape, p, q, k, gdata=table)
         out = MForm.zeros(self.m, out_shape, p, q, k)
-        f1, f2, h, sign = plan
+        f1, f2, h, sign = wedge_plan(self.m, self.p, other.p)
         if h.size:
             # every plan entry in one product, stacked on a leading axis;
             # jmat_mul trims both factors to order k
@@ -247,23 +440,23 @@ class MForm:
         if self.order == 0:
             raise JetOrderError("jet order exhausted in exterior derivative")
         sign_q = -1.0 if self.q % 2 else 1.0
-        plan = d_plan(self.m, self.p)
-        out = MForm.zeros(self.m, self.shape, self.p + 1, self.q,
-                          self.order - 1, ghost=self.is_ghost)
+        sp = space(self.m, self.order)
         if self.is_ghost:
-            for f, nu, h, sgn in plan:
-                s = sgn * sign_q
-                for i in range(self.shape[0]):
-                    for j in range(self.shape[1]):
-                        src = self.gdata[i, j, f]
-                        if src.is_zero():
-                            continue
-                        der = src.map(lambda c: c.derivative(nu))
-                        acc = out.gdata[i, j, h]
-                        out.gdata[i, j, h] = acc + der if s > 0 else acc - der
-            return out
-        for f, nu, h, sgn in plan:
-            sp = space(self.m, self.order)
+            t = self.gdata
+            F, w = self.n_comps, self.m - self.p
+            table = _Terms.empty(space(self.m, self.order - 1).size)
+            if w and t.ent.size:
+                # each row meets the m - p plan entries of its component
+                nu, h, sign = _d_arrays(self.m, self.p)
+                rows = np.repeat(np.arange(t.ent.size), w)
+                plan = (t.ent[rows] % F) * w + np.tile(np.arange(w), t.ent.size)
+                der = np.take_along_axis(t.coef[rows], np.array(sp.deriv_src)[nu[plan]], axis=1)
+                der *= np.array(sp.deriv_fac)[nu[plan]] * (sign_q * sign[plan])[:, None]
+                ent = (t.ent[rows] // F) * len(form_comps(self.m, self.p + 1)) + h[plan]
+                table = _collect(ent, t.mono[rows], der, t.monos)
+            return self._with(table, order=self.order - 1, p=self.p + 1)
+        out = MForm.zeros(self.m, self.shape, self.p + 1, self.q, self.order - 1)
+        for f, nu, h, sgn in d_plan(self.m, self.p):
             der = self.data[:, :, f, :][..., sp.deriv_src[nu]] * sp.deriv_fac[nu]
             out.data[:, :, h, :] += (sgn * sign_q) * der
         return out
@@ -274,10 +467,11 @@ class MForm:
         """View-copy of a sub-matrix given (start, stop) row/col ranges."""
         r0, r1 = rows
         c0, c1 = cols
+        shape = (r1 - r0, c1 - c0)
         if self.is_ghost:
-            return MForm(self.m, (r1 - r0, c1 - c0), self.p, self.q, self.order,
-                         gdata=self.gdata[r0:r1, c0:c1].copy())
-        return MForm(self.m, (r1 - r0, c1 - c0), self.p, self.q, self.order,
+            t = _moved(self.gdata, self.shape, shape, self.n_comps, -r0, -c0)
+            return self._with(_nonzero(t.ent, t.mono, t.coef, t.monos), shape=shape)
+        return MForm(self.m, shape, self.p, self.q, self.order,
                      data=self.data[r0:r1, c0:c1].copy())
 
     def set_block(self, rows, cols, sub):
@@ -288,30 +482,37 @@ class MForm:
         if self.is_ghost != sub.is_ghost:
             raise ShapeError("mixed float/ghost block assignment")
         if self.is_ghost:
-            self.gdata[r0:r1, c0:c1] = sub.truncate(self.order).gdata
+            t = self.gdata
+            cell = t.ent // self.n_comps
+            r, c = cell // self.shape[1], cell % self.shape[1]
+            keep = ~((r >= r0) & (r < r1) & (c >= c0) & (c < c1))
+            rest = _Terms(t.ent[keep], t.mono[keep], t.coef[keep], t.monos)
+            moved = _moved(sub.truncate(self.order).gdata, sub.shape, self.shape,
+                           self.n_comps, r0, c0)
+            self.gdata = _merged([rest, moved], space(self.m, self.order).size)
         else:
             self.data[r0:r1, c0:c1] = sub.truncate(self.order).data
 
     def value_norm(self):
         """Max |value coefficient| over entries and form components."""
-        if self.is_ghost:
-            return worst_of(g.norm(_abs_value) for g in self.gdata.flat)
-        return float(np.abs(self.data[..., 0]).max()) if self.data.size else 0.0
+        x = self.gdata.coef[:, 0] if self.is_ghost else self.data[..., 0]
+        return float(np.abs(x).max()) if x.size else 0.0
 
     def full_norm(self):
         """Max |coefficient| over all jet orders (used for relative scales)."""
-        if self.is_ghost:
-            return worst_of(g.norm(Jet.norm) for g in self.gdata.flat)
-        return float(np.abs(self.data).max()) if self.data.size else 0.0
+        x = self.gdata.coef if self.is_ghost else self.data
+        return float(np.abs(x).max()) if x.size else 0.0
 
     def body(self):
         """Float MForm obtained by sending every ghost generator to 1."""
         if not self.is_ghost:
             return self
         out = MForm.zeros(self.m, self.shape, self.p, 0, self.order)
-        for idx, g in np.ndenumerate(self.gdata):
-            if not g.is_zero():
-                out.data[idx] = g.body().coeffs
+        t = self.gdata
+        if t.ent.size:
+            starts = np.flatnonzero(np.concatenate(([True], t.ent[1:] != t.ent[:-1])))
+            flat = out.data.reshape(-1, t.coef.shape[1])
+            flat[t.ent[starts]] = np.add.reduceat(t.coef, starts, axis=0)
         return out
 
     def __repr__(self):
@@ -363,17 +564,25 @@ def block_matrix(rows, m, p, q, order, ghost=False, row_sizes=None, col_sizes=No
             if isinstance(blk, MForm) and blk.order < k:
                 k = blk.order
     out = MForm.zeros(m, (sum(rsz), sum(csz)), p, q, k, ghost=any_ghost)
+    placed = []
     r0 = 0
     for i in range(nr):
         c0 = 0
         for j in range(nc):
             blk = rows[i][j]
             if isinstance(blk, MForm):
-                if any_ghost:
-                    blk = blk.to_ghost()
-                out.set_block((r0, r0 + rsz[i]), (c0, c0 + csz[j]), blk.truncate(k))
+                if not any_ghost:
+                    out.set_block((r0, r0 + rsz[i]), (c0, c0 + csz[j]), blk.truncate(k))
+                elif blk.shape != (rsz[i], csz[j]):
+                    raise ShapeError("block shape mismatch")
+                else:
+                    placed.append(_moved(blk.to_ghost().gdata, blk.shape, out.shape,
+                                         out.n_comps, r0, c0))
             c0 += csz[j]
         r0 += rsz[i]
+    if placed:
+        # one group-sum for the whole grid; blocks are trimmed to order k
+        out.gdata = _merged(placed, space(m, k).size)
     return out
 
 
@@ -385,23 +594,20 @@ def eta_t(v, eta_diag):
     """
     w = np.asarray(eta_diag, dtype=float)
     r, c = v.shape
+    if v.is_ghost and 1 in (r, c):
+        # entry (0, j, f) of a row and (j, 0, f) of a column share one index
+        t = v.gdata
+        return v._with(_nonzero(t.ent, t.mono, t.coef * w[t.ent // v.n_comps, None],
+                                t.monos), shape=(c, r))
     if r == 1:
-        out = MForm.zeros(v.m, (c, 1), v.p, v.q, v.order, ghost=v.is_ghost)
+        out = MForm.zeros(v.m, (c, 1), v.p, v.q, v.order)
         for j in range(c):
-            if v.is_ghost:
-                for f in range(v.n_comps):
-                    out.gdata[j, 0, f] = v.gdata[0, j, f] * float(w[j])
-            else:
-                out.data[j, 0] = v.data[0, j] * w[j]
+            out.data[j, 0] = v.data[0, j] * w[j]
         return out
     if c == 1:
-        out = MForm.zeros(v.m, (1, r), v.p, v.q, v.order, ghost=v.is_ghost)
+        out = MForm.zeros(v.m, (1, r), v.p, v.q, v.order)
         for j in range(r):
-            if v.is_ghost:
-                for f in range(v.n_comps):
-                    out.gdata[0, j, f] = v.gdata[j, 0, f] * float(w[j])
-            else:
-                out.data[0, j] = v.data[j, 0] * w[j]
+            out.data[0, j] = v.data[j, 0] * w[j]
         return out
     raise ShapeError("eta-transposition applies to row or column vectors")
 

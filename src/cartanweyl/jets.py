@@ -344,34 +344,14 @@ class Chart:
         return self.names.index(name)
 
 
-@lru_cache(maxsize=None)
-def _zero_jet(m, size):
-    """Shared zero jet of one basis size; read-only, like every jet."""
-    coeffs = np.zeros(size)
-    coeffs.flags.writeable = False
-    return Jet(m, coeffs, math.inf)
-
-
-@lru_cache(maxsize=None)
-def _degrees(m, size):
-    return space(m, _size_to_order(m, size)).degrees
-
-
 class Jet:
-    """Value plus partial derivatives of a scalar at a chart point.
+    """Value plus partial derivatives of a scalar at a chart point."""
 
-    :attr:`low` is the lowest degree with a nonzero coefficient.  A product
-    knows its own from its factors' and is skipped when that lies above the
-    order: ghost fields are sums of unit jets (one nonzero coefficient), so
-    most pairwise products of their Grassmann terms vanish by degree alone.
-    """
+    __slots__ = ("m", "coeffs")
 
-    __slots__ = ("m", "coeffs", "_low")
-
-    def __init__(self, m, coeffs, low=None):
+    def __init__(self, m, coeffs):
         self.m = m
         self.coeffs = np.asarray(coeffs, dtype=float)
-        self._low = low
 
     @classmethod
     def constant(cls, value, m, order):
@@ -405,18 +385,9 @@ class Jet:
         """Largest |Taylor coefficient|; NaN when any coefficient is NaN."""
         return float(np.abs(self.coeffs).max())
 
-    @property
-    def low(self):
-        """Lowest degree with a nonzero coefficient; inf for the zero jet."""
-        if self._low is None:
-            nz = self.coeffs.nonzero()[0]
-            self._low = (int(_degrees(self.m, self.coeffs.size)[nz[0]])
-                         if nz.size else math.inf)
-        return self._low
-
     def __bool__(self):
         # like a float: false only for the exact zero
-        return self.low != math.inf
+        return bool(self.coeffs.any())
 
     def truncate(self, to_order):
         return Jet(self.m, jtrunc(self.coeffs, self.m, to_order))
@@ -442,7 +413,7 @@ class Jet:
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.m, -self.coeffs, self._low)
+        return Jet(self.m, -self.coeffs)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -456,12 +427,7 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            # the lowest-degree parts multiply to a nonzero homogeneous part
-            low = self.low + other.low
-            n = min(self.coeffs.size, other.coeffs.size)
-            if low > _size_to_order(self.m, n):
-                return _zero_jet(self.m, n)
-            return Jet(self.m, jmul(self.coeffs, other.coeffs, self.m), low)
+            return Jet(self.m, jmul(self.coeffs, other.coeffs, self.m))
         if isinstance(other, (int, float)):
             # same as the product with a constant jet, which only adds zeros
             return Jet(self.m, self.coeffs * float(other))

@@ -143,16 +143,15 @@ def test_u1_sector_rules(scn):
         want = want - (eps * Jet(scn.m, q.data[0, a, 0, :]))
         for mu in range(scn.m):
             want = want + d(eps, mu) * Jet(scn.m, einv[mu, a])
-        assert vnorm(blk.gdata[0, a, 0] - want) < 1e-13
+        assert vnorm(blk.entry(0, a, 0) - want) < 1e-13
 
 
 def test_u0_rules(scn):
     cache = {}
     u0 = scn.T_u0.ev(cache)
     m, n = scn.m, scn.model.n
-    epst = MForm.zeros(m, (n, n), 0, 1, scn.ghost_order, ghost=True)
-    for i in range(1, m + 1):
-        epst.gdata[i, i, 0] = scn.eps_jet
+    epst = MForm.from_entries(m, (n, n), 0, 1, scn.ghost_order,
+                              {(i, i, 0): scn.eps_jet for i in range(1, m + 1)})
     assert (brs_vary(scn, "u0", "W") - epst.wedge(u0)).value_norm() < 1e-13
     vl = scn.V["L"].ev(cache)
     assert (brs_vary(scn, "u0", "L") + vl.wedge(u0)).value_norm() < 1e-13
@@ -233,7 +232,7 @@ def test_flat_christoffel_variation(mobius3, flat3):
                     want = want + deps[nu]
                 if mu == nu:
                     want = want - deps[r] * float(eta[r] * eta[mu])
-                assert vnorm(blk.gdata[r, nu, mu] - want) < 1e-13
+                assert vnorm(blk.entry(r, nu, mu) - want) < 1e-13
 
 
 def test_sector_triviality_after_full_dressing(scn):
@@ -263,11 +262,11 @@ def test_algebraic_connection_flat(mobius3, flat3):
     eta = s.model.eta
     m = 3
     blk = s.model.block(vhat, 1, 1)
-    assert vnorm(blk.gdata[0, 0, 0] - eps) == 0.0
+    assert vnorm(blk.entry(0, 0, 0) - eps) == 0.0
     blk = s.model.block(vhat, 2, 3)
     for r in range(m):
         want = d(eps, r) * float(eta[r])
-        assert vnorm(blk.gdata[r, 0, 0] - want) < 1e-14
+        assert vnorm(blk.entry(r, 0, 0) - want) < 1e-14
     # eps = 0 reduces the algebraic connection to varpi0 itself
     spec0 = GhostSpec(eps="0", iota=["0"] * 3, lorentz=["0"] * 3)
     s0 = ConformalBRS(conn, None, spec0, POINT3)
@@ -333,7 +332,7 @@ def test_first_stage_weyl_brs_blocks(mobius3, vielbein3):
     for a in range(m):
         for mu in range(m):
             want = eps * Jet(m, th.data[a, 0, mu, :])
-            assert vnorm(blk.gdata[a, 0, mu] - want) < 1e-13
+            assert vnorm(blk.entry(a, 0, mu) - want) < 1e-13
     # normal case: the middle curvature block is inert
     assert s.model.block(sW_omega1, 2, 2).value_norm() < 1e-12
     # s_W Pi1 = -eps Pi1 - (deps . e^-1) F1
@@ -353,7 +352,7 @@ def test_first_stage_weyl_brs_blocks(mobius3, vielbein3):
             want = (eps * Jet(m, Pi1.data[0, b, f, :])) * -1.0
             for a in range(m):
                 want = want - deps_row[a] * Jet(m, F1.data[a, b, f, :])
-            assert vnorm(blk.gdata[0, b, f] - want) < 1e-12
+            assert vnorm(blk.entry(0, b, f) - want) < 1e-12
 
 
 def test_first_stage_sector_behavior(scn):
@@ -423,8 +422,9 @@ def test_composite_ghost_and_stotal_are_built_once():
 
 
 def _exact_terms(mform):
-    return [{k: c.coeffs.tolist() for k, c in g.terms.items()}
-            for g in mform.gdata.flat]
+    r, c = mform.shape
+    return [{k: x.coeffs.tolist() for k, x in mform.entry(i, j, f).terms.items()}
+            for i in range(r) for j in range(c) for f in range(mform.n_comps)]
 
 
 def test_shared_cache_matches_cold_evaluation():

@@ -8,7 +8,7 @@ from cartanweyl.checks import run_check
 from cartanweyl.errors import AlgebraResidualError, DegenerateVielbeinError
 from cartanweyl.exprs import eval_jet, parse_expr
 from cartanweyl.forms import MForm, algebra_residual, eta_t, gcomm
-from cartanweyl.jets import Chart, jmul
+from cartanweyl.jets import Chart, jmat_inv, jmul
 from cartanweyl.scenarios import catalog
 from cartanweyl.tensors import classical_bundle
 
@@ -273,7 +273,7 @@ def test_schwarzschild_is_ricci_flat():
 
 def test_spin_connection_properties(vielbein3, chart3, rng):
     e = vielbein3.jets_at(POINT3, K)
-    A = spin_connection(e, chart3.signature, 3)
+    A = spin_connection(e, jmat_inv(e, 3), chart3.signature, 3)
     eta = np.diag(np.asarray(chart3.signature, dtype=float))
     for mu in range(3):
         M = A[:, :, mu, 0]

@@ -74,7 +74,7 @@ def test_weyl_routes(m):
     assert np.abs(stW.W - st.W).max() < 1e-11
 
 
-@pytest.mark.parametrize("m", [4])
+@pytest.mark.parametrize("m", [4, 5])
 def test_bianchi_and_brs(m, rng):
     ch, model, vb, pt = _setup(m)
     conn0 = build_normal(vb, model, pt, 4)

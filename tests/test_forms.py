@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cartanweyl.errors import ShapeError
-from cartanweyl.forms import (MForm, algebra_residual, block_matrix, eta_t,
-                              form_comps, gcomm, wedge_plan)
+from cartanweyl.forms import (MForm, _PAD, algebra_residual, block_matrix, d_plan,
+                              eta_t, form_comps, gcomm, wedge_plan)
 from cartanweyl.grassmann import GeneratorPool, GradedScalar
 from cartanweyl.jets import Jet, jmat_mul, space
 
@@ -11,14 +11,15 @@ M, K = 3, 4
 
 
 def rand_form(rng, shape, p, q=0, order=K, pool=None, tag=""):
-    out = MForm.zeros(M, shape, p, q, order, ghost=q > 0)
     if q == 0:
+        out = MForm.zeros(M, shape, p, q, order)
         out.data[:] = rng.normal(size=out.data.shape)
         return out
-    for i, j, f in np.ndindex(out.gdata.shape):
+    entries = {}
+    for i, j, f in np.ndindex(shape + (len(form_comps(M, p)),)):
         coeffs = rng.normal(size=space(M, order).size)
-        out.gdata[i, j, f] = ghost_field(coeffs, order, pool, f"{tag}{i}{j}{f}")
-    return out
+        entries[i, j, f] = ghost_field(coeffs, order, pool, f"{tag}{i}{j}{f}")
+    return MForm.from_entries(M, shape, p, q, order, entries)
 
 
 def ghost_field(coeffs, order, pool, prefix):
@@ -302,3 +303,216 @@ def test_graded_jacobi_property(seed, degs):
     rhs = gcomm(gcomm(a, b), c) + gcomm(b, gcomm(a, c)).scale(sign)
     scale = max(1.0, lhs.full_norm(), rhs.full_norm())
     assert (lhs - rhs).full_norm() / scale < 1e-11
+
+
+# the sparse ghost term table against the per-entry oracle -----------------------
+#
+# The oracle is the per-entry GradedScalar arithmetic ghost forms used before
+# the term table: an entry dict {(row, col, comp): GradedScalar over jets}.
+
+TM = 3          # chart dimension of the table tests
+GENS = 6        # a small generator pool, so that factors share generators
+
+
+def _draw_entries(rng, shape, p, q, order):
+    """Random ghost entries: some absent, a few monomials each, unit or dense jets."""
+    size = space(TM, order).size
+    out = {}
+    for idx in np.ndindex(shape + (len(form_comps(TM, p)),)):
+        if rng.random() < 0.3:
+            continue
+        terms = {}
+        for _ in range(rng.integers(1, 4)):
+            mono = tuple(sorted(int(g) for g in rng.choice(GENS, size=q, replace=False)))
+            if rng.random() < 0.5:
+                coeffs = rng.normal(size=size)
+            else:
+                coeffs = np.zeros(size)
+                coeffs[rng.integers(size)] = rng.normal()
+            terms[mono] = Jet(TM, coeffs)
+        out[idx] = GradedScalar(terms)
+    return out
+
+
+def _draw_float(rng, shape, p, order):
+    out = MForm.zeros(TM, shape, p, 0, order)
+    out.data[:] = rng.normal(size=out.data.shape)
+    out.data[rng.random(out.data.shape[:3]) < 0.3] = 0.0
+    return out
+
+
+def _float_entries(form):
+    return {idx: GradedScalar({(): Jet(TM, form.data[idx].copy())})
+            for idx in np.ndindex(form.data.shape[:3]) if form.data[idx].any()}
+
+
+def _trunc(entries, k):
+    return {idx: g.map(lambda c: c.truncate(k)) for idx, g in entries.items()}
+
+
+def _oracle_wedge(a, ea, b, eb):
+    """The per-entry loop ghost wedges ran before the term table."""
+    k = min(a.order, b.order)
+    ea, eb = _trunc(ea, k), _trunc(eb, k)
+    koszul = -1.0 if (a.p * b.q) % 2 else 1.0
+    out = {}
+    for f1, f2, h, sgn in zip(*wedge_plan(TM, a.p, b.p)):
+        for i in range(a.shape[0]):
+            for j in range(b.shape[1]):
+                acc = out.get((i, j, h), GradedScalar())
+                for t in range(a.shape[1]):
+                    ga, gb = ea.get((i, t, f1)), eb.get((t, j, f2))
+                    if ga is not None and gb is not None:
+                        acc = acc + (ga * gb) * float(sgn * koszul)
+                out[i, j, h] = acc
+    return out
+
+
+def _oracle_ext_d(form, entries):
+    sign_q = -1.0 if form.q % 2 else 1.0
+    out = {}
+    for f, nu, h, sgn in d_plan(TM, form.p):
+        for (i, j, g), x in entries.items():
+            if g == f:
+                der = x.map(lambda c: c.derivative(nu)) * (sgn * sign_q)
+                out[i, j, h] = out.get((i, j, h), GradedScalar()) + der
+    return out
+
+
+def _assert_canonical(form):
+    """Rows sorted by unique (entry, monomial) keys, no zero row, every
+    monomial used, sorted unique monomial rows of increasing generators."""
+    t = form.gdata
+    n = len(t.monos)
+    assert t.coef.shape == (t.ent.size, space(form.m, form.order).size)
+    assert (np.diff(t.ent * n + t.mono) > 0).all()
+    assert t.coef.any(axis=1).all()
+    assert ((t.ent >= 0) & (t.ent < form.shape[0] * form.shape[1] * form.n_comps)).all()
+    assert np.array_equal(np.unique(t.mono), np.arange(n))
+    rows = [tuple(r) for r in t.monos.tolist()]
+    assert rows == sorted(set(rows))
+    for r in rows:
+        gens = [g for g in r if g != _PAD]
+        assert list(r[:len(gens)]) == gens and gens == sorted(set(gens))
+
+
+def _assert_matches(form, want, rel=1e-15):
+    """Entrywise agreement with an oracle entry dict, relative to the largest
+    coefficient of either side."""
+    _assert_canonical(form)
+    got = {idx: form.entry(*idx) for idx in np.ndindex(form.shape + (form.n_comps,))}
+    scale = max([0.0] + [g.norm(Jet.norm) for g in list(got.values()) + list(want.values())])
+    for idx, g in got.items():
+        diff = g - want.get(idx, GradedScalar())
+        assert diff.norm(Jet.norm) <= rel * scale, idx
+
+
+def _operand(rng, kind, shape, p, q, order):
+    """(MForm, oracle entries) of one wedge factor: 'float' or 'ghost'."""
+    if kind == "float":
+        f = _draw_float(rng, shape, p, order)
+        return f, _float_entries(f)
+    e = _draw_entries(rng, shape, p, q, order)
+    f = MForm.from_entries(TM, shape, p, q, order, e)
+    _assert_matches(f, e, rel=0.0)
+    return f, e
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       p1=st.integers(0, 2), p2=st.integers(0, 2),
+       q1=st.integers(1, 2), q2=st.integers(1, 2),
+       kinds=st.sampled_from([("float", "ghost"), ("ghost", "float"), ("ghost", "ghost")]),
+       orders=st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]))
+def test_table_wedge_matches_per_entry_oracle(seed, p1, p2, q1, q2, kinds, orders):
+    """Plans with repeated targets ((1, 1), (1, 2)), empty plans (p1 + p2 > 3),
+    float x ghost, ghost x float and ghost x ghost, unit and dense jets."""
+    rng = np.random.default_rng(seed)
+    a, ea = _operand(rng, kinds[0], (2, 3), p1, q1, orders[0])
+    b, eb = _operand(rng, kinds[1], (3, 2), p2, q2, orders[1])
+    ab = a.wedge(b)
+    assert (ab.p, ab.q, ab.order) == (p1 + p2, a.q + b.q, min(orders))
+    _assert_matches(ab, _oracle_wedge(a, ea, b, eb))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       p=st.integers(0, 2), q=st.integers(1, 2),
+       orders=st.sampled_from([(2, 2), (2, 1), (1, 2)]))
+def test_table_linear_and_inspection_match_oracle(seed, p, q, orders):
+    rng = np.random.default_rng(seed)
+    shape = (2, 3)
+    a, ea = _operand(rng, "ghost", shape, p, q, orders[0])
+    b, eb = _operand(rng, "ghost", shape, p, q, orders[1])
+    k = min(orders)
+    ta, tb = _trunc(ea, k), _trunc(eb, k)
+    keys = set(ta) | set(tb)
+    zero = GradedScalar()
+    _assert_matches(a + b, {i: ta.get(i, zero) + tb.get(i, zero) for i in keys})
+    _assert_matches(a - b, {i: ta.get(i, zero) - tb.get(i, zero) for i in keys})
+    _assert_matches(a.scale(-0.75), {i: g * -0.75 for i, g in ea.items()})
+    _assert_matches(a.scale(0.0), {})
+    _assert_matches(a - a, {})
+    _assert_matches(a.truncate(orders[0] - 1), _trunc(ea, orders[0] - 1))
+    _assert_matches(a.ext_d(), _oracle_ext_d(a, ea))
+    # a float operand lifts to body terms (ghost degree 0)
+    c = _draw_float(rng, shape, p, k)
+    fc = _float_entries(c)
+    a0, ea0 = _operand(rng, "ghost", shape, p, 0, k)
+    want = {i: fc.get(i, zero) + ea0.get(i, zero) for i in set(fc) | set(ea0)}
+    _assert_matches(c + a0, want)
+    _assert_matches(a0 + c, want)
+    # block, set_block and block_matrix
+    blk = a.block((0, 2), (1, 3))
+    _assert_matches(blk, {(i, j - 1, f): g for (i, j, f), g in ea.items() if j >= 1})
+    if orders[1] >= orders[0]:      # set_block never raises the jet order
+        put = a.copy()
+        put.set_block((0, 2), (0, 2), b.block((0, 2), (1, 3)))
+        want = {(i, j, f): g for (i, j, f), g in ea.items() if j == 2}
+        want.update({(i, j - 1, f): g.map(lambda x: x.truncate(orders[0]))
+                     for (i, j, f), g in eb.items() if j >= 1})
+        _assert_matches(put, want)
+        _assert_matches(a, ea, rel=0.0)     # set_block on the copy left a as it was
+    grid = block_matrix([[a, None], [None, b]], TM, p, q, max(orders))
+    want = {(i, j, f): g for (i, j, f), g in ta.items()}
+    want.update({(i + 2, j + 3, f): g for (i, j, f), g in tb.items()})
+    _assert_matches(grid, want)
+    # eta-transposition of a row and of a column
+    w = np.array([1.0, -1.0, -1.0])
+    row = a.block((1, 2), (0, 3))
+    erow = {(j, 0, f): g * float(w[j]) for (i, j, f), g in ea.items() if i == 1}
+    _assert_matches(eta_t(row, w), erow)
+    # the column back to a row: the weights square to one
+    _assert_matches(eta_t(eta_t(row, w), w), {(0, j, f): g for (i, j, f), g in ea.items() if i == 1})
+    # the body and the norms
+    body = a.body()
+    assert body.q == 0 and not body.is_ghost
+    for idx in np.ndindex(shape + (a.n_comps,)):
+        g = ea.get(idx)
+        want = g.body().coeffs if g is not None and not g.is_zero() else 0.0
+        assert np.abs(body.data[idx] - want).max() <= 1e-15 * max(1.0, a.full_norm())
+    assert a.value_norm() == max([0.0] + [g.norm(lambda c: abs(c.value)) for g in ea.values()])
+    assert a.full_norm() == max([0.0] + [g.norm(Jet.norm) for g in ea.values()])
+
+
+def test_table_product_cancels_to_empty_table():
+    """(g0 c0 + g1 c1)^2 = g0 g1 (c0 c1 - c1 c0): the two products are equal
+    bit for bit, so the sum cancels and no row is left; a repeated generator
+    kills a product before any sum."""
+    c0, c1 = Jet.constant(0.3, TM, 2), Jet.constant(-1.7, TM, 2)
+    z = MForm.from_entries(TM, (1, 1), 0, 1, 2,
+                           {(0, 0, 0): GradedScalar({(0,): c0, (1,): c1})})
+    zz = z.wedge(z)
+    _assert_canonical(zz)
+    assert zz.gdata.ent.size == 0 and zz.full_norm() == 0.0
+    assert zz.entry(0, 0, 0).is_zero()
+    x = MForm.from_entries(TM, (1, 1), 0, 1, 2, {(0, 0, 0): GradedScalar({(2,): c0})})
+    xx = x.wedge(x)
+    _assert_canonical(xx)
+    assert xx.gdata.ent.size == 0
+    # the empty table goes through every other operation
+    for y in (xx + xx, xx.scale(2.0), xx.ext_d(), xx.block((0, 1), (0, 1)),
+              xx.wedge(z), z.wedge(xx), eta_t(xx, [1.0])):
+        _assert_canonical(y)
+        assert y.full_norm() == 0.0 and y.value_norm() == 0.0
+    assert xx.body().full_norm() == 0.0
