@@ -12,12 +12,12 @@ derivative (whose stored-coefficient rule picks up (-1)^q).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 
 from .errors import JetOrderError, ShapeError
-from .grassmann import GradedScalar
+from .grassmann import GradedScalar, _merge_monomials
 from .jets import Jet, jmat_mul, jmul, jtrunc, space
 from .reduction import worst_of
 
@@ -73,10 +73,9 @@ def d_plan(m, p):
 
 
 # largest (pair x multiplication-table) product one jmul call of a ghost
-# wedge may hold: about 32 MB per float64 intermediate
+# wedge may hold: about 32 MB per float64 intermediate.  Only the jmul
+# intermediates are blocked; the pair index arrays before it are built whole.
 _PRODUCT_BLOCK = 1 << 22
-# fills a monomial row past its degree; sorts after every generator id
-_PAD = np.iinfo(np.int64).max
 
 
 @lru_cache(maxsize=None)
@@ -96,35 +95,23 @@ def _d_arrays(m, p):
     return tuple(np.array([e[k] for e in plan]) for k in (1, 2, 3))
 
 
-def _unique_rows(x):
-    """Lexicographically sorted unique rows of a 2-D int array, and the index
-    of each input row among them."""
-    if not len(x):
-        return x, np.zeros(0, dtype=np.int64)
-    order = np.lexsort(x.T[::-1])
-    xs = x[order]
-    new = np.concatenate(([True], (xs[1:] != xs[:-1]).any(axis=1)))
-    inv = np.empty(len(x), dtype=np.int64)
-    inv[order] = np.cumsum(new) - 1
-    return xs[new], inv
-
-
-def _widen(monos, width):
-    if monos.shape[1] == width:
-        return monos
-    pad = np.full((len(monos), width - monos.shape[1]), _PAD)
-    return np.concatenate([monos, pad], axis=1)
+def _monomial_table(keys):
+    """Sorted unique monomials (generator-id tuples) of ``keys``, and the
+    index of each key among them."""
+    monos = tuple(sorted(set(keys)))
+    where = {k: g for g, k in enumerate(monos)}
+    return monos, np.array([where[k] for k in keys], dtype=np.int64)
 
 
 class _Terms:
     """Sparse ghost term table: one jet row per (entry, Grassmann monomial).
 
     ``ent`` holds the flat (row, col, comp) index of each row, ``mono`` an
-    index into ``monos`` and ``coef`` the (N, C) jet coefficients.  Row g of
-    ``monos`` is a monomial: its generator ids in increasing order, then
-    ``_PAD``; the rows are sorted and unique.  A table is canonical and never
-    changed in place: rows sorted by (ent, mono) with no repeated key and no
-    all-zero row, and every monomial of ``monos`` is used.
+    index into ``monos`` and ``coef`` the (N, C) jet coefficients.  ``monos``
+    is a sorted tuple of distinct monomials, each a tuple of increasing
+    generator ids.  A table is canonical and never changed in place: rows
+    sorted by (ent, mono) with no repeated key and no all-zero row, and every
+    monomial of ``monos`` is used.
     """
 
     __slots__ = ("ent", "mono", "coef", "monos")
@@ -138,7 +125,7 @@ class _Terms:
     @classmethod
     def empty(cls, size):
         none = np.zeros(0, dtype=np.int64)
-        return cls(none, none, np.zeros((0, size)), np.zeros((0, 1), dtype=np.int64))
+        return cls(none, none, np.zeros((0, size)), ())
 
 
 def _collect(ent, mono, coef, monos):
@@ -164,7 +151,7 @@ def _collect(ent, mono, coef, monos):
 
 def _nonzero(ent, mono, coef, monos):
     """Canonical table of rows already sorted by unique (ent, mono) keys:
-    all-zero rows dropped, then unused monomials and all-pad columns."""
+    all-zero rows dropped, then unused monomials."""
     keep = coef.any(axis=1)
     if not keep.all():
         ent, mono, coef = ent[keep], mono[keep], coef[keep]
@@ -174,17 +161,14 @@ def _nonzero(ent, mono, coef, monos):
     used[mono] = True
     if not used.all():
         mono = (np.cumsum(used) - 1)[mono]
-        monos = monos[used]
-    while monos.shape[1] > 1 and (monos[:, -1] == _PAD).all():
-        monos = monos[:, :-1]
+        monos = tuple(compress(monos, used))
     return _Terms(ent, mono, coef, monos)
 
 
 def _merged(tables, size):
     """Canonical sum of tables that share one entry layout, each trimmed to
     ``size`` jet coefficients; their monomial tables are merged first."""
-    width = max(t.monos.shape[1] for t in tables)
-    monos, inv = _unique_rows(np.concatenate([_widen(t.monos, width) for t in tables]))
+    monos, inv = _monomial_table([k for t in tables for k in t.monos])
     offsets = np.cumsum([0] + [len(t.monos) for t in tables])
     mono = np.concatenate([inv[o + t.mono] for o, t in zip(offsets, tables)])
     return _collect(np.concatenate([t.ent for t in tables]), mono,
@@ -238,18 +222,18 @@ def _wedge_terms(a, b, A, B, koszul, k):
     low_a, low_b = _low_degrees(A.coef, m, k), _low_degrees(B.coef, m, k)
     sel = (plan >= 0) & (low_a[ia] + low_b[ib] <= k)
     ia, ib, plan = ia[sel], ib[sel], plan[sel]
-    # the Grassmann product of each distinct monomial pair
+    # the Grassmann product of each distinct monomial pair; a shared
+    # generator kills it
     nb = len(B.monos)
     pairs, inv = np.unique(A.mono[ia] * nb + B.mono[ib], return_inverse=True)
+    merged = [_merge_monomials(A.monos[g // nb], B.monos[g % nb]) for g in pairs.tolist()]
+    live = np.array([x is not None for x in merged], dtype=bool)
+    gsign = np.array([x[1] if x else 0.0 for x in merged])
+    monos, target = _monomial_table([x[0] for x in merged if x])
+    pair_target = np.zeros(pairs.size, dtype=np.int64)
+    pair_target[live] = target
     inv = inv.reshape(-1)
-    ga, gb = A.monos[pairs // nb], B.monos[pairs % nb]
-    both = (ga != _PAD)[:, :, None] & (gb != _PAD)[:, None, :]
-    shared = ((ga[:, :, None] == gb[:, None, :]) & both).any(axis=(1, 2))
-    # shuffle sign: each generator of b hops over the larger ones of a
-    hops = ((ga[:, :, None] > gb[:, None, :]) & both).sum(axis=(1, 2))
-    gsign = np.where(hops % 2, -1.0, 1.0)
-    monos, target = _unique_rows(np.sort(np.concatenate([ga, gb], axis=1), axis=1))
-    sel = ~shared[inv]
+    sel = live[inv]
     ia, ib, plan, inv = ia[sel], ib[sel], plan[sel], inv[sel]
     # one jmul for all pairs, in blocks that bound its (pairs x table)
     # intermediates when a product is large
@@ -259,7 +243,7 @@ def _wedge_terms(a, b, A, B, koszul, k):
     coef *= (koszul * plan_sign[plan] * gsign[inv])[:, None]
     Fh = len(form_comps(m, a.p + b.p))
     ent = ((A.ent[ia] // (Fa * inner)) * cols + (B.ent[ib] // Fb) % cols) * Fh + plan_h[plan]
-    return _collect(ent, target[inv], coef, monos)
+    return _collect(ent, pair_target[inv], coef, monos)
 
 
 class MForm:
@@ -298,20 +282,19 @@ class MForm:
 
         Coefficients are trimmed to ``order``; absent entries are zero.
         """
-        F = len(form_comps(m, p))
+        out = cls(m, shape, p, q, order)
         size = space(m, order).size
         ent, mono, coef = [], [], []
         for (i, j, f), g in entries.items():
+            e = out._flat_index(i, j, f)
             for k, c in g.terms.items():
-                ent.append((i * shape[1] + j) * F + f)
+                ent.append(e)
                 mono.append(k)
                 coef.append(jtrunc(c.coeffs, m, order))
-        width = max([1] + [len(k) for k in mono])
-        monos, idx = _unique_rows(np.array([k + (_PAD,) * (width - len(k)) for k in mono],
-                                           dtype=np.int64).reshape(-1, width))
-        table = _collect(np.array(ent, dtype=np.int64), idx,
-                         np.array(coef, dtype=float).reshape(-1, size), monos)
-        return cls(m, shape, p, q, order, gdata=table)
+        monos, idx = _monomial_table(mono)
+        out.gdata = _collect(np.array(ent, dtype=np.int64), idx,
+                             np.array(coef, dtype=float).reshape(-1, size), monos)
+        return out
 
     @classmethod
     def identity(cls, m, n, order):
@@ -335,13 +318,20 @@ class MForm:
     def n_comps(self):
         return len(form_comps(self.m, self.p))
 
+    def _flat_index(self, i, j, f):
+        """Flat (row, col, comp) index of an entry; IndexError outside the form."""
+        if not (0 <= i < self.shape[0] and 0 <= j < self.shape[1] and 0 <= f < self.n_comps):
+            raise IndexError(f"entry ({i}, {j}, {f}) outside shape {self.shape} "
+                             f"with {self.n_comps} components")
+        return (i * self.shape[1] + j) * self.n_comps + f
+
     def entry(self, i, j, f):
         """The (row i, col j, comp f) entry of a ghost MForm as a GradedScalar."""
         t = self.gdata
-        e = (i * self.shape[1] + j) * self.n_comps + f
+        e = self._flat_index(i, j, f)
         lo, hi = np.searchsorted(t.ent, (e, e + 1))
-        return GradedScalar({tuple(g for g in t.monos[t.mono[r]].tolist() if g != _PAD):
-                             Jet(self.m, t.coef[r].copy()) for r in range(lo, hi)})
+        return GradedScalar({t.monos[t.mono[r]]: Jet(self.m, t.coef[r].copy())
+                             for r in range(lo, hi)})
 
     def _with(self, table, order=None, shape=None, p=None):
         return MForm(self.m, self.shape if shape is None else shape,
@@ -361,7 +351,7 @@ class MForm:
         flat = self.data.reshape(-1, self.data.shape[-1])
         ent = np.flatnonzero(flat.any(axis=1))
         table = _Terms(ent, np.zeros(ent.size, dtype=np.int64), flat[ent],
-                       np.full((min(ent.size, 1), 1), _PAD))
+                       ((),) if ent.size else ())
         return self._with(table)
 
     def truncate(self, to_order):
@@ -564,25 +554,17 @@ def block_matrix(rows, m, p, q, order, ghost=False, row_sizes=None, col_sizes=No
             if isinstance(blk, MForm) and blk.order < k:
                 k = blk.order
     out = MForm.zeros(m, (sum(rsz), sum(csz)), p, q, k, ghost=any_ghost)
-    placed = []
     r0 = 0
     for i in range(nr):
         c0 = 0
         for j in range(nc):
             blk = rows[i][j]
             if isinstance(blk, MForm):
-                if not any_ghost:
-                    out.set_block((r0, r0 + rsz[i]), (c0, c0 + csz[j]), blk.truncate(k))
-                elif blk.shape != (rsz[i], csz[j]):
-                    raise ShapeError("block shape mismatch")
-                else:
-                    placed.append(_moved(blk.to_ghost().gdata, blk.shape, out.shape,
-                                         out.n_comps, r0, c0))
+                if any_ghost:
+                    blk = blk.to_ghost()
+                out.set_block((r0, r0 + rsz[i]), (c0, c0 + csz[j]), blk.truncate(k))
             c0 += csz[j]
         r0 += rsz[i]
-    if placed:
-        # one group-sum for the whole grid; blocks are trimmed to order k
-        out.gdata = _merged(placed, space(m, k).size)
     return out
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from cartanweyl import forms
 from cartanweyl.errors import ShapeError
-from cartanweyl.forms import (MForm, _PAD, algebra_residual, block_matrix, d_plan,
+from cartanweyl.forms import (MForm, algebra_residual, block_matrix, d_plan,
                               eta_t, form_comps, gcomm, wedge_plan)
 from cartanweyl.grassmann import GeneratorPool, GradedScalar
 from cartanweyl.jets import Jet, jmat_mul, space
@@ -381,7 +382,7 @@ def _oracle_ext_d(form, entries):
 
 def _assert_canonical(form):
     """Rows sorted by unique (entry, monomial) keys, no zero row, every
-    monomial used, sorted unique monomial rows of increasing generators."""
+    monomial used, sorted unique monomials of increasing generators."""
     t = form.gdata
     n = len(t.monos)
     assert t.coef.shape == (t.ent.size, space(form.m, form.order).size)
@@ -389,11 +390,9 @@ def _assert_canonical(form):
     assert t.coef.any(axis=1).all()
     assert ((t.ent >= 0) & (t.ent < form.shape[0] * form.shape[1] * form.n_comps)).all()
     assert np.array_equal(np.unique(t.mono), np.arange(n))
-    rows = [tuple(r) for r in t.monos.tolist()]
-    assert rows == sorted(set(rows))
-    for r in rows:
-        gens = [g for g in r if g != _PAD]
-        assert list(r[:len(gens)]) == gens and gens == sorted(set(gens))
+    assert isinstance(t.monos, tuple) and list(t.monos) == sorted(set(t.monos))
+    for r in t.monos:
+        assert isinstance(r, tuple) and list(r) == sorted(set(r))
 
 
 def _assert_matches(form, want, rel=1e-15):
@@ -516,3 +515,30 @@ def test_table_product_cancels_to_empty_table():
         _assert_canonical(y)
         assert y.full_norm() == 0.0 and y.value_norm() == 0.0
     assert xx.body().full_norm() == 0.0
+
+
+@pytest.mark.parametrize("idx", [(2, 0, 0), (0, 3, 0), (0, 0, 3), (-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+def test_entries_outside_the_form_raise(idx):
+    """(row, col, comp) is checked against the shape and the component count
+    on both sides, so no index lands on another entry."""
+    g = GradedScalar({(0,): Jet.constant(1.0, TM, 1)})
+    form = MForm.from_entries(TM, (2, 3), 1, 1, 1, {(1, 2, 2): g})
+    assert not form.entry(1, 2, 2).is_zero()
+    with pytest.raises(IndexError):
+        form.entry(*idx)
+    with pytest.raises(IndexError):
+        MForm.from_entries(TM, (2, 3), 1, 1, 1, {idx: g})
+
+
+def test_blocked_jet_product_matches_one_block(monkeypatch):
+    """A ghost wedge whose jet product runs in many blocks gives the same
+    table, bit for bit, as one block."""
+    rng = np.random.default_rng(5)
+    a = MForm.from_entries(TM, (2, 3), 1, 1, 2, _draw_entries(rng, (2, 3), 1, 1, 2))
+    b = MForm.from_entries(TM, (3, 2), 1, 2, 2, _draw_entries(rng, (3, 2), 1, 2, 2))
+    whole = a.wedge(b).gdata
+    monkeypatch.setattr(forms, "_PRODUCT_BLOCK", 1)     # one pair per block
+    blocked = a.wedge(b).gdata
+    assert whole.ent.size > 1
+    assert np.array_equal(whole.ent, blocked.ent) and np.array_equal(whole.mono, blocked.mono)
+    assert whole.monos == blocked.monos and np.array_equal(whole.coef, blocked.coef)
