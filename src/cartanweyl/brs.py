@@ -773,22 +773,21 @@ def algebraic_connection(fields, scn):
     return vhat, entry_defect, rr
 
 
-def linearization_check(conn, vb_or_e, model, phi, point, order, h=1e-3):
+def linearization_check(conn, e, model, phi, point, order, h=1e-3):
     """Finite Weyl derivative versus the BRS variation with eps -> phi.
 
-    Central differences in the group parameter at steps h and h/2 with
-    Richardson extrapolation; the BRS side is the body map of the ghost
-    variation when the ghost coefficient function equals phi.
+    ``conn`` is the normal connection of the vielbein jets ``e``.  Central
+    differences in the group parameter at steps h and h/2 with Richardson
+    extrapolation; the BRS side is the body map of the ghost variation when
+    the ghost coefficient function equals phi.
     """
-    from .dressing import full_pipeline
+    from .dressing import _two_form_components, full_pipeline
+    from .jets import jder, jexp
     from .weyl import state_of, weyl_transform_dressed
-    from .jets import jexp
     chart = model.chart
     m = model.m
-    e = vb_or_e if isinstance(vb_or_e, np.ndarray) else vb_or_e.jets_at(point, order)
     fields = full_pipeline(conn, e)
     st = state_of(fields)
-    from .jets import jder
     phi_j = eval_jet(parse_expr(phi) if isinstance(phi, str) else phi,
                      chart, point, order).coeffs
     dphi = np.stack([jder(phi_j, m, mu) for mu in range(m)])
@@ -824,7 +823,6 @@ def linearization_check(conn, vb_or_e, model, phi, point, order, h=1e-3):
         gj[mu] = b32.data[0, :, mu, 0]
         Pj[mu] = b12.data[0, :, mu, 0]
         Gm[:, mu, :] = b22.data[:, :, mu, 0]
-    from .dressing import _two_form_components
     got["g"], got["Gamma"], got["P"] = gj, Gm, Pj
     got["C"] = _two_form_components(model.block(s_Omega0, 1, 2), m)[0]
     got["W"] = _two_form_components(model.block(s_Omega0, 2, 2), m)

@@ -74,9 +74,6 @@ class KleinModel:
     def block(self, mform, i, j):
         return mform.block(self.bounds(i), self.bounds(j))
 
-    def set_block(self, mform, i, j, sub):
-        mform.set_block(self.bounds(i), self.bounds(j), sub)
-
 
 @dataclass
 class CartanConnection:

@@ -7,7 +7,7 @@ Subcommands:
   brs        ghost-algebra cross-checks (the brs suite)
   dof        degrees-of-freedom accounting table
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 bad input.
+Exit codes: 0 all checks pass, 1 a check failed, 2 bad input or out of memory.
 """
 
 from __future__ import annotations
@@ -112,6 +112,9 @@ def main(argv=None):
         return _emit(report, args)
     except CartanWeylError as ex:
         print(f"error: {ex}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: ran out of memory; lower the dimension or jet order", file=sys.stderr)
         return 2
 
 

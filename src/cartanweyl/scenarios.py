@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import CartanWeylError, ScenarioError
 from .exprs import parse_expr
@@ -25,6 +25,9 @@ MODELS = ("mobius", "poincare")
 MIN_DIMENSION = 3
 MAX_DIMENSION = 6
 MAX_JET_ORDER = 8
+# The lowest jet order every suite of a model finishes at: the Moebius
+# suites run out of Taylor degrees at order 3.
+MIN_JET_ORDER = {"mobius": 4, "poincare": 3}
 
 
 def _is_int(x):
@@ -113,9 +116,10 @@ class Scenario:
             raise ScenarioError(f"signature must list {m} entries of +1 or -1, "
                                 f"got {sig!r}")
         self.signature = tuple(int(s) for s in sig)
-        if not _is_int(self.jet_order) or not 3 <= self.jet_order <= MAX_JET_ORDER:
-            raise ScenarioError(f"jet order must be an integer in [3, {MAX_JET_ORDER}] "
-                                f"(at least 3 for Cotton checks), got {self.jet_order!r}")
+        low = MIN_JET_ORDER[self.model]
+        if not _is_int(self.jet_order) or not low <= self.jet_order <= MAX_JET_ORDER:
+            raise ScenarioError(f"jet order must be an integer in [{low}, {MAX_JET_ORDER}] "
+                                f"for the {self.model} model, got {self.jet_order!r}")
         tol = self.tolerance
         if not _is_real(tol) or not math.isfinite(tol) or tol <= 0:
             raise ScenarioError(f"tolerance must be finite and positive, got {tol!r}")
@@ -276,10 +280,9 @@ def catalog(name, m=3, jet_order=4):
         base.normal = False
         return base
     if name == "poincare":
-        base = catalog("diag-poly", m, jet_order)
-        base.name = name
-        base.model = "poincare"
-        return base
+        # validated as a Poincare scenario, whose jet-order floor is lower
+        return replace(catalog("diag-poly", m), name=name, model="poincare",
+                       jet_order=jet_order)
     raise ScenarioError(f"unknown catalog scenario {name!r}")
 
 

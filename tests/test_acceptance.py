@@ -14,7 +14,7 @@ from cartanweyl.brs import (ConformalBRS, GhostSpec, PoincareBRS, composite_ghos
                             russian_residual)
 from cartanweyl.cartan import (KleinModel, VielbeinField, build_normal, curvature,
                                gauge_transform, random_gauge)
-from cartanweyl.checks import base_connection, dof_report, run_check
+from cartanweyl.checks import PointContext, dof_report, run_check
 from cartanweyl.dressing import dressed_normality, full_pipeline
 from cartanweyl.forms import gcomm
 from cartanweyl.jets import Chart, jmul
@@ -151,8 +151,7 @@ def test_criterion_4_finite_weyl_laws():
     vb = VielbeinField(scn.chart, scn.vielbein)
     wz = WeylElement(scn.weyl)
     for idx, pt in enumerate(scn.points):
-        rng = np.random.default_rng((scn.seed, idx))
-        conn, e_full = base_connection(scn, model, vb, pt, rng)
+        conn, e_full = PointContext(scn, model, vb, idx).base
         f = full_pipeline(conn, e_full)
         assert np.abs(f.T).max() > 1e-3
         st = state_of(f)
@@ -191,8 +190,7 @@ def test_criterion_6_brs():
     worst_nilp = 0.0
     worst_ghost = 0.0
     for idx, pt in enumerate(scn.points):
-        rng = np.random.default_rng((scn.seed, idx))
-        conn, e_full = base_connection(scn, model, vb, pt, rng)
+        conn, e_full = PointContext(scn, model, vb, idx).base
         b = ConformalBRS(conn, e_full, GHOSTS3, pt)
         cache = {}
         A = b.L_varpi.ev(cache)
@@ -230,7 +228,8 @@ def test_criterion_7_linearization():
     vb = VielbeinField(scn.chart, scn.vielbein)
     pt = scn.points[0]
     conn = build_normal(vb, model, pt, scn.jet_order)
-    out = linearization_check(conn, vb, model, scn.weyl, pt, scn.jet_order)
+    out = linearization_check(conn, vb.jets_at(pt, scn.jet_order), model, scn.weyl, pt,
+                              scn.jet_order)
     worst = max(out.values())
     _verdict(7, "finite vs BRS derivative (g, Gamma, P, C, W)", worst, 1e-6)
 
@@ -262,8 +261,7 @@ def test_criterion_9_bianchi():
         model = KleinModel(scn.model, scn.chart)
         vb = VielbeinField(scn.chart, scn.vielbein)
         for idx, pt in enumerate(scn.points):
-            rng = np.random.default_rng((scn.seed, idx))
-            conn, _ = base_connection(scn, model, vb, pt, rng)
+            conn, _ = PointContext(scn, model, vb, idx).base
             Om = curvature(conn).omega2
             res = Om.ext_d() + gcomm(conn.omega.truncate(Om.order), Om)
             scale = max(1.0, Om.full_norm())

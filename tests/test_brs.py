@@ -7,9 +7,9 @@ from cartanweyl.brs import (ConformalBRS, GhostSpec, PoincareBRS,
                             linearization_check, modified_brs_residuals,
                             nilpotency_residuals, residual_weyl_brs,
                             russian_residual, two_steps_in_one, _is_zero)
-from cartanweyl.cartan import build_normal, gauge_transform, random_gauge
-from cartanweyl.checks import (Report, base_connection, brs_suite, scenario_model,
-                               scenario_vielbein)
+from cartanweyl.cartan import (KleinModel, VielbeinField, build_normal, gauge_transform,
+                               random_gauge)
+from cartanweyl.checks import PointContext, run_check
 from cartanweyl.dressing import full_pipeline
 from cartanweyl.forms import MForm, gcomm
 from cartanweyl.grassmann import GradedScalar
@@ -288,8 +288,8 @@ def test_gr_composite_ghost_vanishes(poincare3, vielbein3):
 
 def test_linearization(mobius3, vielbein3):
     conn = build_normal(vielbein3, mobius3, POINT3, K)
-    out = linearization_check(conn, vielbein3, mobius3, "x0/4 - x1*x2/6",
-                              POINT3, K)
+    out = linearization_check(conn, vielbein3.jets_at(POINT3, K), mobius3,
+                              "x0/4 - x1*x2/6", POINT3, K)
     for key in ("g", "Gamma", "P", "C", "W"):
         assert out[key] < 1e-6, (key, out[key])
 
@@ -391,9 +391,8 @@ def _generic_one_point():
 
 def _generic_brs():
     scn = _generic_one_point()
-    rng = np.random.default_rng((scn.seed, scn.point_offset))
-    conn, e = base_connection(scn, scenario_model(scn), scenario_vielbein(scn),
-                              scn.points[0], rng)
+    model, vb = KleinModel(scn.model, scn.chart), VielbeinField(scn.chart, scn.vielbein)
+    conn, e = PointContext(scn, model, vb, 0).base
     g = scn.ghosts
     return ConformalBRS(conn, e, GhostSpec(g["eps"], g["iota"], g["lorentz"]),
                         scn.points[0])
@@ -406,8 +405,7 @@ def test_brs_suite_evaluates_each_node_once(monkeypatch):
             counts[self] = counts.get(self, 0) + 1
             return _orig(self, cache)
         monkeypatch.setattr(cls, "_ev", counted)
-    report = Report(scenario={})
-    brs_suite(_generic_one_point(), report)
+    report = run_check(_generic_one_point(), "brs")
     assert report.passed and len(report.rows) == 51
     assert counts and max(counts.values()) == 1
 

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cartanweyl.checks import CheckRow, _merge, compute_tensors, dof_report, run_check
+from cartanweyl import checks, cli
+from cartanweyl.checks import (SUITES, CheckRow, _merge, compute_tensors, dof_report,
+                               run_check)
 from cartanweyl.cli import main
 from cartanweyl.errors import ScenarioError
-from cartanweyl.scenarios import CATALOG_NAMES, Scenario, catalog
+from cartanweyl.scenarios import CATALOG_NAMES, MIN_JET_ORDER, Scenario, catalog
 
 
 def test_scenario_json_round_trip(tmp_path):
@@ -85,17 +87,56 @@ def test_determinism_same_seed_same_payload():
         json.dumps(b.payload(), sort_keys=True)
 
 
-def test_parallel_matches_sequential():
+@pytest.mark.parametrize("name, suite", [("generic", "gauge"), ("generic", "all"),
+                                         ("poincare", "all")])
+def test_parallel_matches_sequential(name, suite):
     """One-point sub-scenarios with their point_offset merge to the full run."""
-    scn = catalog("generic", 3)
-    full = run_check(scn, "gauge")
+    scn = catalog(name, 3)
+    full = run_check(scn, suite)
     merged = {}
     for idx, point in enumerate(scn.points):
         sub = Scenario.from_dict({**scn.to_dict(), "points": [point],
                                   "point_offset": idx})
-        for row in run_check(sub, "gauge").rows:
+        for row in run_check(sub, suite).rows:
             merged[row.name] = max(merged.get(row.name, 0.0), row.residual)
-    assert [(r.name, r.residual) for r in full.rows] == sorted(merged.items())
+    assert sorted((r.name, r.residual) for r in full.rows) == sorted(merged.items())
+
+
+@pytest.mark.parametrize("name", ["generic", "torsionful", "poincare"])
+def test_all_is_the_union_of_single_suites(name):
+    """The suites of one run share each point's connection and dressed fields;
+    none may change them, so "all" reports exactly what four runs report."""
+    scn = catalog(name, 3)
+    scn.points = scn.points[:1]
+
+    def rows(report):
+        return [(r.name, repr(r.residual), repr(r.threshold)) for r in report.rows]
+
+    singles = [row for suite in SUITES for row in rows(run_check(scn, suite))]
+    assert rows(run_check(scn, "all")) == singles
+
+
+@pytest.mark.parametrize("name, rescaled", [("generic", 1), ("poincare", 0)])
+def test_suite_all_builds_each_point_once(name, rescaled, monkeypatch):
+    """One normal and one scrambled connection per point under --suite all.
+
+    The weyl suite's rescaled-vielbein route builds one more normal
+    connection per point, from z e rather than from the scenario vielbein.
+    """
+    counts = {"build_normal": 0, "base_connection": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in (checks.build_normal, checks.base_connection):
+        monkeypatch.setattr(checks, fn.__name__, counted(fn))
+    scn = catalog(name, 3)
+    assert run_check(scn, "all").passed
+    n = len(scn.points)
+    assert counts == {"build_normal": n * (1 + rescaled), "base_connection": n}
 
 
 def test_cli_check_pass(tmp_path, capsys):
@@ -231,6 +272,7 @@ BAD_INPUTS = {
     "jet_order_string": {"jet_order": "4"},
     "jet_order_bool": {"jet_order": True},
     "jet_order_huge": {"jet_order": 10 ** 6},
+    "mobius_jet_order_3": {"jet_order": 3},
     "unknown_model": {"model": "nope"},
     "mobius_m2": {"dimension": 2, "signature": [1, -1], "points": [[0.1, 0.2]],
                   "vielbein": [["1", "0"], ["0", "1"]], "gauge": None, "weyl": None,
@@ -268,6 +310,25 @@ def test_cli_bad_input_exits_2(case, tmp_path, capsys):
     assert code == 2
     assert "Traceback" not in err and err.startswith("error:")
     assert elapsed < 1.0   # rejected at validation, before any jet arithmetic
+
+
+@pytest.mark.parametrize("name, model", [("generic", "mobius"), ("poincare", "poincare")])
+def test_lowest_admitted_jet_order_runs_every_suite(name, model, capsys):
+    low = MIN_JET_ORDER[model]
+    base = ["check", "--catalog", name, "--suite", "all", "--jet-order"]
+    assert main(base + [str(low - 1)]) == 2
+    assert f"[{low}, " in capsys.readouterr().err
+    assert main(base + [str(low)]) == 0
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "run_check", exhausted)
+    assert main(["check", "--catalog", "flat", "--suite", "gauge"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "out of memory" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags", [["--tolerance", "-1"], ["--jet-order", "2"],

@@ -111,7 +111,9 @@ def test_torsionful_laws(mobius3, vielbein3):
     scn = catalog("torsionful", 3)
     scn.points = [POINT3]
     rng = np.random.default_rng(7)
-    conn, e_full = base_connection(scn, mobius3, vielbein3, POINT3, rng)
+    e = vielbein3.jets_at(POINT3, scn.jet_order)
+    conn, e_full = base_connection(scn, mobius3, build_normal(e, mobius3, POINT3, scn.jet_order),
+                                   e, POINT3, rng)
     fields = full_pipeline(conn, e_full)
     assert np.abs(fields.T).max() > 1e-3  # genuinely torsionful
     st = state_of(fields)
