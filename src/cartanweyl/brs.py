@@ -29,7 +29,7 @@ import numpy as np
 
 from .dressing import extract_u1
 from .errors import ShapeError
-from .exprs import eval_jet, parse_expr
+from .exprs import eval_jet
 from .forms import MForm, block_matrix, eta_t, form_comps, gcomm
 from .grassmann import GeneratorPool, GradedScalar
 from .jets import Jet, jmat_inv, jtrunc, order_of, space
@@ -292,8 +292,7 @@ def _ghost_jet(expr, chart, point, order, pool, prefix):
     exactly as the BRS identities require.  Every generator is registered,
     also where c_beta is zero.
     """
-    e = parse_expr(expr) if isinstance(expr, str) else expr
-    coeffs = eval_jet(e, chart, point, order).coeffs
+    coeffs = eval_jet(expr, chart, point, order).coeffs
     terms = {}
     for i, beta in enumerate(space(chart.m, order).monos):
         gen = pool.register(f"{prefix}@{''.join(map(str, beta))}")
@@ -773,10 +772,11 @@ def algebraic_connection(fields, scn):
     return vhat, entry_defect, rr
 
 
-def linearization_check(conn, e, model, phi, point, order, h=1e-3):
+def linearization_check(conn, e, model, phi, point, order, h=1e-3, fields=None):
     """Finite Weyl derivative versus the BRS variation with eps -> phi.
 
-    ``conn`` is the normal connection of the vielbein jets ``e``.  Central
+    ``conn`` is the normal connection of the vielbein jets ``e``, and
+    ``fields``, when given, is its ``full_pipeline(conn, e)``.  Central
     differences in the group parameter at steps h and h/2 with Richardson
     extrapolation; the BRS side is the body map of the ghost variation when
     the ghost coefficient function equals phi.
@@ -786,10 +786,10 @@ def linearization_check(conn, e, model, phi, point, order, h=1e-3):
     from .weyl import state_of, weyl_transform_dressed
     chart = model.chart
     m = model.m
-    fields = full_pipeline(conn, e)
+    if fields is None:
+        fields = full_pipeline(conn, e)
     st = state_of(fields)
-    phi_j = eval_jet(parse_expr(phi) if isinstance(phi, str) else phi,
-                     chart, point, order).coeffs
+    phi_j = eval_jet(phi, chart, point, order).coeffs
     dphi = np.stack([jder(phi_j, m, mu) for mu in range(m)])
 
     def tensors_at(t):

@@ -14,9 +14,9 @@ import numpy as np
 
 from . import tensors
 from .errors import (AlgebraResidualError, DegenerateVielbeinError, ShapeError)
-from .exprs import eval_jet, parse_expr
+from .exprs import compile_expr, eval_jets
 from .forms import MForm, algebra_residual, block_matrix, eta_t, form_comps
-from .jets import (Chart, jcos, jcosh, jmat_inv, jmul, jrecip, jsin, jsinh,
+from .jets import (Chart, jcos, jcosh, jmat_inv, jmat_mul, jrecip, jsin, jsinh,
                    order_of, space)
 from .reduction import worst_of
 
@@ -184,27 +184,26 @@ def gauge_transform(conn, gamma, gamma_inv):
 
 @dataclass
 class VielbeinField:
-    """m x m matrix of expressions; the metric g = e^T eta e is derived."""
+    """m x m matrix of expressions; the metric g = e^T eta e is derived.
+
+    The entries are parsed and compiled once, here; all their polynomial
+    parts take one Taylor shift per point.
+    """
 
     chart: Chart
     entries: list  # m x m nested list of Expr or str
     det_floor: float = 1e-8
-    _parsed: list = field(default=None, repr=False)
+    _compiled: list = field(default=None, repr=False)
 
     def __post_init__(self):
         m = self.chart.m
         if len(self.entries) != m or any(len(r) != m for r in self.entries):
             raise ShapeError("vielbein must be an m x m grid of expressions")
-        self._parsed = [[c if not isinstance(c, str) else parse_expr(c)
-                         for c in row] for row in self.entries]
+        self._compiled = [compile_expr(c) for row in self.entries for c in row]
 
     def jets_at(self, point, order):
         m = self.chart.m
-        C = space(m, order).size
-        e = np.empty((m, m, C))
-        for a in range(m):
-            for mu in range(m):
-                e[a, mu] = eval_jet(self._parsed[a][mu], self.chart, point, order).coeffs
+        e = eval_jets(self._compiled, self.chart, point, order).reshape(m, m, -1)
         det = float(np.linalg.det(e[..., 0]))
         if abs(det) < self.det_floor:
             raise DegenerateVielbeinError(
@@ -311,39 +310,55 @@ def _so_factor(model, pair, angle, order):
 class GaugeElement:
     """Factorized gauge transformation gamma = W(z) S gamma_1(r).
 
-    Any factor may be omitted; expressions are strings or Expr nodes.
+    Any factor may be omitted.  An entry is an expression string, an Expr
+    node or a coefficient array over ``space(m, d).monos`` (as
+    :func:`random_gauge` draws them); strings are parsed and compiled once,
+    here.
     """
 
     z: object = None                 # positive scalar field
     so: list = None                  # coefficients per (a<b) generator pair
     r: list = None                   # covector field entries
 
-    def _parse(self, x):
-        return parse_expr(x) if isinstance(x, str) else x
+    def __post_init__(self):
+        if self.z is not None:
+            self.z = compile_expr(self.z)
+        if self.so is not None:
+            self.so = [None if c is None else compile_expr(c) for c in self.so]
+        if self.r is not None:
+            self.r = [compile_expr(c) for c in self.r]
 
     def matrices(self, model, point, order):
-        """MForms (gamma, gamma_inv) plus factor data at one point."""
+        """MForms (gamma, gamma_inv) plus factor data at one point.
+
+        z, every so angle and every r entry take one :func:`eval_jets` call;
+        the Poincare model reads only the so angles.
+        """
         m = model.m
         ch = model.chart
         n = model.n
         C = space(m, order).size
+        mobius = model.kind == "mobius"
+        pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+        rotations = [(pair, c) for pair, c in zip(pairs, self.so or ())
+                     if c is not None]
+        z_entry = [self.z] if mobius and self.z is not None else []
+        r_entries = list(self.r) if mobius and self.r is not None else []
+        jets = iter(eval_jets(z_entry + [c for _, c in rotations] + r_entries,
+                              ch, point, order))
+        z = next(jets) if z_entry else None
         out = {}
         # Lorentz factor S as raw (m, m, C)
         S = np.zeros((m, m, C))
         for i in range(m):
             S[i, i, 0] = 1.0
-        if self.so:
-            pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-            for pair, coeff in zip(pairs, self.so):
-                if coeff is None:
-                    continue
-                ang = eval_jet(self._parse(coeff), ch, point, order).coeffs
-                S = jmul(S[:, :, None, :], _so_factor(model, pair, ang, order)[None, :, :, :], m).sum(axis=1)
+        for pair, _ in rotations:
+            S = jmat_mul(S, _so_factor(model, pair, next(jets), order), m)
         sig = model.eta
         Sinv = np.einsum("a,bac,b->abc", sig, S, sig)  # eta S^T eta
         out["S"] = S
         out["Sinv"] = Sinv
-        if model.kind == "poincare":
+        if not mobius:
             gamma = MForm.identity(m, n, order)
             ginv = MForm.identity(m, n, order)
             gamma.data[:m, :m] = S[:, :, None, :]
@@ -352,8 +367,7 @@ class GaugeElement:
             out["S_emb"], out["Sinv_emb"] = gamma, ginv
             return out
         # Weyl factor
-        if self.z is not None:
-            z = eval_jet(self._parse(self.z), ch, point, order).coeffs
+        if z is not None:
             if z[0] <= 0.0:
                 raise DegenerateVielbeinError("gauge factor z must be positive")
         else:
@@ -371,15 +385,12 @@ class GaugeElement:
         S_emb.data[1:m + 1, 1:m + 1] = S[:, :, None, :]
         Sinv_emb = MForm.identity(m, n, order)
         Sinv_emb.data[1:m + 1, 1:m + 1] = Sinv[:, :, None, :]
-        if self.r is not None:
-            r = MForm.zeros(m, (1, m), 0, 0, order)
-            for i, expr in enumerate(self.r):
-                r.data[0, i, 0, :] = eval_jet(self._parse(expr), ch, point, order).coeffs
-        else:
-            r = MForm.zeros(m, (1, m), 0, 0, order)
-        out["r"] = r
-        g1 = k1_matrix(r, model)
-        g1_inv = k1_matrix(r.scale(-1.0), model)
+        r_form = MForm.zeros(m, (1, m), 0, 0, order)
+        for i, jet in enumerate(jets):
+            r_form.data[0, i, 0, :] = jet
+        out["r"] = r_form
+        g1 = k1_matrix(r_form, model)
+        g1_inv = k1_matrix(r_form.scale(-1.0), model)
         out["gamma1"], out["gamma1_inv"] = g1, g1_inv
         out["gamma0"] = W.wedge(S_emb)
         out["gamma0_inv"] = Sinv_emb.wedge(Winv)
@@ -405,42 +416,40 @@ def k1_matrix(r, model):
         m, 0, 0, r.order)
 
 
-def random_polynomial(rng, m, names, degree=2, scale=1.0, radius=SAMPLE_BOX):
+def random_polynomial(rng, m, degree=2, scale=1.0, radius=SAMPLE_BOX):
     """Low-degree polynomial with coefficients drawn from [-1/2, 1/2].
 
-    Nonconstant coefficients shrink with the monomial degree so values stay
-    bounded for |x_i| <= radius and gauge z factors stay positive.  Past the
-    catalog box they shrink by (SAMPLE_BOX / radius)^degree as well; the rng
-    draws, and every polynomial for a point inside the box, stay the same.
+    Returns its coefficients over ``space(m, degree).monos``, each rounded to
+    6 decimals.  Nonconstant coefficients shrink with the monomial degree so
+    values stay bounded for |x_i| <= radius and gauge z factors stay
+    positive.  Past the catalog box they shrink by (SAMPLE_BOX / radius)^degree
+    as well; the rng draws, and every polynomial for a point inside the box,
+    stay the same.
     """
-    from .exprs import poly_expr
-    coeffs = {}
-    for beta in space(m, degree).monos:
-        deg = sum(beta)
-        u = float(rng.uniform(-0.5, 0.5))
-        if deg > 0:
-            u /= 2.0 * (m * max(1.0, radius / SAMPLE_BOX)) ** deg
-        coeffs[beta] = round(u * scale, 6)
-    return poly_expr(coeffs, names)
+    base = m * max(1.0, radius / SAMPLE_BOX)
+    sp = space(m, degree)
+    draws = rng.uniform(-0.5, 0.5, size=sp.size)
+    return np.array([round((u / (2.0 * base ** d) if d > 0 else u) * scale, 6)
+                     for u, d in zip(draws.tolist(), sp.degrees.tolist())])
 
 
 def random_gauge(model, rng, degree=2, with_z=True, with_s=True, with_r=True,
                  point=None):
     """Generic gauge element for scramble tests (seeded, deterministic).
 
-    Its polynomials are scaled to the coordinates of ``point`` when given.
+    Its polynomials are coefficient arrays, scaled to the coordinates of
+    ``point`` when given; z is 1 plus one of them.
     """
     m = model.m
-    names = model.chart.names
     radius = max(map(abs, point)) if point is not None else SAMPLE_BOX
 
     def poly():
-        return random_polynomial(rng, m, names, degree, radius=radius)
+        return random_polynomial(rng, m, degree, radius=radius)
 
     z = None
     if with_z:
-        from .exprs import add, const
-        z = add(const(1), poly())
+        z = poly()
+        z[0] += 1.0
     so = None
     if with_s:
         so = [poly() for _ in range(m * (m - 1) // 2)]

@@ -24,6 +24,7 @@ from .cartan import (GaugeElement, KleinModel, VielbeinField, assemble,
 from .dressing import (compatibility_residuals, dressed_normality,
                        full_pipeline, gr_dress)
 from .errors import CartanWeylError, ScenarioError
+from .exprs import eval_jets
 from .forms import MForm, gcomm
 from .jets import jmul, jtrunc, order_of
 from .reduction import worst_of
@@ -126,36 +127,28 @@ def base_connection(scn, model, conn, e, point, rng):
 
 
 def deformed_connection(conn, model, point, order, rng):
-    """Add a seeded g-valued 1-form: torsion, trace and Ricci defects at once."""
-    from .exprs import eval_jet
+    """Add a seeded g-valued 1-form: torsion, trace and Ricci defects at once.
+
+    One degree-1 polynomial per entry and form component, drawn for a, then
+    alpha, then the so(eta) part of A, and shifted to the point together.
+    """
     m = model.m
-    names = model.chart.names
-    chart = model.chart
-
-    def rand_scalar_1form(shape):
-        out = MForm.zeros(m, shape, 1, 0, order)
-        for i in range(shape[0]):
-            for j in range(shape[1]):
-                for mu in range(m):
-                    poly = random_polynomial(rng, m, names, degree=1, scale=0.5)
-                    out.data[i, j, mu, :] = eval_jet(poly, chart, point, order).coeffs
-        return out
-
-    a = conn.a() + rand_scalar_1form((1, 1))
-    alpha = conn.alpha() + rand_scalar_1form((1, m))
-    theta = conn.theta()
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    polys = [random_polynomial(rng, m, degree=1, scale=0.5)
+             for _ in range((1 + m + len(pairs)) * m)]
+    jets = eval_jets(polys, model.chart, point, order).reshape(1 + m + len(pairs), m, -1)
+    da = MForm.zeros(m, (1, 1), 1, 0, order)
+    da.data[0, 0] = jets[0]
+    dalpha = MForm.zeros(m, (1, m), 1, 0, order)
+    dalpha.data[0] = jets[1:m + 1]
     # so(eta)-valued perturbation of A keeps g-valuedness but adds torsion
     sig = model.eta
     dA = MForm.zeros(m, (m, m), 1, 0, order)
-    for i in range(m):
-        for j in range(i + 1, m):
-            for mu in range(m):
-                poly = random_polynomial(rng, m, names, degree=1, scale=0.5)
-                c = eval_jet(poly, chart, point, order).coeffs
-                dA.data[i, j, mu, :] += sig[j] * c
-                dA.data[j, i, mu, :] -= sig[i] * c
-    A = conn.A() + dA
-    return assemble(model, a=a, alpha=alpha, theta=theta, A=A)
+    for (i, j), c in zip(pairs, jets[m + 1:]):
+        dA.data[i, j] = sig[j] * c
+        dA.data[j, i] = -sig[i] * c
+    return assemble(model, a=conn.a() + da, alpha=conn.alpha() + dalpha,
+                    theta=conn.theta(), A=conn.A() + dA)
 
 
 class PointContext:
@@ -266,16 +259,16 @@ def dressing_suite(ctx):
     res = dict(fields.diagnostics)
     res["single_step"] = fields.single_step_residual
     # invariance under the erased sectors, same composite output
-    ge1 = random_gauge(model, rng, with_z=False, with_s=False, point=point)
-    geS = random_gauge(model, rng, with_z=False, with_r=False, point=point)
-    for tag, ge in (("k1", ge1), ("so", geS)):
-        mats = ge.matrices(model, point, scn.jet_order)
+    mats1 = random_gauge(model, rng, with_z=False, with_s=False,
+                         point=point).matrices(model, point, scn.jet_order)
+    matsS = random_gauge(model, rng, with_z=False, with_r=False,
+                         point=point).matrices(model, point, scn.jet_order)
+    for tag, mats in (("k1", mats1), ("so", matsS)):
         conn_g = gauge_transform(conn, mats["gamma"], mats["gamma_inv"])
         fg = full_pipeline(conn_g)
         res[f"invariance_{tag}_varpi0"] = (fields.varpi0 - fg.varpi0).value_norm()
         res[f"invariance_{tag}_Omega0"] = (fields.Omega0 - fg.Omega0).value_norm()
     # midpoint equivariance: varpi1^S = S^-1 varpi1 S + S^-1 dS
-    matsS = geS.matrices(model, point, scn.jet_order)
     conn_S = gauge_transform(conn, matsS["S_emb"], matsS["Sinv_emb"])
     fS = full_pipeline(conn_S)
     expect = matsS["Sinv_emb"].wedge(fields.varpi1.wedge(matsS["S_emb"])) \
@@ -284,8 +277,7 @@ def dressing_suite(ctx):
     expectO = matsS["Sinv_emb"].wedge(fields.Omega1.wedge(matsS["S_emb"]))
     res["equivariance_Omega1_S"] = (fS.Omega1 - expectO).value_norm()
     # compatibility conditions
-    comp = compatibility_residuals(conn, e_full, ge1, geS, model, point,
-                                   scn.jet_order)
+    comp = compatibility_residuals(conn, e_full, mats1, matsS, model)
     res.update({f"compat_{k}": v for k, v in comp.items()})
     # tensors against the classical oracle
     B = tensors.classical_bundle(e_full, scn.signature, model.m)
@@ -478,8 +470,10 @@ def brs_suite(ctx):
     res.update(residual_weyl_brs(fields, scn_b))
     _, res["algebraic_connection_entries"], rr = algebraic_connection(fields, scn_b)
     res["algebraic_connection_russian"] = worst_of(rr)
+    # on a normal, unscrambled input the context has dressed ctx.normal already
     lin = linearization_check(ctx.normal, ctx.e_normal, model,
-                              scn.weyl if scn.weyl else "x0/4", point, scn.jet_order)
+                              scn.weyl if scn.weyl else "x0/4", point, scn.jet_order,
+                              fields=fields if scn.normal and not scn.gauge else None)
     res.update({f"linearization_{k}": v for k, v in lin.items()})
     return res
 
@@ -508,12 +502,16 @@ def _run_suites(scn, suite, visit=None):
     Each sample point gets one :class:`PointContext`, shared by every suite
     of the run and dropped before the next point; ``visit(ctx)`` runs after
     the point's suites.  A row is the worst residual over the points.
+    "all" runs the suites the model has; a single suite the model lacks is
+    a :class:`ScenarioError`.
     """
     if suite != "all" and suite not in SUITES:
         raise ScenarioError(f"unknown suite {suite!r}: "
                             f"choose from {sorted(SUITES + ('all',))}")
     t0 = time.perf_counter()
     model = KleinModel(scn.model, scn.chart)
+    if suite != "all" and (model.kind, suite) not in SUITE_TABLE:
+        raise ScenarioError(f"the {scn.model} model has no {suite} suite")
     plan = [(name, *SUITE_TABLE[model.kind, name])
             for name in (SUITES if suite == "all" else (suite,))
             if (model.kind, name) in SUITE_TABLE]

@@ -233,11 +233,12 @@ def dressed_normality(fields):
             float(np.abs(fields.f0).max()))
 
 
-def compatibility_residuals(conn, e, gauge1, gaugeS, model, point, order):
+def compatibility_residuals(conn, e, m1, mS, model):
     """Defects of the four dressing compatibility laws.
 
-    Re-extracts the dressings from the gauge-transformed connection and
-    compares with the closed-form actions:
+    ``m1`` and ``mS`` are the ``GaugeElement.matrices`` of a unipotent and a
+    Lorentz gauge element at the point.  Re-extracts the dressings from the
+    gauge-transformed connection and compares with the closed-form actions:
       u1^{gamma1} = gamma1^-1 u1,  u1^S = S^-1 u1 S,
       u0^S = S^-1 u0,              u0^{gamma1} = u0.
     """
@@ -245,8 +246,6 @@ def compatibility_residuals(conn, e, gauge1, gaugeS, model, point, order):
     m = model.m
     u0 = u0_from_vielbein(e, model)
     u1 = extract_u1(conn, u0.einv)
-    m1 = gauge1.matrices(model, point, order)
-    mS = gaugeS.matrices(model, point, order)
     out = {}
     # gamma1 action: e is untouched
     conn_g1 = gauge_transform(conn, m1["gamma1"], m1["gamma1_inv"])

@@ -13,6 +13,13 @@ Numbers are rational literals (integers or decimals); functions are exp,
 sin, cos, sqrt.  Exponents are integers so the grammar is closed under
 differentiation; their magnitude is at most :data:`MAX_EXPONENT`, because a
 power costs one jet product per unit of exponent.
+
+:func:`compile_expr` folds every polynomial subtree (``+``, ``-``, ``*``,
+unary minus, ``^`` with n >= 0 and division by a nonzero constant) into a
+:class:`Poly` of exact coefficients.  :func:`eval_jets` evaluates all the
+polynomials of one field at one point by a single Taylor shift (one
+matmul with a :func:`~cartanweyl.jets.shift_matrix`) and every other node
+by jet arithmetic, node by node.
 """
 
 from __future__ import annotations
@@ -20,11 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ExprDomainError, ExprSyntaxError
-from .jets import Jet
+from .jets import Jet, order_of, shift_matrix, space
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt")
 MAX_EXPONENT = 64
+# A polynomial subtree of higher degree stays on the jet route: the shift
+# matrix has a row per monomial, and few products cost less than that.
+POLY_MAX_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -69,7 +81,39 @@ class Call:
     arg: object
 
 
-Expr = (Const, Var, BinOp, Neg, Pow, Call)
+def _coord_index(chart, name):
+    try:
+        return chart.coord_index(name)
+    except ValueError:
+        raise ExprDomainError(f"unknown coordinate {name!r} for this chart") from None
+
+
+@dataclass(frozen=True)
+class Poly:
+    """A polynomial with exact coefficients, made by :func:`compile_expr`.
+
+    ``terms`` pairs each monomial, a sorted tuple of (variable, power), with
+    its nonzero coefficient.
+    """
+
+    terms: tuple
+
+    @property
+    def degree(self):
+        return max((sum(k for _, k in mono) for mono, _ in self.terms), default=0)
+
+    def on_chart(self, chart):
+        """(beta, float coefficient) pairs over the chart's coordinates."""
+        out = []
+        for mono, c in self.terms:
+            beta = [0] * chart.m
+            for name, k in mono:
+                beta[_coord_index(chart, name)] += k
+            out.append((tuple(beta), float(c)))
+        return out
+
+
+Expr = (Const, Var, BinOp, Neg, Pow, Call, Poly)
 
 
 class _Tokenizer:
@@ -282,21 +326,137 @@ def print_expr(node):
 # evaluation to jets
 # ---------------------------------------------------------------------------
 
-def eval_jet(node, chart, point, order):
-    """Evaluate an Expr to a :class:`Jet` of the given order at ``point``."""
-    if len(point) != chart.m:
+def _poly(terms):
+    return Poly(tuple(sorted((mono, c) for mono, c in terms.items() if c != 0)))
+
+
+def _poly_mul(a, b):
+    out = {}
+    for ma, ca in a.terms:
+        for mb, cb in b.terms:
+            powers = dict(ma)
+            for name, k in mb:
+                powers[name] = powers.get(name, 0) + k
+            mono = tuple(sorted(powers.items()))
+            out[mono] = out.get(mono, 0) + ca * cb
+    return _poly(out)
+
+
+def _fold(op, a, b):
+    """The Poly of ``a op b`` for two Polys, or None if it is not one."""
+    if op in "+-":
+        out = dict(a.terms)
+        for mono, c in b.terms:
+            out[mono] = out.get(mono, 0) + (c if op == "+" else -c)
+        return _poly(out)
+    if op == "*":
+        return _poly_mul(a, b) if a.degree + b.degree <= POLY_MAX_DEGREE else None
+    if b.degree == 0 and b.terms:   # division by a nonzero constant
+        c = b.terms[0][1]
+        return Poly(tuple((mono, v / c) for mono, v in a.terms))
+    return None
+
+
+def _compile(n):
+    if isinstance(n, Poly):
+        return n
+    if isinstance(n, Const):
+        return _poly({(): n.value})
+    if isinstance(n, Var):
+        return _poly({((n.name, 1),): Fraction(1)})
+    if isinstance(n, Neg):
+        a = _compile(n.arg)
+        return Poly(tuple((mono, -c) for mono, c in a.terms)) if isinstance(a, Poly) \
+            else Neg(a)
+    if isinstance(n, BinOp):
+        a, b = _compile(n.left), _compile(n.right)
+        if isinstance(a, Poly) and isinstance(b, Poly):
+            folded = _fold(n.op, a, b)
+            if folded is not None:
+                return folded
+        return BinOp(n.op, a, b)
+    if isinstance(n, Pow):
+        base = _compile(n.base)
+        if (isinstance(base, Poly) and n.exponent >= 0
+                and base.degree * n.exponent <= POLY_MAX_DEGREE):
+            out = _poly({(): Fraction(1)})
+            for _ in range(n.exponent):
+                out = _poly_mul(out, base)
+            return out
+        return Pow(base, n.exponent)
+    if isinstance(n, Call):
+        return Call(n.func, _compile(n.arg))
+    raise TypeError(f"not an Expr node: {n!r}")
+
+
+def compile_expr(entry):
+    """A field entry ready for :func:`eval_jets`, parsed and folded once.
+
+    A string is parsed; in an Expr every polynomial subtree becomes one
+    :class:`Poly`.  A coefficient array over ``space(m, d).monos`` is
+    already a polynomial and is returned as it is.
+    """
+    if isinstance(entry, np.ndarray):
+        return entry
+    if isinstance(entry, str):
+        entry = parse_expr(entry)
+    try:
+        return _compile(entry)
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", 0) from None
+
+
+def eval_jets(entries, chart, point, order):
+    """The order-``order`` jets at ``point`` of field entries, (len(entries), C).
+
+    An entry is an Expr node or a coefficient array over
+    ``space(m, d).monos``.  The arrays and every :class:`Poly` inside the
+    nodes take one Taylor shift together; every other node is evaluated by
+    jet arithmetic, node by node, so a node that :func:`compile_expr` has
+    not folded takes the jet route throughout.
+    """
+    m = chart.m
+    if len(point) != m:
         raise ValueError("point dimension does not match chart")
+    polys = []
+
+    def gather(n):
+        if isinstance(n, (Poly, np.ndarray)):
+            polys.append(n)
+        elif isinstance(n, BinOp):
+            gather(n.left)
+            gather(n.right)
+        elif isinstance(n, (Neg, Call)):
+            gather(n.arg)
+        elif isinstance(n, Pow):
+            gather(n.base)
+
+    for entry in entries:
+        gather(entry)
+    # one column per monomial: the basis of the arrays first, in its order,
+    # then every other monomial a Poly uses
+    dense = max((order_of(m, p) for p in polys if isinstance(p, np.ndarray)), default=0)
+    columns = dict(space(m, dense).index)
+    placed = []
+    for p in polys:
+        if isinstance(p, Poly):
+            pairs = p.on_chart(chart)
+            placed.append(([columns.setdefault(beta, len(columns)) for beta, _ in pairs],
+                           [c for _, c in pairs]))
+        else:
+            placed.append((slice(0, p.size), p))
+    coeffs = np.zeros((len(polys), len(columns)))
+    for row, (cols, values) in zip(coeffs, placed):
+        row[cols] = values
+    shifted = iter(coeffs @ shift_matrix(list(columns), point, order))
 
     def ev(n):
+        if isinstance(n, (Poly, np.ndarray)):
+            return Jet(m, next(shifted))
         if isinstance(n, Const):
             return Jet.constant(float(n.value), chart.m, order)
         if isinstance(n, Var):
-            try:
-                i = chart.coord_index(n.name)
-            except ValueError:
-                raise ExprDomainError(
-                    f"unknown coordinate {n.name!r} for this chart") from None
-            return Jet.coordinate(i, point, chart.m, order)
+            return Jet.coordinate(_coord_index(chart, n.name), point, chart.m, order)
         if isinstance(n, Neg):
             return -ev(n.arg)
         if isinstance(n, BinOp):
@@ -315,37 +475,13 @@ def eval_jet(node, chart, point, order):
             return getattr(arg, n.func)()
         raise TypeError(f"not an Expr node: {n!r}")
 
-    return ev(node)
+    out = np.empty((len(entries), space(m, order).size))
+    for row, entry in zip(out, entries):
+        row[:] = ev(entry).coeffs
+    return out
 
 
-# -- tiny builders used by the scenario generator ---------------------------
-
-def const(v):
-    """Exact constant for v rounded to 6 decimals (scenario coefficients are)."""
-    return Const(Fraction(round(v * 10**6), 10**6))
-
-
-def var(name):
-    return Var(name)
-
-
-def add(a, b):
-    return BinOp("+", a, b)
-
-
-def mul(a, b):
-    return BinOp("*", a, b)
-
-
-def poly_expr(coeff_map, names):
-    """Build sum_beta c_beta * prod x_i^beta_i as an AST."""
-    node = None
-    for beta, c in sorted(coeff_map.items()):
-        if c == 0:
-            continue
-        term = const(c)
-        for i, k in enumerate(beta):
-            for _ in range(k):
-                term = mul(term, var(names[i]))
-        node = term if node is None else add(node, term)
-    return node if node is not None else Const(Fraction(0))
+def eval_jet(node, chart, point, order):
+    """Evaluate an Expr (or its text) to a :class:`Jet` of the given order at
+    ``point``; its polynomial subtrees go through the Taylor shift."""
+    return Jet(chart.m, eval_jets([compile_expr(node)], chart, point, order)[0])

@@ -46,7 +46,8 @@ class JetSpace:
         self.monos = _monomials(m, order)
         self.size = len(self.monos)
         self.index = {b: i for i, b in enumerate(self.monos)}
-        self.degrees = np.array([sum(b) for b in self.monos])
+        self.exponents = np.array(self.monos, dtype=int).reshape(self.size, m)
+        self.degrees = self.exponents.sum(axis=1)
         # prefix length of the sub-basis of order <= d
         self.prefix = [int(np.searchsorted(self.degrees, d, side="right"))
                        for d in range(order + 1)]
@@ -141,6 +142,32 @@ def jcoord(i, point, m, order):
         e_i = tuple(1 if k == i else 0 for k in range(m))
         c[sp.index[e_i]] = 1.0
     return c
+
+
+def shift_matrix(exponents, point, order):
+    """Order-``order`` jets at ``point`` of the monomials x^beta, one per row.
+
+    ``exponents`` (N, m) lists the betas.  Entry (beta, gamma) of the
+    (N, C) result is prod_i C(beta_i, gamma_i) p_i^(beta_i - gamma_i), zero
+    unless gamma <= beta: a product of one (max beta_i + 1, order + 1) table
+    per coordinate, gathered with numpy.  A polynomial's coefficients times
+    this matrix are its jet at p, the coefficients of its Taylor shift
+    x -> p + x (truncated Taylor propagation: Griewank and Walther,
+    Evaluating Derivatives, 2nd ed., ch. 13).
+    """
+    exponents = np.asarray(exponents, dtype=int)
+    m = exponents.shape[1]
+    gamma = space(m, order).exponents
+    top = int(exponents.max(initial=0))
+    binom = np.array([[math.comb(b, g) for g in range(order + 1)]
+                      for b in range(top + 1)], dtype=float)
+    steps = np.maximum(np.arange(top + 1)[:, None] - np.arange(order + 1), 0)
+    # table[i, b, g] = C(b, g) p_i^(b - g); binom is zero where g > b
+    table = binom * np.asarray(point, dtype=float)[:, None, None] ** steps
+    shift = np.ones((exponents.shape[0], gamma.shape[0]))
+    for i in range(m):
+        shift *= table[i][exponents[:, i, None], gamma[None, :, i]]
+    return shift
 
 
 def jtrunc(a, m, to_order):

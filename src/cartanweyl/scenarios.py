@@ -129,6 +129,10 @@ class Scenario:
                 raise ScenarioError(f"{key} must be a non-negative integer, got {val!r}")
         if not isinstance(self.normal, bool):
             raise ScenarioError(f"normal must be true or false, got {self.normal!r}")
+        if self.model == "poincare" and not self.normal:
+            # its deformation would perturb the Moebius-only a and alpha blocks
+            raise ScenarioError("the poincare model runs only on its normal "
+                                "connection: normal must be true")
         if not isinstance(self.points, (list, tuple)) or not self.points:
             raise ScenarioError("scenario needs at least one sample point")
         for p in self.points:

@@ -17,7 +17,7 @@ import numpy as np
 from .cartan import k1_matrix
 from .dressing import extract_tensors, full_pipeline, u0_from_vielbein
 from .errors import ExprDomainError
-from .exprs import eval_jet, parse_expr
+from .exprs import compile_expr, eval_jets
 from .forms import MForm, eta_t
 from .jets import jder, jmat_inv, jmul, jrecip, jtrunc, order_of
 from .reduction import worst_of
@@ -26,13 +26,18 @@ from .tensors import jeinsum
 
 @dataclass
 class WeylElement:
-    """Positive rescaling field z = exp(phi) with exact jets of zeta = d phi."""
+    """Positive rescaling field z = exp(phi) with exact jets of zeta = d phi.
+
+    phi is parsed and compiled once, when the element is built.
+    """
 
     phi: object  # Expr or str
 
+    def __post_init__(self):
+        self._phi = compile_expr(self.phi)
+
     def at(self, chart, point, order):
-        phi = parse_expr(self.phi) if isinstance(self.phi, str) else self.phi
-        pj = eval_jet(phi, chart, point, order).coeffs
+        pj = eval_jets([self._phi], chart, point, order)[0]
         from .jets import jexp
         z = jexp(pj, chart.m)
         if z[0] <= 0.0:

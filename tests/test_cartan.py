@@ -4,11 +4,11 @@ import pytest
 from cartanweyl.cartan import (SAMPLE_BOX, GaugeElement, KleinModel, VielbeinField,
                                assemble, build_normal, curvature, gauge_transform,
                                normality_residual, random_gauge, spin_connection)
-from cartanweyl.checks import run_check
+from cartanweyl.checks import deformed_connection, run_check
 from cartanweyl.errors import AlgebraResidualError, DegenerateVielbeinError
-from cartanweyl.exprs import eval_jet, parse_expr
+from cartanweyl.exprs import eval_jet, eval_jets, parse_expr
 from cartanweyl.forms import MForm, algebra_residual, eta_t, gcomm
-from cartanweyl.jets import Chart, jmat_inv, jmul
+from cartanweyl.jets import Chart, jmat_inv, jmul, space
 from cartanweyl.scenarios import catalog
 from cartanweyl.tensors import classical_bundle
 
@@ -305,7 +305,8 @@ def test_random_gauge_unchanged_inside_catalog_box(mobius3):
     for seed in range(20):
         plain = random_gauge(mobius3, np.random.default_rng(seed))
         boxed = random_gauge(mobius3, np.random.default_rng(seed), point=point)
-        assert plain == boxed
+        for a, b in zip([plain.z, *plain.so, *plain.r], [boxed.z, *boxed.so, *boxed.r]):
+            assert np.array_equal(a, b)
 
 
 def test_random_gauge_scaled_to_far_point():
@@ -320,10 +321,42 @@ def test_random_gauge_scaled_to_far_point():
             rng_box, rng_far = np.random.default_rng(seed), np.random.default_rng(seed)
             plain = random_gauge(model, rng_box)
             far = random_gauge(model, rng_far, point=point)
-            assert eval_jet(far.z, model.chart, point, 0).value > 0.5
-            unscaled_bad += eval_jet(plain.z, model.chart, point, 0).value <= 0
+            assert eval_jets([far.z], model.chart, point, 0)[0, 0] > 0.5
+            unscaled_bad += eval_jets([plain.z], model.chart, point, 0)[0, 0] <= 0
             assert rng_box.uniform() == rng_far.uniform()
         assert unscaled_bad > 0
+
+
+def _replayed(seed, draws):
+    """The rng after ``draws`` scalar draws, one per polynomial coefficient."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        rng.uniform(-0.5, 0.5)
+    return rng
+
+
+@pytest.mark.parametrize("m, after", [(3, 0.6717651626112849), (5, 0.7691109901866398)])
+def test_random_gauge_leaves_the_rng_where_it_was(m, after):
+    """Coefficient arrays take the same draws in the same order (z, so, r) as
+    the term-by-term polynomials did; ``after`` is the next draw there."""
+    model = KleinModel("mobius", Chart(m))
+    rng = np.random.default_rng(7)
+    random_gauge(model, rng)
+    polys = 1 + m * (m - 1) // 2 + m
+    assert rng.bit_generator.state == _replayed(7, polys * space(m, 2).size).bit_generator.state
+    assert rng.uniform() == after
+
+
+def test_deformed_connection_leaves_the_rng_where_it_was():
+    scn = catalog("torsionful", 3)
+    model = KleinModel("mobius", scn.chart)
+    point = scn.points[0]
+    conn = build_normal(VielbeinField(scn.chart, scn.vielbein), model, point, 4)
+    rng = np.random.default_rng(11)
+    deformed_connection(conn, model, point, 4, rng)
+    polys = (1 + 3 + 3) * 3     # a, alpha, so(eta) part of A; one per component
+    assert rng.bit_generator.state == _replayed(11, polys * space(3, 1).size).bit_generator.state
+    assert rng.uniform() == 0.43600150359233103
 
 
 @pytest.mark.parametrize("seed,offset,point", [(200, 3, FAR_POINTS[0]),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cartanweyl import checks, cli
+from cartanweyl import cartan, checks, cli, dressing
 from cartanweyl.checks import (SUITES, CheckRow, _merge, compute_tensors, dof_report,
                                run_check)
 from cartanweyl.cli import main
@@ -105,14 +105,16 @@ def test_parallel_matches_sequential(name, suite):
 @pytest.mark.parametrize("name", ["generic", "torsionful", "poincare"])
 def test_all_is_the_union_of_single_suites(name):
     """The suites of one run share each point's connection and dressed fields;
-    none may change them, so "all" reports exactly what four runs report."""
+    none may change them, so "all" reports exactly what the runs of the
+    model's single suites report."""
     scn = catalog(name, 3)
     scn.points = scn.points[:1]
 
     def rows(report):
         return [(r.name, repr(r.residual), repr(r.threshold)) for r in report.rows]
 
-    singles = [row for suite in SUITES for row in rows(run_check(scn, suite))]
+    singles = [row for suite in SUITES if (scn.model, suite) in checks.SUITE_TABLE
+               for row in rows(run_check(scn, suite))]
     assert rows(run_check(scn, "all")) == singles
 
 
@@ -137,6 +139,42 @@ def test_suite_all_builds_each_point_once(name, rescaled, monkeypatch):
     assert run_check(scn, "all").passed
     n = len(scn.points)
     assert counts == {"build_normal": n * (1 + rescaled), "base_connection": n}
+
+
+def test_brs_suite_dresses_a_normal_input_once(monkeypatch):
+    """On a normal, unscrambled input the linearization check reuses the
+    context's dressed fields: one full_pipeline call per point."""
+    calls = []
+    original = dressing.full_pipeline
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "full_pipeline", counted)
+    monkeypatch.setattr(dressing, "full_pipeline", counted)
+    scn = catalog("diag-poly", 3)
+    scn.points = scn.points[:1]
+    assert run_check(scn, "brs").passed
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("suite, builds", [("gauge", 5), ("dressing", 3)])
+def test_each_gauge_is_built_once_per_point(suite, builds, monkeypatch):
+    """The scramble, then the gauge suite's four elements or the dressing
+    suite's unipotent and Lorentz elements: one matrices build each."""
+    calls = []
+    original = cartan.GaugeElement.matrices
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cartan.GaugeElement, "matrices", counted)
+    scn = catalog("generic", 3)
+    scn.points = scn.points[:1]
+    assert run_check(scn, suite).passed
+    assert len(calls) == builds
 
 
 def test_cli_check_pass(tmp_path, capsys):
@@ -294,6 +332,7 @@ BAD_INPUTS = {
     "unknown_variable": {"weyl": "x7"},
     "deep_nesting": {"weyl": "(" * 3000 + "x0" + ")" * 3000},
     "huge_exponent": {"weyl": "x0^1000000000"},
+    "poincare_not_normal": {"model": "poincare", "normal": False},
     "not_an_object": None,
 }
 
@@ -319,6 +358,15 @@ def test_lowest_admitted_jet_order_runs_every_suite(name, model, capsys):
     assert main(base + [str(low - 1)]) == 2
     assert f"[{low}, " in capsys.readouterr().err
     assert main(base + [str(low)]) == 0
+
+
+@pytest.mark.parametrize("argv", [["transform", "--catalog", "poincare"],
+                                  ["check", "--catalog", "poincare", "--suite", "weyl"]])
+def test_suite_the_model_lacks_exits_2(argv, capsys):
+    """A single suite with no entry for the model is refused, not run empty."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "poincare" in err and "weyl" in err
 
 
 def test_out_of_memory_exits_2(monkeypatch, capsys):

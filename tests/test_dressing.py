@@ -143,8 +143,8 @@ def test_pipeline_gauge_blindness(mobius3, vielbein3, rng):
 def test_compatibility_residuals_identity(mobius3, vielbein3):
     conn = build_normal(vielbein3, mobius3, POINT3, K)
     e = vielbein3.jets_at(POINT3, K)
-    out = compatibility_residuals(conn, e, GaugeElement(), GaugeElement(),
-                                  mobius3, POINT3, K)
+    identity = GaugeElement().matrices(mobius3, POINT3, K)
+    out = compatibility_residuals(conn, e, identity, identity, mobius3)
     assert all(v < 1e-13 for v in out.values())
 
 
@@ -153,7 +153,8 @@ def test_compatibility_residuals_random(mobius3, vielbein3, rng):
     e = vielbein3.jets_at(POINT3, K)
     g1 = random_gauge(mobius3, rng, with_z=False, with_s=False)
     gS = random_gauge(mobius3, rng, with_z=False, with_r=False)
-    out = compatibility_residuals(conn, e, g1, gS, mobius3, POINT3, K)
+    out = compatibility_residuals(conn, e, g1.matrices(mobius3, POINT3, K),
+                                  gS.matrices(mobius3, POINT3, K), mobius3)
     assert all(v < 1e-11 for v in out.values()), out
 
 

@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartanweyl.errors import ExprDomainError, ExprSyntaxError
-from cartanweyl.exprs import BinOp, Call, const, eval_jet, parse_expr, print_expr
-from cartanweyl.jets import Chart
+from cartanweyl.exprs import (POLY_MAX_DEGREE, BinOp, Call, Poly, compile_expr, eval_jet,
+                              eval_jets, parse_expr, print_expr)
+from cartanweyl.jets import Chart, shift_matrix, space
 
 
 def test_parse_two_terms():
@@ -136,10 +136,92 @@ def test_product_rule_on_random_polynomials(a, b):
     assert np.abs((ja * jb).coeffs - jab.coeffs).max() <= 1e-12 * scale
 
 
-@settings(max_examples=300, deadline=None)
-@given(x=st.floats(min_value=-1000.0, max_value=1000.0))
-def test_const_of_six_decimal_value_is_its_best_rational(x):
-    """For a value rounded to 6 decimals, n / 10^6 is the closest fraction with
-    denominator <= 10^6, so const agrees with limit_denominator."""
-    v = round(x, 6)
-    assert const(v).value == Fraction(v).limit_denominator(10**6)
+def _random_poly_text(rng, names, degree):
+    """Sum of rational multiples of random monomials, with at least one term
+    of the full degree."""
+    terms = []
+    for d in range(degree + 1):
+        for _ in range(2):
+            factors = [str(names[i]) for i in rng.integers(0, len(names), size=d)]
+            num, den = int(rng.integers(-9, 10)), int(rng.integers(1, 7))
+            terms.append("*".join([f"({num})/{den}"] + factors))
+    top = "*".join(["7/3"] + [names[0]] * degree)
+    return " + ".join(terms + [top])
+
+
+SHIFT_CASES = [(order, degree) for order in range(7)
+               for degree in (order - 1, order, order + 1) if degree >= 0]
+
+
+@pytest.mark.parametrize("order,degree", SHIFT_CASES)
+@pytest.mark.parametrize("point", [(0.0, 0.0, 0.0), (-0.7, 0.45, -1.3)])
+def test_taylor_shift_matches_node_by_node(order, degree, point):
+    """The shift of a folded polynomial agrees to rounding with jet arithmetic
+    on the unfolded tree, below, at and above the jet order."""
+    ch = Chart(3, signature=(1, -1, -1))
+    rng = np.random.default_rng(100 * order + degree)
+    for _ in range(3):
+        ast = parse_expr(_random_poly_text(rng, ch.names, degree))
+        assert isinstance(compile_expr(ast), Poly)
+        shifted = eval_jet(ast, ch, point, order).coeffs
+        walked = eval_jets([ast], ch, point, order)[0]   # not compiled: node by node
+        scale = max(1.0, np.abs(walked).max())
+        assert np.abs(shifted - walked).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("order", [0, 2, 5])
+def test_taylor_shift_of_coefficient_arrays(order):
+    """Dense coefficient arrays of any degree shift as their polynomials do,
+    in one batch."""
+    ch = Chart(2, signature=(1, -1))
+    point = (-0.35, 0.8)
+    rng = np.random.default_rng(order)
+    for degree in (0, 1, 3):
+        sp = space(2, degree)
+        coeffs = rng.uniform(-1.0, 1.0, size=(4, sp.size))
+        texts = [" + ".join(f"({float(c)!r})*x0^{b[0]}*x1^{b[1]}" for c, b in zip(row, sp.monos))
+                 for row in coeffs]
+        want = np.stack([eval_jets([parse_expr(t)], ch, point, order)[0] for t in texts])
+        got = eval_jets(list(coeffs), ch, point, order)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+        assert np.array_equal(got, coeffs @ shift_matrix(sp.exponents, point, order))
+
+
+def test_polynomial_subtrees_fold_and_the_rest_stays():
+    c = compile_expr("1/(1 + (x0*x0 - x1*x1)/4) + sqrt(x0)*sin(x1)/(2 + x1)")
+    assert isinstance(c, BinOp) and c.op == "+"
+    quotient = c.left
+    assert quotient.op == "/"
+    assert isinstance(quotient.left, Poly) and isinstance(quotient.right, Poly)
+    assert quotient.right.degree == 2
+    prod = c.right
+    assert prod.op == "/" and isinstance(prod.right, Poly)
+    assert isinstance(prod.left.left, Call) and isinstance(prod.left.left.arg, Poly)
+    assert isinstance(compile_expr("x0/3 - 2^3*x1^2"), Poly)
+    assert isinstance(compile_expr("x0^(-2)"), type(parse_expr("x0^(-2)")))
+    assert not isinstance(compile_expr(f"x0^{POLY_MAX_DEGREE + 1}"), Poly)
+
+
+@pytest.mark.parametrize("text,point", [
+    ("1/x0", (0.0, 0.5)),
+    ("x1/(x0 - x0)", (0.3, 0.5)),
+    ("x1/(1 - 1)", (0.3, 0.5)),
+    ("sqrt(x0 - 1)", (0.3, 0.5)),
+    ("sqrt(x0*x0)", (0.0, 0.5)),
+    ("x0 + y3", (0.3, 0.5)),
+    ("(x0 - x0)^(-1)", (0.3, 0.5)),
+])
+def test_jet_route_keeps_its_domain_errors(text, point):
+    ch = Chart(2, signature=(1, -1))
+    with pytest.raises(ExprDomainError):
+        eval_jet(parse_expr(text), ch, point, 3)
+    with pytest.raises(ExprDomainError):
+        eval_jets([parse_expr(text)], ch, point, 3)
+
+
+def test_compile_and_eval_reject_bad_input():
+    with pytest.raises(ExprSyntaxError):
+        compile_expr("x0 +")
+    with pytest.raises(ValueError):
+        eval_jet(parse_expr("x0"), Chart(2, signature=(1, -1)), (0.1,), 2)
