@@ -8,9 +8,10 @@ from .exprs import parse_expr, print_expr, eval_jet
 from .grassmann import GradedScalar, GeneratorPool
 from .forms import MForm, wedge, gcomm, ext_d, eta_t, algebra_residual
 from .cartan import (KleinModel, CartanConnection, Curvature, VielbeinField,
-                     GaugeElement, assemble, curvature, gauge_transform,
-                     build_normal, normality_residual)
-from .dressing import (DressedFields, extract_u1, dress, full_pipeline,
+                     GaugeElement, assemble, conjugate, covariant_d, curvature,
+                     curvature_form, gauge_transform, build_normal,
+                     normality_residual)
+from .dressing import (DressedFields, extract_u1, full_pipeline,
                        compatibility_residuals, gr_dress, vielbein_of)
 from .weyl import (WeylElement, weyl_consistency, weyl_transform_dressed,
                    weyl_transform_midlevel)
@@ -22,9 +23,9 @@ __all__ = [
     "GradedScalar", "GeneratorPool",
     "MForm", "wedge", "gcomm", "ext_d", "eta_t", "algebra_residual",
     "KleinModel", "CartanConnection", "Curvature", "VielbeinField",
-    "GaugeElement", "assemble", "curvature", "gauge_transform",
-    "build_normal", "normality_residual",
-    "DressedFields", "extract_u1", "dress", "full_pipeline",
+    "GaugeElement", "assemble", "conjugate", "covariant_d", "curvature",
+    "curvature_form", "gauge_transform", "build_normal", "normality_residual",
+    "DressedFields", "extract_u1", "full_pipeline",
     "compatibility_residuals", "gr_dress", "vielbein_of",
     "WeylElement", "weyl_consistency", "weyl_transform_dressed",
     "weyl_transform_midlevel",

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cartan import covariant_d, curvature_form
 from .dressing import extract_u1
 from .errors import ShapeError
 from .exprs import eval_jet
@@ -586,7 +587,7 @@ def russian_residual(A, v, F, sA, sv):
     Returns the three value-norms (degree 0, 1, 2); the inputs are MForms
     with sA, sv the evaluated BRS variations.
     """
-    r0 = (A.ext_d() + A.wedge(A) - F).value_norm()
+    r0 = (curvature_form(A) - F).value_norm()
     r1 = (sA + v.ext_d() + gcomm(A, v)).value_norm()
     r2 = (sv + v.wedge(v)).value_norm()
     return r0, r1, r2
@@ -665,7 +666,7 @@ def residual_weyl_brs(fields, scn):
     model = scn.model
     vhat = composite_ghost(scn, "full")
     varpi0, Omega0 = fields.varpi0, fields.Omega0
-    s_varpi0 = (vhat.ext_d() + gcomm(varpi0, vhat)).scale(-1.0)
+    s_varpi0 = covariant_d(varpi0, vhat).scale(-1.0)
     s_Omega0 = gcomm(Omega0, vhat)
     eps = scn.eps_jet
     out = {}
@@ -810,7 +811,7 @@ def linearization_check(conn, e, model, phi, point, order, h=1e-3, fields=None):
     spec = GhostSpec(eps=phi, iota=["0"] * m, lorentz=["0"] * (m * (m - 1) // 2))
     scn = ConformalBRS(conn, e, spec, point)
     vhat = composite_ghost(scn, "full")
-    s_varpi0 = (vhat.ext_d() + gcomm(fields.varpi0, vhat)).scale(-1.0).body()
+    s_varpi0 = covariant_d(fields.varpi0, vhat).scale(-1.0).body()
     s_Omega0 = gcomm(fields.Omega0, vhat).body()
     got = {}
     gj = np.empty((m, m))

@@ -15,9 +15,9 @@ import numpy as np
 from . import tensors
 from .errors import (AlgebraResidualError, DegenerateVielbeinError, ShapeError)
 from .exprs import compile_expr, eval_jets
-from .forms import MForm, algebra_residual, block_matrix, eta_t, form_comps
-from .jets import (Chart, jcos, jcosh, jmat_inv, jmat_mul, jrecip, jsin, jsinh,
-                   order_of, space)
+from .forms import MForm, algebra_residual, block_matrix, eta_t, form_comps, gcomm
+from .jets import (Chart, jcos, jcosh, jder, jmat_inv, jmat_mul, jrecip, jsin,
+                   jsinh, order_of, space)
 from .reduction import worst_of
 
 # largest |x_i| of the catalog sample points; random gauge polynomials are
@@ -165,17 +165,45 @@ def assemble(model, a=None, alpha=None, theta=None, A=None, tol=1e-9):
     return CartanConnection(model, omega)
 
 
+# Each helper below truncates its operands to the order its result keeps and
+# then multiplies.  A degree-d coefficient of a jet product depends only on
+# operand coefficients of degree <= d, summed in the same order at every
+# order >= d, so the result is bit for bit the truncation of the product at
+# the operands' own orders.
+
+def curvature_form(w):
+    """d w + w wedge w, the wedge taken at the order of d w."""
+    wk = w.truncate(w.order - 1)
+    return w.ext_d() + wk.wedge(wk)
+
+
+def conjugate(x, u, u_inv, connection=False):
+    """u^-1 x u, plus u^-1 du when x transforms as a connection."""
+    k = min(x.order, u.order, u_inv.order)
+    if connection:
+        k = min(k, u.order - 1)
+    u_k, u_inv_k = u.truncate(k), u_inv.truncate(k)
+    out = u_inv_k.wedge(x.truncate(k).wedge(u_k))
+    if connection:
+        out = out + u_inv_k.wedge(u.truncate(k + 1).ext_d())
+    return out
+
+
+def covariant_d(A, v):
+    """d v + [A, v], the graded commutator taken at the order of d v."""
+    k = min(v.order - 1, A.order)
+    return v.truncate(k + 1).ext_d() + gcomm(A.truncate(k), v.truncate(k))
+
+
 def curvature(conn):
     """Omega = d varpi + varpi wedge varpi."""
-    w = conn.omega
-    return Curvature(conn.model, w.ext_d() + w.wedge(w))
+    return Curvature(conn.model, curvature_form(conn.omega))
 
 
 def gauge_transform(conn, gamma, gamma_inv):
     """varpi^gamma = gamma^-1 varpi gamma + gamma^-1 d gamma."""
-    w = conn.omega
-    new = gamma_inv.wedge(w.wedge(gamma)) + gamma_inv.wedge(gamma.ext_d())
-    return CartanConnection(conn.model, new)
+    return CartanConnection(conn.model,
+                            conjugate(conn.omega, gamma, gamma_inv, connection=True))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +249,6 @@ def spin_connection(e, einv, signature, m):
     ``einv`` is the inverse jet matrix of ``e``.  Returns the (m, m, m, C')
     array A[a, b, mu].
     """
-    from .jets import jder
     sig = np.asarray(signature, dtype=float)
     de = np.stack([jder(e, m, mu) for mu in range(m)])  # (mu, a, nu, C')
     anti = de - de.transpose(2, 1, 0, 3)  # anti[mu, a, nu] = d_mu e^a_nu - d_nu e^a_mu

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import tensors
 from .cartan import (GaugeElement, KleinModel, VielbeinField, assemble,
-                     build_normal, curvature, gauge_transform, normality_residual,
-                     random_gauge, random_polynomial)
+                     build_normal, conjugate, covariant_d, curvature, gauge_transform,
+                     normality_residual, random_gauge, random_polynomial)
 from .dressing import (compatibility_residuals, dressed_normality,
                        full_pipeline, gr_dress)
 from .errors import CartanWeylError, ScenarioError
@@ -206,20 +206,23 @@ def gauge_suite(ctx):
     scn, model, point = ctx.scn, ctx.model, ctx.point
     conn, _ = ctx.base
     curv = curvature(conn)
-    w, Om = conn.omega, curv.omega2
+    Om = curv.omega2
+    # the gauge matrices meet only conjugations and connection-order
+    # products, so one order above the connection is all they need
+    k = conn.order + 1
     res = {}
-    res["bianchi"] = (Om.ext_d() + gcomm(w.truncate(Om.order), Om)).value_norm()
+    res["bianchi"] = covariant_d(conn.omega, Om).value_norm()
     if model.kind == "mobius":
         rng = ctx.rng()
         ge = random_gauge(model, rng, point=point)
-        mats = ge.matrices(model, point, scn.jet_order)
+        mats = ge.matrices(model, point, k)
         conn_g = gauge_transform(conn, mats["gamma"], mats["gamma_inv"])
         curv_g = curvature(conn_g)
-        conj = mats["gamma_inv"].wedge(Om.wedge(mats["gamma"]))
+        conj = conjugate(Om, mats["gamma"], mats["gamma_inv"])
         res["curvature_equivariance"] = (curv_g.omega2 - conj).value_norm()
         # right action on a random pair
         g2 = random_gauge(model, rng, point=point)
-        m2 = g2.matrices(model, point, scn.jet_order)
+        m2 = g2.matrices(model, point, k)
         lhs = gauge_transform(conn_g, m2["gamma"], m2["gamma_inv"])
         g12 = mats["gamma"].wedge(m2["gamma"])
         g12i = m2["gamma_inv"].wedge(mats["gamma_inv"])
@@ -227,12 +230,12 @@ def gauge_suite(ctx):
         res["right_action"] = (lhs.omega - rhs.omega).value_norm()
         # unipotent factor: a -> a - r theta; Weyl factor: theta -> z theta
         r_ge = GaugeElement(r=[f"x{i}/3 + 1/{4 + i}" for i in range(model.m)])
-        m1 = r_ge.matrices(model, point, scn.jet_order)
+        m1 = r_ge.matrices(model, point, k)
         c1 = gauge_transform(conn, m1["gamma1"], m1["gamma1_inv"])
         rth = m1["r"].wedge(conn.theta())
         res["unipotent_trace_shift"] = (c1.a() - (conn.a() - rth)).value_norm()
         z_ge = GaugeElement(z="1 + x0/4")
-        mw = z_ge.matrices(model, point, scn.jet_order)
+        mw = z_ge.matrices(model, point, k)
         cw = gauge_transform(conn, mw["W"], mw["Winv"])
         zth = MForm.zeros(model.m, (model.m, 1), 1, 0, conn.theta().order)
         zth.data[:, 0, :, :] = jmul(mw["z"][None, None, :],
@@ -259,10 +262,11 @@ def dressing_suite(ctx):
     res = dict(fields.diagnostics)
     res["single_step"] = fields.single_step_residual
     # invariance under the erased sectors, same composite output
+    k = conn.order + 1
     mats1 = random_gauge(model, rng, with_z=False, with_s=False,
-                         point=point).matrices(model, point, scn.jet_order)
+                         point=point).matrices(model, point, k)
     matsS = random_gauge(model, rng, with_z=False, with_r=False,
-                         point=point).matrices(model, point, scn.jet_order)
+                         point=point).matrices(model, point, k)
     for tag, mats in (("k1", mats1), ("so", matsS)):
         conn_g = gauge_transform(conn, mats["gamma"], mats["gamma_inv"])
         fg = full_pipeline(conn_g)
@@ -271,10 +275,10 @@ def dressing_suite(ctx):
     # midpoint equivariance: varpi1^S = S^-1 varpi1 S + S^-1 dS
     conn_S = gauge_transform(conn, matsS["S_emb"], matsS["Sinv_emb"])
     fS = full_pipeline(conn_S)
-    expect = matsS["Sinv_emb"].wedge(fields.varpi1.wedge(matsS["S_emb"])) \
-        + matsS["Sinv_emb"].wedge(matsS["S_emb"].ext_d())
+    S, Sinv = matsS["S_emb"], matsS["Sinv_emb"]
+    expect = conjugate(fields.varpi1, S, Sinv, connection=True)
     res["equivariance_varpi1_S"] = (fS.varpi1 - expect).value_norm()
-    expectO = matsS["Sinv_emb"].wedge(fields.Omega1.wedge(matsS["S_emb"]))
+    expectO = conjugate(fields.Omega1, S, Sinv)
     res["equivariance_Omega1_S"] = (fS.Omega1 - expectO).value_norm()
     # compatibility conditions
     comp = compatibility_residuals(conn, e_full, mats1, matsS, model)
@@ -313,7 +317,7 @@ def _gr_dressing(ctx):
     # Lorentz invariance of the dressed outputs
     ge = random_gauge(model, np.random.default_rng(ctx.seed), with_z=False, with_r=False,
                       point=point)
-    mats = ge.matrices(model, point, scn.jet_order)
+    mats = ge.matrices(model, point, conn.order + 1)
     conn_S = gauge_transform(conn, mats["gamma"], mats["gamma_inv"])
     eS = tensors.jeinsum("ab,bm->am", mats["Sinv"], e, model.m)
     _, _, G2, R2, T2, _, _ = gr_dress(conn_S, eS)
@@ -349,12 +353,13 @@ def weyl_suite(ctx):
     asym0 = 0.5 * (fields.Gamma[..., 0] - fields.Gamma[..., 0].transpose(0, 2, 1))
     res["law_antisym_christoffel"] = float(np.abs(asym - asym0).max())
     # route three: Weyl-transform the input connection and redo everything
-    WB = MForm.identity(m, model.n, scn.jet_order)
-    WB.data[0, 0, 0] = jtrunc(z, m, scn.jet_order)
-    WB.data[model.n - 1, model.n - 1, 0] = jtrunc(mats["zinv"], m, scn.jet_order)
-    WBi = MForm.identity(m, model.n, scn.jet_order)
-    WBi.data[0, 0, 0] = jtrunc(mats["zinv"], m, scn.jet_order)
-    WBi.data[model.n - 1, model.n - 1, 0] = jtrunc(z, m, scn.jet_order)
+    k = conn.order + 1
+    WB = MForm.identity(m, model.n, k)
+    WB.data[0, 0, 0] = jtrunc(z, m, k)
+    WB.data[model.n - 1, model.n - 1, 0] = jtrunc(mats["zinv"], m, k)
+    WBi = MForm.identity(m, model.n, k)
+    WBi.data[0, 0, 0] = jtrunc(mats["zinv"], m, k)
+    WBi.data[model.n - 1, model.n - 1, 0] = jtrunc(z, m, k)
     conn_W = gauge_transform(conn, WB, WBi)
     fW = full_pipeline(conn_W)
     res["route_pipeline_varpi0"] = (stW.varpi0 - fW.varpi0).value_norm()
@@ -382,8 +387,8 @@ def weyl_suite(ctx):
     res["redundancy_omega"] = _redundancy_omega(stW, model)
     # group law
     w2 = WeylElement("x1/5 + x0*x0/10")
-    res["group_law"] = weyl_group_law_residual(st, wz, w2, scn.chart, point,
-                                               scn.jet_order)
+    res["group_law"] = weyl_group_law_residual(
+        st, (z, zeta), w2.at(scn.chart, point, scn.jet_order))
     # first-stage (internal-index) action
     v1W, O1W, closed, _ = weyl_transform_midlevel(fields, z, zeta)
     for nm, ij, M in [("theta", (2, 1), v1W), ("A1", (2, 2), v1W),
@@ -523,7 +528,10 @@ def _run_suites(scn, suite, visit=None):
             try:
                 _merge(worst[name], residuals(ctx))
             except CartanWeylError as ex:
-                raise type(ex)(f"[{name} suite] {ex}") from ex
+                # label the message in place: a subclass constructor may
+                # take more than the message (ExprSyntaxError takes pos)
+                ex.args = (f"[{name} suite] {ex}",)
+                raise
         if visit is not None:
             visit(ctx)
     report = Report(scenario=scn.to_dict())

@@ -63,40 +63,11 @@ class GradedScalar:
     def __init__(self, terms=None):
         self.terms = dict(terms) if terms else {}
 
-    @classmethod
-    def scalar(cls, value):
-        return cls({(): float(value)}) if value != 0.0 else cls()
-
-    @classmethod
-    def generator(cls, gen_id, coeff=1.0):
-        return cls({(int(gen_id),): float(coeff)})
-
     # -- structure ---------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
-
-    @property
-    def ghost_degree(self):
-        """Common monomial length, or None if inhomogeneous; 0 when zero."""
-        degs = {len(k) for k in self.terms}
-        if not degs:
-            return 0
-        if len(degs) == 1:
-            return degs.pop()
-        return None
 
     def norm(self, coeff_norm=abs):
         """Largest ``coeff_norm`` over the coefficients; 0.0 when zero."""
         return worst_of(coeff_norm(c) for c in self.terms.values())
-
-    def body(self):
-        """Sum of all coefficients: the image under every generator -> 1."""
-        vals = list(self.terms.values())
-        return sum(vals[1:], vals[0]) if vals else 0.0
-
-    def real_part(self):
-        return self.terms.get((), 0.0)
 
     def map(self, fn):
         """Apply ``fn`` to every coefficient (an even, linear map such as a

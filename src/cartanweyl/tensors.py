@@ -80,11 +80,11 @@ def riemann(gamma, m):
     dG = _dstack(gamma, m)  # dG[d, rho, a, b] = partial_d Gamma[rho, a, b]
     t1 = dG.transpose(1, 3, 0, 2, 4)   # [rho, nu, mu, sigma] = d_mu G[rho, sigma, nu]
     t2 = dG.transpose(1, 3, 2, 0, 4)   # [rho, nu, mu, sigma] = d_sigma G[rho, mu, nu]
-    q1 = jeinsum("rml,lsn->rnms", gamma, gamma, m)  # G[rho,mu,lam] G[lam,sigma,nu]
-    q2 = jeinsum("rsl,lmn->rnms", gamma, gamma, m)  # G[rho,sigma,lam] G[lam,mu,nu]
-    k = min(order_of(m, t1), order_of(m, q1))
-    return (jtrunc(t1, m, k) - jtrunc(t2, m, k)
-            + jtrunc(q1, m, k) - jtrunc(q2, m, k))
+    # the products run at the order of the derivative terms
+    gk = jtrunc(gamma, m, order_of(m, dG))
+    q1 = jeinsum("rml,lsn->rnms", gk, gk, m)  # G[rho,mu,lam] G[lam,sigma,nu]
+    q2 = jeinsum("rsl,lmn->rnms", gk, gk, m)  # G[rho,sigma,lam] G[lam,mu,nu]
+    return t1 - t2 + q1 - q2
 
 
 def ricci(riem):
@@ -106,10 +106,11 @@ def covariant_dP(P, gamma, m):
     """cov[mu, sigma, nu] = d_mu P[sigma, nu] - G[lam,mu,sigma] P[lam,nu]
     - G[lam,mu,nu] P[sigma,lam]."""
     dP = _dstack(P, m)
-    gp1 = jeinsum("lms,ln->msn", gamma, P, m)
-    gp2 = jeinsum("lmn,sl->msn", gamma, P, m)
     k = order_of(m, dP)
-    return dP - jtrunc(gp1, m, k) - jtrunc(gp2, m, k)
+    gk, Pk = jtrunc(gamma, m, k), jtrunc(P, m, k)
+    gp1 = jeinsum("lms,ln->msn", gk, Pk, m)
+    gp2 = jeinsum("lmn,sl->msn", gk, Pk, m)
+    return dP - gp1 - gp2
 
 
 def cotton(P, gamma, m):

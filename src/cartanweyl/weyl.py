@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import k1_matrix
+from .cartan import build_normal, conjugate, k1_matrix
 from .dressing import extract_tensors, full_pipeline, u0_from_vielbein
 from .errors import ExprDomainError
 from .exprs import compile_expr, eval_jets
 from .forms import MForm, eta_t
-from .jets import jder, jmat_inv, jmul, jrecip, jtrunc, order_of
+from .jets import jder, jexp, jmat_inv, jmul, jrecip, jtrunc, order_of
 from .reduction import worst_of
 from .tensors import jeinsum
 
@@ -38,7 +38,6 @@ class WeylElement:
 
     def at(self, chart, point, order):
         pj = eval_jets([self._phi], chart, point, order)[0]
-        from .jets import jexp
         z = jexp(pj, chart.m)
         if z[0] <= 0.0:
             raise ExprDomainError("Weyl factor must stay positive")
@@ -133,8 +132,8 @@ def weyl_transform_dressed(state, z, zeta):
     m = model.m
     mats = weyl_matrices(model, z, zeta, state.e)
     wbar, wbar_inv = mats["wbar"], mats["wbar_inv"]
-    varpi0W = wbar_inv.wedge(state.varpi0.wedge(wbar)) + wbar_inv.wedge(wbar.ext_d())
-    Omega0W = wbar_inv.wedge(state.Omega0.wedge(wbar))
+    varpi0W = conjugate(state.varpi0, wbar, wbar_inv, connection=True)
+    Omega0W = conjugate(state.Omega0, wbar, wbar_inv)
     e_new = jmul(z[None, None, :], state.e, m)
     g, Gamma, P, T, f0, C, W = extract_tensors(varpi0W, Omega0W, model)
     new = DressedState(model=model, varpi0=varpi0W, Omega0=Omega0W, e=e_new,
@@ -192,8 +191,8 @@ def weyl_transform_midlevel(fields, z, zeta):
     mats = weyl_matrices(model, z, zeta, fields.e)
     k1W = mats["k1"].wedge(mats["W"])
     k1W_inv = mats["Winv"].wedge(mats["k1inv"])
-    varpi1W = k1W_inv.wedge(fields.varpi1.wedge(k1W)) + k1W_inv.wedge(k1W.ext_d())
-    Omega1W = k1W_inv.wedge(fields.Omega1.wedge(k1W))
+    varpi1W = conjugate(fields.varpi1, k1W, k1W_inv, connection=True)
+    Omega1W = conjugate(fields.Omega1, k1W, k1W_inv)
     # closed forms
     xi = mats["xi"]
     eta = model.eta
@@ -252,7 +251,6 @@ def weyl_consistency(vb_or_e, wz, model, point, order):
     the whole construction again from the rescaled vielbein e' = z e.  The
     report maps tensor names to the max defect between the routes.
     """
-    from .cartan import build_normal
     m = model.m
     e = vb_or_e if isinstance(vb_or_e, np.ndarray) \
         else vb_or_e.jets_at(point, order)
@@ -273,13 +271,16 @@ def weyl_consistency(vb_or_e, wz, model, point, order):
     }
 
 
-def weyl_group_law_residual(state, w1, w2, chart, point, order):
-    """Apply z1 then z2 versus z1 z2 on all dressed fields (value norms)."""
-    z1, zeta1 = w1.at(chart, point, order)
-    z2, zeta2 = w2.at(chart, point, order)
+def weyl_group_law_residual(state, first, second):
+    """Apply z1 then z2 versus z1 z2 on all dressed fields (value norms).
+
+    ``first`` and ``second`` are the (z, zeta) jets of the two elements, as
+    :meth:`WeylElement.at` returns them.
+    """
+    (z1, zeta1), (z2, zeta2) = first, second
     s1, _ = weyl_transform_dressed(state, z1, zeta1)
     s12, _ = weyl_transform_dressed(s1, z2, zeta2)
-    z12 = jmul(z1, z2, chart.m)
+    z12 = jmul(z1, z2, state.model.m)
     zeta12 = zeta1 + zeta2
     s_both, _ = weyl_transform_dressed(state, z12, zeta12)
     return worst_of(((s12.varpi0 - s_both.varpi0).value_norm(),

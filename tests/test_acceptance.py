@@ -175,9 +175,9 @@ def test_criterion_5_weyl_group_law():
         for pt in scn.points:
             conn = build_normal(vb, model, pt, scn.jet_order)
             f = full_pipeline(conn, vb.jets_at(pt, scn.jet_order))
-            res = weyl_group_law_residual(state_of(f), WeylElement("x0/4 - x1*x2/6"),
-                                          WeylElement("x1/5 + x0*x0/10"),
-                                          scn.chart, pt, scn.jet_order)
+            res = weyl_group_law_residual(
+                state_of(f), WeylElement("x0/4 - x1*x2/6").at(scn.chart, pt, scn.jet_order),
+                WeylElement("x1/5 + x0*x0/10").at(scn.chart, pt, scn.jet_order))
             worst = max(worst, res)
     _verdict(5, "Weyl group law", worst, 1e-9)
 

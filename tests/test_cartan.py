@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from cartanweyl import forms
 from cartanweyl.cartan import (SAMPLE_BOX, GaugeElement, KleinModel, VielbeinField,
-                               assemble, build_normal, curvature, gauge_transform,
-                               normality_residual, random_gauge, spin_connection)
+                               assemble, build_normal, conjugate, covariant_d, curvature,
+                               gauge_transform, normality_residual, random_gauge,
+                               spin_connection)
 from cartanweyl.checks import deformed_connection, run_check
 from cartanweyl.errors import AlgebraResidualError, DegenerateVielbeinError
 from cartanweyl.exprs import eval_jet, eval_jets, parse_expr
 from cartanweyl.forms import MForm, algebra_residual, eta_t, gcomm
-from cartanweyl.jets import Chart, jmat_inv, jmul, space
+from cartanweyl.jets import Chart, jmat_inv, jmat_mul, jmul, order_of, space
 from cartanweyl.scenarios import catalog
 from cartanweyl.tensors import classical_bundle
 
@@ -139,6 +141,37 @@ def test_bianchi_identity(mobius3, vielbein3, rng):
         Om = curvature(conn).omega2
         res = Om.ext_d() + gcomm(conn.omega.truncate(Om.order), Om)
         assert res.value_norm() < 1e-10
+
+
+def test_helpers_multiply_no_higher_than_they_keep(mobius3, vielbein3, rng, monkeypatch):
+    """On an order-(K - 2) connection, with gauge matrices at order K, no
+    jet-matrix product of the curvature, the conjugation or the covariant
+    derivative runs above the order of the form it returns."""
+    conn = build_normal(vielbein3, mobius3, POINT3, K)
+    ge = random_gauge(mobius3, rng)
+    mats = ge.matrices(mobius3, POINT3, K)
+    # a dressing field of the connection's own order, as u1 is
+    low = ge.matrices(mobius3, POINT3, K - 2)
+    assert conn.order == K - 2
+    orders = []
+
+    def recorded(A, B, m):
+        out = jmat_mul(A, B, m)
+        orders.append(order_of(m, out))
+        return out
+
+    monkeypatch.setattr(forms, "jmat_mul", recorded)
+    Om = curvature(conn).omega2
+    assert orders and max(orders) == Om.order == K - 3
+    for x, u, connection in ((conn.omega, mats, True), (Om, mats, False),
+                             (conn.omega, low, True)):
+        orders.clear()
+        out = conjugate(x, u["gamma"], u["gamma_inv"], connection)
+        assert orders and max(orders) == out.order
+    orders.clear()
+    assert gauge_transform(conn, mats["gamma"], mats["gamma_inv"]).order == max(orders)
+    orders.clear()
+    assert covariant_d(conn.omega, Om).order == max(orders) == K - 4
 
 
 def test_gauge_identity_element(mobius3, vielbein3):

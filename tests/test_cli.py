@@ -11,11 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cartanweyl import cartan, checks, cli, dressing
+from cartanweyl import cartan, checks, cli, dressing, weyl
 from cartanweyl.checks import (SUITES, CheckRow, _merge, compute_tensors, dof_report,
                                run_check)
 from cartanweyl.cli import main
-from cartanweyl.errors import ScenarioError
+from cartanweyl.errors import ExprSyntaxError, ScenarioError
 from cartanweyl.scenarios import CATALOG_NAMES, MIN_JET_ORDER, Scenario, catalog
 
 
@@ -175,6 +175,23 @@ def test_each_gauge_is_built_once_per_point(suite, builds, monkeypatch):
     scn.points = scn.points[:1]
     assert run_check(scn, suite).passed
     assert len(calls) == builds
+
+
+def test_weyl_suite_evaluates_each_element_once_per_point(monkeypatch):
+    """The scenario's Weyl element and the group law's second element: the
+    group law reuses the (z, zeta) the suite already has."""
+    calls = []
+    original = weyl.WeylElement.at
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(weyl.WeylElement, "at", counted)
+    scn = catalog("generic", 3)
+    scn.points = scn.points[:1]
+    assert run_check(scn, "weyl").passed
+    assert len(calls) == 2
 
 
 def test_cli_check_pass(tmp_path, capsys):
@@ -349,6 +366,24 @@ def test_cli_bad_input_exits_2(case, tmp_path, capsys):
     assert code == 2
     assert "Traceback" not in err and err.startswith("error:")
     assert elapsed < 1.0   # rejected at validation, before any jet arithmetic
+
+
+def test_suite_error_keeps_its_type_and_exits_2(tmp_path, capsys):
+    """An error raised inside a suite gets the suite's label without a new
+    instance: ExprSyntaxError keeps its type and its pos."""
+    doc = catalog("diag-poly", 3).to_dict()
+    doc["points"] = doc["points"][:1]
+    doc["weyl"] = " + ".join(["x0/4000"] * 1500)
+    with pytest.raises(ExprSyntaxError) as info:
+        run_check(Scenario.from_dict(doc), "weyl")
+    assert info.value.pos == 0 and str(info.value).startswith("[weyl suite]")
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", "--scenario", str(path), "--suite", "weyl"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and err.startswith("error:")
+    assert "[weyl suite]" in err and "nested too deeply" in err
 
 
 @pytest.mark.parametrize("name, model", [("generic", "mobius"), ("poincare", "poincare")])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cartanweyl.cartan import (GaugeElement, KleinModel, build_normal,
+from cartanweyl.cartan import (GaugeElement, KleinModel, build_normal, conjugate,
                                gauge_transform, random_gauge)
-from cartanweyl.dressing import (compatibility_residuals, dress,
+from cartanweyl.dressing import (compatibility_residuals,
                                  dressed_normality, extract_u1, full_pipeline,
                                  gr_dress, vielbein_of)
 from cartanweyl.errors import ShapeError
@@ -56,7 +56,7 @@ def test_u1_weyl_shift(mobius3, vielbein3):
 def test_dress_with_identity(mobius3, vielbein3):
     conn = build_normal(vielbein3, mobius3, POINT3, K)
     eye = MForm.identity(3, 5, K)
-    out = dress(conn.omega, eye, eye, connection=True)
+    out = conjugate(conn.omega, eye, eye, connection=True)
     assert (out - conn.omega).value_norm() < 1e-14
 
 
@@ -68,7 +68,7 @@ def test_varpi1_blocks(mobius3, vielbein3, rng):
     conn = gauge_transform(conn0, mats["gamma"], mats["gamma_inv"])
     e = vielbein_of(conn)
     u1 = extract_u1(conn, jmat_inv(e, 3))
-    varpi1 = dress(conn.omega, u1.mat, u1.inv, connection=True)
+    varpi1 = conjugate(conn.omega, u1.mat, u1.inv, connection=True)
     m1 = KleinModel("mobius", mobius3.chart)
     assert m1.block(varpi1, 1, 1).value_norm() < 1e-12
     th, A = conn.theta(), conn.A()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cartanweyl.errors import JetOrderError
 from cartanweyl.exprs import eval_jet, parse_expr
 from cartanweyl.jets import (Chart, Jet, jmat_inv, jmat_mul, jmul, jrecip,
-                             order_of, space)
+                             jtrunc, order_of, space)
 
 
 def test_chart_defaults():
@@ -137,6 +137,30 @@ def test_matrix_product_broadcasts_and_mixes_orders(rng):
     # the higher-order factor on the right trims the same way
     swapped = jmat_mul(B[0].swapaxes(0, 1), A[0, 0].swapaxes(0, 1), m)
     assert np.abs(swapped - out[0, 0].swapaxes(0, 1)).max() < 1e-13
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+def test_truncating_operands_first_is_bitwise_exact(m, order):
+    """Truncate-then-multiply equals multiply-then-truncate bit for bit, for
+    every lower order k: a degree-d coefficient sums the same table pairs in
+    the same order at every order >= d.  Leading axes are batched."""
+    rng = np.random.default_rng(100 * m + order)
+    C = space(m, order).size
+    a = rng.normal(size=(2, 3, C))
+    b = rng.normal(size=(3, C))
+    A = rng.normal(size=(2, 3, 4, C))
+    B = rng.normal(size=(4, 2, C))
+    E = _rand_invertible(rng, (2,), 3, m, order)
+    full = (jmul(a, b, m), jmat_mul(A, B, m), jmat_inv(E, m))
+    for k in range(order):
+        a_k, b_k, A_k, B_k, E_k = (jtrunc(x, m, k) for x in (a, b, A, B, E))
+        low = (jmul(a_k, b_k, m), jmat_mul(A_k, B_k, m), jmat_inv(E_k, m))
+        for f, l in zip(full, low):
+            assert np.array_equal(jtrunc(f, m, k), l)
+    # with one operand already lower, only the other one is trimmed
+    assert np.array_equal(jmul(a, jtrunc(b, m, order - 1), m),
+                          jtrunc(full[0], m, order - 1))
 
 
 def test_order_of_round_trip():

@@ -138,9 +138,8 @@ def test_torsionful_laws(mobius3, vielbein3):
 def test_group_law(mobius3, normal_state):
     conn, e, fields = normal_state
     st = state_of(fields)
-    res = weyl_group_law_residual(st, WeylElement(PHI),
-                                  WeylElement("x1/5 + x0*x0/10"),
-                                  mobius3.chart, POINT3, K)
+    res = weyl_group_law_residual(st, WeylElement(PHI).at(mobius3.chart, POINT3, K),
+                                  WeylElement("x1/5 + x0*x0/10").at(mobius3.chart, POINT3, K))
     assert res < 1e-11
 
 
