@@ -11,10 +11,10 @@ from .cartan import (KleinModel, CartanConnection, Curvature, VielbeinField,
                      GaugeElement, assemble, conjugate, covariant_d, curvature,
                      curvature_form, gauge_transform, build_normal,
                      normality_residual)
-from .dressing import (DressedFields, extract_u1, full_pipeline,
+from .dressing import (DressedFields, DressedPair, extract_u1, full_pipeline,
                        compatibility_residuals, gr_dress, vielbein_of)
-from .weyl import (WeylElement, weyl_consistency, weyl_transform_dressed,
-                   weyl_transform_midlevel)
+from .weyl import (WeylElement, weyl_consistency, weyl_matrices,
+                   weyl_transform_dressed, weyl_transform_midlevel)
 from .scenarios import Scenario, catalog
 from .checks import run_check, compute_tensors, dof_report
 
@@ -25,10 +25,10 @@ __all__ = [
     "KleinModel", "CartanConnection", "Curvature", "VielbeinField",
     "GaugeElement", "assemble", "conjugate", "covariant_d", "curvature",
     "curvature_form", "gauge_transform", "build_normal", "normality_residual",
-    "DressedFields", "extract_u1", "full_pipeline",
+    "DressedFields", "DressedPair", "extract_u1", "full_pipeline",
     "compatibility_residuals", "gr_dress", "vielbein_of",
-    "WeylElement", "weyl_consistency", "weyl_transform_dressed",
-    "weyl_transform_midlevel",
+    "WeylElement", "weyl_consistency", "weyl_matrices",
+    "weyl_transform_dressed", "weyl_transform_midlevel",
     "Scenario", "catalog", "run_check", "compute_tensors", "dof_report",
 ]
 

@@ -100,15 +100,10 @@ class Leaf(Term):
 
 
 class Zero(Term):
-    __slots__ = ("m", "order")
-
-    def __init__(self, p, q, shape, m=None, order=0):
-        super().__init__(p, q, shape)
-        self.m = m
-        self.order = order
+    __slots__ = ()
 
     def _build_s(self, sector):
-        return Zero(self.p, self.q + 1, self.shape, self.m, self.order)
+        return Zero(self.p, self.q + 1, self.shape)
 
     def _ev(self, cache):
         raise ShapeError("a bare Zero term cannot be evaluated")
@@ -782,21 +777,19 @@ def linearization_check(conn, e, model, phi, point, order, h=1e-3, fields=None):
     extrapolation; the BRS side is the body map of the ghost variation when
     the ghost coefficient function equals phi.
     """
-    from .dressing import _two_form_components, full_pipeline
+    from .dressing import extract_tensors, full_pipeline
     from .jets import jder, jexp
-    from .weyl import state_of, weyl_transform_dressed
+    from .weyl import weyl_matrices, weyl_transform_dressed
     chart = model.chart
     m = model.m
     if fields is None:
         fields = full_pipeline(conn, e)
-    st = state_of(fields)
     phi_j = eval_jet(phi, chart, point, order).coeffs
     dphi = np.stack([jder(phi_j, m, mu) for mu in range(m)])
 
     def tensors_at(t):
         z = jexp(t * phi_j, m)
-        zeta = t * dphi
-        moved, _ = weyl_transform_dressed(st, z, zeta)
+        moved = weyl_transform_dressed(fields, weyl_matrices(model, z, t * dphi, fields.e))
         return {"g": moved.g[..., 0], "Gamma": moved.Gamma[..., 0],
                 "P": moved.P[..., 0], "C": moved.C, "W": moved.W}
 
@@ -813,20 +806,8 @@ def linearization_check(conn, e, model, phi, point, order, h=1e-3, fields=None):
     vhat = composite_ghost(scn, "full")
     s_varpi0 = covariant_d(fields.varpi0, vhat).scale(-1.0).body()
     s_Omega0 = gcomm(fields.Omega0, vhat).body()
-    got = {}
-    gj = np.empty((m, m))
-    Gm = np.empty((m, m, m))
-    Pj = np.empty((m, m))
-    b32 = model.block(s_varpi0, 3, 2)
-    b22 = model.block(s_varpi0, 2, 2)
-    b12 = model.block(s_varpi0, 1, 2)
-    for mu in range(m):
-        gj[mu] = b32.data[0, :, mu, 0]
-        Pj[mu] = b12.data[0, :, mu, 0]
-        Gm[:, mu, :] = b22.data[:, :, mu, 0]
-    got["g"], got["Gamma"], got["P"] = gj, Gm, Pj
-    got["C"] = _two_form_components(model.block(s_Omega0, 1, 2), m)[0]
-    got["W"] = _two_form_components(model.block(s_Omega0, 2, 2), m)
+    g, Gamma, P, _, _, C, W = extract_tensors(s_varpi0, s_Omega0, model)
+    got = {"g": g[..., 0], "Gamma": Gamma[..., 0], "P": P[..., 0], "C": C, "W": W}
     out = {}
     for k in finite:
         scale = max(1.0, np.abs(finite[k]).max())

@@ -17,7 +17,7 @@ from .errors import (AlgebraResidualError, DegenerateVielbeinError, ShapeError)
 from .exprs import compile_expr, eval_jets
 from .forms import MForm, algebra_residual, block_matrix, eta_t, form_comps, gcomm
 from .jets import (Chart, jcos, jcosh, jder, jmat_inv, jmat_mul, jrecip, jsin,
-                   jsinh, order_of, space)
+                   jsinh, jtrunc, order_of, space)
 from .reduction import worst_of
 
 # largest |x_i| of the catalog sample points; random gauge polynomials are
@@ -400,14 +400,8 @@ class GaugeElement:
         else:
             z = np.zeros(C)
             z[0] = 1.0
-        zinv = jrecip(z, m)
         out["z"] = z
-        W = MForm.identity(m, n, order)
-        W.data[0, 0, 0] = z
-        W.data[n - 1, n - 1, 0] = zinv
-        Winv = MForm.identity(m, n, order)
-        Winv.data[0, 0, 0] = zinv
-        Winv.data[n - 1, n - 1, 0] = z
+        W, Winv = weyl_diagonal(z, jrecip(z, m), model, order)
         S_emb = MForm.identity(m, n, order)
         S_emb.data[1:m + 1, 1:m + 1] = S[:, :, None, :]
         Sinv_emb = MForm.identity(m, n, order)
@@ -426,6 +420,16 @@ class GaugeElement:
         out["gamma"] = out["gamma0"].wedge(g1)
         out["gamma_inv"] = g1_inv.wedge(out["gamma0_inv"])
         return out
+
+
+def weyl_diagonal(z, zinv, model, order):
+    """W = diag(z, 1, ..., 1, z^-1) and its inverse at ``order`` (Moebius)."""
+    m, n = model.m, model.n
+    W = MForm.identity(m, n, order)
+    Winv = MForm.identity(m, n, order)
+    W.data[0, 0, 0] = Winv.data[n - 1, n - 1, 0] = jtrunc(z, m, order)
+    W.data[n - 1, n - 1, 0] = Winv.data[0, 0, 0] = jtrunc(zinv, m, order)
+    return W, Winv
 
 
 def k1_matrix(r, model):

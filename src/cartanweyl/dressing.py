@@ -43,18 +43,16 @@ class DressingU0:
 
 
 @dataclass
-class DressedFields:
-    """Everything the two-stage pipeline produces at one sample point."""
+class DressedPair:
+    """The dressed pair, its vielbein and the tensors read off the pair.
+
+    This is the state the finite Weyl action moves.
+    """
 
     model: KleinModel
-    varpi1: MForm
-    Omega1: MForm
     varpi0: MForm
     Omega0: MForm
-    u1: DressingU1
-    u0: DressingU0
     e: np.ndarray
-    einv: np.ndarray
     # extracted 1-form tensors as jets: g[mu,nu], Gamma[rho,mu,nu], P[mu,nu]
     g: np.ndarray
     Gamma: np.ndarray
@@ -64,6 +62,16 @@ class DressedFields:
     f0: np.ndarray
     C: np.ndarray
     W: np.ndarray
+
+
+@dataclass
+class DressedFields(DressedPair):
+    """Everything the two-stage pipeline produces at one sample point."""
+
+    varpi1: MForm
+    Omega1: MForm
+    u1: DressingU1
+    u0: DressingU0
     single_step_residual: float
     diagnostics: dict = field(default_factory=dict)
 
@@ -157,7 +165,7 @@ def extract_tensors(varpi0, Omega0, model):
     return g, Gamma, P, T, f0, C, W
 
 
-def full_pipeline(conn, e=None, tol=1e-10):
+def full_pipeline(conn, e=None):
     """Both dressing stages plus the single-step cross-check.
 
     ``e`` defaults to the vielbein read off the soldering block; passing it
@@ -198,9 +206,9 @@ def full_pipeline(conn, e=None, tol=1e-10):
     # curvature compatibility of the dressed pair
     diag["curvature_compat"] = (curvature_form(varpi0) - Omega0).value_norm()
     return DressedFields(
-        model=model, varpi1=varpi1, Omega1=Omega1, varpi0=varpi0, Omega0=Omega0,
-        u1=u1, u0=u0, e=e, einv=u0.einv, g=g, Gamma=Gamma, P=P,
-        T=T, f0=f0, C=C, W=W, single_step_residual=single, diagnostics=diag)
+        model=model, varpi0=varpi0, Omega0=Omega0, e=e, g=g, Gamma=Gamma, P=P,
+        T=T, f0=f0, C=C, W=W, varpi1=varpi1, Omega1=Omega1, u1=u1, u0=u0,
+        single_step_residual=single, diagnostics=diag)
 
 
 def metricity_residual(g, Gamma, m):

@@ -223,11 +223,16 @@ def jrecip(a, m):
     return out.reshape(a.shape)
 
 
-def _scalar_compose(fn_ders):
+def _scalar_compose(fn_ders, name):
     def op(a, m):
         if a.ndim == 1:
             k = order_of(m, a)
-            return jcompose(a, fn_ders(a[0], k), m)
+            try:
+                ders = fn_ders(a[0], k)
+            except OverflowError:
+                raise ExprDomainError(
+                    f"{name}({a[0]:.6g}) overflows in jet evaluation") from None
+            return jcompose(a, ders, m)
         flat = a.reshape(-1, a.shape[-1])
         out = np.stack([op(row, m) for row in flat])
         return out.reshape(a.shape)
@@ -275,12 +280,12 @@ def _sqrt_ders(v, k):
     return ders
 
 
-jexp = _scalar_compose(_exp_ders)
-jsin = _scalar_compose(_sin_ders)
-jcos = _scalar_compose(_cos_ders)
-jcosh = _scalar_compose(_cosh_ders)
-jsinh = _scalar_compose(_sinh_ders)
-jsqrt = _scalar_compose(_sqrt_ders)
+jexp = _scalar_compose(_exp_ders, "exp")
+jsin = _scalar_compose(_sin_ders, "sin")
+jcos = _scalar_compose(_cos_ders, "cos")
+jcosh = _scalar_compose(_cosh_ders, "cosh")
+jsinh = _scalar_compose(_sinh_ders, "sinh")
+jsqrt = _scalar_compose(_sqrt_ders, "sqrt")
 
 
 def jipow(a, n, m):
@@ -362,10 +367,6 @@ class Chart:
         if len(names) != self.m:
             raise ValueError("need one coordinate name per dimension")
         object.__setattr__(self, "names", tuple(names))
-
-    @property
-    def eta(self):
-        return np.diag(np.array(self.signature, dtype=float))
 
     def coord_index(self, name):
         return self.names.index(name)

@@ -66,10 +66,6 @@ def metric_from_vielbein(e, signature):
     return jeinsum("am,an->mn", weighted, e, m)
 
 
-def inverse_metric(g, m):
-    return jmat_inv(g, m)
-
-
 def christoffel(g, ginv, m):
     dg = _dstack(g, m)  # dg[d, i, j] = partial_d g_ij
     A = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
@@ -137,7 +133,7 @@ def weyl_tensor(riem, P, g, ginv, m):
 def classical_bundle(e, signature, m):
     """All oracle tensors from a vielbein jet array in one pass."""
     g = metric_from_vielbein(e, signature)
-    ginv = inverse_metric(g, m)
+    ginv = jmat_inv(g, m)
     gamma = christoffel(g, ginv, m)
     riem = riemann(gamma, m)
     ric = ricci(riem)
@@ -150,7 +146,3 @@ def classical_bundle(e, signature, m):
         "Ricci": ric, "Rscal": scal, "P": P, "C": C, "W": W,
     }
 
-
-def values(d):
-    """Map a dict of jet arrays to the value (order-zero) coefficients."""
-    return {k: v[..., 0] for k, v in d.items()}

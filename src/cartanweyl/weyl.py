@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import build_normal, conjugate, k1_matrix
-from .dressing import extract_tensors, full_pipeline, u0_from_vielbein
+from .cartan import build_normal, conjugate, k1_matrix, weyl_diagonal
+from .dressing import DressedPair, extract_tensors, full_pipeline, u0_from_vielbein
 from .errors import ExprDomainError
 from .exprs import compile_expr, eval_jets
 from .forms import MForm, eta_t
 from .jets import jder, jexp, jmat_inv, jmul, jrecip, jtrunc, order_of
 from .reduction import worst_of
-from .tensors import jeinsum
+from .tensors import jeinsum, metric_from_vielbein
 
 
 @dataclass
@@ -45,67 +45,46 @@ class WeylElement:
         return z, zeta
 
 
-@dataclass
-class DressedState:
-    """The data the Weyl action moves around: dressed pair + vielbein."""
-
-    model: object
-    varpi0: MForm
-    Omega0: MForm
-    e: np.ndarray
-    g: np.ndarray
-    Gamma: np.ndarray
-    P: np.ndarray
-    T: np.ndarray
-    f0: np.ndarray
-    C: np.ndarray
-    W: np.ndarray
-
-
-def state_of(fields):
-    return DressedState(
-        model=fields.model, varpi0=fields.varpi0, Omega0=fields.Omega0,
-        e=fields.e, g=fields.g, Gamma=fields.Gamma, P=fields.P,
-        T=fields.T, f0=fields.f0, C=fields.C, W=fields.W)
-
-
 def weyl_matrices(model, z, zeta, e):
-    """W, Wtilde, k1 and the combined Wbar (with inverses and a closed form).
+    """The matrices of the rescaling (z, zeta) on the dressed pair of ``e``.
 
-    Wbar = u0^-1 k1 u0 W Wtilde with k1 the unipotent built on zeta . e^-1;
-    the closed form has entries (z, z zeta, z^-1 zeta g^-1 zeta^T / 2; 0,
-    z delta, z^-1 g^-1 zeta^T; 0, 0, z^-1).
+    Wbar = u0^-1 k1 u0 W Wtilde and its inverse, with k1 the unipotent built
+    on xi = zeta . e^-1; W, k1 and their inverses for the first-stage action;
+    and the scalar jets z, z^-1.
     """
     m = model.m
     order = min(order_of(m, z), order_of(m, zeta), order_of(m, e))
-    n = model.n
     zinv = jrecip(z, m)
-    W = MForm.identity(m, n, order)
-    W.data[0, 0, 0] = jtrunc(z, m, order)
-    W.data[n - 1, n - 1, 0] = jtrunc(zinv, m, order)
-    Winv = MForm.identity(m, n, order)
-    Winv.data[0, 0, 0] = jtrunc(zinv, m, order)
-    Winv.data[n - 1, n - 1, 0] = jtrunc(z, m, order)
-    Wt = MForm.identity(m, n, order)
-    Wtinv = MForm.identity(m, n, order)
+    W, Winv = weyl_diagonal(z, zinv, model, order)
+    Wt = MForm.identity(m, model.n, order)
+    Wtinv = MForm.identity(m, model.n, order)
     for i in range(1, m + 1):
         Wt.data[i, i, 0] = jtrunc(z, m, order)
         Wtinv.data[i, i, 0] = jtrunc(zinv, m, order)
     u0 = u0_from_vielbein(e, model)
-    einv = u0.einv
-    xi_arr = jeinsum("m,ma->a", zeta, einv, m)  # zeta . e^-1
+    xi_arr = jeinsum("m,ma->a", zeta, u0.einv, m)  # zeta . e^-1
     xi = MForm.zeros(m, (1, m), 0, 0, order_of(m, xi_arr))
     xi.data[0, :, 0, :] = xi_arr
     k1 = k1_matrix(xi, model)
     k1inv = k1_matrix(xi.scale(-1.0), model)
     wbar = u0.inv.wedge(k1.wedge(u0.mat.wedge(W.wedge(Wt))))
     wbar_inv = Wtinv.wedge(Winv.wedge(u0.inv.wedge(k1inv.wedge(u0.mat))))
-    # closed form for the same matrix
-    g = jeinsum("am,an->mn", np.asarray(model.eta)[:, None, None] * e, e, m)
-    ginv = jmat_inv(g, m)
+    return {"W": W, "Winv": Winv, "k1": k1, "k1inv": k1inv, "xi": xi,
+            "wbar": wbar, "wbar_inv": wbar_inv, "z": z, "zinv": zinv}
+
+
+def wbar_closed_form(model, z, zeta, e):
+    """Wbar in closed form, at the order :func:`weyl_matrices` builds it.
+
+    Entries (z, z zeta, z^-1 zeta g^-1 zeta^T / 2; 0, z delta, z^-1 g^-1
+    zeta^T; 0, 0, z^-1) with g = e^T eta e.
+    """
+    m, n = model.m, model.n
+    k = min(order_of(m, z), order_of(m, zeta), order_of(m, e))
+    zinv = jrecip(z, m)
+    ginv = jmat_inv(metric_from_vielbein(e, model.eta), m)
     zg = jeinsum("l,lr->r", zeta, ginv, m)       # zeta with one index raised
     zz = jeinsum("r,r->", zeta, zg, m)           # zeta . g^-1 . zeta^T
-    k = wbar.order
     closed = MForm.zeros(m, (n, n), 0, 0, k)
     closed.data[0, 0, 0] = jtrunc(z, m, k)
     closed.data[n - 1, n - 1, 0] = jtrunc(zinv, m, k)
@@ -114,31 +93,22 @@ def weyl_matrices(model, z, zeta, e):
         closed.data[0, i + 1, 0] = jtrunc(jmul(z, zeta[i], m), m, k)
         closed.data[i + 1, n - 1, 0] = jtrunc(jmul(zinv, zg[i], m), m, k)
     closed.data[0, n - 1, 0] = jtrunc(0.5 * jmul(zinv, zz, m), m, k)
-    return {
-        "W": W, "Winv": Winv, "Wt": Wt, "Wtinv": Wtinv,
-        "k1": k1, "k1inv": k1inv, "xi": xi,
-        "wbar": wbar, "wbar_inv": wbar_inv, "wbar_closed": closed,
-        "z": z, "zinv": zinv, "zeta": zeta, "g": g, "ginv": ginv,
-        "u0": u0, "einv": einv,
-    }
+    return closed
 
 
-def weyl_transform_dressed(state, z, zeta):
-    """Conjugation route: move the dressed pair by the combined matrix.
+def weyl_transform_dressed(state, mats):
+    """Conjugation route: move the dressed pair by Wbar.
 
-    Returns the new DressedState (with e -> z e) plus the matrix bundle.
+    ``mats`` is the :func:`weyl_matrices` bundle of ``state.e``.  Returns the
+    moved :class:`DressedPair`, with e -> z e and the tensors read off anew.
     """
     model = state.model
-    m = model.m
-    mats = weyl_matrices(model, z, zeta, state.e)
     wbar, wbar_inv = mats["wbar"], mats["wbar_inv"]
     varpi0W = conjugate(state.varpi0, wbar, wbar_inv, connection=True)
     Omega0W = conjugate(state.Omega0, wbar, wbar_inv)
-    e_new = jmul(z[None, None, :], state.e, m)
-    g, Gamma, P, T, f0, C, W = extract_tensors(varpi0W, Omega0W, model)
-    new = DressedState(model=model, varpi0=varpi0W, Omega0=Omega0W, e=e_new,
-                       g=g, Gamma=Gamma, P=P, T=T, f0=f0, C=C, W=W)
-    return new, mats
+    e_new = jmul(mats["z"][None, None, :], state.e, model.m)
+    return DressedPair(model, varpi0W, Omega0W, e_new,
+                       *extract_tensors(varpi0W, Omega0W, model))
 
 
 def closed_form_laws(state, z, zeta):
@@ -180,15 +150,15 @@ def closed_form_laws(state, z, zeta):
     return laws
 
 
-def weyl_transform_midlevel(fields, z, zeta):
+def weyl_transform_midlevel(fields, mats):
     """First-stage action: conjugate (varpi1, Omega1) by k1 W.
 
-    Returns the conjugated (varpi1W, Omega1W) plus closed-form blocks for
-    theta, A1, alpha1, f1, Theta, F1, Pi1.
+    ``mats`` is the :func:`weyl_matrices` bundle of ``fields.e``.  Returns the
+    conjugated (varpi1W, Omega1W) plus closed-form blocks for theta, A1,
+    alpha1, f1, Theta, F1, Pi1.
     """
     model = fields.model
     m = model.m
-    mats = weyl_matrices(model, z, zeta, fields.e)
     k1W = mats["k1"].wedge(mats["W"])
     k1W_inv = mats["Winv"].wedge(mats["k1inv"])
     varpi1W = conjugate(fields.varpi1, k1W, k1W_inv, connection=True)
@@ -206,20 +176,20 @@ def weyl_transform_midlevel(fields, z, zeta):
     F1 = blk(fields.Omega1, 2, 2)
     Pi1 = blk(fields.Omega1, 1, 2)
     closed = {}
-    closed["theta"] = _scale_rows(theta, z)
+    closed["theta"] = _scale_rows(theta, mats["z"])
     closed["A1"] = A1 + theta.wedge(xi) - xit.wedge(eta_t(theta, eta))
     Dxi = xi.ext_d() - xi.wedge(A1)
     corr = (alpha1 + Dxi - xi.wedge(theta.wedge(xi))
             + xi.wedge(xit).wedge(eta_t(theta, eta)).scale(0.5))
     closed["alpha1"] = _scale_rows(corr, mats["zinv"])
     closed["f1"] = f1 - xi.wedge(Theta1)
-    closed["Theta1"] = _scale_rows(Theta1, z)
+    closed["Theta1"] = _scale_rows(Theta1, mats["z"])
     closed["F1"] = F1 + Theta1.wedge(xi) - xit.wedge(eta_t(Theta1, eta))
     f1_eye = _eye_times(f1, m)
     corr2 = (Pi1 - xi.wedge(F1 - f1_eye) - xi.wedge(Theta1.wedge(xi))
              + xi.wedge(xit).wedge(eta_t(Theta1, eta)).scale(0.5))
     closed["Pi1"] = _scale_rows(corr2, mats["zinv"])
-    return varpi1W, Omega1W, closed, mats
+    return varpi1W, Omega1W, closed
 
 
 def _scale_rows(M, z):
@@ -240,26 +210,17 @@ def _eye_times(f, m):
     return out
 
 
-def rescaled_vielbein(e, z, m):
-    return jmul(z[None, None, :], e, m)
-
-
-def weyl_consistency(vb_or_e, wz, model, point, order):
-    """Two-route oracle for a normal scenario.
+def weyl_consistency(e, wz, model, point, order):
+    """Two-route oracle for a normal scenario on the vielbein jets ``e``.
 
     Route one transforms the dressed pipeline output of e; route two runs
     the whole construction again from the rescaled vielbein e' = z e.  The
     report maps tensor names to the max defect between the routes.
     """
-    m = model.m
-    e = vb_or_e if isinstance(vb_or_e, np.ndarray) \
-        else vb_or_e.jets_at(point, order)
-    conn = build_normal(e, model, point, order)
-    fields = full_pipeline(conn, e)
+    fields = full_pipeline(build_normal(e, model, point, order), e)
     z, zeta = wz.at(model.chart, point, order)
-    stW, _ = weyl_transform_dressed(state_of(fields), z, zeta)
-    e2 = rescaled_vielbein(e, z, m)
-    f2 = full_pipeline(build_normal(e2, model, point, order), e2)
+    stW = weyl_transform_dressed(fields, weyl_matrices(model, z, zeta, e))
+    f2 = full_pipeline(build_normal(stW.e, model, point, order), stW.e)
     return {
         "g": float(np.abs(stW.g[..., 0] - f2.g[..., 0]).max()),
         "Gamma": float(np.abs(stW.Gamma[..., 0] - f2.Gamma[..., 0]).max()),
@@ -271,17 +232,17 @@ def weyl_consistency(vb_or_e, wz, model, point, order):
     }
 
 
-def weyl_group_law_residual(state, first, second):
+def weyl_group_law_residual(state, moved, first, second):
     """Apply z1 then z2 versus z1 z2 on all dressed fields (value norms).
 
     ``first`` and ``second`` are the (z, zeta) jets of the two elements, as
-    :meth:`WeylElement.at` returns them.
+    :meth:`WeylElement.at` returns them, and ``moved`` is ``state`` already
+    moved by ``first``.
     """
     (z1, zeta1), (z2, zeta2) = first, second
-    s1, _ = weyl_transform_dressed(state, z1, zeta1)
-    s12, _ = weyl_transform_dressed(s1, z2, zeta2)
-    z12 = jmul(z1, z2, state.model.m)
-    zeta12 = zeta1 + zeta2
-    s_both, _ = weyl_transform_dressed(state, z12, zeta12)
+    model = state.model
+    s12 = weyl_transform_dressed(moved, weyl_matrices(model, z2, zeta2, moved.e))
+    z12 = jmul(z1, z2, model.m)
+    s_both = weyl_transform_dressed(state, weyl_matrices(model, z12, zeta1 + zeta2, state.e))
     return worst_of(((s12.varpi0 - s_both.varpi0).value_norm(),
                      (s12.Omega0 - s_both.Omega0).value_norm()))

@@ -17,11 +17,11 @@ from cartanweyl.cartan import (KleinModel, VielbeinField, build_normal, curvatur
 from cartanweyl.checks import PointContext, dof_report, run_check
 from cartanweyl.dressing import dressed_normality, full_pipeline
 from cartanweyl.forms import gcomm
-from cartanweyl.jets import Chart, jmul
+from cartanweyl.jets import Chart
 from cartanweyl.scenarios import catalog
 from cartanweyl.tensors import classical_bundle, jeinsum
-from cartanweyl.weyl import (WeylElement, closed_form_laws, state_of,
-                             weyl_group_law_residual, weyl_transform_dressed)
+from cartanweyl.weyl import (WeylElement, closed_form_laws, weyl_group_law_residual,
+                             weyl_matrices, weyl_transform_dressed)
 
 GHOSTS3 = GhostSpec(eps="1/2 + x0/3 - x1*x2/5",
                     iota=["x1/2", "1/3 - x0/4", "x2/2 + 1/5"],
@@ -107,7 +107,7 @@ def test_criterion_3_normality():
             f = full_pipeline(conn, vb.jets_at(pt, scn.jet_order))
             worst = max(worst, *dressed_normality(f))
             z, zeta = wz.at(scn.chart, pt, scn.jet_order)
-            stW, _ = weyl_transform_dressed(state_of(f), z, zeta)
+            stW = weyl_transform_dressed(f, weyl_matrices(model, z, zeta, f.e))
             worst = max(worst,
                         float(np.abs(stW.T).max()),
                         float(np.abs(np.einsum("anas->ns", stW.W)).max()),
@@ -129,12 +129,10 @@ def test_criterion_4_finite_weyl_laws():
             conn = build_normal(vb, model, pt, scn.jet_order)
             e = vb.jets_at(pt, scn.jet_order)
             f = full_pipeline(conn, e)
-            st = state_of(f)
             z, zeta = wz.at(scn.chart, pt, scn.jet_order)
-            stW, _ = weyl_transform_dressed(st, z, zeta)
-            laws = closed_form_laws(st, z, zeta)
-            e2 = jmul(z[None, None, :], e, model.m)
-            f2 = full_pipeline(build_normal(e2, model, pt, scn.jet_order), e2)
+            stW = weyl_transform_dressed(f, weyl_matrices(model, z, zeta, e))
+            laws = closed_form_laws(f, z, zeta)
+            f2 = full_pipeline(build_normal(stW.e, model, pt, scn.jet_order), stW.e)
             for key, got in (("g", stW.g[..., 0]), ("Gamma", stW.Gamma[..., 0]),
                              ("P", stW.P[..., 0]), ("T", stW.T),
                              ("f0", stW.f0), ("W", stW.W), ("C", stW.C)):
@@ -144,7 +142,7 @@ def test_criterion_4_finite_weyl_laws():
                              (stW.P[..., 0], f2.P[..., 0]),
                              (stW.C, f2.C), (stW.W, f2.W)):
                 worst_routes = max(worst_routes, float(np.abs(got - ref).max()))
-            worst_winv = max(worst_winv, float(np.abs(stW.W - st.W).max()))
+            worst_winv = max(worst_winv, float(np.abs(stW.W - f.W).max()))
     # torsionful scenario: the general component laws
     scn = catalog("torsionful", 3)
     model = KleinModel(scn.model, scn.chart)
@@ -154,10 +152,9 @@ def test_criterion_4_finite_weyl_laws():
         conn, e_full = PointContext(scn, model, vb, idx).base
         f = full_pipeline(conn, e_full)
         assert np.abs(f.T).max() > 1e-3
-        st = state_of(f)
         z, zeta = wz.at(scn.chart, pt, scn.jet_order)
-        stW, _ = weyl_transform_dressed(st, z, zeta)
-        laws = closed_form_laws(st, z, zeta)
+        stW = weyl_transform_dressed(f, weyl_matrices(model, z, zeta, f.e))
+        laws = closed_form_laws(f, z, zeta)
         for key, got in (("g", stW.g[..., 0]), ("Gamma", stW.Gamma[..., 0]),
                          ("P", stW.P[..., 0]), ("T", stW.T), ("f0", stW.f0),
                          ("W", stW.W), ("C", stW.C)):
@@ -175,9 +172,10 @@ def test_criterion_5_weyl_group_law():
         for pt in scn.points:
             conn = build_normal(vb, model, pt, scn.jet_order)
             f = full_pipeline(conn, vb.jets_at(pt, scn.jet_order))
+            first = WeylElement("x0/4 - x1*x2/6").at(scn.chart, pt, scn.jet_order)
+            moved = weyl_transform_dressed(f, weyl_matrices(model, *first, f.e))
             res = weyl_group_law_residual(
-                state_of(f), WeylElement("x0/4 - x1*x2/6").at(scn.chart, pt, scn.jet_order),
-                WeylElement("x1/5 + x0*x0/10").at(scn.chart, pt, scn.jet_order))
+                f, moved, first, WeylElement("x1/5 + x0*x0/10").at(scn.chart, pt, scn.jet_order))
             worst = max(worst, res)
     _verdict(5, "Weyl group law", worst, 1e-9)
 

@@ -194,6 +194,31 @@ def test_weyl_suite_evaluates_each_element_once_per_point(monkeypatch):
     assert len(calls) == 2
 
 
+def test_weyl_suite_builds_each_weyl_matrix_once(monkeypatch):
+    """Per point: one bundle for the scenario's rescaling, shared by the
+    conjugation, the midlevel action, the k1/u1 commutator, route three and
+    the group law's first step; two more for the group law's second step and
+    its product.  The closed form of Wbar is built for its own row only."""
+    counts = {"weyl_matrices": 0, "weyl_transform_dressed": 0, "wbar_closed_form": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        wrapped = counted(getattr(weyl, name))
+        for module in (checks, weyl):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    scn = catalog("generic", 3)
+    assert run_check(scn, "weyl").passed
+    n = len(scn.points)
+    assert counts == {"weyl_matrices": 3 * n, "weyl_transform_dressed": 3 * n,
+                      "wbar_closed_form": n}
+
+
 def test_cli_check_pass(tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main(["check", "--catalog", "flat", "--suite", "gauge",
@@ -384,6 +409,33 @@ def test_suite_error_keeps_its_type_and_exits_2(tmp_path, capsys):
     assert code == 2
     assert "Traceback" not in err and err.startswith("error:")
     assert "[weyl suite]" in err and "nested too deeply" in err
+
+
+def _overflow_doc(suite):
+    doc = json.loads((Path(__file__).parents[1] / "scenarios" / "demo-diag-poly.json")
+                     .read_text())
+    big = "x0*10000"   # the first point has x0 = 0.23: exp, cosh of 2300
+    if suite == "weyl":
+        doc["weyl"] = big
+    elif suite == "dressing":
+        doc["vielbein"][0][0] = f"exp({big})"
+    elif suite == "brs":
+        doc["ghosts"]["eps"] = f"exp({big})"
+    else:
+        doc["gauge"] = {"so": [big, "0", "0"]}
+    return doc
+
+
+@pytest.mark.parametrize("suite", ["weyl", "dressing", "brs", "gauge"])
+def test_jet_overflow_exits_2(suite, tmp_path, capsys):
+    """exp, cosh and sinh of an argument past the float range are bad input."""
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_overflow_doc(suite)))
+    code = main(["check", "--scenario", str(path), "--suite", suite])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and err.startswith("error:")
+    assert "overflows in jet evaluation" in err
 
 
 @pytest.mark.parametrize("name, model", [("generic", "mobius"), ("poincare", "poincare")])

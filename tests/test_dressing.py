@@ -90,7 +90,7 @@ def test_omega1_and_omega0_conjugation_blocks(mobius3, vielbein3, rng):
     e_f = MForm.zeros(m, (m, m), 0, 0, fields.Omega1.order)
     from cartanweyl.jets import jtrunc
     e = vielbein_of(conn)
-    einv = fields.einv
+    einv = fields.u0.einv
     e_f.data[:, :, 0, :] = jtrunc(e, m, fields.Omega1.order)
     einv_f.data[:, :, 0, :] = jtrunc(einv, m, fields.Omega1.order)
     want = einv_f.wedge(F1.wedge(e_f))

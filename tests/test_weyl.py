@@ -5,8 +5,8 @@ from cartanweyl.cartan import build_normal, gauge_transform, random_gauge
 from cartanweyl.checks import base_connection
 from cartanweyl.dressing import full_pipeline
 from cartanweyl.jets import jder, jmul
-from cartanweyl.weyl import (WeylElement, closed_form_laws, rescaled_vielbein,
-                             state_of, weyl_group_law_residual, weyl_matrices,
+from cartanweyl.weyl import (WeylElement, closed_form_laws, wbar_closed_form,
+                             weyl_group_law_residual, weyl_matrices,
                              weyl_transform_dressed, weyl_transform_midlevel)
 
 from conftest import POINT3
@@ -26,16 +26,18 @@ def normal_state(mobius3, vielbein3):
 def test_identity_rescaling_fixes_everything(mobius3, normal_state):
     conn, e, fields = normal_state
     z, zeta = WeylElement("0").at(mobius3.chart, POINT3, K)
-    st, _ = weyl_transform_dressed(state_of(fields), z, zeta)
-    assert (st.varpi0 - fields.varpi0).value_norm() < 1e-13
-    assert (st.Omega0 - fields.Omega0).value_norm() < 1e-13
+    moved = weyl_transform_dressed(fields, weyl_matrices(mobius3, z, zeta, e))
+    assert (moved.varpi0 - fields.varpi0).value_norm() < 1e-13
+    assert (moved.Omega0 - fields.Omega0).value_norm() < 1e-13
 
 
 def test_wbar_closed_form(mobius3, normal_state):
     conn, e, fields = normal_state
     z, zeta = WeylElement(PHI).at(mobius3.chart, POINT3, K)
-    mats = weyl_matrices(mobius3, z, zeta, e)
-    assert (mats["wbar"] - mats["wbar_closed"]).full_norm() < 1e-12
+    wbar = weyl_matrices(mobius3, z, zeta, e)["wbar"]
+    closed = wbar_closed_form(mobius3, z, zeta, e)
+    assert closed.order == wbar.order
+    assert (wbar - closed).full_norm() < 1e-12
 
 
 def test_k1_u1_commute(mobius3, vielbein3, rng):
@@ -62,10 +64,9 @@ def test_zeta_is_exact(mobius3):
 
 def test_conjugation_equals_closed_laws(mobius3, normal_state):
     conn, e, fields = normal_state
-    st = state_of(fields)
     z, zeta = WeylElement(PHI).at(mobius3.chart, POINT3, K)
-    stW, _ = weyl_transform_dressed(st, z, zeta)
-    laws = closed_form_laws(st, z, zeta)
+    stW = weyl_transform_dressed(fields, weyl_matrices(mobius3, z, zeta, fields.e))
+    laws = closed_form_laws(fields, z, zeta)
     assert np.abs(stW.g[..., 0] - laws["g"]).max() < 1e-12
     assert np.abs(stW.Gamma[..., 0] - laws["Gamma"]).max() < 1e-12
     assert np.abs(stW.P[..., 0] - laws["P"]).max() < 1e-12
@@ -76,12 +77,10 @@ def test_conjugation_equals_closed_laws(mobius3, normal_state):
 
 def test_conjugation_equals_rescaled_pipeline(mobius3, normal_state):
     conn, e, fields = normal_state
-    st = state_of(fields)
     z, zeta = WeylElement(PHI).at(mobius3.chart, POINT3, K)
-    stW, _ = weyl_transform_dressed(st, z, zeta)
-    e2 = rescaled_vielbein(e, z, 3)
-    conn2 = build_normal(e2, mobius3, POINT3, K)
-    f2 = full_pipeline(conn2, e2)
+    stW = weyl_transform_dressed(fields, weyl_matrices(mobius3, z, zeta, fields.e))
+    conn2 = build_normal(stW.e, mobius3, POINT3, K)
+    f2 = full_pipeline(conn2, stW.e)
     assert np.abs(stW.g[..., 0] - f2.g[..., 0]).max() < 1e-11
     assert np.abs(stW.Gamma[..., 0] - f2.Gamma[..., 0]).max() < 1e-11
     assert np.abs(stW.P[..., 0] - f2.P[..., 0]).max() < 1e-11
@@ -91,13 +90,12 @@ def test_conjugation_equals_rescaled_pipeline(mobius3, normal_state):
 
 def test_normal_case_invariances(mobius3, normal_state):
     conn, e, fields = normal_state
-    st = state_of(fields)
     z, zeta = WeylElement(PHI).at(mobius3.chart, POINT3, K)
-    stW, _ = weyl_transform_dressed(st, z, zeta)
+    stW = weyl_transform_dressed(fields, weyl_matrices(mobius3, z, zeta, fields.e))
     # Weyl-tensor invariance and the Cotton shift C -> C - zeta . W
-    assert np.abs(stW.W - st.W).max() < 1e-12
+    assert np.abs(stW.W - fields.W).max() < 1e-12
     zt = zeta[..., 0]
-    want = st.C - np.einsum("l,lnms->nms", zt, st.W)
+    want = fields.C - np.einsum("l,lnms->nms", zt, fields.W)
     assert np.abs(stW.C - want).max() < 1e-12
     # normality is preserved
     assert np.abs(stW.T).max() < 1e-12
@@ -116,29 +114,29 @@ def test_torsionful_laws(mobius3, vielbein3):
                                    e, POINT3, rng)
     fields = full_pipeline(conn, e_full)
     assert np.abs(fields.T).max() > 1e-3  # genuinely torsionful
-    st = state_of(fields)
     z, zeta = WeylElement(PHI).at(mobius3.chart, POINT3, scn.jet_order)
-    stW, _ = weyl_transform_dressed(st, z, zeta)
-    laws = closed_form_laws(st, z, zeta)
+    stW = weyl_transform_dressed(fields, weyl_matrices(mobius3, z, zeta, fields.e))
+    laws = closed_form_laws(fields, z, zeta)
     for key in ("g", "Gamma", "P", "T", "f0", "W", "C"):
         got = {"g": stW.g[..., 0], "Gamma": stW.Gamma[..., 0],
                "P": stW.P[..., 0], "T": stW.T, "f0": stW.f0,
                "W": stW.W, "C": stW.C}[key]
         assert np.abs(got - laws[key]).max() < 1e-10, key
     # torsion invariance and the inert antisymmetric part
-    assert np.abs(stW.T - st.T).max() < 1e-12
+    assert np.abs(stW.T - fields.T).max() < 1e-12
     asym = lambda G: 0.5 * (G - G.transpose(0, 2, 1))
-    assert np.abs(asym(stW.Gamma[..., 0]) - asym(st.Gamma[..., 0])).max() < 1e-12
+    assert np.abs(asym(stW.Gamma[..., 0]) - asym(fields.Gamma[..., 0])).max() < 1e-12
     # trace law reproduces the antisymmetric Schouten shift
     asymP = lambda P: P - P.T
-    want = asymP(st.P[..., 0]) - np.einsum("l,lms->ms", zeta[..., 0], st.T)
+    want = asymP(fields.P[..., 0]) - np.einsum("l,lms->ms", zeta[..., 0], fields.T)
     assert np.abs(asymP(stW.P[..., 0]) - want).max() < 1e-11
 
 
 def test_group_law(mobius3, normal_state):
     conn, e, fields = normal_state
-    st = state_of(fields)
-    res = weyl_group_law_residual(st, WeylElement(PHI).at(mobius3.chart, POINT3, K),
+    first = WeylElement(PHI).at(mobius3.chart, POINT3, K)
+    moved = weyl_transform_dressed(fields, weyl_matrices(mobius3, *first, e))
+    res = weyl_group_law_residual(fields, moved, first,
                                   WeylElement("x1/5 + x0*x0/10").at(mobius3.chart, POINT3, K))
     assert res < 1e-11
 
@@ -146,7 +144,8 @@ def test_group_law(mobius3, normal_state):
 def test_midlevel_closed_forms(mobius3, normal_state):
     conn, e, fields = normal_state
     z, zeta = WeylElement(PHI).at(mobius3.chart, POINT3, K)
-    v1W, O1W, closed, _ = weyl_transform_midlevel(fields, z, zeta)
+    mats = weyl_matrices(mobius3, z, zeta, fields.e)
+    v1W, O1W, closed = weyl_transform_midlevel(fields, mats)
     for name, ij, M in [("theta", (2, 1), v1W), ("A1", (2, 2), v1W),
                         ("alpha1", (1, 2), v1W), ("f1", (1, 1), O1W),
                         ("Theta1", (2, 1), O1W), ("F1", (2, 2), O1W),
@@ -161,7 +160,8 @@ def test_midlevel_flat_only_soldering_moves(mobius3, flat3):
     conn = build_normal(flat3, mobius3, POINT3, K)
     fields = full_pipeline(conn, flat3.jets_at(POINT3, K))
     z, zeta = WeylElement(PHI).at(mobius3.chart, POINT3, K)
-    v1W, O1W, closed, _ = weyl_transform_midlevel(fields, z, zeta)
+    mats = weyl_matrices(mobius3, z, zeta, fields.e)
+    v1W, O1W, closed = weyl_transform_midlevel(fields, mats)
     assert O1W.value_norm() < 1e-13
     th = mobius3.block(v1W, 2, 1)
     zth = mobius3.block(fields.varpi1, 2, 1).copy()
@@ -178,9 +178,8 @@ def test_conformally_flat_weyl_vanishes_both_routes(mobius3, chart3):
     conn = build_normal(vb, mobius3, POINT3, K)
     e = vb.jets_at(POINT3, K)
     fields = full_pipeline(conn, e)
-    st = state_of(fields)
     z, zeta = WeylElement(PHI).at(mobius3.chart, POINT3, K)
-    stW, _ = weyl_transform_dressed(st, z, zeta)
+    stW = weyl_transform_dressed(fields, weyl_matrices(mobius3, z, zeta, fields.e))
     # both routes annihilate the Weyl-type tensor (m = 3 and conformally flat)
     assert np.abs(fields.W).max() < 1e-11
     assert np.abs(stW.W).max() < 1e-10
@@ -188,9 +187,8 @@ def test_conformally_flat_weyl_vanishes_both_routes(mobius3, chart3):
 
 def test_redundant_entries(mobius3, normal_state):
     conn, e, fields = normal_state
-    st = state_of(fields)
     z, zeta = WeylElement(PHI).at(mobius3.chart, POINT3, K)
-    stW, _ = weyl_transform_dressed(st, z, zeta)
+    stW = weyl_transform_dressed(fields, weyl_matrices(mobius3, z, zeta, fields.e))
     from cartanweyl.checks import _redundancy_omega, _redundancy_varpi
     assert _redundancy_varpi(stW, mobius3) < 1e-11
     assert _redundancy_omega(stW, mobius3) < 1e-11
@@ -205,7 +203,8 @@ def test_weyl_factor_must_stay_positive(mobius3):
 
 def test_weyl_consistency_op(mobius3, vielbein3):
     from cartanweyl.weyl import weyl_consistency
-    out = weyl_consistency(vielbein3, WeylElement(PHI), mobius3, POINT3, K)
+    e = vielbein3.jets_at(POINT3, K)
+    out = weyl_consistency(e, WeylElement(PHI), mobius3, POINT3, K)
     assert max(out.values()) < 1e-8
-    out0 = weyl_consistency(vielbein3, WeylElement("0"), mobius3, POINT3, K)
+    out0 = weyl_consistency(e, WeylElement("0"), mobius3, POINT3, K)
     assert max(out0.values()) < 1e-12
