@@ -5,7 +5,7 @@ BRS ghost algebra, every identity machine-checked against independent routes.
 
 from .jets import Chart, Jet
 from .exprs import parse_expr, print_expr, eval_jet
-from .grassmann import GradedScalar, GeneratorPool
+from .grassmann import GradedScalar
 from .forms import MForm, wedge, gcomm, ext_d, eta_t, algebra_residual
 from .cartan import (KleinModel, CartanConnection, Curvature, VielbeinField,
                      GaugeElement, assemble, conjugate, covariant_d, curvature,
@@ -20,7 +20,7 @@ from .checks import run_check, compute_tensors, dof_report
 
 __all__ = [
     "Chart", "Jet", "parse_expr", "print_expr", "eval_jet",
-    "GradedScalar", "GeneratorPool",
+    "GradedScalar",
     "MForm", "wedge", "gcomm", "ext_d", "eta_t", "algebra_residual",
     "KleinModel", "CartanConnection", "Curvature", "VielbeinField",
     "GaugeElement", "assemble", "conjugate", "covariant_d", "curvature",

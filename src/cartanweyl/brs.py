@@ -7,9 +7,12 @@ sector images; composites (dressings, dressed fields, composite ghosts)
 are Sum/Prod/D/Block nodes, so second applications of s follow from the
 graded Leibniz rule with no symbolic algebra beyond the DAG.
 
-Ghost fields are jets whose Taylor coefficients are independent Grassmann
-generators scaled by scenario coefficient functions; this keeps products
-like eps * d(eps) nonzero, which the reduced Weyl algebra requires.
+A ghost field is a jet whose Taylor coefficients each carry their own
+Grassmann generator, scaled by the scenario coefficient function; this keeps
+products like eps * d(eps) nonzero, which the reduced Weyl algebra requires.
+Each such generator is projected onto the GHOST_POOL shared generators of
+:mod:`cartanweyl.forms` with seeded weights, a homomorphism of Grassmann
+algebras, so every identity is checked on its image in the small pool.
 
 Sector variations of the ghosts (with h' = Lorentz + inversions, p = Weyl):
   s_W eps = 0            s_W v_L = 0          s_W iota = -eps iota
@@ -23,6 +26,7 @@ sector-split nilpotency checks need.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +34,10 @@ import numpy as np
 from .cartan import covariant_d, curvature_form
 from .dressing import extract_u1
 from .errors import ShapeError
-from .exprs import eval_jet
-from .forms import MForm, block_matrix, eta_t, form_comps, gcomm
-from .grassmann import GeneratorPool, GradedScalar
-from .jets import Jet, jmat_inv, jtrunc, order_of, space
+from .exprs import compile_expr, eval_jet, eval_jets
+from .forms import GHOST_POOL, MForm, block_matrix, eta_t, form_comps, gcomm, ghost_monos
+from .grassmann import GradedScalar
+from .jets import Jet, jmat_inv, jtrunc, order_of
 from .reduction import worst_of
 from .tensors import jeinsum
 
@@ -256,7 +260,7 @@ class Blk(Term):
                     if isinstance(row[j], Term))
                for j in range(len(self.rows[0]))]
         return block_matrix(grid, self.m, self.p, self.q, self.order,
-                            ghost=self.q > 0, row_sizes=rsz, col_sizes=csz)
+                            row_sizes=rsz, col_sizes=csz)
 
 
 def leaf(name, value, p=0, q=0):
@@ -280,23 +284,45 @@ class GhostSpec:
     lorentz: list = None       # m(m-1)/2 entries
 
 
-def _ghost_jet(expr, chart, point, order, pool, prefix):
-    """Odd field whose Taylor coefficients are independent generators.
+def _pool_weights(seed, name, size, keep_body=False):
+    """(size, GHOST_POOL) projection weights of one ghost field.
 
-    The field is sum_beta theta_{prefix@beta} c_beta (unit jet at beta), with
-    c_beta = d^beta f / beta!, so products like eps * d(eps) stay nonzero
-    exactly as the BRS identities require.  Every generator is registered,
-    also where c_beta is zero.
+    Drawn from the point seed and the ghost's name, so payloads are
+    deterministic.  The rows are plain Gaussian: for a nonzero residual of
+    ghost degree q <= GHOST_POOL the projected residual is a polynomial in
+    the weights that is not identically zero, so it stays nonzero for all
+    but a measure-zero set of them.
+
+    With ``keep_body`` each row is shifted to sum to 1, so sending every
+    generator to 1 keeps each Taylor coefficient: the body that
+    :meth:`MForm.body` reads.  Those rows send every combination whose
+    coefficients sum to 0 (theta_1 - theta_2, say) into the 2-plane of
+    sum-zero pool vectors, where every product of three such combinations
+    vanishes; only degree-1 results should be read through them.
     """
-    coeffs = eval_jet(expr, chart, point, order).coeffs
-    terms = {}
-    for i, beta in enumerate(space(chart.m, order).monos):
-        gen = pool.register(f"{prefix}@{''.join(map(str, beta))}")
-        if coeffs[i] != 0.0:
-            unit = np.zeros(coeffs.size)
-            unit[i] = coeffs[i]
-            terms[(gen.index,)] = Jet(chart.m, unit)
-    return GradedScalar(terms)
+    rng = np.random.default_rng(zlib.crc32(repr((seed, name)).encode()))
+    r = rng.normal(size=(size, GHOST_POOL))
+    if keep_body:
+        r = r - r.mean(axis=1, keepdims=True) + 1.0 / GHOST_POOL
+    return r
+
+
+def _ghost_jets(exprs, names, chart, point, order, seed, keep_body=False):
+    """Odd fields of the named coefficient functions, one eval_jets call.
+
+    The field of f is sum_beta theta_beta c_beta (unit jet at beta) with
+    c_beta = d^beta f / beta!: one generator per Taylor coefficient, so
+    products like eps * d(eps) stay nonzero.  Each theta_beta is sent to
+    sum_j r_beta,j eta_j over the shared generators eta_j, which leaves the
+    jet sum_beta r_beta,j c_beta (unit jet at beta) on eta_j.
+    """
+    coeffs = eval_jets([compile_expr(x) for x in exprs], chart, point, order)
+    out = []
+    for c, name in zip(coeffs, names):
+        jets = c[:, None] * _pool_weights(seed, name, c.size, keep_body)
+        out.append(GradedScalar({g: Jet(chart.m, jets[:, j].copy())
+                                 for j, g in enumerate(ghost_monos(1)) if jets[:, j].any()}))
+    return out
 
 
 def _d(g, nu):
@@ -309,14 +335,14 @@ def _value_defect(a, b):
     return (a - b).norm(lambda c: abs(c.value))
 
 
-def _lorentz_ghost(lorentz, chart, point, order, pool, eta):
-    """so(eta)-valued Lorentz ghost: sum of c_ab times the (a,b) generator."""
-    m = chart.m
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    jets = [_ghost_jet(x, chart, point, order, pool, f"vl{a}{b}")
-            for (a, b), x in zip(pairs, lorentz or ["1"] * len(pairs))]
+def _lorentz_pairs(m):
+    return [(a, b) for a in range(m) for b in range(a + 1, m)]
+
+
+def _lorentz_ghost(jets, m, order, eta):
+    """so(eta)-valued Lorentz ghost: sum of the (a, b) ghost field times G_ab."""
     entries = {}
-    for (a, b), jet in zip(pairs, jets):
+    for (a, b), jet in zip(_lorentz_pairs(m), jets):
         # (G_ab)^i_j = delta^i_a eta_bj - delta^i_b eta_aj
         entries[a, b, 0] = jet * float(eta[b])
         entries[b, a, 0] = jet * float(-eta[a])
@@ -338,9 +364,12 @@ class ConformalBRS:
     ``cache`` is the one term-DAG evaluation context of the point: every
     evaluation through this object reads and fills it, so each node, the
     composite ghosts included, is evaluated once however many checks use it.
+    ``seed`` and ``keep_body`` select the projection weights of the ghosts
+    (see :func:`_pool_weights`); ``keep_body`` is for readers of the body.
     """
 
-    def __init__(self, conn, e, ghost_spec, point, ghost_order=None):
+    def __init__(self, conn, e, ghost_spec, point, ghost_order=None, seed=0,
+                 keep_body=False):
         from .dressing import vielbein_of
         model = conn.model
         if model.kind != "mobius":
@@ -353,18 +382,19 @@ class ConformalBRS:
         self.order = conn.order
         korder = ghost_order if ghost_order is not None else max(self.order, 2)
         self.ghost_order = korder
-        self.pool = GeneratorPool()
+        self.pool = ghost_monos(1)
         self.cache = {}
         self._vhat = {}
         gs = ghost_spec
-        iota = gs.iota or ["1"] * m
-        self.eps_jet = _ghost_jet(gs.eps, self.chart, point, korder,
-                                  self.pool, "eps")
-        self.iota_jets = [_ghost_jet(x, self.chart, point, korder,
-                                     self.pool, f"iota{a}")
-                          for a, x in enumerate(iota)]
-        vl = _lorentz_ghost(gs.lorentz, self.chart, point, korder, self.pool,
-                            model.eta)
+        iota = list(gs.iota or ["1"] * m)
+        pairs = _lorentz_pairs(m)
+        names = (["eps"] + [f"iota{a}" for a in range(len(iota))]
+                 + [f"vl{a}{b}" for a, b in pairs])
+        self.seed, self.keep_body = seed, keep_body
+        jets = _ghost_jets([gs.eps] + iota + list(gs.lorentz or ["1"] * len(pairs)),
+                           names, self.chart, point, korder, seed, keep_body)
+        self.eps_jet, self.iota_jets = jets[0], jets[1:len(iota) + 1]
+        vl = _lorentz_ghost(jets[len(iota) + 1:], m, korder, model.eta)
         self._build_leaves(conn, vl)
         self._register_images()
         self._build_composites()
@@ -523,7 +553,7 @@ class ConformalBRS:
         grid = [[one, row, None],
                 [None, vl, eta_t(row, eta)],
                 [None, None, one.scale(-1.0)]]
-        return block_matrix(grid, m, 0, 1, min(row.order, vl.order), ghost=True)
+        return block_matrix(grid, m, 0, 1, min(row.order, vl.order))
 
     def expected_final_ghost(self):
         """[[eps, deps, 0], [0, eps delta, g^-1 deps^T], [0, 0, -eps]]."""
@@ -546,7 +576,7 @@ class ConformalBRS:
         grid = [[one, deps, None],
                 [None, self._eps_eye(m), col],
                 [None, None, one.scale(-1.0)]]
-        return block_matrix(grid, m, 0, 1, k, ghost=True)
+        return block_matrix(grid, m, 0, 1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +596,7 @@ def brs_vary(scn, name, sector="all"):
     st = t.stotal() if sector in ("all", "total") else t.svar(sector)
     if _is_zero(st):
         base = scn.ev(t)
-        return MForm.zeros(scn.m, base.shape, base.p, base.q + 1, base.order,
-                           ghost=True)
+        return MForm.zeros(scn.m, base.shape, base.p, base.q + 1, base.order)
     return scn.ev(st)
 
 
@@ -802,7 +831,7 @@ def linearization_check(conn, e, model, phi, point, order, h=1e-3, fields=None):
     finite = {k: (4.0 * d2[k] - d1[k]) / 3.0 for k in d1}
     # BRS side with the ghost built on phi
     spec = GhostSpec(eps=phi, iota=["0"] * m, lorentz=["0"] * (m * (m - 1) // 2))
-    scn = ConformalBRS(conn, e, spec, point)
+    scn = ConformalBRS(conn, e, spec, point, keep_body=True)
     vhat = composite_ghost(scn, "full")
     s_varpi0 = covariant_d(fields.varpi0, vhat).scale(-1.0).body()
     s_Omega0 = gcomm(fields.Omega0, vhat).body()
@@ -822,7 +851,7 @@ def linearization_check(conn, e, model, phi, point, order, h=1e-3, fields=None):
 class PoincareBRS:
     """Lorentz-only BRS scenario: the vielbein dressing erases everything."""
 
-    def __init__(self, conn, e, lorentz_spec, point, ghost_order=None):
+    def __init__(self, conn, e, lorentz_spec, point, ghost_order=None, seed=0):
         model = conn.model
         if model.kind != "poincare":
             raise ShapeError("PoincareBRS needs the Poincare model")
@@ -832,10 +861,12 @@ class PoincareBRS:
         self.e = e
         self.order = conn.order
         korder = ghost_order if ghost_order is not None else max(self.order, 2)
-        self.pool = GeneratorPool()
+        self.pool = ghost_monos(1)
         self.cache = {}
-        vlm = _lorentz_ghost(lorentz_spec, self.chart, point, korder, self.pool,
-                             model.eta)
+        pairs = _lorentz_pairs(m)
+        jets = _ghost_jets(lorentz_spec or ["1"] * len(pairs),
+                           [f"vl{a}{b}" for a, b in pairs], self.chart, point, korder, seed)
+        vlm = _lorentz_ghost(jets, m, korder, model.eta)
         self.L_vl = leaf("vl", vlm, q=1)
         self.L_vl.register("L", neg(Prod(self.L_vl, self.L_vl)))
         self.L_varpi = leaf("varpi", conn.omega, p=1, q=0)

@@ -430,10 +430,10 @@ def brs_suite(ctx):
     ghosts = scn.ghosts or {}
     if model.kind == "poincare":
         return PoincareBRS(ctx.normal, ctx.e_normal, ghosts.get("lorentz"),
-                           point).residuals()
+                           point, seed=ctx.seed).residuals()
     spec = GhostSpec(eps=ghosts.get("eps", "1/2 + x0/3"),
                      iota=ghosts.get("iota"), lorentz=ghosts.get("lorentz"))
-    scn_b = ConformalBRS(*ctx.base, spec, point)
+    scn_b = ConformalBRS(*ctx.base, spec, point, seed=ctx.seed)
     fields = ctx.fields
     res = {}
     ev = scn_b.ev

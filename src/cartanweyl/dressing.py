@@ -243,12 +243,12 @@ def compatibility_residuals(conn, e, m1, mS, model):
     u0 = u0_from_vielbein(e, model)
     u1 = extract_u1(conn, u0.einv)
     out = {}
-    # gamma1 action: e is untouched
+    # gamma1 action: the soldering block, so e, is untouched
     conn_g1 = gauge_transform(conn, m1["gamma1"], m1["gamma1_inv"])
     u1_g1 = extract_u1(conn_g1, u0.einv)
     expect = m1["gamma1_inv"].wedge(u1.mat)
     out["u1_gamma1"] = (u1_g1.mat - expect).value_norm()
-    u0_g1 = u0_from_vielbein(e, model)
+    u0_g1 = u0_from_vielbein(vielbein_of(conn_g1), model)
     out["u0_gamma1"] = (u0_g1.mat - u0.mat).value_norm()
     # S action: the vielbein rotates, e^S = S^-1 e
     S, Sinv = mS["S"], mS["Sinv"]

@@ -2,55 +2,94 @@
 
 An :class:`MForm` is a rectangular matrix of homogeneous (form degree p,
 ghost degree q) differential forms whose coefficients are jets at one sample
-point.  Form components are stored on strictly increasing multi-indices; the
-Koszul sign convention is governed by the total degree p + q throughout, so
-moving a dx past a ghost-odd coefficient costs a sign.  That one convention
-fixes every sign in wedge products, graded commutators and the exterior
-derivative (whose stored-coefficient rule picks up (-1)^q).
+point.  Odd quantities live in the exterior algebra of ``GHOST_POOL`` shared
+anticommuting generators eta_0 .. eta_{N-1}, so every form is one dense
+array: its component axis runs over pairs (ghost monomial of degree q, dx
+monomial of degree p), ghost monomial major, and a float form is the q = 0
+case with the one empty ghost monomial.  Form and ghost monomials are stored
+on strictly increasing index tuples.
+
+The Koszul sign convention is governed by the total degree p + q
+throughout, so moving a dx past a ghost-odd coefficient costs a sign.  That
+one convention fixes every sign in wedge products, graded commutators and
+the exterior derivative (whose stored-coefficient rule picks up (-1)^q).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations
 
 import numpy as np
 
 from .errors import JetOrderError, ShapeError
 from .grassmann import GradedScalar, _merge_monomials
-from .jets import Jet, jmat_mul, jmul, jtrunc, space
+from .jets import Jet, jmat_mul, jtrunc, space
 from .reduction import worst_of
+
+# Shared ghost generators.  Every BRS identity is checked at ghost degree
+# q <= 3, and a nonzero residual of degree q <= GHOST_POOL survives the
+# projection onto the pool for almost every choice of free Gaussian weights
+# (rows tied to sum to 1 lose degree 3; see brs._pool_weights).  At 4 the
+# brs suite on Poincare m = 5 took 0.27 s against 0.18 s at 3.
+GHOST_POOL = 3
 
 
 @lru_cache(maxsize=None)
 def form_comps(m, p):
     """Strictly increasing form multi-indices of length p."""
-    if p == 0:
-        return ((),)
     return tuple(combinations(range(m), p))
 
 
 @lru_cache(maxsize=None)
-def _comp_index(m, p):
-    return {c: i for i, c in enumerate(form_comps(m, p))}
+def ghost_monos(q):
+    """Ghost monomials of degree q: increasing generator-id tuples of the pool."""
+    if not 0 <= q <= GHOST_POOL:
+        raise ShapeError(f"ghost degree {q} outside the {GHOST_POOL}-generator pool")
+    return tuple(combinations(range(GHOST_POOL), q))
 
 
 @lru_cache(maxsize=None)
-def wedge_plan(m, p1, p2):
-    """Component-level wedge as index arrays (f1, f2, h, sign), one entry each.
-
-    Entries are empty when p1 + p2 > m; several entries share a target h.
-    """
+def _dx_plan(m, p1, p2):
+    """(i1, i2, h, sign) of every pair of disjoint dx monomials, in order."""
+    if p1 + p2 > m:
+        return ()
+    target = {c: i for i, c in enumerate(form_comps(m, p1 + p2))}
     plan = []
-    if p1 + p2 <= m:
-        target = _comp_index(m, p1 + p2)
-        for i1, c1 in enumerate(form_comps(m, p1)):
-            for i2, c2 in enumerate(form_comps(m, p2)):
-                if set(c1) & set(c2):
-                    continue
-                inversions = sum(1 for a in c1 for b in c2 if a > b)
-                sign = -1.0 if inversions % 2 else 1.0
-                plan.append((i1, i2, target[tuple(sorted(c1 + c2))], sign))
+    for i1, c1 in enumerate(form_comps(m, p1)):
+        for i2, c2 in enumerate(form_comps(m, p2)):
+            if set(c1) & set(c2):
+                continue
+            inversions = sum(1 for a in c1 for b in c2 if a > b)
+            sign = -1.0 if inversions % 2 else 1.0
+            plan.append((i1, i2, target[tuple(sorted(c1 + c2))], sign))
+    return tuple(plan)
+
+
+@lru_cache(maxsize=None)
+def wedge_plan(m, p1, q1, p2, q2):
+    """Component-level wedge of a (p1, q1) and a (p2, q2) form as index
+    arrays (f1, f2, h, sign), one entry per component pair with a product.
+
+    The sign folds the ghost-merge sign, the dx sign and the Koszul sign
+    (-1)^(p1 q2) of moving the left dx monomial past the right ghost
+    monomial.  Entries are empty when p1 + p2 > m; several share a target h.
+    """
+    F1, F2 = len(form_comps(m, p1)), len(form_comps(m, p2))
+    F = len(form_comps(m, p1 + p2))
+    target = {g: i for i, g in enumerate(ghost_monos(q1 + q2))}
+    koszul = -1.0 if (p1 * q2) % 2 else 1.0
+    dx = _dx_plan(m, p1, p2)
+    plan = []
+    for a, g1 in enumerate(ghost_monos(q1)):
+        for b, g2 in enumerate(ghost_monos(q2)):
+            merged = _merge_monomials(g1, g2)
+            if merged is None:          # a repeated generator
+                continue
+            g, gsign = merged
+            for i1, i2, h, sign in dx:
+                plan.append((a * F1 + i1, b * F2 + i2, target[g] * F + h,
+                             koszul * gsign * sign))
     f1, f2, h = (np.array([e[k] for e in plan], dtype=int) for k in range(3))
     return f1, f2, h, np.array([e[3] for e in plan])
 
@@ -60,7 +99,7 @@ def d_plan(m, p):
     """(f, nu, h, sign) entries for the exterior derivative."""
     if p + 1 > m:
         return ()
-    target = _comp_index(m, p + 1)
+    target = {c: i for i, c in enumerate(form_comps(m, p + 1))}
     plan = []
     for i, c in enumerate(form_comps(m, p)):
         for nu in range(m):
@@ -72,228 +111,49 @@ def d_plan(m, p):
     return tuple(plan)
 
 
-# largest (pair x multiplication-table) product one jmul call of a ghost
-# wedge may hold: about 32 MB per float64 intermediate.  Only the jmul
-# intermediates are blocked; the pair index arrays before it are built whole.
-_PRODUCT_BLOCK = 1 << 22
-
-
-@lru_cache(maxsize=None)
-def _plan_index(m, p1, p2):
-    """(F1, F2) table of the wedge-plan entry for each component pair; -1 if none."""
-    f1, f2, _, _ = wedge_plan(m, p1, p2)
-    out = np.full((len(form_comps(m, p1)), len(form_comps(m, p2))), -1)
-    out[f1, f2] = np.arange(f1.size)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _d_arrays(m, p):
-    """d_plan as arrays (nu, h, sign); the m - p entries of component f are
-    at f * (m - p) + (0 .. m - p - 1)."""
-    plan = d_plan(m, p)
-    return tuple(np.array([e[k] for e in plan]) for k in (1, 2, 3))
-
-
-def _monomial_table(keys):
-    """Sorted unique monomials (generator-id tuples) of ``keys``, and the
-    index of each key among them."""
-    monos = tuple(sorted(set(keys)))
-    where = {k: g for g, k in enumerate(monos)}
-    return monos, np.array([where[k] for k in keys], dtype=np.int64)
-
-
-class _Terms:
-    """Sparse ghost term table: one jet row per (entry, Grassmann monomial).
-
-    ``ent`` holds the flat (row, col, comp) index of each row, ``mono`` an
-    index into ``monos`` and ``coef`` the (N, C) jet coefficients.  ``monos``
-    is a sorted tuple of distinct monomials, each a tuple of increasing
-    generator ids.  A table is canonical and never changed in place: rows
-    sorted by (ent, mono) with no repeated key and no all-zero row, and every
-    monomial of ``monos`` is used.
-    """
-
-    __slots__ = ("ent", "mono", "coef", "monos")
-
-    def __init__(self, ent, mono, coef, monos):
-        self.ent = ent
-        self.mono = mono
-        self.coef = coef
-        self.monos = monos
-
-    @classmethod
-    def empty(cls, size):
-        none = np.zeros(0, dtype=np.int64)
-        return cls(none, none, np.zeros((0, size)), ())
-
-
-def _collect(ent, mono, coef, monos):
-    """Canonical table of raw rows: equal (ent, mono) keys are summed in input
-    order (a stable argsort, then one ``reduceat``), then :func:`_nonzero`."""
-    if not ent.size:
-        return _Terms.empty(coef.shape[1])
-    n = len(monos)
-    key = ent * n + mono
-    order = np.argsort(key, kind="stable")
-    key, coef = key[order], coef[order]
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    if starts.size < key.size:
-        # only keys with several rows need a sum; reduceat pays per group
-        lens = np.diff(starts, append=key.size)
-        multi = lens > 1
-        rows = np.repeat(multi, lens)
-        summed = np.add.reduceat(coef[rows], np.cumsum(lens[multi]) - lens[multi], axis=0)
-        key, coef = key[starts], coef[starts]
-        coef[multi] = summed
-    return _nonzero(key // n, key % n, coef, monos)
-
-
-def _nonzero(ent, mono, coef, monos):
-    """Canonical table of rows already sorted by unique (ent, mono) keys:
-    all-zero rows dropped, then unused monomials."""
-    keep = coef.any(axis=1)
-    if not keep.all():
-        ent, mono, coef = ent[keep], mono[keep], coef[keep]
-    if not ent.size:
-        return _Terms.empty(coef.shape[1])
-    used = np.zeros(len(monos), dtype=bool)
-    used[mono] = True
-    if not used.all():
-        mono = (np.cumsum(used) - 1)[mono]
-        monos = tuple(compress(monos, used))
-    return _Terms(ent, mono, coef, monos)
-
-
-def _merged(tables, size):
-    """Canonical sum of tables that share one entry layout, each trimmed to
-    ``size`` jet coefficients; their monomial tables are merged first."""
-    monos, inv = _monomial_table([k for t in tables for k in t.monos])
-    offsets = np.cumsum([0] + [len(t.monos) for t in tables])
-    mono = np.concatenate([inv[o + t.mono] for o, t in zip(offsets, tables)])
-    return _collect(np.concatenate([t.ent for t in tables]), mono,
-                    np.concatenate([t.coef[:, :size] for t in tables]), monos)
-
-
-def _moved(t, shape, new_shape, n_comps, r0, c0):
-    """Rows of ``t`` re-indexed from ``shape`` into ``new_shape``, shifted by
-    (r0, c0); rows that fall outside ``new_shape`` are dropped."""
-    f = t.ent % n_comps
-    cell = t.ent // n_comps
-    r, c = cell // shape[1] + r0, cell % shape[1] + c0
-    sel = (r >= 0) & (r < new_shape[0]) & (c >= 0) & (c < new_shape[1])
-    ent = (r[sel] * new_shape[1] + c[sel]) * n_comps + f[sel]
-    return _Terms(ent, t.mono[sel], t.coef[sel], t.monos)
-
-
-def _low_degrees(coef, m, k):
-    """Lowest degree with a nonzero coefficient in each row, up to order k;
-    k + 1 for a row that is zero there."""
-    sp = space(m, k)
-    nz = coef[:, :sp.size] != 0
-    return np.where(nz.any(axis=1), sp.degrees[nz.argmax(axis=1)], k + 1)
-
-
-def _wedge_terms(a, b, A, B, koszul, k):
-    """Ghost table of the wedge of MForms a and b with term tables A and B.
-
-    Every A row meets every B row on the same inner index; pairs with no
-    wedge-plan entry, with a product that vanishes by degree or with a shared
-    generator drop out.  The rest are multiplied as jets, all at once, and
-    group-summed with their signs into the output entries.
-    """
-    m = a.m
-    inner, cols = a.shape[1], b.shape[1]
-    Fa, Fb = a.n_comps, b.n_comps
-    _, _, plan_h, plan_sign = wedge_plan(m, a.p, b.p)
-    size = space(m, k).size
-    if not (A.ent.size and B.ent.size and plan_h.size):
-        return _Terms.empty(size)
-    # B rows are sorted by entry, so its rows with inner index t are one run
-    tb = B.ent // (cols * Fb)
-    starts = np.searchsorted(tb, np.arange(inner + 1))
-    ta = (A.ent // Fa) % inner
-    lo, cnt = starts[ta], starts[ta + 1] - starts[ta]
-    ia = np.repeat(np.arange(A.ent.size), cnt)
-    ib = np.arange(ia.size) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
-    plan = _plan_index(m, a.p, b.p)[A.ent[ia] % Fa, B.ent[ib] % Fb]
-    # a product vanishes when its factors' lowest degrees add up beyond k;
-    # ghost fields are sums of unit jets, so most pairs of their terms do
-    low_a, low_b = _low_degrees(A.coef, m, k), _low_degrees(B.coef, m, k)
-    sel = (plan >= 0) & (low_a[ia] + low_b[ib] <= k)
-    ia, ib, plan = ia[sel], ib[sel], plan[sel]
-    # the Grassmann product of each distinct monomial pair; a shared
-    # generator kills it
-    nb = len(B.monos)
-    pairs, inv = np.unique(A.mono[ia] * nb + B.mono[ib], return_inverse=True)
-    merged = [_merge_monomials(A.monos[g // nb], B.monos[g % nb]) for g in pairs.tolist()]
-    live = np.array([x is not None for x in merged], dtype=bool)
-    gsign = np.array([x[1] if x else 0.0 for x in merged])
-    monos, target = _monomial_table([x[0] for x in merged if x])
-    pair_target = np.zeros(pairs.size, dtype=np.int64)
-    pair_target[live] = target
-    inv = inv.reshape(-1)
-    sel = live[inv]
-    ia, ib, plan, inv = ia[sel], ib[sel], plan[sel], inv[sel]
-    # one jmul for all pairs, in blocks that bound its (pairs x table)
-    # intermediates when a product is large
-    step = max(1, _PRODUCT_BLOCK // len(space(m, k).mul_i))
-    coef = np.concatenate([jmul(A.coef[ia[s:s + step]], B.coef[ib[s:s + step]], m)
-                           for s in range(0, ia.size, step)] or [np.zeros((0, size))])
-    coef *= (koszul * plan_sign[plan] * gsign[inv])[:, None]
-    Fh = len(form_comps(m, a.p + b.p))
-    ent = ((A.ent[ia] // (Fa * inner)) * cols + (B.ent[ib] // Fb) % cols) * Fh + plan_h[plan]
-    return _collect(ent, pair_target[inv], coef, monos)
-
-
 class MForm:
     """Matrix of homogeneous-(p, q) forms with jet coefficients.
 
-    Exactly one of ``data`` (float path, shape (r, c, F, C)) or ``gdata``
-    (ghost path, a sparse term table private to this module, jets of order
-    ``order``) is set.  Ghost forms are built with :meth:`from_entries` and
-    read with :meth:`entry`, one GradedScalar per (row, col, comp).
+    ``data`` has shape (r, c, C(GHOST_POOL, q) * C(m, p), C): component
+    g * C(m, p) + f holds the jet of ghost monomial g times dx monomial f.
+    :meth:`from_entries` builds a form from one GradedScalar per (row, col,
+    dx comp) and :meth:`entry` reads one back.
     """
 
-    __slots__ = ("m", "shape", "p", "q", "order", "data", "gdata")
+    __slots__ = ("m", "shape", "p", "q", "order", "data")
 
-    def __init__(self, m, shape, p, q, order, data=None, gdata=None):
+    def __init__(self, m, shape, p, q, order, data):
         self.m = m
         self.shape = tuple(shape)
         self.p = p
         self.q = q
         self.order = order
         self.data = data
-        self.gdata = gdata
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zeros(cls, m, shape, p, q, order, ghost=False):
-        C = space(m, order).size
-        if ghost:
-            return cls(m, shape, p, q, order, gdata=_Terms.empty(C))
-        F = len(form_comps(m, p))
-        return cls(m, shape, p, q, order, data=np.zeros((shape[0], shape[1], F, C)))
+    def zeros(cls, m, shape, p, q, order):
+        n = len(ghost_monos(q)) * len(form_comps(m, p))
+        return cls(m, shape, p, q, order,
+                   np.zeros((shape[0], shape[1], n, space(m, order).size)))
 
     @classmethod
     def from_entries(cls, m, shape, p, q, order, entries):
-        """Ghost MForm from {(row, col, comp): GradedScalar over jets}.
+        """MForm from {(row, col, comp): GradedScalar over jets}.
 
+        Every term's key is a ghost monomial of degree q of the pool.
         Coefficients are trimmed to ``order``; absent entries are zero.
         """
-        out = cls(m, shape, p, q, order)
-        size = space(m, order).size
-        ent, mono, coef = [], [], []
-        for (i, j, f), g in entries.items():
-            e = out._flat_index(i, j, f)
-            for k, c in g.terms.items():
-                ent.append(e)
-                mono.append(k)
-                coef.append(jtrunc(c.coeffs, m, order))
-        monos, idx = _monomial_table(mono)
-        out.gdata = _collect(np.array(ent, dtype=np.int64), idx,
-                             np.array(coef, dtype=float).reshape(-1, size), monos)
+        out = cls.zeros(m, shape, p, q, order)
+        where = {g: i for i, g in enumerate(ghost_monos(q))}
+        for (i, j, f), x in entries.items():
+            out._check_entry(i, j, f)
+            for k, c in x.terms.items():
+                if k not in where:
+                    raise ShapeError(f"ghost monomial {k} is not of degree {q} "
+                                     f"in the {GHOST_POOL}-generator pool")
+                out.data[i, j, where[k] * out.n_comps + f] = jtrunc(c.coeffs, m, order)
         return out
 
     @classmethod
@@ -311,60 +171,46 @@ class MForm:
         return out
 
     @property
-    def is_ghost(self):
-        return self.gdata is not None
-
-    @property
     def n_comps(self):
+        """Number of dx monomials of degree p."""
         return len(form_comps(self.m, self.p))
 
-    def _flat_index(self, i, j, f):
-        """Flat (row, col, comp) index of an entry; IndexError outside the form."""
+    @property
+    def gdata(self):
+        """``data`` when q > 0, else None.  Kept read-only for the benchmark
+        tracer, which tells ghost wedges from float ones by it."""
+        return self.data if self.q else None
+
+    def _check_entry(self, i, j, f):
+        """IndexError unless (row, col, dx comp) lies inside the form."""
         if not (0 <= i < self.shape[0] and 0 <= j < self.shape[1] and 0 <= f < self.n_comps):
             raise IndexError(f"entry ({i}, {j}, {f}) outside shape {self.shape} "
                              f"with {self.n_comps} components")
-        return (i * self.shape[1] + j) * self.n_comps + f
 
     def entry(self, i, j, f):
-        """The (row i, col j, comp f) entry of a ghost MForm as a GradedScalar."""
-        t = self.gdata
-        e = self._flat_index(i, j, f)
-        lo, hi = np.searchsorted(t.ent, (e, e + 1))
-        return GradedScalar({t.monos[t.mono[r]]: Jet(self.m, t.coef[r].copy())
-                             for r in range(lo, hi)})
+        """The (row i, col j, dx comp f) entry as a GradedScalar; all-zero
+        ghost monomials are left out."""
+        self._check_entry(i, j, f)
+        F = self.n_comps
+        terms = {}
+        for g, k in enumerate(ghost_monos(self.q)):
+            c = self.data[i, j, g * F + f]
+            if c.any():
+                terms[k] = Jet(self.m, c.copy())
+        return GradedScalar(terms)
 
-    def _with(self, table, order=None, shape=None, p=None):
-        return MForm(self.m, self.shape if shape is None else shape,
-                     self.p if p is None else p, self.q,
-                     self.order if order is None else order, gdata=table)
+    def _like(self, data, order=None, shape=None, q=None):
+        return MForm(self.m, self.shape if shape is None else shape, self.p,
+                     self.q if q is None else q,
+                     self.order if order is None else order, data)
 
     def copy(self):
-        if self.is_ghost:
-            return self._with(self.gdata)   # tables are never changed in place
-        return MForm(self.m, self.shape, self.p, self.q, self.order,
-                     data=self.data.copy())
-
-    def to_ghost(self):
-        """Lift a float MForm: each nonzero entry c becomes the body term c."""
-        if self.is_ghost:
-            return self
-        flat = self.data.reshape(-1, self.data.shape[-1])
-        ent = np.flatnonzero(flat.any(axis=1))
-        table = _Terms(ent, np.zeros(ent.size, dtype=np.int64), flat[ent],
-                       ((),) if ent.size else ())
-        return self._with(table)
+        return self._like(self.data.copy())
 
     def truncate(self, to_order):
         if to_order == self.order:
             return self
-        if self.is_ghost:
-            if to_order > self.order:
-                raise JetOrderError(f"cannot raise jet order {self.order} to {to_order}")
-            t = self.gdata
-            return self._with(_nonzero(t.ent, t.mono, t.coef[:, :space(self.m, to_order).size],
-                                       t.monos), order=to_order)
-        return MForm(self.m, self.shape, self.p, self.q, to_order,
-                     data=jtrunc(self.data, self.m, to_order))
+        return self._like(jtrunc(self.data, self.m, to_order), order=to_order)
 
     # -- linear structure ----------------------------------------------------
 
@@ -377,12 +223,7 @@ class MForm:
     def __add__(self, other):
         self._check_addable(other)
         k = min(self.order, other.order)
-        if self.is_ghost or other.is_ghost:
-            table = _merged([self.to_ghost().gdata, other.to_ghost().gdata],
-                            space(self.m, k).size)
-            return self._with(table, order=k)
-        a, b = self.truncate(k), other.truncate(k)
-        return MForm(self.m, self.shape, self.p, self.q, k, data=a.data + b.data)
+        return self._like(self.truncate(k).data + other.truncate(k).data, order=k)
 
     def __sub__(self, other):
         return self + (-other)
@@ -391,11 +232,7 @@ class MForm:
         return self.scale(-1.0)
 
     def scale(self, factor):
-        if self.is_ghost:
-            t = self.gdata
-            return self._with(_nonzero(t.ent, t.mono, t.coef * float(factor), t.monos))
-        return MForm(self.m, self.shape, self.p, self.q, self.order,
-                     data=self.data * float(factor))
+        return self._like(self.data * float(factor))
 
     # -- products ------------------------------------------------------------
 
@@ -405,24 +242,17 @@ class MForm:
             raise ShapeError("mixed charts")
         if self.shape[1] != other.shape[0]:
             raise ShapeError(f"shape mismatch {self.shape} x {other.shape}")
-        p, q = self.p + other.p, self.q + other.q
-        koszul = -1.0 if (self.p * other.q) % 2 else 1.0
-        k = min(self.order, other.order)
-        out_shape = (self.shape[0], other.shape[1])
-        if self.is_ghost or other.is_ghost:
-            table = _wedge_terms(self, other, self.to_ghost().gdata,
-                                 other.to_ghost().gdata, koszul, k)
-            return MForm(self.m, out_shape, p, q, k, gdata=table)
-        out = MForm.zeros(self.m, out_shape, p, q, k)
-        f1, f2, h, sign = wedge_plan(self.m, self.p, other.p)
+        out = MForm.zeros(self.m, (self.shape[0], other.shape[1]), self.p + other.p,
+                          self.q + other.q, min(self.order, other.order))
+        f1, f2, h, sign = wedge_plan(self.m, self.p, self.q, other.p, other.q)
         if h.size:
             # every plan entry in one product, stacked on a leading axis;
-            # jmat_mul trims both factors to order k
+            # jmat_mul trims both factors to the lower order
             prod = jmat_mul(self.data[:, :, f1].transpose(2, 0, 1, 3),
                             other.data[:, :, f2].transpose(2, 0, 1, 3), self.m)
             # entries sharing a target need the unbuffered scatter-add
             np.add.at(out.data.transpose(2, 0, 1, 3), h,
-                      (koszul * sign)[:, None, None, None] * prod)
+                      sign[:, None, None, None] * prod)
         return out
 
     def ext_d(self):
@@ -431,24 +261,15 @@ class MForm:
             raise JetOrderError("jet order exhausted in exterior derivative")
         sign_q = -1.0 if self.q % 2 else 1.0
         sp = space(self.m, self.order)
-        if self.is_ghost:
-            t = self.gdata
-            F, w = self.n_comps, self.m - self.p
-            table = _Terms.empty(space(self.m, self.order - 1).size)
-            if w and t.ent.size:
-                # each row meets the m - p plan entries of its component
-                nu, h, sign = _d_arrays(self.m, self.p)
-                rows = np.repeat(np.arange(t.ent.size), w)
-                plan = (t.ent[rows] % F) * w + np.tile(np.arange(w), t.ent.size)
-                der = np.take_along_axis(t.coef[rows], np.array(sp.deriv_src)[nu[plan]], axis=1)
-                der *= np.array(sp.deriv_fac)[nu[plan]] * (sign_q * sign[plan])[:, None]
-                ent = (t.ent[rows] // F) * len(form_comps(self.m, self.p + 1)) + h[plan]
-                table = _collect(ent, t.mono[rows], der, t.monos)
-            return self._with(table, order=self.order - 1, p=self.p + 1)
         out = MForm.zeros(self.m, self.shape, self.p + 1, self.q, self.order - 1)
+        # d acts on the dx part of each ghost monomial alike
+        r, c = self.shape
+        G = len(ghost_monos(self.q))
+        src = self.data.reshape(r, c, G, self.n_comps, sp.size)
+        dst = out.data.reshape(r, c, G, out.n_comps, out.data.shape[-1])
         for f, nu, h, sgn in d_plan(self.m, self.p):
-            der = self.data[:, :, f, :][..., sp.deriv_src[nu]] * sp.deriv_fac[nu]
-            out.data[:, :, h, :] += (sgn * sign_q) * der
+            der = src[:, :, :, f, :][..., sp.deriv_src[nu]] * sp.deriv_fac[nu]
+            dst[:, :, :, h, :] += (sgn * sign_q) * der
         return out
 
     # -- inspection ----------------------------------------------------------
@@ -457,58 +278,35 @@ class MForm:
         """View-copy of a sub-matrix given (start, stop) row/col ranges."""
         r0, r1 = rows
         c0, c1 = cols
-        shape = (r1 - r0, c1 - c0)
-        if self.is_ghost:
-            t = _moved(self.gdata, self.shape, shape, self.n_comps, -r0, -c0)
-            return self._with(_nonzero(t.ent, t.mono, t.coef, t.monos), shape=shape)
-        return MForm(self.m, shape, self.p, self.q, self.order,
-                     data=self.data[r0:r1, c0:c1].copy())
+        return self._like(self.data[r0:r1, c0:c1].copy(), shape=(r1 - r0, c1 - c0))
 
     def set_block(self, rows, cols, sub):
         r0, r1 = rows
         c0, c1 = cols
-        if sub.shape != (r1 - r0, c1 - c0):
-            raise ShapeError("block shape mismatch")
-        if self.is_ghost != sub.is_ghost:
-            raise ShapeError("mixed float/ghost block assignment")
-        if self.is_ghost:
-            t = self.gdata
-            cell = t.ent // self.n_comps
-            r, c = cell // self.shape[1], cell % self.shape[1]
-            keep = ~((r >= r0) & (r < r1) & (c >= c0) & (c < c1))
-            rest = _Terms(t.ent[keep], t.mono[keep], t.coef[keep], t.monos)
-            moved = _moved(sub.truncate(self.order).gdata, sub.shape, self.shape,
-                           self.n_comps, r0, c0)
-            self.gdata = _merged([rest, moved], space(self.m, self.order).size)
-        else:
-            self.data[r0:r1, c0:c1] = sub.truncate(self.order).data
+        if sub.shape != (r1 - r0, c1 - c0) or (sub.p, sub.q) != (self.p, self.q):
+            raise ShapeError(f"cannot set a ({sub.shape},p={sub.p},q={sub.q}) block "
+                             f"into ({self.shape},p={self.p},q={self.q})")
+        self.data[r0:r1, c0:c1] = sub.truncate(self.order).data
 
     def value_norm(self):
-        """Max |value coefficient| over entries and form components."""
-        x = self.gdata.coef[:, 0] if self.is_ghost else self.data[..., 0]
+        """Max |value coefficient| over entries and components."""
+        x = self.data[..., 0]
         return float(np.abs(x).max()) if x.size else 0.0
 
     def full_norm(self):
         """Max |coefficient| over all jet orders (used for relative scales)."""
-        x = self.gdata.coef if self.is_ghost else self.data
-        return float(np.abs(x).max()) if x.size else 0.0
+        return float(np.abs(self.data).max()) if self.data.size else 0.0
 
     def body(self):
         """Float MForm obtained by sending every ghost generator to 1."""
-        if not self.is_ghost:
-            return self
-        out = MForm.zeros(self.m, self.shape, self.p, 0, self.order)
-        t = self.gdata
-        if t.ent.size:
-            starts = np.flatnonzero(np.concatenate(([True], t.ent[1:] != t.ent[:-1])))
-            flat = out.data.reshape(-1, t.coef.shape[1])
-            flat[t.ent[starts]] = np.add.reduceat(t.coef, starts, axis=0)
-        return out
+        r, c = self.shape
+        G = len(ghost_monos(self.q))
+        data = self.data.reshape(r, c, G, self.n_comps, self.data.shape[-1]).sum(axis=2)
+        return self._like(data, q=0)
 
     def __repr__(self):
-        kind = "ghost" if self.is_ghost else "float"
         return (f"MForm(shape={self.shape}, p={self.p}, q={self.q}, "
-                f"order={self.order}, {kind})")
+                f"order={self.order})")
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +327,8 @@ def ext_d(a):
     return a.ext_d()
 
 
-def block_matrix(rows, m, p, q, order, ghost=False, row_sizes=None, col_sizes=None):
-    """Assemble an MForm from a grid of blocks (None = zero block).
+def block_matrix(rows, m, p, q, order, row_sizes=None, col_sizes=None):
+    """Assemble a (p, q) MForm from a grid of (p, q) blocks (None = zero block).
 
     Row/column sizes are inferred from the non-None blocks unless given.
     """
@@ -538,14 +336,12 @@ def block_matrix(rows, m, p, q, order, ghost=False, row_sizes=None, col_sizes=No
     nc = len(rows[0])
     rsz = list(row_sizes) if row_sizes else [None] * nr
     csz = list(col_sizes) if col_sizes else [None] * nc
-    any_ghost = ghost
     for i in range(nr):
         for j in range(nc):
             blk = rows[i][j]
             if isinstance(blk, MForm):
                 rsz[i] = blk.shape[0]
                 csz[j] = blk.shape[1]
-                any_ghost = any_ghost or blk.is_ghost
     if any(s is None for s in rsz) or any(s is None for s in csz):
         raise ShapeError("cannot infer block sizes: a full row/column is zero")
     k = order
@@ -553,15 +349,13 @@ def block_matrix(rows, m, p, q, order, ghost=False, row_sizes=None, col_sizes=No
         for blk in row:
             if isinstance(blk, MForm) and blk.order < k:
                 k = blk.order
-    out = MForm.zeros(m, (sum(rsz), sum(csz)), p, q, k, ghost=any_ghost)
+    out = MForm.zeros(m, (sum(rsz), sum(csz)), p, q, k)
     r0 = 0
     for i in range(nr):
         c0 = 0
         for j in range(nc):
             blk = rows[i][j]
             if isinstance(blk, MForm):
-                if any_ghost:
-                    blk = blk.to_ghost()
                 out.set_block((r0, r0 + rsz[i]), (c0, c0 + csz[j]), blk.truncate(k))
             c0 += csz[j]
         r0 += rsz[i]
@@ -574,24 +368,13 @@ def eta_t(v, eta_diag):
     Rows map as r^t = (r eta^{-1})^T, columns as tau^t = (eta tau)^T; for a
     diagonal +/-1 eta the inverse equals eta, so both are entry reweighting.
     """
-    w = np.asarray(eta_diag, dtype=float)
     r, c = v.shape
-    if v.is_ghost and 1 in (r, c):
-        # entry (0, j, f) of a row and (j, 0, f) of a column share one index
-        t = v.gdata
-        return v._with(_nonzero(t.ent, t.mono, t.coef * w[t.ent // v.n_comps, None],
-                                t.monos), shape=(c, r))
-    if r == 1:
-        out = MForm.zeros(v.m, (c, 1), v.p, v.q, v.order)
-        for j in range(c):
-            out.data[j, 0] = v.data[0, j] * w[j]
-        return out
-    if c == 1:
-        out = MForm.zeros(v.m, (1, r), v.p, v.q, v.order)
-        for j in range(r):
-            out.data[0, j] = v.data[j, 0] * w[j]
-        return out
-    raise ShapeError("eta-transposition applies to row or column vectors")
+    if 1 not in (r, c):
+        raise ShapeError("eta-transposition applies to row or column vectors")
+    # entry (0, j) of a row and (j, 0) of a column both take the weight w[j]
+    w = np.asarray(eta_diag, dtype=float).reshape(r, c)
+    data = (v.data * w[:, :, None, None]).transpose(1, 0, 2, 3)
+    return v._like(np.ascontiguousarray(data), shape=(c, r))
 
 
 def algebra_residual(X, kind, eta=None, sigma=None):
@@ -601,7 +384,7 @@ def algebra_residual(X, kind, eta=None, sigma=None):
     conformal algebra ('co') the trace part is projected out first, matching
     v^T eta + eta v = eps 1.
     """
-    if X.is_ghost:
+    if X.q:
         raise ShapeError("algebra residuals are defined for float-valued forms")
     vals = X.data[..., 0]  # (r, c, F)
     defects = []

@@ -1,16 +1,16 @@
-"""Sparse Grassmann algebra over named anticommuting generators.
+"""Sparse Grassmann algebra over anticommuting generators.
 
-Ghost-valued quantities live in the algebra generated by a finite pool of odd
-generators over a commutative coefficient ring.  Elements are stored as sparse
-maps from strictly sorted generator-id tuples (monomials) to coefficients, so
+Ghost-valued quantities live in the algebra generated by odd generators over
+a commutative coefficient ring.  Elements are stored as sparse maps from
+strictly sorted generator-id tuples (monomials) to coefficients, so
 nilpotency and the anticommutation signs are structural.  A coefficient is a
 float or a :class:`~cartanweyl.jets.Jet`, so one ghost-valued jet is one
-element: a dense Taylor array per Grassmann monomial.
+element: a dense Taylor array per Grassmann monomial.  This is the
+per-entry route of the BRS checks (the closed forms and the expected
+ghosts); ghost forms themselves are dense arrays in :mod:`cartanweyl.forms`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .reduction import worst_of
 
@@ -151,33 +151,3 @@ class GradedScalar:
             mono = "*".join(f"g{i}" for i in k) if k else "1"
             bits.append(f"{c:+.6g}*{mono}" if isinstance(c, float) else f"{c!r}*{mono}")
         return "GradedScalar(" + " ".join(bits) + ")"
-
-
-@dataclass(frozen=True)
-class GhostGenerator:
-    """One independent odd quantity at the evaluation point."""
-
-    name: str
-    index: int   # global order
-
-
-@dataclass
-class GeneratorPool:
-    """Registry fixing the global ordering of ghost generators."""
-
-    generators: list = field(default_factory=list)
-    _by_name: dict = field(default_factory=dict)
-
-    def register(self, name):
-        if name in self._by_name:
-            raise ValueError(f"generator {name!r} already registered")
-        gen = GhostGenerator(name, len(self.generators))
-        self.generators.append(gen)
-        self._by_name[name] = gen
-        return gen
-
-    def get(self, name):
-        return self._by_name[name]
-
-    def __len__(self):
-        return len(self.generators)

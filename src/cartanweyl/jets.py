@@ -6,9 +6,11 @@ exact truncated polynomial convolutions driven by precomputed sparse tables,
 so identity residuals downstream are limited only by rounding.
 
 Jets are flat numpy arrays over the monomial basis of a cached
-:class:`JetSpace`, wrapped as :class:`Jet` for scalar arithmetic.  A
-ghost-valued jet is a :class:`~cartanweyl.grassmann.GradedScalar` whose
-coefficients are jets: one dense Taylor array per Grassmann monomial.
+:class:`JetSpace`, wrapped as :class:`Jet` for scalar arithmetic.  A ghost
+form stores one such array per (ghost monomial, dx monomial) component of
+each entry, in the last axis of :attr:`~cartanweyl.forms.MForm.data`; read
+per entry, a ghost-valued jet is a
+:class:`~cartanweyl.grassmann.GradedScalar` with one jet per monomial.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cartanweyl import brs
+from cartanweyl import brs, forms
 from cartanweyl.brs import (ConformalBRS, GhostSpec, PoincareBRS,
                             algebraic_connection, brs_vary, composite_ghost,
                             linearization_check, modified_brs_residuals,
@@ -10,10 +10,11 @@ from cartanweyl.brs import (ConformalBRS, GhostSpec, PoincareBRS,
 from cartanweyl.cartan import (KleinModel, VielbeinField, build_normal, gauge_transform,
                                random_gauge)
 from cartanweyl.checks import PointContext, run_check
+from cartanweyl.cli import main
 from cartanweyl.dressing import full_pipeline
 from cartanweyl.forms import MForm, gcomm
 from cartanweyl.grassmann import GradedScalar
-from cartanweyl.jets import Jet
+from cartanweyl.jets import Jet, space
 from cartanweyl.scenarios import catalog
 
 from conftest import POINT3
@@ -434,3 +435,152 @@ def test_shared_cache_matches_cold_evaluation():
         warm, cold = s.ev(t), t.ev({})
         assert np.array_equal(warm.body().data, cold.body().data)
         assert _exact_terms(warm) == _exact_terms(cold)
+
+
+# -- planted defects in the ghost layer ------------------------------------------
+
+def _commuting_generators(mp):
+    orig = forms._merge_monomials
+
+    def merge(a, b):
+        merged = orig(a, b)
+        return None if merged is None else (merged[0], 1.0)
+    mp.setattr(forms, "_merge_monomials", merge)
+
+
+def _flipped_koszul_sign(mp):
+    orig = forms.wedge_plan
+
+    def plan(m, p1, q1, p2, q2):
+        f1, f2, h, sign = orig(m, p1, q1, p2, q2)
+        return f1, f2, h, -sign if (p1 * q2) % 2 else sign
+    mp.setattr(forms, "wedge_plan", plan)
+
+
+def _weight_row_off_one(mp):
+    orig = brs._pool_weights
+
+    def weights(seed, name, size, keep_body=False):
+        w = orig(seed, name, size, keep_body)
+        if name == "eps":
+            w[0, 0] += 1e-3     # the body-keeping value row of eps sums to 1 + 1e-3
+        return w
+    mp.setattr(brs, "_pool_weights", weights)
+
+
+def _kernel_triple(w, m, n, order):
+    """(n, n) form (theta_0 - theta_1)(theta_2 - theta_3)(theta_4 - theta_5)
+    at entry (0, 0), with theta_k sent to sum_j w[k, j] eta_j.
+
+    Each factor's coefficients sum to 0, so the product lies in the third
+    power of the kernel of theta -> 1.
+    """
+    def factor(k):
+        d = w[2 * k] - w[2 * k + 1]
+        return MForm.from_entries(m, (n, n), 0, 1, order, {(0, 0, 0): GradedScalar(
+            {(j,): Jet.constant(float(d[j]), m, order) for j in range(forms.GHOST_POOL)})})
+    return factor(0).wedge(factor(1)).wedge(factor(2))
+
+
+def _kernel_degree_three_defect(mp):
+    """s^2 v gains 1e-6 times the triple of eps's first six Taylor generators,
+    projected with the scenario's own weights."""
+    orig = brs.ConformalBRS.ev
+
+    def ev(self, term):
+        out = orig(self, term)
+        if term is self.T_v.stotal().stotal():
+            w = brs._pool_weights(self.seed, "eps", space(self.m, self.ghost_order).size,
+                                  self.keep_body)
+            out = out + _kernel_triple(w, self.m, self.model.n, out.order).scale(1e-6)
+        return out
+    mp.setattr(brs.ConformalBRS, "ev", ev)
+
+
+def _scaled_final_ghost(mp):
+    orig = brs.ConformalBRS.expected_final_ghost
+    mp.setattr(brs.ConformalBRS, "expected_final_ghost",
+               lambda self: orig(self).scale(1 + 1e-6))
+
+
+def _ghost_derivative_off(mp):
+    orig = brs._d
+    mp.setattr(brs, "_d", lambda g, nu: orig(g, nu) * (1 + 1e-6))
+
+
+@pytest.mark.parametrize("plant", [_commuting_generators, _flipped_koszul_sign,
+                                   _weight_row_off_one, _scaled_final_ghost,
+                                   _ghost_derivative_off, _kernel_degree_three_defect],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_planted_ghost_defect_fails_the_brs_suite(plant, tmp_path, monkeypatch, capsys):
+    """Each defect, patched where its name is looked up, makes ``check
+    --suite brs`` exit 1 on a one-point generic m = 3 scenario.
+
+    A square of one generator (theta^2 != 0) is not among the defects: the
+    dense layout cannot express it, since no ghost component has a repeated
+    generator and wedge_plan has no entry for such a pair.
+    """
+    path = tmp_path / "one-point.json"
+    path.write_text(_generic_one_point().to_json())
+    argv = ["check", "--scenario", str(path), "--suite", "brs"]
+    assert main(argv) == 0
+    plans = forms.wedge_plan
+    try:
+        with monkeypatch.context() as mp:
+            plant(mp)
+            plans.cache_clear()     # plans are rebuilt with the seam patched
+            assert main(argv) == 1
+    finally:
+        plans.cache_clear()
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_kernel_degree_three_products_survive_free_weights_only():
+    """A product of three combinations whose coefficients sum to 0 projects
+    to a nonzero form under the free weights, for every seed tried.  Rows
+    tied to sum to 1 send each such combination into a 2-plane, so the
+    product vanishes to rounding: that projection cannot see the defect."""
+    for seed in [(s, i) for s in (0, 7, 911) for i in range(3)]:
+        free = brs._pool_weights(seed, "eps", 6)
+        tied = brs._pool_weights(seed, "eps", 6, keep_body=True)
+        assert _kernel_triple(free, 3, 1, 2).value_norm() > 1e-2
+        assert _kernel_triple(tied, 3, 1, 2).value_norm() < 1e-13
+
+
+def test_suite_projects_freely_and_linearization_keeps_the_body(monkeypatch):
+    """The suite's ghosts take the free weights; only the linearization's
+    own scenario, which reads the body of degree-1 results, ties rows to 1."""
+    built = []
+    orig = brs.ConformalBRS.__init__
+
+    def init(self, *args, **kwargs):
+        orig(self, *args, **kwargs)
+        built.append(self.keep_body)
+    monkeypatch.setattr(brs.ConformalBRS, "__init__", init)
+    assert run_check(_generic_one_point(), "brs").passed
+    assert built == [False, True]
+
+
+def test_ghosts_take_one_eval_jets_call_on_the_shared_pool(monkeypatch):
+    """eps, iota and the Lorentz components are evaluated together, and each
+    field's projection weights are seeded by name; the body-keeping rows are
+    the free rows shifted to sum to 1."""
+    calls = []
+    orig = brs.eval_jets
+
+    def counted(entries, *args):
+        calls.append(len(entries))
+        return orig(entries, *args)
+    monkeypatch.setattr(brs, "eval_jets", counted)
+    s = _generic_brs()
+    assert calls == [1 + 3 + 3]
+    assert len(s.pool) == forms.GHOST_POOL
+    assert set(s.eps_jet.terms) <= set(forms.ghost_monos(1))
+    w = brs._pool_weights((7, 0), "eps", 20)
+    tied = brs._pool_weights((7, 0), "eps", 20, keep_body=True)
+    assert w.shape == tied.shape == (20, forms.GHOST_POOL)
+    assert np.abs(tied.sum(axis=1) - 1.0).max() < 1e-15
+    assert np.abs(w.sum(axis=1) - 1.0).min() > 1e-3
+    assert np.abs(np.diff(tied - w, axis=1)).max() < 1e-15
+    assert np.array_equal(w, brs._pool_weights((7, 0), "eps", 20))
+    assert not np.array_equal(w, brs._pool_weights((7, 0), "iota0", 20))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cartanweyl import checks, dressing
 from cartanweyl.cartan import (GaugeElement, KleinModel, build_normal, conjugate,
                                gauge_transform, random_gauge)
 from cartanweyl.dressing import (compatibility_residuals,
@@ -9,6 +10,7 @@ from cartanweyl.dressing import (compatibility_residuals,
 from cartanweyl.errors import ShapeError
 from cartanweyl.forms import MForm, eta_t
 from cartanweyl.jets import jder, jmat_inv, jmul, jrecip
+from cartanweyl.scenarios import catalog
 from cartanweyl.tensors import classical_bundle, jeinsum
 
 from conftest import POINT3
@@ -156,6 +158,33 @@ def test_compatibility_residuals_random(mobius3, vielbein3, rng):
     out = compatibility_residuals(conn, e, g1.matrices(mobius3, POINT3, K),
                                   gS.matrices(mobius3, POINT3, K), mobius3)
     assert all(v < 1e-11 for v in out.values()), out
+
+
+def test_compat_u0_gamma1_fails_when_gamma1_moves_the_soldering_block(monkeypatch):
+    """u0^{gamma1} is read off the gamma1-transformed connection, so a gamma1
+    action that scales its theta block fails the row (it passes clean)."""
+    def moved_theta(conn, e, m1, mS, model):
+        orig = dressing.gauge_transform
+
+        def transform(c, g, ginv):
+            out = orig(c, g, ginv)
+            if g is m1["gamma1"]:
+                rows, cols = model.bounds(2), model.bounds(1)
+                out.omega.set_block(rows, cols, out.omega.block(rows, cols).scale(1 + 1e-6))
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(dressing, "gauge_transform", transform)
+            return compatibility_residuals(conn, e, m1, mS, model)
+
+    scn = catalog("generic", 3)
+    scn.points = scn.points[:1]
+    row = "dressing/compat_u0_gamma1"
+    clean = {r.name: r for r in checks.run_check(scn, "dressing").rows}
+    assert clean[row].passed
+    monkeypatch.setattr(checks, "compatibility_residuals", moved_theta)
+    bad = {r.name: r for r in checks.run_check(scn, "dressing").rows}
+    assert not bad[row].passed and bad[row].residual > 1e-7
 
 
 def test_q_reextraction_after_S(mobius3, vielbein3, rng):

@@ -1,37 +1,26 @@
 import numpy as np
 import pytest
 
-from cartanweyl import forms
 from cartanweyl.errors import ShapeError
-from cartanweyl.forms import (MForm, algebra_residual, block_matrix, d_plan,
-                              eta_t, form_comps, gcomm, wedge_plan)
-from cartanweyl.grassmann import GeneratorPool, GradedScalar
+from cartanweyl.forms import (GHOST_POOL, MForm, algebra_residual, block_matrix,
+                              d_plan, eta_t, form_comps, gcomm, ghost_monos, wedge_plan)
+from cartanweyl.grassmann import GradedScalar
 from cartanweyl.jets import Jet, jmat_mul, space
 
 M, K = 3, 4
 
 
-def rand_form(rng, shape, p, q=0, order=K, pool=None, tag=""):
+def rand_form(rng, shape, p, q=0, order=K):
+    """Random (p, q) form; a ghost entry is a dense random jet on every
+    degree-q monomial of the generators range(GHOST_POOL)."""
     if q == 0:
         out = MForm.zeros(M, shape, p, q, order)
         out.data[:] = rng.normal(size=out.data.shape)
         return out
-    entries = {}
-    for i, j, f in np.ndindex(shape + (len(form_comps(M, p)),)):
-        coeffs = rng.normal(size=space(M, order).size)
-        entries[i, j, f] = ghost_field(coeffs, order, pool, f"{tag}{i}{j}{f}")
+    size = space(M, order).size
+    entries = {idx: GradedScalar({g: Jet(M, rng.normal(size=size)) for g in ghost_monos(q)})
+               for idx in np.ndindex(shape + (len(form_comps(M, p)),))}
     return MForm.from_entries(M, shape, p, q, order, entries)
-
-
-def ghost_field(coeffs, order, pool, prefix):
-    """Odd jet sum_beta theta_{prefix@beta} c_beta (unit jet at beta)."""
-    terms = {}
-    for i, beta in enumerate(space(M, order).monos):
-        gen = pool.register(f"{prefix}@{''.join(map(str, beta))}")
-        unit = np.zeros(len(coeffs))
-        unit[i] = coeffs[i]
-        terms[(gen.index,)] = Jet(M, unit)
-    return GradedScalar(terms)
 
 
 def test_wedge_antisymmetry_of_coordinate_forms():
@@ -54,13 +43,11 @@ def test_wedge_components_antisymmetrized(rng):
 
 
 def _wedge_per_entry(a, b):
-    """Float wedge with one jet-matrix product per plan entry."""
-    koszul = -1.0 if (a.p * b.q) % 2 else 1.0
+    """Wedge with one jet-matrix product per plan entry."""
     k = min(a.order, b.order)
     out = MForm.zeros(M, (a.shape[0], b.shape[1]), a.p + b.p, a.q + b.q, k)
-    for f1, f2, h, sgn in zip(*wedge_plan(M, a.p, b.p)):
-        out.data[:, :, h, :] += (sgn * koszul) * jmat_mul(
-            a.data[:, :, f1, :], b.data[:, :, f2, :], M)
+    for f1, f2, h, sgn in zip(*wedge_plan(M, a.p, a.q, b.p, b.q)):
+        out.data[:, :, h, :] += sgn * jmat_mul(a.data[:, :, f1, :], b.data[:, :, f2, :], M)
     return out
 
 
@@ -71,14 +58,13 @@ def test_batched_wedge_matches_per_entry_loop(rng, p1, p2, q2):
     """One batched product plus a scatter-add equals the per-entry loop.
 
     At m = 3, (1, 1) and (1, 2) plans send several entries to one target and
-    (2, 2) has no entries at all.
+    (2, 2) has no entries at all; a ghost right factor adds ghost components.
     """
-    h = wedge_plan(M, p1, p2)[2]
+    h = wedge_plan(M, p1, 0, p2, q2)[2]
     if p1 + p2 > M:
         assert h.size == 0
     a = rand_form(rng, (2, 3), p1)
-    b = rand_form(rng, (3, 4), p2, order=K - 1)
-    b.q = q2
+    b = rand_form(rng, (3, 4), p2, q2, order=K - 1)
     got = a.wedge(b)
     want = _wedge_per_entry(a, b)
     assert (got.p, got.q, got.order) == (want.p, want.q, want.order)
@@ -106,7 +92,7 @@ def test_wedge_of_truncated_factors_is_bitwise_exact(m, order):
 
 def test_wedge_plans_repeat_targets():
     for p1, p2 in ((1, 1), (1, 2), (2, 1)):
-        h = wedge_plan(M, p1, p2)[2]
+        h = wedge_plan(M, p1, 0, p2, 0)[2]
         assert np.unique(h).size < h.size
 
 
@@ -145,9 +131,8 @@ def test_d_of_coordinate_product():
 
 
 def test_leibniz_total_degree(rng):
-    pool = GeneratorPool()
     a = rand_form(rng, (2, 2), 1, 0)
-    b = rand_form(rng, (2, 2), 0, 1, pool=pool, tag="b")
+    b = rand_form(rng, (2, 2), 0, 1)
     lhs = a.wedge(b).ext_d()
     sign = -1.0 if (a.p + a.q) % 2 else 1.0
     rhs = a.ext_d().wedge(b) + a.wedge(b.ext_d()).scale(sign)
@@ -155,9 +140,8 @@ def test_leibniz_total_degree(rng):
 
 
 def test_graded_jacobi(rng):
-    pool = GeneratorPool()
     al = rand_form(rng, (2, 2), 1, 0)
-    be = rand_form(rng, (2, 2), 0, 1, pool=pool, tag="be")
+    be = rand_form(rng, (2, 2), 0, 1)
     ga = rand_form(rng, (2, 2), 1, 0)
     sign = -1.0 if ((al.p + al.q) * (be.p + be.q)) % 2 else 1.0
     lhs = gcomm(al, gcomm(be, ga))
@@ -166,9 +150,8 @@ def test_graded_jacobi(rng):
 
 
 def test_gcomm_odd_odd_is_anticommutator(rng):
-    pool = GeneratorPool()
-    a = rand_form(rng, (2, 2), 0, 1, pool=pool, tag="a")
-    b = rand_form(rng, (2, 2), 0, 1, pool=pool, tag="b")
+    a = rand_form(rng, (2, 2), 0, 1)
+    b = rand_form(rng, (2, 2), 0, 1)
     lhs = gcomm(a, b)
     rhs = a.wedge(b) + b.wedge(a)
     assert (lhs - rhs).full_norm() == 0.0
@@ -181,8 +164,7 @@ def test_gcomm_scalar_matrix_is_central(rng):
 
 
 def test_gcomm_of_odd_with_itself(rng):
-    pool = GeneratorPool()
-    v = rand_form(rng, (2, 2), 0, 1, pool=pool, tag="v")
+    v = rand_form(rng, (2, 2), 0, 1)
     lhs = gcomm(v, v)
     rhs = v.wedge(v).scale(2.0)
     assert (lhs - rhs).full_norm() == 0.0
@@ -274,17 +256,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 
-def _seeded_form(seed, shape, p, q=0, tag=""):
-    r = np.random.default_rng(seed)
-    pool = GeneratorPool() if q else None
-    return rand_form(r, shape, p, q, pool=pool, tag=tag), pool
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6),
        p=st.integers(min_value=0, max_value=2))
 def test_d_squared_property(seed, p):
-    a, _ = _seeded_form(seed, (2, 2), p)
+    a = rand_form(np.random.default_rng(seed), (2, 2), p)
     scale = max(1.0, a.full_norm())
     assert a.ext_d().ext_d().full_norm() / scale < 1e-12
 
@@ -297,9 +273,8 @@ def test_d_squared_property(seed, p):
        qb=st.integers(min_value=0, max_value=1))
 def test_leibniz_property(seed, pa, qa, pb, qb):
     r = np.random.default_rng(seed)
-    pool = GeneratorPool()
-    a = rand_form(r, (2, 2), pa, qa, pool=pool, tag="a")
-    b = rand_form(r, (2, 2), pb, qb, pool=pool, tag="b")
+    a = rand_form(r, (2, 2), pa, qa)
+    b = rand_form(r, (2, 2), pb, qb)
     lhs = a.wedge(b).ext_d()
     sign = -1.0 if (a.p + a.q) % 2 else 1.0
     rhs = a.ext_d().wedge(b) + a.wedge(b.ext_d()).scale(sign)
@@ -312,11 +287,10 @@ def test_leibniz_property(seed, pa, qa, pb, qb):
        degs=st.tuples(*[st.tuples(st.integers(0, 1), st.integers(0, 1))] * 3))
 def test_graded_jacobi_property(seed, degs):
     r = np.random.default_rng(seed)
-    pool = GeneratorPool()
     (pa, qa), (pb, qb), (pc, qc) = degs
-    a = rand_form(r, (2, 2), pa, qa, pool=pool, tag="a")
-    b = rand_form(r, (2, 2), pb, qb, pool=pool, tag="b")
-    c = rand_form(r, (2, 2), pc, qc, pool=pool, tag="c")
+    a = rand_form(r, (2, 2), pa, qa)
+    b = rand_form(r, (2, 2), pb, qb)
+    c = rand_form(r, (2, 2), pc, qc)
     sign = -1.0 if ((a.p + a.q) * (b.p + b.q)) % 2 else 1.0
     lhs = gcomm(a, gcomm(b, c))
     rhs = gcomm(gcomm(a, b), c) + gcomm(b, gcomm(a, c)).scale(sign)
@@ -324,17 +298,17 @@ def test_graded_jacobi_property(seed, degs):
     assert (lhs - rhs).full_norm() / scale < 1e-11
 
 
-# the sparse ghost term table against the per-entry oracle -----------------------
+# the dense ghost layout against the per-entry oracle ------------------------------
 #
-# The oracle is the per-entry GradedScalar arithmetic ghost forms used before
-# the term table: an entry dict {(row, col, comp): GradedScalar over jets}.
+# The oracle is per-entry GradedScalar arithmetic: an entry dict
+# {(row, col, dx comp): GradedScalar over jets}, multiplied term by term with
+# its own dx and Koszul signs, so it shares no sign table with wedge_plan.
 
-TM = 3          # chart dimension of the table tests
-GENS = 6        # a small generator pool, so that factors share generators
+TM = 3          # chart dimension of the oracle tests
 
 
 def _draw_entries(rng, shape, p, q, order):
-    """Random ghost entries: some absent, a few monomials each, unit or dense jets."""
+    """Random ghost entries: some absent, a few pool monomials each, unit or dense jets."""
     size = space(TM, order).size
     out = {}
     for idx in np.ndindex(shape + (len(form_comps(TM, p)),)):
@@ -342,7 +316,7 @@ def _draw_entries(rng, shape, p, q, order):
             continue
         terms = {}
         for _ in range(rng.integers(1, 4)):
-            mono = tuple(sorted(int(g) for g in rng.choice(GENS, size=q, replace=False)))
+            mono = tuple(sorted(int(g) for g in rng.choice(GHOST_POOL, size=q, replace=False)))
             if rng.random() < 0.5:
                 coeffs = rng.normal(size=size)
             else:
@@ -370,20 +344,26 @@ def _trunc(entries, k):
 
 
 def _oracle_wedge(a, ea, b, eb):
-    """The per-entry loop ghost wedges ran before the term table."""
+    """Per-entry GradedScalar products with the dx sign and the Koszul sign."""
     k = min(a.order, b.order)
     ea, eb = _trunc(ea, k), _trunc(eb, k)
     koszul = -1.0 if (a.p * b.q) % 2 else 1.0
+    target = {c: h for h, c in enumerate(form_comps(TM, a.p + b.p))}
     out = {}
-    for f1, f2, h, sgn in zip(*wedge_plan(TM, a.p, b.p)):
-        for i in range(a.shape[0]):
-            for j in range(b.shape[1]):
-                acc = out.get((i, j, h), GradedScalar())
-                for t in range(a.shape[1]):
-                    ga, gb = ea.get((i, t, f1)), eb.get((t, j, f2))
-                    if ga is not None and gb is not None:
-                        acc = acc + (ga * gb) * float(sgn * koszul)
-                out[i, j, h] = acc
+    for f1, c1 in enumerate(form_comps(TM, a.p)):
+        for f2, c2 in enumerate(form_comps(TM, b.p)):
+            if set(c1) & set(c2):
+                continue
+            sgn = koszul * (-1.0) ** sum(1 for x in c1 for y in c2 if x > y)
+            h = target[tuple(sorted(c1 + c2))]
+            for i in range(a.shape[0]):
+                for j in range(b.shape[1]):
+                    acc = out.get((i, j, h), GradedScalar())
+                    for t in range(a.shape[1]):
+                        ga, gb = ea.get((i, t, f1)), eb.get((t, j, f2))
+                        if ga is not None and gb is not None:
+                            acc = acc + (ga * gb) * sgn
+                    out[i, j, h] = acc
     return out
 
 
@@ -398,25 +378,11 @@ def _oracle_ext_d(form, entries):
     return out
 
 
-def _assert_canonical(form):
-    """Rows sorted by unique (entry, monomial) keys, no zero row, every
-    monomial used, sorted unique monomials of increasing generators."""
-    t = form.gdata
-    n = len(t.monos)
-    assert t.coef.shape == (t.ent.size, space(form.m, form.order).size)
-    assert (np.diff(t.ent * n + t.mono) > 0).all()
-    assert t.coef.any(axis=1).all()
-    assert ((t.ent >= 0) & (t.ent < form.shape[0] * form.shape[1] * form.n_comps)).all()
-    assert np.array_equal(np.unique(t.mono), np.arange(n))
-    assert isinstance(t.monos, tuple) and list(t.monos) == sorted(set(t.monos))
-    for r in t.monos:
-        assert isinstance(r, tuple) and list(r) == sorted(set(r))
-
-
 def _assert_matches(form, want, rel=1e-15):
     """Entrywise agreement with an oracle entry dict, relative to the largest
-    coefficient of either side."""
-    _assert_canonical(form)
+    coefficient of either side; the array has the (p, q) layout's shape."""
+    assert form.data.shape == form.shape + (
+        len(ghost_monos(form.q)) * form.n_comps, space(form.m, form.order).size)
     got = {idx: form.entry(*idx) for idx in np.ndindex(form.shape + (form.n_comps,))}
     scale = max([0.0] + [g.norm(Jet.norm) for g in list(got.values()) + list(want.values())])
     for idx, g in got.items():
@@ -443,10 +409,15 @@ def _operand(rng, kind, shape, p, q, order):
        orders=st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]))
 def test_table_wedge_matches_per_entry_oracle(seed, p1, p2, q1, q2, kinds, orders):
     """Plans with repeated targets ((1, 1), (1, 2)), empty plans (p1 + p2 > 3),
-    float x ghost, ghost x float and ghost x ghost, unit and dense jets."""
+    float x ghost, ghost x float and ghost x ghost, unit and dense jets; a
+    product above the pool's ghost degree is refused."""
     rng = np.random.default_rng(seed)
     a, ea = _operand(rng, kinds[0], (2, 3), p1, q1, orders[0])
     b, eb = _operand(rng, kinds[1], (3, 2), p2, q2, orders[1])
+    if a.q + b.q > GHOST_POOL:
+        with pytest.raises(ShapeError):
+            a.wedge(b)
+        return
     ab = a.wedge(b)
     assert (ab.p, ab.q, ab.order) == (p1 + p2, a.q + b.q, min(orders))
     _assert_matches(ab, _oracle_wedge(a, ea, b, eb))
@@ -472,7 +443,7 @@ def test_table_linear_and_inspection_match_oracle(seed, p, q, orders):
     _assert_matches(a - a, {})
     _assert_matches(a.truncate(orders[0] - 1), _trunc(ea, orders[0] - 1))
     _assert_matches(a.ext_d(), _oracle_ext_d(a, ea))
-    # a float operand lifts to body terms (ghost degree 0)
+    # ghost degree 0 is the float layout: the same array either way
     c = _draw_float(rng, shape, p, k)
     fc = _float_entries(c)
     a0, ea0 = _operand(rng, "ghost", shape, p, 0, k)
@@ -503,7 +474,7 @@ def test_table_linear_and_inspection_match_oracle(seed, p, q, orders):
     _assert_matches(eta_t(eta_t(row, w), w), {(0, j, f): g for (i, j, f), g in ea.items() if i == 1})
     # the body and the norms
     body = a.body()
-    assert body.q == 0 and not body.is_ghost
+    assert body.q == 0 and body.gdata is None
     for idx in np.ndindex(shape + (a.n_comps,)):
         g = ea.get(idx)
         want = sum(c.coeffs for c in g.terms.values()) if g is not None else 0.0
@@ -514,24 +485,22 @@ def test_table_linear_and_inspection_match_oracle(seed, p, q, orders):
 
 def test_table_product_cancels_to_empty_table():
     """(g0 c0 + g1 c1)^2 = g0 g1 (c0 c1 - c1 c0): the two products are equal
-    bit for bit, so the sum cancels and no row is left; a repeated generator
-    kills a product before any sum."""
+    bit for bit, so the sum cancels to an exact zero; a repeated generator
+    has no plan entry at all."""
     c0, c1 = Jet.constant(0.3, TM, 2), Jet.constant(-1.7, TM, 2)
     z = MForm.from_entries(TM, (1, 1), 0, 1, 2,
                            {(0, 0, 0): GradedScalar({(0,): c0, (1,): c1})})
     zz = z.wedge(z)
-    _assert_canonical(zz)
-    assert zz.gdata.ent.size == 0 and zz.full_norm() == 0.0
+    assert zz.q == 2 and zz.full_norm() == 0.0
     assert not zz.entry(0, 0, 0).terms
     x = MForm.from_entries(TM, (1, 1), 0, 1, 2, {(0, 0, 0): GradedScalar({(2,): c0})})
     xx = x.wedge(x)
-    _assert_canonical(xx)
-    assert xx.gdata.ent.size == 0
-    # the empty table goes through every other operation
+    assert xx.full_norm() == 0.0
+    # the zero form goes through every other operation
     for y in (xx + xx, xx.scale(2.0), xx.ext_d(), xx.block((0, 1), (0, 1)),
               xx.wedge(z), z.wedge(xx), eta_t(xx, [1.0])):
-        _assert_canonical(y)
         assert y.full_norm() == 0.0 and y.value_norm() == 0.0
+        assert not any(y.entry(0, 0, f).terms for f in range(y.n_comps))
     assert xx.body().full_norm() == 0.0
 
 
@@ -548,15 +517,16 @@ def test_entries_outside_the_form_raise(idx):
         MForm.from_entries(TM, (2, 3), 1, 1, 1, {idx: g})
 
 
-def test_blocked_jet_product_matches_one_block(monkeypatch):
-    """A ghost wedge whose jet product runs in many blocks gives the same
-    table, bit for bit, as one block."""
-    rng = np.random.default_rng(5)
-    a = MForm.from_entries(TM, (2, 3), 1, 1, 2, _draw_entries(rng, (2, 3), 1, 1, 2))
-    b = MForm.from_entries(TM, (3, 2), 1, 2, 2, _draw_entries(rng, (3, 2), 1, 2, 2))
-    whole = a.wedge(b).gdata
-    monkeypatch.setattr(forms, "_PRODUCT_BLOCK", 1)     # one pair per block
-    blocked = a.wedge(b).gdata
-    assert whole.ent.size > 1
-    assert np.array_equal(whole.ent, blocked.ent) and np.array_equal(whole.mono, blocked.mono)
-    assert whole.monos == blocked.monos and np.array_equal(whole.coef, blocked.coef)
+def test_ghost_degree_above_the_pool_raises():
+    """No form of ghost degree above GHOST_POOL exists: not as zeros, not as
+    a product, and no entry may name a generator outside the pool or a
+    monomial of the wrong degree."""
+    c = Jet.constant(1.0, TM, 1)
+    with pytest.raises(ShapeError):
+        MForm.zeros(TM, (1, 1), 0, GHOST_POOL + 1, 1)
+    two = MForm.from_entries(TM, (1, 1), 0, 2, 1, {(0, 0, 0): GradedScalar({(0, 1): c})})
+    with pytest.raises(ShapeError):
+        two.wedge(two)
+    for key in ((GHOST_POOL,), (0, 1)):
+        with pytest.raises(ShapeError):
+            MForm.from_entries(TM, (1, 1), 0, 1, 1, {(0, 0, 0): GradedScalar({key: c})})

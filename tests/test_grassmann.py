@@ -1,11 +1,10 @@
 from itertools import combinations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartanweyl.grassmann import GeneratorPool, GradedScalar
+from cartanweyl.grassmann import GradedScalar
 from cartanweyl.jets import Jet, space
 
 
@@ -38,15 +37,6 @@ def test_float_embedding():
     x = 2.0 + g(3) * 0.5
     assert x.terms[()] == 2.0
     assert (3.0 * x).terms[(3,)] == 1.5
-
-
-def test_generator_pool_ordering():
-    pool = GeneratorPool()
-    a = pool.register("eps@000")
-    b = pool.register("iota0@000")
-    assert a.index == 0 and b.index == 1
-    with pytest.raises(ValueError):
-        pool.register("eps@000")
 
 
 def _random_homogeneous(data, degree, max_gen=6):
