@@ -5,7 +5,8 @@ ds = -sd.  It is realized over a shallow term layer: leaves are the basic
 fields (connection, ghost components, q, vielbein) carrying registered
 sector images; composites (dressings, dressed fields, composite ghosts)
 are Sum/Prod/D/Block nodes, so second applications of s follow from the
-graded Leibniz rule with no symbolic algebra beyond the DAG.
+graded Leibniz rule with no symbolic algebra beyond the DAG.  Before a
+point's checks run, :func:`demand` cuts the DAG to the jet orders they read.
 
 A ghost field is a jet whose Taylor coefficients each carry their own
 Grassmann generator, scaled by the scenario coefficient function; this keeps
@@ -68,10 +69,18 @@ class Term:
             self._s[sector] = self._build_s(sector)
         return self._s[sector]
 
+    def ssum(self, sectors):
+        """s_x summed over ``sectors``, built once per sector tuple."""
+        key = tuple(sectors)
+        if key not in self._s:
+            self._s[key] = Sum([self.svar(x) for x in key])
+        return self._s[key]
+
     def stotal(self):
-        if "total" not in self._s:
-            self._s["total"] = Sum([self.svar(x) for x in SECTORS])
-        return self._s["total"]
+        return self.ssum(SECTORS)
+
+    def _children(self):
+        return ()
 
     def ev(self, cache):
         # keyed on the node itself: the cache then also keeps temporaries
@@ -135,6 +144,9 @@ class Sum(Term):
         return mk_sum([t.svar(sector) for t in self.terms], self.coeffs,
                       self.p, self.q + 1, self.shape)
 
+    def _children(self):
+        return self.terms
+
     def _ev(self, cache):
         if not self.terms:
             raise ShapeError("empty Sum evaluation needs a Zero context")
@@ -180,6 +192,9 @@ class Prod(Term):
             return Zero(self.p, self.q + 1, self.shape)
         return Sum(parts, cs)
 
+    def _children(self):
+        return (self.a, self.b)
+
     def _ev(self, cache):
         return self.a.ev(cache).wedge(self.b.ev(cache))
 
@@ -196,6 +211,9 @@ class D(Term):
         if _is_zero(st):
             return Zero(self.p, self.q + 1, self.shape)
         return Sum([D(st)], [-1.0])
+
+    def _children(self):
+        return (self.t,)
 
     def _ev(self, cache):
         return self.t.ev(cache).ext_d()
@@ -215,6 +233,9 @@ class EtaT(Term):
         if _is_zero(st):
             return Zero(self.p, self.q + 1, self.shape)
         return EtaT(st, self.eta)
+
+    def _children(self):
+        return (self.t,)
 
     def _ev(self, cache):
         return eta_t(self.t.ev(cache), self.eta)
@@ -251,6 +272,9 @@ class Blk(Term):
             return Zero(self.p, self.q + 1, self.shape)
         return Blk(new, self.p, self.q + 1, self.m, self.order)
 
+    def _children(self):
+        return [t for row in self.rows for t in row if isinstance(t, Term)]
+
     def _ev(self, cache):
         grid = [[None if (t is None or _is_zero(t)) else t.ev(cache)
                  for t in row] for row in self.rows]
@@ -269,6 +293,49 @@ def leaf(name, value, p=0, q=0):
 
 def neg(t):
     return Sum([t], [-1.0])
+
+
+def demand(reads):
+    """Cut every leaf and block of the DAG to the jet order its readers need.
+
+    ``reads`` pairs each term a check evaluates with the order it reads of
+    it: 0 for a value, plus 1 for each d the check takes outside the DAG
+    (``curvature_form``, ``covariant_d``, ``ext_d``).  One backward pass,
+    every parent before its children, gives each node the largest need of
+    its consumers: Sum, Prod, EtaT and Blk pass it on and D adds 1.  Then
+    each Leaf is truncated to its need and each Blk's order capped, in place.
+    A degree-d coefficient of a node depends only on coefficients of degree
+    <= d of its children (<= d + 1 through D), so every node evaluates to
+    the truncation of its full-order value, bit for bit (truncated Taylor
+    propagation: Griewank and Walther, Evaluating Derivatives, 2nd ed.,
+    ch. 13).  Run it before the point's first evaluation.  A value read
+    afterwards is exact or raises: a d taken of a node cut to order 0 is a
+    JetOrderError.
+    """
+    post, seen = [], set()
+    for root, _ in reads:
+        stack = [(root, False)]
+        while stack:
+            t, done = stack.pop()
+            if done:
+                post.append(t)
+            elif t not in seen:
+                seen.add(t)
+                stack.append((t, True))
+                stack.extend((c, False) for c in t._children())
+    need = {}
+    for t, k in reads:
+        need[t] = max(need.get(t, k), k)
+    # reversed postorder visits every node after all of its consumers
+    for t in reversed(post):
+        k = need[t]
+        kc = k + 1 if isinstance(t, D) else k
+        for c in t._children():
+            need[c] = max(need.get(c, kc), kc)
+        if isinstance(t, Leaf):
+            t.value = t.value.truncate(min(k, t.value.order))
+        elif isinstance(t, Blk):
+            t.order = min(t.order, k)
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +672,11 @@ def composite_ghost(scn, stage):
     return scn.ev(scn.composite_ghost_term(stage))
 
 
+def russian_reads(A, v, F):
+    """(term, jet order) pairs :func:`russian_residual` reads of A, v, F."""
+    return [(A, 1), (v, 1), (F, 0), (A.stotal(), 0), (v.stotal(), 0)]
+
+
 def russian_residual(A, v, F, sA, sv):
     """Ghost-degree split of (d+s)(A+v) + (A+v)^2 - F.
 
@@ -617,30 +689,47 @@ def russian_residual(A, v, F, sA, sv):
     return r0, r1, r2
 
 
-def nilpotency_residuals(scn, names=("varpi", "v", "u1", "u0")):
-    """s^2 and the sector-split identities on the requested fields."""
-    out = {}
-    terms = {
+_H = ("L", "i")     # the sectors of h' = Lorentz + inversions
+
+
+def _nilpotency_terms(scn, names):
+    """(row, summands) of s^2 and the sector-split identities per field.
+
+    Every summand is a node cached on its field, so each call returns the
+    same nodes; a row's term is the Sum of its summands.
+    """
+    fields = {
         "varpi": scn.L_varpi, "v": scn.T_v, "u1": scn.T_u1, "u0": scn.T_u0,
         "u": scn.T_u, "Omega": scn.T_omega,
     }
     for name in names:
-        t = terms[name]
+        t = fields[name]
+        yield f"s2_{name}", [t.stotal().stotal()]
+        yield f"sH2_{name}", [t.ssum(_H).ssum(_H)]
+        yield f"sP2_{name}", [t.svar("W").svar("W")]
+        yield f"mixed_{name}", [t.svar("W").ssum(_H), t.ssum(_H).svar("W")]
 
-        def ev0(term):
-            return None if _is_zero(term) else scn.ev(term)
 
-        def norm(x):
-            return 0.0 if x is None else x.value_norm()
+def nilpotency_reads(scn, names):
+    """(term, jet order) pairs :func:`nilpotency_residuals` reads."""
+    return [(t, 0) for _, parts in _nilpotency_terms(scn, names)
+            for t in parts if not _is_zero(t)]
 
-        ss = ev0(t.stotal().stotal())
-        out[f"s2_{name}"] = norm(ss)
-        sH = lambda x: Sum([x.svar("L"), x.svar("i")])
-        sP = lambda x: x.svar("W")
-        out[f"sH2_{name}"] = norm(ev0(sH(sH(t))))
-        out[f"sP2_{name}"] = norm(ev0(sP(sP(t))))
-        out[f"mixed_{name}"] = norm(ev0(Sum([sH(sP(t)), sP(sH(t))])))
+
+def nilpotency_residuals(scn, names=("varpi", "v", "u1", "u0")):
+    """s^2 and the sector-split identities on the requested fields."""
+    out = {}
+    for row, parts in _nilpotency_terms(scn, names):
+        term = parts[0] if len(parts) == 1 else Sum(parts)
+        out[row] = 0.0 if _is_zero(term) else scn.ev(term).value_norm()
     return out
+
+
+def two_steps_reads(scn):
+    """(term, jet order) pairs :func:`two_steps_in_one` reads."""
+    u = scn.T_u
+    return [(t, 0) for t in (u, scn.T_uinv, u.stotal(), scn.V["L"], scn.V["i"],
+                             u.svar("W"), scn.V["W"])]
 
 
 def two_steps_in_one(scn):
@@ -658,13 +747,24 @@ def two_steps_in_one(scn):
     return ell, rho, resid_dec, resid_ghost
 
 
+def _dressed_pair_terms(scn, stage):
+    if stage == "u1":
+        return scn.T_varpi1, scn.T_omega1
+    return scn.T_varpi0, scn.T_omega0
+
+
+def modified_brs_reads(scn, stage="full"):
+    """(term, jet order) pairs :func:`modified_brs_residuals` reads."""
+    At, Ft = _dressed_pair_terms(scn, stage)
+    vhat_t = scn.composite_ghost_term(stage)
+    return [(At, 0), (Ft, 0), (vhat_t, 1), (At.stotal(), 0), (Ft.stotal(), 0),
+            (vhat_t.stotal(), 0)]
+
+
 def modified_brs_residuals(scn, stage="full"):
     """Lemma check: s A-hat = -D-hat v-hat, s F-hat = [F-hat, v-hat],
     s v-hat = -v-hat^2 for the requested dressing stage."""
-    if stage == "u1":
-        At, Ft = scn.T_varpi1, scn.T_omega1
-    else:
-        At, Ft = scn.T_varpi0, scn.T_omega0
+    At, Ft = _dressed_pair_terms(scn, stage)
     ev = scn.ev
     A = ev(At)
     F = ev(Ft)
@@ -677,6 +777,14 @@ def modified_brs_residuals(scn, stage="full"):
     rF = (sF - gcomm(F, vhat)).value_norm()
     rv = (svhat + vhat.wedge(vhat)).value_norm()
     return rA, rF, rv
+
+
+def residual_weyl_brs_reads(scn):
+    """(term, jet order) pairs :func:`residual_weyl_brs` reads."""
+    vhat_t = scn.composite_ghost_term("full")
+    sectors = [scn.T_varpi0.svar(x) for x in _H] + [scn.T_omega0.svar(x) for x in _H]
+    return ([(vhat_t, 1), (vhat_t.svar("W"), 0)]
+            + [(t, 0) for t in sectors if not _is_zero(t)])
 
 
 def residual_weyl_brs(fields, scn):
@@ -777,6 +885,12 @@ def residual_weyl_brs(fields, scn):
     return out
 
 
+def algebraic_connection_reads(scn):
+    """(term, jet order) pairs :func:`algebraic_connection` reads."""
+    vhat_t = scn.composite_ghost_term("full")
+    return [(vhat_t, 1), (scn.T_varpi0.stotal(), 0), (vhat_t.stotal(), 0)]
+
+
 def algebraic_connection(fields, scn):
     """Even/odd pair (varpi0, vhat_W) with the closed-form block check.
 
@@ -832,6 +946,7 @@ def linearization_check(conn, e, model, phi, point, order, h=1e-3, fields=None):
     # BRS side with the ghost built on phi
     spec = GhostSpec(eps=phi, iota=["0"] * m, lorentz=["0"] * (m * (m - 1) // 2))
     scn = ConformalBRS(conn, e, spec, point, keep_body=True)
+    demand([(scn.composite_ghost_term("full"), 1)])     # covariant_d takes its d
     vhat = composite_ghost(scn, "full")
     s_varpi0 = covariant_d(fields.varpi0, vhat).scale(-1.0).body()
     s_Omega0 = gcomm(fields.Omega0, vhat).body()
@@ -901,7 +1016,16 @@ class PoincareBRS:
     def composite_ghost(self):
         return self.ev(self.T_vhat)
 
+    def reads(self):
+        """Every term :meth:`residuals` evaluates; it reads values only."""
+        u, w = self.T_u, self.L_varpi
+        return [(t, 0) for t in (self.T_vhat, u.svar("L"), self.V, u,
+                                 self.T_varpi_h.svar("L"), self.T_omega_h.svar("L"),
+                                 w.svar("L").svar("L"))]
+
     def residuals(self):
+        """The brs-gr rows, after cutting the leaves to the order they read."""
+        demand(self.reads())
         ev = self.ev
         out = {}
         out["composite_ghost"] = self.composite_ghost().value_norm()

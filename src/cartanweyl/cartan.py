@@ -278,8 +278,7 @@ def build_normal(vielbein, model, point, order, tol=1e-9):
     A.data[:, :, :, :] = A_arr
     if model.kind == "poincare":
         return assemble(model, theta=theta, A=A, tol=tol)
-    bundle = tensors.classical_bundle(e, ch.signature, m)
-    P = bundle["P"]  # (mu, nu, C-2)
+    P = tensors.curvature_bundle(e, ch.signature, m)["P"]  # (mu, nu, C-2)
     alpha_arr = tensors.jeinsum("mn,na->ma", P, einv, m)  # (mu, a, C-2)
     kP = order_of(m, alpha_arr)
     alpha = MForm.zeros(m, (1, m), 1, 0, kP)

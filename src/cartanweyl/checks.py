@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tensors
-from .cartan import (GaugeElement, KleinModel, VielbeinField, assemble,
+from .cartan import (CartanConnection, GaugeElement, KleinModel, VielbeinField, assemble,
                      build_normal, conjugate, covariant_d, curvature, gauge_transform,
                      normality_residual, random_gauge, random_polynomial)
 from .dressing import (compatibility_residuals, dressed_normality,
@@ -26,7 +26,7 @@ from .dressing import (compatibility_residuals, dressed_normality,
 from .errors import CartanWeylError, ScenarioError
 from .exprs import eval_jets
 from .forms import MForm, gcomm
-from .jets import jmul, order_of
+from .jets import jmul, jtrunc, order_of
 from .reduction import worst_of
 from .weyl import (WeylElement, closed_form_laws, wbar_closed_form, weyl_group_law_residual,
                    weyl_matrices, weyl_transform_dressed, weyl_transform_midlevel)
@@ -303,14 +303,19 @@ def dressing_suite(ctx):
 def _gr_dressing(ctx):
     """The dressing suite of the Poincare model, on the normal connection.
 
-    Its Lorentz scramble draws from a fresh rng, not from the state after
-    ``base_connection``.
+    Every row reads values.  metricity takes one d of g and curvature_compat
+    one of varpi-hat = e^-1 varpi e + e^-1 de, so the pair is dressed with
+    varpi at order 1 and e at 2, and the oracle takes e at 2 as well; each
+    value is that of the full orders, bit for bit.  The Lorentz scramble
+    draws from a fresh rng, not from the state after ``base_connection``.
     """
     scn, model, point = ctx.scn, ctx.model, ctx.point
     conn, e = ctx.normal, ctx.e_normal
-    _, _, Gamma, R, T, g, diag = gr_dress(conn, e)
+    low = CartanConnection(model, conn.omega.truncate(1))
+    e = jtrunc(e, model.m, 2)
+    _, _, Gamma, R, T, g, diag = gr_dress(low, e)
     res = dict(diag)
-    B = tensors.classical_bundle(e, scn.signature, model.m)
+    B = tensors.curvature_bundle(e, scn.signature, model.m)
     res["oracle_Gamma"] = float(np.abs(Gamma[..., 0] - B["Gamma"][..., 0]).max())
     res["oracle_R"] = float(np.abs(R - B["Riemann"][..., 0]).max())
     res["torsion"] = float(np.abs(T).max())
@@ -318,7 +323,7 @@ def _gr_dressing(ctx):
     ge = random_gauge(model, np.random.default_rng(ctx.seed), with_z=False, with_r=False,
                       point=point)
     mats = ge.matrices(model, point, conn.order + 1)
-    conn_S = gauge_transform(conn, mats["gamma"], mats["gamma_inv"])
+    conn_S = gauge_transform(low, mats["gamma"], mats["gamma_inv"])
     eS = tensors.jeinsum("ab,bm->am", mats["Sinv"], e, model.m)
     _, _, G2, R2, T2, _, _ = gr_dress(conn_S, eS)
     res["so_invariance_Gamma"] = float(np.abs(Gamma[..., 0] - G2[..., 0]).max())
@@ -420,11 +425,32 @@ def _redundancy_omega(stW, model):
     return float(np.abs(got - want).max())
 
 
+_NILPOTENT = ("varpi", "v", "u1", "u0")
+
+
+def _brs_reads(s):
+    """(term, jet order) of every term the conformal brs suite reads of ``s``."""
+    from .brs import (algebraic_connection_reads, modified_brs_reads, nilpotency_reads,
+                      residual_weyl_brs_reads, russian_reads, two_steps_reads)
+    vh = s.composite_ghost_term("full")
+    reads = (russian_reads(s.L_varpi, s.T_v, s.T_omega)
+             + russian_reads(s.T_varpi0, vh, s.T_omega0)
+             + nilpotency_reads(s, _NILPOTENT))
+    # the composite ghosts and the sector rules of u1 and u0 are read as values
+    reads += [(t, 0) for t in (s.composite_ghost_term("u1"), vh, s.T_u1, s.V["i"],
+                               s.V["L"], s.T_u1.svar("i"), s.T_u1.svar("L"), s.T_u0,
+                               s.T_u0.svar("W"))]
+    reads += two_steps_reads(s)
+    for stage in ("u1", "full"):
+        reads += modified_brs_reads(s, stage)
+    return reads + residual_weyl_brs_reads(s) + algebraic_connection_reads(s)
+
+
 def brs_suite(ctx):
     from .brs import (ConformalBRS, GhostSpec, PoincareBRS, algebraic_connection,
-                      composite_ghost, linearization_check, modified_brs_residuals,
-                      nilpotency_residuals, residual_weyl_brs, russian_residual,
-                      two_steps_in_one)
+                      composite_ghost, demand, linearization_check,
+                      modified_brs_residuals, nilpotency_residuals, residual_weyl_brs,
+                      russian_residual, two_steps_in_one)
     scn, model, point = ctx.scn, ctx.model, ctx.point
     m = model.m
     ghosts = scn.ghosts or {}
@@ -434,6 +460,7 @@ def brs_suite(ctx):
     spec = GhostSpec(eps=ghosts.get("eps", "1/2 + x0/3"),
                      iota=ghosts.get("iota"), lorentz=ghosts.get("lorentz"))
     scn_b = ConformalBRS(*ctx.base, spec, point, seed=ctx.seed)
+    demand(_brs_reads(scn_b))
     fields = ctx.fields
     res = {}
     ev = scn_b.ev
@@ -443,7 +470,7 @@ def brs_suite(ctx):
         rs = russian_residual(ev(A), ev(v), ev(F), ev(A.stotal()), ev(v.stotal()))
         res.update({f"russian{tag}_deg{d}": r for d, r in enumerate(rs)})
     vh = ev(vh_t)
-    res.update(nilpotency_residuals(scn_b, names=("varpi", "v", "u1", "u0")))
+    res.update(nilpotency_residuals(scn_b, names=_NILPOTENT))
     v1 = composite_ghost(scn_b, "u1")
     res["first_ghost"] = (v1 - scn_b.expected_first_ghost()).value_norm()
     res["final_ghost"] = (vh - scn_b.expected_final_ghost()).value_norm()

@@ -176,6 +176,8 @@ def jtrunc(a, m, to_order):
     cur = order_of(m, a)
     if to_order > cur:
         raise JetOrderError(f"cannot raise jet order {cur} to {to_order}")
+    if to_order < 0:
+        raise JetOrderError(f"cannot truncate jet order {cur} to {to_order}")
     if to_order == cur:
         return a
     return a[..., : space(m, to_order).size]

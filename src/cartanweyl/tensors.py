@@ -130,8 +130,9 @@ def weyl_tensor(riem, P, g, ginv, m):
     return W
 
 
-def classical_bundle(e, signature, m):
-    """All oracle tensors from a vielbein jet array in one pass."""
+def curvature_bundle(e, signature, m):
+    """g, its inverse, Gamma, Riemann, Ricci, scalar curvature and the
+    Schouten tensor P from a vielbein jet array."""
     g = metric_from_vielbein(e, signature)
     ginv = jmat_inv(g, m)
     gamma = christoffel(g, ginv, m)
@@ -139,10 +140,15 @@ def classical_bundle(e, signature, m):
     ric = ricci(riem)
     scal = ricci_scalar(ric, jtrunc(ginv, m, order_of(m, ric)), m)
     P = schouten_from_ricci(ric, scal, g, m)
-    C = cotton(P, gamma, m)
-    W = weyl_tensor(riem, P, g, ginv, m)
-    return {
-        "g": g, "ginv": ginv, "Gamma": gamma, "Riemann": riem,
-        "Ricci": ric, "Rscal": scal, "P": P, "C": C, "W": W,
-    }
+    return {"g": g, "ginv": ginv, "Gamma": gamma, "Riemann": riem,
+            "Ricci": ric, "Rscal": scal, "P": P}
+
+
+def classical_bundle(e, signature, m):
+    """All oracle tensors from a vielbein jet array in one pass: the
+    :func:`curvature_bundle` plus the Cotton and Weyl tensors."""
+    out = curvature_bundle(e, signature, m)
+    out["C"] = cotton(out["P"], out["Gamma"], m)
+    out["W"] = weyl_tensor(out["Riemann"], out["P"], out["g"], out["ginv"], m)
+    return out
 

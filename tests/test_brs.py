@@ -7,14 +7,15 @@ from cartanweyl.brs import (ConformalBRS, GhostSpec, PoincareBRS,
                             linearization_check, modified_brs_residuals,
                             nilpotency_residuals, residual_weyl_brs,
                             russian_residual, two_steps_in_one, _is_zero)
-from cartanweyl.cartan import (KleinModel, VielbeinField, build_normal, gauge_transform,
-                               random_gauge)
-from cartanweyl.checks import PointContext, run_check
+from cartanweyl.cartan import (KleinModel, VielbeinField, build_normal, curvature_form,
+                               gauge_transform, random_gauge)
+from cartanweyl.checks import PointContext, _brs_reads, run_check
 from cartanweyl.cli import main
 from cartanweyl.dressing import full_pipeline
+from cartanweyl.errors import JetOrderError
 from cartanweyl.forms import MForm, gcomm
 from cartanweyl.grassmann import GradedScalar
-from cartanweyl.jets import Jet, space
+from cartanweyl.jets import Jet, jmat_mul, order_of, space
 from cartanweyl.scenarios import catalog
 
 from conftest import POINT3
@@ -435,6 +436,92 @@ def test_shared_cache_matches_cold_evaluation():
         warm, cold = s.ev(t), t.ev({})
         assert np.array_equal(warm.body().data, cold.body().data)
         assert _exact_terms(warm) == _exact_terms(cold)
+
+
+# -- the demand pass -------------------------------------------------------------
+
+def _one_point_context(name, m, jet_order=4):
+    scn = catalog(name, m, jet_order)
+    scn.points = scn.points[:1]
+    model, vb = KleinModel(scn.model, scn.chart), VielbeinField(scn.chart, scn.vielbein)
+    return PointContext(scn, model, vb, 0)
+
+
+def _poincare_brs(ctx):
+    lorentz = (ctx.scn.ghosts or {}).get("lorentz")
+    return PoincareBRS(ctx.normal, ctx.e_normal, lorentz, ctx.point, seed=ctx.seed)
+
+
+def _assert_reads_exact(cut, full, reads_of):
+    """Each term ``cut`` reads, after its demand pass, equals the same term of
+    the uncut ``full`` bit for bit at the order it is read at, and 0."""
+    reads = reads_of(cut)
+    assert len(reads) == len(reads_of(full))
+    for (t, k), (u, _) in zip(reads, reads_of(full)):
+        got, want = cut.ev(t), full.ev(u)
+        assert got.order >= k
+        for j in {0, k}:
+            assert np.array_equal(got.truncate(j).data, want.truncate(j).data)
+
+
+def test_demand_pass_keeps_every_conformal_read_exact():
+    cut, full = _generic_brs(), _generic_brs()
+    brs.demand(_brs_reads(cut))
+    assert cut.L_varpi.value.order == 1 < full.L_varpi.value.order
+    assert cut.L_e.value.order < full.L_e.value.order
+    _assert_reads_exact(cut, full, _brs_reads)
+    # the body-keeping instance of the linearization reads d of v-hat only
+    ctx = _one_point_context("generic", 3)
+    spec = GhostSpec(eps="x0/4", iota=["0"] * 3, lorentz=["0"] * 3)
+    cut, full = (ConformalBRS(ctx.normal, ctx.e_normal, spec, ctx.point, keep_body=True)
+                 for _ in range(2))
+
+    def reads(s):
+        return [(s.composite_ghost_term("full"), 1)]
+    brs.demand(reads(cut))
+    _assert_reads_exact(cut, full, reads)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_demand_pass_keeps_every_poincare_read_exact(m):
+    ctx = _one_point_context("poincare", m)
+    cut, full = _poincare_brs(ctx), _poincare_brs(ctx)
+    rows = cut.residuals()          # runs the pass
+    assert cut.L_varpi.value.order < full.L_varpi.value.order == 3
+    _assert_reads_exact(cut, full, PoincareBRS.reads)
+    assert all(np.isfinite(v) for v in rows.values())
+
+
+def test_brs_gr_products_run_at_order_two_at_most(monkeypatch):
+    """At m = 4 the connection and the ghosts are at order 3; after the pass
+    no jet-matrix product of the brs-gr rows runs above order 2."""
+    ctx = _one_point_context("poincare", 4)
+    ctx.normal
+    orders = []
+
+    def recorded(A, B, m):
+        out = jmat_mul(A, B, m)
+        orders.append(order_of(m, out))
+        return out
+
+    monkeypatch.setattr(forms, "jmat_mul", recorded)
+    full = _poincare_brs(ctx)
+    for t, _ in full.reads():
+        full.ev(t)
+    assert max(orders) == 3
+    orders.clear()
+    _poincare_brs(ctx).residuals()
+    assert orders and max(orders) == 2
+
+
+def test_a_d_of_a_value_read_fails_loudly():
+    """A term declared as a value read and then differentiated outside the
+    DAG raises JetOrderError instead of passing."""
+    s = _generic_brs()
+    brs.demand([(s.L_varpi, 0)])
+    assert s.ev(s.L_varpi).order == 0
+    with pytest.raises(JetOrderError):
+        curvature_form(s.ev(s.L_varpi))
 
 
 # -- planted defects in the ghost layer ------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cartanweyl import forms
+from cartanweyl import forms, tensors
 from cartanweyl.cartan import (SAMPLE_BOX, GaugeElement, KleinModel, VielbeinField,
                                assemble, build_normal, conjugate, covariant_d, curvature,
                                gauge_transform, normality_residual, random_gauge,
@@ -239,6 +239,18 @@ def test_normality_of_build_normal(mobius3, vielbein3):
     e = vielbein3.jets_at(POINT3, K)
     t, r, f = normality_residual(curvature(conn), e[..., 0], mobius3)
     assert t < 1e-12 and r < 1e-12 and f < 1e-12
+
+
+def test_build_normal_builds_no_cotton_or_weyl_tensor(mobius3, vielbein3, monkeypatch):
+    """The normal connection reads only the Schouten tensor of the oracle."""
+    want = build_normal(vielbein3, mobius3, POINT3, K)
+
+    def unused(*args):
+        raise AssertionError("build_normal needs only g -> ... -> P")
+    monkeypatch.setattr(tensors, "cotton", unused)
+    monkeypatch.setattr(tensors, "weyl_tensor", unused)
+    got = build_normal(vielbein3, mobius3, POINT3, K)
+    assert np.array_equal(got.omega.data, want.omega.data)
 
 
 def test_normality_of_flat(mobius3, flat3):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cartanweyl import checks, dressing
-from cartanweyl.cartan import (GaugeElement, KleinModel, build_normal, conjugate,
-                               gauge_transform, random_gauge)
+from cartanweyl.cartan import (GaugeElement, KleinModel, VielbeinField, build_normal,
+                               conjugate, gauge_transform, random_gauge)
 from cartanweyl.dressing import (compatibility_residuals,
                                  dressed_normality, extract_u1, full_pipeline,
                                  gr_dress, vielbein_of)
@@ -237,6 +237,33 @@ def test_gr_dress_lorentz_invariance(poincare3, vielbein3, rng):
     assert np.abs(G0[..., 0] - G1[..., 0]).max() < 1e-11
     assert np.abs(R0 - R1).max() < 1e-11
     assert np.abs(T0 - T1).max() < 1e-11
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_gr_dressing_suite_rows_equal_the_full_order_dressing(m):
+    """The suite dresses varpi at order 1 and e at order 2; each row equals
+    the one from dressing at the scenario's own orders, bit for bit."""
+    scn = catalog("poincare", m, jet_order=5)
+    scn.points = scn.points[:1]
+    model = KleinModel(scn.model, scn.chart)
+    ctx = checks.PointContext(scn, model, VielbeinField(scn.chart, scn.vielbein), 0)
+    got = checks.dressing_suite(ctx)
+    conn, e = ctx.normal, ctx.e_normal
+    assert conn.order == 4
+    _, _, Gamma, R, T, _, want = gr_dress(conn, e)
+    B = classical_bundle(e, scn.signature, m)
+    want["oracle_Gamma"] = float(np.abs(Gamma[..., 0] - B["Gamma"][..., 0]).max())
+    want["oracle_R"] = float(np.abs(R - B["Riemann"][..., 0]).max())
+    want["torsion"] = float(np.abs(T).max())
+    ge = random_gauge(model, np.random.default_rng(ctx.seed), with_z=False, with_r=False,
+                      point=ctx.point)
+    mats = ge.matrices(model, ctx.point, conn.order + 1)
+    conn_S = gauge_transform(conn, mats["gamma"], mats["gamma_inv"])
+    _, _, G2, R2, T2, _, _ = gr_dress(conn_S, jeinsum("ab,bm->am", mats["Sinv"], e, m))
+    want["so_invariance_Gamma"] = float(np.abs(Gamma[..., 0] - G2[..., 0]).max())
+    want["so_invariance_R"] = float(np.abs(R - R2).max())
+    want["so_invariance_T"] = float(np.abs(T - T2).max())
+    assert got == want
 
 
 def test_gr_dress_rejects_mobius(mobius3, vielbein3):

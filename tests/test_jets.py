@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cartanweyl.errors import JetOrderError
 from cartanweyl.exprs import eval_jet, parse_expr
+from cartanweyl.forms import MForm
 from cartanweyl.jets import (Chart, Jet, jmat_inv, jmat_mul, jmul, jrecip,
                              jtrunc, order_of, space)
 
@@ -43,6 +44,20 @@ def test_order_truncation_and_exhaustion():
     assert d.order == 0
     with pytest.raises(JetOrderError):
         d.derivative(0)
+
+
+def test_truncation_below_order_zero_raises():
+    """An order-0 jet has nothing below it: jtrunc(a, m, -1) raises instead of
+    returning an empty coefficient axis."""
+    a = np.ones((2, space(3, 2).size))
+    assert jtrunc(a, 3, 0).shape == (2, 1)
+    for bad in (-1, 3):
+        with pytest.raises(JetOrderError):
+            jtrunc(a, 3, bad)
+    with pytest.raises(JetOrderError):
+        Jet(3, a[0, :1]).truncate(-1)
+    with pytest.raises(JetOrderError):
+        MForm.zeros(3, (2, 2), 1, 0, 0).truncate(-1)
 
 
 def test_mixed_order_product_takes_min():
