@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .cartan import covariant_d, curvature_form
 from .dressing import extract_u1
 from .errors import ShapeError
-from .exprs import compile_expr, eval_jet, eval_jets
+from .exprs import Const, compile_expr, eval_jet, eval_jets
 from .forms import GHOST_POOL, MForm, block_matrix, eta_t, form_comps, gcomm, ghost_monos
 from .grassmann import GradedScalar
 from .jets import Jet, jmat_inv, jtrunc, order_of
@@ -800,7 +801,12 @@ def residual_weyl_brs(fields, scn):
     varpi0, Omega0 = fields.varpi0, fields.Omega0
     s_varpi0 = covariant_d(varpi0, vhat).scale(-1.0)
     s_Omega0 = gcomm(Omega0, vhat)
-    eps = scn.eps_jet
+    # every law is read through _value_defect: eps enters with at most two
+    # derivatives (the Schouten law reads d^2 eps) and g, g^-1 and Gamma
+    # undifferentiated, so they are cut to those orders before the loops
+    eps = scn.eps_jet.map(lambda c: c.truncate(min(2, c.order)))
+    g, Gamma = jtrunc(fields.g, m, 0), jtrunc(fields.Gamma, m, 0)
+    ginv = jmat_inv(g, m)
     out = {}
 
     def fj(arr):  # float jet array -> jet coefficient, truncated in products
@@ -809,11 +815,10 @@ def residual_weyl_brs(fields, scn):
     # s_W g = 2 eps g (block (3,2), coefficient of dx^mu at entry nu)
     blk = model.block(s_varpi0, 3, 2)
     out["s_w_metric"] = worst_of(
-        _value_defect(blk.entry(0, nu, mu), (fj(fields.g[mu, nu]) * eps) * 2.0)
+        _value_defect(blk.entry(0, nu, mu), (fj(g[mu, nu]) * eps) * 2.0)
         for mu in range(m) for nu in range(m))
     # s_W Gamma^r_mn = delta^r_n d_m eps + delta^r_m d_n eps - g^{rl} d_l eps g_mn
     blk = model.block(s_varpi0, 2, 2)
-    ginv = jmat_inv(jtrunc(fields.g, m, min(order_of(m, fields.g), scn.ghost_order)), m)
     deps = [_d(eps, mu) for mu in range(m)]
     defects = []
     for r in range(m):
@@ -826,7 +831,7 @@ def residual_weyl_brs(fields, scn):
                     want = want + deps[nu]
                 corr = GradedScalar()
                 for lam in range(m):
-                    corr = corr + (fj(ginv[r, lam]) * deps[lam]) * fj(fields.g[mu, nu])
+                    corr = corr + (fj(ginv[r, lam]) * deps[lam]) * fj(g[mu, nu])
                 want = want - corr
                 defects.append(_value_defect(blk.entry(r, nu, mu), want))
     out["s_w_gamma"] = worst_of(defects)
@@ -837,7 +842,7 @@ def residual_weyl_brs(fields, scn):
         for nu in range(m):
             want = _d(deps[mu], nu)
             for lam in range(m):
-                want = want - deps[lam] * fj(fields.Gamma[lam, mu, nu])
+                want = want - deps[lam] * fj(Gamma[lam, mu, nu])
             defects.append(_value_defect(blk.entry(0, nu, mu), want))
     out["s_w_schouten"] = worst_of(defects)
     # general two-form laws (they reduce to -d eps.W and 0 when T = f0 = 0):
@@ -846,7 +851,7 @@ def residual_weyl_brs(fields, scn):
     blkC = model.block(s_Omega0, 1, 2)
     blkW = model.block(s_Omega0, 2, 2)
     defectsC, defectsW = [], []
-    gval = fields.g[..., 0]
+    gval = g[..., 0]
     for f, (mu, sg) in enumerate(form_comps(m, 2)):
         for nu in range(m):
             want = deps[nu] * float(fields.f0[mu, sg])
@@ -911,6 +916,9 @@ def algebraic_connection(fields, scn):
     return vhat, entry_defect, rr
 
 
+_ZERO = Const(Fraction(0))     # the zero coefficient function, already parsed
+
+
 def linearization_check(conn, e, model, phi, point, order, h=1e-3, fields=None):
     """Finite Weyl derivative versus the BRS variation with eps -> phi.
 
@@ -944,7 +952,7 @@ def linearization_check(conn, e, model, phi, point, order, h=1e-3, fields=None):
     d2 = diff_at(h / 2.0)
     finite = {k: (4.0 * d2[k] - d1[k]) / 3.0 for k in d1}
     # BRS side with the ghost built on phi
-    spec = GhostSpec(eps=phi, iota=["0"] * m, lorentz=["0"] * (m * (m - 1) // 2))
+    spec = GhostSpec(eps=phi, iota=[_ZERO] * m, lorentz=[_ZERO] * (m * (m - 1) // 2))
     scn = ConformalBRS(conn, e, spec, point, keep_body=True)
     demand([(scn.composite_ghost_term("full"), 1)])     # covariant_d takes its d
     vhat = composite_ghost(scn, "full")

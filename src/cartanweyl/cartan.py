@@ -312,24 +312,28 @@ def normality_residual(curv, e_values, model):
 # gauge elements
 # ---------------------------------------------------------------------------
 
-def _so_factor(model, pair, angle, order):
-    """Plane rotation/boost embedded in the m x m Lorentz block."""
+def _so_factors(model, pairs, angles, order):
+    """Plane rotations/boosts embedded in the m x m Lorentz block, one per
+    (pair, angle jet); the trigonometric jets of all angles are composed
+    together."""
     m = model.m
-    a, b = pair
     sig = model.eta
     C = space(m, order).size
-    S = np.zeros((m, m, C))
-    for i in range(m):
-        S[i, i, 0] = 1.0
-    if sig[a] == sig[b]:
-        c, s = jcos(angle, m), jsin(angle, m)
+    angles = np.asarray(angles).reshape(len(pairs), C)
+    rot = np.array([sig[a] == sig[b] for a, b in pairs], dtype=bool)
+    even, odd = np.empty_like(angles), np.empty_like(angles)
+    for sel, fe, fo in ((rot, jcos, jsin), (~rot, jcosh, jsinh)):
+        if sel.any():
+            even[sel], odd[sel] = fe(angles[sel], m), fo(angles[sel], m)
+    out = []
+    for (a, b), r, c, s in zip(pairs, rot, even, odd):
+        S = np.zeros((m, m, C))
+        for i in range(m):
+            S[i, i, 0] = 1.0
         S[a, a], S[b, b] = c, c
-        S[a, b], S[b, a] = -s, s
-    else:
-        ch, sh = jcosh(angle, m), jsinh(angle, m)
-        S[a, a], S[b, b] = ch, ch
-        S[a, b], S[b, a] = sh, sh
-    return S
+        S[a, b], S[b, a] = (-s, s) if r else (s, s)
+        out.append(S)
+    return out
 
 
 @dataclass
@@ -378,8 +382,9 @@ class GaugeElement:
         S = np.zeros((m, m, C))
         for i in range(m):
             S[i, i, 0] = 1.0
-        for pair, _ in rotations:
-            S = jmat_mul(S, _so_factor(model, pair, next(jets), order), m)
+        angles = [next(jets) for _ in rotations]
+        for factor in _so_factors(model, [pair for pair, _ in rotations], angles, order):
+            S = jmat_mul(S, factor, m)
         sig = model.eta
         Sinv = np.einsum("a,bac,b->abc", sig, S, sig)  # eta S^T eta
         out["S"] = S

@@ -13,6 +13,12 @@ The Koszul sign convention is governed by the total degree p + q
 throughout, so moving a dx past a ghost-odd coefficient costs a sign.  That
 one convention fixes every sign in wedge products, graded commutators and
 the exterior derivative (whose stored-coefficient rule picks up (-1)^q).
+
+Products follow the jet kernels' layout: a wedge gathers each factor once
+by an index that fuses its :class:`WedgePlan` with the jet product table,
+makes every component-pair product in one batched ``matmul`` and sums each
+target's entries and the table's layers densely; the exterior derivative
+is one cached gather and a weighted sum per target.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ import numpy as np
 
 from .errors import JetOrderError, ShapeError
 from .grassmann import GradedScalar, _merge_monomials
-from .jets import Jet, jmat_mul, jtrunc, space
+from .jets import Jet, jtrunc, space
+from .jets import jmat_mul  # noqa: F401  (re-exported; perfbench's tracer test rebinds it)
 from .reduction import worst_of
 
 # Shared ghost generators.  Every BRS identity is checked at ghost degree
@@ -33,6 +40,9 @@ from .reduction import worst_of
 # (rows tied to sum to 1 lose degree 3; see brs._pool_weights).  At 4 the
 # brs suite on Poincare m = 5 took 0.27 s against 0.18 s at 3.
 GHOST_POOL = 3
+
+# a factor next to its negative: plan signs become gather offsets
+_SIGNS = np.array([1.0, -1.0])[:, None, None, None, None]
 
 
 @lru_cache(maxsize=None)
@@ -66,14 +76,47 @@ def _dx_plan(m, p1, p2):
     return tuple(plan)
 
 
+class WedgePlan:
+    """Component pairs of a wedge, grouped by target component.
+
+    Row h of ``f1``, ``f2`` and ``sign`` (each (H, E)) lists the E pairs
+    (left component, right component, sign) whose products land on target
+    component h: every target of a (p, q) product has the same number
+    E = C(q, q1) C(p, p1) of them.  :meth:`gathers` fuses the plan with the
+    jet product table of one order into one gather index per factor.
+    """
+
+    def __init__(self, m, f1, f2, sign, n_left):
+        self.m = m
+        self.f1, self.f2, self.sign = f1, f2, sign
+        self.n_left = n_left            # components of the left factor
+        self._gathers = {}
+
+    def gathers(self, order):
+        """(ia, ib, signed) at jet order ``order``.
+
+        ``ia`` and ``ib`` (E, H, T) index axis 0 of the left and the right
+        factor laid out as ([sign,] component, coefficient, row, column),
+        the sign axis holding the left factor and its negative when
+        ``signed``.  T runs over the product table's pairs.
+        """
+        if order not in self._gathers:
+            tab = space(self.m, order).table
+            signed = bool((self.sign < 0).any())
+            left = (self.f1 + self.n_left * (self.sign < 0)).T
+            ia = left[:, :, None] * tab.size + tab.i
+            ib = self.f2.T[:, :, None] * tab.size + tab.j
+            self._gathers[order] = (ia, ib, signed)
+        return self._gathers[order]
+
+
 @lru_cache(maxsize=None)
 def wedge_plan(m, p1, q1, p2, q2):
-    """Component-level wedge of a (p1, q1) and a (p2, q2) form as index
-    arrays (f1, f2, h, sign), one entry per component pair with a product.
+    """:class:`WedgePlan` of the wedge of a (p1, q1) and a (p2, q2) form.
 
     The sign folds the ghost-merge sign, the dx sign and the Koszul sign
     (-1)^(p1 q2) of moving the left dx monomial past the right ghost
-    monomial.  Entries are empty when p1 + p2 > m; several share a target h.
+    monomial.  The plan has no targets when p1 + p2 > m.
     """
     F1, F2 = len(form_comps(m, p1)), len(form_comps(m, p2))
     F = len(form_comps(m, p1 + p2))
@@ -88,10 +131,16 @@ def wedge_plan(m, p1, q1, p2, q2):
                 continue
             g, gsign = merged
             for i1, i2, h, sign in dx:
-                plan.append((a * F1 + i1, b * F2 + i2, target[g] * F + h,
+                plan.append((target[g] * F + h, a * F1 + i1, b * F2 + i2,
                              koszul * gsign * sign))
-    f1, f2, h = (np.array([e[k] for e in plan], dtype=int) for k in range(3))
-    return f1, f2, h, np.array([e[3] for e in plan])
+    plan.sort(key=lambda e: e[0])       # stable: grouped by target
+    rows = len(target) * F if plan else 0
+    shape = (rows, len(plan) // rows if rows else 0)
+    h, f1, f2 = (np.array([e[k] for e in plan], dtype=int).reshape(shape)
+                 for k in range(3))
+    sign = np.array([e[3] for e in plan]).reshape(h.shape)
+    assert (h == np.arange(rows)[:, None]).all()
+    return WedgePlan(m, f1, f2, sign, len(ghost_monos(q1)) * F1)
 
 
 @lru_cache(maxsize=None)
@@ -109,6 +158,28 @@ def d_plan(m, p):
             sign = -1.0 if pos % 2 else 1.0
             plan.append((i, nu, target[tuple(sorted(c + (nu,)))], sign))
     return tuple(plan)
+
+
+@lru_cache(maxsize=None)
+def _d_gather(m, p, q, order):
+    """(src, weight) of the exterior derivative at jet order ``order``.
+
+    Target component h of the derivative sums, over its p + 1 entries e,
+    weight[h, e] * data[src[h, e]] on the (component, coefficient) axis of
+    the order-``order`` source; the weight folds the d_plan sign, the
+    (-1)^q of the stored coefficients and the derivative's factor.
+    """
+    sp = space(m, order)
+    sign_q = -1.0 if q % 2 else 1.0
+    plan = sorted(d_plan(m, p), key=lambda e: e[2])     # stable: grouped by target
+    f, nu = (np.array([e[k] for e in plan], dtype=int).reshape(-1, p + 1) for k in (0, 1))
+    sgn = np.array([e[3] for e in plan], dtype=float).reshape(-1, p + 1)
+    src = np.array(sp.deriv_src)[nu] + (f * sp.size)[..., None]
+    weight = np.array(sp.deriv_fac)[nu] * (sgn * sign_q)[..., None]
+    # the same d acts on every ghost monomial's block of components
+    G, block = len(ghost_monos(q)), len(form_comps(m, p)) * sp.size
+    src = (np.arange(G)[:, None, None, None] * block + src).reshape(-1, *src.shape[1:])
+    return src, np.broadcast_to(weight, (G,) + weight.shape).reshape(src.shape)
 
 
 class MForm:
@@ -237,40 +308,52 @@ class MForm:
     # -- products ------------------------------------------------------------
 
     def wedge(self, other):
-        """Matrix product with wedge on coefficients, total-degree signs."""
+        """Matrix product with wedge on coefficients, total-degree signs.
+
+        Each factor is gathered once by the plan's fused (component, table
+        pair) index, one batched ``matmul`` makes every product, and the
+        sums over each target's E entries and over the product table's
+        layers are dense.
+        """
         if self.m != other.m:
             raise ShapeError("mixed charts")
         if self.shape[1] != other.shape[0]:
             raise ShapeError(f"shape mismatch {self.shape} x {other.shape}")
-        out = MForm.zeros(self.m, (self.shape[0], other.shape[1]), self.p + other.p,
-                          self.q + other.q, min(self.order, other.order))
-        f1, f2, h, sign = wedge_plan(self.m, self.p, self.q, other.p, other.q)
-        if h.size:
-            # every plan entry in one product, stacked on a leading axis;
-            # jmat_mul trims both factors to the lower order
-            prod = jmat_mul(self.data[:, :, f1].transpose(2, 0, 1, 3),
-                            other.data[:, :, f2].transpose(2, 0, 1, 3), self.m)
-            # entries sharing a target need the unbuffered scatter-add
-            np.add.at(out.data.transpose(2, 0, 1, 3), h,
-                      sign[:, None, None, None] * prod)
-        return out
+        m, order = self.m, min(self.order, other.order)
+        (r, n), c = self.shape, other.shape[1]
+        p, q = self.p + other.p, self.q + other.q
+        plan = wedge_plan(m, self.p, self.q, other.p, other.q)
+        H, E = plan.f1.shape
+        if not H:
+            return MForm.zeros(m, (r, c), p, q, order)
+        ia, ib, signed = plan.gathers(order)
+        tab = space(m, order).table
+        left = self.data[..., :tab.size].transpose(2, 3, 0, 1)      # (F1, C, r, n)
+        if signed:
+            left = left * _SIGNS
+        left = left.reshape(-1, r, n).take(ia, axis=0)               # (E, H, T, r, n)
+        right = other.data[..., :tab.size].transpose(2, 3, 0, 1).reshape(-1, n, c)
+        prod = left @ right.take(ib, axis=0)                         # (E, H, T, r, c)
+        # entries add as whole products, so equal ones cancel exactly
+        acc = prod[0]
+        for e in range(1, E):
+            acc += prod[e]
+        acc = tab.sum(acc)                                           # (H, C, r, c)
+        return MForm(m, (r, c), p, q, order, acc.transpose(2, 3, 0, 1)[..., tab.unslot])
 
     def ext_d(self):
-        """Exterior derivative; stored coefficients pick up (-1)^q."""
+        """Exterior derivative; stored coefficients pick up (-1)^q.
+
+        One gather of the plan's (component, coefficient) entries and a
+        weighted sum over the p + 1 entries of each target.
+        """
         if self.order == 0:
             raise JetOrderError("jet order exhausted in exterior derivative")
-        sign_q = -1.0 if self.q % 2 else 1.0
-        sp = space(self.m, self.order)
-        out = MForm.zeros(self.m, self.shape, self.p + 1, self.q, self.order - 1)
-        # d acts on the dx part of each ghost monomial alike
+        src, weight = _d_gather(self.m, self.p, self.q, self.order)
         r, c = self.shape
-        G = len(ghost_monos(self.q))
-        src = self.data.reshape(r, c, G, self.n_comps, sp.size)
-        dst = out.data.reshape(r, c, G, out.n_comps, out.data.shape[-1])
-        for f, nu, h, sgn in d_plan(self.m, self.p):
-            der = src[:, :, :, f, :][..., sp.deriv_src[nu]] * sp.deriv_fac[nu]
-            dst[:, :, :, h, :] += (sgn * sign_q) * der
-        return out
+        terms = self.data.reshape(r, c, -1).take(src, axis=-1) * weight
+        return MForm(self.m, self.shape, self.p + 1, self.q, self.order - 1,
+                     terms.sum(axis=-2))
 
     # -- inspection ----------------------------------------------------------
 

@@ -2,8 +2,12 @@
 
 A jet of order K at a point stores the normalized Taylor coefficients
 t_beta = (d^beta f)/beta! for every multi-index |beta| <= K.  Products are
-exact truncated polynomial convolutions driven by precomputed sparse tables,
-so identity residuals downstream are limited only by rounding.
+exact truncated polynomial convolutions, so identity residuals downstream
+are limited only by rounding.  Each order has one :class:`ProductTable` of
+the pairs (i, j) -> k with beta_i + beta_j = beta_k, stored layer by layer:
+a product gathers each factor once in table order, multiplies (one batched
+``matmul`` for jet matrices) and sums the layers densely, without segment
+sums or scatter-adds.
 
 Jets are flat numpy arrays over the monomial basis of a cached
 :class:`JetSpace`, wrapped as :class:`Jet` for scalar arithmetic.  A ghost
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -39,8 +43,67 @@ def _monomials(m, order):
     return tuple(out)
 
 
+class ProductTable:
+    """Pairs (i, j) -> k of a truncated product, stored layer by layer.
+
+    Every output k sums the products of its pairs, taken in a fixed order
+    (ascending i).  Layer l holds the l-th pair of every output with more
+    than l pairs.  Outputs sit in *slots* sorted by pair count, most first,
+    so layer l covers slots 0 .. width_l - 1: :meth:`sum` is one slice-add
+    per layer and ends with the outputs in slot order; ``unslot[k]`` is the
+    slot of output k.
+
+    An output of degree d has the same pairs, in the same order, in the table
+    of every order >= d, so each coefficient is summed the same way at every
+    order that holds it: truncating the factors first is bitwise exact.
+    """
+
+    def __init__(self, i, j, k, size):
+        counts = np.bincount(k, minlength=size)
+        by_k = np.argsort(k, kind="stable")
+        rank = np.empty_like(k)
+        rank[by_k] = np.arange(k.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.unslot = np.empty(size, dtype=np.intp)
+        self.unslot[np.argsort(-counts, kind="stable")] = np.arange(size)
+        layer_major = np.lexsort((self.unslot[k], rank))
+        self.i, self.j = i[layer_major], j[layer_major]
+        self.size = size
+        self.widths = np.bincount(rank).tolist()        # outputs per layer
+        # (destination slots, table entries) of every layer after the first
+        self._layers = []
+        start = size
+        for width in self.widths[1:]:
+            self._layers.append((np.s_[..., :width, :, :], np.s_[..., start:start + width, :, :]))
+            start += width
+        self._grid = (rank[layer_major], k[layer_major])
+
+    def sum(self, prod):
+        """Sum per output of the per-pair products on axis -3 (matrix
+        products), in slot order; adds into ``prod`` in place."""
+        acc = prod[..., :self.size, :, :]
+        for dst, src in self._layers:
+            acc[dst] += prod[src]
+        return acc
+
+    @cached_property
+    def padded(self):
+        """(i, j, layers): the table on a dense (layers, size) grid in output
+        order, for a sum over one axis.  A gap pairs j = 0 with i = size, a
+        zero appended to the left factor."""
+        rank, k = self._grid
+        layers = len(self.widths)
+        pi = np.full((layers, self.size), self.size, dtype=np.intp)
+        pj = np.zeros((layers, self.size), dtype=np.intp)
+        pi[rank, k] = self.i
+        pj[rank, k] = self.j
+        return pi.ravel(), pj.ravel(), layers
+
+
 class JetSpace:
-    """Monomial basis plus multiplication/derivative tables for (m, order)."""
+    """Monomial basis plus multiplication/derivative tables for (m, order).
+
+    The product tables are built with numpy on first use.
+    """
 
     def __init__(self, m, order):
         self.m = m
@@ -53,38 +116,53 @@ class JetSpace:
         # prefix length of the sub-basis of order <= d
         self.prefix = [int(np.searchsorted(self.degrees, d, side="right"))
                        for d in range(order + 1)]
-        self._build_mul_table()
-        self._build_deriv_maps()
         self.factorials = np.array(
             [math.prod(math.factorial(k) for k in b) for b in self.monos],
             dtype=float,
         )
+        # mixed-radix codes add like exponent vectors up to total order
+        self._codes = self.exponents @ (order + 1) ** np.arange(m)
+        self._sorted = np.argsort(self._codes)
+        self._build_deriv_maps()
 
-    def _build_mul_table(self):
-        pairs_i, pairs_j, pairs_k = [], [], []
-        for i, bi in enumerate(self.monos):
-            di = sum(bi)
-            for j, bj in enumerate(self.monos):
-                if di + sum(bj) > self.order:
-                    continue
-                bk = tuple(a + b for a, b in zip(bi, bj))
-                pairs_i.append(i)
-                pairs_j.append(j)
-                pairs_k.append(self.index[bk])
-        order_perm = np.argsort(np.array(pairs_k), kind="stable")
-        self.mul_i = np.array(pairs_i)[order_perm]
-        self.mul_j = np.array(pairs_j)[order_perm]
-        mul_k = np.array(pairs_k)[order_perm]
-        # every output index is hit (pairing with the constant monomial)
-        self.mul_starts = np.searchsorted(mul_k, np.arange(self.size))
-        # degree-d sub-tables of jmat_inv: entries i, j -> k with deg k = d
-        # and deg i >= 1; every such k still has a (degree-1, rest) entry
-        self.inv_tables = []
+    def _lookup(self, codes):
+        """Basis indices of monomials given by their codes."""
+        return self._sorted[np.searchsorted(self._codes[self._sorted], codes)]
+
+    def _pairs(self):
+        """(i, j, k) of every product pair, ascending i within each k."""
+        deg = self.degrees
+        i, j = np.nonzero(deg[:, None] + deg[None, :] <= self.order)
+        return i, j, self._lookup(self._codes[i] + self._codes[j])
+
+    @cached_property
+    def table(self):
+        """The full product table."""
+        i, j, k = self._pairs()
+        return ProductTable(i, j, k, self.size)
+
+    @property
+    def mul_i(self):
+        """Left factor index of every product pair, in table order."""
+        return self.table.i
+
+    @property
+    def mul_j(self):
+        """Right factor index of every product pair, in table order."""
+        return self.table.j
+
+    @cached_property
+    def inv_tables(self):
+        """Degree-d sub-tables of :func:`jmat_inv`, d = 1..order: the pairs
+        i, j -> k with deg k = d and deg i >= 1, so every output still has
+        its (degree-1, rest) pair; outputs are numbered from prefix[d - 1]."""
+        i, j, k = self._pairs()
+        out = []
         for d in range(1, self.order + 1):
-            sel = (self.degrees[mul_k] == d) & (self.degrees[self.mul_i] > 0)
-            starts = np.searchsorted(mul_k[sel], np.arange(self.prefix[d - 1],
-                                                          self.prefix[d]))
-            self.inv_tables.append((self.mul_i[sel], self.mul_j[sel], starts))
+            sel = (self.degrees[k] == d) & (i > 0)
+            lo = self.prefix[d - 1]
+            out.append(ProductTable(i[sel], j[sel], k[sel] - lo, self.prefix[d] - lo))
+        return out
 
     def _build_deriv_maps(self):
         # For direction nu: coefficients of d_nu f on the (order-1) basis.
@@ -92,17 +170,10 @@ class JetSpace:
         self.deriv_fac = []
         if self.order == 0:
             return
-        sub = _monomials(self.m, self.order - 1)
+        n = self.prefix[self.order - 1]
         for nu in range(self.m):
-            src = np.empty(len(sub), dtype=int)
-            fac = np.empty(len(sub), dtype=float)
-            for i, beta in enumerate(sub):
-                up = list(beta)
-                up[nu] += 1
-                src[i] = self.index[tuple(up)]
-                fac[i] = up[nu]
-            self.deriv_src.append(src)
-            self.deriv_fac.append(fac)
+            self.deriv_src.append(self._lookup(self._codes[:n] + (self.order + 1) ** nu))
+            self.deriv_fac.append(self.exponents[:n, nu] + 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -184,12 +255,19 @@ def jtrunc(a, m, to_order):
 
 
 def jmul(a, b, m):
-    """Truncated product; broadcasts over leading axes, trims to min order."""
-    # the order-k tables index only the first size(k) coefficients, so the
-    # longer operand needs no explicit truncation
+    """Truncated product; broadcasts over leading axes, trims to min order.
+
+    The padded table gathers both factors once, and the layer axis is
+    summed in one reduction.  As the order-k tables index only the first
+    size(k) coefficients, the longer operand needs no explicit truncation.
+    """
     sp = space(m, order_of(m, min(a.shape[-1], b.shape[-1])))
-    prod = a.take(sp.mul_i, axis=-1) * b.take(sp.mul_j, axis=-1)
-    return np.add.reduceat(prod, sp.mul_starts, axis=-1)
+    if sp.size == 1:        # order 0: the product of the values
+        return a[..., :1] * b[..., :1]
+    pi, pj, layers = sp.table.padded
+    a0 = np.concatenate((a[..., :sp.size], np.zeros(a.shape[:-1] + (1,))), axis=-1)
+    prod = a0.take(pi, axis=-1) * b.take(pj, axis=-1)
+    return prod.reshape(prod.shape[:-1] + (layers, sp.size)).sum(axis=-2)
 
 
 def jder(a, m, nu):
@@ -201,45 +279,49 @@ def jder(a, m, nu):
 
 
 def jcompose(u, ders, m):
-    """phi(u) for scalar phi given derivatives ders[k] = phi^(k)(u0)."""
+    """phi(u) for scalar phi given derivatives ders[n] = phi^(n)(u0).
+
+    Each ``ders[n]`` is a float or, when the jets on u's leading axes have
+    their own phi derivatives, an array over those axes; the Horner steps
+    are one batched product each.
+    """
     k = order_of(m, u)
-    sp = space(m, k)
     delta = u.copy()
     delta[..., 0] = 0.0
-    out = jconst(ders[k] / math.factorial(k), m, k)
-    out = np.broadcast_to(out, u.shape).copy()
+    out = np.zeros(u.shape)
+    out[..., 0] = ders[k] / math.factorial(k)
     for n in range(k - 1, -1, -1):
         out = jmul(out, delta, m)
         out[..., 0] += ders[n] / math.factorial(n)
     return out
 
 
-def jrecip(a, m):
-    v = a[..., 0]
-    if np.any(v == 0.0):
-        raise ExprDomainError("division by zero in jet evaluation")
+def _compose_rows(a, m, row_ders):
+    """phi(a) for a (..., C) jet array, ``row_ders(v, k)`` giving the phi
+    derivatives at one value v: scalars per jet, one batched Horner pass."""
     k = order_of(m, a)
-    if a.ndim == 1:
-        ders = [math.factorial(n) * (-1.0) ** n / v ** (n + 1) for n in range(k + 1)]
-        return jcompose(a, ders, m)
     flat = a.reshape(-1, a.shape[-1])
-    out = np.stack([jrecip(row, m) for row in flat])
-    return out.reshape(a.shape)
+    ders = np.array([row_ders(v, k) for v in flat[:, 0]]).reshape(flat.shape[0], k + 1)
+    return jcompose(flat, ders.T, m).reshape(a.shape)
+
+
+def jrecip(a, m):
+    if np.any(a[..., 0] == 0.0):
+        raise ExprDomainError("division by zero in jet evaluation")
+    return _compose_rows(a, m, lambda v, k: [math.factorial(n) * (-1.0) ** n / v ** (n + 1)
+                                             for n in range(k + 1)])
 
 
 def _scalar_compose(fn_ders, name):
+    def row_ders(v, k):
+        try:
+            return fn_ders(v, k)
+        except OverflowError:
+            raise ExprDomainError(
+                f"{name}({v:.6g}) overflows in jet evaluation") from None
+
     def op(a, m):
-        if a.ndim == 1:
-            k = order_of(m, a)
-            try:
-                ders = fn_ders(a[0], k)
-            except OverflowError:
-                raise ExprDomainError(
-                    f"{name}({a[0]:.6g}) overflows in jet evaluation") from None
-            return jcompose(a, ders, m)
-        flat = a.reshape(-1, a.shape[-1])
-        out = np.stack([op(row, m) for row in flat])
-        return out.reshape(a.shape)
+        return _compose_rows(a, m, row_ders)
     return op
 
 
@@ -311,17 +393,18 @@ def jipow(a, n, m):
 def jmat_mul(A, B, m):
     """Matrix product with jet entries: (..., r, k, C) x (..., k, c, C).
 
-    Broadcasts over leading axes and trims to the lower order.  The
-    multiplication-table axis goes in front of the matrix axes, so all table
-    entries are one batched ``matmul``; as in :func:`jmul`, the order-k
-    tables index only the first size(k) coefficients of the longer operand.
+    Broadcasts over leading axes and trims to the lower order.  Both factors
+    are gathered once in table order, every table pair is one matrix of a
+    batched ``matmul``, and :meth:`ProductTable.sum` adds the layers; as in
+    :func:`jmul`, the order-k table indexes only the first size(k)
+    coefficients of the longer operand.
     """
-    sp = space(m, order_of(m, min(A.shape[-1], B.shape[-1])))
+    tab = space(m, order_of(m, min(A.shape[-1], B.shape[-1]))).table
     # swapping the jet and row axes gives (..., C, k, r) stacks of transposed
     # matrices, and (A_i B_j)^T = B_j^T A_i^T
     At, Bt = A.swapaxes(-1, -3), B.swapaxes(-1, -3)
-    prod = Bt.take(sp.mul_j, axis=-3) @ At.take(sp.mul_i, axis=-3)
-    return np.add.reduceat(prod, sp.mul_starts, axis=-3).swapaxes(-1, -3)
+    acc = tab.sum(Bt.take(tab.j, axis=-3) @ At.take(tab.i, axis=-3))
+    return acc.swapaxes(-1, -3)[..., tab.unslot]
 
 
 def jmat_inv(E, m):
@@ -338,10 +421,10 @@ def jmat_inv(E, m):
     X = np.empty(Et.shape)
     X0 = np.linalg.inv(Et[..., 0, :, :])
     X[..., 0, :, :] = X0
-    for d, (ti, tj, starts) in enumerate(sp.inv_tables, start=1):
-        EX = np.add.reduceat(Et.take(ti, axis=-3) @ X.take(tj, axis=-3),
-                             starts, axis=-3)
-        X[..., sp.prefix[d - 1]:sp.prefix[d], :, :] = -(X0[..., None, :, :] @ EX)
+    for d, tab in enumerate(sp.inv_tables, start=1):
+        EX = tab.sum(Et.take(tab.i, axis=-3) @ X.take(tab.j, axis=-3))
+        X[..., sp.prefix[d - 1]:sp.prefix[d], :, :] = -(
+            X0[..., None, :, :] @ EX.take(tab.unslot, axis=-3))
     return np.moveaxis(X, -3, -1)
 
 

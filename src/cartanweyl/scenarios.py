@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import CartanWeylError, ScenarioError
 from .exprs import parse_expr
@@ -38,8 +38,9 @@ def _is_real(x):
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def _check_exprs(exprs, count, what, names, optional=False):
-    """``count`` expression strings over the chart coordinates ``names``."""
+def _check_exprs(exprs, count, what, names, parsed, optional=False):
+    """``count`` expression strings over the chart coordinates ``names``;
+    their parse trees go into ``parsed``, keyed by (dimension, text)."""
     if not isinstance(exprs, list) or len(exprs) != count:
         raise ScenarioError(f"{what} must list {count} expressions, got {exprs!r}")
     for e in exprs:
@@ -47,13 +48,15 @@ def _check_exprs(exprs, count, what, names, optional=False):
             continue
         if not isinstance(e, str):
             raise ScenarioError(f"{what} entry {e!r} is not an expression string")
+        if (len(names), e) in parsed:
+            continue
         try:
-            parse_expr(e, variables=names)
+            parsed[len(names), e] = parse_expr(e, variables=names)
         except CartanWeylError as ex:
             raise ScenarioError(f"{what} entry {e!r}: {ex}") from ex
 
 
-def _check_table(table, arity, what, names, flags=()):
+def _check_table(table, arity, what, names, parsed, flags=()):
     """A dict of expressions (a scalar where the arity is None, else a list of
     that many) plus boolean ``flags``."""
     if not isinstance(table, dict):
@@ -69,9 +72,9 @@ def _check_table(table, arity, what, names, flags=()):
         if val is None:
             continue
         if count is None:
-            _check_exprs([val], 1, f"{what}.{key}", names)
+            _check_exprs([val], 1, f"{what}.{key}", names, parsed)
         else:
-            _check_exprs(val, count, f"{what}.{key}", names, optional=key == "so")
+            _check_exprs(val, count, f"{what}.{key}", names, parsed, optional=key == "so")
 
 
 @dataclass
@@ -90,9 +93,26 @@ class Scenario:
     seed: int = 0
     normal: bool = True         # whether the input connection is normal
     point_offset: int = 0       # internal: absolute index of points[0]
+    # parse trees by (dimension, text), filled by validate and by parsed()
+    _parsed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.validate()
+
+    def parsed(self, text):
+        """The parse tree of an expression string (None for None).
+
+        Validation parses the scenario's own expressions; any other text,
+        such as a suite's default, is parsed on first use.  Either way a
+        text is parsed once per scenario and dimension, however often the
+        scenario is validated again.
+        """
+        if text is None:
+            return None
+        key = (self.dimension, text)
+        if key not in self._parsed:
+            self._parsed[key] = parse_expr(text)
+        return self._parsed[key]
 
     def validate(self):
         """Check every field, before any jet or matrix is allocated.
@@ -142,21 +162,22 @@ class Scenario:
         self.points = [tuple(p) for p in self.points]
         names = tuple(f"x{i}" for i in range(m))
         pairs = m * (m - 1) // 2
+        parsed = self._parsed
         if self.vielbein is None:
             self.vielbein = [["1" if i == j else "0" for j in range(m)]
                              for i in range(m)]
         if not isinstance(self.vielbein, list) or len(self.vielbein) != m:
             raise ScenarioError(f"vielbein must be a list of {m} rows")
         for row in self.vielbein:
-            _check_exprs(row, m, "vielbein row", names)
+            _check_exprs(row, m, "vielbein row", names, parsed)
         if self.weyl is not None:
-            _check_exprs([self.weyl], 1, "weyl", names)
+            _check_exprs([self.weyl], 1, "weyl", names, parsed)
         if self.gauge is not None:
             _check_table(self.gauge, {"z": None, "so": pairs, "r": m}, "gauge",
-                         names, flags=("seeded",))
+                         names, parsed, flags=("seeded",))
         if self.ghosts is not None:
             _check_table(self.ghosts, {"eps": None, "iota": m, "lorentz": pairs},
-                         "ghosts", names)
+                         "ghosts", names, parsed)
 
     @property
     def chart(self):
@@ -229,6 +250,18 @@ def _points(m, k=2):
     return pts
 
 
+def _diag_poly(m):
+    """Fields of the diag-poly scenario apart from its jet order."""
+    sig = (1,) + (-1,) * (m - 1)
+    diag = ["1 + x1^2/2", "1 + x0*x%d/4" % (m - 1), "1 + x0^2/3 + x%d/5" % (m - 1)]
+    while len(diag) < m:
+        diag.append(f"1 + x{len(diag) % m}^2/{3 + len(diag)}")
+    vb = [[diag[i] if i == j else "0" for j in range(m)] for i in range(m)]
+    return dict(name="diag-poly", dimension=m, signature=sig, vielbein=vb,
+                points=_points(m), weyl="x0/4 - x1*x2/6" if m > 2 else "x0/4",
+                ghosts=_default_ghosts(m))
+
+
 def catalog(name, m=3, jet_order=4):
     """Built-in scenarios; names: flat, conformally-flat, diag-poly,
     constant-curvature, ricci-flat-m4, generic, torsionful, poincare."""
@@ -245,14 +278,7 @@ def catalog(name, m=3, jet_order=4):
                         points=_points(m), jet_order=jet_order,
                         weyl="x0/5 - x1/7", ghosts=_default_ghosts(m))
     if name == "diag-poly":
-        diag = ["1 + x1^2/2", "1 + x0*x%d/4" % (m - 1), "1 + x0^2/3 + x%d/5" % (m - 1)]
-        while len(diag) < m:
-            diag.append(f"1 + x{len(diag) % m}^2/{3 + len(diag)}")
-        vb = [[diag[i] if i == j else "0" for j in range(m)] for i in range(m)]
-        return Scenario(name=name, dimension=m, signature=sig, vielbein=vb,
-                        points=_points(m), jet_order=jet_order,
-                        weyl="x0/4 - x1*x2/6" if m > 2 else "x0/4",
-                        ghosts=_default_ghosts(m))
+        return Scenario(**_diag_poly(m), jet_order=jet_order)
     if name == "constant-curvature":
         # g = eta / (1 + (k/4) x.eta.x)^2 has Ricci = (m-1) k g; k = 1
         q = " + ".join(f"({s})*x{i}*x{i}" for i, s in enumerate(sig))
@@ -285,8 +311,8 @@ def catalog(name, m=3, jet_order=4):
         return base
     if name == "poincare":
         # validated as a Poincare scenario, whose jet-order floor is lower
-        return replace(catalog("diag-poly", m), name=name, model="poincare",
-                       jet_order=jet_order)
+        return Scenario(**dict(_diag_poly(m), name=name), model="poincare",
+                        jet_order=jet_order)
     raise ScenarioError(f"unknown catalog scenario {name!r}")
 
 

@@ -16,41 +16,53 @@ Index conventions (fixed once, shared with the dressing route):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .jets import jder, jmat_inv, jmul, jtrunc, order_of
+from .jets import jder, jmat_inv, jmat_mul, jmul, jtrunc, order_of
 
 
 def jeinsum(spec, a, b, m):
     """Two-operand einsum with jet-valued entries (trailing coeff axis).
 
-    Contracted labels are those missing from the output.  Products go through
-    the truncated jet convolution, so orders mix correctly.
+    Contracted labels are those missing from the output; each must appear
+    once in each operand.  The operands are reshaped to (batch, free,
+    contracted) and (batch, contracted, free) jet matrices, so the whole
+    contraction is one :func:`jmat_mul`; a spec that contracts nothing is
+    one broadcast :func:`jmul`.
     """
     ins, out = spec.split("->")
     la, lb = ins.split(",")
-    contracted = [c for c in dict.fromkeys(la + lb) if c not in out]
-    full = out + "".join(contracted)
-    sizes = {}
-    for lbl, size in zip(la, a.shape[:-1]):
-        sizes[lbl] = size
-    for lbl, size in zip(lb, b.shape[:-1]):
-        sizes[lbl] = size
+    if len(set(la)) < len(la) or len(set(lb)) < len(lb) or len(set(out)) < len(out):
+        raise ValueError(f"jeinsum spec {spec!r} repeats a label within one operand")
+    if any(c not in out for c in set(la) ^ set(lb)):
+        raise ValueError(f"jeinsum spec {spec!r} sums a label of one operand only")
+    sizes = dict(zip(la, a.shape[:-1]))
+    sizes.update(zip(lb, b.shape[:-1]))
+    batch = [c for c in out if c in la and c in lb]
+    left = [c for c in out if c in la and c not in lb]
+    right = [c for c in out if c in lb and c not in la]
+    summed = [c for c in la if c not in out]
 
-    def arrange(x, labels):
-        # transpose to the order of `full` and insert singleton axes
-        perm = [labels.index(c) for c in full if c in labels]
-        x = x.transpose(*perm, x.ndim - 1)
-        shape = [sizes[c] if c in labels else 1 for c in full] + [x.shape[-1]]
-        return x.reshape(shape)
+    def arrange(x, labels, groups):
+        # transpose to the group order and merge each group into one axis
+        order = [labels.index(c) for g in groups for c in g]
+        shape = [math.prod(sizes[c] for c in g) for g in groups]
+        return x.transpose(*order, x.ndim - 1).reshape(shape + [x.shape[-1]])
 
-    va = arrange(a, la)
-    vb = arrange(b, lb)
-    prod = jmul(va, vb, m)
-    if contracted:
-        axes = tuple(range(len(out), len(full)))
-        prod = prod.sum(axis=axes)
-    return prod
+    if summed:
+        prod = jmat_mul(arrange(a, la, [[c] for c in batch] + [left, summed]),
+                        arrange(b, lb, [[c] for c in batch] + [summed, right]), m)
+    else:
+        # an outer product: singleton axes line the operands up
+        full = batch + left + right
+        va = arrange(a, la, [[c] if c in la else [] for c in full])
+        vb = arrange(b, lb, [[c] if c in lb else [] for c in full])
+        prod = jmul(va, vb, m)
+    have = batch + left + right
+    prod = prod.reshape([sizes[c] for c in have] + [prod.shape[-1]])
+    return prod.transpose(*[have.index(c) for c in out], len(have))
 
 
 def _dstack(a, m):

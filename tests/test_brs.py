@@ -15,7 +15,7 @@ from cartanweyl.dressing import full_pipeline
 from cartanweyl.errors import JetOrderError
 from cartanweyl.forms import MForm, gcomm
 from cartanweyl.grassmann import GradedScalar
-from cartanweyl.jets import Jet, jmat_mul, order_of, space
+from cartanweyl.jets import Jet, space
 from cartanweyl.scenarios import catalog
 
 from conftest import POINT3
@@ -498,13 +498,14 @@ def test_brs_gr_products_run_at_order_two_at_most(monkeypatch):
     ctx = _one_point_context("poincare", 4)
     ctx.normal
     orders = []
+    wedge = MForm.wedge
 
-    def recorded(A, B, m):
-        out = jmat_mul(A, B, m)
-        orders.append(order_of(m, out))
+    def recorded(a, b):
+        out = wedge(a, b)           # every jet-matrix product of a form
+        orders.append(out.order)
         return out
 
-    monkeypatch.setattr(forms, "jmat_mul", recorded)
+    monkeypatch.setattr(MForm, "wedge", recorded)
     full = _poincare_brs(ctx)
     for t, _ in full.reads():
         full.ev(t)
@@ -539,8 +540,10 @@ def _flipped_koszul_sign(mp):
     orig = forms.wedge_plan
 
     def plan(m, p1, q1, p2, q2):
-        f1, f2, h, sign = orig(m, p1, q1, p2, q2)
-        return f1, f2, h, -sign if (p1 * q2) % 2 else sign
+        pl = orig(m, p1, q1, p2, q2)
+        if (p1 * q2) % 2:
+            return forms.WedgePlan(m, pl.f1, pl.f2, -pl.sign, pl.n_left)
+        return pl
     mp.setattr(forms, "wedge_plan", plan)
 
 

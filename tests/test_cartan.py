@@ -10,7 +10,7 @@ from cartanweyl.checks import deformed_connection, run_check
 from cartanweyl.errors import AlgebraResidualError, DegenerateVielbeinError
 from cartanweyl.exprs import eval_jet, eval_jets, parse_expr
 from cartanweyl.forms import MForm, algebra_residual, eta_t, gcomm
-from cartanweyl.jets import Chart, jmat_inv, jmat_mul, jmul, order_of, space
+from cartanweyl.jets import Chart, jmat_inv, jmul, space
 from cartanweyl.scenarios import catalog
 from cartanweyl.tensors import classical_bundle
 
@@ -154,13 +154,14 @@ def test_helpers_multiply_no_higher_than_they_keep(mobius3, vielbein3, rng, monk
     low = ge.matrices(mobius3, POINT3, K - 2)
     assert conn.order == K - 2
     orders = []
+    wedge = forms.MForm.wedge
 
-    def recorded(A, B, m):
-        out = jmat_mul(A, B, m)
-        orders.append(order_of(m, out))
+    def recorded(a, b):
+        out = wedge(a, b)           # every jet-matrix product of a form
+        orders.append(out.order)
         return out
 
-    monkeypatch.setattr(forms, "jmat_mul", recorded)
+    monkeypatch.setattr(forms.MForm, "wedge", recorded)
     Om = curvature(conn).omega2
     assert orders and max(orders) == Om.order == K - 3
     for x, u, connection in ((conn.omega, mats, True), (Om, mats, False),

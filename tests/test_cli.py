@@ -495,3 +495,44 @@ def test_cli_fuzzed_scenario_never_escapes(key, value, capsys):
         code = main(["check", "--scenario", str(path), "--suite", "gauge"])
     assert code in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _expression_texts(scn):
+    """Every expression string of a scenario."""
+    out = set()
+    for val in [scn.vielbein, scn.weyl, scn.gauge, scn.ghosts]:
+        stack = [val]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, str):
+                out.add(x)
+            elif isinstance(x, dict):
+                stack.extend(x.values())
+            elif isinstance(x, list):
+                stack.extend(x)
+    return out
+
+
+@pytest.mark.parametrize("scn", [catalog("generic", 3), catalog("poincare", 4),
+                                 Scenario.load(Path(__file__).resolve().parents[1]
+                                               / "scenarios" / "demo-generic-m4.json")],
+                         ids=["generic", "poincare", "demo-generic-m4"])
+def test_one_check_run_parses_each_expression_once(scn, tmp_path, monkeypatch, capsys):
+    """Validation keeps the parse trees and the suites compile those: in a
+    whole ``check --suite all`` run every expression text is parsed exactly
+    once, each of the scenario's own among them."""
+    from cartanweyl import exprs, scenarios
+    path = tmp_path / "scn.json"
+    scn.save(path)
+    texts = []
+    parse = exprs.parse_expr
+
+    def counted(text, variables=None):
+        texts.append(text)
+        return parse(text, variables)
+
+    monkeypatch.setattr(exprs, "parse_expr", counted)
+    monkeypatch.setattr(scenarios, "parse_expr", counted)
+    assert main(["check", "--scenario", str(path), "--suite", "all"]) == 0
+    assert len(texts) == len(set(texts))
+    assert _expression_texts(scn) <= set(texts)

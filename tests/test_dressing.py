@@ -9,7 +9,7 @@ from cartanweyl.dressing import (compatibility_residuals,
                                  gr_dress, vielbein_of)
 from cartanweyl.errors import ShapeError
 from cartanweyl.forms import MForm, eta_t
-from cartanweyl.jets import jder, jmat_inv, jmul, jrecip
+from cartanweyl.jets import jder, jmat_inv, jmul, jrecip, space
 from cartanweyl.scenarios import catalog
 from cartanweyl.tensors import classical_bundle, jeinsum
 
@@ -294,3 +294,30 @@ def test_u1_group_inverse(mobius3, vielbein3, rng):
     prod = u1.mat.wedge(u1.inv)
     eye = MForm.identity(3, 5, prod.order)
     assert (prod - eye).full_norm() < 1e-13
+
+
+@pytest.mark.parametrize("name, m", [("generic", 3), ("generic", 5), ("constant-curvature", 3),
+                                     ("constant-curvature", 4), ("ricci-flat-m4", 4)])
+def test_oracle_rows_at_order_three_equal_the_full_order(name, m, monkeypatch):
+    """The classical oracle runs on e cut to order 3, and its five oracle_*
+    rows equal those of the full jet order bit for bit at every point:
+    ``np.einsum`` in ricci and weyl_tensor and every jet product keep the
+    value coefficient of each tensor as it is."""
+    scn = catalog(name, m, 6)
+    model, vb = KleinModel(scn.model, scn.chart), VielbeinField(scn.chart, scn.vielbein)
+    rows = ("oracle_g", "oracle_Gamma", "oracle_P", "oracle_C", "oracle_W")
+    seen = []
+    bundle = checks.tensors.classical_bundle
+
+    def recorded(e, signature, m):
+        seen.append(e.shape[-1])
+        return bundle(e, signature, m)
+
+    monkeypatch.setattr(checks.tensors, "classical_bundle", recorded)
+    for idx in range(len(scn.points)):
+        low = checks.dressing_suite(checks.PointContext(scn, model, vb, idx))
+        with monkeypatch.context() as mp:
+            mp.setattr(checks, "ORACLE_JET_ORDER", scn.jet_order)
+            full = checks.dressing_suite(checks.PointContext(scn, model, vb, idx))
+        assert [low[r] for r in rows] == [full[r] for r in rows]
+    assert seen == [space(m, 3).size, space(m, 6).size] * len(scn.points)

@@ -46,8 +46,10 @@ def _wedge_per_entry(a, b):
     """Wedge with one jet-matrix product per plan entry."""
     k = min(a.order, b.order)
     out = MForm.zeros(M, (a.shape[0], b.shape[1]), a.p + b.p, a.q + b.q, k)
-    for f1, f2, h, sgn in zip(*wedge_plan(M, a.p, a.q, b.p, b.q)):
-        out.data[:, :, h, :] += sgn * jmat_mul(a.data[:, :, f1, :], b.data[:, :, f2, :], M)
+    plan = wedge_plan(M, a.p, a.q, b.p, b.q)
+    for h, row in enumerate(zip(plan.f1, plan.f2, plan.sign)):
+        for f1, f2, sgn in zip(*row):
+            out.data[:, :, h, :] += sgn * jmat_mul(a.data[:, :, f1, :], b.data[:, :, f2, :], M)
     return out
 
 
@@ -55,14 +57,15 @@ def _wedge_per_entry(a, b):
 @pytest.mark.parametrize("p2", [0, 1, 2])
 @pytest.mark.parametrize("q2", [0, 1])
 def test_batched_wedge_matches_per_entry_loop(rng, p1, p2, q2):
-    """One batched product plus a scatter-add equals the per-entry loop.
+    """One fused gather, one batched product and dense sums equal the
+    per-entry loop.
 
     At m = 3, (1, 1) and (1, 2) plans send several entries to one target and
     (2, 2) has no entries at all; a ghost right factor adds ghost components.
     """
-    h = wedge_plan(M, p1, 0, p2, q2)[2]
+    plan = wedge_plan(M, p1, 0, p2, q2)
     if p1 + p2 > M:
-        assert h.size == 0
+        assert plan.f1.size == 0
     a = rand_form(rng, (2, 3), p1)
     b = rand_form(rng, (3, 4), p2, q2, order=K - 1)
     got = a.wedge(b)
@@ -91,9 +94,13 @@ def test_wedge_of_truncated_factors_is_bitwise_exact(m, order):
 
 
 def test_wedge_plans_repeat_targets():
+    """(1, 1), (1, 2) and (2, 1) plans send several distinct component
+    pairs to every target."""
     for p1, p2 in ((1, 1), (1, 2), (2, 1)):
-        h = wedge_plan(M, p1, 0, p2, 0)[2]
-        assert np.unique(h).size < h.size
+        plan = wedge_plan(M, p1, 0, p2, 0)
+        assert plan.f1.shape[1] > 1
+        for f1, f2 in zip(plan.f1, plan.f2):
+            assert len(set(zip(f1.tolist(), f2.tolist()))) == f1.size
 
 
 def test_identity_is_wedge_unit(rng):
