@@ -39,7 +39,7 @@ from .errors import ShapeError
 from .exprs import Const, compile_expr, eval_jet, eval_jets
 from .forms import GHOST_POOL, MForm, block_matrix, eta_t, form_comps, gcomm, ghost_monos
 from .grassmann import GradedScalar
-from .jets import Jet, jmat_inv, jtrunc, order_of
+from .jets import Jet, jder, jmat_inv, jtrunc, order_of
 from .reduction import worst_of
 from .tensors import jeinsum
 
@@ -398,11 +398,6 @@ def _d(g, nu):
     return g.map(lambda c: c.derivative(nu))
 
 
-def _value_defect(a, b):
-    """Largest value coefficient of the ghost-valued jet a - b."""
-    return (a - b).norm(lambda c: abs(c.value))
-
-
 def _lorentz_pairs(m):
     return [(a, b) for a in range(m) for b in range(a + 1, m)]
 
@@ -426,12 +421,34 @@ def _composite_ghost(u, uinv, v, su):
     return Sum([Prod(uinv, Prod(v, u)), Prod(uinv, su)])
 
 
+def _connection_image(varpi, v):
+    """s varpi = -(dv + varpi v + v varpi) for the ghost term v."""
+    return Sum([D(v), Prod(varpi, v), Prod(v, varpi)], [-1.0, -1.0, -1.0])
+
+
+def _lorentz_leaves(jets, e, model, order):
+    """The Lorentz ghost, vielbein and inverse-vielbein leaves with their
+    Lorentz images, plus the inverse vielbein jets.
+
+    s_L v_L = -v_L^2, s_L e = -v_L e and s_L e^-1 = e^-1 v_L.
+    """
+    m = model.m
+    vl = leaf("vl", _lorentz_ghost(jets, m, order, model.eta), q=1)
+    vl.register("L", neg(Prod(vl, vl)))
+    einv = jmat_inv(e, m)
+    L_e, L_einv = leaf("e", MForm.of_jets(m, e)), leaf("einv", MForm.of_jets(m, einv))
+    L_e.register("L", neg(Prod(vl, L_e)))
+    L_einv.register("L", Prod(L_einv, vl))
+    return vl, L_e, L_einv, einv
+
+
 class ConformalBRS:
     """Terms, leaves and ghost data for one Moebius scenario point.
 
     ``cache`` is the one term-DAG evaluation context of the point: every
     evaluation through this object reads and fills it, so each node, the
     composite ghosts included, is evaluated once however many checks use it.
+    It also keeps the expected final ghost, which three checks compare with.
     ``seed`` and ``keep_body`` select the projection weights of the ghosts
     (see :func:`_pool_weights`); ``keep_body`` is for readers of the body.
     """
@@ -462,8 +479,7 @@ class ConformalBRS:
         jets = _ghost_jets([gs.eps] + iota + list(gs.lorentz or ["1"] * len(pairs)),
                            names, self.chart, point, korder, seed, keep_body)
         self.eps_jet, self.iota_jets = jets[0], jets[1:len(iota) + 1]
-        vl = _lorentz_ghost(jets[len(iota) + 1:], m, korder, model.eta)
-        self._build_leaves(conn, vl)
+        self._build_leaves(conn, jets[len(iota) + 1:])
         self._register_images()
         self._build_composites()
 
@@ -482,31 +498,25 @@ class ConformalBRS:
         return MForm.from_entries(m, (1, m), 0, 1, self.ghost_order,
                                   {(0, a, 0): g for a, g in enumerate(self.iota_jets)})
 
-    def _eps_eye(self, n):
+    def eps_eye(self, n, rows=None):
+        """(n, n) ghost matrix of eps on the diagonal ``rows`` (all by default);
+        on rows 1..m of the Moebius size it is the s_W u0 = (eps 1) u0 factor."""
+        rows = range(n) if rows is None else rows
         return MForm.from_entries(self.m, (n, n), 0, 1, self.ghost_order,
-                                  {(i, i, 0): self.eps_jet for i in range(n)})
+                                  {(i, i, 0): self.eps_jet for i in rows})
 
     # -- leaves and images -----------------------------------------------------
 
-    def _build_leaves(self, conn, vl):
-        m, n = self.m, self.model.n
+    def _build_leaves(self, conn, vl_jets):
         self.L_varpi = leaf("varpi", conn.omega, p=1, q=0)
         self.L_eps = leaf("eps", self._eps_mform(), q=1)
         self.L_deps = leaf("deps", self._deps_mform(), q=1)
         self.L_iota = leaf("iota", self._iota_mform(), q=1)
-        self.L_vl = leaf("vl", vl, q=1)
-        self.L_epsI_m = leaf("eps_eye_m", self._eps_eye(m), q=1)
-        eiv = MForm.zeros(m, (m, m), 0, 0, order_of(m, self.e))
-        eiv.data[:, :, 0, :] = self.e
-        self.L_e = leaf("e", eiv)
-        einv_arr = jmat_inv(self.e, m)
-        self.einv = einv_arr
-        eivi = MForm.zeros(m, (m, m), 0, 0, order_of(m, einv_arr))
-        eivi.data[:, :, 0, :] = einv_arr
-        self.L_einv = leaf("einv", eivi)
-        u1 = extract_u1(conn, einv_arr)
-        self.u1 = u1
-        self.L_q = leaf("q", u1.q)
+        self.L_epsI_m = leaf("eps_eye_m", self.eps_eye(self.m), q=1)
+        self.L_vl, self.L_e, self.L_einv, self.einv = _lorentz_leaves(
+            vl_jets, self.e, self.model, self.ghost_order)
+        self.u1 = extract_u1(conn, self.einv)
+        self.L_q = leaf("q", self.u1.q)
 
     def _v_sector(self, which):
         m = self.m
@@ -531,15 +541,12 @@ class ConformalBRS:
     def _register_images(self):
         eps, deps, iota, vl = self.L_eps, self.L_deps, self.L_iota, self.L_vl
         q, e, einv, epsI = self.L_q, self.L_e, self.L_einv, self.L_epsI_m
-        # ghosts
+        # ghosts (the Lorentz images of v_L, e and e^-1 are set with the leaves)
         iota.register("W", neg(Prod(eps, iota)))
         iota.register("L", neg(Prod(iota, vl)))
-        vl.register("L", neg(Prod(vl, vl)))
         # vielbein and its inverse
         e.register("W", Prod(epsI, e))
-        e.register("L", neg(Prod(vl, e)))
         einv.register("W", neg(Prod(epsI, einv)))
-        einv.register("L", Prod(einv, vl))
         # q = a . e^-1
         q.register("W", Sum([Prod(eps, q), Prod(deps, einv)], [-1.0, 1.0]))
         q.register("L", Prod(q, vl))
@@ -547,13 +554,10 @@ class ConformalBRS:
         # the connection
         self.V = {x: self._v_sector(x) for x in SECTORS}
         for x in SECTORS:
-            vx = self.V[x]
-            img = Sum([D(vx), Prod(self.L_varpi, vx), Prod(vx, self.L_varpi)],
-                      [-1.0, -1.0, -1.0])
-            self.L_varpi.register(x, img)
+            self.L_varpi.register(x, _connection_image(self.L_varpi, self.V[x]))
 
     def _build_composites(self):
-        m, n = self.m, self.model.n
+        m = self.m
         eta = self.model.eta
         order = self.order
         one = leaf("one", MForm.identity(m, 1, order))
@@ -624,7 +628,16 @@ class ConformalBRS:
         return block_matrix(grid, m, 0, 1, min(row.order, vl.order))
 
     def expected_final_ghost(self):
-        """[[eps, deps, 0], [0, eps delta, g^-1 deps^T], [0, 0, -eps]]."""
+        """[[eps, deps, 0], [0, eps delta, g^-1 deps^T], [0, 0, -eps]].
+
+        Built once per point and kept in the point's ``cache``: three checks
+        compare against it.
+        """
+        if "expected_final_ghost" not in self.cache:
+            self.cache["expected_final_ghost"] = self._final_ghost()
+        return self.cache["expected_final_ghost"]
+
+    def _final_ghost(self):
         m = self.m
         deps = self.L_deps.value
         g = jeinsum("am,an->mn",
@@ -642,7 +655,7 @@ class ConformalBRS:
         col = MForm.from_entries(m, (m, 1), 0, 1, k, entries)
         one = self.L_eps.value
         grid = [[one, deps, None],
-                [None, self._eps_eye(m), col],
+                [None, self.eps_eye(m), col],
                 [None, None, one.scale(-1.0)]]
         return block_matrix(grid, m, 0, 1, k)
 
@@ -788,85 +801,67 @@ def residual_weyl_brs_reads(scn):
             + [(t, 0) for t in sectors if not _is_zero(t)])
 
 
+def _law_defect(blk, want):
+    """Largest |value coefficient| of ``blk`` minus its closed form ``want``.
+
+    ``want`` holds values on (row, col, ghost monomial, dx comp), the
+    component axis of the block split in its ghost-major order.
+    """
+    r, c = blk.shape
+    got = blk.data[..., 0].reshape(r, c, -1, blk.n_comps)
+    return float(np.abs(got - want).max())
+
+
 def residual_weyl_brs(fields, scn):
     """Component laws of the reduced Weyl BRS algebra on a dressed pipeline.
 
     Computes s_W varpi0 = -D0 vhat_W and s_W Omega0 = [Omega0, vhat_W] with
     the evaluated composite ghost, extracts the block laws and returns the
     defect of each against its closed form, plus the sector trivialities.
+    Every law is read on value coefficients, so each closed form is one
+    array of values over (row, col, ghost monomial, dx comp), built from eps
+    and its first two derivatives on the pool generators and the values of
+    g, g^-1, Gamma, T, f0 and W.
     """
     m = scn.m
     model = scn.model
     vhat = composite_ghost(scn, "full")
-    varpi0, Omega0 = fields.varpi0, fields.Omega0
-    s_varpi0 = covariant_d(varpi0, vhat).scale(-1.0)
-    s_Omega0 = gcomm(Omega0, vhat)
-    # every law is read through _value_defect: eps enters with at most two
-    # derivatives (the Schouten law reads d^2 eps) and g, g^-1 and Gamma
-    # undifferentiated, so they are cut to those orders before the loops
-    eps = scn.eps_jet.map(lambda c: c.truncate(min(2, c.order)))
-    g, Gamma = jtrunc(fields.g, m, 0), jtrunc(fields.Gamma, m, 0)
-    ginv = jmat_inv(g, m)
+    s_varpi0 = covariant_d(fields.varpi0, vhat).scale(-1.0)
+    s_Omega0 = gcomm(fields.Omega0, vhat)
+    # eps (G,), d_mu eps (m, G) and d_nu d_mu eps (m, m, G)
+    e2 = _ghost_scalar_mform(scn.eps_jet, m, 2).data[0, 0]
+    d1 = np.stack([jder(e2, m, mu) for mu in range(m)])
+    eps, deps = e2[:, 0], d1[..., 0]
+    ddeps = np.stack([jder(d1, m, nu)[..., 0] for nu in range(m)], axis=1)
+    g, Gamma = fields.g[..., 0], fields.Gamma[..., 0]
+    ginv = jmat_inv(jtrunc(fields.g, m, 0), m)[..., 0]
+    up = ginv @ deps                    # g^{rl} d_l eps
+    delta = np.eye(m)
     out = {}
-
-    def fj(arr):  # float jet array -> jet coefficient, truncated in products
-        return Jet(m, arr)
-
     # s_W g = 2 eps g (block (3,2), coefficient of dx^mu at entry nu)
-    blk = model.block(s_varpi0, 3, 2)
-    out["s_w_metric"] = worst_of(
-        _value_defect(blk.entry(0, nu, mu), (fj(g[mu, nu]) * eps) * 2.0)
-        for mu in range(m) for nu in range(m))
+    out["s_w_metric"] = _law_defect(model.block(s_varpi0, 3, 2),
+                                    2.0 * np.einsum("mn,j->njm", g, eps)[None])
     # s_W Gamma^r_mn = delta^r_n d_m eps + delta^r_m d_n eps - g^{rl} d_l eps g_mn
-    blk = model.block(s_varpi0, 2, 2)
-    deps = [_d(eps, mu) for mu in range(m)]
-    defects = []
-    for r in range(m):
-        for mu in range(m):
-            for nu in range(m):
-                want = GradedScalar()
-                if r == nu:
-                    want = want + deps[mu]
-                if r == mu:
-                    want = want + deps[nu]
-                corr = GradedScalar()
-                for lam in range(m):
-                    corr = corr + (fj(ginv[r, lam]) * deps[lam]) * fj(g[mu, nu])
-                want = want - corr
-                defects.append(_value_defect(blk.entry(r, nu, mu), want))
-    out["s_w_gamma"] = worst_of(defects)
+    out["s_w_gamma"] = _law_defect(model.block(s_varpi0, 2, 2),
+                                   np.einsum("rn,mj->rnjm", delta, deps)
+                                   + np.einsum("rm,nj->rnjm", delta, deps)
+                                   - np.einsum("rj,mn->rnjm", up, g))
     # s_W P_mn = d_m d_n eps - d_l eps Gamma^l_mn
-    blk = model.block(s_varpi0, 1, 2)
-    defects = []
-    for mu in range(m):
-        for nu in range(m):
-            want = _d(deps[mu], nu)
-            for lam in range(m):
-                want = want - deps[lam] * fj(Gamma[lam, mu, nu])
-            defects.append(_value_defect(blk.entry(0, nu, mu), want))
-    out["s_w_schouten"] = worst_of(defects)
+    out["s_w_schouten"] = _law_defect(model.block(s_varpi0, 1, 2),
+                                      ddeps.transpose(1, 2, 0)[None]
+                                      - np.einsum("lj,lmn->njm", deps, Gamma)[None])
     # general two-form laws (they reduce to -d eps.W and 0 when T = f0 = 0):
     #   s_W C_{n,ms} = f0_{ms} d_n eps - d_l eps W^l_{n,ms}
     #   s_W W^r_{n,ms} = T^r_{ms} d_n eps - g^{rl} d_l eps T^a_{ms} g_{an}
-    blkC = model.block(s_Omega0, 1, 2)
-    blkW = model.block(s_Omega0, 2, 2)
-    defectsC, defectsW = [], []
-    gval = g[..., 0]
-    for f, (mu, sg) in enumerate(form_comps(m, 2)):
-        for nu in range(m):
-            want = deps[nu] * float(fields.f0[mu, sg])
-            for lam in range(m):
-                want = want - deps[lam] * float(fields.W[lam, nu, mu, sg])
-            defectsC.append(_value_defect(blkC.entry(0, nu, f), want))
-        for r in range(m):
-            for nu in range(m):
-                tlow = float(fields.T[:, mu, sg] @ gval[:, nu])
-                want = deps[nu] * float(fields.T[r, mu, sg])
-                for lam in range(m):
-                    want = want - (fj(ginv[r, lam]) * deps[lam]) * tlow
-                defectsW.append(_value_defect(blkW.entry(r, nu, f), want))
-    out["s_w_cotton"] = worst_of(defectsC)
-    out["s_w_weyl"] = worst_of(defectsW)
+    mu, sg = np.array(form_comps(m, 2)).T
+    T, f0, W = fields.T[:, mu, sg], fields.f0[mu, sg], fields.W[..., mu, sg]
+    out["s_w_cotton"] = _law_defect(model.block(s_Omega0, 1, 2),
+                                    np.einsum("nj,f->njf", deps, f0)[None]
+                                    - np.einsum("lj,lnf->njf", deps, W)[None])
+    tlow = np.einsum("af,an->nf", T, g)
+    out["s_w_weyl"] = _law_defect(model.block(s_Omega0, 2, 2),
+                                  np.einsum("nj,rf->rnjf", deps, T)
+                                  - np.einsum("rj,nf->rnjf", up, tlow))
     # sector trivialities after full dressing
     for x in ("L", "i"):
         t0 = scn.T_varpi0.svar(x)
@@ -874,19 +869,14 @@ def residual_weyl_brs(fields, scn):
         n0 = 0.0 if _is_zero(t0) else scn.ev(t0).value_norm()
         n1 = 0.0 if _is_zero(t1) else scn.ev(t1).value_norm()
         out[f"s_{x}_trivial"] = worst_of((n0, n1))
-    # abelian residual symmetry: s_W vhat entry (2,3) = -2 eps g^-1 deps
-    vhat_t = scn.composite_ghost_term("full")
-    svhat = scn.ev(vhat_t.svar("W"))
-    blk = model.block(svhat, 2, 3)
-    defects = []
-    for r in range(m):
-        want = GradedScalar()
-        for lam in range(m):
-            want = want - (fj(ginv[r, lam]) * (eps * deps[lam])) * 2.0
-        defects.append(_value_defect(blk.entry(r, 0, 0), want))
-    out["s_w_vhat_23"] = worst_of(defects)
-    sveps = model.block(svhat, 1, 1).value_norm()
-    out["s_w_eps"] = sveps
+    # abelian residual symmetry: s_W vhat entry (2,3) = -2 eps g^-1 deps, with
+    # eps deps = sum over pool pairs j < k of (e_j d_k - e_k d_j) eta_j eta_k
+    svhat = scn.ev(scn.composite_ghost_term("full").svar("W"))
+    j, k = np.array(ghost_monos(2)).T
+    eps_deps = eps[j] * deps[:, k] - eps[k] * deps[:, j]
+    out["s_w_vhat_23"] = _law_defect(model.block(svhat, 2, 3),
+                                     (-2.0 * ginv @ eps_deps)[:, None, :, None])
+    out["s_w_eps"] = model.block(svhat, 1, 1).value_norm()
     return out
 
 
@@ -989,25 +979,12 @@ class PoincareBRS:
         pairs = _lorentz_pairs(m)
         jets = _ghost_jets(lorentz_spec or ["1"] * len(pairs),
                            [f"vl{a}{b}" for a, b in pairs], self.chart, point, korder, seed)
-        vlm = _lorentz_ghost(jets, m, korder, model.eta)
-        self.L_vl = leaf("vl", vlm, q=1)
-        self.L_vl.register("L", neg(Prod(self.L_vl, self.L_vl)))
+        self.L_vl, self.L_e, self.L_einv, _ = _lorentz_leaves(jets, e, model, korder)
         self.L_varpi = leaf("varpi", conn.omega, p=1, q=0)
-        eiv = MForm.zeros(m, (m, m), 0, 0, order_of(m, e))
-        eiv.data[:, :, 0, :] = e
-        self.L_e = leaf("e", eiv)
-        einv_arr = jmat_inv(e, m)
-        eivi = MForm.zeros(m, (m, m), 0, 0, order_of(m, einv_arr))
-        eivi.data[:, :, 0, :] = einv_arr
-        self.L_einv = leaf("einv", eivi)
-        self.L_e.register("L", neg(Prod(self.L_vl, self.L_e)))
-        self.L_einv.register("L", Prod(self.L_einv, self.L_vl))
         one = leaf("one", MForm.identity(m, 1, self.order))
         self.V = Blk([[self.L_vl, None], [None, Zero(0, 1, (1, 1))]],
-                     0, 1, m, vlm.order)
-        img = Sum([D(self.V), Prod(self.L_varpi, self.V),
-                   Prod(self.V, self.L_varpi)], [-1.0, -1.0, -1.0])
-        self.L_varpi.register("L", img)
+                     0, 1, m, self.L_vl.value.order)
+        self.L_varpi.register("L", _connection_image(self.L_varpi, self.V))
         self.T_u = Blk([[self.L_e, None], [None, one]], 0, 0, m, self.order)
         self.T_uinv = Blk([[self.L_einv, None], [None, one]], 0, 0, m, self.order)
         w = self.L_varpi

@@ -498,8 +498,7 @@ def brs_suite(ctx):
     res["u1_inversion_rule"] = (ev(scn_b.T_u1.svar("i")) + vi.wedge(u1)).value_norm()
     res["u1_lorentz_rule"] = (ev(scn_b.T_u1.svar("L")) - gcomm(u1, vl)).value_norm()
     u0 = ev(scn_b.T_u0)
-    epst = MForm.from_entries(m, (model.n, model.n), 0, 1, scn_b.ghost_order,
-                              {(i, i, 0): scn_b.eps_jet for i in range(1, m + 1)})
+    epst = scn_b.eps_eye(model.n, range(1, m + 1))
     su0W = ev(scn_b.T_u0.svar("W"))
     res["u0_weyl_rule"] = (su0W - epst.wedge(u0)).value_norm()
     _, _, res["two_steps_decomposition"], res["two_steps_ghost"] = two_steps_in_one(scn_b)

@@ -106,8 +106,7 @@ def extract_u1(conn, einv):
     for mu in range(m):
         arow[0, mu] = a.truncate(order).data[0, 0, mu, :]
     qarr = jeinsum("om,ma->oa", arow, einv, m)
-    q = MForm.zeros(m, (1, m), 0, 0, order_of(m, qarr))
-    q.data[:, :, 0, :] = qarr
+    q = MForm.of_jets(m, qarr)
     mat = k1_matrix(q, model)
     inv = k1_matrix(q.scale(-1.0), model)
     return DressingU1(q=q, mat=mat, inv=inv)
@@ -116,11 +115,8 @@ def extract_u1(conn, einv):
 def u0_from_vielbein(e, model):
     m = model.m
     order = order_of(m, e)
-    eform = MForm.zeros(m, (m, m), 0, 0, order)
-    eform.data[:, :, 0, :] = e
     einv = jmat_inv(e, m)
-    einvform = MForm.zeros(m, (m, m), 0, 0, order)
-    einvform.data[:, :, 0, :] = einv
+    eform, einvform = MForm.of_jets(m, e), MForm.of_jets(m, einv)
     one = MForm.identity(m, 1, order)
     if model.kind == "poincare":
         mat = block_matrix([[eform, None], [None, one]], m, 0, 0, order)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import JetOrderError, ShapeError
 from .grassmann import GradedScalar, _merge_monomials
-from .jets import Jet, jtrunc, space
+from .jets import Jet, jtrunc, order_of, space
 from .jets import jmat_mul  # noqa: F401  (re-exported; perfbench's tracer test rebinds it)
 from .reduction import worst_of
 
@@ -226,6 +226,12 @@ class MForm:
                                      f"in the {GHOST_POOL}-generator pool")
                 out.data[i, j, where[k] * out.n_comps + f] = jtrunc(c.coeffs, m, order)
         return out
+
+    @classmethod
+    def of_jets(cls, m, arr):
+        """(0, 0) form of an (r, c, C) array of jets, copied."""
+        return cls(m, arr.shape[:2], 0, 0, order_of(m, arr),
+                   np.array(arr[:, :, None, :], dtype=float))
 
     @classmethod
     def identity(cls, m, n, order):

@@ -6,8 +6,10 @@ strictly sorted generator-id tuples (monomials) to coefficients, so
 nilpotency and the anticommutation signs are structural.  A coefficient is a
 float or a :class:`~cartanweyl.jets.Jet`, so one ghost-valued jet is one
 element: a dense Taylor array per Grassmann monomial.  This is the
-per-entry route of the BRS checks (the closed forms and the expected
-ghosts); ghost forms themselves are dense arrays in :mod:`cartanweyl.forms`.
+per-entry route of the BRS checks: it builds the ghost fields and the
+expected composite ghosts.  Ghost forms themselves, and the closed forms of
+the reduced Weyl laws, are dense arrays (:mod:`cartanweyl.forms`,
+:func:`cartanweyl.brs.residual_weyl_brs`).
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from cartanweyl import brs, forms
+from cartanweyl import brs, dressing, forms
 from cartanweyl.brs import (ConformalBRS, GhostSpec, PoincareBRS,
                             algebraic_connection, brs_vary, composite_ghost,
                             linearization_check, modified_brs_residuals,
@@ -19,6 +22,7 @@ from cartanweyl.jets import Jet, space
 from cartanweyl.scenarios import catalog
 
 from conftest import POINT3
+from law_oracle import LAWS, law_rows
 
 K = 4
 
@@ -152,8 +156,7 @@ def test_u0_rules(scn):
     cache = {}
     u0 = scn.T_u0.ev(cache)
     m, n = scn.m, scn.model.n
-    epst = MForm.from_entries(m, (n, n), 0, 1, scn.ghost_order,
-                              {(i, i, 0): scn.eps_jet for i in range(1, m + 1)})
+    epst = scn.eps_eye(n, range(1, m + 1))
     assert (brs_vary(scn, "u0", "W") - epst.wedge(u0)).value_norm() < 1e-13
     vl = scn.V["L"].ev(cache)
     assert (brs_vary(scn, "u0", "L") + vl.wedge(u0)).value_norm() < 1e-13
@@ -674,3 +677,126 @@ def test_ghosts_take_one_eval_jets_call_on_the_shared_pool(monkeypatch):
     assert np.abs(np.diff(tied - w, axis=1)).max() < 1e-15
     assert np.array_equal(w, brs._pool_weights((7, 0), "eps", 20))
     assert not np.array_equal(w, brs._pool_weights((7, 0), "iota0", 20))
+
+
+# -- the reduced Weyl laws: dense closed forms against the per-entry oracle ----
+
+LAW_SCENARIOS = [("generic", 3), ("generic", 4), ("generic", 5), ("torsionful", 3),
+                 ("torsionful", 4), ("conformally-flat", 3), ("constant-curvature", 4)]
+
+
+def _law_brs(name, m):
+    """(fields, ConformalBRS) of the first point, cut to what the laws read."""
+    ctx = _one_point_context(name, m)
+    g = ctx.scn.ghosts
+    b = ConformalBRS(*ctx.base, GhostSpec(g["eps"], g["iota"], g["lorentz"]), ctx.point,
+                     seed=ctx.seed)
+    brs.demand(brs.residual_weyl_brs_reads(b))
+    return ctx.fields, b
+
+
+def _off_by_noise(fields, rng):
+    """The dressed tensors the laws read, each moved by about 1e-3."""
+    m = fields.g.shape[0]
+    g = fields.g.copy()
+    dg = rng.normal(size=(m, m)) * 1e-3
+    g[..., 0] += dg + dg.T
+    moved = {k: getattr(fields, k) + rng.normal(size=getattr(fields, k).shape) * 1e-3
+             for k in ("Gamma", "T", "f0", "W")}
+    return dataclasses.replace(fields, g=g, **moved)
+
+
+@pytest.mark.parametrize("name,m", LAW_SCENARIOS, ids=lambda x: str(x))
+def test_dense_weyl_laws_match_the_per_entry_oracle(name, m):
+    """On the scenario's own tensors every law row is rounding, and with the
+    tensors moved by 1e-3 every row is about 1e-3: both times the dense rows
+    equal the per-entry GradedScalar rows to 1e-15."""
+    fields, b = _law_brs(name, m)
+    moved = _off_by_noise(fields, np.random.default_rng(m))
+    for f in (fields, moved):
+        got, want = brs.residual_weyl_brs(f, b), law_rows(f, b)
+        for row in LAWS:
+            assert abs(got[row] - want[row]) <= 1e-15, (row, got[row], want[row])
+    assert min(got[row] for row in LAWS) > 1e-5
+
+
+def test_residual_weyl_brs_makes_no_grassmann_product(monkeypatch):
+    fields, b = _law_brs("generic", 3)     # the Lorentz ghost is built per entry
+    calls = []
+    orig = GradedScalar.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return orig(self, other)
+    monkeypatch.setattr(GradedScalar, "__mul__", counted)
+    monkeypatch.setattr(GradedScalar, "__rmul__", counted)
+    rows = brs.residual_weyl_brs(fields, b)
+    assert calls == [] and len(rows) == 9
+    law_rows(fields, b)             # the counter does see per-entry products
+    assert calls
+
+
+def test_expected_final_ghost_is_built_once_per_point(monkeypatch):
+    """final_ghost, two_steps_ghost and algebraic_connection_entries share it."""
+    built = []
+    orig = brs.ConformalBRS._final_ghost
+
+    def counted(self):
+        built.append(self)
+        return orig(self)
+    monkeypatch.setattr(brs.ConformalBRS, "_final_ghost", counted)
+    assert run_check(_generic_one_point(), "brs").passed
+    assert len(built) == 1
+
+
+def _vielbein_weyl_weight_off(mp):
+    """s_W e = (1 + 1e-6) eps e and s_W e^-1 to match: a Weyl weight off 1."""
+    orig = brs.ConformalBRS._register_images
+
+    def register(self):
+        orig(self)
+        for t in (self.L_e, self.L_einv):
+            t.register("W", brs.Sum([t.images["W"]], [1 + 1e-6]))
+    mp.setattr(brs.ConformalBRS, "_register_images", register)
+
+
+def _dressed_tensor_off(name):
+    """Defect: the dressing reads the tensor ``name`` 1e-6 too large."""
+    keys = ("g", "Gamma", "P", "T", "f0", "C", "W")
+
+    def plant(mp):
+        orig = dressing.extract_tensors
+
+        def extract(*args):
+            out = list(orig(*args))
+            out[keys.index(name)] = out[keys.index(name)] * (1 + 1e-6)
+            return tuple(out)
+        mp.setattr(dressing, "extract_tensors", extract)
+    plant.__name__ = f"{name}_read_off"
+    return plant
+
+
+@pytest.mark.parametrize("plant,name,killed", [
+    (_vielbein_weyl_weight_off, "generic",
+     {"s_w_metric", "s_w_gamma", "s_w_schouten", "s_w_vhat_23"}),
+    (_ghost_derivative_off, "generic", {"s_w_gamma", "s_w_schouten", "s_w_vhat_23"}),
+    # generic has T = f0 = 0 to rounding, so only a torsionful point sees these
+    (_dressed_tensor_off("T"), "torsionful", {"s_w_weyl"}),
+    (_dressed_tensor_off("f0"), "torsionful", {"s_w_cotton"}),
+], ids=["vielbein_weyl_weight_off", "ghost_derivative_off", "T_read_off", "f0_read_off"])
+def test_planted_defect_fails_the_weyl_laws(plant, name, killed, tmp_path, monkeypatch):
+    """Each law row fails under a defect of the program side it checks: a
+    BRS image, the ghost derivative or the dressing's tensor read-out."""
+    scn = catalog(name, 3)
+    scn.points = scn.points[:1]
+    path, out = tmp_path / "one-point.json", tmp_path / "report.json"
+    path.write_text(scn.to_json())
+    argv = ["check", "--scenario", str(path), "--suite", "brs", "--json", str(out)]
+    with monkeypatch.context() as mp:
+        plant(mp)
+        assert main(argv) == 1
+    rows = json.loads(out.read_text())["payload"]["checks"]
+    failed = {r["name"][len("brs/"):] for r in rows if not r["pass"]}
+    assert killed <= failed
+    if name == "torsionful":
+        assert failed == killed
