@@ -5,8 +5,8 @@ ds = -sd.  It is realized over a shallow term layer: leaves are the basic
 fields (connection, ghost components, q, vielbein) carrying registered
 sector images; composites (dressings, dressed fields, composite ghosts)
 are Sum/Prod/D/Block nodes, so second applications of s follow from the
-graded Leibniz rule with no symbolic algebra beyond the DAG.  Before a
-point's checks run, :func:`demand` cuts the DAG to the jet orders they read.
+graded Leibniz rule with no symbolic algebra beyond the DAG.  Each read
+names the jet order it needs, and a node is evaluated only to that order.
 
 A ghost field is a jet whose Taylor coefficients each carry their own
 Grassmann generator, scaled by the scenario coefficient function; this keeps
@@ -28,8 +28,10 @@ sector-split nilpotency checks need.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
+from math import inf
 
 import numpy as np
 
@@ -39,11 +41,12 @@ from .errors import ShapeError
 from .exprs import Const, compile_expr, eval_jet, eval_jets
 from .forms import GHOST_POOL, MForm, block_matrix, eta_t, form_comps, gcomm, ghost_monos
 from .grassmann import GradedScalar
-from .jets import Jet, jder, jmat_inv, jtrunc, order_of
+from .jets import Jet, jder, jmat_inv, jtrunc
 from .reduction import worst_of
-from .tensors import jeinsum
+from .tensors import metric_from_vielbein
 
 SECTORS = ("W", "L", "i")
+FULL = inf      # the need of a read that keeps every jet order a node has
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +54,19 @@ SECTORS = ("W", "L", "i")
 # ---------------------------------------------------------------------------
 
 class Term:
-    """Immutable node of the BRS term DAG."""
+    """Immutable node of the BRS term DAG.
+
+    ``ev(cache, need)`` evaluates the node to jet order ``need``: 0 for a
+    value, plus 1 for each d a check takes outside the DAG
+    (``curvature_form``, ``covariant_d``, ``ext_d``).  Sum, Prod, EtaT and Blk
+    ask their children for ``need``, D asks for ``need + 1`` and a Leaf cuts
+    its value.  A degree-d coefficient of a node depends only on coefficients
+    of degree <= d of its children (<= d + 1 through D), so every node
+    evaluates to the truncation of its full-order value, bit for bit
+    (truncated Taylor propagation: Griewank and Walther, Evaluating
+    Derivatives, 2nd ed., ch. 13), and a d of a value read raises
+    JetOrderError.
+    """
 
     __slots__ = ("p", "q", "shape", "_s")
 
@@ -80,15 +95,16 @@ class Term:
     def stotal(self):
         return self.ssum(SECTORS)
 
-    def _children(self):
-        return ()
-
-    def ev(self, cache):
+    def ev(self, cache, need=FULL):
         # keyed on the node itself: the cache then also keeps temporaries
-        # alive, so identity-based lookups can never alias freed nodes
-        if self not in cache:
-            cache[self] = self._ev(cache)
-        return cache[self]
+        # alive, so identity-based lookups can never alias freed nodes.  It
+        # keeps the value at the highest need asked so far and serves a lower
+        # need by truncating it.
+        hit = cache.get(self)
+        if hit is None or hit[0] < need:
+            hit = cache[self] = (need, self._ev(cache, need))
+        value = hit[1]
+        return value if value.order <= need else value.truncate(need)
 
 
 class Leaf(Term):
@@ -106,8 +122,8 @@ class Leaf(Term):
     def _build_s(self, sector):
         return self.images.get(sector, Zero(self.p, self.q + 1, self.shape))
 
-    def _ev(self, cache):
-        return self.value
+    def _ev(self, cache, need):
+        return self.value.truncate(min(need, self.value.order))
 
     def __repr__(self):
         return f"Leaf({self.name})"
@@ -119,7 +135,7 @@ class Zero(Term):
     def _build_s(self, sector):
         return Zero(self.p, self.q + 1, self.shape)
 
-    def _ev(self, cache):
+    def _ev(self, cache, need):
         raise ShapeError("a bare Zero term cannot be evaluated")
 
 
@@ -145,15 +161,12 @@ class Sum(Term):
         return mk_sum([t.svar(sector) for t in self.terms], self.coeffs,
                       self.p, self.q + 1, self.shape)
 
-    def _children(self):
-        return self.terms
-
-    def _ev(self, cache):
+    def _ev(self, cache, need):
         if not self.terms:
             raise ShapeError("empty Sum evaluation needs a Zero context")
         acc = None
         for t, c in zip(self.terms, self.coeffs):
-            v = t.ev(cache) if c == 1.0 else t.ev(cache).scale(c)
+            v = t.ev(cache, need) if c == 1.0 else t.ev(cache, need).scale(c)
             acc = v if acc is None else acc + v
         return acc
 
@@ -193,11 +206,8 @@ class Prod(Term):
             return Zero(self.p, self.q + 1, self.shape)
         return Sum(parts, cs)
 
-    def _children(self):
-        return (self.a, self.b)
-
-    def _ev(self, cache):
-        return self.a.ev(cache).wedge(self.b.ev(cache))
+    def _ev(self, cache, need):
+        return self.a.ev(cache, need).wedge(self.b.ev(cache, need))
 
 
 class D(Term):
@@ -213,11 +223,8 @@ class D(Term):
             return Zero(self.p, self.q + 1, self.shape)
         return Sum([D(st)], [-1.0])
 
-    def _children(self):
-        return (self.t,)
-
-    def _ev(self, cache):
-        return self.t.ev(cache).ext_d()
+    def _ev(self, cache, need):
+        return self.t.ev(cache, need + 1).ext_d()
 
 
 class EtaT(Term):
@@ -235,11 +242,8 @@ class EtaT(Term):
             return Zero(self.p, self.q + 1, self.shape)
         return EtaT(st, self.eta)
 
-    def _children(self):
-        return (self.t,)
-
-    def _ev(self, cache):
-        return eta_t(self.t.ev(cache), self.eta)
+    def _ev(self, cache, need):
+        return eta_t(self.t.ev(cache, need), self.eta)
 
 
 class Blk(Term):
@@ -273,18 +277,15 @@ class Blk(Term):
             return Zero(self.p, self.q + 1, self.shape)
         return Blk(new, self.p, self.q + 1, self.m, self.order)
 
-    def _children(self):
-        return [t for row in self.rows for t in row if isinstance(t, Term)]
-
-    def _ev(self, cache):
-        grid = [[None if (t is None or _is_zero(t)) else t.ev(cache)
+    def _ev(self, cache, need):
+        grid = [[None if (t is None or _is_zero(t)) else t.ev(cache, need)
                  for t in row] for row in self.rows]
         rsz = [next(t.shape[0] for t in row if isinstance(t, Term))
                for row in self.rows]
         csz = [next(row[j].shape[1] for row in self.rows
                     if isinstance(row[j], Term))
                for j in range(len(self.rows[0]))]
-        return block_matrix(grid, self.m, self.p, self.q, self.order,
+        return block_matrix(grid, self.m, self.p, self.q, min(self.order, need),
                             row_sizes=rsz, col_sizes=csz)
 
 
@@ -294,49 +295,6 @@ def leaf(name, value, p=0, q=0):
 
 def neg(t):
     return Sum([t], [-1.0])
-
-
-def demand(reads):
-    """Cut every leaf and block of the DAG to the jet order its readers need.
-
-    ``reads`` pairs each term a check evaluates with the order it reads of
-    it: 0 for a value, plus 1 for each d the check takes outside the DAG
-    (``curvature_form``, ``covariant_d``, ``ext_d``).  One backward pass,
-    every parent before its children, gives each node the largest need of
-    its consumers: Sum, Prod, EtaT and Blk pass it on and D adds 1.  Then
-    each Leaf is truncated to its need and each Blk's order capped, in place.
-    A degree-d coefficient of a node depends only on coefficients of degree
-    <= d of its children (<= d + 1 through D), so every node evaluates to
-    the truncation of its full-order value, bit for bit (truncated Taylor
-    propagation: Griewank and Walther, Evaluating Derivatives, 2nd ed.,
-    ch. 13).  Run it before the point's first evaluation.  A value read
-    afterwards is exact or raises: a d taken of a node cut to order 0 is a
-    JetOrderError.
-    """
-    post, seen = [], set()
-    for root, _ in reads:
-        stack = [(root, False)]
-        while stack:
-            t, done = stack.pop()
-            if done:
-                post.append(t)
-            elif t not in seen:
-                seen.add(t)
-                stack.append((t, True))
-                stack.extend((c, False) for c in t._children())
-    need = {}
-    for t, k in reads:
-        need[t] = max(need.get(t, k), k)
-    # reversed postorder visits every node after all of its consumers
-    for t in reversed(post):
-        k = need[t]
-        kc = k + 1 if isinstance(t, D) else k
-        for c in t._children():
-            need[c] = max(need.get(c, kc), kc)
-        if isinstance(t, Leaf):
-            t.value = t.value.truncate(min(k, t.value.order))
-        elif isinstance(t, Blk):
-            t.order = min(t.order, k)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +384,17 @@ def _connection_image(varpi, v):
     return Sum([D(v), Prod(varpi, v), Prod(v, varpi)], [-1.0, -1.0, -1.0])
 
 
+def _curvature(w):
+    """Omega = dw + w w as a term."""
+    return Sum([D(w), Prod(w, w)])
+
+
+def _dressed_pair(w, F, u, uinv):
+    """The dressed pair (u^-1 w u + u^-1 du, u^-1 F u) as terms."""
+    return (Sum([Prod(uinv, Prod(w, u)), Prod(uinv, D(u))]),
+            Prod(uinv, Prod(F, u)))
+
+
 def _lorentz_leaves(jets, e, model, order):
     """The Lorentz ghost, vielbein and inverse-vielbein leaves with their
     Lorentz images, plus the inverse vielbein jets.
@@ -447,14 +416,13 @@ class ConformalBRS:
 
     ``cache`` is the one term-DAG evaluation context of the point: every
     evaluation through this object reads and fills it, so each node, the
-    composite ghosts included, is evaluated once however many checks use it.
-    It also keeps the expected final ghost, which three checks compare with.
-    ``seed`` and ``keep_body`` select the projection weights of the ghosts
-    (see :func:`_pool_weights`); ``keep_body`` is for readers of the body.
+    composite ghosts included, is evaluated once however many checks use it,
+    and again only when a check needs it to a higher order.  ``seed`` and
+    ``keep_body`` select the projection weights of the ghosts (see
+    :func:`_pool_weights`); ``keep_body`` is for readers of the body.
     """
 
-    def __init__(self, conn, e, ghost_spec, point, ghost_order=None, seed=0,
-                 keep_body=False):
+    def __init__(self, conn, e, ghost_spec, point, seed=0, keep_body=False):
         from .dressing import vielbein_of
         model = conn.model
         if model.kind != "mobius":
@@ -465,11 +433,11 @@ class ConformalBRS:
         self.point = tuple(point)
         self.e = vielbein_of(conn) if e is None else e
         self.order = conn.order
-        korder = ghost_order if ghost_order is not None else max(self.order, 2)
-        self.ghost_order = korder
+        self.ghost_order = max(self.order, 2)
         self.pool = ghost_monos(1)
         self.cache = {}
         self._vhat = {}
+        self._final = None
         gs = ghost_spec
         iota = list(gs.iota or ["1"] * m)
         pairs = _lorentz_pairs(m)
@@ -477,7 +445,7 @@ class ConformalBRS:
                  + [f"vl{a}{b}" for a, b in pairs])
         self.seed, self.keep_body = seed, keep_body
         jets = _ghost_jets([gs.eps] + iota + list(gs.lorentz or ["1"] * len(pairs)),
-                           names, self.chart, point, korder, seed, keep_body)
+                           names, self.chart, point, self.ghost_order, seed, keep_body)
         self.eps_jet, self.iota_jets = jets[0], jets[1:len(iota) + 1]
         self._build_leaves(conn, jets[len(iota) + 1:])
         self._register_images()
@@ -581,18 +549,15 @@ class ConformalBRS:
         self.T_uinv = Prod(self.T_u0inv, self.T_u1inv)
         self.T_v = Sum([self.V["W"], self.V["L"], self.V["i"]])
         w = self.L_varpi
-        self.T_omega = Sum([D(w), Prod(w, w)])
-        self.T_varpi1 = Sum([Prod(self.T_u1inv, Prod(w, self.T_u1)),
-                             Prod(self.T_u1inv, D(self.T_u1))])
-        self.T_omega1 = Prod(self.T_u1inv, Prod(self.T_omega, self.T_u1))
-        self.T_varpi0 = Sum([Prod(self.T_uinv, Prod(w, self.T_u)),
-                             Prod(self.T_uinv, D(self.T_u))])
-        self.T_omega0 = Prod(self.T_uinv, Prod(self.T_omega, self.T_u))
+        self.T_omega = _curvature(w)
+        self.T_varpi1, self.T_omega1 = _dressed_pair(w, self.T_omega, self.T_u1,
+                                                     self.T_u1inv)
+        self.T_varpi0, self.T_omega0 = _dressed_pair(w, self.T_omega, self.T_u, self.T_uinv)
 
     # -- evaluation helpers ----------------------------------------------------
 
-    def ev(self, term):
-        return term.ev(self.cache)
+    def ev(self, term, need=FULL):
+        return term.ev(self.cache, need)
 
     def composite_ghost_term(self, stage):
         """Composite ghost v-hat = u^-1 v u + u^-1 s u, built once per stage.
@@ -615,49 +580,45 @@ class ConformalBRS:
         self._vhat[stage] = _composite_ghost(u, uinv, v, u.stotal())
         return self._vhat[stage]
 
+    # The expected ghosts are compared through value_norm only, so they are
+    # built from the leaf values at order 0.
+
     def expected_first_ghost(self):
         """[[eps, deps.e^-1, 0], [0, v_L, (.)^t], [0, 0, -eps]]."""
-        m = self.m
-        eta = self.model.eta
-        row = self.L_deps.value.wedge(self.L_einv.value)
-        vl = self.L_vl.value
-        one = self.L_eps.value
-        grid = [[one, row, None],
-                [None, vl, eta_t(row, eta)],
-                [None, None, one.scale(-1.0)]]
-        return block_matrix(grid, m, 0, 1, min(row.order, vl.order))
+        eps, deps, einv, vl = (t.value.truncate(0) for t in
+                               (self.L_eps, self.L_deps, self.L_einv, self.L_vl))
+        row = deps.wedge(einv)
+        grid = [[eps, row, None],
+                [None, vl, eta_t(row, self.model.eta)],
+                [None, None, eps.scale(-1.0)]]
+        return block_matrix(grid, self.m, 0, 1, 0)
 
     def expected_final_ghost(self):
         """[[eps, deps, 0], [0, eps delta, g^-1 deps^T], [0, 0, -eps]].
 
-        Built once per point and kept in the point's ``cache``: three checks
-        compare against it.
+        Built once per point: three checks compare against it.
         """
-        if "expected_final_ghost" not in self.cache:
-            self.cache["expected_final_ghost"] = self._final_ghost()
-        return self.cache["expected_final_ghost"]
+        if self._final is None:
+            self._final = self._final_ghost()
+        return self._final
 
     def _final_ghost(self):
         m = self.m
-        deps = self.L_deps.value
-        g = jeinsum("am,an->mn",
-                    np.asarray(self.model.eta)[:, None, None] * self.e, self.e, m)
-        ginv = jmat_inv(g, m)
-        k = min(deps.order, order_of(m, ginv))
+        deps = self.L_deps.value.truncate(0)
+        ginv = jmat_inv(metric_from_vielbein(jtrunc(self.e, m, 0), self.model.eta), m)
         deps_row = [deps.entry(0, lam, 0) for lam in range(m)]
         entries = {}
         for r in range(m):
             acc = GradedScalar()
             for lam in range(m):
-                # the jet product truncates to the lower order k
                 acc = acc + Jet(m, ginv[r, lam]) * deps_row[lam]
             entries[r, 0, 0] = acc
-        col = MForm.from_entries(m, (m, 1), 0, 1, k, entries)
-        one = self.L_eps.value
-        grid = [[one, deps, None],
+        col = MForm.from_entries(m, (m, 1), 0, 1, 0, entries)
+        eps = self.L_eps.value.truncate(0)
+        grid = [[eps, deps, None],
                 [None, self.eps_eye(m), col],
-                [None, None, one.scale(-1.0)]]
-        return block_matrix(grid, m, 0, 1, k)
+                [None, None, eps.scale(-1.0)]]
+        return block_matrix(grid, m, 0, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -681,14 +642,9 @@ def brs_vary(scn, name, sector="all"):
     return scn.ev(st)
 
 
-def composite_ghost(scn, stage):
+def composite_ghost(scn, stage, need=FULL):
     """Evaluated composite ghost for 'u1' or 'full' (or 'u0')."""
-    return scn.ev(scn.composite_ghost_term(stage))
-
-
-def russian_reads(A, v, F):
-    """(term, jet order) pairs :func:`russian_residual` reads of A, v, F."""
-    return [(A, 1), (v, 1), (F, 0), (A.stotal(), 0), (v.stotal(), 0)]
+    return scn.ev(scn.composite_ghost_term(stage), need)
 
 
 def russian_residual(A, v, F, sA, sv):
@@ -706,49 +662,27 @@ def russian_residual(A, v, F, sA, sv):
 _H = ("L", "i")     # the sectors of h' = Lorentz + inversions
 
 
-def _nilpotency_terms(scn, names):
-    """(row, summands) of s^2 and the sector-split identities per field.
-
-    Every summand is a node cached on its field, so each call returns the
-    same nodes; a row's term is the Sum of its summands.
-    """
+def nilpotency_residuals(scn, names=("varpi", "v", "u1", "u0")):
+    """s^2 and the sector-split identities on the requested fields."""
     fields = {
         "varpi": scn.L_varpi, "v": scn.T_v, "u1": scn.T_u1, "u0": scn.T_u0,
         "u": scn.T_u, "Omega": scn.T_omega,
     }
+    out = {}
     for name in names:
         t = fields[name]
-        yield f"s2_{name}", [t.stotal().stotal()]
-        yield f"sH2_{name}", [t.ssum(_H).ssum(_H)]
-        yield f"sP2_{name}", [t.svar("W").svar("W")]
-        yield f"mixed_{name}", [t.svar("W").ssum(_H), t.ssum(_H).svar("W")]
-
-
-def nilpotency_reads(scn, names):
-    """(term, jet order) pairs :func:`nilpotency_residuals` reads."""
-    return [(t, 0) for _, parts in _nilpotency_terms(scn, names)
-            for t in parts if not _is_zero(t)]
-
-
-def nilpotency_residuals(scn, names=("varpi", "v", "u1", "u0")):
-    """s^2 and the sector-split identities on the requested fields."""
-    out = {}
-    for row, parts in _nilpotency_terms(scn, names):
-        term = parts[0] if len(parts) == 1 else Sum(parts)
-        out[row] = 0.0 if _is_zero(term) else scn.ev(term).value_norm()
+        rows = {f"s2_{name}": t.stotal().stotal(),
+                f"sH2_{name}": t.ssum(_H).ssum(_H),
+                f"sP2_{name}": t.svar("W").svar("W"),
+                f"mixed_{name}": mk_sum([t.svar("W").ssum(_H), t.ssum(_H).svar("W")])}
+        for row, term in rows.items():
+            out[row] = 0.0 if _is_zero(term) else scn.ev(term, 0).value_norm()
     return out
-
-
-def two_steps_reads(scn):
-    """(term, jet order) pairs :func:`two_steps_in_one` reads."""
-    u = scn.T_u
-    return [(t, 0) for t in (u, scn.T_uinv, u.stotal(), scn.V["L"], scn.V["i"],
-                             u.svar("W"), scn.V["W"])]
 
 
 def two_steps_in_one(scn):
     """su u^-1 = -ell + rho u^-1 decomposition and the resulting ghost."""
-    ev = scn.ev
+    ev = partial(scn.ev, need=0)
     u = ev(scn.T_u)
     uinv = ev(scn.T_uinv)
     su = ev(scn.T_u.stotal())
@@ -767,23 +701,15 @@ def _dressed_pair_terms(scn, stage):
     return scn.T_varpi0, scn.T_omega0
 
 
-def modified_brs_reads(scn, stage="full"):
-    """(term, jet order) pairs :func:`modified_brs_residuals` reads."""
-    At, Ft = _dressed_pair_terms(scn, stage)
-    vhat_t = scn.composite_ghost_term(stage)
-    return [(At, 0), (Ft, 0), (vhat_t, 1), (At.stotal(), 0), (Ft.stotal(), 0),
-            (vhat_t.stotal(), 0)]
-
-
 def modified_brs_residuals(scn, stage="full"):
     """Lemma check: s A-hat = -D-hat v-hat, s F-hat = [F-hat, v-hat],
     s v-hat = -v-hat^2 for the requested dressing stage."""
     At, Ft = _dressed_pair_terms(scn, stage)
-    ev = scn.ev
+    ev = partial(scn.ev, need=0)
     A = ev(At)
     F = ev(Ft)
     vhat_t = scn.composite_ghost_term(stage)
-    vhat = ev(vhat_t)
+    vhat = scn.ev(vhat_t, 1)        # its d is taken below
     sA = ev(At.stotal())
     sF = ev(Ft.stotal())
     svhat = ev(vhat_t.stotal())
@@ -791,14 +717,6 @@ def modified_brs_residuals(scn, stage="full"):
     rF = (sF - gcomm(F, vhat)).value_norm()
     rv = (svhat + vhat.wedge(vhat)).value_norm()
     return rA, rF, rv
-
-
-def residual_weyl_brs_reads(scn):
-    """(term, jet order) pairs :func:`residual_weyl_brs` reads."""
-    vhat_t = scn.composite_ghost_term("full")
-    sectors = [scn.T_varpi0.svar(x) for x in _H] + [scn.T_omega0.svar(x) for x in _H]
-    return ([(vhat_t, 1), (vhat_t.svar("W"), 0)]
-            + [(t, 0) for t in sectors if not _is_zero(t)])
 
 
 def _law_defect(blk, want):
@@ -825,7 +743,7 @@ def residual_weyl_brs(fields, scn):
     """
     m = scn.m
     model = scn.model
-    vhat = composite_ghost(scn, "full")
+    vhat = composite_ghost(scn, "full", 1)      # covariant_d takes its d
     s_varpi0 = covariant_d(fields.varpi0, vhat).scale(-1.0)
     s_Omega0 = gcomm(fields.Omega0, vhat)
     # eps (G,), d_mu eps (m, G) and d_nu d_mu eps (m, m, G)
@@ -866,24 +784,18 @@ def residual_weyl_brs(fields, scn):
     for x in ("L", "i"):
         t0 = scn.T_varpi0.svar(x)
         t1 = scn.T_omega0.svar(x)
-        n0 = 0.0 if _is_zero(t0) else scn.ev(t0).value_norm()
-        n1 = 0.0 if _is_zero(t1) else scn.ev(t1).value_norm()
+        n0 = 0.0 if _is_zero(t0) else scn.ev(t0, 0).value_norm()
+        n1 = 0.0 if _is_zero(t1) else scn.ev(t1, 0).value_norm()
         out[f"s_{x}_trivial"] = worst_of((n0, n1))
     # abelian residual symmetry: s_W vhat entry (2,3) = -2 eps g^-1 deps, with
     # eps deps = sum over pool pairs j < k of (e_j d_k - e_k d_j) eta_j eta_k
-    svhat = scn.ev(scn.composite_ghost_term("full").svar("W"))
+    svhat = scn.ev(scn.composite_ghost_term("full").svar("W"), 0)
     j, k = np.array(ghost_monos(2)).T
     eps_deps = eps[j] * deps[:, k] - eps[k] * deps[:, j]
     out["s_w_vhat_23"] = _law_defect(model.block(svhat, 2, 3),
                                      (-2.0 * ginv @ eps_deps)[:, None, :, None])
     out["s_w_eps"] = model.block(svhat, 1, 1).value_norm()
     return out
-
-
-def algebraic_connection_reads(scn):
-    """(term, jet order) pairs :func:`algebraic_connection` reads."""
-    vhat_t = scn.composite_ghost_term("full")
-    return [(vhat_t, 1), (scn.T_varpi0.stotal(), 0), (vhat_t.stotal(), 0)]
 
 
 def algebraic_connection(fields, scn):
@@ -893,15 +805,12 @@ def algebraic_connection(fields, scn):
     dx^T g, -eps); returns the pair plus the entrywise defect and the
     modified Russian residuals it satisfies.
     """
-    m = scn.m
-    model = scn.model
-    vhat = composite_ghost(scn, "full")
-    expected = scn.expected_final_ghost()
-    entry_defect = (vhat - expected).value_norm()
+    vhat = composite_ghost(scn, "full", 1)      # the Russian residual takes its d
+    entry_defect = (vhat - scn.expected_final_ghost()).value_norm()
     A = fields.varpi0
     F = fields.Omega0
-    sA = scn.ev(scn.T_varpi0.stotal())
-    sv = scn.ev(scn.composite_ghost_term("full").stotal())
+    sA = scn.ev(scn.T_varpi0.stotal(), 0)
+    sv = scn.ev(scn.composite_ghost_term("full").stotal(), 0)
     rr = russian_residual(A, vhat, F, sA, sv)
     return vhat, entry_defect, rr
 
@@ -909,28 +818,31 @@ def algebraic_connection(fields, scn):
 _ZERO = Const(Fraction(0))     # the zero coefficient function, already parsed
 
 
-def linearization_check(conn, e, model, phi, point, order, h=1e-3, fields=None):
+def linearization_check(conn, e, model, phi, point, h=1e-3, fields=None):
     """Finite Weyl derivative versus the BRS variation with eps -> phi.
 
     ``conn`` is the normal connection of the vielbein jets ``e``, and
     ``fields``, when given, is its ``full_pipeline(conn, e)``.  Central
     differences in the group parameter at steps h and h/2 with Richardson
     extrapolation; the BRS side is the body map of the ghost variation when
-    the ghost coefficient function equals phi.
+    the ghost coefficient function equals phi.  Both sides read values only,
+    so the Weyl transforms move the dressed pair at order 0, with e, z and
+    d phi at order 1: the d of the connection's conjugation.
     """
     from .dressing import extract_tensors, full_pipeline
-    from .jets import jder, jexp
+    from .jets import jexp
     from .weyl import weyl_matrices, weyl_transform_dressed
-    chart = model.chart
     m = model.m
     if fields is None:
         fields = full_pipeline(conn, e)
-    phi_j = eval_jet(phi, chart, point, order).coeffs
+    low = replace(fields, varpi0=fields.varpi0.truncate(0),
+                  Omega0=fields.Omega0.truncate(0), e=jtrunc(fields.e, m, 1))
+    phi_j = eval_jet(phi, model.chart, point, 2).coeffs
     dphi = np.stack([jder(phi_j, m, mu) for mu in range(m)])
 
     def tensors_at(t):
-        z = jexp(t * phi_j, m)
-        moved = weyl_transform_dressed(fields, weyl_matrices(model, z, t * dphi, fields.e))
+        z = jexp(t * jtrunc(phi_j, m, 1), m)
+        moved = weyl_transform_dressed(low, weyl_matrices(model, z, t * dphi, low.e))
         return {"g": moved.g[..., 0], "Gamma": moved.Gamma[..., 0],
                 "P": moved.P[..., 0], "C": moved.C, "W": moved.W}
 
@@ -944,8 +856,7 @@ def linearization_check(conn, e, model, phi, point, order, h=1e-3, fields=None):
     # BRS side with the ghost built on phi
     spec = GhostSpec(eps=phi, iota=[_ZERO] * m, lorentz=[_ZERO] * (m * (m - 1) // 2))
     scn = ConformalBRS(conn, e, spec, point, keep_body=True)
-    demand([(scn.composite_ghost_term("full"), 1)])     # covariant_d takes its d
-    vhat = composite_ghost(scn, "full")
+    vhat = composite_ghost(scn, "full", 1)      # covariant_d takes its d
     s_varpi0 = covariant_d(fields.varpi0, vhat).scale(-1.0).body()
     s_Omega0 = gcomm(fields.Omega0, vhat).body()
     g, Gamma, P, _, _, C, W = extract_tensors(s_varpi0, s_Omega0, model)
@@ -964,7 +875,7 @@ def linearization_check(conn, e, model, phi, point, order, h=1e-3, fields=None):
 class PoincareBRS:
     """Lorentz-only BRS scenario: the vielbein dressing erases everything."""
 
-    def __init__(self, conn, e, lorentz_spec, point, ghost_order=None, seed=0):
+    def __init__(self, conn, e, lorentz_spec, point, seed=0):
         model = conn.model
         if model.kind != "poincare":
             raise ShapeError("PoincareBRS needs the Poincare model")
@@ -973,7 +884,7 @@ class PoincareBRS:
         m = self.m = model.m
         self.e = e
         self.order = conn.order
-        korder = ghost_order if ghost_order is not None else max(self.order, 2)
+        korder = max(self.order, 2)
         self.pool = ghost_monos(1)
         self.cache = {}
         pairs = _lorentz_pairs(m)
@@ -987,33 +898,20 @@ class PoincareBRS:
         self.L_varpi.register("L", _connection_image(self.L_varpi, self.V))
         self.T_u = Blk([[self.L_e, None], [None, one]], 0, 0, m, self.order)
         self.T_uinv = Blk([[self.L_einv, None], [None, one]], 0, 0, m, self.order)
-        w = self.L_varpi
-        self.T_omega = Sum([D(w), Prod(w, w)])
-        self.T_varpi_h = Sum([Prod(self.T_uinv, Prod(w, self.T_u)),
-                              Prod(self.T_uinv, D(self.T_u))])
-        self.T_omega_h = Prod(self.T_uinv, Prod(self.T_omega, self.T_u))
+        self.T_omega = _curvature(self.L_varpi)
+        self.T_varpi_h, self.T_omega_h = _dressed_pair(self.L_varpi, self.T_omega,
+                                                       self.T_u, self.T_uinv)
         self.T_vhat = _composite_ghost(self.T_u, self.T_uinv, self.V,
                                        self.T_u.svar("L"))
 
-    def ev(self, term):
-        return term.ev(self.cache)
-
-    def composite_ghost(self):
-        return self.ev(self.T_vhat)
-
-    def reads(self):
-        """Every term :meth:`residuals` evaluates; it reads values only."""
-        u, w = self.T_u, self.L_varpi
-        return [(t, 0) for t in (self.T_vhat, u.svar("L"), self.V, u,
-                                 self.T_varpi_h.svar("L"), self.T_omega_h.svar("L"),
-                                 w.svar("L").svar("L"))]
+    def ev(self, term, need=FULL):
+        return term.ev(self.cache, need)
 
     def residuals(self):
-        """The brs-gr rows, after cutting the leaves to the order they read."""
-        demand(self.reads())
-        ev = self.ev
+        """The brs-gr rows; every one reads values only."""
+        ev = partial(self.ev, need=0)
         out = {}
-        out["composite_ghost"] = self.composite_ghost().value_norm()
+        out["composite_ghost"] = ev(self.T_vhat).value_norm()
         # su = -v u
         su = ev(self.T_u.svar("L"))
         vu = ev(self.V).wedge(ev(self.T_u))

@@ -13,7 +13,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -444,27 +444,9 @@ def _redundancy_omega(stW, model):
 _NILPOTENT = ("varpi", "v", "u1", "u0")
 
 
-def _brs_reads(s):
-    """(term, jet order) of every term the conformal brs suite reads of ``s``."""
-    from .brs import (algebraic_connection_reads, modified_brs_reads, nilpotency_reads,
-                      residual_weyl_brs_reads, russian_reads, two_steps_reads)
-    vh = s.composite_ghost_term("full")
-    reads = (russian_reads(s.L_varpi, s.T_v, s.T_omega)
-             + russian_reads(s.T_varpi0, vh, s.T_omega0)
-             + nilpotency_reads(s, _NILPOTENT))
-    # the composite ghosts and the sector rules of u1 and u0 are read as values
-    reads += [(t, 0) for t in (s.composite_ghost_term("u1"), vh, s.T_u1, s.V["i"],
-                               s.V["L"], s.T_u1.svar("i"), s.T_u1.svar("L"), s.T_u0,
-                               s.T_u0.svar("W"))]
-    reads += two_steps_reads(s)
-    for stage in ("u1", "full"):
-        reads += modified_brs_reads(s, stage)
-    return reads + residual_weyl_brs_reads(s) + algebraic_connection_reads(s)
-
-
 def brs_suite(ctx):
     from .brs import (ConformalBRS, GhostSpec, PoincareBRS, algebraic_connection,
-                      composite_ghost, demand, linearization_check,
+                      composite_ghost, linearization_check,
                       modified_brs_residuals, nilpotency_residuals, residual_weyl_brs,
                       russian_residual, two_steps_in_one)
     scn, model, point = ctx.scn, ctx.model, ctx.point
@@ -477,18 +459,19 @@ def brs_suite(ctx):
                      iota=_parsed_list(scn, ghosts.get("iota")),
                      lorentz=_parsed_list(scn, ghosts.get("lorentz")))
     scn_b = ConformalBRS(*ctx.base, spec, point, seed=ctx.seed)
-    demand(_brs_reads(scn_b))
     fields = ctx.fields
     res = {}
-    ev = scn_b.ev
+    # every read is a value but A and v of the Russian formula, whose d it takes
+    ev = partial(scn_b.ev, need=0)
     vh_t = scn_b.composite_ghost_term("full")
     for tag, (A, v, F) in (("", (scn_b.L_varpi, scn_b.T_v, scn_b.T_omega)),
                            ("_dressed", (scn_b.T_varpi0, vh_t, scn_b.T_omega0))):
-        rs = russian_residual(ev(A), ev(v), ev(F), ev(A.stotal()), ev(v.stotal()))
+        rs = russian_residual(scn_b.ev(A, 1), scn_b.ev(v, 1), ev(F), ev(A.stotal()),
+                              ev(v.stotal()))
         res.update({f"russian{tag}_deg{d}": r for d, r in enumerate(rs)})
     vh = ev(vh_t)
     res.update(nilpotency_residuals(scn_b, names=_NILPOTENT))
-    v1 = composite_ghost(scn_b, "u1")
+    v1 = composite_ghost(scn_b, "u1", 0)
     res["first_ghost"] = (v1 - scn_b.expected_first_ghost()).value_norm()
     res["final_ghost"] = (vh - scn_b.expected_final_ghost()).value_norm()
     # sector transformation rules of the dressing fields
@@ -512,7 +495,7 @@ def brs_suite(ctx):
     res["algebraic_connection_russian"] = worst_of(rr)
     # on a normal, unscrambled input the context has dressed ctx.normal already
     lin = linearization_check(ctx.normal, ctx.e_normal, model,
-                              scn.parsed(scn.weyl or DEFAULT_WEYL), point, scn.jet_order,
+                              scn.parsed(scn.weyl or DEFAULT_WEYL), point,
                               fields=fields if scn.normal and not scn.gauge else None)
     res.update({f"linearization_{k}": v for k, v in lin.items()})
     return res

@@ -20,7 +20,7 @@ from .errors import ShapeError
 from .forms import MForm, block_matrix, form_comps
 from .jets import jder, jmat_inv, jtrunc, order_of, space
 from .reduction import worst_of
-from .tensors import jeinsum
+from .tensors import jeinsum, metric_from_vielbein
 
 
 @dataclass
@@ -279,7 +279,7 @@ def gr_dress(conn, e):
         Gamma[:, mu, :, :] = Gamma_blk.data[:, :, mu, :]
     R = _two_form_components(model.block(Omega_h, 1, 1), m)
     T = _two_form_components(model.block(Omega_h, 1, 2), m)[:, 0]
-    g = jeinsum("am,an->mn", np.asarray(model.eta)[:, None, None] * e, e, m)
+    g = metric_from_vielbein(e, model.eta)
     diag = {
         "metricity": metricity_residual(g, Gamma, m),
         "dx_residual": float(np.abs(

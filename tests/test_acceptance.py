@@ -226,8 +226,7 @@ def test_criterion_7_linearization():
     vb = VielbeinField(scn.chart, scn.vielbein)
     pt = scn.points[0]
     conn = build_normal(vb, model, pt, scn.jet_order)
-    out = linearization_check(conn, vb.jets_at(pt, scn.jet_order), model, scn.weyl, pt,
-                              scn.jet_order)
+    out = linearization_check(conn, vb.jets_at(pt, scn.jet_order), model, scn.weyl, pt)
     worst = max(out.values())
     _verdict(7, "finite vs BRS derivative (g, Gamma, P, C, W)", worst, 1e-6)
 

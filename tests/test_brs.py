@@ -12,7 +12,7 @@ from cartanweyl.brs import (ConformalBRS, GhostSpec, PoincareBRS,
                             russian_residual, two_steps_in_one, _is_zero)
 from cartanweyl.cartan import (KleinModel, VielbeinField, build_normal, curvature_form,
                                gauge_transform, random_gauge)
-from cartanweyl.checks import PointContext, _brs_reads, run_check
+from cartanweyl.checks import DEFAULT_WEYL, PointContext, run_check
 from cartanweyl.cli import main
 from cartanweyl.dressing import full_pipeline
 from cartanweyl.errors import JetOrderError
@@ -23,6 +23,7 @@ from cartanweyl.scenarios import catalog
 
 from conftest import POINT3
 from law_oracle import LAWS, law_rows
+from linearization_oracle import full_order_linearization
 
 K = 4
 
@@ -294,7 +295,7 @@ def test_gr_composite_ghost_vanishes(poincare3, vielbein3):
 def test_linearization(mobius3, vielbein3):
     conn = build_normal(vielbein3, mobius3, POINT3, K)
     out = linearization_check(conn, vielbein3.jets_at(POINT3, K), mobius3,
-                              "x0/4 - x1*x2/6", POINT3, K)
+                              "x0/4 - x1*x2/6", POINT3)
     for key in ("g", "Gamma", "P", "C", "W"):
         assert out[key] < 1e-6, (key, out[key])
 
@@ -404,15 +405,17 @@ def _generic_brs():
 
 
 def test_brs_suite_evaluates_each_node_once(monkeypatch):
-    counts = {}
+    """Once per rising need: the point cache serves a lower or equal need by
+    truncation and evaluates a node again only for a higher one."""
+    needs = {}
     for cls in (brs.Leaf, brs.Sum, brs.Prod, brs.D, brs.EtaT, brs.Blk):
-        def counted(self, cache, _orig=cls._ev):
-            counts[self] = counts.get(self, 0) + 1
-            return _orig(self, cache)
+        def counted(self, cache, need, _orig=cls._ev):
+            needs.setdefault(self, []).append(need)
+            return _orig(self, cache, need)
         monkeypatch.setattr(cls, "_ev", counted)
     report = run_check(_generic_one_point(), "brs")
     assert report.passed and len(report.rows) == 51
-    assert counts and max(counts.values()) == 1
+    assert needs and all(ks == sorted(set(ks)) for ks in needs.values())
 
 
 def test_composite_ghost_and_stotal_are_built_once():
@@ -441,7 +444,7 @@ def test_shared_cache_matches_cold_evaluation():
         assert _exact_terms(warm) == _exact_terms(cold)
 
 
-# -- the demand pass -------------------------------------------------------------
+# -- reads at the jet order they need ---------------------------------------------
 
 def _one_point_context(name, m, jet_order=4):
     scn = catalog(name, m, jet_order)
@@ -455,49 +458,54 @@ def _poincare_brs(ctx):
     return PoincareBRS(ctx.normal, ctx.e_normal, lorentz, ctx.point, seed=ctx.seed)
 
 
-def _assert_reads_exact(cut, full, reads_of):
-    """Each term ``cut`` reads, after its demand pass, equals the same term of
-    the uncut ``full`` bit for bit at the order it is read at, and 0."""
-    reads = reads_of(cut)
-    assert len(reads) == len(reads_of(full))
-    for (t, k), (u, _) in zip(reads, reads_of(full)):
-        got, want = cut.ev(t), full.ev(u)
-        assert got.order >= k
+def _record_reads(mp):
+    """Patch both BRS classes to record (term, need, value) of every read."""
+    reads = []
+    for cls in (ConformalBRS, PoincareBRS):
+        def ev(self, term, need=brs.FULL, _orig=cls.ev):
+            out = _orig(self, term, need)
+            reads.append((term, need, out))
+            return out
+        mp.setattr(cls, "ev", ev)
+    return reads
+
+
+def _record_cut_state(mp):
+    """Patch Leaf and Blk to record every instance with its value or order."""
+    built = []
+    for cls, attr in ((brs.Leaf, "value"), (brs.Blk, "order")):
+        def init(self, *args, _orig=cls.__init__, _attr=attr):
+            _orig(self, *args)
+            built.append((self, _attr, getattr(self, _attr)))
+        mp.setattr(cls, "__init__", init)
+    return built
+
+
+@pytest.mark.parametrize("name,m", [("generic", 3), ("poincare", 3), ("poincare", 4),
+                                    ("poincare", 5)], ids=lambda x: str(x))
+def test_every_read_is_exact_at_its_need(name, m, monkeypatch):
+    """Every read of the brs suite (with ``linearization_check``, or
+    ``PoincareBRS.residuals``) is at its need and equals the same term
+    evaluated at full order in a fresh cache, bit for bit at orders 0 and
+    need; the run changes no Leaf value and no Blk order."""
+    scn = catalog(name, m)
+    scn.points = scn.points[:1]
+    with monkeypatch.context() as mp:
+        reads, built = _record_reads(mp), _record_cut_state(mp)
+        assert run_check(scn, "brs").passed
+    assert {k for _, k, _ in reads} == ({0, 1} if name == "generic" else {0})
+    for term, k, got in reads:
+        want = term.ev({})
+        assert got.order == k <= want.order
         for j in {0, k}:
             assert np.array_equal(got.truncate(j).data, want.truncate(j).data)
-
-
-def test_demand_pass_keeps_every_conformal_read_exact():
-    cut, full = _generic_brs(), _generic_brs()
-    brs.demand(_brs_reads(cut))
-    assert cut.L_varpi.value.order == 1 < full.L_varpi.value.order
-    assert cut.L_e.value.order < full.L_e.value.order
-    _assert_reads_exact(cut, full, _brs_reads)
-    # the body-keeping instance of the linearization reads d of v-hat only
-    ctx = _one_point_context("generic", 3)
-    spec = GhostSpec(eps="x0/4", iota=["0"] * 3, lorentz=["0"] * 3)
-    cut, full = (ConformalBRS(ctx.normal, ctx.e_normal, spec, ctx.point, keep_body=True)
-                 for _ in range(2))
-
-    def reads(s):
-        return [(s.composite_ghost_term("full"), 1)]
-    brs.demand(reads(cut))
-    _assert_reads_exact(cut, full, reads)
-
-
-@pytest.mark.parametrize("m", [3, 4, 5])
-def test_demand_pass_keeps_every_poincare_read_exact(m):
-    ctx = _one_point_context("poincare", m)
-    cut, full = _poincare_brs(ctx), _poincare_brs(ctx)
-    rows = cut.residuals()          # runs the pass
-    assert cut.L_varpi.value.order < full.L_varpi.value.order == 3
-    _assert_reads_exact(cut, full, PoincareBRS.reads)
-    assert all(np.isfinite(v) for v in rows.values())
+    assert built and all(getattr(t, attr) is v for t, attr, v in built)
 
 
 def test_brs_gr_products_run_at_order_two_at_most(monkeypatch):
-    """At m = 4 the connection and the ghosts are at order 3; after the pass
-    no jet-matrix product of the brs-gr rows runs above order 2."""
+    """At m = 4 the connection and the ghosts are at order 3; the brs-gr rows
+    read values, so no jet-matrix product of theirs runs above order 1 (the
+    d of u^-1 du), where the same reads at full order run at 3."""
     ctx = _one_point_context("poincare", 4)
     ctx.normal
     orders = []
@@ -509,23 +517,40 @@ def test_brs_gr_products_run_at_order_two_at_most(monkeypatch):
         return out
 
     monkeypatch.setattr(MForm, "wedge", recorded)
+    with monkeypatch.context() as mp:
+        reads = _record_reads(mp)
+        _poincare_brs(ctx).residuals()
+    assert orders and max(orders) == 1
+    orders.clear()
     full = _poincare_brs(ctx)
-    for t, _ in full.reads():
+    for t, _, _ in reads:
         full.ev(t)
     assert max(orders) == 3
-    orders.clear()
-    _poincare_brs(ctx).residuals()
-    assert orders and max(orders) == 2
+
+
+@pytest.mark.parametrize("name,m,order", [("generic", 3, 4), ("torsionful", 3, 4),
+                                          ("conformally-flat", 4, 6), ("generic", 5, 8)],
+                         ids=lambda x: str(x))
+def test_linearization_rows_equal_the_full_order_reference(name, m, order):
+    """The value-order Weyl transforms and composite ghost give the rows of
+    the full-order check bit for bit, with and without the dressed fields."""
+    ctx = _one_point_context(name, m, order)
+    conn, e = ctx.normal, ctx.e_normal
+    args = (conn, e, ctx.model, ctx.scn.weyl or DEFAULT_WEYL, ctx.point)
+    want = full_order_linearization(*args)
+    assert linearization_check(*args) == want
+    assert linearization_check(*args, fields=full_pipeline(conn, e)) == want
+    assert max(want.values()) < 1e-6
 
 
 def test_a_d_of_a_value_read_fails_loudly():
-    """A term declared as a value read and then differentiated outside the
-    DAG raises JetOrderError instead of passing."""
+    """A term read as a value and then differentiated outside the DAG raises
+    JetOrderError instead of passing."""
     s = _generic_brs()
-    brs.demand([(s.L_varpi, 0)])
-    assert s.ev(s.L_varpi).order == 0
+    value = s.ev(s.L_varpi, 0)
+    assert value.order == 0
     with pytest.raises(JetOrderError):
-        curvature_form(s.ev(s.L_varpi))
+        curvature_form(value)
 
 
 # -- planted defects in the ghost layer ------------------------------------------
@@ -580,8 +605,8 @@ def _kernel_degree_three_defect(mp):
     projected with the scenario's own weights."""
     orig = brs.ConformalBRS.ev
 
-    def ev(self, term):
-        out = orig(self, term)
+    def ev(self, term, need=brs.FULL):
+        out = orig(self, term, need)
         if term is self.T_v.stotal().stotal():
             w = brs._pool_weights(self.seed, "eps", space(self.m, self.ghost_order).size,
                                   self.keep_body)
@@ -686,12 +711,11 @@ LAW_SCENARIOS = [("generic", 3), ("generic", 4), ("generic", 5), ("torsionful", 
 
 
 def _law_brs(name, m):
-    """(fields, ConformalBRS) of the first point, cut to what the laws read."""
+    """(fields, ConformalBRS) of the first point."""
     ctx = _one_point_context(name, m)
     g = ctx.scn.ghosts
     b = ConformalBRS(*ctx.base, GhostSpec(g["eps"], g["iota"], g["lorentz"]), ctx.point,
                      seed=ctx.seed)
-    brs.demand(brs.residual_weyl_brs_reads(b))
     return ctx.fields, b
 
 
