@@ -11,7 +11,7 @@ from .cartan import (KleinModel, CartanConnection, Curvature, VielbeinField,
                      GaugeElement, assemble, conjugate, covariant_d, curvature,
                      curvature_form, gauge_transform, build_normal,
                      normality_residual)
-from .dressing import (DressedFields, DressedPair, extract_u1, full_pipeline,
+from .dressing import (DressedFields, DressedPair, dress, extract_u1, full_pipeline,
                        compatibility_residuals, gr_dress, vielbein_of)
 from .weyl import (WeylElement, weyl_consistency, weyl_matrices,
                    weyl_transform_dressed, weyl_transform_midlevel)
@@ -25,7 +25,7 @@ __all__ = [
     "KleinModel", "CartanConnection", "Curvature", "VielbeinField",
     "GaugeElement", "assemble", "conjugate", "covariant_d", "curvature",
     "curvature_form", "gauge_transform", "build_normal", "normality_residual",
-    "DressedFields", "DressedPair", "extract_u1", "full_pipeline",
+    "DressedFields", "DressedPair", "dress", "extract_u1", "full_pipeline",
     "compatibility_residuals", "gr_dress", "vielbein_of",
     "WeylElement", "weyl_consistency", "weyl_matrices",
     "weyl_transform_dressed", "weyl_transform_midlevel",

@@ -28,7 +28,7 @@ sector-split nilpotency checks need.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import inf
@@ -822,21 +822,26 @@ def linearization_check(conn, e, model, phi, point, h=1e-3, fields=None):
     """Finite Weyl derivative versus the BRS variation with eps -> phi.
 
     ``conn`` is the normal connection of the vielbein jets ``e``, and
-    ``fields``, when given, is its ``full_pipeline(conn, e)``.  Central
-    differences in the group parameter at steps h and h/2 with Richardson
-    extrapolation; the BRS side is the body map of the ghost variation when
-    the ghost coefficient function equals phi.  Both sides read values only,
-    so the Weyl transforms move the dressed pair at order 0, with e, z and
-    d phi at order 1: the d of the connection's conjugation.
+    ``fields``, when given, is a dressed pair of ``conn`` and ``e`` (as
+    :func:`cartanweyl.dressing.full_pipeline` returns it); without it, the
+    check dresses ``conn`` cut to order 1.  Central differences in the group
+    parameter at steps h and h/2 with Richardson extrapolation; the BRS side
+    is the body map of the ghost variation when the ghost coefficient
+    function equals phi.  Both sides read values only, so the Weyl
+    transforms move the dressed pair at order 0, with e, z and d phi at
+    order 1: the d of the connection's conjugation.
     """
-    from .dressing import extract_tensors, full_pipeline
+    from .dressing import DressedPair, dress, extract_tensors
     from .jets import jexp
     from .weyl import weyl_matrices, weyl_transform_dressed
     m = model.m
+    e1 = jtrunc(e, m, 1)
     if fields is None:
-        fields = full_pipeline(conn, e)
-    low = replace(fields, varpi0=fields.varpi0.truncate(0),
-                  Omega0=fields.Omega0.truncate(0), e=jtrunc(fields.e, m, 1))
+        _, _, varpi0, Omega0 = dress(conn.truncate(1), e1)
+    else:
+        varpi0, Omega0 = fields.varpi0, fields.Omega0
+    varpi0, Omega0 = varpi0.truncate(0), Omega0.truncate(0)
+    low = DressedPair(model, varpi0, Omega0, e1, *extract_tensors(varpi0, Omega0, model))
     phi_j = eval_jet(phi, model.chart, point, 2).coeffs
     dphi = np.stack([jder(phi_j, m, mu) for mu in range(m)])
 
@@ -857,8 +862,8 @@ def linearization_check(conn, e, model, phi, point, h=1e-3, fields=None):
     spec = GhostSpec(eps=phi, iota=[_ZERO] * m, lorentz=[_ZERO] * (m * (m - 1) // 2))
     scn = ConformalBRS(conn, e, spec, point, keep_body=True)
     vhat = composite_ghost(scn, "full", 1)      # covariant_d takes its d
-    s_varpi0 = covariant_d(fields.varpi0, vhat).scale(-1.0).body()
-    s_Omega0 = gcomm(fields.Omega0, vhat).body()
+    s_varpi0 = covariant_d(varpi0, vhat).scale(-1.0).body()
+    s_Omega0 = gcomm(Omega0, vhat).body()
     g, Gamma, P, _, _, C, W = extract_tensors(s_varpi0, s_Omega0, model)
     got = {"g": g[..., 0], "Gamma": Gamma[..., 0], "P": P[..., 0], "C": C, "W": W}
     out = {}

@@ -87,6 +87,9 @@ class CartanConnection:
     def order(self):
         return self.omega.order
 
+    def truncate(self, to_order):
+        return CartanConnection(self.model, self.omega.truncate(to_order))
+
     # Moebius block names
     def a(self):
         return self.block(1, 1)

@@ -18,16 +18,17 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import tensors
-from .cartan import (CartanConnection, GaugeElement, KleinModel, VielbeinField, assemble,
+from .cartan import (GaugeElement, KleinModel, VielbeinField, assemble,
                      build_normal, conjugate, covariant_d, curvature, gauge_transform,
                      normality_residual, random_gauge, random_polynomial)
-from .dressing import (compatibility_residuals, dressed_normality,
-                       full_pipeline, gr_dress)
+from .dressing import (compatibility_residuals, dress, dressed_normality,
+                       extract_tensors, full_pipeline, gr_dress)
 from .errors import CartanWeylError, ScenarioError
 from .exprs import eval_jets
 from .forms import MForm, gcomm
 from .jets import jmul, jtrunc, order_of
 from .reduction import worst_of
+from .scenarios import MIN_JET_ORDER
 from .weyl import (WeylElement, closed_form_laws, wbar_closed_form, weyl_group_law_residual,
                    weyl_matrices, weyl_transform_dressed, weyl_transform_midlevel)
 
@@ -107,6 +108,10 @@ DEFAULT_WEYL = "x0/4"
 # rows read values, and the Cotton value takes three derivatives of e.  The
 # values equal those of the full order bit for bit.
 ORACLE_JET_ORDER = 3
+# The jet order of the connection every route runs on: a route compares
+# values, and the value of a gauge transform, a dressing or a curvature takes
+# one d of the connection.  Its gauge matrices are built one order above.
+ROUTE_ORDER = 1
 
 
 def _parsed_list(scn, texts):
@@ -120,10 +125,12 @@ def base_connection(scn, model, conn, e, point, rng):
     Starts from the normal connection ``conn`` of the vielbein jets ``e`` and
     applies the scenario's deformation and gauge scramble, drawing from
     ``rng``.  The theta block of the returned connection equals e dx for the
-    returned e, including the z and S factors of any scramble.
+    returned e, including the z and S factors of any scramble.  The
+    deformation is built at the order of ``e``, and the scramble, like every
+    gauge element, one order above the connection: that cuts e to it too.
     """
     if not scn.normal:
-        conn = deformed_connection(conn, model, point, scn.jet_order, rng)
+        conn = deformed_connection(conn, model, point, order_of(model.m, e), rng)
     if scn.gauge:
         if scn.gauge.get("seeded"):
             ge = random_gauge(model, rng, point=point)
@@ -131,7 +138,7 @@ def base_connection(scn, model, conn, e, point, rng):
             ge = GaugeElement(z=scn.parsed(scn.gauge.get("z")),
                               so=_parsed_list(scn, scn.gauge.get("so")),
                               r=_parsed_list(scn, scn.gauge.get("r")))
-        mats = ge.matrices(model, point, scn.jet_order)
+        mats = ge.matrices(model, point, conn.order + 1)
         conn = gauge_transform(conn, mats["gamma"], mats["gamma_inv"])
         if "Sinv" in mats:
             e = tensors.jeinsum("ab,bm->am", mats["Sinv"], e, model.m)
@@ -174,21 +181,26 @@ class PointContext:
     rng.  Every suite that draws resumes from the state right after it
     (:meth:`rng`).  Each piece is built on first use, so a lone gauge suite
     never runs the dressing pipeline, and no suite changes one in place.
+
+    Every row reads values, so the pieces are built at the model's floor
+    order ``MIN_JET_ORDER``, not at the scenario's jet order: by the
+    truncation lemma each value is the same at any higher order.
     """
 
     def __init__(self, scn, model, vb, index):
         self.scn, self.model, self.vb = scn, model, vb
         self.point = scn.points[index]
         self.seed = (scn.seed, scn.point_offset + index)
+        self.order = MIN_JET_ORDER[model.kind]
 
     @cached_property
     def e_normal(self):
-        return self.vb.jets_at(self.point, self.scn.jet_order)
+        return self.vb.jets_at(self.point, self.order)
 
     @cached_property
     def normal(self):
         """The normal connection of :attr:`e_normal`."""
-        return build_normal(self.e_normal, self.model, self.point, self.scn.jet_order)
+        return build_normal(self.e_normal, self.model, self.point, self.order)
 
     @cached_property
     def base(self):
@@ -221,12 +233,13 @@ def gauge_suite(ctx):
     conn, _ = ctx.base
     curv = curvature(conn)
     Om = curv.omega2
-    # the gauge matrices meet only conjugations and connection-order
-    # products, so one order above the connection is all they need
-    k = conn.order + 1
     res = {}
+    # the one row that takes a d of the curvature; the routes after it read
+    # values only
     res["bianchi"] = covariant_d(conn.omega, Om).value_norm()
     if model.kind == "mobius":
+        conn = conn.truncate(ROUTE_ORDER)
+        k = ROUTE_ORDER + 1
         rng = ctx.rng()
         ge = random_gauge(model, rng, point=point)
         mats = ge.matrices(model, point, k)
@@ -277,26 +290,26 @@ def dressing_suite(ctx):
     res = dict(fields.diagnostics)
     res["single_step"] = fields.single_step_residual
     # invariance under the erased sectors, same composite output
-    k = conn.order + 1
+    low = conn.truncate(ROUTE_ORDER)
+    k = ROUTE_ORDER + 1
     mats1 = random_gauge(model, rng, with_z=False, with_s=False,
                          point=point).matrices(model, point, k)
     matsS = random_gauge(model, rng, with_z=False, with_r=False,
                          point=point).matrices(model, point, k)
     for tag, mats in (("k1", mats1), ("so", matsS)):
-        conn_g = gauge_transform(conn, mats["gamma"], mats["gamma_inv"])
-        fg = full_pipeline(conn_g)
-        res[f"invariance_{tag}_varpi0"] = (fields.varpi0 - fg.varpi0).value_norm()
-        res[f"invariance_{tag}_Omega0"] = (fields.Omega0 - fg.Omega0).value_norm()
+        _, _, varpi0_g, Omega0_g = dress(gauge_transform(low, mats["gamma"],
+                                                         mats["gamma_inv"]))
+        res[f"invariance_{tag}_varpi0"] = (fields.varpi0 - varpi0_g).value_norm()
+        res[f"invariance_{tag}_Omega0"] = (fields.Omega0 - Omega0_g).value_norm()
     # midpoint equivariance: varpi1^S = S^-1 varpi1 S + S^-1 dS
-    conn_S = gauge_transform(conn, matsS["S_emb"], matsS["Sinv_emb"])
-    fS = full_pipeline(conn_S)
     S, Sinv = matsS["S_emb"], matsS["Sinv_emb"]
+    varpi1_S, Omega1_S, _, _ = dress(gauge_transform(low, S, Sinv))
     expect = conjugate(fields.varpi1, S, Sinv, connection=True)
-    res["equivariance_varpi1_S"] = (fS.varpi1 - expect).value_norm()
+    res["equivariance_varpi1_S"] = (varpi1_S - expect).value_norm()
     expectO = conjugate(fields.Omega1, S, Sinv)
-    res["equivariance_Omega1_S"] = (fS.Omega1 - expectO).value_norm()
+    res["equivariance_Omega1_S"] = (Omega1_S - expectO).value_norm()
     # compatibility conditions
-    comp = compatibility_residuals(conn, e_full, mats1, matsS, model)
+    comp = compatibility_residuals(low, jtrunc(e_full, model.m, k), mats1, matsS, model)
     res.update({f"compat_{k}": v for k, v in comp.items()})
     # tensors against the classical oracle, whose rows read values only
     B = tensors.classical_bundle(jtrunc(e_full, model.m, ORACLE_JET_ORDER),
@@ -327,7 +340,7 @@ def _gr_dressing(ctx):
     """
     scn, model, point = ctx.scn, ctx.model, ctx.point
     conn, e = ctx.normal, ctx.e_normal
-    low = CartanConnection(model, conn.omega.truncate(1))
+    low = conn.truncate(1)
     e = jtrunc(e, model.m, 2)
     _, _, Gamma, R, T, g, diag = gr_dress(low, e)
     res = dict(diag)
@@ -353,7 +366,7 @@ def weyl_suite(ctx):
     conn, _ = ctx.base
     fields = ctx.fields
     wz = WeylElement(scn.parsed(scn.weyl or DEFAULT_WEYL))
-    z, zeta = wz.at(scn.chart, point, scn.jet_order)
+    z, zeta = wz.at(scn.chart, point, ctx.order)
     mats = weyl_matrices(model, z, zeta, fields.e)
     res = {}
     res["wbar_closed_form"] = (mats["wbar"]
@@ -372,22 +385,25 @@ def weyl_suite(ctx):
     asym = 0.5 * (stW.Gamma[..., 0] - stW.Gamma[..., 0].transpose(0, 2, 1))
     asym0 = 0.5 * (fields.Gamma[..., 0] - fields.Gamma[..., 0].transpose(0, 2, 1))
     res["law_antisym_christoffel"] = float(np.abs(asym - asym0).max())
-    # route three: Weyl-transform the input connection and redo everything
-    k = conn.order + 1
-    conn_W = gauge_transform(conn, mats["W"].truncate(k), mats["Winv"].truncate(k))
-    fW = full_pipeline(conn_W)
-    res["route_pipeline_varpi0"] = (stW.varpi0 - fW.varpi0).value_norm()
-    res["route_pipeline_Omega0"] = (stW.Omega0 - fW.Omega0).value_norm()
+    # route three: Weyl-transform the input connection and dress it again
+    low = conn.truncate(ROUTE_ORDER)
+    k = ROUTE_ORDER + 1
+    _, _, varpi0_W, Omega0_W = dress(gauge_transform(low, mats["W"].truncate(k),
+                                                     mats["Winv"].truncate(k)))
+    res["route_pipeline_varpi0"] = (stW.varpi0 - varpi0_W).value_norm()
+    res["route_pipeline_Omega0"] = (stW.Omega0 - Omega0_W).value_norm()
     if scn.normal:
-        # and from the rescaled vielbein through the normal construction
-        conn2 = build_normal(stW.e, model, point, order_of(model.m, stW.e))
-        f2 = full_pipeline(conn2)
-        res["route_rescaled_g"] = float(np.abs(stW.g[..., 0] - f2.g[..., 0]).max())
+        # and from the rescaled vielbein through the normal construction,
+        # whose rows, like the oracle's, read values of up to three d of e
+        eW = jtrunc(stW.e, model.m, ORACLE_JET_ORDER)
+        _, _, varpi0_2, Omega0_2 = dress(build_normal(eW, model, point, ORACLE_JET_ORDER))
+        g2, Gamma2, P2, _, _, C2, W2 = extract_tensors(varpi0_2, Omega0_2, model)
+        res["route_rescaled_g"] = float(np.abs(stW.g[..., 0] - g2[..., 0]).max())
         res["route_rescaled_Gamma"] = float(np.abs(stW.Gamma[..., 0]
-                                                   - f2.Gamma[..., 0]).max())
-        res["route_rescaled_P"] = float(np.abs(stW.P[..., 0] - f2.P[..., 0]).max())
-        res["route_rescaled_C"] = float(np.abs(stW.C - f2.C).max())
-        res["route_rescaled_W"] = float(np.abs(stW.W - f2.W).max())
+                                                   - Gamma2[..., 0]).max())
+        res["route_rescaled_P"] = float(np.abs(stW.P[..., 0] - P2[..., 0]).max())
+        res["route_rescaled_C"] = float(np.abs(stW.C - C2).max())
+        res["route_rescaled_W"] = float(np.abs(stW.W - W2).max())
         res["weyl_tensor_invariance"] = float(np.abs(stW.W - fields.W).max())
         t, ric, f0n = (float(np.abs(stW.T).max()),
                        float(np.abs(np.einsum("anas->ns", stW.W)).max()),
@@ -401,7 +417,7 @@ def weyl_suite(ctx):
     # group law
     w2 = WeylElement(scn.parsed("x1/5 + x0*x0/10"))
     res["group_law"] = weyl_group_law_residual(
-        fields, stW, (z, zeta), w2.at(scn.chart, point, scn.jet_order))
+        fields, stW, (z, zeta), w2.at(scn.chart, point, ctx.order))
     # first-stage (internal-index) action
     v1W, O1W, closed = weyl_transform_midlevel(fields, mats)
     for nm, ij, M in [("theta", (2, 1), v1W), ("A1", (2, 2), v1W),
@@ -493,7 +509,8 @@ def brs_suite(ctx):
     res.update(residual_weyl_brs(fields, scn_b))
     _, res["algebraic_connection_entries"], rr = algebraic_connection(fields, scn_b)
     res["algebraic_connection_russian"] = worst_of(rr)
-    # on a normal, unscrambled input the context has dressed ctx.normal already
+    # on a normal, unscrambled input the context has dressed ctx.normal already;
+    # otherwise the check dresses ctx.normal cut to order 1 itself
     lin = linearization_check(ctx.normal, ctx.e_normal, model,
                               scn.parsed(scn.weyl or DEFAULT_WEYL), point,
                               fields=fields if scn.normal and not scn.gauge else None)

@@ -161,24 +161,37 @@ def extract_tensors(varpi0, Omega0, model):
     return g, Gamma, P, T, f0, C, W
 
 
-def full_pipeline(conn, e=None):
-    """Both dressing stages plus the single-step cross-check.
-
-    ``e`` defaults to the vielbein read off the soldering block; passing it
-    explicitly is only useful to prove invariance statements where the same
-    array must serve several scrambled connections.
-    """
-    model = conn.model
-    m = model.m
+def _dress_stages(conn, e):
+    """(u1, u0, Omega, varpi1, Omega1, varpi0, Omega0) of :func:`dress`."""
     if e is None:
         e = vielbein_of(conn)
-    u0 = u0_from_vielbein(e, model)
+    u0 = u0_from_vielbein(e, conn.model)
     u1 = extract_u1(conn, u0.einv)
     Om = curvature(conn).omega2
     varpi1 = conjugate(conn.omega, u1.mat, u1.inv, connection=True)
     Omega1 = conjugate(Om, u1.mat, u1.inv)
     varpi0 = conjugate(varpi1, u0.mat, u0.inv, connection=True)
     Omega0 = conjugate(Omega1, u0.mat, u0.inv)
+    return u1, u0, Om, varpi1, Omega1, varpi0, Omega0
+
+
+def dress(conn, e=None):
+    """Both dressing stages: (varpi1, Omega1, varpi0, Omega0).
+
+    ``e`` defaults to the vielbein read off the soldering block; passing it
+    explicitly is only useful to prove invariance statements where the same
+    array must serve several scrambled connections.  The pairs come out one
+    order below ``conn``: u1 is built from its a block.
+    """
+    return _dress_stages(conn, e)[3:]
+
+
+def full_pipeline(conn, e=None):
+    """:func:`dress` plus the single-step cross-check, the diagnostics and
+    the tensors read off the dressed pair."""
+    model = conn.model
+    m = model.m
+    u1, u0, Om, varpi1, Omega1, varpi0, Omega0 = _dress_stages(conn, e)
     # single step through u = u1 u0
     u = u1.mat.wedge(u0.mat)
     uinv = u0.inv.wedge(u1.inv)
@@ -202,7 +215,7 @@ def full_pipeline(conn, e=None):
     # curvature compatibility of the dressed pair
     diag["curvature_compat"] = (curvature_form(varpi0) - Omega0).value_norm()
     return DressedFields(
-        model=model, varpi0=varpi0, Omega0=Omega0, e=e, g=g, Gamma=Gamma, P=P,
+        model=model, varpi0=varpi0, Omega0=Omega0, e=u0.e, g=g, Gamma=Gamma, P=P,
         T=T, f0=f0, C=C, W=W, varpi1=varpi1, Omega1=Omega1, u1=u1, u0=u0,
         single_step_residual=single, diagnostics=diag)
 

@@ -503,11 +503,15 @@ def test_every_read_is_exact_at_its_need(name, m, monkeypatch):
 
 
 def test_brs_gr_products_run_at_order_two_at_most(monkeypatch):
-    """At m = 4 the connection and the ghosts are at order 3; the brs-gr rows
-    read values, so no jet-matrix product of theirs runs above order 1 (the
-    d of u^-1 du), where the same reads at full order run at 3."""
+    """At m = 4 and jet order 4 the connection and the ghosts are at order 3;
+    the brs-gr rows read values, so no jet-matrix product of theirs runs
+    above order 1 (the d of u^-1 du), where the same reads at full order run
+    at 3."""
     ctx = _one_point_context("poincare", 4)
     ctx.normal
+    e = ctx.vb.jets_at(ctx.point, 4)
+    conn = build_normal(e, ctx.model, ctx.point, 4)
+    assert conn.order == 3
     orders = []
     wedge = MForm.wedge
 
@@ -517,14 +521,14 @@ def test_brs_gr_products_run_at_order_two_at_most(monkeypatch):
         return out
 
     monkeypatch.setattr(MForm, "wedge", recorded)
-    with monkeypatch.context() as mp:
-        reads = _record_reads(mp)
-        _poincare_brs(ctx).residuals()
+    _poincare_brs(ctx).residuals()
     assert orders and max(orders) == 1
     orders.clear()
-    full = _poincare_brs(ctx)
-    for t, _, _ in reads:
-        full.ev(t)
+    # the same reads, each at full order, on the connection of order 3
+    with monkeypatch.context() as mp:
+        mp.setattr(PoincareBRS, "ev", lambda self, term, need=brs.FULL: term.ev(self.cache))
+        PoincareBRS(conn, e, (ctx.scn.ghosts or {}).get("lorentz"), ctx.point,
+                    seed=ctx.seed).residuals()
     assert max(orders) == 3
 
 
@@ -533,13 +537,16 @@ def test_brs_gr_products_run_at_order_two_at_most(monkeypatch):
                          ids=lambda x: str(x))
 def test_linearization_rows_equal_the_full_order_reference(name, m, order):
     """The value-order Weyl transforms and composite ghost give the rows of
-    the full-order check bit for bit, with and without the dressed fields."""
+    the full-order check bit for bit, with and without the dressed fields,
+    and so does the check on the point context, built at the floor order."""
     ctx = _one_point_context(name, m, order)
-    conn, e = ctx.normal, ctx.e_normal
-    args = (conn, e, ctx.model, ctx.scn.weyl or DEFAULT_WEYL, ctx.point)
-    want = full_order_linearization(*args)
-    assert linearization_check(*args) == want
-    assert linearization_check(*args, fields=full_pipeline(conn, e)) == want
+    e = ctx.vb.jets_at(ctx.point, order)
+    conn = build_normal(e, ctx.model, ctx.point, order)
+    rest = (ctx.model, ctx.scn.weyl or DEFAULT_WEYL, ctx.point)
+    want = full_order_linearization(conn, e, *rest)
+    assert linearization_check(conn, e, *rest) == want
+    assert linearization_check(conn, e, *rest, fields=full_pipeline(conn, e)) == want
+    assert linearization_check(ctx.normal, ctx.e_normal, *rest) == want
     assert max(want.values()) < 1e-6
 
 

@@ -16,7 +16,8 @@ from cartanweyl.checks import (SUITES, CheckRow, _merge, compute_tensors, dof_re
                                run_check)
 from cartanweyl.cli import main
 from cartanweyl.errors import ExprSyntaxError, ScenarioError
-from cartanweyl.scenarios import CATALOG_NAMES, MIN_JET_ORDER, Scenario, catalog
+from cartanweyl.scenarios import (CATALOG_NAMES, MAX_JET_ORDER, MIN_JET_ORDER, Scenario,
+                                  catalog)
 
 
 def test_scenario_json_round_trip(tmp_path):
@@ -445,6 +446,41 @@ def test_lowest_admitted_jet_order_runs_every_suite(name, model, capsys):
     assert main(base + [str(low - 1)]) == 2
     assert f"[{low}, " in capsys.readouterr().err
     assert main(base + [str(low)]) == 0
+
+
+@pytest.mark.parametrize("name, m", [("generic", 3), ("torsionful", 3),
+                                     ("constant-curvature", 3), ("ricci-flat-m4", 4),
+                                     ("poincare", 4)])
+def test_check_rows_do_not_depend_on_the_jet_order(name, m):
+    """Every piece of a point is built at the model's floor order and every
+    row reads a value, so the scenario's jet order changes no computation:
+    --suite all reports the same rows at the floor and at the ceiling, byte
+    for byte."""
+    def checks_at(order):
+        scn = catalog(name, m, order)
+        scn.validate()
+        return json.dumps(run_check(scn, "all").payload()["checks"])
+
+    assert checks_at(MIN_JET_ORDER[catalog(name, m).model]) == checks_at(MAX_JET_ORDER)
+
+
+@pytest.mark.parametrize("name", ["generic", "torsionful"])
+def test_routes_dress_connections_of_order_one(name, monkeypatch):
+    """The point's dressed fields dress its input connection at order 2, the
+    floor order's connection; every route, and the linearization check on an
+    input it cannot reuse them for, dresses a connection of order 1."""
+    orders = []
+    stages = dressing._dress_stages
+
+    def recorded(conn, e):
+        orders.append(conn.order)
+        return stages(conn, e)
+
+    monkeypatch.setattr(dressing, "_dress_stages", recorded)
+    scn = catalog(name, 3, MAX_JET_ORDER)
+    assert run_check(scn, "all").passed
+    assert orders.count(2) == len(scn.points)
+    assert set(orders) == {1, 2}
 
 
 @pytest.mark.parametrize("argv", [["transform", "--catalog", "poincare"],

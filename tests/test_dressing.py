@@ -248,7 +248,8 @@ def test_gr_dressing_suite_rows_equal_the_full_order_dressing(m):
     model = KleinModel(scn.model, scn.chart)
     ctx = checks.PointContext(scn, model, VielbeinField(scn.chart, scn.vielbein), 0)
     got = checks.dressing_suite(ctx)
-    conn, e = ctx.normal, ctx.e_normal
+    e = ctx.vb.jets_at(ctx.point, scn.jet_order)
+    conn = build_normal(e, model, ctx.point, scn.jet_order)
     assert conn.order == 4
     _, _, Gamma, R, T, _, want = gr_dress(conn, e)
     B = classical_bundle(e, scn.signature, m)
@@ -296,16 +297,31 @@ def test_u1_group_inverse(mobius3, vielbein3, rng):
     assert (prod - eye).full_norm() < 1e-13
 
 
+def _full_order_base(ctx, order):
+    """The point's input connection and vielbein with every piece at
+    ``order``: the vielbein jets, the normal connection and the factors of
+    a seeded scramble of a normal input."""
+    m = ctx.model.m
+    e = ctx.vb.jets_at(ctx.point, order)
+    conn = build_normal(e, ctx.model, ctx.point, order)
+    if ctx.scn.gauge:
+        assert ctx.scn.normal and ctx.scn.gauge == {"seeded": True}
+        ge = random_gauge(ctx.model, np.random.default_rng(ctx.seed), point=ctx.point)
+        mats = ge.matrices(ctx.model, ctx.point, order)
+        conn = gauge_transform(conn, mats["gamma"], mats["gamma_inv"])
+        e = jmul(mats["z"][None, None, :], jeinsum("ab,bm->am", mats["Sinv"], e, m), m)
+    return conn, e
+
+
 @pytest.mark.parametrize("name, m", [("generic", 3), ("generic", 5), ("constant-curvature", 3),
                                      ("constant-curvature", 4), ("ricci-flat-m4", 4)])
 def test_oracle_rows_at_order_three_equal_the_full_order(name, m, monkeypatch):
     """The classical oracle runs on e cut to order 3, and its five oracle_*
-    rows equal those of the full jet order bit for bit at every point:
-    ``np.einsum`` in ricci and weyl_tensor and every jet product keep the
-    value coefficient of each tensor as it is."""
+    rows equal those of the oracle on e at the full jet order bit for bit
+    at every point: ``np.einsum`` in ricci and weyl_tensor and every jet
+    product keep the value coefficient of each tensor as it is."""
     scn = catalog(name, m, 6)
     model, vb = KleinModel(scn.model, scn.chart), VielbeinField(scn.chart, scn.vielbein)
-    rows = ("oracle_g", "oracle_Gamma", "oracle_P", "oracle_C", "oracle_W")
     seen = []
     bundle = checks.tensors.classical_bundle
 
@@ -315,9 +331,15 @@ def test_oracle_rows_at_order_three_equal_the_full_order(name, m, monkeypatch):
 
     monkeypatch.setattr(checks.tensors, "classical_bundle", recorded)
     for idx in range(len(scn.points)):
-        low = checks.dressing_suite(checks.PointContext(scn, model, vb, idx))
-        with monkeypatch.context() as mp:
-            mp.setattr(checks, "ORACLE_JET_ORDER", scn.jet_order)
-            full = checks.dressing_suite(checks.PointContext(scn, model, vb, idx))
-        assert [low[r] for r in rows] == [full[r] for r in rows]
-    assert seen == [space(m, 3).size, space(m, 6).size] * len(scn.points)
+        ctx = checks.PointContext(scn, model, vb, idx)
+        low = checks.dressing_suite(ctx)
+        conn, e = _full_order_base(ctx, scn.jet_order)
+        assert e.shape[-1] == space(m, 6).size
+        B, f = bundle(e, scn.signature, m), full_pipeline(conn, e)
+        full = {"oracle_g": float(np.abs(f.g[..., 0] - B["g"][..., 0]).max()),
+                "oracle_Gamma": float(np.abs(f.Gamma[..., 0] - B["Gamma"][..., 0]).max()),
+                "oracle_P": float(np.abs(f.P[..., 0] - B["P"][..., 0]).max()),
+                "oracle_C": float(np.abs(f.C - B["C"][..., 0]).max()),
+                "oracle_W": float(np.abs(f.W - B["W"][..., 0]).max())}
+        assert {r: low[r] for r in full} == full
+    assert seen == [space(m, 3).size] * len(scn.points)
