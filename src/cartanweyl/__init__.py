@@ -13,7 +13,7 @@ from .cartan import (KleinModel, CartanConnection, Curvature, VielbeinField,
                      normality_residual)
 from .dressing import (DressedFields, DressedPair, dress, extract_u1, full_pipeline,
                        compatibility_residuals, gr_dress, vielbein_of)
-from .weyl import (WeylElement, weyl_consistency, weyl_matrices,
+from .weyl import (WeylElement, weyl_matrices,
                    weyl_transform_dressed, weyl_transform_midlevel)
 from .scenarios import Scenario, catalog
 from .checks import run_check, compute_tensors, dof_report
@@ -27,7 +27,7 @@ __all__ = [
     "curvature_form", "gauge_transform", "build_normal", "normality_residual",
     "DressedFields", "DressedPair", "dress", "extract_u1", "full_pipeline",
     "compatibility_residuals", "gr_dress", "vielbein_of",
-    "WeylElement", "weyl_consistency", "weyl_matrices",
+    "WeylElement", "weyl_matrices",
     "weyl_transform_dressed", "weyl_transform_midlevel",
     "Scenario", "catalog", "run_check", "compute_tensors", "dof_report",
 ]

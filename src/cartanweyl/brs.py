@@ -356,14 +356,10 @@ def _d(g, nu):
     return g.map(lambda c: c.derivative(nu))
 
 
-def _lorentz_pairs(m):
-    return [(a, b) for a in range(m) for b in range(a + 1, m)]
-
-
 def _lorentz_ghost(jets, m, order, eta):
     """so(eta)-valued Lorentz ghost: sum of the (a, b) ghost field times G_ab."""
     entries = {}
-    for (a, b), jet in zip(_lorentz_pairs(m), jets):
+    for (a, b), jet in zip(form_comps(m, 2), jets):
         # (G_ab)^i_j = delta^i_a eta_bj - delta^i_b eta_aj
         entries[a, b, 0] = jet * float(eta[b])
         entries[b, a, 0] = jet * float(-eta[a])
@@ -440,7 +436,7 @@ class ConformalBRS:
         self._final = None
         gs = ghost_spec
         iota = list(gs.iota or ["1"] * m)
-        pairs = _lorentz_pairs(m)
+        pairs = form_comps(m, 2)
         names = (["eps"] + [f"iota{a}" for a in range(len(iota))]
                  + [f"vl{a}{b}" for a, b in pairs])
         self.seed, self.keep_body = seed, keep_body
@@ -695,16 +691,11 @@ def two_steps_in_one(scn):
     return ell, rho, resid_dec, resid_ghost
 
 
-def _dressed_pair_terms(scn, stage):
-    if stage == "u1":
-        return scn.T_varpi1, scn.T_omega1
-    return scn.T_varpi0, scn.T_omega0
-
-
 def modified_brs_residuals(scn, stage="full"):
     """Lemma check: s A-hat = -D-hat v-hat, s F-hat = [F-hat, v-hat],
     s v-hat = -v-hat^2 for the requested dressing stage."""
-    At, Ft = _dressed_pair_terms(scn, stage)
+    At, Ft = ((scn.T_varpi1, scn.T_omega1) if stage == "u1"
+              else (scn.T_varpi0, scn.T_omega0))
     ev = partial(scn.ev, need=0)
     A = ev(At)
     F = ev(Ft)
@@ -818,36 +809,32 @@ def algebraic_connection(fields, scn):
 _ZERO = Const(Fraction(0))     # the zero coefficient function, already parsed
 
 
-def linearization_check(conn, e, model, phi, point, h=1e-3, fields=None):
+def linearization_check(conn, e, model, phi, point, h=1e-3):
     """Finite Weyl derivative versus the BRS variation with eps -> phi.
 
-    ``conn`` is the normal connection of the vielbein jets ``e``, and
-    ``fields``, when given, is a dressed pair of ``conn`` and ``e`` (as
-    :func:`cartanweyl.dressing.full_pipeline` returns it); without it, the
-    check dresses ``conn`` cut to order 1.  Central differences in the group
-    parameter at steps h and h/2 with Richardson extrapolation; the BRS side
-    is the body map of the ghost variation when the ghost coefficient
-    function equals phi.  Both sides read values only, so the Weyl
-    transforms move the dressed pair at order 0, with e, z and d phi at
-    order 1: the d of the connection's conjugation.
+    ``conn`` is the normal connection of the vielbein jets ``e``; the check
+    dresses it cut to order 1.  Central differences in the group parameter
+    at steps h and h/2 with Richardson extrapolation; the BRS side is the
+    body map of the ghost variation when the ghost coefficient function
+    equals phi.  Both sides read values only, so the Weyl transforms move
+    the dressed pair at order 0, with e, z and d phi at order 1: the d of
+    the connection's conjugation.
     """
-    from .dressing import DressedPair, dress, extract_tensors
+    from .dressing import DressedPair, dress, extract_tensors, u0_from_vielbein
     from .jets import jexp
     from .weyl import weyl_matrices, weyl_transform_dressed
     m = model.m
     e1 = jtrunc(e, m, 1)
-    if fields is None:
-        _, _, varpi0, Omega0 = dress(conn.truncate(1), e1)
-    else:
-        varpi0, Omega0 = fields.varpi0, fields.Omega0
+    _, _, varpi0, Omega0 = dress(conn.truncate(1), e1)
     varpi0, Omega0 = varpi0.truncate(0), Omega0.truncate(0)
     low = DressedPair(model, varpi0, Omega0, e1, *extract_tensors(varpi0, Omega0, model))
+    u0 = u0_from_vielbein(e1, model)
     phi_j = eval_jet(phi, model.chart, point, 2).coeffs
     dphi = np.stack([jder(phi_j, m, mu) for mu in range(m)])
 
     def tensors_at(t):
         z = jexp(t * jtrunc(phi_j, m, 1), m)
-        moved = weyl_transform_dressed(low, weyl_matrices(model, z, t * dphi, low.e))
+        moved = weyl_transform_dressed(low, weyl_matrices(model, z, t * dphi, u0))
         return {"g": moved.g[..., 0], "Gamma": moved.Gamma[..., 0],
                 "P": moved.P[..., 0], "C": moved.C, "W": moved.W}
 
@@ -892,7 +879,7 @@ class PoincareBRS:
         korder = max(self.order, 2)
         self.pool = ghost_monos(1)
         self.cache = {}
-        pairs = _lorentz_pairs(m)
+        pairs = form_comps(m, 2)
         jets = _ghost_jets(lorentz_spec or ["1"] * len(pairs),
                            [f"vl{a}{b}" for a, b in pairs], self.chart, point, korder, seed)
         self.L_vl, self.L_e, self.L_einv, _ = _lorentz_leaves(jets, e, model, korder)

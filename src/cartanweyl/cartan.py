@@ -15,7 +15,8 @@ import numpy as np
 from . import tensors
 from .errors import (AlgebraResidualError, DegenerateVielbeinError, ShapeError)
 from .exprs import compile_expr, eval_jets
-from .forms import MForm, algebra_residual, block_matrix, eta_t, form_comps, gcomm
+from .forms import (MForm, algebra_residual, block_matrix, eta_t, form_comps, gcomm,
+                    two_form_values)
 from .jets import (Chart, jcos, jcosh, jder, jmat_inv, jmat_mul, jrecip, jsin,
                    jsinh, jtrunc, order_of, space)
 from .reduction import worst_of
@@ -294,13 +295,7 @@ def normality_residual(curv, e_values, model):
     """(|Theta|, |Ric(F)|, |f|) value-level norms of the normality defects."""
     m = model.m
     theta_n = curv.Theta().value_norm()
-    Fb = curv.F()
-    comps = form_comps(m, 2)
-    Fv = np.zeros((m, m, m, m))
-    for f, (mu, nu) in enumerate(comps):
-        M = Fb.data[:, :, f, 0]
-        Fv[:, :, mu, nu] = M
-        Fv[:, :, nu, mu] = -M
+    Fv = two_form_values(curv.F())
     einv_v = np.linalg.inv(e_values)
     Ffr = np.einsum("abmn,mc,nd->abcd", Fv, einv_v, einv_v)
     ric = np.einsum("abad->bd", Ffr)
@@ -372,8 +367,7 @@ class GaugeElement:
         n = model.n
         C = space(m, order).size
         mobius = model.kind == "mobius"
-        pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-        rotations = [(pair, c) for pair, c in zip(pairs, self.so or ())
+        rotations = [(pair, c) for pair, c in zip(form_comps(m, 2), self.so or ())
                      if c is not None]
         z_entry = [self.z] if mobius and self.z is not None else []
         r_entries = list(self.r) if mobius and self.r is not None else []

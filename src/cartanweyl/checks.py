@@ -25,7 +25,7 @@ from .dressing import (compatibility_residuals, dress, dressed_normality,
                        extract_tensors, full_pipeline, gr_dress)
 from .errors import CartanWeylError, ScenarioError
 from .exprs import eval_jets
-from .forms import MForm, gcomm
+from .forms import MForm, form_comps, gcomm, scale_by_jet
 from .jets import jmul, jtrunc, order_of
 from .reduction import worst_of
 from .scenarios import MIN_JET_ORDER
@@ -154,7 +154,7 @@ def deformed_connection(conn, model, point, order, rng):
     alpha, then the so(eta) part of A, and shifted to the point together.
     """
     m = model.m
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    pairs = form_comps(m, 2)
     polys = [random_polynomial(rng, m, degree=1, scale=0.5)
              for _ in range((1 + m + len(pairs)) * m)]
     jets = eval_jets(polys, model.chart, point, order).reshape(1 + m + len(pairs), m, -1)
@@ -265,9 +265,7 @@ def gauge_suite(ctx):
         z_ge = GaugeElement(z=scn.parsed("1 + x0/4"))
         mw = z_ge.matrices(model, point, k)
         cw = gauge_transform(conn, mw["W"], mw["Winv"])
-        zth = MForm.zeros(model.m, (model.m, 1), 1, 0, conn.theta().order)
-        zth.data[:, 0, :, :] = jmul(mw["z"][None, None, :],
-                                    conn.theta().data[:, 0, :, :], model.m)
+        zth = scale_by_jet(conn.theta(), mw["z"])
         res["weyl_soldering_scale"] = (cw.theta() - zth).value_norm()
     if scn.normal and not scn.gauge:
         t, r_, f_ = normality_residual(curv, ctx.e_normal[..., 0], model)
@@ -367,11 +365,12 @@ def weyl_suite(ctx):
     fields = ctx.fields
     wz = WeylElement(scn.parsed(scn.weyl or DEFAULT_WEYL))
     z, zeta = wz.at(scn.chart, point, ctx.order)
-    mats = weyl_matrices(model, z, zeta, fields.e)
+    mats = weyl_matrices(model, z, zeta, fields.u0)
     res = {}
     res["wbar_closed_form"] = (mats["wbar"]
                                - wbar_closed_form(model, z, zeta, fields.e)).full_norm()
-    res["k1_u1_commute"] = _k1_u1_commutator(fields, mats).value_norm()
+    # u1 and k1 commute (both unipotent on the same row pattern)
+    res["k1_u1_commute"] = gcomm(mats["k1"], fields.u1.mat).value_norm()
     stW = weyl_transform_dressed(fields, mats)
     laws = closed_form_laws(fields, z, zeta)
     res["law_metric"] = float(np.abs(stW.g[..., 0] - laws["g"]).max())
@@ -405,15 +404,13 @@ def weyl_suite(ctx):
         res["route_rescaled_C"] = float(np.abs(stW.C - C2).max())
         res["route_rescaled_W"] = float(np.abs(stW.W - W2).max())
         res["weyl_tensor_invariance"] = float(np.abs(stW.W - fields.W).max())
-        t, ric, f0n = (float(np.abs(stW.T).max()),
-                       float(np.abs(np.einsum("anas->ns", stW.W)).max()),
-                       float(np.abs(stW.f0).max()))
+        t, ric, f0n = dressed_normality(stW)
         res["normality_preserved_T"] = t
         res["normality_preserved_ric"] = ric
         res["normality_preserved_f0"] = f0n
     # redundancy: entry (2,3) of the transformed pair
-    res["redundancy_varpi"] = _redundancy_varpi(stW, model)
-    res["redundancy_omega"] = _redundancy_omega(stW, model)
+    res["redundancy_varpi"] = _redundancy(stW.varpi0, stW, model)
+    res["redundancy_omega"] = _redundancy(stW.Omega0, stW, model)
     # group law
     w2 = WeylElement(scn.parsed("x1/5 + x0*x0/10"))
     res["group_law"] = weyl_group_law_residual(
@@ -431,29 +428,11 @@ def weyl_suite(ctx):
     return res
 
 
-def _k1_u1_commutator(fields, mats):
-    """u1 and k1 commute (both unipotent on the same row pattern)."""
-    return mats["k1"].wedge(fields.u1.mat) - fields.u1.mat.wedge(mats["k1"])
-
-
-def _redundancy_varpi(stW, model):
-    m = model.m
-    b12 = model.block(stW.varpi0, 1, 2)
-    b23 = model.block(stW.varpi0, 2, 3)
-    gWinv = np.linalg.inv(stW.g[..., 0])
-    want = np.einsum("rl,nl->rn", gWinv, b12.data[0, :, :, 0].T)
-    got = b23.data[:, 0, :, 0]
-    return float(np.abs(got - want.reshape(got.shape)).max())
-
-
-def _redundancy_omega(stW, model):
-    m = model.m
-    b12 = model.block(stW.Omega0, 1, 2)
-    b23 = model.block(stW.Omega0, 2, 3)
-    gWinv = np.linalg.inv(stW.g[..., 0])
-    # b12.data[0, lam, f, 0]: row entry lam at 2-form component f
-    want = np.einsum("rl,lf->rf", gWinv, b12.data[0, :, :, 0])
-    got = b23.data[:, 0, :, 0]
+def _redundancy(form, stW, model):
+    """Entry (2,3) of a dressed form against g^-1 times its entry (1,2)^T."""
+    want = np.einsum("rl,lf->rf", np.linalg.inv(stW.g[..., 0]),
+                     model.block(form, 1, 2).data[0, :, :, 0])
+    got = model.block(form, 2, 3).data[:, 0, :, 0]
     return float(np.abs(got - want).max())
 
 
@@ -509,11 +488,9 @@ def brs_suite(ctx):
     res.update(residual_weyl_brs(fields, scn_b))
     _, res["algebraic_connection_entries"], rr = algebraic_connection(fields, scn_b)
     res["algebraic_connection_russian"] = worst_of(rr)
-    # on a normal, unscrambled input the context has dressed ctx.normal already;
-    # otherwise the check dresses ctx.normal cut to order 1 itself
+    # the check dresses ctx.normal cut to order 1 itself
     lin = linearization_check(ctx.normal, ctx.e_normal, model,
-                              scn.parsed(scn.weyl or DEFAULT_WEYL), point,
-                              fields=fields if scn.normal and not scn.gauge else None)
+                              scn.parsed(scn.weyl or DEFAULT_WEYL), point)
     res.update({f"linearization_{k}": v for k, v in lin.items()})
     return res
 

@@ -33,7 +33,8 @@ def _add_scenario_args(p):
     p.add_argument("--tolerance", type=float, default=None,
                    help="override the scenario tolerance")
     p.add_argument("--jet-order", type=int, default=None,
-                   help="override the scenario jet order")
+                   help="override the scenario jet order K; K is validated and "
+                        "echoed in the report only (see README, Jet orders)")
     p.add_argument("--json", dest="json_path",
                    help="write the full report to this path")
 
@@ -114,7 +115,7 @@ def main(argv=None):
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("error: ran out of memory; lower the dimension or jet order", file=sys.stderr)
+        print("error: ran out of memory; lower the dimension", file=sys.stderr)
         return 2
 
 

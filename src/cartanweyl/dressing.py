@@ -17,7 +17,7 @@ import numpy as np
 from .cartan import (KleinModel, conjugate, curvature, curvature_form, gauge_transform,
                      k1_matrix)
 from .errors import ShapeError
-from .forms import MForm, block_matrix, form_comps
+from .forms import MForm, block_matrix, two_form_values
 from .jets import jder, jmat_inv, jtrunc, order_of, space
 from .reduction import worst_of
 from .tensors import jeinsum, metric_from_vielbein
@@ -129,18 +129,6 @@ def u0_from_vielbein(e, model):
     return DressingU0(e=e, einv=einv, mat=mat, inv=inv)
 
 
-def _two_form_components(block, m):
-    """Antisymmetric component array X[..., mu, sigma] from stored comps."""
-    comps = form_comps(m, 2)
-    lead = block.shape
-    out = np.zeros(lead + (m, m))
-    for f, (mu, sg) in enumerate(comps):
-        vals = block.data[:, :, f, 0]
-        out[:, :, mu, sg] = vals
-        out[:, :, sg, mu] = -vals
-    return out
-
-
 def extract_tensors(varpi0, Omega0, model):
     """Read the Riemannian parametrization out of the dressed pair."""
     m = model.m
@@ -154,10 +142,10 @@ def extract_tensors(varpi0, Omega0, model):
         g[mu, :, :] = b32.data[0, :, mu, :]
         P[mu, :, :] = b12.data[0, :, mu, :]
         Gamma[:, mu, :, :] = b22.data[:, :, mu, :]
-    T = _two_form_components(model.block(Omega0, 2, 1), m)[:, 0]       # (rho, mu, sigma)
-    f0 = _two_form_components(model.block(Omega0, 1, 1), m)[0, 0]      # (mu, sigma)
-    C = _two_form_components(model.block(Omega0, 1, 2), m)[0]          # (nu, mu, sigma)
-    W = _two_form_components(model.block(Omega0, 2, 2), m)             # (rho, nu, mu, sigma)
+    T = two_form_values(model.block(Omega0, 2, 1))[:, 0]       # (rho, mu, sigma)
+    f0 = two_form_values(model.block(Omega0, 1, 1))[0, 0]      # (mu, sigma)
+    C = two_form_values(model.block(Omega0, 1, 2))[0]          # (nu, mu, sigma)
+    W = two_form_values(model.block(Omega0, 2, 2))             # (rho, nu, mu, sigma)
     return g, Gamma, P, T, f0, C, W
 
 
@@ -290,8 +278,8 @@ def gr_dress(conn, e):
     Gamma = np.empty((m, m, m, space(m, varpi_h.order).size))
     for mu in range(m):
         Gamma[:, mu, :, :] = Gamma_blk.data[:, :, mu, :]
-    R = _two_form_components(model.block(Omega_h, 1, 1), m)
-    T = _two_form_components(model.block(Omega_h, 1, 2), m)[:, 0]
+    R = two_form_values(model.block(Omega_h, 1, 1))
+    T = two_form_values(model.block(Omega_h, 1, 2))[:, 0]
     g = metric_from_vielbein(e, model.eta)
     diag = {
         "metricity": metricity_residual(g, Gamma, m),

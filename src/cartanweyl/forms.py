@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import JetOrderError, ShapeError
 from .grassmann import GradedScalar, _merge_monomials
-from .jets import Jet, jtrunc, order_of, space
+from .jets import Jet, jmul, jtrunc, order_of, space
 from .jets import jmat_mul  # noqa: F401  (re-exported; perfbench's tracer test rebinds it)
 from .reduction import worst_of
 
@@ -240,13 +240,6 @@ class MForm:
             out.data[i, i, 0, 0] = 1.0
         return out
 
-    @classmethod
-    def constant(cls, matrix, m, order):
-        matrix = np.asarray(matrix, dtype=float)
-        out = cls.zeros(m, matrix.shape, 0, 0, order)
-        out.data[:, :, 0, 0] = matrix
-        return out
-
     @property
     def n_comps(self):
         """Number of dx monomials of degree p."""
@@ -414,6 +407,25 @@ def gcomm(a, b):
 
 def ext_d(a):
     return a.ext_d()
+
+
+def scale_by_jet(M, z):
+    """Multiply every entry of a float MForm by the scalar jet z."""
+    m = M.m
+    k = min(M.order, order_of(m, z))
+    Mk = M.truncate(k)
+    return Mk._like(jmul(jtrunc(z, m, k)[None, None, None, :], Mk.data, m))
+
+
+def two_form_values(form):
+    """Values X[..., mu, sigma] of a float 2-form, antisymmetric in mu, sigma."""
+    m = form.m
+    mu, sg = np.array(form_comps(m, 2)).T
+    vals = form.data[..., 0]
+    out = np.zeros(form.shape + (m, m))
+    out[:, :, mu, sg] = vals
+    out[:, :, sg, mu] = -vals
+    return out
 
 
 def block_matrix(rows, m, p, q, order, row_sizes=None, col_sizes=None):

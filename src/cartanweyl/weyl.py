@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import build_normal, conjugate, k1_matrix, weyl_diagonal
-from .dressing import DressedPair, extract_tensors, full_pipeline, u0_from_vielbein
+from .cartan import conjugate, k1_matrix, weyl_diagonal
+from .dressing import DressedPair, extract_tensors, u0_from_vielbein
 from .errors import ExprDomainError
 from .exprs import compile_expr, eval_jets
-from .forms import MForm, eta_t
+from .forms import MForm, eta_t, scale_by_jet
 from .jets import jder, jexp, jmat_inv, jmul, jrecip, jtrunc, order_of
 from .reduction import worst_of
 from .tensors import jeinsum, metric_from_vielbein
@@ -45,15 +45,16 @@ class WeylElement:
         return z, zeta
 
 
-def weyl_matrices(model, z, zeta, e):
-    """The matrices of the rescaling (z, zeta) on the dressed pair of ``e``.
+def weyl_matrices(model, z, zeta, u0):
+    """The matrices of the rescaling (z, zeta) on the pair dressed by ``u0``.
 
-    Wbar = u0^-1 k1 u0 W Wtilde and its inverse, with k1 the unipotent built
-    on xi = zeta . e^-1; W, k1 and their inverses for the first-stage action;
-    and the scalar jets z, z^-1.
+    ``u0`` is the :class:`DressingU0` of the pair's vielbein e, as the
+    dressing built it.  Wbar = u0^-1 k1 u0 W Wtilde and its inverse, with k1
+    the unipotent built on xi = zeta . e^-1; W, k1 and their inverses for the
+    first-stage action; and the scalar jets z, z^-1.
     """
     m = model.m
-    order = min(order_of(m, z), order_of(m, zeta), order_of(m, e))
+    order = min(order_of(m, z), order_of(m, zeta), order_of(m, u0.e))
     zinv = jrecip(z, m)
     W, Winv = weyl_diagonal(z, zinv, model, order)
     Wt = MForm.identity(m, model.n, order)
@@ -61,7 +62,6 @@ def weyl_matrices(model, z, zeta, e):
     for i in range(1, m + 1):
         Wt.data[i, i, 0] = jtrunc(z, m, order)
         Wtinv.data[i, i, 0] = jtrunc(zinv, m, order)
-    u0 = u0_from_vielbein(e, model)
     xi_arr = jeinsum("m,ma->a", zeta, u0.einv, m)  # zeta . e^-1
     xi = MForm.zeros(m, (1, m), 0, 0, order_of(m, xi_arr))
     xi.data[0, :, 0, :] = xi_arr
@@ -99,8 +99,9 @@ def wbar_closed_form(model, z, zeta, e):
 def weyl_transform_dressed(state, mats):
     """Conjugation route: move the dressed pair by Wbar.
 
-    ``mats`` is the :func:`weyl_matrices` bundle of ``state.e``.  Returns the
-    moved :class:`DressedPair`, with e -> z e and the tensors read off anew.
+    ``mats`` is the :func:`weyl_matrices` bundle of the u0 of ``state.e``.
+    Returns the moved :class:`DressedPair`, with e -> z e and the tensors
+    read off anew.
     """
     model = state.model
     wbar, wbar_inv = mats["wbar"], mats["wbar_inv"]
@@ -153,7 +154,7 @@ def closed_form_laws(state, z, zeta):
 def weyl_transform_midlevel(fields, mats):
     """First-stage action: conjugate (varpi1, Omega1) by k1 W.
 
-    ``mats`` is the :func:`weyl_matrices` bundle of ``fields.e``.  Returns the
+    ``mats`` is the :func:`weyl_matrices` bundle of ``fields.u0``.  Returns the
     conjugated (varpi1W, Omega1W) plus closed-form blocks for theta, A1,
     alpha1, f1, Theta, F1, Pi1.
     """
@@ -176,30 +177,20 @@ def weyl_transform_midlevel(fields, mats):
     F1 = blk(fields.Omega1, 2, 2)
     Pi1 = blk(fields.Omega1, 1, 2)
     closed = {}
-    closed["theta"] = _scale_rows(theta, mats["z"])
+    closed["theta"] = scale_by_jet(theta, mats["z"])
     closed["A1"] = A1 + theta.wedge(xi) - xit.wedge(eta_t(theta, eta))
     Dxi = xi.ext_d() - xi.wedge(A1)
     corr = (alpha1 + Dxi - xi.wedge(theta.wedge(xi))
             + xi.wedge(xit).wedge(eta_t(theta, eta)).scale(0.5))
-    closed["alpha1"] = _scale_rows(corr, mats["zinv"])
+    closed["alpha1"] = scale_by_jet(corr, mats["zinv"])
     closed["f1"] = f1 - xi.wedge(Theta1)
-    closed["Theta1"] = _scale_rows(Theta1, mats["z"])
+    closed["Theta1"] = scale_by_jet(Theta1, mats["z"])
     closed["F1"] = F1 + Theta1.wedge(xi) - xit.wedge(eta_t(Theta1, eta))
     f1_eye = _eye_times(f1, m)
     corr2 = (Pi1 - xi.wedge(F1 - f1_eye) - xi.wedge(Theta1.wedge(xi))
              + xi.wedge(xit).wedge(eta_t(Theta1, eta)).scale(0.5))
-    closed["Pi1"] = _scale_rows(corr2, mats["zinv"])
+    closed["Pi1"] = scale_by_jet(corr2, mats["zinv"])
     return varpi1W, Omega1W, closed
-
-
-def _scale_rows(M, z):
-    """Multiply every entry of a float MForm by the scalar jet z."""
-    m = M.m
-    k = min(M.order, order_of(m, z))
-    out = M.truncate(k).copy()
-    zk = jtrunc(z, m, k)
-    out.data = jmul(zk[None, None, None, :], out.data, m)
-    return out
 
 
 def _eye_times(f, m):
@@ -210,39 +201,19 @@ def _eye_times(f, m):
     return out
 
 
-def weyl_consistency(e, wz, model, point, order):
-    """Two-route oracle for a normal scenario on the vielbein jets ``e``.
-
-    Route one transforms the dressed pipeline output of e; route two runs
-    the whole construction again from the rescaled vielbein e' = z e.  The
-    report maps tensor names to the max defect between the routes.
-    """
-    fields = full_pipeline(build_normal(e, model, point, order), e)
-    z, zeta = wz.at(model.chart, point, order)
-    stW = weyl_transform_dressed(fields, weyl_matrices(model, z, zeta, e))
-    f2 = full_pipeline(build_normal(stW.e, model, point, order), stW.e)
-    return {
-        "g": float(np.abs(stW.g[..., 0] - f2.g[..., 0]).max()),
-        "Gamma": float(np.abs(stW.Gamma[..., 0] - f2.Gamma[..., 0]).max()),
-        "P": float(np.abs(stW.P[..., 0] - f2.P[..., 0]).max()),
-        "T": float(np.abs(stW.T - f2.T).max()),
-        "f0": float(np.abs(stW.f0 - f2.f0).max()),
-        "C": float(np.abs(stW.C - f2.C).max()),
-        "W": float(np.abs(stW.W - f2.W).max()),
-    }
-
-
 def weyl_group_law_residual(state, moved, first, second):
     """Apply z1 then z2 versus z1 z2 on all dressed fields (value norms).
 
+    ``state`` is a pipeline output (its u0 serves the combined step),
     ``first`` and ``second`` are the (z, zeta) jets of the two elements, as
     :meth:`WeylElement.at` returns them, and ``moved`` is ``state`` already
     moved by ``first``.
     """
     (z1, zeta1), (z2, zeta2) = first, second
     model = state.model
-    s12 = weyl_transform_dressed(moved, weyl_matrices(model, z2, zeta2, moved.e))
+    u0_moved = u0_from_vielbein(moved.e, model)
+    s12 = weyl_transform_dressed(moved, weyl_matrices(model, z2, zeta2, u0_moved))
     z12 = jmul(z1, z2, model.m)
-    s_both = weyl_transform_dressed(state, weyl_matrices(model, z12, zeta1 + zeta2, state.e))
+    s_both = weyl_transform_dressed(state, weyl_matrices(model, z12, zeta1 + zeta2, state.u0))
     return worst_of(((s12.varpi0 - s_both.varpi0).value_norm(),
                      (s12.Omega0 - s_both.Omega0).value_norm()))

@@ -29,7 +29,7 @@ def full_order_linearization(conn, e, model, phi, point, h=1e-3):
     dphi = np.stack([jder(phi_j, m, mu) for mu in range(m)])
 
     def tensors_at(t):
-        mats = weyl_matrices(model, jexp(t * phi_j, m), t * dphi, fields.e)
+        mats = weyl_matrices(model, jexp(t * phi_j, m), t * dphi, fields.u0)
         moved = weyl_transform_dressed(fields, mats)
         return {"g": moved.g[..., 0], "Gamma": moved.Gamma[..., 0],
                 "P": moved.P[..., 0], "C": moved.C, "W": moved.W}

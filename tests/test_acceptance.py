@@ -107,7 +107,7 @@ def test_criterion_3_normality():
             f = full_pipeline(conn, vb.jets_at(pt, scn.jet_order))
             worst = max(worst, *dressed_normality(f))
             z, zeta = wz.at(scn.chart, pt, scn.jet_order)
-            stW = weyl_transform_dressed(f, weyl_matrices(model, z, zeta, f.e))
+            stW = weyl_transform_dressed(f, weyl_matrices(model, z, zeta, f.u0))
             worst = max(worst,
                         float(np.abs(stW.T).max()),
                         float(np.abs(np.einsum("anas->ns", stW.W)).max()),
@@ -115,10 +115,21 @@ def test_criterion_3_normality():
     _verdict(3, "normality incl. Weyl transforms", worst, 1e-9)
 
 
+def _route_defect(stW, f2):
+    """Largest value defect between the conjugation route and recomputation."""
+    return max(float(np.abs(got - ref).max())
+               for got, ref in ((stW.g[..., 0], f2.g[..., 0]),
+                                (stW.Gamma[..., 0], f2.Gamma[..., 0]),
+                                (stW.P[..., 0], f2.P[..., 0]), (stW.T, f2.T),
+                                (stW.f0, f2.f0), (stW.C, f2.C), (stW.W, f2.W)))
+
+
 def test_criterion_4_finite_weyl_laws():
-    """Conjugation = closed-form blocks = recomputation, per tensor."""
+    """Conjugation = closed-form blocks = recomputation, per tensor; the
+    identity rescaling moves nothing on either route."""
     worst_routes = 0.0
     worst_winv = 0.0
+    worst_identity = 0.0
     # normal scenarios: all three routes
     for name in ("diag-poly", "constant-curvature"):
         scn = catalog(name, 3)
@@ -130,19 +141,21 @@ def test_criterion_4_finite_weyl_laws():
             e = vb.jets_at(pt, scn.jet_order)
             f = full_pipeline(conn, e)
             z, zeta = wz.at(scn.chart, pt, scn.jet_order)
-            stW = weyl_transform_dressed(f, weyl_matrices(model, z, zeta, e))
+            stW = weyl_transform_dressed(f, weyl_matrices(model, z, zeta, f.u0))
             laws = closed_form_laws(f, z, zeta)
             f2 = full_pipeline(build_normal(stW.e, model, pt, scn.jet_order), stW.e)
             for key, got in (("g", stW.g[..., 0]), ("Gamma", stW.Gamma[..., 0]),
                              ("P", stW.P[..., 0]), ("T", stW.T),
                              ("f0", stW.f0), ("W", stW.W), ("C", stW.C)):
                 worst_routes = max(worst_routes, float(np.abs(got - laws[key]).max()))
-            for got, ref in ((stW.g[..., 0], f2.g[..., 0]),
-                             (stW.Gamma[..., 0], f2.Gamma[..., 0]),
-                             (stW.P[..., 0], f2.P[..., 0]),
-                             (stW.C, f2.C), (stW.W, f2.W)):
-                worst_routes = max(worst_routes, float(np.abs(got - ref).max()))
+            worst_routes = max(worst_routes, _route_defect(stW, f2))
             worst_winv = max(worst_winv, float(np.abs(stW.W - f.W).max()))
+            # phi = 0: both routes give back the untransformed tensors
+            z0, zeta0 = WeylElement("0").at(scn.chart, pt, scn.jet_order)
+            st0 = weyl_transform_dressed(f, weyl_matrices(model, z0, zeta0, f.u0))
+            f_id = full_pipeline(build_normal(st0.e, model, pt, scn.jet_order), st0.e)
+            worst_identity = max(worst_identity, _route_defect(st0, f_id),
+                                 _route_defect(st0, f))
     # torsionful scenario: the general component laws
     scn = catalog("torsionful", 3)
     model = KleinModel(scn.model, scn.chart)
@@ -153,7 +166,7 @@ def test_criterion_4_finite_weyl_laws():
         f = full_pipeline(conn, e_full)
         assert np.abs(f.T).max() > 1e-3
         z, zeta = wz.at(scn.chart, pt, scn.jet_order)
-        stW = weyl_transform_dressed(f, weyl_matrices(model, z, zeta, f.e))
+        stW = weyl_transform_dressed(f, weyl_matrices(model, z, zeta, f.u0))
         laws = closed_form_laws(f, z, zeta)
         for key, got in (("g", stW.g[..., 0]), ("Gamma", stW.Gamma[..., 0]),
                          ("P", stW.P[..., 0]), ("T", stW.T), ("f0", stW.f0),
@@ -161,6 +174,7 @@ def test_criterion_4_finite_weyl_laws():
             worst_routes = max(worst_routes, float(np.abs(got - laws[key]).max()))
     _verdict(4, "finite Weyl transformation laws", worst_routes, 1e-8)
     _verdict(4, "Weyl tensor invariance", worst_winv, 1e-9)
+    _verdict(4, "identity rescaling", worst_identity, 1e-12)
 
 
 def test_criterion_5_weyl_group_law():
@@ -173,7 +187,7 @@ def test_criterion_5_weyl_group_law():
             conn = build_normal(vb, model, pt, scn.jet_order)
             f = full_pipeline(conn, vb.jets_at(pt, scn.jet_order))
             first = WeylElement("x0/4 - x1*x2/6").at(scn.chart, pt, scn.jet_order)
-            moved = weyl_transform_dressed(f, weyl_matrices(model, *first, f.e))
+            moved = weyl_transform_dressed(f, weyl_matrices(model, *first, f.u0))
             res = weyl_group_law_residual(
                 f, moved, first, WeylElement("x1/5 + x0*x0/10").at(scn.chart, pt, scn.jet_order))
             worst = max(worst, res)

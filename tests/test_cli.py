@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cartanweyl import cartan, checks, cli, dressing, weyl
+from cartanweyl import brs, cartan, checks, cli, dressing, weyl
 from cartanweyl.checks import (SUITES, CheckRow, _merge, compute_tensors, dof_report,
                                run_check)
 from cartanweyl.cli import main
@@ -195,12 +195,10 @@ def test_weyl_suite_evaluates_each_element_once_per_point(monkeypatch):
     assert len(calls) == 2
 
 
-def test_weyl_suite_builds_each_weyl_matrix_once(monkeypatch):
-    """Per point: one bundle for the scenario's rescaling, shared by the
-    conjugation, the midlevel action, the k1/u1 commutator, route three and
-    the group law's first step; two more for the group law's second step and
-    its product.  The closed form of Wbar is built for its own row only."""
-    counts = {"weyl_matrices": 0, "weyl_transform_dressed": 0, "wbar_closed_form": 0}
+def _count_calls(monkeypatch, names, scn, suite):
+    """Calls of each function in ``names`` while ``suite`` runs on ``scn``,
+    patched in every module that looks it up."""
+    counts = dict.fromkeys(names, 0)
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -208,16 +206,38 @@ def test_weyl_suite_builds_each_weyl_matrix_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in counts:
-        wrapped = counted(getattr(weyl, name))
-        for module in (checks, weyl):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapped)
+    with monkeypatch.context() as mp:
+        for name in names:
+            home = dressing if name == "u0_from_vielbein" else weyl
+            wrapped = counted(getattr(home, name))
+            for module in (checks, weyl, dressing, brs):
+                if hasattr(module, name):
+                    mp.setattr(module, name, wrapped)
+        assert run_check(scn, suite).passed
+    return counts
+
+
+def test_weyl_suite_builds_each_weyl_matrix_once(monkeypatch):
+    """Per point: one bundle for the scenario's rescaling, shared by the
+    conjugation, the midlevel action, the k1/u1 commutator, route three and
+    the group law's first step; two more for the group law's second step and
+    its product.  The closed form of Wbar is built for its own row only.
+
+    Each vielbein gets one u0: the point's dressing, the group law's second
+    step, and the two routes that dress a connection again (4 per point).
+    The brs suite builds 3: the point's dressing, the linearization's
+    dressing and the u0 of the pair that the linearization moves."""
     scn = catalog("generic", 3)
-    assert run_check(scn, "weyl").passed
+    counts = _count_calls(monkeypatch, ("weyl_matrices", "weyl_transform_dressed",
+                                        "wbar_closed_form", "u0_from_vielbein"),
+                          scn, "weyl")
     n = len(scn.points)
     assert counts == {"weyl_matrices": 3 * n, "weyl_transform_dressed": 3 * n,
-                      "wbar_closed_form": n}
+                      "wbar_closed_form": n, "u0_from_vielbein": 4 * n}
+    for name in ("generic", "diag-poly"):
+        scn = catalog(name, 3)
+        counts = _count_calls(monkeypatch, ("u0_from_vielbein",), scn, "brs")
+        assert counts == {"u0_from_vielbein": 3 * len(scn.points)}, name
 
 
 def test_cli_check_pass(tmp_path, capsys):
@@ -262,6 +282,7 @@ def test_cli_degenerate_vielbein_names_point(tmp_path, capsys):
 def test_cli_compute_and_transform(tmp_path):
     assert main(["compute", "--catalog", "flat"]) == 0
     assert main(["transform", "--catalog", "flat"]) == 0
+    assert main(["brs", "--catalog", "flat"]) == 0
 
 
 def test_cli_entry_point_subprocess():
@@ -499,6 +520,7 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     assert main(["check", "--catalog", "flat", "--suite", "gauge"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "out of memory" in err
+    assert "lower the dimension" in err and "jet order" not in err
     assert "Traceback" not in err
 
 

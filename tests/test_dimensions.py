@@ -63,7 +63,7 @@ def test_weyl_routes(m):
     e = vb.jets_at(pt, 4)
     f = full_pipeline(conn, e)
     z, zeta = WeylElement("x0/5 - x1*x3/7").at(ch, pt, 4)
-    stW = weyl_transform_dressed(f, weyl_matrices(model, z, zeta, e))
+    stW = weyl_transform_dressed(f, weyl_matrices(model, z, zeta, f.u0))
     laws = closed_form_laws(f, z, zeta)
     for key, got in (("g", stW.g[..., 0]), ("Gamma", stW.Gamma[..., 0]),
                      ("P", stW.P[..., 0]), ("W", stW.W), ("C", stW.C)):
@@ -129,6 +129,6 @@ def test_euclidean_signature():
     B = classical_bundle(e, ch.signature, m)
     assert np.abs(f.P[..., 0] - B["P"][..., 0]).max() < 1e-11
     z, zeta = WeylElement("x0/5").at(ch, pt, 4)
-    stW = weyl_transform_dressed(f, weyl_matrices(model, z, zeta, e))
+    stW = weyl_transform_dressed(f, weyl_matrices(model, z, zeta, f.u0))
     laws = closed_form_laws(f, z, zeta)
     assert np.abs(stW.P[..., 0] - laws["P"]).max() < 1e-11
