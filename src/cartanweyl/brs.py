@@ -813,22 +813,22 @@ def linearization_check(conn, e, model, phi, point, h=1e-3):
     """Finite Weyl derivative versus the BRS variation with eps -> phi.
 
     ``conn`` is the normal connection of the vielbein jets ``e``; the check
-    dresses it cut to order 1.  Central differences in the group parameter
+    dresses it cut to order 1 and moves the dressed pair with that
+    dressing's u0.  Central differences in the group parameter
     at steps h and h/2 with Richardson extrapolation; the BRS side is the
     body map of the ghost variation when the ghost coefficient function
     equals phi.  Both sides read values only, so the Weyl transforms move
     the dressed pair at order 0, with e, z and d phi at order 1: the d of
     the connection's conjugation.
     """
-    from .dressing import DressedPair, dress, extract_tensors, u0_from_vielbein
+    from .dressing import DressedPair, _dress_stages, extract_tensors
     from .jets import jexp
     from .weyl import weyl_matrices, weyl_transform_dressed
     m = model.m
     e1 = jtrunc(e, m, 1)
-    _, _, varpi0, Omega0 = dress(conn.truncate(1), e1)
+    _, u0, _, _, _, varpi0, Omega0 = _dress_stages(conn.truncate(1), e1)
     varpi0, Omega0 = varpi0.truncate(0), Omega0.truncate(0)
     low = DressedPair(model, varpi0, Omega0, e1, *extract_tensors(varpi0, Omega0, model))
-    u0 = u0_from_vielbein(e1, model)
     phi_j = eval_jet(phi, model.chart, point, 2).coeffs
     dphi = np.stack([jder(phi_j, m, mu) for mu in range(m)])
 

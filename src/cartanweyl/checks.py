@@ -183,8 +183,8 @@ class PointContext:
     never runs the dressing pipeline, and no suite changes one in place.
 
     Every row reads values, so the pieces are built at the model's floor
-    order ``MIN_JET_ORDER``, not at the scenario's jet order: by the
-    truncation lemma each value is the same at any higher order.
+    order ``MIN_JET_ORDER``: by the truncation lemma each value is the same
+    at any higher order, so no scenario sets the order.
     """
 
     def __init__(self, scn, model, vb, index):

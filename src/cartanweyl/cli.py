@@ -27,14 +27,12 @@ def _add_scenario_args(p):
     src.add_argument("--catalog", choices=CATALOG_NAMES,
                      help="built-in scenario name")
     p.add_argument("--dimension", type=int, default=3,
-                   help="chart dimension for catalog scenarios (default 3)")
+                   help="chart dimension for catalog scenarios (default 3); "
+                        "ricci-flat-m4 is always 4 and --scenario ignores it")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for the scramble generators")
     p.add_argument("--tolerance", type=float, default=None,
                    help="override the scenario tolerance")
-    p.add_argument("--jet-order", type=int, default=None,
-                   help="override the scenario jet order K; K is validated and "
-                        "echoed in the report only (see README, Jet orders)")
     p.add_argument("--json", dest="json_path",
                    help="write the full report to this path")
 
@@ -43,14 +41,11 @@ def _load_scenario(args):
     if args.scenario:
         scn = Scenario.load(args.scenario)
     else:
-        scn = catalog(args.catalog, m=args.dimension,
-                      jet_order=args.jet_order or 4)
+        scn = catalog(args.catalog, m=args.dimension)
     if args.seed is not None:
         scn.seed = args.seed
     if args.tolerance is not None:
         scn.tolerance = args.tolerance
-    if args.jet_order is not None:
-        scn.jet_order = args.jet_order
     scn.validate()
     return scn
 

@@ -2,9 +2,13 @@
 
 A scenario pins everything a check run needs: chart dimension and signature,
 model kind, vielbein expressions, optional gauge scramble and Weyl factor,
-ghost coefficient functions, sample points, jet order and tolerance.  The
-JSON form is hand-editable and diffable; expression values are strings in
-the field-expression grammar.
+ghost coefficient functions, sample points and tolerance.  The JSON form
+is hand-editable and diffable; expression values are strings in the
+field-expression grammar.
+
+No scenario sets a jet order: each point is built at its model's floor
+order (``checks.PointContext``).  :meth:`Scenario.from_dict` checks a
+file's legacy jet order key as it always did, then drops it.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ MODELS = ("mobius", "poincare")
 MIN_DIMENSION = 3
 MAX_DIMENSION = 6
 MAX_JET_ORDER = 8
-# The lowest jet order every suite of a model finishes at: the Moebius
-# suites run out of Taylor degrees at order 3.
+# The jet order every point of a model is built at, the lowest every suite
+# finishes at: the Moebius suites run out of Taylor degrees at order 3.
 MIN_JET_ORDER = {"mobius": 4, "poincare": 3}
 
 
@@ -88,7 +92,6 @@ class Scenario:
     weyl: str = None            # phi expression; the factor is exp(phi)
     ghosts: dict = None         # {"eps": str, "iota": [str], "lorentz": [str]}
     points: list = field(default_factory=list)
-    jet_order: int = 4
     tolerance: float = 1e-9
     seed: int = 0
     normal: bool = True         # whether the input connection is normal
@@ -136,10 +139,6 @@ class Scenario:
             raise ScenarioError(f"signature must list {m} entries of +1 or -1, "
                                 f"got {sig!r}")
         self.signature = tuple(int(s) for s in sig)
-        low = MIN_JET_ORDER[self.model]
-        if not _is_int(self.jet_order) or not low <= self.jet_order <= MAX_JET_ORDER:
-            raise ScenarioError(f"jet order must be an integer in [{low}, {MAX_JET_ORDER}] "
-                                f"for the {self.model} model, got {self.jet_order!r}")
         tol = self.tolerance
         if not _is_real(tol) or not math.isfinite(tol) or tol <= 0:
             raise ScenarioError(f"tolerance must be finite and positive, got {tol!r}")
@@ -194,7 +193,6 @@ class Scenario:
             "weyl": self.weyl,
             "ghosts": self.ghosts,
             "points": [list(p) for p in self.points],
-            "jet_order": self.jet_order,
             "tolerance": self.tolerance,
             "seed": self.seed,
             "normal": self.normal,
@@ -218,7 +216,14 @@ class Scenario:
         kwargs = dict(d)
         kwargs.setdefault("name", "unnamed")
         kwargs.setdefault("signature", None)
-        return cls(**kwargs)
+        order = kwargs.pop("jet_order", None)
+        scn = cls(**kwargs)
+        if "jet_order" in d:
+            low = MIN_JET_ORDER[scn.model]
+            if not _is_int(order) or not low <= order <= MAX_JET_ORDER:
+                raise ScenarioError(f"jet order must be an integer in [{low}, {MAX_JET_ORDER}] "
+                                    f"for the {scn.model} model, got {order!r}")
+        return scn
 
     @classmethod
     def load(cls, path):
@@ -251,7 +256,7 @@ def _points(m, k=2):
 
 
 def _diag_poly(m):
-    """Fields of the diag-poly scenario apart from its jet order."""
+    """Fields of the diag-poly scenario."""
     sig = (1,) + (-1,) * (m - 1)
     diag = ["1 + x1^2/2", "1 + x0*x%d/4" % (m - 1), "1 + x0^2/3 + x%d/5" % (m - 1)]
     while len(diag) < m:
@@ -262,31 +267,29 @@ def _diag_poly(m):
                 ghosts=_default_ghosts(m))
 
 
-def catalog(name, m=3, jet_order=4):
+def catalog(name, m=3):
     """Built-in scenarios; names: flat, conformally-flat, diag-poly,
     constant-curvature, ricci-flat-m4, generic, torsionful, poincare."""
     sig = (1,) + (-1,) * (m - 1)
     if name == "flat":
         return Scenario(name=name, dimension=m, signature=sig,
-                        points=_points(m), jet_order=jet_order,
-                        ghosts=_default_ghosts(m))
+                        points=_points(m), ghosts=_default_ghosts(m))
     if name == "conformally-flat":
         phi = "x0/4 - x1*x1/6 + x0*x1/8"
         vb = [[f"exp({phi})" if i == j else "0" for j in range(m)]
               for i in range(m)]
         return Scenario(name=name, dimension=m, signature=sig, vielbein=vb,
-                        points=_points(m), jet_order=jet_order,
-                        weyl="x0/5 - x1/7", ghosts=_default_ghosts(m))
+                        points=_points(m), weyl="x0/5 - x1/7",
+                        ghosts=_default_ghosts(m))
     if name == "diag-poly":
-        return Scenario(**_diag_poly(m), jet_order=jet_order)
+        return Scenario(**_diag_poly(m))
     if name == "constant-curvature":
         # g = eta / (1 + (k/4) x.eta.x)^2 has Ricci = (m-1) k g; k = 1
         q = " + ".join(f"({s})*x{i}*x{i}" for i, s in enumerate(sig))
         f = f"1/(1 + ({q})/4)"
         vb = [[f if i == j else "0" for j in range(m)] for i in range(m)]
         return Scenario(name=name, dimension=m, signature=sig, vielbein=vb,
-                        points=_points(m), jet_order=jet_order,
-                        weyl="x0/6", ghosts=_default_ghosts(m))
+                        points=_points(m), weyl="x0/6", ghosts=_default_ghosts(m))
     if name == "ricci-flat-m4":
         # Schwarzschild chart, mass 1: x1 = r in (3, 6), x2 = polar angle
         vb = [["sqrt(1 - 2/x1)", "0", "0", "0"],
@@ -294,25 +297,22 @@ def catalog(name, m=3, jet_order=4):
               ["0", "0", "x1", "0"],
               ["0", "0", "0", "x1*sin(x2)"]]
         return Scenario(name=name, dimension=4, signature=(1, -1, -1, -1),
-                        vielbein=vb, points=[(0.2, 3.7, 1.1, 0.4),
-                                             (-0.1, 4.6, 1.4, 0.9)],
-                        jet_order=jet_order, weyl="x1/20 - x0/30",
+                        vielbein=vb, weyl="x1/20 - x0/30",
+                        points=[(0.2, 3.7, 1.1, 0.4), (-0.1, 4.6, 1.4, 0.9)],
                         ghosts={"eps": "1/2 + x1/9", "iota": ["1/2", "x1/8", "1/3", "x2/5"],
                                 "lorentz": ["1/3", "x1/7", "1/4", "x2/6", "1/5", "x3/9"]})
     if name == "generic":
-        base = catalog("diag-poly", m, jet_order)
+        base = catalog("diag-poly", m)
         base.name = name
         base.gauge = {"seeded": True}
         return base
     if name == "torsionful":
-        base = catalog("diag-poly", m, jet_order)
+        base = catalog("diag-poly", m)
         base.name = name
         base.normal = False
         return base
     if name == "poincare":
-        # validated as a Poincare scenario, whose jet-order floor is lower
-        return Scenario(**dict(_diag_poly(m), name=name), model="poincare",
-                        jet_order=jet_order)
+        return Scenario(**dict(_diag_poly(m), name=name), model="poincare")
     raise ScenarioError(f"unknown catalog scenario {name!r}")
 
 

@@ -23,6 +23,9 @@ from cartanweyl.tensors import classical_bundle, jeinsum
 from cartanweyl.weyl import (WeylElement, closed_form_laws, weyl_group_law_residual,
                              weyl_matrices, weyl_transform_dressed)
 
+# The jet order the routes below build at: the Moebius floor, and every
+# value they read is the same at any higher order.
+ORDER = 4
 GHOSTS3 = GhostSpec(eps="1/2 + x0/3 - x1*x2/5",
                     iota=["x1/2", "1/3 - x0/4", "x2/2 + 1/5"],
                     lorentz=["x0/2 + 1/6", "x1/3 - 1/7", "1/4 + x2/8"])
@@ -80,8 +83,8 @@ def test_criterion_2_riemannian_parametrization_oracle():
         model = KleinModel(scn.model, scn.chart)
         vb = VielbeinField(scn.chart, scn.vielbein)
         for pt in scn.points:
-            conn = build_normal(vb, model, pt, scn.jet_order)
-            e = vb.jets_at(pt, scn.jet_order)
+            conn = build_normal(vb, model, pt, ORDER)
+            e = vb.jets_at(pt, ORDER)
             f = full_pipeline(conn, e)
             B = classical_bundle(e, scn.signature, model.m)
             worst = max(
@@ -103,10 +106,10 @@ def test_criterion_3_normality():
         vb = VielbeinField(scn.chart, scn.vielbein)
         wz = WeylElement(scn.weyl)
         for pt in scn.points:
-            conn = build_normal(vb, model, pt, scn.jet_order)
-            f = full_pipeline(conn, vb.jets_at(pt, scn.jet_order))
+            conn = build_normal(vb, model, pt, ORDER)
+            f = full_pipeline(conn, vb.jets_at(pt, ORDER))
             worst = max(worst, *dressed_normality(f))
-            z, zeta = wz.at(scn.chart, pt, scn.jet_order)
+            z, zeta = wz.at(scn.chart, pt, ORDER)
             stW = weyl_transform_dressed(f, weyl_matrices(model, z, zeta, f.u0))
             worst = max(worst,
                         float(np.abs(stW.T).max()),
@@ -137,13 +140,13 @@ def test_criterion_4_finite_weyl_laws():
         vb = VielbeinField(scn.chart, scn.vielbein)
         wz = WeylElement(scn.weyl)
         for pt in scn.points:
-            conn = build_normal(vb, model, pt, scn.jet_order)
-            e = vb.jets_at(pt, scn.jet_order)
+            conn = build_normal(vb, model, pt, ORDER)
+            e = vb.jets_at(pt, ORDER)
             f = full_pipeline(conn, e)
-            z, zeta = wz.at(scn.chart, pt, scn.jet_order)
+            z, zeta = wz.at(scn.chart, pt, ORDER)
             stW = weyl_transform_dressed(f, weyl_matrices(model, z, zeta, f.u0))
             laws = closed_form_laws(f, z, zeta)
-            f2 = full_pipeline(build_normal(stW.e, model, pt, scn.jet_order), stW.e)
+            f2 = full_pipeline(build_normal(stW.e, model, pt, ORDER), stW.e)
             for key, got in (("g", stW.g[..., 0]), ("Gamma", stW.Gamma[..., 0]),
                              ("P", stW.P[..., 0]), ("T", stW.T),
                              ("f0", stW.f0), ("W", stW.W), ("C", stW.C)):
@@ -151,9 +154,9 @@ def test_criterion_4_finite_weyl_laws():
             worst_routes = max(worst_routes, _route_defect(stW, f2))
             worst_winv = max(worst_winv, float(np.abs(stW.W - f.W).max()))
             # phi = 0: both routes give back the untransformed tensors
-            z0, zeta0 = WeylElement("0").at(scn.chart, pt, scn.jet_order)
+            z0, zeta0 = WeylElement("0").at(scn.chart, pt, ORDER)
             st0 = weyl_transform_dressed(f, weyl_matrices(model, z0, zeta0, f.u0))
-            f_id = full_pipeline(build_normal(st0.e, model, pt, scn.jet_order), st0.e)
+            f_id = full_pipeline(build_normal(st0.e, model, pt, ORDER), st0.e)
             worst_identity = max(worst_identity, _route_defect(st0, f_id),
                                  _route_defect(st0, f))
     # torsionful scenario: the general component laws
@@ -165,7 +168,7 @@ def test_criterion_4_finite_weyl_laws():
         conn, e_full = PointContext(scn, model, vb, idx).base
         f = full_pipeline(conn, e_full)
         assert np.abs(f.T).max() > 1e-3
-        z, zeta = wz.at(scn.chart, pt, scn.jet_order)
+        z, zeta = wz.at(scn.chart, pt, ORDER)
         stW = weyl_transform_dressed(f, weyl_matrices(model, z, zeta, f.u0))
         laws = closed_form_laws(f, z, zeta)
         for key, got in (("g", stW.g[..., 0]), ("Gamma", stW.Gamma[..., 0]),
@@ -184,12 +187,12 @@ def test_criterion_5_weyl_group_law():
         model = KleinModel(scn.model, scn.chart)
         vb = VielbeinField(scn.chart, scn.vielbein)
         for pt in scn.points:
-            conn = build_normal(vb, model, pt, scn.jet_order)
-            f = full_pipeline(conn, vb.jets_at(pt, scn.jet_order))
-            first = WeylElement("x0/4 - x1*x2/6").at(scn.chart, pt, scn.jet_order)
+            conn = build_normal(vb, model, pt, ORDER)
+            f = full_pipeline(conn, vb.jets_at(pt, ORDER))
+            first = WeylElement("x0/4 - x1*x2/6").at(scn.chart, pt, ORDER)
             moved = weyl_transform_dressed(f, weyl_matrices(model, *first, f.u0))
             res = weyl_group_law_residual(
-                f, moved, first, WeylElement("x1/5 + x0*x0/10").at(scn.chart, pt, scn.jet_order))
+                f, moved, first, WeylElement("x1/5 + x0*x0/10").at(scn.chart, pt, ORDER))
             worst = max(worst, res)
     _verdict(5, "Weyl group law", worst, 1e-9)
 
@@ -239,8 +242,8 @@ def test_criterion_7_linearization():
     model = KleinModel(scn.model, scn.chart)
     vb = VielbeinField(scn.chart, scn.vielbein)
     pt = scn.points[0]
-    conn = build_normal(vb, model, pt, scn.jet_order)
-    out = linearization_check(conn, vb.jets_at(pt, scn.jet_order), model, scn.weyl, pt)
+    conn = build_normal(vb, model, pt, ORDER)
+    out = linearization_check(conn, vb.jets_at(pt, ORDER), model, scn.weyl, pt)
     worst = max(out.values())
     _verdict(7, "finite vs BRS derivative (g, Gamma, P, C, W)", worst, 1e-6)
 

@@ -446,8 +446,8 @@ def test_shared_cache_matches_cold_evaluation():
 
 # -- reads at the jet order they need ---------------------------------------------
 
-def _one_point_context(name, m, jet_order=4):
-    scn = catalog(name, m, jet_order)
+def _one_point_context(name, m):
+    scn = catalog(name, m)
     scn.points = scn.points[:1]
     model, vb = KleinModel(scn.model, scn.chart), VielbeinField(scn.chart, scn.vielbein)
     return PointContext(scn, model, vb, 0)
@@ -539,7 +539,7 @@ def test_linearization_rows_equal_the_full_order_reference(name, m, order):
     """The value-order Weyl transforms and composite ghost give the rows of
     the full-order check bit for bit, and so does the check on the point
     context, built at the floor order."""
-    ctx = _one_point_context(name, m, order)
+    ctx = _one_point_context(name, m)
     e = ctx.vb.jets_at(ctx.point, order)
     conn = build_normal(e, ctx.model, ctx.point, order)
     rest = (ctx.model, ctx.scn.weyl or DEFAULT_WEYL, ctx.point)

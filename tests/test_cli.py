@@ -34,9 +34,9 @@ def test_scenario_rejects_unknown_keys():
 
 
 def test_scenario_rejects_low_jet_order():
+    """A file's legacy jet order key is still checked before it is dropped."""
     with pytest.raises(ScenarioError):
-        Scenario(name="x", dimension=3, signature=None,
-                 points=[(0.1, 0.2, 0.3)], jet_order=2)
+        Scenario.from_dict({"dimension": 3, "points": [[0.1, 0.2, 0.3]], "jet_order": 2})
 
 
 def test_scenario_rejects_bad_expression():
@@ -225,8 +225,8 @@ def test_weyl_suite_builds_each_weyl_matrix_once(monkeypatch):
 
     Each vielbein gets one u0: the point's dressing, the group law's second
     step, and the two routes that dress a connection again (4 per point).
-    The brs suite builds 3: the point's dressing, the linearization's
-    dressing and the u0 of the pair that the linearization moves."""
+    The brs suite builds 2: the point's dressing and the linearization's,
+    whose u0 also moves the linearization's dressed pair."""
     scn = catalog("generic", 3)
     counts = _count_calls(monkeypatch, ("weyl_matrices", "weyl_transform_dressed",
                                         "wbar_closed_form", "u0_from_vielbein"),
@@ -237,7 +237,7 @@ def test_weyl_suite_builds_each_weyl_matrix_once(monkeypatch):
     for name in ("generic", "diag-poly"):
         scn = catalog(name, 3)
         counts = _count_calls(monkeypatch, ("u0_from_vielbein",), scn, "brs")
-        assert counts == {"u0_from_vielbein": 3 * len(scn.points)}, name
+        assert counts == {"u0_from_vielbein": 2 * len(scn.points)}, name
 
 
 def test_cli_check_pass(tmp_path, capsys):
@@ -339,15 +339,13 @@ def test_golden_report_structure():
     assert got == golden
 
 
-def test_cli_tolerance_and_jet_order_flags(tmp_path):
+def test_cli_tolerance_flag(tmp_path):
     out = tmp_path / "r.json"
     code = main(["check", "--catalog", "flat", "--suite", "gauge",
-                 "--tolerance", "1e-3", "--jet-order", "5",
-                 "--json", str(out)])
+                 "--tolerance", "1e-3", "--json", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["payload"]["scenario"]["tolerance"] == 1e-3
-    assert doc["payload"]["scenario"]["jet_order"] == 5
 
 
 def test_merge_keeps_nan():
@@ -412,6 +410,8 @@ def test_cli_bad_input_exits_2(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and err.startswith("error:")
+    if "jet_order" in case:   # refused by the legacy key's own check
+        assert "jet order must be an integer" in err
     assert elapsed < 1.0   # rejected at validation, before any jet arithmetic
 
 
@@ -460,29 +460,46 @@ def test_jet_overflow_exits_2(suite, tmp_path, capsys):
     assert "overflows in jet evaluation" in err
 
 
+def _legacy_file(tmp_path, name, m, order):
+    """The catalog scenario as a file, with the legacy key ``jet_order`` set
+    to ``order`` (left out for None)."""
+    doc = catalog(name, m).to_dict()
+    if order is not None:
+        doc["jet_order"] = order
+    path = tmp_path / f"{name}-{order}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 @pytest.mark.parametrize("name, model", [("generic", "mobius"), ("poincare", "poincare")])
-def test_lowest_admitted_jet_order_runs_every_suite(name, model, capsys):
+def test_lowest_admitted_jet_order_runs_every_suite(name, model, tmp_path, capsys):
+    """A file's legacy jet order key is refused below the model's floor, and
+    a file at the floor runs every suite."""
     low = MIN_JET_ORDER[model]
-    base = ["check", "--catalog", name, "--suite", "all", "--jet-order"]
-    assert main(base + [str(low - 1)]) == 2
+    base = ["check", "--suite", "all", "--scenario"]
+    assert main(base + [_legacy_file(tmp_path, name, 3, low - 1)]) == 2
     assert f"[{low}, " in capsys.readouterr().err
-    assert main(base + [str(low)]) == 0
+    assert main(base + [_legacy_file(tmp_path, name, 3, low)]) == 0
 
 
 @pytest.mark.parametrize("name, m", [("generic", 3), ("torsionful", 3),
                                      ("constant-curvature", 3), ("ricci-flat-m4", 4),
                                      ("poincare", 4)])
-def test_check_rows_do_not_depend_on_the_jet_order(name, m):
-    """Every piece of a point is built at the model's floor order and every
-    row reads a value, so the scenario's jet order changes no computation:
-    --suite all reports the same rows at the floor and at the ceiling, byte
-    for byte."""
-    def checks_at(order):
-        scn = catalog(name, m, order)
-        scn.validate()
-        return json.dumps(run_check(scn, "all").payload()["checks"])
+def test_check_rows_do_not_depend_on_the_jet_order(name, m, tmp_path):
+    """Every point is built at the model's floor order, so a file's legacy
+    jet order key changes nothing: at the floor, at the ceiling and left
+    out, --suite all reports the same rows byte for byte, and no report
+    echoes the key."""
+    def report(order):
+        out = tmp_path / "r.json"
+        assert main(["check", "--suite", "all", "--json", str(out), "--scenario",
+                     _legacy_file(tmp_path, name, m, order)]) == 0
+        payload = json.loads(out.read_text())["payload"]
+        assert "jet_order" not in payload["scenario"]
+        return json.dumps(payload["checks"])
 
-    assert checks_at(MIN_JET_ORDER[catalog(name, m).model]) == checks_at(MAX_JET_ORDER)
+    low = MIN_JET_ORDER[catalog(name, m).model]
+    assert report(low) == report(MAX_JET_ORDER) == report(None)
 
 
 @pytest.mark.parametrize("name", ["generic", "torsionful"])
@@ -498,7 +515,7 @@ def test_routes_dress_connections_of_order_one(name, monkeypatch):
         return stages(conn, e)
 
     monkeypatch.setattr(dressing, "_dress_stages", recorded)
-    scn = catalog(name, 3, MAX_JET_ORDER)
+    scn = catalog(name, 3)
     assert run_check(scn, "all").passed
     assert orders.count(2) == len(scn.points)
     assert set(orders) == {1, 2}
@@ -524,10 +541,17 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flags", [["--tolerance", "-1"], ["--jet-order", "2"],
+@pytest.mark.parametrize("flags", [["--tolerance", "-1"], ["--jet-order", "5"],
                                    ["--seed", "-3"], ["--dimension", "2"]])
 def test_cli_bad_override_exits_2(flags, capsys):
-    code = main(["check", "--catalog", "flat", "--suite", "gauge"] + flags)
+    argv = ["check", "--catalog", "flat", "--suite", "gauge"] + flags
+    if flags[0] == "--jet-order":
+        # no such flag: argparse refuses it with its usage message
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        code = info.value.code
+    else:
+        code = main(argv)
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
 

@@ -242,14 +242,14 @@ def test_gr_dress_lorentz_invariance(poincare3, vielbein3, rng):
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_gr_dressing_suite_rows_equal_the_full_order_dressing(m):
     """The suite dresses varpi at order 1 and e at order 2; each row equals
-    the one from dressing at the scenario's own orders, bit for bit."""
-    scn = catalog("poincare", m, jet_order=5)
+    the one from dressing at order 5, bit for bit."""
+    scn = catalog("poincare", m)
     scn.points = scn.points[:1]
     model = KleinModel(scn.model, scn.chart)
     ctx = checks.PointContext(scn, model, VielbeinField(scn.chart, scn.vielbein), 0)
     got = checks.dressing_suite(ctx)
-    e = ctx.vb.jets_at(ctx.point, scn.jet_order)
-    conn = build_normal(e, model, ctx.point, scn.jet_order)
+    e = ctx.vb.jets_at(ctx.point, 5)
+    conn = build_normal(e, model, ctx.point, 5)
     assert conn.order == 4
     _, _, Gamma, R, T, _, want = gr_dress(conn, e)
     B = classical_bundle(e, scn.signature, m)
@@ -320,7 +320,7 @@ def test_oracle_rows_at_order_three_equal_the_full_order(name, m, monkeypatch):
     rows equal those of the oracle on e at the full jet order bit for bit
     at every point: ``np.einsum`` in ricci and weyl_tensor and every jet
     product keep the value coefficient of each tensor as it is."""
-    scn = catalog(name, m, 6)
+    scn = catalog(name, m)
     model, vb = KleinModel(scn.model, scn.chart), VielbeinField(scn.chart, scn.vielbein)
     seen = []
     bundle = checks.tensors.classical_bundle
@@ -333,7 +333,7 @@ def test_oracle_rows_at_order_three_equal_the_full_order(name, m, monkeypatch):
     for idx in range(len(scn.points)):
         ctx = checks.PointContext(scn, model, vb, idx)
         low = checks.dressing_suite(ctx)
-        conn, e = _full_order_base(ctx, scn.jet_order)
+        conn, e = _full_order_base(ctx, 6)
         assert e.shape[-1] == space(m, 6).size
         B, f = bundle(e, scn.signature, m), full_pipeline(conn, e)
         full = {"oracle_g": float(np.abs(f.g[..., 0] - B["g"][..., 0]).max()),
