@@ -17,9 +17,9 @@ from .errors import (AlgebraResidualError, DegenerateVielbeinError, ShapeError)
 from .exprs import compile_expr, eval_jets
 from .forms import (MForm, algebra_residual, block_matrix, eta_t, form_comps, gcomm,
                     two_form_values)
-from .jets import (Chart, jcos, jcosh, jder, jmat_inv, jmat_mul, jrecip, jsin,
-                   jsinh, jtrunc, order_of, space)
-from .reduction import worst_of
+from .jets import (Chart, jconst, jcos, jcosh, jmat_inv, jmat_mul, jrecip, jsin, jsinh,
+                   jtrunc, order_of, space)
+from .reduction import max_abs, worst_each
 
 # largest |x_i| of the catalog sample points; random gauge polynomials are
 # scaled for it
@@ -145,9 +145,8 @@ def assemble(model, a=None, alpha=None, theta=None, A=None, tol=1e-9):
         zero_c = MForm.zeros(model.chart.m, (1, 1), 1, 0, order)
         omega = block_matrix([[A, theta], [zero_row, zero_c]],
                              model.chart.m, 1, 0, order)
-        resid = algebra_residual(A, "so", eta=np.diag(eta))
-        scale = worst_of((1.0, omega.full_norm()))
-        if not resid / scale <= tol:
+        resid = _first_over(algebra_residual(A, "so", eta=np.diag(eta)), omega, tol)
+        if resid is not None:
             raise AlgebraResidualError(
                 f"A block is not so(eta)-valued: residual {resid:.3e}")
         return CartanConnection(model, omega)
@@ -161,12 +160,19 @@ def assemble(model, a=None, alpha=None, theta=None, A=None, tol=1e-9):
          [theta, A, eta_t(alpha, eta)],
          [None, eta_t(theta, eta), a.scale(-1.0)]],
         model.chart.m, 1, 0, order)
-    resid = algebra_residual(omega, "o2m", sigma=model.sigma)
-    scale = worst_of((1.0, omega.full_norm()))
-    if not resid / scale <= tol:
+    resid = _first_over(algebra_residual(omega, "o2m", sigma=model.sigma), omega, tol)
+    if resid is not None:
         raise AlgebraResidualError(
             f"assembled connection is not g-valued: residual {resid:.3e}")
     return CartanConnection(model, omega)
+
+
+def _first_over(resid, omega, tol):
+    """The residual of the first point whose residual, relative to its
+    connection's scale, is not within ``tol``; None when every point is."""
+    resid = np.atleast_1d(resid)
+    bad = np.flatnonzero(~(resid / worst_each((1.0, omega.full_norm())) <= tol))
+    return float(resid[bad[0]]) if bad.size else None
 
 
 # Each helper below truncates its operands to the order its result keeps and
@@ -234,12 +240,17 @@ class VielbeinField:
         self._compiled = [compile_expr(c) for row in self.entries for c in row]
 
     def jets_at(self, point, order):
+        """The (m, m, C) jets at ``point``, or (P, m, m, C) at a list of P
+        points; the first point where e degenerates is named."""
         m = self.chart.m
-        e = eval_jets(self._compiled, self.chart, point, order).reshape(m, m, -1)
-        det = float(np.linalg.det(e[..., 0]))
-        if abs(det) < self.det_floor:
-            raise DegenerateVielbeinError(
-                f"|det e| = {abs(det):.3e} < {self.det_floor:.1e} at point {tuple(point)}")
+        e = eval_jets(self._compiled, self.chart, point, order)
+        e = e.reshape(e.shape[:-2] + (m, m, -1))
+        dets = np.linalg.det(e[..., 0])
+        points = [point] if dets.ndim == 0 else point
+        for p, det in zip(points, np.ravel(dets)):
+            if abs(det) < self.det_floor:
+                raise DegenerateVielbeinError(
+                    f"|det e| = {abs(det):.3e} < {self.det_floor:.1e} at point {tuple(p)}")
         return e
 
 
@@ -254,19 +265,20 @@ def spin_connection(e, einv, signature, m):
     array A[a, b, mu].
     """
     sig = np.asarray(signature, dtype=float)
-    de = np.stack([jder(e, m, mu) for mu in range(m)])  # (mu, a, nu, C')
-    anti = de - de.transpose(2, 1, 0, 3)  # anti[mu, a, nu] = d_mu e^a_nu - d_nu e^a_mu
+    de = tensors.dstack(e, m, 2)          # (mu, a, nu, C')
+    anti = de - tensors.tr(de, 2, 1, 0)   # anti[mu, a, nu] = d_mu e^a_nu - d_nu e^a_mu
     k1 = tensors.jeinsum("man,mb->abn", anti, einv, m)
     K = tensors.jeinsum("abn,nc->abc", k1, einv, m)
     Klow = sig[:, None, None, None] * K
     # cyclic solution omega_ab,c = (K_abc + K_bca - K_cab) / 2
-    omega_low = 0.5 * (Klow + Klow.transpose(2, 0, 1, 3) - Klow.transpose(1, 2, 0, 3))
+    omega_low = 0.5 * (Klow + tensors.tr(Klow, 2, 0, 1) - tensors.tr(Klow, 1, 2, 0))
     Aup = sig[:, None, None, None] * omega_low  # A^a_b,c frame indices
     return tensors.jeinsum("abc,cm->abm", Aup, e, m)
 
 
 def build_normal(vielbein, model, point, order, tol=1e-9):
-    """Normal Cartan connection from a vielbein at one sample point.
+    """Normal Cartan connection from a vielbein at a sample point, or at
+    each point of a batch (vielbein jets with leading point axes).
 
     Moebius: a = 0, theta = e dx, A the spin connection, alpha the Schouten
     1-form in frame indices.  Poincare: the torsion-free (A, theta) pair.
@@ -274,32 +286,33 @@ def build_normal(vielbein, model, point, order, tol=1e-9):
     m = model.m
     ch = model.chart
     e = vielbein.jets_at(point, order) if isinstance(vielbein, VielbeinField) else vielbein
+    lead = e.shape[:-3]
     einv = jmat_inv(e, m)
     A_arr = spin_connection(e, einv, ch.signature, m)  # (a, b, mu, C-1)
-    theta = MForm.zeros(m, (m, 1), 1, 0, order)
-    theta.data[:, 0, :, :] = e  # component mu <- e[a, mu]
-    A = MForm.zeros(m, (m, m), 1, 0, order - 1)
-    A.data[:, :, :, :] = A_arr
+    theta = MForm.zeros(m, (m, 1), 1, 0, order, lead)
+    theta.data[..., 0, :, :] = e  # component mu <- e[a, mu]
+    A = MForm.zeros(m, (m, m), 1, 0, order - 1, lead)
+    A.data[...] = A_arr
     if model.kind == "poincare":
         return assemble(model, theta=theta, A=A, tol=tol)
     P = tensors.curvature_bundle(e, ch.signature, m)["P"]  # (mu, nu, C-2)
     alpha_arr = tensors.jeinsum("mn,na->ma", P, einv, m)  # (mu, a, C-2)
     kP = order_of(m, alpha_arr)
-    alpha = MForm.zeros(m, (1, m), 1, 0, kP)
-    alpha.data[0, :, :, :] = alpha_arr.transpose(1, 0, 2)  # [a, comp mu]
-    a = MForm.zeros(m, (1, 1), 1, 0, order)
+    alpha = MForm.zeros(m, (1, m), 1, 0, kP, lead)
+    alpha.data[..., 0, :, :, :] = tensors.tr(alpha_arr, 1, 0)  # [a, comp mu]
+    a = MForm.zeros(m, (1, 1), 1, 0, order, lead)
     return assemble(model, a=a, alpha=alpha, theta=theta, A=A, tol=tol)
 
 
 def normality_residual(curv, e_values, model):
-    """(|Theta|, |Ric(F)|, |f|) value-level norms of the normality defects."""
-    m = model.m
+    """(|Theta|, |Ric(F)|, |f|) value-level norms of the normality defects,
+    per point."""
     theta_n = curv.Theta().value_norm()
     Fv = two_form_values(curv.F())
     einv_v = np.linalg.inv(e_values)
-    Ffr = np.einsum("abmn,mc,nd->abcd", Fv, einv_v, einv_v)
-    ric = np.einsum("abad->bd", Ffr)
-    ric_n = float(np.abs(ric).max())
+    Ffr = np.einsum("...abmn,...mc,...nd->...abcd", Fv, einv_v, einv_v)
+    ric = np.einsum("...abad->...bd", Ffr)
+    ric_n = max_abs(ric, 2)
     if model.kind == "poincare":
         return theta_n, ric_n, 0.0
     f_n = curv.f().value_norm()
@@ -310,26 +323,26 @@ def normality_residual(curv, e_values, model):
 # gauge elements
 # ---------------------------------------------------------------------------
 
-def _so_factors(model, pairs, angles, order):
+def _so_factors(model, pairs, angles):
     """Plane rotations/boosts embedded in the m x m Lorentz block, one per
-    (pair, angle jet); the trigonometric jets of all angles are composed
-    together."""
+    (pair, angle jet); ``angles`` is (..., pairs, C), and the trigonometric
+    jets of all angles at all points are composed together."""
     m = model.m
     sig = model.eta
-    C = space(m, order).size
-    angles = np.asarray(angles).reshape(len(pairs), C)
     rot = np.array([sig[a] == sig[b] for a, b in pairs], dtype=bool)
     even, odd = np.empty_like(angles), np.empty_like(angles)
     for sel, fe, fo in ((rot, jcos, jsin), (~rot, jcosh, jsinh)):
         if sel.any():
-            even[sel], odd[sel] = fe(angles[sel], m), fo(angles[sel], m)
+            even[..., sel, :] = fe(angles[..., sel, :], m)
+            odd[..., sel, :] = fo(angles[..., sel, :], m)
     out = []
-    for (a, b), r, c, s in zip(pairs, rot, even, odd):
-        S = np.zeros((m, m, C))
+    for k, ((a, b), r) in enumerate(zip(pairs, rot)):
+        c, s = even[..., k, :], odd[..., k, :]
+        S = np.zeros(angles.shape[:-2] + (m, m, angles.shape[-1]))
         for i in range(m):
-            S[i, i, 0] = 1.0
-        S[a, a], S[b, b] = c, c
-        S[a, b], S[b, a] = (-s, s) if r else (s, s)
+            S[..., i, i, 0] = 1.0
+        S[..., a, a, :], S[..., b, b, :] = c, c
+        S[..., a, b, :], S[..., b, a, :] = (-s, s) if r else (s, s)
         out.append(S)
     return out
 
@@ -339,9 +352,9 @@ class GaugeElement:
     """Factorized gauge transformation gamma = W(z) S gamma_1(r).
 
     Any factor may be omitted.  An entry is an expression string, an Expr
-    node or a coefficient array over ``space(m, d).monos`` (as
-    :func:`random_gauge` draws them); strings are parsed and compiled once,
-    here.
+    node or a coefficient array over ``space(m, d).monos``, one for every
+    point or one row per point of a batch (as :func:`random_gauge` draws
+    them); strings are parsed and compiled once, here.
     """
 
     z: object = None                 # positive scalar field
@@ -357,7 +370,8 @@ class GaugeElement:
             self.r = [compile_expr(c) for c in self.r]
 
     def matrices(self, model, point, order):
-        """MForms (gamma, gamma_inv) plus factor data at one point.
+        """MForms (gamma, gamma_inv) plus factor data at one point, or at
+        each point of a batch (P, m).
 
         z, every so angle and every r entry take one :func:`eval_jets` call;
         the Poincare model reads only the so angles.
@@ -365,51 +379,47 @@ class GaugeElement:
         m = model.m
         ch = model.chart
         n = model.n
-        C = space(m, order).size
         mobius = model.kind == "mobius"
         rotations = [(pair, c) for pair, c in zip(form_comps(m, 2), self.so or ())
                      if c is not None]
         z_entry = [self.z] if mobius and self.z is not None else []
         r_entries = list(self.r) if mobius and self.r is not None else []
-        jets = iter(eval_jets(z_entry + [c for _, c in rotations] + r_entries,
-                              ch, point, order))
-        z = next(jets) if z_entry else None
+        jets = eval_jets(z_entry + [c for _, c in rotations] + r_entries, ch, point, order)
+        lead = jets.shape[:-2]
+        nz, nrot = len(z_entry), len(rotations)
         out = {}
-        # Lorentz factor S as raw (m, m, C)
-        S = np.zeros((m, m, C))
-        for i in range(m):
-            S[i, i, 0] = 1.0
-        angles = [next(jets) for _ in rotations]
-        for factor in _so_factors(model, [pair for pair, _ in rotations], angles, order):
+        # Lorentz factor S as raw (..., m, m, C)
+        S = MForm.identity(m, m, order, lead).data[..., 0, :]
+        for factor in _so_factors(model, [pair for pair, _ in rotations],
+                                  jets[..., nz:nz + nrot, :]):
             S = jmat_mul(S, factor, m)
         sig = model.eta
-        Sinv = np.einsum("a,bac,b->abc", sig, S, sig)  # eta S^T eta
+        Sinv = np.einsum("a,...bac,b->...abc", sig, S, sig)  # eta S^T eta
         out["S"] = S
         out["Sinv"] = Sinv
         if not mobius:
-            gamma = MForm.identity(m, n, order)
-            ginv = MForm.identity(m, n, order)
-            gamma.data[:m, :m] = S[:, :, None, :]
-            ginv.data[:m, :m] = Sinv[:, :, None, :]
+            gamma = MForm.identity(m, n, order, lead)
+            ginv = MForm.identity(m, n, order, lead)
+            gamma.data[..., :m, :m, :, :] = S[..., None, :]
+            ginv.data[..., :m, :m, :, :] = Sinv[..., None, :]
             out["gamma"], out["gamma_inv"] = gamma, ginv
             out["S_emb"], out["Sinv_emb"] = gamma, ginv
             return out
         # Weyl factor
-        if z is not None:
-            if z[0] <= 0.0:
+        if z_entry:
+            z = jets[..., 0, :]
+            if np.any(z[..., 0] <= 0.0):
                 raise DegenerateVielbeinError("gauge factor z must be positive")
         else:
-            z = np.zeros(C)
-            z[0] = 1.0
+            z = jconst(1.0, m, order)
         out["z"] = z
         W, Winv = weyl_diagonal(z, jrecip(z, m), model, order)
-        S_emb = MForm.identity(m, n, order)
-        S_emb.data[1:m + 1, 1:m + 1] = S[:, :, None, :]
-        Sinv_emb = MForm.identity(m, n, order)
-        Sinv_emb.data[1:m + 1, 1:m + 1] = Sinv[:, :, None, :]
-        r_form = MForm.zeros(m, (1, m), 0, 0, order)
-        for i, jet in enumerate(jets):
-            r_form.data[0, i, 0, :] = jet
+        S_emb = MForm.identity(m, n, order, lead)
+        S_emb.data[..., 1:m + 1, 1:m + 1, :, :] = S[..., None, :]
+        Sinv_emb = MForm.identity(m, n, order, lead)
+        Sinv_emb.data[..., 1:m + 1, 1:m + 1, :, :] = Sinv[..., None, :]
+        r_form = MForm.zeros(m, (1, m), 0, 0, order, lead)
+        r_form.data[..., 0, :len(r_entries), 0, :] = jets[..., nz + nrot:, :]
         out["r"] = r_form
         g1 = k1_matrix(r_form, model)
         g1_inv = k1_matrix(r_form.scale(-1.0), model)
@@ -426,10 +436,10 @@ class GaugeElement:
 def weyl_diagonal(z, zinv, model, order):
     """W = diag(z, 1, ..., 1, z^-1) and its inverse at ``order`` (Moebius)."""
     m, n = model.m, model.n
-    W = MForm.identity(m, n, order)
-    Winv = MForm.identity(m, n, order)
-    W.data[0, 0, 0] = Winv.data[n - 1, n - 1, 0] = jtrunc(z, m, order)
-    W.data[n - 1, n - 1, 0] = Winv.data[0, 0, 0] = jtrunc(zinv, m, order)
+    W = MForm.identity(m, n, order, z.shape[:-1])
+    Winv = MForm.identity(m, n, order, z.shape[:-1])
+    W.data[..., 0, 0, 0, :] = Winv.data[..., n - 1, n - 1, 0, :] = jtrunc(z, m, order)
+    W.data[..., n - 1, n - 1, 0, :] = Winv.data[..., 0, 0, 0, :] = jtrunc(zinv, m, order)
     return W, Winv
 
 
@@ -470,8 +480,18 @@ def random_gauge(model, rng, degree=2, with_z=True, with_s=True, with_r=True,
     """Generic gauge element for scramble tests (seeded, deterministic).
 
     Its polynomials are coefficient arrays, scaled to the coordinates of
-    ``point`` when given; z is 1 plus one of them.
+    ``point`` when given; z is 1 plus one of them.  A list of rngs with a
+    list of as many points draws one element per point, each from its own
+    rng in the order a single draw takes, and stacks every coefficient
+    array over the points.
     """
+    if isinstance(rng, list):
+        each = [random_gauge(model, g, degree, with_z, with_s, with_r, p)
+                for g, p in zip(rng, point)]
+        return GaugeElement(
+            z=np.stack([ge.z for ge in each]) if with_z else None,
+            so=list(np.stack([ge.so for ge in each], axis=1)) if with_s else None,
+            r=list(np.stack([ge.r for ge in each], axis=1)) if with_r else None)
     m = model.m
     radius = max(map(abs, point)) if point is not None else SAMPLE_BOX
 

@@ -18,9 +18,9 @@ from .cartan import (KleinModel, conjugate, curvature, curvature_form, gauge_tra
                      k1_matrix)
 from .errors import ShapeError
 from .forms import MForm, block_matrix, two_form_values
-from .jets import jder, jmat_inv, jtrunc, order_of, space
-from .reduction import worst_of
-from .tensors import jeinsum, metric_from_vielbein
+from .jets import jmat_inv, jtrunc, order_of
+from .reduction import max_abs, worst_each
+from .tensors import dstack, jeinsum, metric_from_vielbein
 
 
 @dataclass
@@ -78,15 +78,10 @@ class DressedFields(DressedPair):
 
 def vielbein_of(conn):
     """Vielbein jets read off the soldering block: theta = e dx."""
-    model = conn.model
-    m = model.m
-    theta = conn.theta()
-    e = np.empty((m, m, space(m, theta.order).size))
-    for mu in range(m):
-        e[:, mu, :] = theta.data[:, 0, mu, :]
-    det = float(np.linalg.det(e[..., 0]))
-    if abs(det) < 1e-8:
-        raise ShapeError(f"soldering block is degenerate: |det e| = {abs(det):.3e}")
+    e = np.ascontiguousarray(conn.theta().data[..., 0, :, :])
+    for det in np.ravel(np.linalg.det(e[..., 0])):
+        if abs(det) < 1e-8:
+            raise ShapeError(f"soldering block is degenerate: |det e| = {abs(det):.3e}")
     return e
 
 
@@ -102,9 +97,7 @@ def extract_u1(conn, einv):
     m = model.m
     a = conn.a()  # (1,1) scalar 1-form
     order = min(a.order, order_of(m, einv))
-    arow = np.empty((1, m, space(m, order).size))
-    for mu in range(m):
-        arow[0, mu] = a.truncate(order).data[0, 0, mu, :]
+    arow = np.ascontiguousarray(a.truncate(order).data[..., 0, :, :])   # (1, m, C)
     qarr = jeinsum("om,ma->oa", arow, einv, m)
     q = MForm.of_jets(m, qarr)
     mat = k1_matrix(q, model)
@@ -131,22 +124,22 @@ def u0_from_vielbein(e, model):
 
 def extract_tensors(varpi0, Omega0, model):
     """Read the Riemannian parametrization out of the dressed pair."""
-    m = model.m
-    g = np.empty((m, m, space(m, varpi0.order).size))
-    Gamma = np.empty((m, m, m, space(m, varpi0.order).size))
-    P = np.empty((m, m, space(m, varpi0.order).size))
-    b32 = model.block(varpi0, 3, 2)   # dx^T . g
-    b22 = model.block(varpi0, 2, 2)   # Gamma
-    b12 = model.block(varpi0, 1, 2)   # P
-    for mu in range(m):
-        g[mu, :, :] = b32.data[0, :, mu, :]
-        P[mu, :, :] = b12.data[0, :, mu, :]
-        Gamma[:, mu, :, :] = b22.data[:, :, mu, :]
-    T = two_form_values(model.block(Omega0, 2, 1))[:, 0]       # (rho, mu, sigma)
-    f0 = two_form_values(model.block(Omega0, 1, 1))[0, 0]      # (mu, sigma)
-    C = two_form_values(model.block(Omega0, 1, 2))[0]          # (nu, mu, sigma)
-    W = two_form_values(model.block(Omega0, 2, 2))             # (rho, nu, mu, sigma)
+    # g[mu, nu] is entry nu of dx^mu in block (3, 2), P the same in block
+    # (1, 2), and Gamma[rho, mu, nu] entry (rho, nu) of dx^mu in block (2, 2)
+    g = _form_index_first(model.block(varpi0, 3, 2).data[..., 0, :, :, :])
+    Gamma = _form_index_first(model.block(varpi0, 2, 2).data)
+    P = _form_index_first(model.block(varpi0, 1, 2).data[..., 0, :, :, :])
+    T = two_form_values(model.block(Omega0, 2, 1))[..., :, 0, :, :]   # (rho, mu, sigma)
+    f0 = two_form_values(model.block(Omega0, 1, 1))[..., 0, 0, :, :]  # (mu, sigma)
+    C = two_form_values(model.block(Omega0, 1, 2))[..., 0, :, :, :]   # (nu, mu, sigma)
+    W = two_form_values(model.block(Omega0, 2, 2))                    # (rho, nu, mu, sigma)
     return g, Gamma, P, T, f0, C, W
+
+
+def _form_index_first(x):
+    """(..., mu, nu, C) copy of an (..., nu, mu, C) array: the dx index
+    moved in front of the entry's column."""
+    return np.ascontiguousarray(x.swapaxes(-3, -2))
 
 
 def _dress_stages(conn, e):
@@ -185,19 +178,16 @@ def full_pipeline(conn, e=None):
     uinv = u0.inv.wedge(u1.inv)
     varpi0_b = conjugate(conn.omega, u, uinv, connection=True)
     Omega0_b = conjugate(Om, u, uinv)
-    single = worst_of(((varpi0 - varpi0_b).value_norm(),
-                       (Omega0 - Omega0_b).value_norm()))
+    single = worst_each(((varpi0 - varpi0_b).value_norm(),
+                         (Omega0 - Omega0_b).value_norm()))
     g, Gamma, P, T, f0, C, W = extract_tensors(varpi0, Omega0, model)
     diag = {}
     diag["a1_residual"] = model.block(varpi1, 1, 1).value_norm()
     # block (2,1) must be exactly dx and (3,3) zero
     b21 = model.block(varpi0, 2, 1)
-    expect = np.zeros_like(b21.data[:, 0, :, 0])
-    for mu in range(m):
-        expect[mu, mu] = 1.0
-    diag["dx_residual"] = float(np.abs(b21.data[:, 0, :, 0] - expect).max())
-    diag["corner_residual"] = worst_of((model.block(varpi0, 1, 1).value_norm(),
-                                        model.block(varpi0, 3, 3).value_norm()))
+    diag["dx_residual"] = max_abs(b21.data[..., :, 0, :, 0] - np.eye(m), 2)
+    diag["corner_residual"] = worst_each((model.block(varpi0, 1, 1).value_norm(),
+                                          model.block(varpi0, 3, 3).value_norm()))
     # metricity: d g - Gamma^T g - g Gamma = 0
     diag["metricity"] = metricity_residual(g, Gamma, m)
     # curvature compatibility of the dressed pair
@@ -209,22 +199,20 @@ def full_pipeline(conn, e=None):
 
 
 def metricity_residual(g, Gamma, m):
-    """Value norm of d_mu g_nr - Gamma^l_mn g_lr - g_nl Gamma^l_mr."""
-    dg = np.stack([jder(g, m, mu) for mu in range(m)])  # (mu, n, r)
+    """Value norm of d_mu g_nr - Gamma^l_mn g_lr - g_nl Gamma^l_mr, per point."""
+    dg = dstack(g, m, 2)  # (mu, n, r)
     # only the values are read, so the products run at order 0
     g0, Gamma0 = jtrunc(g, m, 0), jtrunc(Gamma, m, 0)
     t1 = jeinsum("lmn,lr->mnr", Gamma0, g0, m)
     t2 = jeinsum("nl,lmr->mnr", g0, Gamma0, m)
     res = dg[..., 0] - t1[..., 0] - t2[..., 0]
-    return float(np.abs(res).max())
+    return max_abs(res, 3)
 
 
 def dressed_normality(fields):
-    """(|T|, |Ric(W)|, |f0|) for a pipeline output (value level)."""
-    ric = np.einsum("anas->ns", fields.W)
-    return (float(np.abs(fields.T).max()),
-            float(np.abs(ric).max()),
-            float(np.abs(fields.f0).max()))
+    """(|T|, |Ric(W)|, |f0|) for a pipeline output (value level), per point."""
+    ric = np.einsum("...anas->...ns", fields.W)
+    return max_abs(fields.T, 3), max_abs(ric, 2), max_abs(fields.f0, 2)
 
 
 def compatibility_residuals(conn, e, m1, mS, model):
@@ -274,17 +262,13 @@ def gr_dress(conn, e):
     varpi_h = conjugate(conn.omega, u0.mat, u0.inv, connection=True)
     Om = curvature(conn).omega2
     Omega_h = conjugate(Om, u0.mat, u0.inv)
-    Gamma_blk = model.block(varpi_h, 1, 1)
-    Gamma = np.empty((m, m, m, space(m, varpi_h.order).size))
-    for mu in range(m):
-        Gamma[:, mu, :, :] = Gamma_blk.data[:, :, mu, :]
+    Gamma = _form_index_first(model.block(varpi_h, 1, 1).data)
     R = two_form_values(model.block(Omega_h, 1, 1))
-    T = two_form_values(model.block(Omega_h, 1, 2))[:, 0]
+    T = two_form_values(model.block(Omega_h, 1, 2))[..., :, 0, :, :]
     g = metric_from_vielbein(e, model.eta)
     diag = {
         "metricity": metricity_residual(g, Gamma, m),
-        "dx_residual": float(np.abs(
-            model.block(varpi_h, 1, 2).data[:, 0, :, 0] - np.eye(m)).max()),
+        "dx_residual": max_abs(model.block(varpi_h, 1, 2).data[..., :, 0, :, 0] - np.eye(m), 2),
         "curvature_compat": (curvature_form(varpi_h) - Omega_h).value_norm(),
     }
     return varpi_h, Omega_h, Gamma, R, T, g, diag

@@ -30,9 +30,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ExprDomainError, ExprSyntaxError
-from .jets import Jet, order_of, shift_matrix, space
+from .jets import (Jet, jconst, jcoord, jcos, jexp, jipow, jmul, jrecip, jsin, jsqrt,
+                   order_of, shift_matrix, space)
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt")
+_CALLS = {"exp": jexp, "sin": jsin, "cos": jcos, "sqrt": jsqrt}
 MAX_EXPONENT = 64
 # A polynomial subtree of higher degree stays on the jet route: the shift
 # matrix has a row per monomial, and few products cost less than that.
@@ -409,15 +411,20 @@ def compile_expr(entry):
 def eval_jets(entries, chart, point, order):
     """The order-``order`` jets at ``point`` of field entries, (len(entries), C).
 
-    An entry is an Expr node or a coefficient array over
-    ``space(m, d).monos``.  The arrays and every :class:`Poly` inside the
-    nodes take one Taylor shift together; every other node is evaluated by
-    jet arithmetic, node by node, so a node that :func:`compile_expr` has
-    not folded takes the jet route throughout.
+    ``point`` is one point (m,) or a batch of points (P, m); a batch gives
+    (P, len(entries), C), each point shifted on its own.  An entry is an
+    Expr node or a coefficient array over ``space(m, d).monos``, either one
+    array for every point or one row per point, (P, size).  The arrays and
+    every :class:`Poly` inside the nodes take one Taylor shift together;
+    every other node is evaluated by jet arithmetic, node by node and on all
+    the points at once, so a node that :func:`compile_expr` has not folded
+    takes the jet route throughout.
     """
     m = chart.m
-    if len(point) != m:
+    point = np.asarray(point, dtype=float)
+    if point.shape[-1:] != (m,):
         raise ValueError("point dimension does not match chart")
+    lead = point.shape[:-1]
     polys = []
 
     def gather(n):
@@ -438,46 +445,50 @@ def eval_jets(entries, chart, point, order):
     dense = max((order_of(m, p) for p in polys if isinstance(p, np.ndarray)), default=0)
     columns = dict(space(m, dense).index)
     placed = []
+    per_point = False
     for p in polys:
         if isinstance(p, Poly):
             pairs = p.on_chart(chart)
             placed.append(([columns.setdefault(beta, len(columns)) for beta, _ in pairs],
                            [c for _, c in pairs]))
         else:
-            placed.append((slice(0, p.size), p))
-    coeffs = np.zeros((len(polys), len(columns)))
-    for row, (cols, values) in zip(coeffs, placed):
-        row[cols] = values
-    shifted = iter(coeffs @ shift_matrix(list(columns), point, order))
+            placed.append((slice(0, p.shape[-1]), p))
+            per_point |= p.ndim > 1
+    coeffs = np.zeros((lead if per_point else ()) + (len(polys), len(columns)))
+    for k, (cols, values) in enumerate(placed):
+        coeffs[..., k, cols] = values
+    shifted = iter(np.moveaxis(coeffs @ shift_matrix(list(columns), point, order), -2, 0))
 
+    # the arithmetic of :class:`Jet` on (..., C) arrays: the lower order of a
+    # sum is a prefix of the degree-sorted basis
     def ev(n):
         if isinstance(n, (Poly, np.ndarray)):
-            return Jet(m, next(shifted))
+            return next(shifted)
         if isinstance(n, Const):
-            return Jet.constant(float(n.value), chart.m, order)
+            return jconst(float(n.value), m, order)
         if isinstance(n, Var):
-            return Jet.coordinate(_coord_index(chart, n.name), point, chart.m, order)
+            return jcoord(_coord_index(chart, n.name), point, m, order)
         if isinstance(n, Neg):
             return -ev(n.arg)
         if isinstance(n, BinOp):
             a, b = ev(n.left), ev(n.right)
+            k = min(a.shape[-1], b.shape[-1])
             if n.op == "+":
-                return a + b
+                return a[..., :k] + b[..., :k]
             if n.op == "-":
-                return a - b
+                return a[..., :k] - b[..., :k]
             if n.op == "*":
-                return a * b
-            return a / b
+                return jmul(a, b, m)
+            return jmul(a, jrecip(b, m), m)
         if isinstance(n, Pow):
-            return ev(n.base) ** n.exponent
+            return jipow(ev(n.base), n.exponent, m)
         if isinstance(n, Call):
-            arg = ev(n.arg)
-            return getattr(arg, n.func)()
+            return _CALLS[n.func](ev(n.arg), m)
         raise TypeError(f"not an Expr node: {n!r}")
 
-    out = np.empty((len(entries), space(m, order).size))
-    for row, entry in zip(out, entries):
-        row[:] = ev(entry).coeffs
+    out = np.empty(lead + (len(entries), space(m, order).size))
+    for k, entry in enumerate(entries):
+        out[..., k, :] = ev(entry)
     return out
 
 

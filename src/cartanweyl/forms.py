@@ -1,8 +1,10 @@
 """Graded matrix-valued differential forms on a chart.
 
 An :class:`MForm` is a rectangular matrix of homogeneous (form degree p,
-ghost degree q) differential forms whose coefficients are jets at one sample
-point.  Odd quantities live in the exterior algebra of ``GHOST_POOL`` shared
+ghost degree q) differential forms whose coefficients are jets at a sample
+point, or at each point of a batch: leading axes of ``data`` run over the
+points, and every operation acts on each point alone.  Odd quantities live
+in the exterior algebra of ``GHOST_POOL`` shared
 anticommuting generators eta_0 .. eta_{N-1}, so every form is one dense
 array: its component axis runs over pairs (ghost monomial of degree q, dx
 monomial of degree p), ghost monomial major, and a float form is the q = 0
@@ -23,7 +25,7 @@ is one cached gather and a weighted sum per target.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -32,7 +34,7 @@ from .errors import JetOrderError, ShapeError
 from .grassmann import GradedScalar, _merge_monomials
 from .jets import Jet, jmul, jtrunc, order_of, space
 from .jets import jmat_mul  # noqa: F401  (re-exported; perfbench's tracer test rebinds it)
-from .reduction import worst_of
+from .reduction import max_abs
 
 # Shared ghost generators.  Every BRS identity is checked at ghost degree
 # q <= 3, and a nonzero residual of degree q <= GHOST_POOL survives the
@@ -185,10 +187,13 @@ def _d_gather(m, p, q, order):
 class MForm:
     """Matrix of homogeneous-(p, q) forms with jet coefficients.
 
-    ``data`` has shape (r, c, C(GHOST_POOL, q) * C(m, p), C): component
-    g * C(m, p) + f holds the jet of ghost monomial g times dx monomial f.
-    :meth:`from_entries` builds a form from one GradedScalar per (row, col,
-    dx comp) and :meth:`entry` reads one back.
+    ``data`` has shape (..., r, c, C(GHOST_POOL, q) * C(m, p), C): component
+    g * C(m, p) + f holds the jet of ghost monomial g times dx monomial f,
+    and the leading axes (:attr:`lead`, none for one point) run over sample
+    points.  Forms of different leads broadcast against each other, and the
+    norms reduce to one value per point.  :meth:`from_entries` builds a
+    one-point form from one GradedScalar per (row, col, dx comp) and
+    :meth:`entry` reads one back.
     """
 
     __slots__ = ("m", "shape", "p", "q", "order", "data")
@@ -204,10 +209,10 @@ class MForm:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zeros(cls, m, shape, p, q, order):
+    def zeros(cls, m, shape, p, q, order, lead=()):
         n = len(ghost_monos(q)) * len(form_comps(m, p))
         return cls(m, shape, p, q, order,
-                   np.zeros((shape[0], shape[1], n, space(m, order).size)))
+                   np.zeros(tuple(lead) + (shape[0], shape[1], n, space(m, order).size)))
 
     @classmethod
     def from_entries(cls, m, shape, p, q, order, entries):
@@ -229,16 +234,21 @@ class MForm:
 
     @classmethod
     def of_jets(cls, m, arr):
-        """(0, 0) form of an (r, c, C) array of jets, copied."""
-        return cls(m, arr.shape[:2], 0, 0, order_of(m, arr),
-                   np.array(arr[:, :, None, :], dtype=float))
+        """(0, 0) form of an (..., r, c, C) array of jets, copied."""
+        return cls(m, arr.shape[-3:-1], 0, 0, order_of(m, arr),
+                   np.array(arr[..., None, :], dtype=float))
 
     @classmethod
-    def identity(cls, m, n, order):
-        out = cls.zeros(m, (n, n), 0, 0, order)
+    def identity(cls, m, n, order, lead=()):
+        out = cls.zeros(m, (n, n), 0, 0, order, lead)
         for i in range(n):
-            out.data[i, i, 0, 0] = 1.0
+            out.data[..., i, i, 0, 0] = 1.0
         return out
+
+    @property
+    def lead(self):
+        """The leading (sample point) axes of ``data``."""
+        return self.data.shape[:-4]
 
     @property
     def n_comps(self):
@@ -312,7 +322,8 @@ class MForm:
         Each factor is gathered once by the plan's fused (component, table
         pair) index, one batched ``matmul`` makes every product, and the
         sums over each target's E entries and over the product table's
-        layers are dense.
+        layers are dense.  A product too large for ``jets.LAYER_BYTES`` is
+        made one table layer at a time (:meth:`ProductTable.sum_of`).
         """
         if self.m != other.m:
             raise ShapeError("mixed charts")
@@ -324,21 +335,38 @@ class MForm:
         plan = wedge_plan(m, self.p, self.q, other.p, other.q)
         H, E = plan.f1.shape
         if not H:
-            return MForm.zeros(m, (r, c), p, q, order)
+            return MForm.zeros(m, (r, c), p, q, order,
+                               np.broadcast_shapes(self.lead, other.lead))
         ia, ib, signed = plan.gathers(order)
         tab = space(m, order).table
-        left = self.data[..., :tab.size].transpose(2, 3, 0, 1)      # (F1, C, r, n)
+        a, b = self.data[..., :tab.size], other.data[..., :tab.size]
+        if a.ndim == b.ndim == 4:
+            # one point, as in the brs suite's ghost algebra: with no point
+            # axis to carry, every numpy call acts on the fewest axes
+            left = a.transpose(2, 3, 0, 1)                               # (F1, C, r, n)
+            if signed:
+                left = left * _SIGNS
+            prod = (left.reshape(-1, r, n).take(ia, axis=0)
+                    @ b.transpose(2, 3, 0, 1).reshape(-1, n, c).take(ib, axis=0))  # (E, H, T, r, c)
+            acc = prod[0]
+            for e in range(1, E):
+                acc += prod[e]
+            return MForm(m, (r, c), p, q, order,
+                         tab.sum(acc).transpose(2, 3, 0, 1)[..., tab.unslot])
+        # each factor's point axes flattened to one, of length 1 for none,
+        # and laid out as (points, component, coefficient, rows, cols)
+        left = a.reshape((-1, r, n, a.shape[-2], tab.size)).transpose(0, 3, 4, 1, 2)
         if signed:
-            left = left * _SIGNS
-        left = left.reshape(-1, r, n).take(ia, axis=0)               # (E, H, T, r, n)
-        right = other.data[..., :tab.size].transpose(2, 3, 0, 1).reshape(-1, n, c)
-        prod = left @ right.take(ib, axis=0)                         # (E, H, T, r, c)
-        # entries add as whole products, so equal ones cancel exactly
-        acc = prod[0]
-        for e in range(1, E):
-            acc += prod[e]
-        acc = tab.sum(acc)                                           # (H, C, r, c)
-        return MForm(m, (r, c), p, q, order, acc.transpose(2, 3, 0, 1)[..., tab.unslot])
+            left = _SIGNS * left[:, None]
+        left = left.reshape(len(left), -1, r, n)
+        right = b.reshape((-1, n, c, b.shape[-2], tab.size)).transpose(0, 3, 4, 1, 2)
+        right = right.reshape(len(right), -1, n, c)
+        nbytes = 8 * max(len(left), len(right)) * ia.size * (r * n + n * c + r * c)
+        acc = tab.sum_of(partial(_entry_sums, left, right, ia, ib), nbytes)   # (P, H, C, r, c)
+        lead = a.shape[:-4] if a.ndim > b.ndim else b.shape[:-4]
+        k = len(lead)
+        acc = acc.reshape(lead + acc.shape[1:]).transpose(*range(k), k + 2, k + 3, k, k + 1)
+        return MForm(m, (r, c), p, q, order, acc[..., tab.unslot])
 
     def ext_d(self):
         """Exterior derivative; stored coefficients pick up (-1)^q.
@@ -349,8 +377,7 @@ class MForm:
         if self.order == 0:
             raise JetOrderError("jet order exhausted in exterior derivative")
         src, weight = _d_gather(self.m, self.p, self.q, self.order)
-        r, c = self.shape
-        terms = self.data.reshape(r, c, -1).take(src, axis=-1) * weight
+        terms = self.data.reshape(self.data.shape[:-2] + (-1,)).take(src, axis=-1) * weight
         return MForm(self.m, self.shape, self.p + 1, self.q, self.order - 1,
                      terms.sum(axis=-2))
 
@@ -360,7 +387,8 @@ class MForm:
         """View-copy of a sub-matrix given (start, stop) row/col ranges."""
         r0, r1 = rows
         c0, c1 = cols
-        return self._like(self.data[r0:r1, c0:c1].copy(), shape=(r1 - r0, c1 - c0))
+        return self._like(self.data[..., r0:r1, c0:c1, :, :].copy(),
+                          shape=(r1 - r0, c1 - c0))
 
     def set_block(self, rows, cols, sub):
         r0, r1 = rows
@@ -368,27 +396,37 @@ class MForm:
         if sub.shape != (r1 - r0, c1 - c0) or (sub.p, sub.q) != (self.p, self.q):
             raise ShapeError(f"cannot set a ({sub.shape},p={sub.p},q={sub.q}) block "
                              f"into ({self.shape},p={self.p},q={self.q})")
-        self.data[r0:r1, c0:c1] = sub.truncate(self.order).data
+        self.data[..., r0:r1, c0:c1, :, :] = sub.truncate(self.order).data
 
     def value_norm(self):
-        """Max |value coefficient| over entries and components."""
-        x = self.data[..., 0]
-        return float(np.abs(x).max()) if x.size else 0.0
+        """Max |value coefficient| over entries and components, per point."""
+        return max_abs(self.data[..., 0], 3)
 
     def full_norm(self):
-        """Max |coefficient| over all jet orders (used for relative scales)."""
-        return float(np.abs(self.data).max()) if self.data.size else 0.0
+        """Max |coefficient| over all jet orders (used for relative scales),
+        per point."""
+        return max_abs(self.data, 4)
 
     def body(self):
         """Float MForm obtained by sending every ghost generator to 1."""
-        r, c = self.shape
         G = len(ghost_monos(self.q))
-        data = self.data.reshape(r, c, G, self.n_comps, self.data.shape[-1]).sum(axis=2)
-        return self._like(data, q=0)
+        data = self.data.reshape(self.data.shape[:-2] + (G, self.n_comps, self.data.shape[-1]))
+        return self._like(data.sum(axis=-3), q=0)
 
     def __repr__(self):
         return (f"MForm(shape={self.shape}, p={self.p}, q={self.q}, "
                 f"order={self.order})")
+
+
+def _entry_sums(left, right, ia, ib, pairs):
+    """Products of the table pairs ``pairs`` of a wedge over points, (P, H,
+    pairs, r, c): each target's E entries gathered by ``ia`` and ``ib`` and
+    added as whole products, in entry order, as for one point."""
+    prod = left.take(ia[..., pairs], axis=1) @ right.take(ib[..., pairs], axis=1)
+    acc = prod[:, 0]
+    for e in range(1, prod.shape[1]):
+        acc += prod[:, e]
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +452,7 @@ def scale_by_jet(M, z):
     m = M.m
     k = min(M.order, order_of(m, z))
     Mk = M.truncate(k)
-    return Mk._like(jmul(jtrunc(z, m, k)[None, None, None, :], Mk.data, m))
+    return Mk._like(jmul(jtrunc(z, m, k)[..., None, None, None, :], Mk.data, m))
 
 
 def two_form_values(form):
@@ -422,9 +460,9 @@ def two_form_values(form):
     m = form.m
     mu, sg = np.array(form_comps(m, 2)).T
     vals = form.data[..., 0]
-    out = np.zeros(form.shape + (m, m))
-    out[:, :, mu, sg] = vals
-    out[:, :, sg, mu] = -vals
+    out = np.zeros(vals.shape[:-1] + (m, m))
+    out[..., mu, sg] = vals
+    out[..., sg, mu] = -vals
     return out
 
 
@@ -445,12 +483,10 @@ def block_matrix(rows, m, p, q, order, row_sizes=None, col_sizes=None):
                 csz[j] = blk.shape[1]
     if any(s is None for s in rsz) or any(s is None for s in csz):
         raise ShapeError("cannot infer block sizes: a full row/column is zero")
-    k = order
-    for row in rows:
-        for blk in row:
-            if isinstance(blk, MForm) and blk.order < k:
-                k = blk.order
-    out = MForm.zeros(m, (sum(rsz), sum(csz)), p, q, k)
+    blocks = [blk for row in rows for blk in row if isinstance(blk, MForm)]
+    k = min([order] + [blk.order for blk in blocks])
+    # a block without point axes broadcasts into those of the others
+    out = MForm.zeros(m, (sum(rsz), sum(csz)), p, q, k, max((b.lead for b in blocks), key=len))
     r0 = 0
     for i in range(nr):
         c0 = 0
@@ -474,42 +510,36 @@ def eta_t(v, eta_diag):
         raise ShapeError("eta-transposition applies to row or column vectors")
     # entry (0, j) of a row and (j, 0) of a column both take the weight w[j]
     w = np.asarray(eta_diag, dtype=float).reshape(r, c)
-    data = (v.data * w[:, :, None, None]).transpose(1, 0, 2, 3)
+    data = (v.data * w[:, :, None, None]).swapaxes(-4, -3)
     return v._like(np.ascontiguousarray(data), shape=(c, r))
 
 
 def algebra_residual(X, kind, eta=None, sigma=None):
     """Frobenius defect of the defining relation of a matrix Lie algebra.
 
-    Evaluated on the value coefficients of every form component.  For the
-    conformal algebra ('co') the trace part is projected out first, matching
-    v^T eta + eta v = eps 1.
+    Evaluated on the value coefficients of every form component; the worst
+    component per point.  For the conformal algebra ('co') the trace part
+    is projected out first, matching v^T eta + eta v = eps 1.
     """
     if X.q:
         raise ShapeError("algebra residuals are defined for float-valued forms")
-    vals = X.data[..., 0]  # (r, c, F)
-    defects = []
-    for f in range(vals.shape[2]):
-        M = vals[:, :, f]
-        if kind == "o2m":
-            R = M.T @ sigma + sigma @ M
-            defect = float(np.linalg.norm(R))
-        elif kind == "so":
-            R = M.T @ eta + eta @ M
-            defect = float(np.linalg.norm(R))
-        elif kind == "co":
-            # linearizing M^T eta M = z^2 eta gives v^T eta + eta v = eps eta,
-            # so the trace part to project out is along eta, not the identity
-            R = M.T @ eta + eta @ M
-            eps = np.trace(np.linalg.inv(eta) @ R) / M.shape[0]
-            defect = float(np.linalg.norm(R - eps * eta))
-        elif kind == "h":
-            n = M.shape[0]
-            R = M.T @ sigma + sigma @ M
-            low = np.concatenate([M[1:, 0], M[n - 1, 1:n - 1], [M[0, n - 1]]])
-            defect = worst_of((float(np.linalg.norm(R)), float(np.linalg.norm(low))))
-        else:
-            raise ValueError(f"unknown algebra kind {kind!r}")
-        defects.append(defect)
-    return worst_of(defects)
-
+    M = np.moveaxis(X.data[..., 0], -1, -3)     # (..., F, r, c)
+    Mt = M.swapaxes(-1, -2)
+    if kind in ("o2m", "h"):
+        R = Mt @ sigma + sigma @ M
+    elif kind in ("so", "co"):
+        R = Mt @ eta + eta @ M
+    else:
+        raise ValueError(f"unknown algebra kind {kind!r}")
+    if kind == "co":
+        # linearizing M^T eta M = z^2 eta gives v^T eta + eta v = eps eta,
+        # so the trace part to project out is along eta, not the identity
+        eps = np.trace(np.linalg.inv(eta) @ R, axis1=-2, axis2=-1) / M.shape[-1]
+        R = R - eps[..., None, None] * eta
+    defect = np.linalg.norm(R, axis=(-2, -1))   # (..., F)
+    if kind == "h":
+        n = M.shape[-1]
+        low = np.concatenate([M[..., 1:, 0], M[..., n - 1, 1:n - 1], M[..., 0, n - 1:]],
+                             axis=-1)
+        defect = np.maximum(defect, np.linalg.norm(low, axis=-1))
+    return max_abs(defect, 1)

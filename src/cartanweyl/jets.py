@@ -43,6 +43,12 @@ def _monomials(m, order):
     return tuple(out)
 
 
+# The most bytes a product's gathers may take when all its table pairs are
+# made at once; a larger product, such as one over a batch of points at a
+# high order, makes them one table layer at a time.
+LAYER_BYTES = 1 << 18
+
+
 class ProductTable:
     """Pairs (i, j) -> k of a truncated product, stored layer by layer.
 
@@ -83,6 +89,20 @@ class ProductTable:
         acc = prod[..., :self.size, :, :]
         for dst, src in self._layers:
             acc[dst] += prod[src]
+        return acc
+
+    def sum_of(self, product, nbytes):
+        """:meth:`sum` of ``product(entries)``, the per-pair products of a
+        slice of the table's entries, which take ``nbytes`` for the whole
+        table.  Past LAYER_BYTES they are made one layer at a time: the same
+        products, added in the same order, with one layer's temporaries."""
+        if nbytes <= LAYER_BYTES:
+            return self.sum(product(slice(None)))
+        acc = product(slice(0, self.size))
+        start = self.size
+        for width in self.widths[1:]:
+            acc[..., :width, :, :] += product(slice(start, start + width))
+            start += width
         return acc
 
     @cached_property
@@ -208,19 +228,22 @@ def jconst(value, m, order):
 
 
 def jcoord(i, point, m, order):
+    """Jet of the coordinate x_i at ``point``, or at each of a batch (P, m)."""
     sp = space(m, order)
-    c = np.zeros(sp.size)
-    c[0] = point[i]
+    point = np.asarray(point, dtype=float)
+    c = np.zeros(point.shape[:-1] + (sp.size,))
+    c[..., 0] = point[..., i]
     if order >= 1:
         e_i = tuple(1 if k == i else 0 for k in range(m))
-        c[sp.index[e_i]] = 1.0
+        c[..., sp.index[e_i]] = 1.0
     return c
 
 
 def shift_matrix(exponents, point, order):
     """Order-``order`` jets at ``point`` of the monomials x^beta, one per row.
 
-    ``exponents`` (N, m) lists the betas.  Entry (beta, gamma) of the
+    ``exponents`` (N, m) lists the betas; a batch of points (P, m) gives one
+    matrix per point, (P, N, C).  Entry (beta, gamma) of the
     (N, C) result is prod_i C(beta_i, gamma_i) p_i^(beta_i - gamma_i), zero
     unless gamma <= beta: a product of one (max beta_i + 1, order + 1) table
     per coordinate, gathered with numpy.  A polynomial's coefficients times
@@ -235,11 +258,12 @@ def shift_matrix(exponents, point, order):
     binom = np.array([[math.comb(b, g) for g in range(order + 1)]
                       for b in range(top + 1)], dtype=float)
     steps = np.maximum(np.arange(top + 1)[:, None] - np.arange(order + 1), 0)
-    # table[i, b, g] = C(b, g) p_i^(b - g); binom is zero where g > b
-    table = binom * np.asarray(point, dtype=float)[:, None, None] ** steps
-    shift = np.ones((exponents.shape[0], gamma.shape[0]))
+    # table[..., i, b, g] = C(b, g) p_i^(b - g); binom is zero where g > b
+    point = np.asarray(point, dtype=float)
+    table = binom * point[..., None, None] ** steps
+    shift = np.ones(point.shape[:-1] + (exponents.shape[0], gamma.shape[0]))
     for i in range(m):
-        shift *= table[i][exponents[:, i, None], gamma[None, :, i]]
+        shift *= table[..., i, exponents[:, i, None], gamma[None, :, i]]
     return shift
 
 
@@ -403,7 +427,10 @@ def jmat_mul(A, B, m):
     # swapping the jet and row axes gives (..., C, k, r) stacks of transposed
     # matrices, and (A_i B_j)^T = B_j^T A_i^T
     At, Bt = A.swapaxes(-1, -3), B.swapaxes(-1, -3)
-    acc = tab.sum(Bt.take(tab.j, axis=-3) @ At.take(tab.i, axis=-3))
+    (r, k), c = A.shape[-3:-1], B.shape[-2]
+    mats = max(math.prod(A.shape[:-3]), math.prod(B.shape[:-3]))
+    acc = tab.sum_of(lambda s: Bt.take(tab.j[s], axis=-3) @ At.take(tab.i[s], axis=-3),
+                     8 * mats * len(tab.i) * (r * k + k * c + r * c))
     return acc.swapaxes(-1, -3)[..., tab.unslot]
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def worst_of(values):
     """Largest of ``values`` and 0.0; NaN as soon as any value is NaN."""
@@ -19,3 +21,21 @@ def worst_of(values):
         if v > best:
             best = v
     return best
+
+
+def max_abs(x, rank):
+    """Largest |entry| over the trailing ``rank`` axes of ``x``: a float for
+    one sample point, one value per point for a batch; NaN wins, and an
+    empty set of entries gives 0.0."""
+    x = np.asarray(x)
+    out = np.abs(x).max(axis=tuple(range(x.ndim - rank, x.ndim)), initial=0.0)
+    return float(out) if x.ndim == rank else out
+
+
+def worst_each(values):
+    """:func:`worst_of` taken per point over equal-shaped residuals: a float
+    when they are floats, one value per point when they are arrays."""
+    best = 0.0
+    for v in values:
+        best = np.maximum(best, v)      # np.maximum lets a NaN through
+    return float(best) if np.ndim(best) == 0 else best

@@ -3,7 +3,8 @@
 Independent oracle route: everything here is computed from the metric by the
 textbook index formulas, never through the Cartan-connection machinery.  All
 arrays carry jet coefficients on the trailing axis; the jet order drops by
-one per derivative taken.
+one per derivative taken.  Any axes in front of a tensor's indices run over
+sample points, and every function acts on each point alone.
 
 Index conventions (fixed once, shared with the dressing route):
   Gamma[rho, mu, nu]        Christoffel symbols, first lower index = form index
@@ -23,14 +24,22 @@ import numpy as np
 from .jets import jder, jmat_inv, jmat_mul, jmul, jtrunc, order_of
 
 
+def tr(x, *perm):
+    """Permute the trailing len(perm) axes before the coefficient axis of
+    ``x``; the point axes in front stay in place."""
+    lead = x.ndim - 1 - len(perm)
+    return x.transpose(*range(lead), *(lead + p for p in perm), x.ndim - 1)
+
+
 def jeinsum(spec, a, b, m):
     """Two-operand einsum with jet-valued entries (trailing coeff axis).
 
     Contracted labels are those missing from the output; each must appear
-    once in each operand.  The operands are reshaped to (batch, free,
-    contracted) and (batch, contracted, free) jet matrices, so the whole
-    contraction is one :func:`jmat_mul`; a spec that contracts nothing is
-    one broadcast :func:`jmul`.
+    once in each operand.  Axes in front of the labelled ones are point
+    axes, as many in each operand, broadcast between them.  The operands are reshaped to
+    (batch, free, contracted) and (batch, contracted, free) jet matrices, so
+    the whole contraction is one :func:`jmat_mul`; a spec that contracts
+    nothing is one broadcast :func:`jmul`.
     """
     ins, out = spec.split("->")
     la, lb = ins.split(",")
@@ -38,8 +47,12 @@ def jeinsum(spec, a, b, m):
         raise ValueError(f"jeinsum spec {spec!r} repeats a label within one operand")
     if any(c not in out for c in set(la) ^ set(lb)):
         raise ValueError(f"jeinsum spec {spec!r} sums a label of one operand only")
-    sizes = dict(zip(la, a.shape[:-1]))
-    sizes.update(zip(lb, b.shape[:-1]))
+    lead_a, lead_b = a.shape[:a.ndim - 1 - len(la)], b.shape[:b.ndim - 1 - len(lb)]
+    if len(lead_a) != len(lead_b):
+        raise ValueError(f"jeinsum spec {spec!r} does not match the operands' axes")
+    lead = tuple(max(x, y) for x, y in zip(lead_a, lead_b))     # 1 broadcasts
+    sizes = dict(zip(la, a.shape[len(lead_a):-1]))
+    sizes.update(zip(lb, b.shape[len(lead_b):-1]))
     batch = [c for c in out if c in la and c in lb]
     left = [c for c in out if c in la and c not in lb]
     right = [c for c in out if c in lb and c not in la]
@@ -47,9 +60,11 @@ def jeinsum(spec, a, b, m):
 
     def arrange(x, labels, groups):
         # transpose to the group order and merge each group into one axis
-        order = [labels.index(c) for g in groups for c in g]
+        n = x.ndim - 1 - len(labels)
+        order = [n + labels.index(c) for g in groups for c in g]
         shape = [math.prod(sizes[c] for c in g) for g in groups]
-        return x.transpose(*order, x.ndim - 1).reshape(shape + [x.shape[-1]])
+        return x.transpose(*range(n), *order, x.ndim - 1).reshape(
+            x.shape[:n] + tuple(shape) + x.shape[-1:])
 
     if summed:
         prod = jmat_mul(arrange(a, la, [[c] for c in batch] + [left, summed]),
@@ -61,33 +76,34 @@ def jeinsum(spec, a, b, m):
         vb = arrange(b, lb, [[c] if c in lb else [] for c in full])
         prod = jmul(va, vb, m)
     have = batch + left + right
-    prod = prod.reshape([sizes[c] for c in have] + [prod.shape[-1]])
-    return prod.transpose(*[have.index(c) for c in out], len(have))
+    prod = prod.reshape(lead + tuple(sizes[c] for c in have) + prod.shape[-1:])
+    return tr(prod, *[have.index(c) for c in out])
 
 
-def _dstack(a, m):
-    """Stack partial derivatives over a new leading axis."""
-    return np.stack([jder(a, m, nu) for nu in range(m)])
+def dstack(a, m, rank):
+    """Stack the partial derivatives of a rank-``rank`` jet tensor over a
+    new first index, after the point axes."""
+    return np.stack([jder(a, m, nu) for nu in range(m)], axis=a.ndim - 1 - rank)
 
 
 def metric_from_vielbein(e, signature):
     """g = e^T eta e for a vielbein array e[a, mu, :]."""
-    m = e.shape[0]
+    m = e.shape[-2]
     sig = np.asarray(signature, dtype=float)
     weighted = sig[:, None, None] * e
     return jeinsum("am,an->mn", weighted, e, m)
 
 
 def christoffel(g, ginv, m):
-    dg = _dstack(g, m)  # dg[d, i, j] = partial_d g_ij
-    A = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
+    dg = dstack(g, m, 2)  # dg[d, i, j] = partial_d g_ij
+    A = tr(dg, 1, 0, 2) + tr(dg, 1, 2, 0) - dg
     return 0.5 * jeinsum("rl,lmn->rmn", ginv, A, m)
 
 
 def riemann(gamma, m):
-    dG = _dstack(gamma, m)  # dG[d, rho, a, b] = partial_d Gamma[rho, a, b]
-    t1 = dG.transpose(1, 3, 0, 2, 4)   # [rho, nu, mu, sigma] = d_mu G[rho, sigma, nu]
-    t2 = dG.transpose(1, 3, 2, 0, 4)   # [rho, nu, mu, sigma] = d_sigma G[rho, mu, nu]
+    dG = dstack(gamma, m, 3)  # dG[d, rho, a, b] = partial_d Gamma[rho, a, b]
+    t1 = tr(dG, 1, 3, 0, 2)   # [rho, nu, mu, sigma] = d_mu G[rho, sigma, nu]
+    t2 = tr(dG, 1, 3, 2, 0)   # [rho, nu, mu, sigma] = d_sigma G[rho, mu, nu]
     # the products run at the order of the derivative terms
     gk = jtrunc(gamma, m, order_of(m, dG))
     q1 = jeinsum("rml,lsn->rnms", gk, gk, m)  # G[rho,mu,lam] G[lam,sigma,nu]
@@ -96,7 +112,7 @@ def riemann(gamma, m):
 
 
 def ricci(riem):
-    return np.einsum("anas...->ns...", riem)
+    return np.einsum("...anasc->...nsc", riem)
 
 
 def ricci_scalar(ric, ginv, m):
@@ -104,7 +120,7 @@ def ricci_scalar(ric, ginv, m):
 
 
 def schouten_from_ricci(ric, scal, g, m):
-    dim = g.shape[0]
+    dim = g.shape[-2]
     k = order_of(m, ric)
     gk = jtrunc(g, m, k)
     return (-1.0 / (dim - 2)) * (ric - jeinsum(",mn->mn", scal, gk, m) / (2.0 * (dim - 1)))
@@ -113,7 +129,7 @@ def schouten_from_ricci(ric, scal, g, m):
 def covariant_dP(P, gamma, m):
     """cov[mu, sigma, nu] = d_mu P[sigma, nu] - G[lam,mu,sigma] P[lam,nu]
     - G[lam,mu,nu] P[sigma,lam]."""
-    dP = _dstack(P, m)
+    dP = dstack(P, m, 2)
     k = order_of(m, dP)
     gk, Pk = jtrunc(gamma, m, k), jtrunc(P, m, k)
     gp1 = jeinsum("lms,ln->msn", gk, Pk, m)
@@ -123,7 +139,7 @@ def covariant_dP(P, gamma, m):
 
 def cotton(P, gamma, m):
     cov = covariant_dP(P, gamma, m)
-    return cov.transpose(2, 0, 1, 3) - cov.transpose(2, 1, 0, 3)
+    return tr(cov, 2, 0, 1) - tr(cov, 2, 1, 0)
 
 
 def weyl_tensor(riem, P, g, ginv, m):
@@ -131,11 +147,11 @@ def weyl_tensor(riem, P, g, ginv, m):
     k = order_of(m, riem)
     Pk = jtrunc(P, m, k)
     gk = jtrunc(g, m, k)
-    dim = g.shape[0]
+    dim = g.shape[-2]
     delta = np.eye(dim)
     W = riem.copy()
-    W = W + np.einsum("rm,snc->rnmsc", delta, Pk) \
-          - np.einsum("rs,mnc->rnmsc", delta, Pk)
+    W = W + np.einsum("rm,...snc->...rnmsc", delta, Pk) \
+          - np.einsum("rs,...mnc->...rnmsc", delta, Pk)
     praise = jeinsum("ml,lr->mr", Pk, jtrunc(ginv, m, k), m)  # P[mu,lam] ginv[lam,rho]
     W = W + jeinsum("mr,sn->rnms", praise, gk, m) \
           - jeinsum("sr,mn->rnms", praise, gk, m)

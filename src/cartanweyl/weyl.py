@@ -15,13 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartan import conjugate, k1_matrix, weyl_diagonal
-from .dressing import DressedPair, extract_tensors, u0_from_vielbein
+from .dressing import DressedPair, DressingU0, extract_tensors, u0_from_vielbein
 from .errors import ExprDomainError
 from .exprs import compile_expr, eval_jets
 from .forms import MForm, eta_t, scale_by_jet
-from .jets import jder, jexp, jmat_inv, jmul, jrecip, jtrunc, order_of
-from .reduction import worst_of
-from .tensors import jeinsum, metric_from_vielbein
+from .jets import jexp, jmat_inv, jmul, jrecip, jtrunc, order_of
+from .reduction import worst_each
+from .tensors import dstack, jeinsum, metric_from_vielbein
+
+# The jet order the group law's Weyl matrices are built at: its residuals
+# are values, and a Weyl transform of the dressed pair takes one d of them.
+GROUP_LAW_ORDER = 1
 
 
 @dataclass
@@ -37,12 +41,12 @@ class WeylElement:
         self._phi = compile_expr(self.phi)
 
     def at(self, chart, point, order):
-        pj = eval_jets([self._phi], chart, point, order)[0]
+        """The jets (z, zeta) at ``point``, or at each point of a batch."""
+        pj = eval_jets([self._phi], chart, point, order)[..., 0, :]
         z = jexp(pj, chart.m)
-        if z[0] <= 0.0:
+        if np.any(z[..., 0] <= 0.0):
             raise ExprDomainError("Weyl factor must stay positive")
-        zeta = np.stack([jder(pj, chart.m, mu) for mu in range(chart.m)])
-        return z, zeta
+        return z, dstack(pj, chart.m, 0)
 
 
 def weyl_matrices(model, z, zeta, u0):
@@ -57,14 +61,13 @@ def weyl_matrices(model, z, zeta, u0):
     order = min(order_of(m, z), order_of(m, zeta), order_of(m, u0.e))
     zinv = jrecip(z, m)
     W, Winv = weyl_diagonal(z, zinv, model, order)
-    Wt = MForm.identity(m, model.n, order)
-    Wtinv = MForm.identity(m, model.n, order)
+    Wt = MForm.identity(m, model.n, order, z.shape[:-1])
+    Wtinv = MForm.identity(m, model.n, order, z.shape[:-1])
     for i in range(1, m + 1):
-        Wt.data[i, i, 0] = jtrunc(z, m, order)
-        Wtinv.data[i, i, 0] = jtrunc(zinv, m, order)
+        Wt.data[..., i, i, 0, :] = jtrunc(z, m, order)
+        Wtinv.data[..., i, i, 0, :] = jtrunc(zinv, m, order)
     xi_arr = jeinsum("m,ma->a", zeta, u0.einv, m)  # zeta . e^-1
-    xi = MForm.zeros(m, (1, m), 0, 0, order_of(m, xi_arr))
-    xi.data[0, :, 0, :] = xi_arr
+    xi = MForm.of_jets(m, xi_arr[..., None, :, :])
     k1 = k1_matrix(xi, model)
     k1inv = k1_matrix(xi.scale(-1.0), model)
     wbar = u0.inv.wedge(k1.wedge(u0.mat.wedge(W.wedge(Wt))))
@@ -82,17 +85,19 @@ def wbar_closed_form(model, z, zeta, e):
     m, n = model.m, model.n
     k = min(order_of(m, z), order_of(m, zeta), order_of(m, e))
     zinv = jrecip(z, m)
-    ginv = jmat_inv(metric_from_vielbein(e, model.eta), m)
+    # g^-1 is read at order k, and its degree-k part needs e to degree k only
+    ginv = jmat_inv(metric_from_vielbein(jtrunc(e, m, k), model.eta), m)
     zg = jeinsum("l,lr->r", zeta, ginv, m)       # zeta with one index raised
     zz = jeinsum("r,r->", zeta, zg, m)           # zeta . g^-1 . zeta^T
-    closed = MForm.zeros(m, (n, n), 0, 0, k)
-    closed.data[0, 0, 0] = jtrunc(z, m, k)
-    closed.data[n - 1, n - 1, 0] = jtrunc(zinv, m, k)
+    closed = MForm.zeros(m, (n, n), 0, 0, k, np.broadcast_shapes(z.shape[:-1], e.shape[:-3]))
+    entry = closed.data[..., 0, :]      # (..., n, n, C)
+    entry[..., 0, 0, :] = jtrunc(z, m, k)
+    entry[..., n - 1, n - 1, :] = jtrunc(zinv, m, k)
     for i in range(m):
-        closed.data[i + 1, i + 1, 0] = jtrunc(z, m, k)
-        closed.data[0, i + 1, 0] = jtrunc(jmul(z, zeta[i], m), m, k)
-        closed.data[i + 1, n - 1, 0] = jtrunc(jmul(zinv, zg[i], m), m, k)
-    closed.data[0, n - 1, 0] = jtrunc(0.5 * jmul(zinv, zz, m), m, k)
+        entry[..., i + 1, i + 1, :] = jtrunc(z, m, k)
+        entry[..., 0, i + 1, :] = jtrunc(jmul(z, zeta[..., i, :], m), m, k)
+        entry[..., i + 1, n - 1, :] = jtrunc(jmul(zinv, zg[..., i, :], m), m, k)
+    entry[..., 0, n - 1, :] = jtrunc(0.5 * jmul(zinv, zz, m), m, k)
     return closed
 
 
@@ -107,7 +112,7 @@ def weyl_transform_dressed(state, mats):
     wbar, wbar_inv = mats["wbar"], mats["wbar_inv"]
     varpi0W = conjugate(state.varpi0, wbar, wbar_inv, connection=True)
     Omega0W = conjugate(state.Omega0, wbar, wbar_inv)
-    e_new = jmul(mats["z"][None, None, :], state.e, model.m)
+    e_new = jmul(mats["z"][..., None, None, :], state.e, model.m)
     return DressedPair(model, varpi0W, Omega0W, e_new,
                        *extract_tensors(varpi0W, Omega0W, model))
 
@@ -115,7 +120,8 @@ def weyl_transform_dressed(state, mats):
 def closed_form_laws(state, z, zeta):
     """Component transformation laws evaluated on the untransformed tensors.
 
-    Valid with or without normality; value-level arrays keyed by tensor name.
+    Valid with or without normality; value-level arrays keyed by tensor name,
+    with the point axes of the state in front.
     """
     m = state.model.m
     kv = min(order_of(m, state.g), order_of(m, zeta), order_of(m, z))
@@ -123,31 +129,32 @@ def closed_form_laws(state, z, zeta):
     ginv = jmat_inv(jtrunc(state.g, m, kv), m)[..., 0]
     Gam = state.Gamma[..., 0]
     P = state.P[..., 0]
-    zv = z[0]
+    zv = z[..., 0, None, None]
     zt = zeta[..., 0]
     # dzeta[mu, nu] = d_mu zeta_nu = d_mu d_nu phi (symmetric since zeta is exact)
-    dzeta = np.array([[jder(zeta[nu], m, mu)[0] for nu in range(m)]
-                      for mu in range(m)])
-    ztup = ginv @ zt
-    zz = float(zt @ ztup)
+    dzeta = dstack(zeta, m, 1)[..., 0]
+    # matrix products, as one point's ginv @ zt and zt @ ztup are
+    ztup = (ginv @ zt[..., None])[..., 0]
+    zz = (zt[..., None, :] @ ztup[..., None])[..., 0]      # (..., 1)
+    zz2 = zz[..., None]
     laws = {}
     laws["g"] = zv ** 2 * g
     laws["Gamma"] = (Gam
-                     + np.einsum("rn,m->rmn", np.eye(m), zt)
-                     + np.einsum("rm,n->rmn", np.eye(m), zt)
-                     - np.einsum("r,mn->rmn", ztup, g))
-    laws["P"] = (P + dzeta - np.einsum("l,lmn->mn", zt, Gam)
-                 - np.outer(zt, zt) + 0.5 * zz * g)
+                     + np.einsum("rn,...m->...rmn", np.eye(m), zt)
+                     + np.einsum("rm,...n->...rmn", np.eye(m), zt)
+                     - np.einsum("...r,...mn->...rmn", ztup, g))
+    laws["P"] = (P + dzeta - np.einsum("...l,...lmn->...mn", zt, Gam)
+                 - zt[..., :, None] * zt[..., None, :] + 0.5 * zz2 * g)
     laws["T"] = state.T.copy()
-    laws["f0"] = state.f0 - np.einsum("l,lms->ms", zt, state.T)
+    laws["f0"] = state.f0 - np.einsum("...l,...lms->...ms", zt, state.T)
     laws["W"] = (state.W
-                 + np.einsum("rms,n->rnms", state.T, zt)
-                 - np.einsum("r,ams,an->rnms", ztup, state.T, g))
+                 + np.einsum("...rms,...n->...rnms", state.T, zt)
+                 - np.einsum("...r,...ams,...an->...rnms", ztup, state.T, g))
     laws["C"] = (state.C
-                 - np.einsum("l,lnms->nms", zt, state.W)
-                 + np.einsum("n,ms->nms", zt, state.f0)
-                 + 0.5 * zz * np.einsum("bms,bn->nms", state.T, g)
-                 - np.einsum("l,lms,n->nms", zt, state.T, zt))
+                 - np.einsum("...l,...lnms->...nms", zt, state.W)
+                 + np.einsum("...n,...ms->...nms", zt, state.f0)
+                 + 0.5 * zz2[..., None] * np.einsum("...bms,...bn->...nms", state.T, g)
+                 - np.einsum("...l,...lms,...n->...nms", zt, state.T, zt))
     return laws
 
 
@@ -160,8 +167,12 @@ def weyl_transform_midlevel(fields, mats):
     """
     model = fields.model
     m = model.m
-    k1W = mats["k1"].wedge(mats["W"])
-    k1W_inv = mats["Winv"].wedge(mats["k1inv"])
+    # the conjugations read k1 W to one order above varpi1 (its d) and to the
+    # order of Omega1, so the products are taken at that order
+    k = min(mats["k1"].order, max(fields.varpi1.order + 1, fields.Omega1.order))
+    k1, W, k1inv, Winv = (mats[x].truncate(k) for x in ("k1", "W", "k1inv", "Winv"))
+    k1W = k1.wedge(W)
+    k1W_inv = Winv.wedge(k1inv)
     varpi1W = conjugate(fields.varpi1, k1W, k1W_inv, connection=True)
     Omega1W = conjugate(fields.Omega1, k1W, k1W_inv)
     # closed forms
@@ -195,9 +206,9 @@ def weyl_transform_midlevel(fields, mats):
 
 def _eye_times(f, m):
     """Scalar (1,1) form times the m x m identity."""
-    out = MForm.zeros(f.m, (m, m), f.p, f.q, f.order)
+    out = MForm.zeros(f.m, (m, m), f.p, f.q, f.order, f.lead)
     for i in range(m):
-        out.data[i, i] = f.data[0, 0]
+        out.data[..., i, i, :, :] = f.data[..., 0, 0, :, :]
     return out
 
 
@@ -207,13 +218,20 @@ def weyl_group_law_residual(state, moved, first, second):
     ``state`` is a pipeline output (its u0 serves the combined step),
     ``first`` and ``second`` are the (z, zeta) jets of the two elements, as
     :meth:`WeylElement.at` returns them, and ``moved`` is ``state`` already
-    moved by ``first``.
+    moved by ``first``.  Only values are read, and the value of a Weyl
+    transform takes one d of its matrices, so z, zeta, e and u0 are cut to
+    order 1 first; the values are those of the full orders, bit for bit.
     """
-    (z1, zeta1), (z2, zeta2) = first, second
+    m = state.model.m
+    (z1, zeta1), (z2, zeta2) = [tuple(jtrunc(x, m, GROUP_LAW_ORDER) for x in pair)
+                                for pair in (first, second)]
     model = state.model
-    u0_moved = u0_from_vielbein(moved.e, model)
+    u0_moved = u0_from_vielbein(jtrunc(moved.e, m, GROUP_LAW_ORDER), model)
     s12 = weyl_transform_dressed(moved, weyl_matrices(model, z2, zeta2, u0_moved))
-    z12 = jmul(z1, z2, model.m)
-    s_both = weyl_transform_dressed(state, weyl_matrices(model, z12, zeta1 + zeta2, state.u0))
-    return worst_of(((s12.varpi0 - s_both.varpi0).value_norm(),
-                     (s12.Omega0 - s_both.Omega0).value_norm()))
+    z12 = jmul(z1, z2, m)
+    u0 = state.u0
+    u0_low = DressingU0(*(jtrunc(x, m, GROUP_LAW_ORDER) for x in (u0.e, u0.einv)),
+                        *(x.truncate(GROUP_LAW_ORDER) for x in (u0.mat, u0.inv)))
+    s_both = weyl_transform_dressed(state, weyl_matrices(model, z12, zeta1 + zeta2, u0_low))
+    return worst_each(((s12.varpi0 - s_both.varpi0).value_norm(),
+                       (s12.Omega0 - s_both.Omega0).value_norm()))

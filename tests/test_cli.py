@@ -88,11 +88,26 @@ def test_determinism_same_seed_same_payload():
         json.dumps(b.payload(), sort_keys=True)
 
 
-@pytest.mark.parametrize("name, suite", [("generic", "gauge"), ("generic", "all"),
-                                         ("poincare", "all")])
-def test_parallel_matches_sequential(name, suite):
-    """One-point sub-scenarios with their point_offset merge to the full run."""
-    scn = catalog(name, 3)
+# eight Schwarzschild points, r in (3, 6): two batches of checks.BATCH_SIZE = 4
+SCHWARZSCHILD_8 = [(0.2, 3.7, 1.1, 0.4), (-0.1, 4.6, 1.4, 0.9), (0.05, 3.1, 1.2, -0.3),
+                   (-0.25, 5.9, 1.3, 0.1), (0.3, 4.1, 1.15, -0.2), (0.0, 5.2, 1.35, 0.25),
+                   (-0.2, 3.4, 1.25, 0.3), (0.15, 5.5, 1.05, -0.1)]
+
+
+@pytest.mark.parametrize("name, suite, m, points", [
+    pytest.param("generic", "gauge", 3, None, id="generic-gauge"),
+    pytest.param("generic", "all", 3, None, id="generic-all"),
+    pytest.param("poincare", "all", 3, None, id="poincare-all"),
+    pytest.param("torsionful", "all", 5, None, id="torsionful-all-m5"),
+    pytest.param("constant-curvature", "all", 4, None, id="constant-curvature-all-m4"),
+    pytest.param("ricci-flat-m4", "all", 4, SCHWARZSCHILD_8, id="ricci-flat-m4-all-8-points"),
+])
+def test_parallel_matches_sequential(name, suite, m, points):
+    """One-point sub-scenarios with their point_offset merge to the full run,
+    which runs its points in batches."""
+    scn = catalog(name, m)
+    if points is not None:
+        scn.points = points
     full = run_check(scn, suite)
     merged = {}
     for idx, point in enumerate(scn.points):
@@ -121,10 +136,11 @@ def test_all_is_the_union_of_single_suites(name):
 
 @pytest.mark.parametrize("name, rescaled", [("generic", 1), ("poincare", 0)])
 def test_suite_all_builds_each_point_once(name, rescaled, monkeypatch):
-    """One normal and one scrambled connection per point under --suite all.
+    """One normal and one scrambled connection per batch of points under
+    --suite all, however many points the batch holds.
 
     The weyl suite's rescaled-vielbein route builds one more normal
-    connection per point, from z e rather than from the scenario vielbein.
+    connection per batch, from z e rather than from the scenario vielbein.
     """
     counts = {"build_normal": 0, "base_connection": 0}
 
@@ -137,9 +153,9 @@ def test_suite_all_builds_each_point_once(name, rescaled, monkeypatch):
     for fn in (checks.build_normal, checks.base_connection):
         monkeypatch.setattr(checks, fn.__name__, counted(fn))
     scn = catalog(name, 3)
+    assert len(scn.points) > 1
     assert run_check(scn, "all").passed
-    n = len(scn.points)
-    assert counts == {"build_normal": n * (1 + rescaled), "base_connection": n}
+    assert counts == {"build_normal": 1 + rescaled, "base_connection": 1}
 
 
 def test_brs_suite_dresses_a_normal_input_once(monkeypatch):
@@ -163,7 +179,8 @@ def test_brs_suite_dresses_a_normal_input_once(monkeypatch):
 @pytest.mark.parametrize("suite, builds", [("gauge", 5), ("dressing", 3)])
 def test_each_gauge_is_built_once_per_point(suite, builds, monkeypatch):
     """The scramble, then the gauge suite's four elements or the dressing
-    suite's unipotent and Lorentz elements: one matrices build each."""
+    suite's unipotent and Lorentz elements: one matrices build each for the
+    whole batch of points."""
     calls = []
     original = cartan.GaugeElement.matrices
 
@@ -173,7 +190,7 @@ def test_each_gauge_is_built_once_per_point(suite, builds, monkeypatch):
 
     monkeypatch.setattr(cartan.GaugeElement, "matrices", counted)
     scn = catalog("generic", 3)
-    scn.points = scn.points[:1]
+    assert len(scn.points) > 1
     assert run_check(scn, suite).passed
     assert len(calls) == builds
 
@@ -218,26 +235,29 @@ def _count_calls(monkeypatch, names, scn, suite):
 
 
 def test_weyl_suite_builds_each_weyl_matrix_once(monkeypatch):
-    """Per point: one bundle for the scenario's rescaling, shared by the
-    conjugation, the midlevel action, the k1/u1 commutator, route three and
-    the group law's first step; two more for the group law's second step and
-    its product.  The closed form of Wbar is built for its own row only.
+    """Per batch of points: one bundle for the scenario's rescaling, shared
+    by the conjugation, the midlevel action, the k1/u1 commutator, route
+    three and the group law's first step; two more for the group law's
+    second step and its product.  The closed form of Wbar is built for its
+    own row only.
 
-    Each vielbein gets one u0: the point's dressing, the group law's second
-    step, and the two routes that dress a connection again (4 per point).
-    The brs suite builds 2: the point's dressing and the linearization's,
-    whose u0 also moves the linearization's dressed pair."""
+    Each vielbein gets one u0: the batch's dressing, the group law's second
+    step, and the two routes that dress a connection again (4 per batch).
+    The brs suite builds the batch's dressing once and, one point at a time,
+    the linearization's, whose u0 also moves the linearization's dressed
+    pair."""
     scn = catalog("generic", 3)
+    n = len(scn.points)
+    assert n > 1
     counts = _count_calls(monkeypatch, ("weyl_matrices", "weyl_transform_dressed",
                                         "wbar_closed_form", "u0_from_vielbein"),
                           scn, "weyl")
-    n = len(scn.points)
-    assert counts == {"weyl_matrices": 3 * n, "weyl_transform_dressed": 3 * n,
-                      "wbar_closed_form": n, "u0_from_vielbein": 4 * n}
+    assert counts == {"weyl_matrices": 3, "weyl_transform_dressed": 3,
+                      "wbar_closed_form": 1, "u0_from_vielbein": 4}
     for name in ("generic", "diag-poly"):
         scn = catalog(name, 3)
         counts = _count_calls(monkeypatch, ("u0_from_vielbein",), scn, "brs")
-        assert counts == {"u0_from_vielbein": 2 * len(scn.points)}, name
+        assert counts == {"u0_from_vielbein": 1 + len(scn.points)}, name
 
 
 def test_cli_check_pass(tmp_path, capsys):
@@ -504,9 +524,10 @@ def test_check_rows_do_not_depend_on_the_jet_order(name, m, tmp_path):
 
 @pytest.mark.parametrize("name", ["generic", "torsionful"])
 def test_routes_dress_connections_of_order_one(name, monkeypatch):
-    """The point's dressed fields dress its input connection at order 2, the
-    floor order's connection; every route, and the linearization check on an
-    input it cannot reuse them for, dresses a connection of order 1."""
+    """The batch's dressed fields dress its input connection at order 2, the
+    floor order's connection, once for all its points; every route, and the
+    linearization check on an input it cannot reuse them for, dresses a
+    connection of order 1."""
     orders = []
     stages = dressing._dress_stages
 
@@ -516,8 +537,9 @@ def test_routes_dress_connections_of_order_one(name, monkeypatch):
 
     monkeypatch.setattr(dressing, "_dress_stages", recorded)
     scn = catalog(name, 3)
+    assert len(scn.points) > 1
     assert run_check(scn, "all").passed
-    assert orders.count(2) == len(scn.points)
+    assert orders.count(2) == 1
     assert set(orders) == {1, 2}
 
 
