@@ -223,6 +223,11 @@ def _scenario_file(tmp_path, **changes):
     # the Weyl factor overflows at the second point only
     ({"weyl": "x0*10000", "points": [[0.0, 0.1, 0.3], [0.23, 0.1, 0.2]]},
      "all", "error: [weyl suite] exp(2300) overflows in jet evaluation"),
+    # the first point fails in the weyl suite, the second already in the
+    # gauge suite: a one-point run of the first point meets its error first
+    ({"gauge": {"z": "x0"}, "weyl": "x0*10000",
+      "points": [[0.23, 0.1, 0.3], [-0.1, 0.1, 0.2]]},
+     "all", "error: [weyl suite] exp(2300) overflows in jet evaluation"),
 ])
 def test_an_error_at_a_later_point_names_it(tmp_path, capsys, changes, suite, message):
     """The error of the first failing point, in the first suite that fails on
