@@ -268,7 +268,8 @@ def gr_dress(conn, e):
     g = metric_from_vielbein(e, model.eta)
     diag = {
         "metricity": metricity_residual(g, Gamma, m),
-        "dx_residual": max_abs(model.block(varpi_h, 1, 2).data[..., :, 0, :, 0] - np.eye(m), 2),
+        "dx_residual": max_abs(model.block(varpi_h, 1, 2).data[..., :, 0, :, 0] - np.eye(m),
+                               2),
         "curvature_compat": (curvature_form(varpi_h) - Omega_h).value_norm(),
     }
     return varpi_h, Omega_h, Gamma, R, T, g, diag

@@ -346,8 +346,10 @@ class MForm:
             left = a.transpose(2, 3, 0, 1)                               # (F1, C, r, n)
             if signed:
                 left = left * _SIGNS
-            prod = (left.reshape(-1, r, n).take(ia, axis=0)
-                    @ b.transpose(2, 3, 0, 1).reshape(-1, n, c).take(ib, axis=0))  # (E, H, T, r, c)
+            right = b.transpose(2, 3, 0, 1).reshape(-1, n, c)
+            # (E, H, T, r, c); entries add as whole products, so equal ones
+            # cancel exactly
+            prod = left.reshape(-1, r, n).take(ia, axis=0) @ right.take(ib, axis=0)
             acc = prod[0]
             for e in range(1, E):
                 acc += prod[e]

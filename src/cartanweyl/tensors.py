@@ -36,10 +36,10 @@ def jeinsum(spec, a, b, m):
 
     Contracted labels are those missing from the output; each must appear
     once in each operand.  Axes in front of the labelled ones are point
-    axes, as many in each operand, broadcast between them.  The operands are reshaped to
-    (batch, free, contracted) and (batch, contracted, free) jet matrices, so
-    the whole contraction is one :func:`jmat_mul`; a spec that contracts
-    nothing is one broadcast :func:`jmul`.
+    axes, as many in each operand, broadcast between them.  The operands
+    are reshaped to (batch, free, contracted) and (batch, contracted, free)
+    jet matrices, so the whole contraction is one :func:`jmat_mul`; a spec
+    that contracts nothing is one broadcast :func:`jmul`.
     """
     ins, out = spec.split("->")
     la, lb = ins.split(",")
