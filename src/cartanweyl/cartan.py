@@ -19,7 +19,7 @@ from .forms import (MForm, algebra_residual, block_matrix, eta_t, form_comps, gc
                     two_form_values)
 from .jets import (Chart, jconst, jcos, jcosh, jmat_inv, jmat_mul, jrecip, jsin, jsinh,
                    jtrunc, order_of, space)
-from .reduction import max_abs, worst_each
+from .reduction import max_abs, worst_of
 
 # largest |x_i| of the catalog sample points; random gauge polynomials are
 # scaled for it
@@ -171,7 +171,7 @@ def _first_over(resid, omega, tol):
     """The residual of the first point whose residual, relative to its
     connection's scale, is not within ``tol``; None when every point is."""
     resid = np.atleast_1d(resid)
-    bad = np.flatnonzero(~(resid / worst_each((1.0, omega.full_norm())) <= tol))
+    bad = np.flatnonzero(~(resid / worst_of((1.0, omega.full_norm())) <= tol))
     return float(resid[bad[0]]) if bad.size else None
 
 

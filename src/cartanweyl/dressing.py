@@ -19,7 +19,7 @@ from .cartan import (KleinModel, conjugate, curvature, curvature_form, gauge_tra
 from .errors import ShapeError
 from .forms import MForm, block_matrix, two_form_values
 from .jets import jmat_inv, jtrunc, order_of
-from .reduction import max_abs, worst_each
+from .reduction import max_abs, worst_of
 from .tensors import dstack, jeinsum, metric_from_vielbein
 
 
@@ -178,16 +178,16 @@ def full_pipeline(conn, e=None):
     uinv = u0.inv.wedge(u1.inv)
     varpi0_b = conjugate(conn.omega, u, uinv, connection=True)
     Omega0_b = conjugate(Om, u, uinv)
-    single = worst_each(((varpi0 - varpi0_b).value_norm(),
-                         (Omega0 - Omega0_b).value_norm()))
+    single = worst_of(((varpi0 - varpi0_b).value_norm(),
+                       (Omega0 - Omega0_b).value_norm()))
     g, Gamma, P, T, f0, C, W = extract_tensors(varpi0, Omega0, model)
     diag = {}
     diag["a1_residual"] = model.block(varpi1, 1, 1).value_norm()
     # block (2,1) must be exactly dx and (3,3) zero
     b21 = model.block(varpi0, 2, 1)
     diag["dx_residual"] = max_abs(b21.data[..., :, 0, :, 0] - np.eye(m), 2)
-    diag["corner_residual"] = worst_each((model.block(varpi0, 1, 1).value_norm(),
-                                          model.block(varpi0, 3, 3).value_norm()))
+    diag["corner_residual"] = worst_of((model.block(varpi0, 1, 1).value_norm(),
+                                        model.block(varpi0, 3, 3).value_norm()))
     # metricity: d g - Gamma^T g - g Gamma = 0
     diag["metricity"] = metricity_residual(g, Gamma, m)
     # curvature compatibility of the dressed pair

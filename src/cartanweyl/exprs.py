@@ -489,6 +489,9 @@ def eval_jets(entries, chart, point, order):
     out = np.empty(lead + (len(entries), space(m, order).size))
     for k, entry in enumerate(entries):
         out[..., k, :] = ev(entry)
+    # gather and ev reach themselves through their closures: clearing them
+    # frees the shifted coefficients now rather than at the next gc pass
+    gather = ev = None
     return out
 
 

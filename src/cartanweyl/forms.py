@@ -25,7 +25,7 @@ is one cached gather and a weighted sum per target.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -44,7 +44,17 @@ from .reduction import max_abs
 GHOST_POOL = 3
 
 # a factor next to its negative: plan signs become gather offsets
-_SIGNS = np.array([1.0, -1.0])[:, None, None, None, None]
+_SIGNS = np.array([1.0, -1.0])
+
+
+@lru_cache(maxsize=None)
+def _wedge_axes(k):
+    """The axis orders of a wedge whose factors have ``k`` point axes: data
+    to ([sign,] component, coefficient, points, rows, cols), the sign
+    column, the product (H, T, points, r, c) to (points, H, T, r, c) for
+    the table's sum, and that sum to the data layout (points, r, c, H, C)."""
+    return ((k + 2, k + 3, *range(k + 2)), _SIGNS.reshape((2,) + (1,) * (k + 4)),
+            (*range(2, k + 2), 0, 1, k + 2, k + 3), (*range(k), k + 2, k + 3, k, k + 1))
 
 
 @lru_cache(maxsize=None)
@@ -97,10 +107,11 @@ class WedgePlan:
     def gathers(self, order):
         """(ia, ib, signed) at jet order ``order``.
 
-        ``ia`` and ``ib`` (E, H, T) index axis 0 of the left and the right
-        factor laid out as ([sign,] component, coefficient, row, column),
-        the sign axis holding the left factor and its negative when
-        ``signed``.  T runs over the product table's pairs.
+        ``ia`` and ``ib`` (E, H, T) index the first axis after the point
+        axes of the left and the right factor laid out as ([sign,]
+        component, coefficient, row, column), the sign axis holding the
+        left factor and its negative when ``signed``.  T runs over the
+        product table's pairs.
         """
         if order not in self._gathers:
             tab = space(self.m, order).table
@@ -322,8 +333,8 @@ class MForm:
         Each factor is gathered once by the plan's fused (component, table
         pair) index, one batched ``matmul`` makes every product, and the
         sums over each target's E entries and over the product table's
-        layers are dense.  A product too large for ``jets.LAYER_BYTES`` is
-        made one table layer at a time (:meth:`ProductTable.sum_of`).
+        layers are dense.  Point axes broadcast: a factor with fewer of them
+        is padded with ones.
         """
         if self.m != other.m:
             raise ShapeError("mixed charts")
@@ -340,35 +351,23 @@ class MForm:
         ia, ib, signed = plan.gathers(order)
         tab = space(m, order).table
         a, b = self.data[..., :tab.size], other.data[..., :tab.size]
-        if a.ndim == b.ndim == 4:
-            # one point, as in the brs suite's ghost algebra: with no point
-            # axis to carry, every numpy call acts on the fewest axes
-            left = a.transpose(2, 3, 0, 1)                               # (F1, C, r, n)
-            if signed:
-                left = left * _SIGNS
-            right = b.transpose(2, 3, 0, 1).reshape(-1, n, c)
-            # (E, H, T, r, c); entries add as whole products, so equal ones
-            # cancel exactly
-            prod = left.reshape(-1, r, n).take(ia, axis=0) @ right.take(ib, axis=0)
-            acc = prod[0]
-            for e in range(1, E):
-                acc += prod[e]
-            return MForm(m, (r, c), p, q, order,
-                         tab.sum(acc).transpose(2, 3, 0, 1)[..., tab.unslot])
-        # each factor's point axes flattened to one, of length 1 for none,
-        # and laid out as (points, component, coefficient, rows, cols)
-        left = a.reshape((-1, r, n, a.shape[-2], tab.size)).transpose(0, 3, 4, 1, 2)
+        k = max(a.ndim, b.ndim) - 4                     # point axes of the product
+        to_plan, signs, to_table, back = _wedge_axes(k)
+        # each factor laid out as ([sign,] component, coefficient, points,
+        # rows, cols), a factor with fewer point axes padded with ones
+        left = a[(None,) * (k + 4 - a.ndim)].transpose(to_plan)
         if signed:
-            left = _SIGNS * left[:, None]
-        left = left.reshape(len(left), -1, r, n)
-        right = b.reshape((-1, n, c, b.shape[-2], tab.size)).transpose(0, 3, 4, 1, 2)
-        right = right.reshape(len(right), -1, n, c)
-        nbytes = 8 * max(len(left), len(right)) * ia.size * (r * n + n * c + r * c)
-        acc = tab.sum_of(partial(_entry_sums, left, right, ia, ib), nbytes)   # (P, H, C, r, c)
-        lead = a.shape[:-4] if a.ndim > b.ndim else b.shape[:-4]
-        k = len(lead)
-        acc = acc.reshape(lead + acc.shape[1:]).transpose(*range(k), k + 2, k + 3, k, k + 1)
-        return MForm(m, (r, c), p, q, order, acc[..., tab.unslot])
+            left = left * signs
+        left = left.reshape((-1,) + left.shape[-k - 2:]).take(ia, axis=0)
+        right = b[(None,) * (k + 4 - b.ndim)].transpose(to_plan)
+        right = right.reshape((-1,) + right.shape[-k - 2:]).take(ib, axis=0)
+        prod = left @ right                                 # (E, H, T, ..., r, c)
+        # entries add as whole products, so equal ones cancel exactly
+        acc = prod[0]
+        for e in range(1, E):
+            acc += prod[e]
+        acc = tab.sum(acc.transpose(to_table))              # (..., H, C, r, c)
+        return MForm(m, (r, c), p, q, order, acc.transpose(back)[..., tab.unslot])
 
     def ext_d(self):
         """Exterior derivative; stored coefficients pick up (-1)^q.
@@ -418,17 +417,6 @@ class MForm:
     def __repr__(self):
         return (f"MForm(shape={self.shape}, p={self.p}, q={self.q}, "
                 f"order={self.order})")
-
-
-def _entry_sums(left, right, ia, ib, pairs):
-    """Products of the table pairs ``pairs`` of a wedge over points, (P, H,
-    pairs, r, c): each target's E entries gathered by ``ia`` and ``ib`` and
-    added as whole products, in entry order, as for one point."""
-    prod = left.take(ia[..., pairs], axis=1) @ right.take(ib[..., pairs], axis=1)
-    acc = prod[:, 0]
-    for e in range(1, prod.shape[1]):
-        acc += prod[:, e]
-    return acc
 
 
 # ---------------------------------------------------------------------------

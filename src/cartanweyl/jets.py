@@ -43,12 +43,6 @@ def _monomials(m, order):
     return tuple(out)
 
 
-# The most bytes a product's gathers may take when all its table pairs are
-# made at once; a larger product, such as one over a batch of points at a
-# high order, makes them one table layer at a time.
-LAYER_BYTES = 1 << 18
-
-
 class ProductTable:
     """Pairs (i, j) -> k of a truncated product, stored layer by layer.
 
@@ -89,20 +83,6 @@ class ProductTable:
         acc = prod[..., :self.size, :, :]
         for dst, src in self._layers:
             acc[dst] += prod[src]
-        return acc
-
-    def sum_of(self, product, nbytes):
-        """:meth:`sum` of ``product(entries)``, the per-pair products of a
-        slice of the table's entries, which take ``nbytes`` for the whole
-        table.  Past LAYER_BYTES they are made one layer at a time: the same
-        products, added in the same order, with one layer's temporaries."""
-        if nbytes <= LAYER_BYTES:
-            return self.sum(product(slice(None)))
-        acc = product(slice(0, self.size))
-        start = self.size
-        for width in self.widths[1:]:
-            acc[..., :width, :, :] += product(slice(start, start + width))
-            start += width
         return acc
 
     @cached_property
@@ -427,10 +407,7 @@ def jmat_mul(A, B, m):
     # swapping the jet and row axes gives (..., C, k, r) stacks of transposed
     # matrices, and (A_i B_j)^T = B_j^T A_i^T
     At, Bt = A.swapaxes(-1, -3), B.swapaxes(-1, -3)
-    (r, k), c = A.shape[-3:-1], B.shape[-2]
-    mats = max(math.prod(A.shape[:-3]), math.prod(B.shape[:-3]))
-    acc = tab.sum_of(lambda s: Bt.take(tab.j[s], axis=-3) @ At.take(tab.i[s], axis=-3),
-                     8 * mats * len(tab.i) * (r * k + k * c + r * c))
+    acc = tab.sum(Bt.take(tab.j, axis=-3) @ At.take(tab.i, axis=-3))
     return acc.swapaxes(-1, -3)[..., tab.unslot]
 
 

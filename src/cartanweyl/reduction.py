@@ -7,20 +7,19 @@ could read as a perfect residual.  :func:`worst_of` lets a NaN win instead.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
 def worst_of(values):
-    """Largest of ``values`` and 0.0; NaN as soon as any value is NaN."""
+    """Largest of ``values`` and 0.0; NaN as soon as any value is NaN.
+
+    The values are floats, giving a float, or per-point arrays of one shape,
+    giving the worst of each point.
+    """
     best = 0.0
     for v in values:
-        if math.isnan(v):
-            return math.nan
-        if v > best:
-            best = v
-    return best
+        best = np.maximum(v, best)      # lets a NaN through, keeps best on a tie
+    return float(best) if np.ndim(best) == 0 else best
 
 
 def max_abs(x, rank):
@@ -31,11 +30,3 @@ def max_abs(x, rank):
     out = np.abs(x).max(axis=tuple(range(x.ndim - rank, x.ndim)), initial=0.0)
     return float(out) if x.ndim == rank else out
 
-
-def worst_each(values):
-    """:func:`worst_of` taken per point over equal-shaped residuals: a float
-    when they are floats, one value per point when they are arrays."""
-    best = 0.0
-    for v in values:
-        best = np.maximum(best, v)      # np.maximum lets a NaN through
-    return float(best) if np.ndim(best) == 0 else best

@@ -20,7 +20,7 @@ from .errors import ExprDomainError
 from .exprs import compile_expr, eval_jets
 from .forms import MForm, eta_t, scale_by_jet
 from .jets import jexp, jmat_inv, jmul, jrecip, jtrunc, order_of
-from .reduction import worst_each
+from .reduction import worst_of
 from .tensors import dstack, jeinsum, metric_from_vielbein
 
 # The jet order the group law's Weyl matrices are built at: its residuals
@@ -233,5 +233,5 @@ def weyl_group_law_residual(state, moved, first, second):
     u0_low = DressingU0(*(jtrunc(x, m, GROUP_LAW_ORDER) for x in (u0.e, u0.einv)),
                         *(x.truncate(GROUP_LAW_ORDER) for x in (u0.mat, u0.inv)))
     s_both = weyl_transform_dressed(state, weyl_matrices(model, z12, zeta1 + zeta2, u0_low))
-    return worst_each(((s12.varpi0 - s_both.varpi0).value_norm(),
-                       (s12.Omega0 - s_both.Omega0).value_norm()))
+    return worst_of(((s12.varpi0 - s_both.varpi0).value_norm(),
+                     (s12.Omega0 - s_both.Omega0).value_norm()))

@@ -12,13 +12,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cartanweyl import checks, jets
+from cartanweyl import checks
 from cartanweyl.cartan import GaugeElement, KleinModel, random_gauge
 from cartanweyl.checks import run_check
 from cartanweyl.cli import main
 from cartanweyl.exprs import compile_expr, eval_jets
 from cartanweyl.forms import MForm, block_matrix
-from cartanweyl.jets import Chart, jmat_inv, jmat_mul, space
+from cartanweyl.jets import Chart, jmat_inv, space
 from cartanweyl.scenarios import Scenario, catalog
 from cartanweyl.tensors import jeinsum
 
@@ -55,21 +55,6 @@ def test_wedge_and_ext_d_act_on_each_point(m, order, p1, q1, p2, q2):
     _same(a.ext_d(), [_point(a, i).ext_d() for i in range(POINTS)])
     # a one-point factor broadcasts against the batch
     _same(_point(a, 0).wedge(b), [_point(a, 0).wedge(_point(b, i)) for i in range(POINTS)])
-
-
-@pytest.mark.parametrize("p1, q1, p2, q2", [(0, 0, 0, 0), (1, 0, 1, 1), (1, 1, 2, 1)])
-def test_products_made_layer_by_layer_are_the_same(p1, q1, p2, q2, monkeypatch):
-    """Past jets.LAYER_BYTES a product makes its table pairs one layer at a
-    time: the same products, summed in the same order."""
-    rng = np.random.default_rng(10 * p1 + q1 + p2 + q2)
-    m, order = 4, 3
-    a = _form(rng, m, (3, 2), p1, q1, order, (POINTS,))
-    b = _form(rng, m, (2, 4), p2, q2, order, (POINTS,))
-    E = rng.normal(size=(POINTS, m, m, space(m, order).size))
-    whole = a.wedge(b).data, jmat_mul(E, E, m)
-    monkeypatch.setattr(jets, "LAYER_BYTES", 0)
-    _same(a.wedge(b), list(whole[0]))
-    _same(jmat_mul(E, E, m), list(whole[1]))
 
 
 @pytest.mark.parametrize("p, q", [(p, q) for p in range(3) for q in range(3)])
@@ -142,16 +127,6 @@ def test_gauge_matrices_draw_and_build_per_point(kind):
         _same(value, [ge.matrices(model, p, 2)[name] for p in pts])
 
 
-def _merged(scn, suite):
-    """Rows of the one-point runs of ``scn``, each with its point_offset."""
-    merged = {}
-    for idx, point in enumerate(scn.points):
-        sub = Scenario.from_dict({**scn.to_dict(), "points": [point], "point_offset": idx})
-        for row in run_check(sub, suite).rows:
-            merged[row.name] = max(merged.get(row.name, 0.0), row.residual)
-    return merged
-
-
 def _generic_m3(count):
     scn = catalog("generic", 3)
     scn.points = _points(3, count, 11)
@@ -159,14 +134,10 @@ def _generic_m3(count):
     return scn
 
 
-def test_twenty_points_merge_and_keep_memory_flat():
-    """20 points run as batches: the rows are the merge of the one-point
-    runs, and the traced peak stays that of an 8-point run (the weyl suite
-    holds the largest batch temporaries)."""
-    scn = _generic_m3(20)
-    full = run_check(scn, "all")
-    assert sorted((r.name, r.residual) for r in full.rows) == sorted(_merged(scn, "all").items())
-
+def test_twenty_points_keep_memory_flat():
+    """20 points run as batches, and the traced peak stays that of an
+    8-point run (the weyl suite holds the largest batch temporaries).
+    tests/test_cli.py checks the rows against the one-point runs."""
     def peak(count):
         s = _generic_m3(count)
         run_check(s, "weyl")         # warm the jet and plan caches

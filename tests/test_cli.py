@@ -93,6 +93,10 @@ SCHWARZSCHILD_8 = [(0.2, 3.7, 1.1, 0.4), (-0.1, 4.6, 1.4, 0.9), (0.05, 3.1, 1.2,
                    (-0.25, 5.9, 1.3, 0.1), (0.3, 4.1, 1.15, -0.2), (0.0, 5.2, 1.35, 0.25),
                    (-0.2, 3.4, 1.25, 0.3), (0.15, 5.5, 1.05, -0.1)]
 
+# twenty generic points: five batches
+GENERIC_20 = [tuple(round(float(x), 6) for x in row)
+              for row in np.random.default_rng(11).uniform(-0.31, 0.31, size=(20, 3))]
+
 
 @pytest.mark.parametrize("name, suite, m, points", [
     pytest.param("generic", "gauge", 3, None, id="generic-gauge"),
@@ -101,6 +105,7 @@ SCHWARZSCHILD_8 = [(0.2, 3.7, 1.1, 0.4), (-0.1, 4.6, 1.4, 0.9), (0.05, 3.1, 1.2,
     pytest.param("torsionful", "all", 5, None, id="torsionful-all-m5"),
     pytest.param("constant-curvature", "all", 4, None, id="constant-curvature-all-m4"),
     pytest.param("ricci-flat-m4", "all", 4, SCHWARZSCHILD_8, id="ricci-flat-m4-all-8-points"),
+    pytest.param("generic", "all", 3, GENERIC_20, id="generic-all-20-points"),
 ])
 def test_parallel_matches_sequential(name, suite, m, points):
     """One-point sub-scenarios with their point_offset merge to the full run,
