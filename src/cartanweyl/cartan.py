@@ -16,9 +16,9 @@ from . import tensors
 from .errors import (AlgebraResidualError, DegenerateVielbeinError, ShapeError)
 from .exprs import compile_expr, eval_jets
 from .forms import (MForm, algebra_residual, block_matrix, eta_t, form_comps, gcomm,
-                    two_form_values)
-from .jets import (Chart, jconst, jcos, jcosh, jmat_inv, jmat_mul, jrecip, jsin, jsinh,
-                   jtrunc, order_of, space)
+                    scale_by_jet, two_form_values)
+from .jets import (Chart, jconst, jcos, jcosh, jmat_inv, jmat_mul, jmul, jrecip, jsin,
+                   jsinh, jtrunc, order_of, space)
 from .reduction import max_abs, worst_of
 
 # largest |x_i| of the catalog sample points; random gauge polynomials are
@@ -281,7 +281,8 @@ def build_normal(vielbein, model, point, order, tol=1e-9):
     each point of a batch (vielbein jets with leading point axes).
 
     Moebius: a = 0, theta = e dx, A the spin connection, alpha the Schouten
-    1-form in frame indices.  Poincare: the torsion-free (A, theta) pair.
+    1-form in frame indices, read off the curvature of A
+    (:func:`schouten_form`).  Poincare: the torsion-free (A, theta) pair.
     """
     m = model.m
     ch = model.chart
@@ -295,13 +296,33 @@ def build_normal(vielbein, model, point, order, tol=1e-9):
     A.data[...] = A_arr
     if model.kind == "poincare":
         return assemble(model, theta=theta, A=A, tol=tol)
-    P = tensors.curvature_bundle(e, ch.signature, m)["P"]  # (mu, nu, C-2)
-    alpha_arr = tensors.jeinsum("mn,na->ma", P, einv, m)  # (mu, a, C-2)
-    kP = order_of(m, alpha_arr)
-    alpha = MForm.zeros(m, (1, m), 1, 0, kP, lead)
+    alpha_arr = schouten_form(A_arr, e, einv, model.eta)  # (mu, a, C-2)
+    alpha = MForm.zeros(m, (1, m), 1, 0, order_of(m, alpha_arr), lead)
     alpha.data[..., 0, :, :, :] = tensors.tr(alpha_arr, 1, 0)  # [a, comp mu]
     a = MForm.zeros(m, (1, 1), 1, 0, order, lead)
     return assemble(model, a=a, alpha=alpha, theta=theta, A=A, tol=tol)
+
+
+def schouten_form(A, e, einv, eta):
+    """The Schouten 1-form alpha[mu, a] = P_mu,nu einv[nu, a] of a vielbein
+    ``e``, from the curvature F = dA + A^2 of its spin connection, the
+    (a, b, mu, C) array ``A``.
+
+    In frame indices Ric_bd = F^a_b,mu,nu einv[mu, a] einv[nu, d], the
+    scalar curvature is R = eta^bd Ric_bd, P_bd = -(Ric_bd - R eta_bd /
+    (2(m-1))) / (m-2), and alpha[mu, a] = e[b, mu] P_ba.  No metric,
+    Christoffel symbol or Riemann tensor enters, so the classical route of
+    :mod:`tensors` stays an independent oracle of it.
+    """
+    m = len(eta)
+    dA = tensors.dstack(A, m, 3)                        # (mu, a, b, nu): d_mu A[a, b, nu]
+    Ak = jtrunc(A, m, order_of(m, dA))
+    half = tensors.tr(dA, 1, 2, 0, 3) + tensors.jeinsum("acm,cbn->abmn", Ak, Ak, m)
+    F = half - tensors.tr(half, 0, 1, 3, 2)             # F[a, b, mu, nu]
+    ric = tensors.jeinsum("bn,nd->bd", tensors.jeinsum("abmn,ma->bn", F, einv, m), einv, m)
+    scal = np.einsum("b,...bbc->...c", eta, ric)
+    P = (ric - np.diag(eta)[..., None] * scal[..., None, None, :] / (2.0 * (m - 1))) / (2.0 - m)
+    return tensors.jeinsum("bm,ba->ma", e, P, m)
 
 
 def normality_residual(curv, e_values, model):
@@ -374,7 +395,13 @@ class GaugeElement:
         each point of a batch (P, m).
 
         z, every so angle and every r entry take one :func:`eval_jets` call;
-        the Poincare model reads only the so angles.
+        the Poincare model reads only the so angles.  gamma = W(z) S gamma_1(r)
+        and its inverse are written block by block,
+          gamma    = [[z, z r, z r r^t / 2], [0, S, S r^t], [0, 0, z^-1]],
+          gamma^-1 = [[z^-1, -r S^-1, z r r^t / 2], [0, S^-1, -z r^t], [0, 0, z]],
+        with r^t = eta r^T and r S^-1 the eta-transpose of S r^t, and a
+        factor the element lacks takes no product.  W, S and gamma_1 come
+        with their inverses as well.
         """
         m = model.m
         ch = model.chart
@@ -389,21 +416,24 @@ class GaugeElement:
         nz, nrot = len(z_entry), len(rotations)
         out = {}
         # Lorentz factor S as raw (..., m, m, C)
-        S = MForm.identity(m, m, order, lead).data[..., 0, :]
+        S = None
         for factor in _so_factors(model, [pair for pair, _ in rotations],
                                   jets[..., nz:nz + nrot, :]):
-            S = jmat_mul(S, factor, m)
+            S = factor if S is None else jmat_mul(S, factor, m)
+        if S is None:
+            S = MForm.identity(m, m, order, lead).data[..., 0, :]
         sig = model.eta
         Sinv = np.einsum("a,...bac,b->...abc", sig, S, sig)  # eta S^T eta
         out["S"] = S
         out["Sinv"] = Sinv
+        lor = slice(*model.bounds(2 if mobius else 1))        # the Lorentz block
+        S_emb = MForm.identity(m, n, order, lead)
+        Sinv_emb = MForm.identity(m, n, order, lead)
+        S_emb.data[..., lor, lor, 0, :] = S
+        Sinv_emb.data[..., lor, lor, 0, :] = Sinv
+        out["S_emb"], out["Sinv_emb"] = S_emb, Sinv_emb
         if not mobius:
-            gamma = MForm.identity(m, n, order, lead)
-            ginv = MForm.identity(m, n, order, lead)
-            gamma.data[..., :m, :m, :, :] = S[..., None, :]
-            ginv.data[..., :m, :m, :, :] = Sinv[..., None, :]
-            out["gamma"], out["gamma_inv"] = gamma, ginv
-            out["S_emb"], out["Sinv_emb"] = gamma, ginv
+            out["gamma"], out["gamma_inv"] = S_emb, Sinv_emb
             return out
         # Weyl factor
         if z_entry:
@@ -412,24 +442,33 @@ class GaugeElement:
                 raise DegenerateVielbeinError("gauge factor z must be positive")
         else:
             z = jconst(1.0, m, order)
+        zinv = jrecip(z, m)
         out["z"] = z
-        W, Winv = weyl_diagonal(z, jrecip(z, m), model, order)
-        S_emb = MForm.identity(m, n, order, lead)
-        S_emb.data[..., 1:m + 1, 1:m + 1, :, :] = S[..., None, :]
-        Sinv_emb = MForm.identity(m, n, order, lead)
-        Sinv_emb.data[..., 1:m + 1, 1:m + 1, :, :] = Sinv[..., None, :]
+        out["W"], out["Winv"] = weyl_diagonal(z, zinv, model, order)
         r_form = MForm.zeros(m, (1, m), 0, 0, order, lead)
         r_form.data[..., 0, :len(r_entries), 0, :] = jets[..., nz + nrot:, :]
         out["r"] = r_form
         g1 = k1_matrix(r_form, model)
-        g1_inv = k1_matrix(r_form.scale(-1.0), model)
-        out["gamma1"], out["gamma1_inv"] = g1, g1_inv
-        out["gamma0"] = W.wedge(S_emb)
-        out["gamma0_inv"] = Sinv_emb.wedge(Winv)
-        out["W"], out["Winv"] = W, Winv
-        out["S_emb"], out["Sinv_emb"] = S_emb, Sinv_emb
-        out["gamma"] = out["gamma0"].wedge(g1)
-        out["gamma_inv"] = g1_inv.wedge(out["gamma0_inv"])
+        out["gamma1"], out["gamma1_inv"] = g1, k1_matrix(r_form.scale(-1.0), model)
+        gamma, ginv = S_emb.copy(), Sinv_emb.copy()
+        gamma.data[..., 0, 0, 0, :] = ginv.data[..., n - 1, n - 1, 0, :] = z
+        gamma.data[..., n - 1, n - 1, 0, :] = ginv.data[..., 0, 0, 0, :] = zinv
+        if r_entries:
+            # z r, z r r^t / 2 and S r^t; -z r^t and -r S^-1 are their
+            # eta-transposes
+            r, rt, rr = (model.block(g1, *ij) for ij in ((1, 2), (2, 3), (1, 3)))
+            if z_entry:
+                r, rr = scale_by_jet(r, z), scale_by_jet(rr, z)
+            if rotations:
+                rt = MForm.of_jets(m, jmat_mul(S, rt.data[..., 0, :], m))
+            one, mid, last = (model.bounds(i) for i in (1, 2, 3))
+            gamma.set_block(one, mid, r)
+            gamma.set_block(one, last, rr)
+            gamma.set_block(mid, last, rt)
+            ginv.set_block(one, mid, -eta_t(rt, sig))
+            ginv.set_block(one, last, rr)
+            ginv.set_block(mid, last, -eta_t(r, sig))
+        out["gamma"], out["gamma_inv"] = gamma, ginv
         return out
 
 
@@ -444,18 +483,15 @@ def weyl_diagonal(z, zinv, model, order):
 
 
 def k1_matrix(r, model):
-    """Unipotent K1-type matrix [[1, r, r r^t / 2], [0, 1, r^t], [0, 0, 1]]."""
-    m = model.m
-    eta = model.eta
-    rt = eta_t(r, eta)
-    rrt = r.wedge(rt).scale(0.5)
-    one = MForm.identity(m, 1, r.order)
-    eye_m = MForm.identity(m, m, r.order)
-    return block_matrix(
-        [[one, r, rrt],
-         [None, eye_m, rt],
-         [None, None, one]],
-        m, 0, 0, r.order)
+    """Unipotent K1-type matrix [[1, r, r r^t / 2], [0, 1, r^t], [0, 0, 1]]
+    of a (1, m) 0-form r, its three blocks written in place."""
+    m, n = model.m, model.n
+    out = MForm.identity(m, n, r.order, r.lead)
+    rt = eta_t(r, model.eta)
+    out.set_block((0, 1), (1, m + 1), r)
+    out.set_block((1, m + 1), (n - 1, n), rt)
+    out.data[..., 0:1, n - 1:n, 0, :] = 0.5 * jmat_mul(r.data[..., 0, :], rt.data[..., 0, :], m)
+    return out
 
 
 def random_polynomial(rng, m, degree=2, scale=1.0, radius=SAMPLE_BOX):

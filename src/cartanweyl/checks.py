@@ -288,9 +288,22 @@ class PointContext:
         return rngs if self.batched else rngs[0]
 
 
+def transform_routes(conn, routes):
+    """``conn`` moved by each (gamma, gamma_inv) pair of ``routes``, as one
+    :func:`gauge_transform` over a leading route axis in front of any point
+    axes; ``point_of(out, i)`` is route i.  Every pair has one order."""
+    def stacked(forms):
+        f = forms[0]
+        return MForm(f.m, f.shape, f.p, f.q, f.order, np.stack([x.data for x in forms]))
+
+    gammas, ginvs = zip(*routes)
+    return gauge_transform(conn, stacked(gammas), stacked(ginvs))
+
+
 def point_of(x, slot):
-    """Point ``slot`` of a batched piece: arrays and forms lose their
-    leading point axis, containers are sliced entry by entry."""
+    """Point ``slot`` of a batched piece, or route ``slot`` of a
+    :func:`transform_routes` result: arrays and forms lose their leading
+    axis, containers are sliced entry by entry."""
     if isinstance(x, np.ndarray):
         return x[slot]
     if isinstance(x, MForm):
@@ -325,30 +338,27 @@ def gauge_suite(ctx):
         conn = conn.truncate(ROUTE_ORDER)
         k = ROUTE_ORDER + 1
         rng = ctx.rng()
-        ge = random_gauge(model, rng, point=point)
-        mats = ge.matrices(model, point, k)
-        conn_g = gauge_transform(conn, mats["gamma"], mats["gamma_inv"])
-        curv_g = curvature(conn_g)
-        conj = conjugate(Om, mats["gamma"], mats["gamma_inv"])
-        res["curvature_equivariance"] = (curv_g.omega2 - conj).value_norm()
-        # right action on a random pair
-        g2 = random_gauge(model, rng, point=point)
-        m2 = g2.matrices(model, point, k)
-        lhs = gauge_transform(conn_g, m2["gamma"], m2["gamma_inv"])
+        mats = random_gauge(model, rng, point=point).matrices(model, point, k)
+        m2 = random_gauge(model, rng, point=point).matrices(model, point, k)
         g12 = mats["gamma"].wedge(m2["gamma"])
         g12i = m2["gamma_inv"].wedge(mats["gamma_inv"])
-        rhs = gauge_transform(conn, g12, g12i)
-        res["right_action"] = (lhs.omega - rhs.omega).value_norm()
         # unipotent factor: a -> a - r theta; Weyl factor: theta -> z theta
         r_ge = GaugeElement(r=_parsed_list(scn, [f"x{i}/3 + 1/{4 + i}"
                                                  for i in range(model.m)]))
         m1 = r_ge.matrices(model, point, k)
-        c1 = gauge_transform(conn, m1["gamma1"], m1["gamma1_inv"])
+        mw = GaugeElement(z=scn.parsed("1 + x0/4")).matrices(model, point, k)
+        routes = transform_routes(conn, [(mats["gamma"], mats["gamma_inv"]), (g12, g12i),
+                                         (m1["gamma1"], m1["gamma1_inv"]),
+                                         (mw["W"], mw["Winv"])])
+        conn_g, rhs, c1, cw = (point_of(routes, i) for i in range(4))
+        curv_g = curvature(conn_g)
+        conj = conjugate(Om, mats["gamma"], mats["gamma_inv"])
+        res["curvature_equivariance"] = (curv_g.omega2 - conj).value_norm()
+        # right action on a random pair
+        lhs = gauge_transform(conn_g, m2["gamma"], m2["gamma_inv"])
+        res["right_action"] = (lhs.omega - rhs.omega).value_norm()
         rth = m1["r"].wedge(conn.theta())
         res["unipotent_trace_shift"] = (c1.a() - (conn.a() - rth)).value_norm()
-        z_ge = GaugeElement(z=scn.parsed("1 + x0/4"))
-        mw = z_ge.matrices(model, point, k)
-        cw = gauge_transform(conn, mw["W"], mw["Winv"])
         zth = scale_by_jet(conn.theta(), mw["z"])
         res["weyl_soldering_scale"] = (cw.theta() - zth).value_norm()
     if scn.normal and not scn.gauge:
@@ -371,27 +381,33 @@ def dressing_suite(ctx):
     rng = ctx.rng()
     res = dict(fields.diagnostics)
     res["single_step"] = fields.single_step_residual
-    # invariance under the erased sectors, same composite output
+    # invariance under the erased sectors, same composite output.  The
+    # unipotent element's gamma is its gamma_1 and the Lorentz one's its
+    # S_emb, so the connection is moved once by each, and both routes are
+    # dressed together
     low = conn.truncate(ROUTE_ORDER)
     k = ROUTE_ORDER + 1
     mats1 = random_gauge(model, rng, with_z=False, with_s=False,
                          point=point).matrices(model, point, k)
     matsS = random_gauge(model, rng, with_z=False, with_r=False,
                          point=point).matrices(model, point, k)
-    for tag, mats in (("k1", mats1), ("so", matsS)):
-        _, _, varpi0_g, Omega0_g = dress(gauge_transform(low, mats["gamma"],
-                                                         mats["gamma_inv"]))
+    routes = transform_routes(low, [(mats1["gamma"], mats1["gamma_inv"]),
+                                    (matsS["gamma"], matsS["gamma_inv"])])
+    dressed = dress(routes)
+    (_, _, varpi0_1, Omega0_1), (varpi1_S, Omega1_S, varpi0_S, Omega0_S) = (
+        point_of(dressed, i) for i in range(2))
+    for tag, varpi0_g, Omega0_g in (("k1", varpi0_1, Omega0_1), ("so", varpi0_S, Omega0_S)):
         res[f"invariance_{tag}_varpi0"] = (fields.varpi0 - varpi0_g).value_norm()
         res[f"invariance_{tag}_Omega0"] = (fields.Omega0 - Omega0_g).value_norm()
     # midpoint equivariance: varpi1^S = S^-1 varpi1 S + S^-1 dS
     S, Sinv = matsS["S_emb"], matsS["Sinv_emb"]
-    varpi1_S, Omega1_S, _, _ = dress(gauge_transform(low, S, Sinv))
     expect = conjugate(fields.varpi1, S, Sinv, connection=True)
     res["equivariance_varpi1_S"] = (varpi1_S - expect).value_norm()
     expectO = conjugate(fields.Omega1, S, Sinv)
     res["equivariance_Omega1_S"] = (Omega1_S - expectO).value_norm()
-    # compatibility conditions
-    comp = compatibility_residuals(low, jtrunc(e_full, model.m, k), mats1, matsS, model)
+    # compatibility conditions, on the same two routes
+    comp = compatibility_residuals(low, jtrunc(e_full, model.m, k), point_of(routes, 0), mats1,
+                                   point_of(routes, 1), matsS, model)
     res.update({f"compat_{k}": v for k, v in comp.items()})
     # tensors against the classical oracle, whose rows read values only
     B = tensors.classical_bundle(jtrunc(e_full, model.m, ORACLE_JET_ORDER),

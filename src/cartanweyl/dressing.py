@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cartan import (KleinModel, conjugate, curvature, curvature_form, gauge_transform,
-                     k1_matrix)
+from .cartan import KleinModel, conjugate, curvature, curvature_form, k1_matrix
 from .errors import ShapeError
 from .forms import MForm, block_matrix, two_form_values
 from .jets import jmat_inv, jtrunc, order_of
@@ -215,12 +214,14 @@ def dressed_normality(fields):
     return max_abs(fields.T, 3), max_abs(ric, 2), max_abs(fields.f0, 2)
 
 
-def compatibility_residuals(conn, e, m1, mS, model):
+def compatibility_residuals(conn, e, conn_g1, m1, conn_S, mS, model):
     """Defects of the four dressing compatibility laws.
 
     ``m1`` and ``mS`` are the ``GaugeElement.matrices`` of a unipotent and a
-    Lorentz gauge element at the point.  Re-extracts the dressings from the
-    gauge-transformed connection and compares with the closed-form actions:
+    Lorentz gauge element at the point, and ``conn_g1`` and ``conn_S`` the
+    connection ``conn`` moved by their gamma_1 and S.  Re-extracts the
+    dressings from the moved connections and compares with the closed-form
+    actions:
       u1^{gamma1} = gamma1^-1 u1,  u1^S = S^-1 u1 S,
       u0^S = S^-1 u0,              u0^{gamma1} = u0.
     """
@@ -229,16 +230,13 @@ def compatibility_residuals(conn, e, m1, mS, model):
     u1 = extract_u1(conn, u0.einv)
     out = {}
     # gamma1 action: the soldering block, so e, is untouched
-    conn_g1 = gauge_transform(conn, m1["gamma1"], m1["gamma1_inv"])
     u1_g1 = extract_u1(conn_g1, u0.einv)
     expect = m1["gamma1_inv"].wedge(u1.mat)
     out["u1_gamma1"] = (u1_g1.mat - expect).value_norm()
     u0_g1 = u0_from_vielbein(vielbein_of(conn_g1), model)
     out["u0_gamma1"] = (u0_g1.mat - u0.mat).value_norm()
     # S action: the vielbein rotates, e^S = S^-1 e
-    S, Sinv = mS["S"], mS["Sinv"]
-    eS = jeinsum("ab,bm->am", Sinv, e, m)
-    conn_S = gauge_transform(conn, mS["S_emb"], mS["Sinv_emb"])
+    eS = jeinsum("ab,bm->am", mS["Sinv"], e, m)
     u0_S = u0_from_vielbein(eS, model)
     u1_S = extract_u1(conn_S, u0_S.einv)
     expect = conjugate(u1.mat, mS["S_emb"], mS["Sinv_emb"])

@@ -1,7 +1,9 @@
 """Classical coordinate tensor calculus over jet coefficients.
 
 Independent oracle route: everything here is computed from the metric by the
-textbook index formulas, never through the Cartan-connection machinery.  All
+textbook index formulas, never through the Cartan-connection machinery,
+and the engine reads none of its curvature chain: ``build_normal`` takes
+its Schouten block from the spin connection (``cartan.schouten_form``).  All
 arrays carry jet coefficients on the trailing axis; the jet order drops by
 one per derivative taken.  Any axes in front of a tensor's indices run over
 sample points, and every function acts on each point alone.

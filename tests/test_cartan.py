@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import gauge_oracle
 from cartanweyl import forms, tensors
 from cartanweyl.cartan import (SAMPLE_BOX, GaugeElement, KleinModel, VielbeinField,
                                assemble, build_normal, conjugate, covariant_d, curvature,
-                               gauge_transform, normality_residual, random_gauge,
+                               gauge_transform, k1_matrix, normality_residual, random_gauge,
                                spin_connection)
 from cartanweyl.checks import deformed_connection, run_check
 from cartanweyl.errors import AlgebraResidualError, DegenerateVielbeinError
@@ -412,3 +413,69 @@ def test_gauge_suite_on_far_schwarzschild_point(seed, offset, point):
     scn = catalog("ricci-flat-m4", 4)
     scn.points, scn.seed, scn.point_offset = [point], seed, offset
     assert run_check(scn, "gauge").passed
+
+
+# the factors each element of the gauge-matrix oracle test carries
+_FACTORS = {"z": (True, False, False), "S": (False, True, False),
+            "r": (False, False, True), "full": (True, True, True)}
+
+
+@pytest.mark.parametrize("factors", sorted(_FACTORS))
+@pytest.mark.parametrize("batch", [False, True])
+def test_gauge_matrices_by_blocks_match_the_product_route(factors, batch):
+    """gamma, gamma^-1 and gamma_1^{+-1} written block by block equal W S
+    gamma_1 and its inverse as products of dense wedges (tests/gauge_oracle.py)
+    to rounding, at one point and at a batch of three, and gamma gamma^-1 = 1."""
+    model = KleinModel("mobius", Chart(4, signature=(1, -1, -1, -1)))
+    points = [(0.21, -0.13, 0.3, 0.05), (-0.3, 0.27, -0.08, 0.19), (0.02, 0.1, -0.25, -0.31)]
+    with_z, with_s, with_r = _FACTORS[factors]
+    if batch:
+        rng, point = [np.random.default_rng(s) for s in range(3)], points
+    else:
+        rng, point = np.random.default_rng(7), points[0]
+    ge = random_gauge(model, rng, with_z=with_z, with_s=with_s, with_r=with_r, point=point)
+    mats = ge.matrices(model, point, 3)
+    assert mats["gamma"].lead == ((3,) if batch else ())
+    want = gauge_oracle.gauge_matrices(model, mats["z"], mats["S"], mats["Sinv"], mats["r"])
+    for name, ref in zip(("gamma", "gamma_inv", "gamma1", "gamma1_inv"), want):
+        got = mats[name]
+        assert got.shape == ref.shape and got.order == ref.order
+        assert np.all((got - ref).full_norm() <= 1e-14 * ref.full_norm()), name
+    assert np.all((gauge_oracle.k1_matrix(mats["r"], model)
+                   - k1_matrix(mats["r"], model)).full_norm() <= 1e-15)
+    # a lacking factor takes no product: the dressing suite's routes rely on it
+    same = {"r": ("gamma1", "gamma1_inv"), "S": ("S_emb", "Sinv_emb")}.get(factors, ())
+    for got, want in zip(("gamma", "gamma_inv"), same):
+        assert np.array_equal(mats[got].data, mats[want].data)
+    eye = MForm.identity(4, 6, 3)
+    for a, b in (("gamma", "gamma_inv"), ("gamma1", "gamma1_inv")):
+        assert np.all((mats[a].wedge(mats[b]) - eye).full_norm() < 1e-13)
+
+
+@pytest.mark.parametrize("name, m", [("generic", 3), ("generic", 5), ("torsionful", 4),
+                                     ("constant-curvature", 4), ("ricci-flat-m4", 4),
+                                     ("conformally-flat", 3)])
+def test_alpha_of_build_normal_is_the_schouten_tensor_of_the_metric(name, m):
+    """alpha, read off the curvature of the spin connection, equals P e^-1
+    with P from the metric route of tensors.curvature_bundle to rounding,
+    in every jet coefficient and at every point of the catalog."""
+    scn = catalog(name, m)
+    model = KleinModel(scn.model, scn.chart)
+    e = VielbeinField(scn.chart, scn.vielbein).jets_at(scn.points, 5)
+    got = build_normal(e, model, scn.points, 5).alpha().data[..., 0, :, :, :]  # (P, a, mu, C)
+    P = tensors.curvature_bundle(e, scn.signature, m)["P"]
+    want = tensors.tr(tensors.jeinsum("mn,na->ma", P, jmat_inv(e, m), m), 1, 0)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+def test_build_normal_calls_no_classical_curvature(mobius3, vielbein3, monkeypatch):
+    """The Schouten block comes from the Cartan route alone, so the metric
+    route stays an independent oracle."""
+    def refused(*args, **kwargs):
+        raise AssertionError("build_normal called the classical curvature route")
+
+    for name in ("curvature_bundle", "ricci_scalar", "schouten_from_ricci"):
+        monkeypatch.setattr(tensors, name, refused)
+    conn = build_normal(vielbein3, mobius3, POINT3, K)
+    assert conn.alpha().full_norm() > 0.0

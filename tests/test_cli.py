@@ -200,6 +200,32 @@ def test_each_gauge_is_built_once_per_point(suite, builds, monkeypatch):
     assert len(calls) == builds
 
 
+@pytest.mark.parametrize("suite, routes", [("gauge", 4), ("dressing", 2)])
+def test_each_suite_moves_its_connection_once_per_gauge_element(suite, routes, monkeypatch):
+    """The gauge suite's routes (gamma, gamma gamma_2, gamma_1, W) and the
+    dressing suite's (gamma_1, S) are one stacked transform per batch; the
+    only other transforms are the scramble and the gauge suite's second
+    step of the right action."""
+    stacks, calls = [], []
+    transform_routes, gauge_transform = checks.transform_routes, checks.gauge_transform
+
+    def stacked(conn, pairs):
+        stacks.append(len(pairs))
+        return transform_routes(conn, pairs)
+
+    def counted(*args):
+        calls.append(1)
+        return gauge_transform(*args)
+
+    monkeypatch.setattr(checks, "transform_routes", stacked)
+    monkeypatch.setattr(checks, "gauge_transform", counted)
+    scn = catalog("generic", 3)
+    assert len(scn.points) > 1 and scn.gauge
+    assert run_check(scn, suite).passed
+    assert stacks == [routes]
+    assert len(calls) == (3 if suite == "gauge" else 2)
+
+
 def test_weyl_suite_evaluates_each_element_once_per_point(monkeypatch):
     """The scenario's Weyl element and the group law's second element: the
     group law reuses the (z, zeta) the suite already has."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cartanweyl import checks, dressing
+from cartanweyl import checks, tensors
 from cartanweyl.cartan import (GaugeElement, KleinModel, VielbeinField, build_normal,
                                conjugate, gauge_transform, random_gauge)
 from cartanweyl.dressing import (compatibility_residuals,
@@ -146,7 +146,7 @@ def test_compatibility_residuals_identity(mobius3, vielbein3):
     conn = build_normal(vielbein3, mobius3, POINT3, K)
     e = vielbein3.jets_at(POINT3, K)
     identity = GaugeElement().matrices(mobius3, POINT3, K)
-    out = compatibility_residuals(conn, e, identity, identity, mobius3)
+    out = compatibility_residuals(conn, e, conn, identity, conn, identity, mobius3)
     assert all(v < 1e-13 for v in out.values())
 
 
@@ -155,36 +155,55 @@ def test_compatibility_residuals_random(mobius3, vielbein3, rng):
     e = vielbein3.jets_at(POINT3, K)
     g1 = random_gauge(mobius3, rng, with_z=False, with_s=False)
     gS = random_gauge(mobius3, rng, with_z=False, with_r=False)
-    out = compatibility_residuals(conn, e, g1.matrices(mobius3, POINT3, K),
-                                  gS.matrices(mobius3, POINT3, K), mobius3)
+    m1, mS = g1.matrices(mobius3, POINT3, K), gS.matrices(mobius3, POINT3, K)
+    conn_g1 = gauge_transform(conn, m1["gamma1"], m1["gamma1_inv"])
+    conn_S = gauge_transform(conn, mS["S_emb"], mS["Sinv_emb"])
+    out = compatibility_residuals(conn, e, conn_g1, m1, conn_S, mS, mobius3)
     assert all(v < 1e-11 for v in out.values()), out
 
 
 def test_compat_u0_gamma1_fails_when_gamma1_moves_the_soldering_block(monkeypatch):
     """u0^{gamma1} is read off the gamma1-transformed connection, so a gamma1
-    action that scales its theta block fails the row (it passes clean)."""
-    def moved_theta(conn, e, m1, mS, model):
-        orig = dressing.gauge_transform
+    action that scales its theta block fails the row (it passes clean).  The
+    dressing suite moves its connection by gamma1 once, as route 0 of its
+    shared transform, and the compatibility rows read that route."""
+    orig = checks.transform_routes
 
-        def transform(c, g, ginv):
-            out = orig(c, g, ginv)
-            if g is m1["gamma1"]:
-                rows, cols = model.bounds(2), model.bounds(1)
-                out.omega.set_block(rows, cols, out.omega.block(rows, cols).scale(1 + 1e-6))
-            return out
-
-        with monkeypatch.context() as mp:
-            mp.setattr(dressing, "gauge_transform", transform)
-            return compatibility_residuals(conn, e, m1, mS, model)
+    def moved_theta(conn, routes):
+        out = orig(conn, routes)
+        g1 = routes[0][0]
+        model = out.model
+        rows, cols = model.bounds(2), model.bounds(1)
+        # route 0 is the unipotent element: the identity on the diagonal
+        assert (g1.data[..., rows[0]:rows[1], rows[0]:rows[1], 0, :]
+                == MForm.identity(g1.m, model.m, g1.order).data[..., 0, :]).all()
+        theta = out.omega.data[0, ..., rows[0]:rows[1], cols[0]:cols[1], :, :]
+        theta *= 1 + 1e-6
+        return out
 
     scn = catalog("generic", 3)
     scn.points = scn.points[:1]
     row = "dressing/compat_u0_gamma1"
     clean = {r.name: r for r in checks.run_check(scn, "dressing").rows}
     assert clean[row].passed
-    monkeypatch.setattr(checks, "compatibility_residuals", moved_theta)
+    monkeypatch.setattr(checks, "transform_routes", moved_theta)
     bad = {r.name: r for r in checks.run_check(scn, "dressing").rows}
     assert not bad[row].passed and bad[row].residual > 1e-7
+
+
+@pytest.mark.parametrize("name", ["constant-curvature", "ricci-flat-m4", "generic"])
+def test_a_schouten_defect_of_the_oracle_fails_the_oracle_rows(name, monkeypatch):
+    """build_normal reads P off the curvature of the spin connection, not off
+    the classical route, so a 1e-6 defect planted in the oracle's Schouten
+    tensor shows in the rows that compare the two."""
+    scn = catalog(name, 4)
+    rows = ("dressing/oracle_P", "dressing/oracle_C", "dressing/oracle_W")
+    clean = {r.name: r for r in checks.run_check(scn, "dressing").rows}
+    assert all(clean[r].passed for r in rows)
+    orig = tensors.schouten_from_ricci
+    monkeypatch.setattr(tensors, "schouten_from_ricci", lambda *args: orig(*args) + 1e-6)
+    bad = {r.name: r for r in checks.run_check(scn, "dressing").rows}
+    assert not any(bad[r].passed for r in rows), {r: bad[r].residual for r in rows}
 
 
 def test_q_reextraction_after_S(mobius3, vielbein3, rng):
