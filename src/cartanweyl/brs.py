@@ -13,7 +13,10 @@ Grassmann generator, scaled by the scenario coefficient function; this keeps
 products like eps * d(eps) nonzero, which the reduced Weyl algebra requires.
 Each such generator is projected onto the GHOST_POOL shared generators of
 :mod:`cartanweyl.forms` with seeded weights, a homomorphism of Grassmann
-algebras, so every identity is checked on its image in the small pool.
+algebras, so every identity is checked on its image in the small pool.  A
+ghost field is thus one dense (..., GHOST_POOL, C) array, a jet on each
+pool generator at each point of a batch, and the BRS classes build their
+terms once for all the points of a batch.
 
 Sector variations of the ghosts (with h' = Lorentz + inversions, p = Weyl):
   s_W eps = 0            s_W v_L = 0          s_W iota = -eps iota
@@ -27,6 +30,7 @@ sector-split nilpotency checks need.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,12 +42,11 @@ import numpy as np
 from .cartan import covariant_d, curvature_form
 from .dressing import extract_u1
 from .errors import ShapeError
-from .exprs import Const, compile_expr, eval_jet, eval_jets
+from .exprs import Const, compile_expr, eval_jets
 from .forms import GHOST_POOL, MForm, block_matrix, eta_t, form_comps, gcomm, ghost_monos
-from .grassmann import GradedScalar
-from .jets import Jet, jder, jmat_inv, jtrunc
-from .reduction import worst_of
-from .tensors import metric_from_vielbein
+from .jets import jder, jmat_inv, jtrunc
+from .reduction import max_abs, worst_of
+from .tensors import dstack, metric_from_vielbein
 
 SECTORS = ("W", "L", "i")
 FULL = inf      # the need of a read that keeps every jet order a node has
@@ -297,6 +300,34 @@ def neg(t):
     return Sum([t], [-1.0])
 
 
+class _TermOwner:
+    """A BRS object as a context manager.  Its term graph is cyclic: a leaf
+    holds its s-images, which hold the leaf, and the s-images a node caches
+    in ``_s`` can reach the node again through the composite ghosts.  Leaving
+    the block empties them on the object's terms and every node its cache
+    holds, and drops the cache, so the graph and its leaf values (a batch's
+    connection, ghosts and vielbein jets) are freed at once, not at the
+    cycle collector's next full pass.  Afterwards ``ev`` raises, and so does
+    the s-image of a leaf, which would otherwise read as zero."""
+
+    def ev(self, term, need=FULL):
+        if self.cache is None:
+            raise RuntimeError(f"{type(self).__name__} read after its block was left")
+        return term.ev(self.cache, need)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for t in [*self.cache, *vars(self).values()]:
+            if isinstance(t, Term):
+                t._s = {}
+            if isinstance(t, Leaf):
+                t.images = None
+        self.cache = None
+        return False
+
+
 # ---------------------------------------------------------------------------
 # ghost assignment and the conformal BRS scenario
 # ---------------------------------------------------------------------------
@@ -333,41 +364,52 @@ def _pool_weights(seed, name, size, keep_body=False):
     return r
 
 
-def _ghost_jets(exprs, names, chart, point, order, seed, keep_body=False):
-    """Odd fields of the named coefficient functions, one eval_jets call.
+def _ghost_fields(exprs, names, chart, point, order, seeds, keep_body=False):
+    """Dense odd fields (..., GHOST_POOL, C) of the named coefficient
+    functions, one eval_jets call for them all.
 
     The field of f is sum_beta theta_beta c_beta (unit jet at beta) with
     c_beta = d^beta f / beta!: one generator per Taylor coefficient, so
     products like eps * d(eps) stay nonzero.  Each theta_beta is sent to
     sum_j r_beta,j eta_j over the shared generators eta_j, which leaves the
-    jet sum_beta r_beta,j c_beta (unit jet at beta) on eta_j.
+    jet sum_beta r_beta,j c_beta (unit jet at beta) on eta_j: row j of the
+    field.  ``seeds`` holds one seed per point, in the order of the point
+    axes; a lone point without a point axis takes one.
     """
     coeffs = eval_jets([compile_expr(x) for x in exprs], chart, point, order)
+    lead, size = coeffs.shape[:-2], coeffs.shape[-1]
+    if len(seeds) != math.prod(lead):
+        raise ShapeError(f"{len(seeds)} ghost seeds for {math.prod(lead)} points")
     out = []
-    for c, name in zip(coeffs, names):
-        jets = c[:, None] * _pool_weights(seed, name, c.size, keep_body)
-        out.append(GradedScalar({g: Jet(chart.m, jets[:, j].copy())
-                                 for j, g in enumerate(ghost_monos(1)) if jets[:, j].any()}))
+    for k, name in enumerate(names):
+        w = np.stack([_pool_weights(s, name, size, keep_body) for s in seeds])
+        out.append((coeffs[..., k, :, None] * w.reshape(lead + w.shape[1:])).swapaxes(-1, -2))
     return out
 
 
-def _d(g, nu):
-    """Derivative along x^nu of a ghost-valued jet."""
-    return g.map(lambda c: c.derivative(nu))
+def _ghost_form(m, shape, order, entries):
+    """(shape) ghost 0-form with the dense field ``entries[i, j]`` at entry
+    (i, j) and zeros elsewhere."""
+    lead = next(iter(entries.values())).shape[:-2]
+    out = MForm.zeros(m, shape, 0, 1, order, lead)
+    for (i, j), field in entries.items():
+        out.data[..., i, j, :, :] = field
+    return out
 
 
-def _lorentz_ghost(jets, m, order, eta):
+def _deps_form(eps, m, order):
+    """The (1, m) ghost row d_mu eps of the dense field ``eps``."""
+    return _ghost_form(m, (1, m), order - 1, {(0, mu): jder(eps, m, mu) for mu in range(m)})
+
+
+def _lorentz_ghost(fields, m, order, eta):
     """so(eta)-valued Lorentz ghost: sum of the (a, b) ghost field times G_ab."""
     entries = {}
-    for (a, b), jet in zip(form_comps(m, 2), jets):
+    for (a, b), field in zip(form_comps(m, 2), fields):
         # (G_ab)^i_j = delta^i_a eta_bj - delta^i_b eta_aj
-        entries[a, b, 0] = jet * float(eta[b])
-        entries[b, a, 0] = jet * float(-eta[a])
-    return MForm.from_entries(m, (m, m), 0, 1, order, entries)
-
-
-def _ghost_scalar_mform(jet, m, order):
-    return MForm.from_entries(m, (1, 1), 0, 1, order, {(0, 0, 0): jet})
+        entries[a, b] = field * float(eta[b])
+        entries[b, a] = field * float(-eta[a])
+    return _ghost_form(m, (m, m), order, entries)
 
 
 def _composite_ghost(u, uinv, v, su):
@@ -391,14 +433,14 @@ def _dressed_pair(w, F, u, uinv):
             Prod(uinv, Prod(F, u)))
 
 
-def _lorentz_leaves(jets, e, model, order):
+def _lorentz_leaves(fields, e, model, order):
     """The Lorentz ghost, vielbein and inverse-vielbein leaves with their
     Lorentz images, plus the inverse vielbein jets.
 
     s_L v_L = -v_L^2, s_L e = -v_L e and s_L e^-1 = e^-1 v_L.
     """
     m = model.m
-    vl = leaf("vl", _lorentz_ghost(jets, m, order, model.eta), q=1)
+    vl = leaf("vl", _lorentz_ghost(fields, m, order, model.eta), q=1)
     vl.register("L", neg(Prod(vl, vl)))
     einv = jmat_inv(e, m)
     L_e, L_einv = leaf("e", MForm.of_jets(m, e)), leaf("einv", MForm.of_jets(m, einv))
@@ -407,18 +449,19 @@ def _lorentz_leaves(jets, e, model, order):
     return vl, L_e, L_einv, einv
 
 
-class ConformalBRS:
-    """Terms, leaves and ghost data for one Moebius scenario point.
+class ConformalBRS(_TermOwner):
+    """Terms, leaves and ghost data of a Moebius scenario at the points of a
+    batch, whose axis ``conn`` and ``e`` carry (or at one point, without it).
 
-    ``cache`` is the one term-DAG evaluation context of the point: every
-    evaluation through this object reads and fills it, so each node, the
-    composite ghosts included, is evaluated once however many checks use it,
-    and again only when a check needs it to a higher order.  ``seed`` and
-    ``keep_body`` select the projection weights of the ghosts (see
-    :func:`_pool_weights`); ``keep_body`` is for readers of the body.
+    ``cache`` is the one term-DAG evaluation context: every evaluation
+    through this object reads and fills it, so each node, the composite
+    ghosts included, is evaluated once however many checks use it, and again
+    only when a check needs it to a higher order.  ``seeds`` (one per point)
+    and ``keep_body`` select the projection weights of the ghosts (see
+    :func:`_pool_weights`).
     """
 
-    def __init__(self, conn, e, ghost_spec, point, seed=0, keep_body=False):
+    def __init__(self, conn, e, ghost_spec, point, seeds=(0,), keep_body=False):
         from .dressing import vielbein_of
         model = conn.model
         if model.kind != "mobius":
@@ -426,7 +469,6 @@ class ConformalBRS:
         self.model = model
         self.chart = model.chart
         m = self.m = model.m
-        self.point = tuple(point)
         self.e = vielbein_of(conn) if e is None else e
         self.order = conn.order
         self.ghost_order = max(self.order, 2)
@@ -439,46 +481,34 @@ class ConformalBRS:
         pairs = form_comps(m, 2)
         names = (["eps"] + [f"iota{a}" for a in range(len(iota))]
                  + [f"vl{a}{b}" for a, b in pairs])
-        self.seed, self.keep_body = seed, keep_body
-        jets = _ghost_jets([gs.eps] + iota + list(gs.lorentz or ["1"] * len(pairs)),
-                           names, self.chart, point, self.ghost_order, seed, keep_body)
-        self.eps_jet, self.iota_jets = jets[0], jets[1:len(iota) + 1]
-        self._build_leaves(conn, jets[len(iota) + 1:])
+        self.seeds, self.keep_body = seeds, keep_body
+        fields = _ghost_fields([gs.eps] + iota + list(gs.lorentz or ["1"] * len(pairs)),
+                               names, self.chart, point, self.ghost_order, seeds, keep_body)
+        # the dense fields, each (..., GHOST_POOL, C)
+        self.eps_jet, self.iota_jets = fields[0], fields[1:len(iota) + 1]
+        self._build_leaves(conn, fields[len(iota) + 1:])
         self._register_images()
         self._build_composites()
-
-    # -- ghost matrices ------------------------------------------------------
-
-    def _eps_mform(self):
-        return _ghost_scalar_mform(self.eps_jet, self.m, self.ghost_order)
-
-    def _deps_mform(self):
-        m = self.m
-        return MForm.from_entries(m, (1, m), 0, 1, self.ghost_order - 1,
-                                  {(0, mu, 0): _d(self.eps_jet, mu) for mu in range(m)})
-
-    def _iota_mform(self):
-        m = self.m
-        return MForm.from_entries(m, (1, m), 0, 1, self.ghost_order,
-                                  {(0, a, 0): g for a, g in enumerate(self.iota_jets)})
 
     def eps_eye(self, n, rows=None):
         """(n, n) ghost matrix of eps on the diagonal ``rows`` (all by default);
         on rows 1..m of the Moebius size it is the s_W u0 = (eps 1) u0 factor."""
         rows = range(n) if rows is None else rows
-        return MForm.from_entries(self.m, (n, n), 0, 1, self.ghost_order,
-                                  {(i, i, 0): self.eps_jet for i in rows})
+        return _ghost_form(self.m, (n, n), self.ghost_order,
+                           {(i, i): self.eps_jet for i in rows})
 
     # -- leaves and images -----------------------------------------------------
 
-    def _build_leaves(self, conn, vl_jets):
+    def _build_leaves(self, conn, vl_fields):
+        m, order = self.m, self.ghost_order
         self.L_varpi = leaf("varpi", conn.omega, p=1, q=0)
-        self.L_eps = leaf("eps", self._eps_mform(), q=1)
-        self.L_deps = leaf("deps", self._deps_mform(), q=1)
-        self.L_iota = leaf("iota", self._iota_mform(), q=1)
-        self.L_epsI_m = leaf("eps_eye_m", self.eps_eye(self.m), q=1)
+        self.L_eps = leaf("eps", _ghost_form(m, (1, 1), order, {(0, 0): self.eps_jet}), q=1)
+        self.L_deps = leaf("deps", _deps_form(self.eps_jet, m, order), q=1)
+        iota = {(0, a): f for a, f in enumerate(self.iota_jets)}
+        self.L_iota = leaf("iota", _ghost_form(m, (1, m), order, iota), q=1)
+        self.L_epsI_m = leaf("eps_eye_m", self.eps_eye(m), q=1)
         self.L_vl, self.L_e, self.L_einv, self.einv = _lorentz_leaves(
-            vl_jets, self.e, self.model, self.ghost_order)
+            vl_fields, self.e, self.model, order)
         self.u1 = extract_u1(conn, self.einv)
         self.L_q = leaf("q", self.u1.q)
 
@@ -552,9 +582,6 @@ class ConformalBRS:
 
     # -- evaluation helpers ----------------------------------------------------
 
-    def ev(self, term, need=FULL):
-        return term.ev(self.cache, need)
-
     def composite_ghost_term(self, stage):
         """Composite ghost v-hat = u^-1 v u + u^-1 s u, built once per stage.
 
@@ -592,7 +619,7 @@ class ConformalBRS:
     def expected_final_ghost(self):
         """[[eps, deps, 0], [0, eps delta, g^-1 deps^T], [0, 0, -eps]].
 
-        Built once per point: three checks compare against it.
+        Built once per batch: three checks compare against it.
         """
         if self._final is None:
             self._final = self._final_ghost()
@@ -601,15 +628,14 @@ class ConformalBRS:
     def _final_ghost(self):
         m = self.m
         deps = self.L_deps.value.truncate(0)
-        ginv = jmat_inv(metric_from_vielbein(jtrunc(self.e, m, 0), self.model.eta), m)
-        deps_row = [deps.entry(0, lam, 0) for lam in range(m)]
-        entries = {}
-        for r in range(m):
-            acc = GradedScalar()
-            for lam in range(m):
-                acc = acc + Jet(m, ginv[r, lam]) * deps_row[lam]
-            entries[r, 0, 0] = acc
-        col = MForm.from_entries(m, (m, 1), 0, 1, 0, entries)
+        ginv = jmat_inv(metric_from_vielbein(jtrunc(self.e, m, 0), self.model.eta), m)[..., 0]
+        # g^{r lam} d_lam eps on each generator, summed over lam in turn
+        d = deps.data[..., 0, :, :, 0]          # (..., lam, generator)
+        acc = ginv[..., :, 0, None] * d[..., 0, None, :]
+        for lam in range(1, m):
+            acc = acc + ginv[..., :, lam, None] * d[..., lam, None, :]
+        col = MForm.zeros(m, (m, 1), 0, 1, 0, deps.lead)
+        col.data[..., 0, :, 0] = acc
         eps = self.L_eps.value.truncate(0)
         grid = [[eps, deps, None],
                 [None, self.eps_eye(m), col],
@@ -634,7 +660,7 @@ def brs_vary(scn, name, sector="all"):
     st = t.stotal() if sector in ("all", "total") else t.svar(sector)
     if _is_zero(st):
         base = scn.ev(t)
-        return MForm.zeros(scn.m, base.shape, base.p, base.q + 1, base.order)
+        return MForm.zeros(scn.m, base.shape, base.p, base.q + 1, base.order, base.lead)
     return scn.ev(st)
 
 
@@ -711,14 +737,15 @@ def modified_brs_residuals(scn, stage="full"):
 
 
 def _law_defect(blk, want):
-    """Largest |value coefficient| of ``blk`` minus its closed form ``want``.
+    """Largest |value coefficient| of ``blk`` minus its closed form ``want``,
+    per point.
 
-    ``want`` holds values on (row, col, ghost monomial, dx comp), the
+    ``want`` holds values on (..., row, col, ghost monomial, dx comp), the
     component axis of the block split in its ghost-major order.
     """
     r, c = blk.shape
-    got = blk.data[..., 0].reshape(r, c, -1, blk.n_comps)
-    return float(np.abs(got - want).max())
+    got = blk.data[..., 0].reshape(blk.lead + (r, c, -1, blk.n_comps))
+    return max_abs(got - want, 4)
 
 
 def residual_weyl_brs(fields, scn):
@@ -728,20 +755,21 @@ def residual_weyl_brs(fields, scn):
     the evaluated composite ghost, extracts the block laws and returns the
     defect of each against its closed form, plus the sector trivialities.
     Every law is read on value coefficients, so each closed form is one
-    array of values over (row, col, ghost monomial, dx comp), built from eps
-    and its first two derivatives on the pool generators and the values of
-    g, g^-1, Gamma, T, f0 and W.
+    array of values over (..., row, col, ghost monomial, dx comp), built from
+    eps and its first two derivatives on the pool generators and the values
+    of g, g^-1, Gamma, T, f0 and W.  A block of one row takes the closed
+    form on its columns with a row axis put in front.
     """
     m = scn.m
     model = scn.model
     vhat = composite_ghost(scn, "full", 1)      # covariant_d takes its d
     s_varpi0 = covariant_d(fields.varpi0, vhat).scale(-1.0)
     s_Omega0 = gcomm(fields.Omega0, vhat)
-    # eps (G,), d_mu eps (m, G) and d_nu d_mu eps (m, m, G)
-    e2 = _ghost_scalar_mform(scn.eps_jet, m, 2).data[0, 0]
-    d1 = np.stack([jder(e2, m, mu) for mu in range(m)])
-    eps, deps = e2[:, 0], d1[..., 0]
-    ddeps = np.stack([jder(d1, m, nu)[..., 0] for nu in range(m)], axis=1)
+    # eps (..., G), d_mu eps (..., m, G) and d_nu d_mu eps (..., m, m, G)
+    e2 = jtrunc(scn.eps_jet, m, 2)
+    d1 = dstack(e2, m, 1)
+    eps, deps = e2[..., 0], d1[..., 0]
+    ddeps = np.stack([jder(d1, m, nu)[..., 0] for nu in range(m)], axis=-2)
     g, Gamma = fields.g[..., 0], fields.Gamma[..., 0]
     ginv = jmat_inv(jtrunc(fields.g, m, 0), m)[..., 0]
     up = ginv @ deps                    # g^{rl} d_l eps
@@ -749,28 +777,31 @@ def residual_weyl_brs(fields, scn):
     out = {}
     # s_W g = 2 eps g (block (3,2), coefficient of dx^mu at entry nu)
     out["s_w_metric"] = _law_defect(model.block(s_varpi0, 3, 2),
-                                    2.0 * np.einsum("mn,j->njm", g, eps)[None])
+                                    2.0 * np.einsum("...mn,...j->...njm", g,
+                                                    eps)[..., None, :, :, :])
     # s_W Gamma^r_mn = delta^r_n d_m eps + delta^r_m d_n eps - g^{rl} d_l eps g_mn
     out["s_w_gamma"] = _law_defect(model.block(s_varpi0, 2, 2),
-                                   np.einsum("rn,mj->rnjm", delta, deps)
-                                   + np.einsum("rm,nj->rnjm", delta, deps)
-                                   - np.einsum("rj,mn->rnjm", up, g))
+                                   np.einsum("rn,...mj->...rnjm", delta, deps)
+                                   + np.einsum("rm,...nj->...rnjm", delta, deps)
+                                   - np.einsum("...rj,...mn->...rnjm", up, g))
     # s_W P_mn = d_m d_n eps - d_l eps Gamma^l_mn
     out["s_w_schouten"] = _law_defect(model.block(s_varpi0, 1, 2),
-                                      ddeps.transpose(1, 2, 0)[None]
-                                      - np.einsum("lj,lmn->njm", deps, Gamma)[None])
+                                      (np.moveaxis(ddeps, -3, -1)
+                                       - np.einsum("...lj,...lmn->...njm", deps,
+                                                   Gamma))[..., None, :, :, :])
     # general two-form laws (they reduce to -d eps.W and 0 when T = f0 = 0):
     #   s_W C_{n,ms} = f0_{ms} d_n eps - d_l eps W^l_{n,ms}
     #   s_W W^r_{n,ms} = T^r_{ms} d_n eps - g^{rl} d_l eps T^a_{ms} g_{an}
     mu, sg = np.array(form_comps(m, 2)).T
-    T, f0, W = fields.T[:, mu, sg], fields.f0[mu, sg], fields.W[..., mu, sg]
+    T, f0, W = fields.T[..., mu, sg], fields.f0[..., mu, sg], fields.W[..., mu, sg]
     out["s_w_cotton"] = _law_defect(model.block(s_Omega0, 1, 2),
-                                    np.einsum("nj,f->njf", deps, f0)[None]
-                                    - np.einsum("lj,lnf->njf", deps, W)[None])
-    tlow = np.einsum("af,an->nf", T, g)
+                                    (np.einsum("...nj,...f->...njf", deps, f0)
+                                     - np.einsum("...lj,...lnf->...njf", deps,
+                                                 W))[..., None, :, :, :])
+    tlow = np.einsum("...af,...an->...nf", T, g)
     out["s_w_weyl"] = _law_defect(model.block(s_Omega0, 2, 2),
-                                  np.einsum("nj,rf->rnjf", deps, T)
-                                  - np.einsum("rj,nf->rnjf", up, tlow))
+                                  np.einsum("...nj,...rf->...rnjf", deps, T)
+                                  - np.einsum("...rj,...nf->...rnjf", up, tlow))
     # sector trivialities after full dressing
     for x in ("L", "i"):
         t0 = scn.T_varpi0.svar(x)
@@ -782,9 +813,9 @@ def residual_weyl_brs(fields, scn):
     # eps deps = sum over pool pairs j < k of (e_j d_k - e_k d_j) eta_j eta_k
     svhat = scn.ev(scn.composite_ghost_term("full").svar("W"), 0)
     j, k = np.array(ghost_monos(2)).T
-    eps_deps = eps[j] * deps[:, k] - eps[k] * deps[:, j]
+    eps_deps = eps[..., None, j] * deps[..., k] - eps[..., None, k] * deps[..., j]
     out["s_w_vhat_23"] = _law_defect(model.block(svhat, 2, 3),
-                                     (-2.0 * ginv @ eps_deps)[:, None, :, None])
+                                     (-2.0 * ginv @ eps_deps)[..., :, None, :, None])
     out["s_w_eps"] = model.block(svhat, 1, 1).value_norm()
     return out
 
@@ -829,8 +860,8 @@ def linearization_check(conn, e, model, phi, point, h=1e-3):
     _, u0, _, _, _, varpi0, Omega0 = _dress_stages(conn.truncate(1), e1)
     varpi0, Omega0 = varpi0.truncate(0), Omega0.truncate(0)
     low = DressedPair(model, varpi0, Omega0, e1, *extract_tensors(varpi0, Omega0, model))
-    phi_j = eval_jet(phi, model.chart, point, 2).coeffs
-    dphi = np.stack([jder(phi_j, m, mu) for mu in range(m)])
+    phi_j = eval_jets([compile_expr(phi)], model.chart, point, 2)[..., 0, :]
+    dphi = dstack(phi_j, m, 0)
 
     def tensors_at(t):
         z = jexp(t * jtrunc(phi_j, m, 1), m)
@@ -847,16 +878,18 @@ def linearization_check(conn, e, model, phi, point, h=1e-3):
     finite = {k: (4.0 * d2[k] - d1[k]) / 3.0 for k in d1}
     # BRS side with the ghost built on phi
     spec = GhostSpec(eps=phi, iota=[_ZERO] * m, lorentz=[_ZERO] * (m * (m - 1) // 2))
-    scn = ConformalBRS(conn, e, spec, point, keep_body=True)
-    vhat = composite_ghost(scn, "full", 1)      # covariant_d takes its d
+    seeds = [0] * math.prod(np.shape(point)[:-1])
+    with ConformalBRS(conn, e, spec, point, seeds, keep_body=True) as scn:
+        vhat = composite_ghost(scn, "full", 1)      # covariant_d takes its d
     s_varpi0 = covariant_d(varpi0, vhat).scale(-1.0).body()
     s_Omega0 = gcomm(Omega0, vhat).body()
     g, Gamma, P, _, _, C, W = extract_tensors(s_varpi0, s_Omega0, model)
     got = {"g": g[..., 0], "Gamma": Gamma[..., 0], "P": P[..., 0], "C": C, "W": W}
     out = {}
     for k in finite:
-        scale = max(1.0, np.abs(finite[k]).max())
-        out[k] = float(np.abs(finite[k] - got[k]).max() / scale)
+        rank = finite[k].ndim - (phi_j.ndim - 1)        # the tensor's own axes
+        scale = np.maximum(1.0, max_abs(finite[k], rank))
+        out[k] = max_abs(finite[k] - got[k], rank) / scale
     return out
 
 
@@ -864,10 +897,11 @@ def linearization_check(conn, e, model, phi, point, h=1e-3):
 # the GR (Poincare) case
 # ---------------------------------------------------------------------------
 
-class PoincareBRS:
-    """Lorentz-only BRS scenario: the vielbein dressing erases everything."""
+class PoincareBRS(_TermOwner):
+    """Lorentz-only BRS scenario: the vielbein dressing erases everything.
+    Its arguments carry a batch's points as :class:`ConformalBRS`'s do."""
 
-    def __init__(self, conn, e, lorentz_spec, point, seed=0):
+    def __init__(self, conn, e, lorentz_spec, point, seeds=(0,)):
         model = conn.model
         if model.kind != "poincare":
             raise ShapeError("PoincareBRS needs the Poincare model")
@@ -880,9 +914,9 @@ class PoincareBRS:
         self.pool = ghost_monos(1)
         self.cache = {}
         pairs = form_comps(m, 2)
-        jets = _ghost_jets(lorentz_spec or ["1"] * len(pairs),
-                           [f"vl{a}{b}" for a, b in pairs], self.chart, point, korder, seed)
-        self.L_vl, self.L_e, self.L_einv, _ = _lorentz_leaves(jets, e, model, korder)
+        fields = _ghost_fields(lorentz_spec or ["1"] * len(pairs),
+                               [f"vl{a}{b}" for a, b in pairs], self.chart, point, korder, seeds)
+        self.L_vl, self.L_e, self.L_einv, _ = _lorentz_leaves(fields, e, model, korder)
         self.L_varpi = leaf("varpi", conn.omega, p=1, q=0)
         one = leaf("one", MForm.identity(m, 1, self.order))
         self.V = Blk([[self.L_vl, None], [None, Zero(0, 1, (1, 1))]],
@@ -895,9 +929,6 @@ class PoincareBRS:
                                                        self.T_u, self.T_uinv)
         self.T_vhat = _composite_ghost(self.T_u, self.T_uinv, self.V,
                                        self.T_u.svar("L"))
-
-    def ev(self, term, need=FULL):
-        return term.ev(self.cache, need)
 
     def residuals(self):
         """The brs-gr rows; every one reads values only."""

@@ -2,10 +2,10 @@
 
 Every suite maps a :class:`PointContext` to its residuals, one per point.
 One loop visits the sample points in batches of at most ``BATCH_SIZE``,
-runs each requested suite once per batch (the brs suite point by point, on
-one-point views), and keeps each row's worst residual over the points.
-Every piece of a batch carries a leading point axis and every kernel acts
-on each point alone, so a batch reports, bit for bit, what its points
+runs each requested suite once per batch, and keeps each row's worst
+residual over the points.  Every piece of a batch, the ghost fields and the
+BRS term caches included, carries a leading point axis and every kernel
+acts on each point alone, so a batch reports, bit for bit, what its points
 report one at a time.  Reports keep a deterministic payload (no timings
 inside) so golden-file comparisons and the byte-identical-report guarantee
 hold; the report's meta names each row's worst point.
@@ -198,94 +198,61 @@ def deformed_connection(conn, model, point, order, rng):
 class PointContext:
     """What every suite reads at a batch of sample points, each piece built once.
 
-    ``PointContext(scn, model, vb, index)`` covers point ``index`` alone and
-    its pieces carry no point axes; ``PointContext(scn, model, vb, start,
-    stop)`` covers points start .. stop - 1 and every piece carries one
-    leading point axis, so each suite runs once on the whole batch.  Point
+    ``PointContext(scn, model, vb, start, stop)`` covers points start ..
+    stop - 1, and every piece carries one leading point axis, so each suite
+    runs once on the whole batch; a lone point is a batch of one.  Point
     ``i`` is seeded as ``(seed, point_offset + i)`` and draws from its own
     rng.  The vielbein jets and their normal connection come first;
     ``base_connection`` then scrambles that connection and is the first to
     draw from each point's rng.  Every suite that draws resumes from the
     state right after it (:meth:`rng`).  Each piece is built on first use,
     so a lone gauge suite never runs the dressing pipeline, and no suite
-    changes one in place.  :meth:`view` is the one-point context of a
-    point of the batch, whose pieces are slices of the batch's.
+    changes one in place.
 
     Every row reads values, so the pieces are built at the model's floor
     order ``MIN_JET_ORDER``: by the truncation lemma each value is the same
     at any higher order, so no scenario sets the order.
     """
 
-    def __init__(self, scn, model, vb, index, stop=None, batch=None):
+    def __init__(self, scn, model, vb, start, stop):
         self.scn, self.model, self.vb = scn, model, vb
-        self.batched = stop is not None
-        indices = range(index, stop) if self.batched else (index,)
-        self._seeds = [(scn.seed, scn.point_offset + i) for i in indices]
-        self.start = index
-        self.point = [scn.points[i] for i in indices] if self.batched else scn.points[index]
-        self.seed = self._seeds if self.batched else self._seeds[0]
+        self.seed = [(scn.seed, scn.point_offset + i) for i in range(start, stop)]
+        self.point = scn.points[start:stop]
         self.order = MIN_JET_ORDER[model.kind]
-        # (batch context, slot) of a view
-        self._batch = batch
-
-    def view(self, slot):
-        """The one-point context of point ``slot`` of this batch."""
-        return PointContext(self.scn, self.model, self.vb, self.start + slot,
-                            batch=(self, slot))
-
-    def _of_batch(self, name):
-        batch, slot = self._batch
-        return point_of(getattr(batch, name), slot)
 
     @cached_property
     def e_normal(self):
-        if self._batch:
-            return self._of_batch("e_normal")
         return self.vb.jets_at(self.point, self.order)
 
     @cached_property
     def normal(self):
         """The normal connection of :attr:`e_normal`."""
-        if self._batch:
-            return self._of_batch("normal")
         return build_normal(self.e_normal, self.model, self.point, self.order)
 
     @cached_property
     def base(self):
         """(connection, vielbein jets) after the scenario's scramble."""
-        if self._batch:
-            return self._of_batch("base")
         rng = self.fresh_rng()
         conn_e = base_connection(self.scn, self.model, self.normal, self.e_normal,
                                  self.point, rng)
-        self._drawn = [g.bit_generator.state for g in (rng if self.batched else [rng])]
+        self._drawn = [g.bit_generator.state for g in rng]
         return conn_e
 
     @cached_property
     def fields(self):
-        if self._batch:
-            return self._of_batch("fields")
         return full_pipeline(*self.base)
 
     def fresh_rng(self):
-        """A new rng per point, seeded with the point's seed: a list for a
-        batch."""
-        rngs = [np.random.default_rng(s) for s in self._seeds]
-        return rngs if self.batched else rngs[0]
+        """A new rng per point, seeded with the point's seed."""
+        return [np.random.default_rng(s) for s in self.seed]
 
     def rng(self):
         """The point rngs at the state right after ``base_connection`` drew."""
-        if self._batch:
-            batch, slot = self._batch
-            batch.base      # builds the scramble and saves that state
-            states = batch._drawn[slot:slot + 1]
-        else:
-            self.base
-            states = self._drawn
-        rngs = [np.random.default_rng(s) for s in self._seeds]
-        for g, state in zip(rngs, states):
+        self.base
+        rngs = self.fresh_rng()
+        for g, state in zip(rngs, self._drawn):
             g.bit_generator.state = state
-        return rngs if self.batched else rngs[0]
+        return rngs
 
 
 def transform_routes(conn, routes):
@@ -301,7 +268,7 @@ def transform_routes(conn, routes):
 
 
 def point_of(x, slot):
-    """Point ``slot`` of a batched piece, or route ``slot`` of a
+    """Point ``slot`` of a piece of a batch, or route ``slot`` of a
     :func:`transform_routes` result: arrays and forms lose their leading
     axis, containers are sliced entry by entry."""
     if isinstance(x, np.ndarray):
@@ -321,8 +288,8 @@ def point_of(x, slot):
 
 
 # ---------------------------------------------------------------------------
-# suites, each mapping one point's context to {row: residual}, and the loop
-# that runs them
+# suites, each mapping a batch's context to {row: residual per point}, and
+# the loop that runs them
 # ---------------------------------------------------------------------------
 
 def gauge_suite(ctx):
@@ -447,7 +414,7 @@ def _gr_dressing(ctx):
     res["torsion"] = max_abs(T, 3)
     # Lorentz invariance of the dressed outputs
     ge = random_gauge(model, ctx.fresh_rng(), with_z=False, with_r=False, point=point)
-    mats = ge.matrices(model, point, conn.order + 1)
+    mats = ge.matrices(model, point, low.order + 1)
     conn_S = gauge_transform(low, mats["gamma"], mats["gamma_inv"])
     eS = tensors.jeinsum("ab,bm->am", mats["Sinv"], e, model.m)
     _, _, G2, R2, T2, _, _ = gr_dress(conn_S, eS)
@@ -539,15 +506,6 @@ _NILPOTENT = ("varpi", "v", "u1", "u0")
 
 
 def brs_suite(ctx):
-    """The brs rows, one point at a time: a batch runs each point on its
-    one-point view, so the ghost layer and the term DAG see no point axis."""
-    if not ctx.batched:
-        return _brs_point(ctx)
-    rows = [_brs_point(ctx.view(slot)) for slot in range(len(ctx.point))]
-    return {name: np.array([r[name] for r in rows]) for name in rows[0]}
-
-
-def _brs_point(ctx):
     from .brs import (ConformalBRS, GhostSpec, PoincareBRS, algebraic_connection,
                       composite_ghost, linearization_check,
                       modified_brs_residuals, nilpotency_residuals, residual_weyl_brs,
@@ -556,47 +514,49 @@ def _brs_point(ctx):
     m = model.m
     ghosts = scn.ghosts or {}
     if model.kind == "poincare":
-        return PoincareBRS(ctx.normal, ctx.e_normal, _parsed_list(scn, ghosts.get("lorentz")),
-                           point, seed=ctx.seed).residuals()
+        with PoincareBRS(ctx.normal, ctx.e_normal, _parsed_list(scn, ghosts.get("lorentz")),
+                         point, ctx.seed) as pb:
+            return pb.residuals()
     spec = GhostSpec(eps=scn.parsed(ghosts.get("eps", "1/2 + x0/3")),
                      iota=_parsed_list(scn, ghosts.get("iota")),
                      lorentz=_parsed_list(scn, ghosts.get("lorentz")))
-    scn_b = ConformalBRS(*ctx.base, spec, point, seed=ctx.seed)
     fields = ctx.fields
-    res = {}
-    # every read is a value but A and v of the Russian formula, whose d it takes
-    ev = partial(scn_b.ev, need=0)
-    vh_t = scn_b.composite_ghost_term("full")
-    for tag, (A, v, F) in (("", (scn_b.L_varpi, scn_b.T_v, scn_b.T_omega)),
-                           ("_dressed", (scn_b.T_varpi0, vh_t, scn_b.T_omega0))):
-        rs = russian_residual(scn_b.ev(A, 1), scn_b.ev(v, 1), ev(F), ev(A.stotal()),
-                              ev(v.stotal()))
-        res.update({f"russian{tag}_deg{d}": r for d, r in enumerate(rs)})
-    vh = ev(vh_t)
-    res.update(nilpotency_residuals(scn_b, names=_NILPOTENT))
-    v1 = composite_ghost(scn_b, "u1", 0)
-    res["first_ghost"] = (v1 - scn_b.expected_first_ghost()).value_norm()
-    res["final_ghost"] = (vh - scn_b.expected_final_ghost()).value_norm()
-    # sector transformation rules of the dressing fields
-    u1 = ev(scn_b.T_u1)
-    vi = ev(scn_b.V["i"])
-    vl = ev(scn_b.V["L"])
-    res["u1_inversion_rule"] = (ev(scn_b.T_u1.svar("i")) + vi.wedge(u1)).value_norm()
-    res["u1_lorentz_rule"] = (ev(scn_b.T_u1.svar("L")) - gcomm(u1, vl)).value_norm()
-    u0 = ev(scn_b.T_u0)
-    epst = scn_b.eps_eye(model.n, range(1, m + 1))
-    su0W = ev(scn_b.T_u0.svar("W"))
-    res["u0_weyl_rule"] = (su0W - epst.wedge(u0)).value_norm()
-    _, _, res["two_steps_decomposition"], res["two_steps_ghost"] = two_steps_in_one(scn_b)
-    for stage in ("u1", "full"):
-        conn_r, curv_r, ghost_r = modified_brs_residuals(scn_b, stage)
-        res[f"lemma_{stage}_connection"] = conn_r
-        res[f"lemma_{stage}_curvature"] = curv_r
-        res[f"lemma_{stage}_ghost"] = ghost_r
-    res.update(residual_weyl_brs(fields, scn_b))
-    _, res["algebraic_connection_entries"], rr = algebraic_connection(fields, scn_b)
-    res["algebraic_connection_russian"] = worst_of(rr)
-    # the check dresses ctx.normal cut to order 1 itself
+    with ConformalBRS(*ctx.base, spec, point, ctx.seed) as scn_b:
+        res = {}
+        # every read is a value but A and v of the Russian formula, whose d it takes
+        ev = partial(scn_b.ev, need=0)
+        vh_t = scn_b.composite_ghost_term("full")
+        for tag, (A, v, F) in (("", (scn_b.L_varpi, scn_b.T_v, scn_b.T_omega)),
+                               ("_dressed", (scn_b.T_varpi0, vh_t, scn_b.T_omega0))):
+            rs = russian_residual(scn_b.ev(A, 1), scn_b.ev(v, 1), ev(F), ev(A.stotal()),
+                                  ev(v.stotal()))
+            res.update({f"russian{tag}_deg{d}": r for d, r in enumerate(rs)})
+        vh = ev(vh_t)
+        res.update(nilpotency_residuals(scn_b, names=_NILPOTENT))
+        v1 = composite_ghost(scn_b, "u1", 0)
+        res["first_ghost"] = (v1 - scn_b.expected_first_ghost()).value_norm()
+        res["final_ghost"] = (vh - scn_b.expected_final_ghost()).value_norm()
+        # sector transformation rules of the dressing fields
+        u1 = ev(scn_b.T_u1)
+        vi = ev(scn_b.V["i"])
+        vl = ev(scn_b.V["L"])
+        res["u1_inversion_rule"] = (ev(scn_b.T_u1.svar("i")) + vi.wedge(u1)).value_norm()
+        res["u1_lorentz_rule"] = (ev(scn_b.T_u1.svar("L")) - gcomm(u1, vl)).value_norm()
+        u0 = ev(scn_b.T_u0)
+        epst = scn_b.eps_eye(model.n, range(1, m + 1))
+        su0W = ev(scn_b.T_u0.svar("W"))
+        res["u0_weyl_rule"] = (su0W - epst.wedge(u0)).value_norm()
+        _, _, res["two_steps_decomposition"], res["two_steps_ghost"] = two_steps_in_one(scn_b)
+        for stage in ("u1", "full"):
+            conn_r, curv_r, ghost_r = modified_brs_residuals(scn_b, stage)
+            res[f"lemma_{stage}_connection"] = conn_r
+            res[f"lemma_{stage}_curvature"] = curv_r
+            res[f"lemma_{stage}_ghost"] = ghost_r
+        res.update(residual_weyl_brs(fields, scn_b))
+        _, res["algebraic_connection_entries"], rr = algebraic_connection(fields, scn_b)
+        res["algebraic_connection_russian"] = worst_of(rr)
+    # the check dresses ctx.normal cut to order 1 itself, after the block
+    # above has freed its term graph: the batch never holds two at once
     lin = linearization_check(ctx.normal, ctx.e_normal, model,
                               scn.parsed(scn.weyl or DEFAULT_WEYL), point)
     res.update({f"linearization_{k}": v for k, v in lin.items()})
@@ -638,8 +598,7 @@ def _batch_rows(ctx, plan):
             # take more than the message (ExprSyntaxError takes pos)
             ex.args = (f"[{name} suite] {ex}",)
             raise
-        n = len(ctx.point) if ctx.batched else 1
-        out[name] = {row: np.broadcast_to(np.asarray(v, dtype=float), (n,))
+        out[name] = {row: np.broadcast_to(np.asarray(v, dtype=float), (len(ctx.point),))
                      for row, v in rows.items()}
     return out
 
@@ -676,7 +635,7 @@ def _run_suites(scn, suite, visit=None):
             rows = _batch_rows(ctx, plan)
         except CartanWeylError:
             for idx in range(start, stop):
-                _batch_rows(PointContext(scn, model, vb, idx), plan)
+                _batch_rows(PointContext(scn, model, vb, idx, idx + 1), plan)
             raise
         for name, got in rows.items():
             _merge(worst[name], got, where[name], scn.point_offset + start)
@@ -725,7 +684,7 @@ def compute_tensors(scn):
     def visit(ctx):
         if ctx.model.kind == "mobius":
             for slot, point in enumerate(ctx.point):
-                f = ctx.view(slot).fields
+                f = point_of(ctx.fields, slot)
                 dump[str(list(point))] = {
                     "g": f.g[..., 0].tolist(), "Gamma": f.Gamma[..., 0].tolist(),
                     "P": f.P[..., 0].tolist(), "T": f.T.tolist(), "f0": f.f0.tolist(),

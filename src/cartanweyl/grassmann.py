@@ -5,11 +5,12 @@ a commutative coefficient ring.  Elements are stored as sparse maps from
 strictly sorted generator-id tuples (monomials) to coefficients, so
 nilpotency and the anticommutation signs are structural.  A coefficient is a
 float or a :class:`~cartanweyl.jets.Jet`, so one ghost-valued jet is one
-element: a dense Taylor array per Grassmann monomial.  This is the
-per-entry route of the BRS checks: it builds the ghost fields and the
-expected composite ghosts.  Ghost forms themselves, and the closed forms of
-the reduced Weyl laws, are dense arrays (:mod:`cartanweyl.forms`,
-:func:`cartanweyl.brs.residual_weyl_brs`).
+element: a dense Taylor array per Grassmann monomial.  It is the entry
+type of :meth:`~cartanweyl.forms.MForm.from_entries` and
+:meth:`~cartanweyl.forms.MForm.entry`, the per-entry route the tests check
+the dense ghost forms against.  The ghost fields, the ghost forms and the
+closed forms of the reduced Weyl laws are dense arrays
+(:mod:`cartanweyl.brs`, :mod:`cartanweyl.forms`).
 """
 
 from __future__ import annotations

@@ -11,10 +11,9 @@ sums or scatter-adds.
 
 Jets are flat numpy arrays over the monomial basis of a cached
 :class:`JetSpace`, wrapped as :class:`Jet` for scalar arithmetic.  A ghost
-form stores one such array per (ghost monomial, dx monomial) component of
-each entry, in the last axis of :attr:`~cartanweyl.forms.MForm.data`; read
-per entry, a ghost-valued jet is a
-:class:`~cartanweyl.grassmann.GradedScalar` with one jet per monomial.
+field is one such array per pool generator, and a ghost form stores one per
+(ghost monomial, dx monomial) component of each entry, in the last axis of
+:attr:`~cartanweyl.forms.MForm.data`.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ def law_rows(fields, scn):
     vhat = composite_ghost(scn, "full")
     s_varpi0 = covariant_d(fields.varpi0, vhat).scale(-1.0)
     s_Omega0 = gcomm(fields.Omega0, vhat)
-    eps = scn.eps_jet.map(lambda c: c.truncate(min(2, c.order)))
+    eps = scn.L_eps.value.entry(0, 0, 0).map(lambda c: c.truncate(min(2, c.order)))
     g, Gamma = jtrunc(fields.g, m, 0), jtrunc(fields.Gamma, m, 0)
     ginv = jmat_inv(g, m)
     out = {}

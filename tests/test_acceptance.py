@@ -14,7 +14,7 @@ from cartanweyl.brs import (ConformalBRS, GhostSpec, PoincareBRS, composite_ghos
                             russian_residual)
 from cartanweyl.cartan import (KleinModel, VielbeinField, build_normal, curvature,
                                gauge_transform, random_gauge)
-from cartanweyl.checks import PointContext, dof_report, run_check
+from cartanweyl.checks import PointContext, dof_report, point_of, run_check
 from cartanweyl.dressing import dressed_normality, full_pipeline
 from cartanweyl.forms import gcomm
 from cartanweyl.jets import Chart
@@ -165,7 +165,7 @@ def test_criterion_4_finite_weyl_laws():
     vb = VielbeinField(scn.chart, scn.vielbein)
     wz = WeylElement(scn.weyl)
     for idx, pt in enumerate(scn.points):
-        conn, e_full = PointContext(scn, model, vb, idx).base
+        conn, e_full = point_of(PointContext(scn, model, vb, idx, idx + 1).base, 0)
         f = full_pipeline(conn, e_full)
         assert np.abs(f.T).max() > 1e-3
         z, zeta = wz.at(scn.chart, pt, ORDER)
@@ -205,7 +205,7 @@ def test_criterion_6_brs():
     worst_nilp = 0.0
     worst_ghost = 0.0
     for idx, pt in enumerate(scn.points):
-        conn, e_full = PointContext(scn, model, vb, idx).base
+        conn, e_full = point_of(PointContext(scn, model, vb, idx, idx + 1).base, 0)
         b = ConformalBRS(conn, e_full, GHOSTS3, pt)
         cache = {}
         A = b.L_varpi.ev(cache)
@@ -275,7 +275,7 @@ def test_criterion_9_bianchi():
         model = KleinModel(scn.model, scn.chart)
         vb = VielbeinField(scn.chart, scn.vielbein)
         for idx, pt in enumerate(scn.points):
-            conn, _ = PointContext(scn, model, vb, idx).base
+            conn, _ = point_of(PointContext(scn, model, vb, idx, idx + 1).base, 0)
             Om = curvature(conn).omega2
             res = Om.ext_d() + gcomm(conn.omega.truncate(Om.order), Om)
             scale = max(1.0, Om.full_norm())

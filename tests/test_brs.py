@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -12,15 +14,16 @@ from cartanweyl.brs import (ConformalBRS, GhostSpec, PoincareBRS,
                             russian_residual, two_steps_in_one, _is_zero)
 from cartanweyl.cartan import (KleinModel, VielbeinField, build_normal, curvature_form,
                                gauge_transform, random_gauge)
-from cartanweyl.checks import DEFAULT_WEYL, PointContext, run_check
+from cartanweyl.checks import BATCH_SIZE, DEFAULT_WEYL, PointContext, point_of, run_check
 from cartanweyl.cli import main
 from cartanweyl.dressing import full_pipeline
-from cartanweyl.errors import JetOrderError
+from cartanweyl.errors import JetOrderError, ShapeError
 from cartanweyl.forms import MForm, gcomm
 from cartanweyl.grassmann import GradedScalar
 from cartanweyl.jets import Jet, space
-from cartanweyl.scenarios import catalog
+from cartanweyl.scenarios import Scenario, catalog
 
+import ghost_oracle
 from conftest import POINT3
 from law_oracle import LAWS, law_rows
 from linearization_oracle import full_order_linearization
@@ -36,6 +39,11 @@ def vnorm(g):
 def d(g, mu):
     """Derivative along x^mu of a ghost-valued jet."""
     return g.map(lambda c: c.derivative(mu))
+
+
+def eps_of(s):
+    """The eps ghost field of a one-point ConformalBRS as a ghost-valued jet."""
+    return s.L_eps.value.entry(0, 0, 0)
 
 GHOSTS = GhostSpec(eps="1/2 + x0/3 - x1*x2/5",
                    iota=["x1/2", "1/3 - x0/4", "x2/2 + 1/5"],
@@ -142,7 +150,7 @@ def test_u1_sector_rules(scn):
     # the Weyl image's (1,2) slot is -eps q + deps . e^-1
     su1_W = brs_vary(scn, "u1", "W")
     blk = scn.model.block(su1_W, 1, 2)
-    eps = scn.eps_jet
+    eps = eps_of(scn)
     einv = scn.einv
     q = scn.u1.q
     for a in range(scn.m):
@@ -225,7 +233,7 @@ def test_flat_christoffel_variation(mobius3, flat3):
     vhat = composite_ghost(s, "full")
     s_varpi0 = (vhat.ext_d() + gcomm(fields.varpi0, vhat)).scale(-1.0)
     blk = s.model.block(s_varpi0, 2, 2)
-    eps = s.eps_jet
+    eps = eps_of(s)
     deps = [d(eps, mu) for mu in range(3)]
     eta = s.model.eta
     for r in range(3):
@@ -264,7 +272,7 @@ def test_algebraic_connection_flat(mobius3, flat3):
     s = ConformalBRS(conn, None, GHOSTS, POINT3)
     fields = full_pipeline(conn)
     vhat = composite_ghost(s, "full")
-    eps = s.eps_jet
+    eps = eps_of(s)
     eta = s.model.eta
     m = 3
     blk = s.model.block(vhat, 1, 1)
@@ -331,7 +339,7 @@ def test_first_stage_weyl_brs_blocks(mobius3, vielbein3):
     sW_varpi1 = s.T_varpi1.svar("W").ev({})
     sW_omega1 = s.T_omega1.svar("W").ev({})
     m = 3
-    eps = s.eps_jet
+    eps = eps_of(s)
     # s_W theta = eps theta
     blk = s.model.block(sW_varpi1, 2, 1)
     th = s.model.block(fields.varpi1, 2, 1)
@@ -396,12 +404,12 @@ def _generic_one_point():
 
 
 def _generic_brs():
+    """The ConformalBRS of a one-point batch."""
     scn = _generic_one_point()
     model, vb = KleinModel(scn.model, scn.chart), VielbeinField(scn.chart, scn.vielbein)
-    conn, e = PointContext(scn, model, vb, 0).base
+    ctx = PointContext(scn, model, vb, 0, 1)
     g = scn.ghosts
-    return ConformalBRS(conn, e, GhostSpec(g["eps"], g["iota"], g["lorentz"]),
-                        scn.points[0])
+    return ConformalBRS(*ctx.base, GhostSpec(g["eps"], g["iota"], g["lorentz"]), ctx.point)
 
 
 def test_brs_suite_evaluates_each_node_once(monkeypatch):
@@ -441,7 +449,7 @@ def test_shared_cache_matches_cold_evaluation():
     for t in (vhat, vhat.stotal()):
         warm, cold = s.ev(t), t.ev({})
         assert np.array_equal(warm.body().data, cold.body().data)
-        assert _exact_terms(warm) == _exact_terms(cold)
+        assert _exact_terms(point_of(warm, 0)) == _exact_terms(point_of(cold, 0))
 
 
 # -- reads at the jet order they need ---------------------------------------------
@@ -450,12 +458,12 @@ def _one_point_context(name, m):
     scn = catalog(name, m)
     scn.points = scn.points[:1]
     model, vb = KleinModel(scn.model, scn.chart), VielbeinField(scn.chart, scn.vielbein)
-    return PointContext(scn, model, vb, 0)
+    return PointContext(scn, model, vb, 0, 1)
 
 
 def _poincare_brs(ctx):
     lorentz = (ctx.scn.ghosts or {}).get("lorentz")
-    return PoincareBRS(ctx.normal, ctx.e_normal, lorentz, ctx.point, seed=ctx.seed)
+    return PoincareBRS(ctx.normal, ctx.e_normal, lorentz, ctx.point, ctx.seed)
 
 
 def _record_reads(mp):
@@ -528,7 +536,7 @@ def test_brs_gr_products_run_at_order_two_at_most(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(PoincareBRS, "ev", lambda self, term, need=brs.FULL: term.ev(self.cache))
         PoincareBRS(conn, e, (ctx.scn.ghosts or {}).get("lorentz"), ctx.point,
-                    seed=ctx.seed).residuals()
+                    ctx.seed).residuals()
     assert max(orders) == 3
 
 
@@ -540,12 +548,13 @@ def test_linearization_rows_equal_the_full_order_reference(name, m, order):
     the full-order check bit for bit, and so does the check on the point
     context, built at the floor order."""
     ctx = _one_point_context(name, m)
-    e = ctx.vb.jets_at(ctx.point, order)
-    conn = build_normal(e, ctx.model, ctx.point, order)
-    rest = (ctx.model, ctx.scn.weyl or DEFAULT_WEYL, ctx.point)
-    want = full_order_linearization(conn, e, *rest)
-    assert linearization_check(conn, e, *rest) == want
-    assert linearization_check(ctx.normal, ctx.e_normal, *rest) == want
+    point = ctx.point[0]
+    e = ctx.vb.jets_at(point, order)
+    conn = build_normal(e, ctx.model, point, order)
+    rest = (ctx.model, ctx.scn.weyl or DEFAULT_WEYL)
+    want = full_order_linearization(conn, e, *rest, point)
+    assert linearization_check(conn, e, *rest, point) == want
+    assert point_of(linearization_check(ctx.normal, ctx.e_normal, *rest, ctx.point), 0) == want
     assert max(want.values()) < 1e-6
 
 
@@ -614,9 +623,12 @@ def _kernel_degree_three_defect(mp):
     def ev(self, term, need=brs.FULL):
         out = orig(self, term, need)
         if term is self.T_v.stotal().stotal():
-            w = brs._pool_weights(self.seed, "eps", space(self.m, self.ghost_order).size,
-                                  self.keep_body)
-            out = out + _kernel_triple(w, self.m, self.model.n, out.order).scale(1e-6)
+            size = space(self.m, self.ghost_order).size
+            triples = [_kernel_triple(brs._pool_weights(seed, "eps", size, self.keep_body),
+                                      self.m, self.model.n, out.order).data
+                       for seed in self.seeds]       # one per point of the batch
+            out = out + MForm(out.m, out.shape, out.p, out.q, out.order,
+                              np.stack(triples)).scale(1e-6)
         return out
     mp.setattr(brs.ConformalBRS, "ev", ev)
 
@@ -628,8 +640,8 @@ def _scaled_final_ghost(mp):
 
 
 def _ghost_derivative_off(mp):
-    orig = brs._d
-    mp.setattr(brs, "_d", lambda g, nu: orig(g, nu) * (1 + 1e-6))
+    orig = brs._deps_form
+    mp.setattr(brs, "_deps_form", lambda eps, m, order: orig(eps, m, order).scale(1 + 1e-6))
 
 
 @pytest.mark.parametrize("plant", [_commuting_generators, _flipped_koszul_sign,
@@ -699,7 +711,8 @@ def test_ghosts_take_one_eval_jets_call_on_the_shared_pool(monkeypatch):
     s = _generic_brs()
     assert calls == [1 + 3 + 3]
     assert len(s.pool) == forms.GHOST_POOL
-    assert set(s.eps_jet.terms) <= set(forms.ghost_monos(1))
+    # one point, one jet per pool generator
+    assert s.eps_jet.shape == (1, forms.GHOST_POOL, space(3, s.ghost_order).size)
     w = brs._pool_weights((7, 0), "eps", 20)
     tied = brs._pool_weights((7, 0), "eps", 20, keep_body=True)
     assert w.shape == tied.shape == (20, forms.GHOST_POOL)
@@ -710,6 +723,133 @@ def test_ghosts_take_one_eval_jets_call_on_the_shared_pool(monkeypatch):
     assert not np.array_equal(w, brs._pool_weights((7, 0), "iota0", 20))
 
 
+def _generic_batch(count):
+    """The generic m = 3 catalog scenario on ``count`` points."""
+    scn = catalog("generic", 3)
+    scn.points = [tuple(round(float(x), 6) for x in row)
+                  for row in np.random.default_rng(17).uniform(-0.31, 0.31, size=(count, 3))]
+    scn.validate()
+    return scn
+
+
+def test_ghost_seeds_come_one_per_point(scrambled):
+    """A bare point seed at a lone point, or too few seeds for a batch, is
+    refused, not shared by every point."""
+    with pytest.raises(ShapeError, match="2 ghost seeds for 1 points"):
+        ConformalBRS(scrambled, None, GHOSTS, POINT3, (7, 0))
+    scn = _generic_batch(2)
+    ctx = PointContext(scn, KleinModel(scn.model, scn.chart),
+                       VielbeinField(scn.chart, scn.vielbein), 0, 2)
+    g = scn.ghosts
+    with pytest.raises(ShapeError, match="1 ghost seeds for 2 points"):
+        ConformalBRS(*ctx.base, GhostSpec(g["eps"], g["iota"], g["lorentz"]), ctx.point,
+                     ctx.seed[:1])
+
+
+@pytest.mark.parametrize("keep_body", [False, True])
+@pytest.mark.parametrize("points", [None, 3], ids=["lone-point", "3-point-batch"])
+def test_dense_ghost_leaves_match_the_per_entry_oracle(points, keep_body):
+    """The dense ghost leaves and the expected final ghost equal, bit for bit
+    at each point, the per-entry GradedScalar builds of tests/ghost_oracle.py
+    with that point's seed: at a lone point without a point axis and at each
+    point of a batch."""
+    scn = _generic_batch(points or 1)
+    model, vb = KleinModel(scn.model, scn.chart), VielbeinField(scn.chart, scn.vielbein)
+    ctx = PointContext(scn, model, vb, 0, len(scn.points))
+    g = scn.ghosts
+    spec = GhostSpec(g["eps"], g["iota"], g["lorentz"])
+    if points is None:
+        b = ConformalBRS(*point_of(ctx.base, 0), spec, ctx.point[0], ctx.seed[:1],
+                         keep_body=keep_body)
+    else:
+        b = ConformalBRS(*ctx.base, spec, ctx.point, ctx.seed, keep_body=keep_body)
+    m, order = b.m, b.ghost_order
+    names = (["eps"] + [f"iota{a}" for a in range(m)]
+             + [f"vl{a}{c}" for a, c in forms.form_comps(m, 2)])
+    final = b.expected_final_ghost()
+    for i, (point, seed) in enumerate(zip(ctx.point, ctx.seed)):
+        eps, *rest = ghost_oracle.ghost_jets([g["eps"]] + g["iota"] + g["lorentz"], names,
+                                             scn.chart, point, order, seed, keep_body)
+        want = {"L_eps": ghost_oracle.scalar_form(eps, m, order),
+                "L_deps": ghost_oracle.deps_form(eps, m, order),
+                "L_iota": ghost_oracle.row_form(rest[:m], m, order),
+                "L_vl": ghost_oracle.lorentz_ghost(rest[m:], m, order, model.eta),
+                "L_epsI_m": ghost_oracle.eps_eye(eps, m, m, order)}
+        e = b.e if points is None else b.e[i]
+        want["final"] = ghost_oracle.final_ghost(eps, e, model, order)
+        got = {name: getattr(b, name).value for name in want if name != "final"}
+        got["final"] = final
+        for name, form in want.items():
+            have = got[name] if points is None else point_of(got[name], i)
+            assert have.lead == () and (have.shape, have.q, have.order) == (
+                form.shape, form.q, form.order), name
+            assert np.array_equal(have.data, form.data), name
+
+
+@pytest.mark.parametrize("name, points", [("generic", 1), ("generic", 4), ("generic", 6),
+                                          ("poincare", 1), ("poincare", 5)])
+def test_each_batch_builds_its_brs_classes_once(name, points, monkeypatch):
+    """A generic batch builds one ConformalBRS with free weights and one, the
+    linearization's, that keeps the body; a Poincare batch one PoincareBRS;
+    however many points the batch holds."""
+    built = []
+    for cls in (ConformalBRS, PoincareBRS):
+        def init(self, *args, _orig=cls.__init__, **kwargs):
+            _orig(self, *args, **kwargs)
+            built.append((type(self).__name__, getattr(self, "keep_body", None),
+                          len(args[3])))
+        monkeypatch.setattr(cls, "__init__", init)
+    scn = _generic_batch(points)
+    if name == "poincare":
+        scn = Scenario.from_dict({**catalog("poincare", 3).to_dict(), "points": scn.points})
+    assert run_check(scn, "brs").passed
+    sizes = [min(BATCH_SIZE, points - start) for start in range(0, points, BATCH_SIZE)]
+    if name == "generic":
+        want = [(cls, keep, n) for n in sizes for cls, keep in (("ConformalBRS", False),
+                                                                 ("ConformalBRS", True))]
+    else:
+        want = [("PoincareBRS", None, n) for n in sizes]
+    assert built == want
+
+
+def test_leaving_the_block_frees_the_term_graph(monkeypatch):
+    """A BRS term graph is cyclic (a leaf holds its s-images, which hold the
+    leaf), so on its own it outlives its object until a full pass of the
+    cycle collector.  The brs suite leaves each object's block, which breaks
+    the cycles: with the collector off, no ghost field of the run is left."""
+    fields = []
+    orig = brs.ConformalBRS.__init__
+
+    def init(self, *args, **kwargs):
+        orig(self, *args, **kwargs)
+        fields.append(weakref.ref(self.L_eps.value.data))
+    monkeypatch.setattr(brs.ConformalBRS, "__init__", init)
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_check(_generic_one_point(), "brs").passed
+        assert len(fields) == 2 and all(ref() is None for ref in fields)
+        s = _generic_brs()          # never entered: the graph keeps its leaves
+        s.ev(s.T_v.stotal(), 0)
+        kept = fields[-1]
+        del s
+        assert kept() is not None
+    finally:
+        gc.enable()
+
+
+def test_a_read_after_the_block_fails():
+    """Leaving the block takes the leaves' s-images, so a later read could
+    see them as zero: it raises instead, and so does a leaf's s-image."""
+    with _generic_brs() as s:
+        want = s.ev(s.T_v.stotal(), 0)
+    assert want.value_norm() > 0
+    with pytest.raises(RuntimeError, match="ConformalBRS read after its block was left"):
+        s.ev(s.T_v, 0)
+    with pytest.raises(AttributeError):
+        s.L_eps.svar("W")
+
+
 # -- the reduced Weyl laws: dense closed forms against the per-entry oracle ----
 
 LAW_SCENARIOS = [("generic", 3), ("generic", 4), ("generic", 5), ("torsionful", 3),
@@ -717,12 +857,12 @@ LAW_SCENARIOS = [("generic", 3), ("generic", 4), ("generic", 5), ("torsionful", 
 
 
 def _law_brs(name, m):
-    """(fields, ConformalBRS) of the first point."""
+    """(fields, ConformalBRS) of the first point, without a point axis."""
     ctx = _one_point_context(name, m)
     g = ctx.scn.ghosts
-    b = ConformalBRS(*ctx.base, GhostSpec(g["eps"], g["iota"], g["lorentz"]), ctx.point,
-                     seed=ctx.seed)
-    return ctx.fields, b
+    b = ConformalBRS(*point_of(ctx.base, 0), GhostSpec(g["eps"], g["iota"], g["lorentz"]),
+                     ctx.point[0], ctx.seed[:1])
+    return point_of(ctx.fields, 0), b
 
 
 def _off_by_noise(fields, rng):
@@ -751,7 +891,7 @@ def test_dense_weyl_laws_match_the_per_entry_oracle(name, m):
 
 
 def test_residual_weyl_brs_makes_no_grassmann_product(monkeypatch):
-    fields, b = _law_brs("generic", 3)     # the Lorentz ghost is built per entry
+    fields, b = _law_brs("generic", 3)
     calls = []
     orig = GradedScalar.__mul__
 

@@ -97,6 +97,10 @@ SCHWARZSCHILD_8 = [(0.2, 3.7, 1.1, 0.4), (-0.1, 4.6, 1.4, 0.9), (0.05, 3.1, 1.2,
 GENERIC_20 = [tuple(round(float(x), 6) for x in row)
               for row in np.random.default_rng(11).uniform(-0.31, 0.31, size=(20, 3))]
 
+# five torsionful m = 4 points: one full batch and one partial batch
+TORSIONFUL_5 = [tuple(round(float(x), 6) for x in row)
+                for row in np.random.default_rng(5).uniform(-0.31, 0.31, size=(5, 4))]
+
 
 @pytest.mark.parametrize("name, suite, m, points", [
     pytest.param("generic", "gauge", 3, None, id="generic-gauge"),
@@ -106,6 +110,9 @@ GENERIC_20 = [tuple(round(float(x), 6) for x in row)
     pytest.param("constant-curvature", "all", 4, None, id="constant-curvature-all-m4"),
     pytest.param("ricci-flat-m4", "all", 4, SCHWARZSCHILD_8, id="ricci-flat-m4-all-8-points"),
     pytest.param("generic", "all", 3, GENERIC_20, id="generic-all-20-points"),
+    # the T and f0 terms of the reduced Weyl laws vanish to rounding on generic
+    pytest.param("torsionful", "brs", 4, TORSIONFUL_5, id="torsionful-brs-m4-5-points"),
+    pytest.param("poincare", "brs", 5, None, id="poincare-brs-m5"),
 ])
 def test_parallel_matches_sequential(name, suite, m, points):
     """One-point sub-scenarios with their point_offset merge to the full run,
@@ -200,6 +207,21 @@ def test_each_gauge_is_built_once_per_point(suite, builds, monkeypatch):
     assert len(calls) == builds
 
 
+def test_gr_dressing_builds_its_lorentz_element_at_the_order_it_moves(monkeypatch):
+    """The Poincare dressing suite moves the connection cut to order 1, which
+    reads the gauge matrices to order 2: its Lorentz element is built there."""
+    orders = []
+    original = cartan.GaugeElement.matrices
+
+    def recorded(self, model, point, order):
+        orders.append(order)
+        return original(self, model, point, order)
+
+    monkeypatch.setattr(cartan.GaugeElement, "matrices", recorded)
+    assert run_check(catalog("poincare", 4), "dressing").passed
+    assert orders == [2]
+
+
 @pytest.mark.parametrize("suite, routes", [("gauge", 4), ("dressing", 2)])
 def test_each_suite_moves_its_connection_once_per_gauge_element(suite, routes, monkeypatch):
     """The gauge suite's routes (gamma, gamma gamma_2, gamma_1, W) and the
@@ -274,9 +296,8 @@ def test_weyl_suite_builds_each_weyl_matrix_once(monkeypatch):
 
     Each vielbein gets one u0: the batch's dressing, the group law's second
     step, and the two routes that dress a connection again (4 per batch).
-    The brs suite builds the batch's dressing once and, one point at a time,
-    the linearization's, whose u0 also moves the linearization's dressed
-    pair."""
+    The brs suite builds the batch's dressing once and the linearization's
+    once, whose u0 also moves the linearization's dressed pair."""
     scn = catalog("generic", 3)
     n = len(scn.points)
     assert n > 1
@@ -288,7 +309,8 @@ def test_weyl_suite_builds_each_weyl_matrix_once(monkeypatch):
     for name in ("generic", "diag-poly"):
         scn = catalog(name, 3)
         counts = _count_calls(monkeypatch, ("u0_from_vielbein",), scn, "brs")
-        assert counts == {"u0_from_vielbein": 1 + len(scn.points)}, name
+        assert len(scn.points) <= checks.BATCH_SIZE
+        assert counts == {"u0_from_vielbein": 2}, name
 
 
 def test_cli_check_pass(tmp_path, capsys):

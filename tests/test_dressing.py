@@ -265,19 +265,20 @@ def test_gr_dressing_suite_rows_equal_the_full_order_dressing(m):
     scn = catalog("poincare", m)
     scn.points = scn.points[:1]
     model = KleinModel(scn.model, scn.chart)
-    ctx = checks.PointContext(scn, model, VielbeinField(scn.chart, scn.vielbein), 0)
-    got = checks.dressing_suite(ctx)
-    e = ctx.vb.jets_at(ctx.point, 5)
-    conn = build_normal(e, model, ctx.point, 5)
+    ctx = checks.PointContext(scn, model, VielbeinField(scn.chart, scn.vielbein), 0, 1)
+    got = checks.point_of(checks.dressing_suite(ctx), 0)
+    point, seed = ctx.point[0], ctx.seed[0]
+    e = ctx.vb.jets_at(point, 5)
+    conn = build_normal(e, model, point, 5)
     assert conn.order == 4
     _, _, Gamma, R, T, _, want = gr_dress(conn, e)
     B = classical_bundle(e, scn.signature, m)
     want["oracle_Gamma"] = float(np.abs(Gamma[..., 0] - B["Gamma"][..., 0]).max())
     want["oracle_R"] = float(np.abs(R - B["Riemann"][..., 0]).max())
     want["torsion"] = float(np.abs(T).max())
-    ge = random_gauge(model, np.random.default_rng(ctx.seed), with_z=False, with_r=False,
-                      point=ctx.point)
-    mats = ge.matrices(model, ctx.point, conn.order + 1)
+    ge = random_gauge(model, np.random.default_rng(seed), with_z=False, with_r=False,
+                      point=point)
+    mats = ge.matrices(model, point, conn.order + 1)
     conn_S = gauge_transform(conn, mats["gamma"], mats["gamma_inv"])
     _, _, G2, R2, T2, _, _ = gr_dress(conn_S, jeinsum("ab,bm->am", mats["Sinv"], e, m))
     want["so_invariance_Gamma"] = float(np.abs(Gamma[..., 0] - G2[..., 0]).max())
@@ -317,16 +318,17 @@ def test_u1_group_inverse(mobius3, vielbein3, rng):
 
 
 def _full_order_base(ctx, order):
-    """The point's input connection and vielbein with every piece at
-    ``order``: the vielbein jets, the normal connection and the factors of
-    a seeded scramble of a normal input."""
+    """The input connection and vielbein of the context's one point with
+    every piece at ``order``: the vielbein jets, the normal connection and
+    the factors of a seeded scramble of a normal input."""
     m = ctx.model.m
-    e = ctx.vb.jets_at(ctx.point, order)
-    conn = build_normal(e, ctx.model, ctx.point, order)
+    point, seed = ctx.point[0], ctx.seed[0]
+    e = ctx.vb.jets_at(point, order)
+    conn = build_normal(e, ctx.model, point, order)
     if ctx.scn.gauge:
         assert ctx.scn.normal and ctx.scn.gauge == {"seeded": True}
-        ge = random_gauge(ctx.model, np.random.default_rng(ctx.seed), point=ctx.point)
-        mats = ge.matrices(ctx.model, ctx.point, order)
+        ge = random_gauge(ctx.model, np.random.default_rng(seed), point=point)
+        mats = ge.matrices(ctx.model, point, order)
         conn = gauge_transform(conn, mats["gamma"], mats["gamma_inv"])
         e = jmul(mats["z"][None, None, :], jeinsum("ab,bm->am", mats["Sinv"], e, m), m)
     return conn, e
@@ -350,8 +352,8 @@ def test_oracle_rows_at_order_three_equal_the_full_order(name, m, monkeypatch):
 
     monkeypatch.setattr(checks.tensors, "classical_bundle", recorded)
     for idx in range(len(scn.points)):
-        ctx = checks.PointContext(scn, model, vb, idx)
-        low = checks.dressing_suite(ctx)
+        ctx = checks.PointContext(scn, model, vb, idx, idx + 1)
+        low = checks.point_of(checks.dressing_suite(ctx), 0)
         conn, e = _full_order_base(ctx, 6)
         assert e.shape[-1] == space(m, 6).size
         B, f = bundle(e, scn.signature, m), full_pipeline(conn, e)
