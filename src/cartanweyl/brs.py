@@ -45,7 +45,7 @@ from .errors import ShapeError
 from .exprs import Const, compile_expr, eval_jets
 from .forms import GHOST_POOL, MForm, block_matrix, eta_t, form_comps, gcomm, ghost_monos
 from .jets import jder, jmat_inv, jtrunc
-from .reduction import max_abs, worst_of
+from .reduction import worst_entry
 from .tensors import dstack, metric_from_vielbein
 
 SECTORS = ("W", "L", "i")
@@ -603,7 +603,7 @@ class ConformalBRS(_TermOwner):
         self._vhat[stage] = _composite_ghost(u, uinv, v, u.stotal())
         return self._vhat[stage]
 
-    # The expected ghosts are compared through value_norm only, so they are
+    # The expected ghosts are compared on their values only, so they are
     # built from the leaf values at order 0.
 
     def expected_first_ghost(self):
@@ -672,13 +672,10 @@ def composite_ghost(scn, stage, need=FULL):
 def russian_residual(A, v, F, sA, sv):
     """Ghost-degree split of (d+s)(A+v) + (A+v)^2 - F.
 
-    Returns the three value-norms (degree 0, 1, 2); the inputs are MForms
+    Returns its three parts (ghost degree 0, 1, 2); the inputs are MForms
     with sA, sv the evaluated BRS variations.
     """
-    r0 = (curvature_form(A) - F).value_norm()
-    r1 = (sA + v.ext_d() + gcomm(A, v)).value_norm()
-    r2 = (sv + v.wedge(v)).value_norm()
-    return r0, r1, r2
+    return curvature_form(A) - F, sA + v.ext_d() + gcomm(A, v), sv + v.wedge(v)
 
 
 _H = ("L", "i")     # the sectors of h' = Lorentz + inversions
@@ -698,7 +695,7 @@ def nilpotency_residuals(scn, names=("varpi", "v", "u1", "u0")):
                 f"sP2_{name}": t.svar("W").svar("W"),
                 f"mixed_{name}": mk_sum([t.svar("W").ssum(_H), t.ssum(_H).svar("W")])}
         for row, term in rows.items():
-            out[row] = 0.0 if _is_zero(term) else scn.ev(term, 0).value_norm()
+            out[row] = 0.0 if _is_zero(term) else scn.ev(term, 0)
     return out
 
 
@@ -710,10 +707,10 @@ def two_steps_in_one(scn):
     su = ev(scn.T_u.stotal())
     ell = ev(scn.V["L"]) + ev(scn.V["i"])
     rho = ev(scn.T_u.svar("W"))
-    resid_dec = (su + ell.wedge(u) - rho).value_norm()
+    resid_dec = su + ell.wedge(u) - rho
     vW = ev(scn.V["W"])
     vhat = uinv.wedge(vW.wedge(u)) + uinv.wedge(rho)
-    resid_ghost = (vhat - scn.expected_final_ghost()).value_norm()
+    resid_ghost = vhat - scn.expected_final_ghost()
     return ell, rho, resid_dec, resid_ghost
 
 
@@ -730,22 +727,7 @@ def modified_brs_residuals(scn, stage="full"):
     sA = ev(At.stotal())
     sF = ev(Ft.stotal())
     svhat = ev(vhat_t.stotal())
-    rA = (sA + vhat.ext_d() + gcomm(A, vhat)).value_norm()
-    rF = (sF - gcomm(F, vhat)).value_norm()
-    rv = (svhat + vhat.wedge(vhat)).value_norm()
-    return rA, rF, rv
-
-
-def _law_defect(blk, want):
-    """Largest |value coefficient| of ``blk`` minus its closed form ``want``,
-    per point.
-
-    ``want`` holds values on (..., row, col, ghost monomial, dx comp), the
-    component axis of the block split in its ghost-major order.
-    """
-    r, c = blk.shape
-    got = blk.data[..., 0].reshape(blk.lead + (r, c, -1, blk.n_comps))
-    return max_abs(got - want, 4)
+    return sA + vhat.ext_d() + gcomm(A, vhat), sF - gcomm(F, vhat), svhat + vhat.wedge(vhat)
 
 
 def residual_weyl_brs(fields, scn):
@@ -757,8 +739,9 @@ def residual_weyl_brs(fields, scn):
     Every law is read on value coefficients, so each closed form is one
     array of values over (..., row, col, ghost monomial, dx comp), built from
     eps and its first two derivatives on the pool generators and the values
-    of g, g^-1, Gamma, T, f0 and W.  A block of one row takes the closed
-    form on its columns with a row axis put in front.
+    of g, g^-1, Gamma, T, f0 and W, and the block's values are split the
+    same way (its component axis is ghost-major).  A block of one row takes
+    the closed form on its columns with a row axis put in front.
     """
     m = scn.m
     model = scn.model
@@ -774,49 +757,46 @@ def residual_weyl_brs(fields, scn):
     ginv = jmat_inv(jtrunc(fields.g, m, 0), m)[..., 0]
     up = ginv @ deps                    # g^{rl} d_l eps
     delta = np.eye(m)
-    out = {}
+    laws = {}       # row -> (block, its closed form)
     # s_W g = 2 eps g (block (3,2), coefficient of dx^mu at entry nu)
-    out["s_w_metric"] = _law_defect(model.block(s_varpi0, 3, 2),
-                                    2.0 * np.einsum("...mn,...j->...njm", g,
-                                                    eps)[..., None, :, :, :])
+    laws["s_w_metric"] = (model.block(s_varpi0, 3, 2),
+                          2.0 * np.einsum("...mn,...j->...njm", g, eps)[..., None, :, :, :])
     # s_W Gamma^r_mn = delta^r_n d_m eps + delta^r_m d_n eps - g^{rl} d_l eps g_mn
-    out["s_w_gamma"] = _law_defect(model.block(s_varpi0, 2, 2),
-                                   np.einsum("rn,...mj->...rnjm", delta, deps)
-                                   + np.einsum("rm,...nj->...rnjm", delta, deps)
-                                   - np.einsum("...rj,...mn->...rnjm", up, g))
+    laws["s_w_gamma"] = (model.block(s_varpi0, 2, 2),
+                         np.einsum("rn,...mj->...rnjm", delta, deps)
+                         + np.einsum("rm,...nj->...rnjm", delta, deps)
+                         - np.einsum("...rj,...mn->...rnjm", up, g))
     # s_W P_mn = d_m d_n eps - d_l eps Gamma^l_mn
-    out["s_w_schouten"] = _law_defect(model.block(s_varpi0, 1, 2),
-                                      (np.moveaxis(ddeps, -3, -1)
-                                       - np.einsum("...lj,...lmn->...njm", deps,
-                                                   Gamma))[..., None, :, :, :])
+    laws["s_w_schouten"] = (model.block(s_varpi0, 1, 2),
+                            (np.moveaxis(ddeps, -3, -1)
+                             - np.einsum("...lj,...lmn->...njm", deps,
+                                         Gamma))[..., None, :, :, :])
     # general two-form laws (they reduce to -d eps.W and 0 when T = f0 = 0):
     #   s_W C_{n,ms} = f0_{ms} d_n eps - d_l eps W^l_{n,ms}
     #   s_W W^r_{n,ms} = T^r_{ms} d_n eps - g^{rl} d_l eps T^a_{ms} g_{an}
     mu, sg = np.array(form_comps(m, 2)).T
     T, f0, W = fields.T[..., mu, sg], fields.f0[..., mu, sg], fields.W[..., mu, sg]
-    out["s_w_cotton"] = _law_defect(model.block(s_Omega0, 1, 2),
-                                    (np.einsum("...nj,...f->...njf", deps, f0)
-                                     - np.einsum("...lj,...lnf->...njf", deps,
-                                                 W))[..., None, :, :, :])
+    laws["s_w_cotton"] = (model.block(s_Omega0, 1, 2),
+                          (np.einsum("...nj,...f->...njf", deps, f0)
+                           - np.einsum("...lj,...lnf->...njf", deps, W))[..., None, :, :, :])
     tlow = np.einsum("...af,...an->...nf", T, g)
-    out["s_w_weyl"] = _law_defect(model.block(s_Omega0, 2, 2),
-                                  np.einsum("...nj,...rf->...rnjf", deps, T)
-                                  - np.einsum("...rj,...nf->...rnjf", up, tlow))
-    # sector trivialities after full dressing
-    for x in ("L", "i"):
-        t0 = scn.T_varpi0.svar(x)
-        t1 = scn.T_omega0.svar(x)
-        n0 = 0.0 if _is_zero(t0) else scn.ev(t0, 0).value_norm()
-        n1 = 0.0 if _is_zero(t1) else scn.ev(t1, 0).value_norm()
-        out[f"s_{x}_trivial"] = worst_of((n0, n1))
+    laws["s_w_weyl"] = (model.block(s_Omega0, 2, 2),
+                        np.einsum("...nj,...rf->...rnjf", deps, T)
+                        - np.einsum("...rj,...nf->...rnjf", up, tlow))
     # abelian residual symmetry: s_W vhat entry (2,3) = -2 eps g^-1 deps, with
     # eps deps = sum over pool pairs j < k of (e_j d_k - e_k d_j) eta_j eta_k
     svhat = scn.ev(scn.composite_ghost_term("full").svar("W"), 0)
     j, k = np.array(ghost_monos(2)).T
     eps_deps = eps[..., None, j] * deps[..., k] - eps[..., None, k] * deps[..., j]
-    out["s_w_vhat_23"] = _law_defect(model.block(svhat, 2, 3),
-                                     (-2.0 * ginv @ eps_deps)[..., :, None, :, None])
-    out["s_w_eps"] = model.block(svhat, 1, 1).value_norm()
+    laws["s_w_vhat_23"] = (model.block(svhat, 2, 3),
+                           (-2.0 * ginv @ eps_deps)[..., :, None, :, None])
+    out = {row: blk.data[..., 0].reshape(want.shape) - want
+           for row, (blk, want) in laws.items()}
+    out["s_w_eps"] = model.block(svhat, 1, 1)
+    # sector trivialities after full dressing
+    for x in ("L", "i"):
+        out[f"s_{x}_trivial"] = tuple(0.0 if _is_zero(t) else scn.ev(t, 0)
+                                      for t in (scn.T_varpi0.svar(x), scn.T_omega0.svar(x)))
     return out
 
 
@@ -828,7 +808,7 @@ def algebraic_connection(fields, scn):
     modified Russian residuals it satisfies.
     """
     vhat = composite_ghost(scn, "full", 1)      # the Russian residual takes its d
-    entry_defect = (vhat - scn.expected_final_ghost()).value_norm()
+    entry_defect = vhat - scn.expected_final_ghost()
     A = fields.varpi0
     F = fields.Omega0
     sA = scn.ev(scn.T_varpi0.stotal(), 0)
@@ -851,13 +831,23 @@ def linearization_check(conn, e, model, phi, point, h=1e-3):
     equals phi.  Both sides read values only, so the Weyl transforms move
     the dressed pair at order 0, with e, z and d phi at order 1: the d of
     the connection's conjugation.
+
+    Unlike every other row, each of g, Gamma, P, C and W is reduced here,
+    one value per point relative to max(1, |finite side|), and the report
+    reads the result as it is.  The finite side is exact only up to the
+    extrapolation's O(h^4) and the rounding of its difference quotients,
+    which is why the row is held to the looser ``LINEAR`` threshold on a
+    relative scale.  It stays a comparison of values: the error of a higher
+    jet coefficient of the quotients grows with the derivatives of phi and
+    of the fields it takes, no measurement gives it a scale under
+    ``LINEAR``, and at values the transforms move the pair at order 0 only.
     """
-    from .dressing import DressedPair, _dress_stages, extract_tensors
+    from .dressing import DressedPair, dress, extract_tensors
     from .jets import jexp
     from .weyl import weyl_matrices, weyl_transform_dressed
     m = model.m
     e1 = jtrunc(e, m, 1)
-    _, u0, _, _, _, varpi0, Omega0 = _dress_stages(conn.truncate(1), e1)
+    _, u0, _, _, _, varpi0, Omega0 = dress(conn.truncate(1), e1)
     varpi0, Omega0 = varpi0.truncate(0), Omega0.truncate(0)
     low = DressedPair(model, varpi0, Omega0, e1, *extract_tensors(varpi0, Omega0, model))
     phi_j = eval_jets([compile_expr(phi)], model.chart, point, 2)[..., 0, :]
@@ -885,12 +875,9 @@ def linearization_check(conn, e, model, phi, point, h=1e-3):
     s_Omega0 = gcomm(Omega0, vhat).body()
     g, Gamma, P, _, _, C, W = extract_tensors(s_varpi0, s_Omega0, model)
     got = {"g": g[..., 0], "Gamma": Gamma[..., 0], "P": P[..., 0], "C": C, "W": W}
-    out = {}
-    for k in finite:
-        rank = finite[k].ndim - (phi_j.ndim - 1)        # the tensor's own axes
-        scale = np.maximum(1.0, max_abs(finite[k], rank))
-        out[k] = max_abs(finite[k] - got[k], rank) / scale
-    return out
+    lead = phi_j.shape[:-1]
+    return {k: worst_entry(finite[k] - got[k], lead)
+            / np.maximum(1.0, worst_entry(finite[k], lead)) for k in finite}
 
 
 # ---------------------------------------------------------------------------
@@ -934,12 +921,12 @@ class PoincareBRS(_TermOwner):
         """The brs-gr rows; every one reads values only."""
         ev = partial(self.ev, need=0)
         out = {}
-        out["composite_ghost"] = ev(self.T_vhat).value_norm()
+        out["composite_ghost"] = ev(self.T_vhat)
         # su = -v u
         su = ev(self.T_u.svar("L"))
         vu = ev(self.V).wedge(ev(self.T_u))
-        out["su_rule"] = (su + vu).value_norm()
-        out["s_gamma_hat"] = ev(self.T_varpi_h.svar("L")).value_norm()
-        out["s_omega_hat"] = ev(self.T_omega_h.svar("L")).value_norm()
-        out["s2_varpi"] = ev(self.L_varpi.svar("L").svar("L")).value_norm()
+        out["su_rule"] = su + vu
+        out["s_gamma_hat"] = ev(self.T_varpi_h.svar("L"))
+        out["s_omega_hat"] = ev(self.T_omega_h.svar("L"))
+        out["s2_varpi"] = ev(self.L_varpi.svar("L").svar("L"))
         return out

@@ -19,7 +19,6 @@ from .forms import (MForm, algebra_residual, block_matrix, eta_t, form_comps, gc
                     scale_by_jet, two_form_values)
 from .jets import (Chart, jconst, jcos, jcosh, jmat_inv, jmat_mul, jmul, jrecip, jsin,
                    jsinh, jtrunc, order_of, space)
-from .reduction import max_abs, worst_of
 
 # largest |x_i| of the catalog sample points; random gauge polynomials are
 # scaled for it
@@ -171,7 +170,7 @@ def _first_over(resid, omega, tol):
     """The residual of the first point whose residual, relative to its
     connection's scale, is not within ``tol``; None when every point is."""
     resid = np.atleast_1d(resid)
-    bad = np.flatnonzero(~(resid / worst_of((1.0, omega.full_norm())) <= tol))
+    bad = np.flatnonzero(~(resid / np.maximum(1.0, omega.full_norm()) <= tol))
     return float(resid[bad[0]]) if bad.size else None
 
 
@@ -326,18 +325,13 @@ def schouten_form(A, e, einv, eta):
 
 
 def normality_residual(curv, e_values, model):
-    """(|Theta|, |Ric(F)|, |f|) value-level norms of the normality defects,
-    per point."""
-    theta_n = curv.Theta().value_norm()
+    """The normality defects (Theta, Ric(F), f), each read on its values;
+    f is 0.0 for the Poincare model, which has no trace block."""
     Fv = two_form_values(curv.F())
     einv_v = np.linalg.inv(e_values)
     Ffr = np.einsum("...abmn,...mc,...nd->...abcd", Fv, einv_v, einv_v)
     ric = np.einsum("...abad->...bd", Ffr)
-    ric_n = max_abs(ric, 2)
-    if model.kind == "poincare":
-        return theta_n, ric_n, 0.0
-    f_n = curv.f().value_norm()
-    return theta_n, ric_n, f_n
+    return curv.Theta(), ric, 0.0 if model.kind == "poincare" else curv.f()
 
 
 # ---------------------------------------------------------------------------

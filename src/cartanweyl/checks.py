@@ -1,14 +1,17 @@
 """Named check suites, report assembly and the degrees-of-freedom table.
 
-Every suite maps a :class:`PointContext` to its residuals, one per point.
-One loop visits the sample points in batches of at most ``BATCH_SIZE``,
-runs each requested suite once per batch, and keeps each row's worst
-residual over the points.  Every piece of a batch, the ghost fields and the
-BRS term caches included, carries a leading point axis and every kernel
-acts on each point alone, so a batch reports, bit for bit, what its points
-report one at a time.  Reports keep a deterministic payload (no timings
-inside) so golden-file comparisons and the byte-identical-report guarantee
-hold; the report's meta names each row's worst point.
+Every suite maps a :class:`PointContext` to its rows' residuals, unreduced
+(an MForm, a value array, a tuple whose worst member counts, or 0.0 for a
+structural zero), and one reducer, :func:`~cartanweyl.reduction.worst_entry`,
+reads each of them down to one value per point.  One loop visits the sample
+points in batches of at most ``BATCH_SIZE``, runs each requested suite once
+per batch, and keeps each row's worst value over the points.  Every piece
+of a batch, the ghost fields and the BRS term caches included, carries a
+leading point axis and every kernel acts on each point alone, so a batch
+reports, bit for bit, what its points report one at a time.  Reports keep
+a deterministic payload (no timings inside) so golden-file comparisons and
+the byte-identical-report guarantee hold; the report's meta names each
+row's worst point.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .errors import CartanWeylError, ScenarioError
 from .exprs import eval_jets
 from .forms import MForm, form_comps, gcomm, scale_by_jet
 from .jets import jmul, jtrunc, order_of
-from .reduction import max_abs, worst_of
+from .reduction import worst_entry
 from .scenarios import MIN_JET_ORDER
 from .weyl import (WeylElement, closed_form_laws, wbar_closed_form, weyl_group_law_residual,
                    weyl_matrices, weyl_transform_dressed, weyl_transform_midlevel)
@@ -288,8 +291,8 @@ def point_of(x, slot):
 
 
 # ---------------------------------------------------------------------------
-# suites, each mapping a batch's context to {row: residual per point}, and
-# the loop that runs them
+# suites, each mapping a batch's context to {row: residual}, and the loop
+# that runs them
 # ---------------------------------------------------------------------------
 
 def gauge_suite(ctx):
@@ -300,7 +303,7 @@ def gauge_suite(ctx):
     res = {}
     # the one row that takes a d of the curvature; the routes after it read
     # values only
-    res["bianchi"] = covariant_d(conn.omega, Om).value_norm()
+    res["bianchi"] = covariant_d(conn.omega, Om)
     if model.kind == "mobius":
         conn = conn.truncate(ROUTE_ORDER)
         k = ROUTE_ORDER + 1
@@ -320,14 +323,14 @@ def gauge_suite(ctx):
         conn_g, rhs, c1, cw = (point_of(routes, i) for i in range(4))
         curv_g = curvature(conn_g)
         conj = conjugate(Om, mats["gamma"], mats["gamma_inv"])
-        res["curvature_equivariance"] = (curv_g.omega2 - conj).value_norm()
+        res["curvature_equivariance"] = curv_g.omega2 - conj
         # right action on a random pair
         lhs = gauge_transform(conn_g, m2["gamma"], m2["gamma_inv"])
-        res["right_action"] = (lhs.omega - rhs.omega).value_norm()
+        res["right_action"] = lhs.omega - rhs.omega
         rth = m1["r"].wedge(conn.theta())
-        res["unipotent_trace_shift"] = (c1.a() - (conn.a() - rth)).value_norm()
+        res["unipotent_trace_shift"] = c1.a() - (conn.a() - rth)
         zth = scale_by_jet(conn.theta(), mw["z"])
-        res["weyl_soldering_scale"] = (cw.theta() - zth).value_norm()
+        res["weyl_soldering_scale"] = cw.theta() - zth
     if scn.normal and not scn.gauge:
         t, r_, f_ = normality_residual(curv, ctx.e_normal[..., 0], model)
         res["normality_theta"] = t
@@ -360,36 +363,33 @@ def dressing_suite(ctx):
                          point=point).matrices(model, point, k)
     routes = transform_routes(low, [(mats1["gamma"], mats1["gamma_inv"]),
                                     (matsS["gamma"], matsS["gamma_inv"])])
+    # each route's (u1, u0, Omega, varpi1, Omega1, varpi0, Omega0)
     dressed = dress(routes)
-    (_, _, varpi0_1, Omega0_1), (varpi1_S, Omega1_S, varpi0_S, Omega0_S) = (
-        point_of(dressed, i) for i in range(2))
-    for tag, varpi0_g, Omega0_g in (("k1", varpi0_1, Omega0_1), ("so", varpi0_S, Omega0_S)):
-        res[f"invariance_{tag}_varpi0"] = (fields.varpi0 - varpi0_g).value_norm()
-        res[f"invariance_{tag}_Omega0"] = (fields.Omega0 - Omega0_g).value_norm()
+    stages1, stagesS = (point_of(dressed, i) for i in range(2))
+    for tag, (*_, varpi0_g, Omega0_g) in (("k1", stages1), ("so", stagesS)):
+        res[f"invariance_{tag}_varpi0"] = fields.varpi0 - varpi0_g
+        res[f"invariance_{tag}_Omega0"] = fields.Omega0 - Omega0_g
     # midpoint equivariance: varpi1^S = S^-1 varpi1 S + S^-1 dS
     S, Sinv = matsS["S_emb"], matsS["Sinv_emb"]
-    expect = conjugate(fields.varpi1, S, Sinv, connection=True)
-    res["equivariance_varpi1_S"] = (varpi1_S - expect).value_norm()
-    expectO = conjugate(fields.Omega1, S, Sinv)
-    res["equivariance_Omega1_S"] = (Omega1_S - expectO).value_norm()
-    # compatibility conditions, on the same two routes
-    comp = compatibility_residuals(low, jtrunc(e_full, model.m, k), point_of(routes, 0), mats1,
-                                   point_of(routes, 1), matsS, model)
+    varpi1_S, Omega1_S = stagesS[3:5]
+    res["equivariance_varpi1_S"] = varpi1_S - conjugate(fields.varpi1, S, Sinv, connection=True)
+    res["equivariance_Omega1_S"] = Omega1_S - conjugate(fields.Omega1, S, Sinv)
+    # compatibility conditions, on the dressings of the same two routes
+    comp = compatibility_residuals((fields.u1, fields.u0), stages1[:2], mats1, stagesS[:2],
+                                   matsS)
     res.update({f"compat_{k}": v for k, v in comp.items()})
     # tensors against the classical oracle, whose rows read values only
     B = tensors.classical_bundle(jtrunc(e_full, model.m, ORACLE_JET_ORDER),
                                  scn.signature, model.m)
-    res["oracle_g"] = max_abs(fields.g[..., 0] - B["g"][..., 0], 2)
+    res["oracle_g"] = fields.g[..., 0] - B["g"][..., 0]
     if scn.normal:
         # only torsion-free inputs reduce Gamma to the Levi-Civita symbols
-        res["oracle_Gamma"] = max_abs(fields.Gamma[..., 0] - B["Gamma"][..., 0], 3)
-        res["oracle_P"] = max_abs(fields.P[..., 0] - B["P"][..., 0], 2)
-        res["oracle_C"] = max_abs(fields.C - B["C"][..., 0], 3)
-        res["oracle_W"] = max_abs(fields.W - B["W"][..., 0], 4)
-        t, ric, f0 = dressed_normality(fields)
-        res["dressed_torsion"] = t
-        res["dressed_ricci"] = ric
-        res["dressed_trace"] = f0
+        res["oracle_Gamma"] = fields.Gamma[..., 0] - B["Gamma"][..., 0]
+        res["oracle_P"] = fields.P[..., 0] - B["P"][..., 0]
+        res["oracle_C"] = fields.C - B["C"][..., 0]
+        res["oracle_W"] = fields.W - B["W"][..., 0]
+        res["dressed_torsion"], res["dressed_ricci"], res["dressed_trace"] = (
+            dressed_normality(fields))
     return res
 
 
@@ -409,18 +409,18 @@ def _gr_dressing(ctx):
     _, _, Gamma, R, T, g, diag = gr_dress(low, e)
     res = dict(diag)
     B = tensors.curvature_bundle(e, scn.signature, model.m)
-    res["oracle_Gamma"] = max_abs(Gamma[..., 0] - B["Gamma"][..., 0], 3)
-    res["oracle_R"] = max_abs(R - B["Riemann"][..., 0], 4)
-    res["torsion"] = max_abs(T, 3)
+    res["oracle_Gamma"] = Gamma[..., 0] - B["Gamma"][..., 0]
+    res["oracle_R"] = R - B["Riemann"][..., 0]
+    res["torsion"] = T
     # Lorentz invariance of the dressed outputs
     ge = random_gauge(model, ctx.fresh_rng(), with_z=False, with_r=False, point=point)
     mats = ge.matrices(model, point, low.order + 1)
     conn_S = gauge_transform(low, mats["gamma"], mats["gamma_inv"])
     eS = tensors.jeinsum("ab,bm->am", mats["Sinv"], e, model.m)
     _, _, G2, R2, T2, _, _ = gr_dress(conn_S, eS)
-    res["so_invariance_Gamma"] = max_abs(Gamma[..., 0] - G2[..., 0], 3)
-    res["so_invariance_R"] = max_abs(R - R2, 4)
-    res["so_invariance_T"] = max_abs(T - T2, 3)
+    res["so_invariance_Gamma"] = Gamma[..., 0] - G2[..., 0]
+    res["so_invariance_R"] = R - R2
+    res["so_invariance_T"] = T - T2
     return res
 
 
@@ -432,48 +432,46 @@ def weyl_suite(ctx):
     z, zeta = wz.at(scn.chart, point, ctx.order)
     mats = weyl_matrices(model, z, zeta, fields.u0)
     res = {}
-    res["wbar_closed_form"] = (mats["wbar"]
-                               - wbar_closed_form(model, z, zeta, fields.e)).full_norm()
+    # the one row read on its whole jet, not its values
+    res["wbar_closed_form"] = (mats["wbar"] - wbar_closed_form(model, z, zeta, fields.e)).data
     # u1 and k1 commute (both unipotent on the same row pattern)
-    res["k1_u1_commute"] = gcomm(mats["k1"], fields.u1.mat).value_norm()
+    res["k1_u1_commute"] = gcomm(mats["k1"], fields.u1.mat)
     # the moved vielbein z e is read by the rescaled route alone, to
     # ORACLE_JET_ORDER, so e is cut to that order before the product
     stW = weyl_transform_dressed(
         dataclasses.replace(fields, e=jtrunc(fields.e, model.m, ORACLE_JET_ORDER)), mats)
     laws = closed_form_laws(fields, z, zeta)
-    res["law_metric"] = max_abs(stW.g[..., 0] - laws["g"], 2)
-    res["law_christoffel"] = max_abs(stW.Gamma[..., 0] - laws["Gamma"], 3)
-    res["law_schouten"] = max_abs(stW.P[..., 0] - laws["P"], 2)
-    res["law_torsion"] = max_abs(stW.T - laws["T"], 3)
-    res["law_trace"] = max_abs(stW.f0 - laws["f0"], 2)
-    res["law_weyl_tensor"] = max_abs(stW.W - laws["W"], 4)
-    res["law_cotton"] = max_abs(stW.C - laws["C"], 3)
+    res["law_metric"] = stW.g[..., 0] - laws["g"]
+    res["law_christoffel"] = stW.Gamma[..., 0] - laws["Gamma"]
+    res["law_schouten"] = stW.P[..., 0] - laws["P"]
+    res["law_torsion"] = stW.T - laws["T"]
+    res["law_trace"] = stW.f0 - laws["f0"]
+    res["law_weyl_tensor"] = stW.W - laws["W"]
+    res["law_cotton"] = stW.C - laws["C"]
     # antisymmetric parts are inert
     asym = 0.5 * (stW.Gamma[..., 0] - stW.Gamma[..., 0].swapaxes(-1, -2))
     asym0 = 0.5 * (fields.Gamma[..., 0] - fields.Gamma[..., 0].swapaxes(-1, -2))
-    res["law_antisym_christoffel"] = max_abs(asym - asym0, 3)
+    res["law_antisym_christoffel"] = asym - asym0
     # route three: Weyl-transform the input connection and dress it again
     low = conn.truncate(ROUTE_ORDER)
     k = ROUTE_ORDER + 1
-    _, _, varpi0_W, Omega0_W = dress(gauge_transform(low, mats["W"].truncate(k),
-                                                     mats["Winv"].truncate(k)))
-    res["route_pipeline_varpi0"] = (stW.varpi0 - varpi0_W).value_norm()
-    res["route_pipeline_Omega0"] = (stW.Omega0 - Omega0_W).value_norm()
+    *_, varpi0_W, Omega0_W = dress(gauge_transform(low, mats["W"].truncate(k),
+                                                   mats["Winv"].truncate(k)))
+    res["route_pipeline_varpi0"] = stW.varpi0 - varpi0_W
+    res["route_pipeline_Omega0"] = stW.Omega0 - Omega0_W
     if scn.normal:
         # and from the rescaled vielbein through the normal construction,
         # whose rows, like the oracle's, read values of up to three d of e
-        _, _, varpi0_2, Omega0_2 = dress(build_normal(stW.e, model, point, ORACLE_JET_ORDER))
+        *_, varpi0_2, Omega0_2 = dress(build_normal(stW.e, model, point, ORACLE_JET_ORDER))
         g2, Gamma2, P2, _, _, C2, W2 = extract_tensors(varpi0_2, Omega0_2, model)
-        res["route_rescaled_g"] = max_abs(stW.g[..., 0] - g2[..., 0], 2)
-        res["route_rescaled_Gamma"] = max_abs(stW.Gamma[..., 0] - Gamma2[..., 0], 3)
-        res["route_rescaled_P"] = max_abs(stW.P[..., 0] - P2[..., 0], 2)
-        res["route_rescaled_C"] = max_abs(stW.C - C2, 3)
-        res["route_rescaled_W"] = max_abs(stW.W - W2, 4)
-        res["weyl_tensor_invariance"] = max_abs(stW.W - fields.W, 4)
-        t, ric, f0n = dressed_normality(stW)
-        res["normality_preserved_T"] = t
-        res["normality_preserved_ric"] = ric
-        res["normality_preserved_f0"] = f0n
+        res["route_rescaled_g"] = stW.g[..., 0] - g2[..., 0]
+        res["route_rescaled_Gamma"] = stW.Gamma[..., 0] - Gamma2[..., 0]
+        res["route_rescaled_P"] = stW.P[..., 0] - P2[..., 0]
+        res["route_rescaled_C"] = stW.C - C2
+        res["route_rescaled_W"] = stW.W - W2
+        res["weyl_tensor_invariance"] = stW.W - fields.W
+        (res["normality_preserved_T"], res["normality_preserved_ric"],
+         res["normality_preserved_f0"]) = dressed_normality(stW)
     # redundancy: entry (2,3) of the transformed pair
     res["redundancy_varpi"] = _redundancy(stW.varpi0, stW, model)
     res["redundancy_omega"] = _redundancy(stW.Omega0, stW, model)
@@ -487,10 +485,9 @@ def weyl_suite(ctx):
                       ("alpha1", (1, 2), v1W), ("f1", (1, 1), O1W),
                       ("Theta1", (2, 1), O1W), ("F1", (2, 2), O1W),
                       ("Pi1", (1, 2), O1W)]:
-        res[f"midlevel_{nm}"] = (model.block(M, *ij) - closed[nm]).value_norm()
+        res[f"midlevel_{nm}"] = model.block(M, *ij) - closed[nm]
     if scn.normal:
-        res["midlevel_F1_invariance"] = (model.block(O1W, 2, 2)
-                                         - model.block(fields.Omega1, 2, 2)).value_norm()
+        res["midlevel_F1_invariance"] = model.block(O1W, 2, 2) - model.block(fields.Omega1, 2, 2)
     return res
 
 
@@ -498,8 +495,7 @@ def _redundancy(form, stW, model):
     """Entry (2,3) of a dressed form against g^-1 times its entry (1,2)^T."""
     want = np.einsum("...rl,...lf->...rf", np.linalg.inv(stW.g[..., 0]),
                      model.block(form, 1, 2).data[..., 0, :, :, 0])
-    got = model.block(form, 2, 3).data[..., :, 0, :, 0]
-    return max_abs(got - want, 2)
+    return model.block(form, 2, 3).data[..., :, 0, :, 0] - want
 
 
 _NILPOTENT = ("varpi", "v", "u1", "u0")
@@ -534,18 +530,18 @@ def brs_suite(ctx):
         vh = ev(vh_t)
         res.update(nilpotency_residuals(scn_b, names=_NILPOTENT))
         v1 = composite_ghost(scn_b, "u1", 0)
-        res["first_ghost"] = (v1 - scn_b.expected_first_ghost()).value_norm()
-        res["final_ghost"] = (vh - scn_b.expected_final_ghost()).value_norm()
+        res["first_ghost"] = v1 - scn_b.expected_first_ghost()
+        res["final_ghost"] = vh - scn_b.expected_final_ghost()
         # sector transformation rules of the dressing fields
         u1 = ev(scn_b.T_u1)
         vi = ev(scn_b.V["i"])
         vl = ev(scn_b.V["L"])
-        res["u1_inversion_rule"] = (ev(scn_b.T_u1.svar("i")) + vi.wedge(u1)).value_norm()
-        res["u1_lorentz_rule"] = (ev(scn_b.T_u1.svar("L")) - gcomm(u1, vl)).value_norm()
+        res["u1_inversion_rule"] = ev(scn_b.T_u1.svar("i")) + vi.wedge(u1)
+        res["u1_lorentz_rule"] = ev(scn_b.T_u1.svar("L")) - gcomm(u1, vl)
         u0 = ev(scn_b.T_u0)
         epst = scn_b.eps_eye(model.n, range(1, m + 1))
         su0W = ev(scn_b.T_u0.svar("W"))
-        res["u0_weyl_rule"] = (su0W - epst.wedge(u0)).value_norm()
+        res["u0_weyl_rule"] = su0W - epst.wedge(u0)
         _, _, res["two_steps_decomposition"], res["two_steps_ghost"] = two_steps_in_one(scn_b)
         for stage in ("u1", "full"):
             conn_r, curv_r, ghost_r = modified_brs_residuals(scn_b, stage)
@@ -553,8 +549,8 @@ def brs_suite(ctx):
             res[f"lemma_{stage}_curvature"] = curv_r
             res[f"lemma_{stage}_ghost"] = ghost_r
         res.update(residual_weyl_brs(fields, scn_b))
-        _, res["algebraic_connection_entries"], rr = algebraic_connection(fields, scn_b)
-        res["algebraic_connection_russian"] = worst_of(rr)
+        _, res["algebraic_connection_entries"], res["algebraic_connection_russian"] = (
+            algebraic_connection(fields, scn_b))
     # the check dresses ctx.normal cut to order 1 itself, after the block
     # above has freed its term graph: the batch never holds two at once
     lin = linearization_check(ctx.normal, ctx.e_normal, model,
@@ -564,7 +560,7 @@ def brs_suite(ctx):
 
 
 SUITES = ("gauge", "dressing", "weyl", "brs")
-# (model kind, suite) -> (row prefix, per-point residuals, threshold rules).
+# (model kind, suite) -> (row prefix, residuals, threshold rules).
 # A row takes the threshold of the first rule with a prefix its name starts
 # with, else the scenario tolerance.
 _ORACLE_RULES = ((("oracle",), ORACLE),)
@@ -588,18 +584,19 @@ BATCH_SIZE = 4
 
 
 def _batch_rows(ctx, plan):
-    """{suite: {row: one residual per point}} of every suite in ``plan``."""
+    """{suite: {row: one value per point}} of every suite in ``plan``: each
+    row's residual read through :func:`worst_entry`."""
     out = {}
+    lead = (len(ctx.point),)
     for name, _, residuals, _ in plan:
         try:
             rows = residuals(ctx)
+            out[name] = {row: worst_entry(v, lead) for row, v in rows.items()}
         except CartanWeylError as ex:
             # label the message in place: a subclass constructor may
             # take more than the message (ExprSyntaxError takes pos)
             ex.args = (f"[{name} suite] {ex}",)
             raise
-        out[name] = {row: np.broadcast_to(np.asarray(v, dtype=float), (len(ctx.point),))
-                     for row, v in rows.items()}
     return out
 
 
@@ -651,9 +648,9 @@ def _run_suites(scn, suite, visit=None):
 
 
 def _merge(worst, new, where=None, first=0):
-    """Fold residuals, one per point, into each row's worst so far.
+    """Fold each row's values, one per point, into its worst so far.
 
-    NaN wins, as in :func:`worst_of`, and so does the first of equal
+    NaN wins, as in :func:`worst_entry`, and so does the first of equal
     values.  ``where`` keeps the absolute index of the point each worst
     came from, the points of ``new`` being numbered from ``first``.
     """
@@ -661,7 +658,7 @@ def _merge(worst, new, where=None, first=0):
         for i, x in enumerate(np.ravel(v).tolist()):
             old = worst.get(k, 0.0)
             took = not math.isnan(old) and (math.isnan(x) or x > old)
-            worst[k] = x if took else old       # worst_of((old, x)): old is >= 0 or NaN
+            worst[k] = x if took else old       # old is >= 0 or NaN
             if where is not None and (took or k not in where):
                 where[k] = first + i
 

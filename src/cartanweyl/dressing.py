@@ -18,7 +18,6 @@ from .cartan import KleinModel, conjugate, curvature, curvature_form, k1_matrix
 from .errors import ShapeError
 from .forms import MForm, block_matrix, two_form_values
 from .jets import jmat_inv, jtrunc, order_of
-from .reduction import max_abs, worst_of
 from .tensors import dstack, jeinsum, metric_from_vielbein
 
 
@@ -71,7 +70,7 @@ class DressedFields(DressedPair):
     Omega1: MForm
     u1: DressingU1
     u0: DressingU0
-    single_step_residual: float
+    single_step_residual: tuple
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -141,8 +140,15 @@ def _form_index_first(x):
     return np.ascontiguousarray(x.swapaxes(-3, -2))
 
 
-def _dress_stages(conn, e):
-    """(u1, u0, Omega, varpi1, Omega1, varpi0, Omega0) of :func:`dress`."""
+def dress(conn, e=None):
+    """Both dressing stages with their dressings: (u1, u0, Omega, varpi1,
+    Omega1, varpi0, Omega0), Omega the curvature of ``conn``.
+
+    ``e`` defaults to the vielbein read off the soldering block; passing it
+    explicitly is only useful to prove invariance statements where the same
+    array must serve several scrambled connections.  The pairs come out one
+    order below ``conn``: u1 is built from its a block.
+    """
     if e is None:
         e = vielbein_of(conn)
     u0 = u0_from_vielbein(e, conn.model)
@@ -155,42 +161,28 @@ def _dress_stages(conn, e):
     return u1, u0, Om, varpi1, Omega1, varpi0, Omega0
 
 
-def dress(conn, e=None):
-    """Both dressing stages: (varpi1, Omega1, varpi0, Omega0).
-
-    ``e`` defaults to the vielbein read off the soldering block; passing it
-    explicitly is only useful to prove invariance statements where the same
-    array must serve several scrambled connections.  The pairs come out one
-    order below ``conn``: u1 is built from its a block.
-    """
-    return _dress_stages(conn, e)[3:]
-
-
 def full_pipeline(conn, e=None):
     """:func:`dress` plus the single-step cross-check, the diagnostics and
     the tensors read off the dressed pair."""
     model = conn.model
     m = model.m
-    u1, u0, Om, varpi1, Omega1, varpi0, Omega0 = _dress_stages(conn, e)
+    u1, u0, Om, varpi1, Omega1, varpi0, Omega0 = dress(conn, e)
     # single step through u = u1 u0
     u = u1.mat.wedge(u0.mat)
     uinv = u0.inv.wedge(u1.inv)
     varpi0_b = conjugate(conn.omega, u, uinv, connection=True)
     Omega0_b = conjugate(Om, u, uinv)
-    single = worst_of(((varpi0 - varpi0_b).value_norm(),
-                       (Omega0 - Omega0_b).value_norm()))
+    single = (varpi0 - varpi0_b, Omega0 - Omega0_b)
     g, Gamma, P, T, f0, C, W = extract_tensors(varpi0, Omega0, model)
     diag = {}
-    diag["a1_residual"] = model.block(varpi1, 1, 1).value_norm()
-    # block (2,1) must be exactly dx and (3,3) zero
-    b21 = model.block(varpi0, 2, 1)
-    diag["dx_residual"] = max_abs(b21.data[..., :, 0, :, 0] - np.eye(m), 2)
-    diag["corner_residual"] = worst_of((model.block(varpi0, 1, 1).value_norm(),
-                                        model.block(varpi0, 3, 3).value_norm()))
+    diag["a1_residual"] = model.block(varpi1, 1, 1)
+    # block (2,1) must be exactly dx and (1,1), (3,3) zero
+    diag["dx_residual"] = model.block(varpi0, 2, 1).data[..., :, 0, :, 0] - np.eye(m)
+    diag["corner_residual"] = (model.block(varpi0, 1, 1), model.block(varpi0, 3, 3))
     # metricity: d g - Gamma^T g - g Gamma = 0
     diag["metricity"] = metricity_residual(g, Gamma, m)
     # curvature compatibility of the dressed pair
-    diag["curvature_compat"] = (curvature_form(varpi0) - Omega0).value_norm()
+    diag["curvature_compat"] = curvature_form(varpi0) - Omega0
     return DressedFields(
         model=model, varpi0=varpi0, Omega0=Omega0, e=u0.e, g=g, Gamma=Gamma, P=P,
         T=T, f0=f0, C=C, W=W, varpi1=varpi1, Omega1=Omega1, u1=u1, u0=u0,
@@ -198,52 +190,38 @@ def full_pipeline(conn, e=None):
 
 
 def metricity_residual(g, Gamma, m):
-    """Value norm of d_mu g_nr - Gamma^l_mn g_lr - g_nl Gamma^l_mr, per point."""
+    """The values of d_mu g_nr - Gamma^l_mn g_lr - g_nl Gamma^l_mr."""
     dg = dstack(g, m, 2)  # (mu, n, r)
     # only the values are read, so the products run at order 0
     g0, Gamma0 = jtrunc(g, m, 0), jtrunc(Gamma, m, 0)
     t1 = jeinsum("lmn,lr->mnr", Gamma0, g0, m)
     t2 = jeinsum("nl,lmr->mnr", g0, Gamma0, m)
-    res = dg[..., 0] - t1[..., 0] - t2[..., 0]
-    return max_abs(res, 3)
+    return dg[..., 0] - t1[..., 0] - t2[..., 0]
 
 
 def dressed_normality(fields):
-    """(|T|, |Ric(W)|, |f0|) for a pipeline output (value level), per point."""
-    ric = np.einsum("...anas->...ns", fields.W)
-    return max_abs(fields.T, 3), max_abs(ric, 2), max_abs(fields.f0, 2)
+    """The values (T, Ric(W), f0) of a pipeline output, each zero when the
+    input connection is normal."""
+    return fields.T, np.einsum("...anas->...ns", fields.W), fields.f0
 
 
-def compatibility_residuals(conn, e, conn_g1, m1, conn_S, mS, model):
+def compatibility_residuals(base, g1, m1, S, mS):
     """Defects of the four dressing compatibility laws.
 
-    ``m1`` and ``mS`` are the ``GaugeElement.matrices`` of a unipotent and a
-    Lorentz gauge element at the point, and ``conn_g1`` and ``conn_S`` the
-    connection ``conn`` moved by their gamma_1 and S.  Re-extracts the
-    dressings from the moved connections and compares with the closed-form
-    actions:
+    ``base``, ``g1`` and ``S`` are the (u1, u0) dressings of a connection
+    and of that connection moved by the gamma_1 of a unipotent gauge element
+    and by the S of a Lorentz one, as :func:`dress` extracts them; ``m1``
+    and ``mS`` are the two elements' ``GaugeElement.matrices``.  Compares the
+    moved dressings with the closed-form actions:
       u1^{gamma1} = gamma1^-1 u1,  u1^S = S^-1 u1 S,
-      u0^S = S^-1 u0,              u0^{gamma1} = u0.
+      u0^S = S^-1 u0,              u0^{gamma1} = u0,
+    the last because gamma_1 leaves the soldering block, so e, untouched.
     """
-    m = model.m
-    u0 = u0_from_vielbein(e, model)
-    u1 = extract_u1(conn, u0.einv)
-    out = {}
-    # gamma1 action: the soldering block, so e, is untouched
-    u1_g1 = extract_u1(conn_g1, u0.einv)
-    expect = m1["gamma1_inv"].wedge(u1.mat)
-    out["u1_gamma1"] = (u1_g1.mat - expect).value_norm()
-    u0_g1 = u0_from_vielbein(vielbein_of(conn_g1), model)
-    out["u0_gamma1"] = (u0_g1.mat - u0.mat).value_norm()
-    # S action: the vielbein rotates, e^S = S^-1 e
-    eS = jeinsum("ab,bm->am", mS["Sinv"], e, m)
-    u0_S = u0_from_vielbein(eS, model)
-    u1_S = extract_u1(conn_S, u0_S.einv)
-    expect = conjugate(u1.mat, mS["S_emb"], mS["Sinv_emb"])
-    out["u1_S"] = (u1_S.mat - expect).value_norm()
-    expect = mS["Sinv_emb"].wedge(u0.mat)
-    out["u0_S"] = (u0_S.mat - expect).value_norm()
-    return out
+    (u1, u0), (u1_g1, u0_g1), (u1_S, u0_S) = base, g1, S
+    return {"u1_gamma1": u1_g1.mat - m1["gamma1_inv"].wedge(u1.mat),
+            "u0_gamma1": u0_g1.mat - u0.mat,
+            "u1_S": u1_S.mat - conjugate(u1.mat, mS["S_emb"], mS["Sinv_emb"]),
+            "u0_S": u0_S.mat - mS["Sinv_emb"].wedge(u0.mat)}
 
 
 def gr_dress(conn, e):
@@ -266,8 +244,7 @@ def gr_dress(conn, e):
     g = metric_from_vielbein(e, model.eta)
     diag = {
         "metricity": metricity_residual(g, Gamma, m),
-        "dx_residual": max_abs(model.block(varpi_h, 1, 2).data[..., :, 0, :, 0] - np.eye(m),
-                               2),
-        "curvature_compat": (curvature_form(varpi_h) - Omega_h).value_norm(),
+        "dx_residual": model.block(varpi_h, 1, 2).data[..., :, 0, :, 0] - np.eye(m),
+        "curvature_compat": curvature_form(varpi_h) - Omega_h,
     }
     return varpi_h, Omega_h, Gamma, R, T, g, diag

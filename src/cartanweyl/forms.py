@@ -34,7 +34,7 @@ from .errors import JetOrderError, ShapeError
 from .grassmann import GradedScalar, _merge_monomials
 from .jets import Jet, jmul, jtrunc, order_of, space
 from .jets import jmat_mul  # noqa: F401  (re-exported; perfbench's tracer test rebinds it)
-from .reduction import max_abs
+from .reduction import worst_entry
 
 # Shared ghost generators.  Every BRS identity is checked at ghost degree
 # q <= 3, and a nonzero residual of degree q <= GHOST_POOL survives the
@@ -401,12 +401,12 @@ class MForm:
 
     def value_norm(self):
         """Max |value coefficient| over entries and components, per point."""
-        return max_abs(self.data[..., 0], 3)
+        return worst_entry(self, self.lead)
 
     def full_norm(self):
         """Max |coefficient| over all jet orders (used for relative scales),
         per point."""
-        return max_abs(self.data, 4)
+        return worst_entry(self.data, self.lead)
 
     def body(self):
         """Float MForm obtained by sending every ghost generator to 1."""
@@ -532,4 +532,4 @@ def algebra_residual(X, kind, eta=None, sigma=None):
         low = np.concatenate([M[..., 1:, 0], M[..., n - 1, 1:n - 1], M[..., 0, n - 1:]],
                              axis=-1)
         defect = np.maximum(defect, np.linalg.norm(low, axis=-1))
-    return max_abs(defect, 1)
+    return worst_entry(defect, X.lead)

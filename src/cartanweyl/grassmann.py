@@ -15,7 +15,7 @@ closed forms of the reduced Weyl laws are dense arrays
 
 from __future__ import annotations
 
-from .reduction import worst_of
+from .reduction import worst_entry
 
 
 def _merge_monomials(a, b):
@@ -70,7 +70,7 @@ class GradedScalar:
 
     def norm(self, coeff_norm=abs):
         """Largest ``coeff_norm`` over the coefficients; 0.0 when zero."""
-        return worst_of(coeff_norm(c) for c in self.terms.values())
+        return worst_entry(tuple(coeff_norm(c) for c in self.terms.values()), ())
 
     def map(self, fn):
         """Apply ``fn`` to every coefficient (an even, linear map such as a

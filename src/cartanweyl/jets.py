@@ -142,13 +142,9 @@ class JetSpace:
 
     @property
     def mul_i(self):
-        """Left factor index of every product pair, in table order."""
+        """Left factor index of every product pair, in table order (the
+        benchmark tracer counts product terms by its length)."""
         return self.table.i
-
-    @property
-    def mul_j(self):
-        """Right factor index of every product pair, in table order."""
-        return self.table.j
 
     @cached_property
     def inv_tables(self):

@@ -14,7 +14,7 @@ from cartanweyl.cartan import covariant_d
 from cartanweyl.forms import form_comps, gcomm
 from cartanweyl.grassmann import GradedScalar
 from cartanweyl.jets import Jet, jmat_inv, jtrunc
-from cartanweyl.reduction import worst_of
+from cartanweyl.reduction import worst_entry
 
 LAWS = ("s_w_metric", "s_w_gamma", "s_w_schouten", "s_w_cotton", "s_w_weyl", "s_w_vhat_23")
 
@@ -46,9 +46,9 @@ def law_rows(fields, scn):
 
     # s_W g = 2 eps g
     blk = model.block(s_varpi0, 3, 2)
-    out["s_w_metric"] = worst_of(
+    out["s_w_metric"] = worst_entry(tuple(
         _value_defect(blk.entry(0, nu, mu), (fj(g[mu, nu]) * eps) * 2.0)
-        for mu in range(m) for nu in range(m))
+        for mu in range(m) for nu in range(m)), ())
     # s_W Gamma^r_mn = delta^r_n d_m eps + delta^r_m d_n eps - g^{rl} d_l eps g_mn
     blk = model.block(s_varpi0, 2, 2)
     deps = [_d(eps, mu) for mu in range(m)]
@@ -66,7 +66,7 @@ def law_rows(fields, scn):
                     corr = corr + (fj(ginv[r, lam]) * deps[lam]) * fj(g[mu, nu])
                 want = want - corr
                 defects.append(_value_defect(blk.entry(r, nu, mu), want))
-    out["s_w_gamma"] = worst_of(defects)
+    out["s_w_gamma"] = worst_entry(tuple(defects), ())
     # s_W P_mn = d_m d_n eps - d_l eps Gamma^l_mn
     blk = model.block(s_varpi0, 1, 2)
     defects = []
@@ -76,7 +76,7 @@ def law_rows(fields, scn):
             for lam in range(m):
                 want = want - deps[lam] * fj(Gamma[lam, mu, nu])
             defects.append(_value_defect(blk.entry(0, nu, mu), want))
-    out["s_w_schouten"] = worst_of(defects)
+    out["s_w_schouten"] = worst_entry(tuple(defects), ())
     # s_W C_{n,ms} = f0_{ms} d_n eps - d_l eps W^l_{n,ms}
     # s_W W^r_{n,ms} = T^r_{ms} d_n eps - g^{rl} d_l eps T^a_{ms} g_{an}
     blkC = model.block(s_Omega0, 1, 2)
@@ -96,8 +96,8 @@ def law_rows(fields, scn):
                 for lam in range(m):
                     want = want - (fj(ginv[r, lam]) * deps[lam]) * tlow
                 defectsW.append(_value_defect(blkW.entry(r, nu, f), want))
-    out["s_w_cotton"] = worst_of(defectsC)
-    out["s_w_weyl"] = worst_of(defectsW)
+    out["s_w_cotton"] = worst_entry(tuple(defectsC), ())
+    out["s_w_weyl"] = worst_entry(tuple(defectsW), ())
     # s_W vhat entry (2,3) = -2 eps g^-1 deps
     svhat = scn.ev(scn.composite_ghost_term("full").svar("W"))
     blk = model.block(svhat, 2, 3)
@@ -107,5 +107,5 @@ def law_rows(fields, scn):
         for lam in range(m):
             want = want - (fj(ginv[r, lam]) * (eps * deps[lam])) * 2.0
         defects.append(_value_defect(blk.entry(r, 0, 0), want))
-    out["s_w_vhat_23"] = worst_of(defects)
+    out["s_w_vhat_23"] = worst_entry(tuple(defects), ())
     return out

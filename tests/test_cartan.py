@@ -12,6 +12,7 @@ from cartanweyl.errors import AlgebraResidualError, DegenerateVielbeinError
 from cartanweyl.exprs import eval_jet, eval_jets, parse_expr
 from cartanweyl.forms import MForm, algebra_residual, eta_t, gcomm
 from cartanweyl.jets import Chart, jmat_inv, jmul, space
+from cartanweyl.reduction import worst_entry
 from cartanweyl.scenarios import catalog
 from cartanweyl.tensors import classical_bundle
 
@@ -239,7 +240,8 @@ def test_curvature_equivariance(mobius3, vielbein3, rng):
 def test_normality_of_build_normal(mobius3, vielbein3):
     conn = build_normal(vielbein3, mobius3, POINT3, K)
     e = vielbein3.jets_at(POINT3, K)
-    t, r, f = normality_residual(curvature(conn), e[..., 0], mobius3)
+    t, r, f = (worst_entry(x, ()) for x in normality_residual(curvature(conn), e[..., 0],
+                                                               mobius3))
     assert t < 1e-12 and r < 1e-12 and f < 1e-12
 
 
@@ -258,7 +260,8 @@ def test_build_normal_builds_no_cotton_or_weyl_tensor(mobius3, vielbein3, monkey
 def test_normality_of_flat(mobius3, flat3):
     conn = build_normal(flat3, mobius3, POINT3, K)
     e = flat3.jets_at(POINT3, K)
-    assert normality_residual(curvature(conn), e[..., 0], mobius3) == (0, 0, 0)
+    assert tuple(worst_entry(x, ()) for x in normality_residual(curvature(conn), e[..., 0],
+                                                                mobius3)) == (0, 0, 0)
 
 
 def test_perturbed_alpha_breaks_ricci(mobius3, vielbein3, rng):
@@ -272,7 +275,8 @@ def test_perturbed_alpha_breaks_ricci(mobius3, vielbein3, rng):
                     alpha=alpha + bump,
                     theta=conn.theta().truncate(alpha.order),
                     A=conn.A().truncate(alpha.order))
-    t, r, f = normality_residual(curvature(pert), e[..., 0], mobius3)
+    t, r, f = (worst_entry(x, ()) for x in normality_residual(curvature(pert), e[..., 0],
+                                                               mobius3))
     assert r > 1e-3
     assert t < 1e-12  # the torsion block does not feel alpha
 

@@ -278,7 +278,7 @@ def _count_calls(monkeypatch, names, scn, suite):
 
     with monkeypatch.context() as mp:
         for name in names:
-            home = dressing if name == "u0_from_vielbein" else weyl
+            home = dressing if name in ("u0_from_vielbein", "extract_u1") else weyl
             wrapped = counted(getattr(home, name))
             for module in (checks, weyl, dressing, brs):
                 if hasattr(module, name):
@@ -311,6 +311,16 @@ def test_weyl_suite_builds_each_weyl_matrix_once(monkeypatch):
         counts = _count_calls(monkeypatch, ("u0_from_vielbein",), scn, "brs")
         assert len(scn.points) <= checks.BATCH_SIZE
         assert counts == {"u0_from_vielbein": 2}, name
+
+
+def test_dressing_suite_dresses_each_connection_once(monkeypatch):
+    """Per batch of points the dressing suite builds u0 and u1 once for the
+    batch's dressed fields and once for its two routes, dressed together;
+    the compat_* rows read those dressings and build none of their own."""
+    scn = catalog("generic", 4)
+    assert 1 < len(scn.points) <= checks.BATCH_SIZE
+    counts = _count_calls(monkeypatch, ("u0_from_vielbein", "extract_u1"), scn, "dressing")
+    assert counts == {"u0_from_vielbein": 2, "extract_u1": 2}
 
 
 def test_cli_check_pass(tmp_path, capsys):
@@ -582,13 +592,14 @@ def test_routes_dress_connections_of_order_one(name, monkeypatch):
     linearization check on an input it cannot reuse them for, dresses a
     connection of order 1."""
     orders = []
-    stages = dressing._dress_stages
+    stages = dressing.dress
 
-    def recorded(conn, e):
+    def recorded(conn, e=None):
         orders.append(conn.order)
         return stages(conn, e)
 
-    monkeypatch.setattr(dressing, "_dress_stages", recorded)
+    monkeypatch.setattr(dressing, "dress", recorded)
+    monkeypatch.setattr(checks, "dress", recorded)
     scn = catalog(name, 3)
     assert len(scn.points) > 1
     assert run_check(scn, "all").passed

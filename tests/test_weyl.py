@@ -5,6 +5,7 @@ from cartanweyl.cartan import build_normal, gauge_transform, random_gauge
 from cartanweyl.checks import base_connection
 from cartanweyl.dressing import full_pipeline
 from cartanweyl.jets import jder, jmul
+from cartanweyl.reduction import worst_entry
 from cartanweyl.weyl import (WeylElement, closed_form_laws, wbar_closed_form,
                              weyl_group_law_residual, weyl_matrices,
                              weyl_transform_dressed, weyl_transform_midlevel)
@@ -138,7 +139,7 @@ def test_group_law(mobius3, normal_state):
     moved = weyl_transform_dressed(fields, weyl_matrices(mobius3, *first, fields.u0))
     res = weyl_group_law_residual(fields, moved, first,
                                   WeylElement("x1/5 + x0*x0/10").at(mobius3.chart, POINT3, K))
-    assert res < 1e-11
+    assert worst_entry(res, ()) < 1e-11
 
 
 def test_midlevel_closed_forms(mobius3, normal_state):
@@ -190,8 +191,8 @@ def test_redundant_entries(mobius3, normal_state):
     z, zeta = WeylElement(PHI).at(mobius3.chart, POINT3, K)
     stW = weyl_transform_dressed(fields, weyl_matrices(mobius3, z, zeta, fields.u0))
     from cartanweyl.checks import _redundancy
-    assert _redundancy(stW.varpi0, stW, mobius3) < 1e-11
-    assert _redundancy(stW.Omega0, stW, mobius3) < 1e-11
+    assert worst_entry(_redundancy(stW.varpi0, stW, mobius3), ()) < 1e-11
+    assert worst_entry(_redundancy(stW.Omega0, stW, mobius3), ()) < 1e-11
 
 
 def test_weyl_factor_must_stay_positive(mobius3):
