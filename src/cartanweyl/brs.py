@@ -2,10 +2,10 @@
 
 The BRS operator s acts as an antiderivation of total degree +1 with
 ds = -sd.  It is realized over a shallow term layer: leaves are the basic
-fields (connection, ghost components, q, vielbein) carrying registered
-sector images; composites (dressings, dressed fields, composite ghosts)
-are Sum/Prod/D/Block nodes, so second applications of s follow from the
-graded Leibniz rule with no symbolic algebra beyond the DAG.  Each read
+fields (connection, ghost components, q, vielbein), whose sector images the
+BRS object registers; composites (dressings, dressed fields, composite
+ghosts) are Sum/Prod/D/Block nodes, so second applications of s follow from
+the graded Leibniz rule with no symbolic algebra beyond the DAG.  Each read
 names the jet order it needs, and a node is evaluated only to that order.
 
 A ghost field is a jet whose Taylor coefficients each carry their own
@@ -69,34 +69,25 @@ class Term:
     (truncated Taylor propagation: Griewank and Walther, Evaluating
     Derivatives, 2nd ed., ch. 13), and a d of a value read raises
     JetOrderError.
+
+    ``_build_s(s)`` is the node's image in one sector, given the map ``s``
+    from a child to the child's image (see :class:`_TermOwner`).
     """
 
-    __slots__ = ("p", "q", "shape", "_s")
+    __slots__ = ("p", "q", "shape")
 
     def __init__(self, p, q, shape):
         self.p = p
         self.q = q
         self.shape = shape
-        self._s = {}
 
     @property
     def total(self):
         return self.p + self.q
 
-    def svar(self, sector):
-        if sector not in self._s:
-            self._s[sector] = self._build_s(sector)
-        return self._s[sector]
-
-    def ssum(self, sectors):
-        """s_x summed over ``sectors``, built once per sector tuple."""
-        key = tuple(sectors)
-        if key not in self._s:
-            self._s[key] = Sum([self.svar(x) for x in key])
-        return self._s[key]
-
-    def stotal(self):
-        return self.ssum(SECTORS)
+    def _build_s(self, s):
+        # a leaf varies only by the images registered for it
+        return Zero(self.p, self.q + 1, self.shape)
 
     def ev(self, cache, need=FULL):
         # keyed on the node itself: the cache then also keeps temporaries
@@ -111,19 +102,12 @@ class Term:
 
 
 class Leaf(Term):
-    __slots__ = ("name", "value", "images")
+    __slots__ = ("name", "value")
 
     def __init__(self, name, value, p, q):
         super().__init__(p, q, value.shape)
         self.name = name
         self.value = value
-        self.images = {}
-
-    def register(self, sector, term):
-        self.images[sector] = term
-
-    def _build_s(self, sector):
-        return self.images.get(sector, Zero(self.p, self.q + 1, self.shape))
 
     def _ev(self, cache, need):
         return self.value.truncate(min(need, self.value.order))
@@ -134,9 +118,6 @@ class Leaf(Term):
 
 class Zero(Term):
     __slots__ = ()
-
-    def _build_s(self, sector):
-        return Zero(self.p, self.q + 1, self.shape)
 
     def _ev(self, cache, need):
         raise ShapeError("a bare Zero term cannot be evaluated")
@@ -160,8 +141,8 @@ class Sum(Term):
         self.terms = [t for t, _ in live]
         self.coeffs = [c for _, c in live]
 
-    def _build_s(self, sector):
-        return mk_sum([t.svar(sector) for t in self.terms], self.coeffs,
+    def _build_s(self, s):
+        return mk_sum([s(t) for t in self.terms], self.coeffs,
                       self.p, self.q + 1, self.shape)
 
     def _ev(self, cache, need):
@@ -195,8 +176,8 @@ class Prod(Term):
         self.a = a
         self.b = b
 
-    def _build_s(self, sector):
-        sa, sb = self.a.svar(sector), self.b.svar(sector)
+    def _build_s(self, s):
+        sa, sb = s(self.a), s(self.b)
         sign = -1.0 if self.a.total % 2 else 1.0
         parts, cs = [], []
         if not _is_zero(sa):
@@ -220,8 +201,8 @@ class D(Term):
         super().__init__(t.p + 1, t.q, t.shape)
         self.t = t
 
-    def _build_s(self, sector):
-        st = self.t.svar(sector)
+    def _build_s(self, s):
+        st = s(self.t)
         if _is_zero(st):
             return Zero(self.p, self.q + 1, self.shape)
         return Sum([D(st)], [-1.0])
@@ -239,8 +220,8 @@ class EtaT(Term):
         self.t = t
         self.eta = eta
 
-    def _build_s(self, sector):
-        st = self.t.svar(sector)
+    def _build_s(self, s):
+        st = s(self.t)
         if _is_zero(st):
             return Zero(self.p, self.q + 1, self.shape)
         return EtaT(st, self.eta)
@@ -256,7 +237,7 @@ class Blk(Term):
     so a row or column of structural zeros just needs one sized Zero.
     """
 
-    __slots__ = ("rows", "m", "order")
+    __slots__ = ("rows", "m", "order", "row_sizes", "col_sizes")
 
     def __init__(self, rows, p, q, m, order):
         rsz = [None] * len(rows)
@@ -272,9 +253,10 @@ class Blk(Term):
         self.rows = rows
         self.m = m
         self.order = order
+        self.row_sizes, self.col_sizes = rsz, csz
 
-    def _build_s(self, sector):
-        new = [[t.svar(sector) if isinstance(t, Term) else None for t in row]
+    def _build_s(self, s):
+        new = [[s(t) if isinstance(t, Term) else None for t in row]
                for row in self.rows]
         if all(t is None or _is_zero(t) for row in new for t in row):
             return Zero(self.p, self.q + 1, self.shape)
@@ -283,13 +265,8 @@ class Blk(Term):
     def _ev(self, cache, need):
         grid = [[None if (t is None or _is_zero(t)) else t.ev(cache, need)
                  for t in row] for row in self.rows]
-        rsz = [next(t.shape[0] for t in row if isinstance(t, Term))
-               for row in self.rows]
-        csz = [next(row[j].shape[1] for row in self.rows
-                    if isinstance(row[j], Term))
-               for j in range(len(self.rows[0]))]
         return block_matrix(grid, self.m, self.p, self.q, min(self.order, need),
-                            row_sizes=rsz, col_sizes=csz)
+                            row_sizes=self.row_sizes, col_sizes=self.col_sizes)
 
 
 def leaf(name, value, p=0, q=0):
@@ -301,31 +278,43 @@ def neg(t):
 
 
 class _TermOwner:
-    """A BRS object as a context manager.  Its term graph is cyclic: a leaf
-    holds its s-images, which hold the leaf, and the s-images a node caches
-    in ``_s`` can reach the node again through the composite ghosts.  Leaving
-    the block empties them on the object's terms and every node its cache
-    holds, and drops the cache, so the graph and its leaf values (a batch's
-    connection, ghosts and vielbein jets) are freed at once, not at the
-    cycle collector's next full pass.  Afterwards ``ev`` raises, and so does
-    the s-image of a leaf, which would otherwise read as zero."""
+    """What the two BRS classes share: the evaluation cache and the s-images.
+
+    ``images`` maps (term, sector) to s_sector of the term, and (term,
+    sector tuple) to its sum over the sectors.  A leaf's images are
+    registered; any other is built once, by the graded Leibniz rule on the
+    images of the term's children, and a leaf with none registered varies to
+    zero.  Terms refer only to their children, never to this object, so the
+    term graph is acyclic: dropping the object frees it, with the cache and
+    the leaf values (a batch's connection, ghosts and vielbein jets), by
+    reference count alone.
+    """
+
+    def __init__(self):
+        self.cache = {}
+        self.images = {}
+
+    def register(self, leaf, sector, term):
+        self.images[leaf, sector] = term
+
+    def s(self, term, sector):
+        key = (term, sector)
+        if key not in self.images:
+            self.images[key] = term._build_s(lambda t: self.s(t, sector))
+        return self.images[key]
+
+    def ssum(self, term, sectors):
+        """s_x of ``term`` summed over ``sectors``; Zero if none varies it."""
+        key = (term, tuple(sectors))
+        if key not in self.images:
+            self.images[key] = mk_sum([self.s(term, x) for x in key[1]])
+        return self.images[key]
+
+    def stotal(self, term):
+        return self.ssum(term, SECTORS)
 
     def ev(self, term, need=FULL):
-        if self.cache is None:
-            raise RuntimeError(f"{type(self).__name__} read after its block was left")
         return term.ev(self.cache, need)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        for t in [*self.cache, *vars(self).values()]:
-            if isinstance(t, Term):
-                t._s = {}
-            if isinstance(t, Leaf):
-                t.images = None
-        self.cache = None
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -433,19 +422,19 @@ def _dressed_pair(w, F, u, uinv):
             Prod(uinv, Prod(F, u)))
 
 
-def _lorentz_leaves(fields, e, model, order):
-    """The Lorentz ghost, vielbein and inverse-vielbein leaves with their
-    Lorentz images, plus the inverse vielbein jets.
+def _lorentz_leaves(owner, fields, e, model, order):
+    """The Lorentz ghost, vielbein and inverse-vielbein leaves, with their
+    Lorentz images registered with ``owner``, plus the inverse vielbein jets.
 
     s_L v_L = -v_L^2, s_L e = -v_L e and s_L e^-1 = e^-1 v_L.
     """
     m = model.m
     vl = leaf("vl", _lorentz_ghost(fields, m, order, model.eta), q=1)
-    vl.register("L", neg(Prod(vl, vl)))
+    owner.register(vl, "L", neg(Prod(vl, vl)))
     einv = jmat_inv(e, m)
     L_e, L_einv = leaf("e", MForm.of_jets(m, e)), leaf("einv", MForm.of_jets(m, einv))
-    L_e.register("L", neg(Prod(vl, L_e)))
-    L_einv.register("L", Prod(L_einv, vl))
+    owner.register(L_e, "L", neg(Prod(vl, L_e)))
+    owner.register(L_einv, "L", Prod(L_einv, vl))
     return vl, L_e, L_einv, einv
 
 
@@ -473,7 +462,7 @@ class ConformalBRS(_TermOwner):
         self.order = conn.order
         self.ghost_order = max(self.order, 2)
         self.pool = ghost_monos(1)
-        self.cache = {}
+        super().__init__()
         self._vhat = {}
         self._final = None
         gs = ghost_spec
@@ -508,7 +497,7 @@ class ConformalBRS(_TermOwner):
         self.L_iota = leaf("iota", _ghost_form(m, (1, m), order, iota), q=1)
         self.L_epsI_m = leaf("eps_eye_m", self.eps_eye(m), q=1)
         self.L_vl, self.L_e, self.L_einv, self.einv = _lorentz_leaves(
-            vl_fields, self.e, self.model, order)
+            self, vl_fields, self.e, self.model, order)
         self.u1 = extract_u1(conn, self.einv)
         self.L_q = leaf("q", self.u1.q)
 
@@ -536,19 +525,19 @@ class ConformalBRS(_TermOwner):
         eps, deps, iota, vl = self.L_eps, self.L_deps, self.L_iota, self.L_vl
         q, e, einv, epsI = self.L_q, self.L_e, self.L_einv, self.L_epsI_m
         # ghosts (the Lorentz images of v_L, e and e^-1 are set with the leaves)
-        iota.register("W", neg(Prod(eps, iota)))
-        iota.register("L", neg(Prod(iota, vl)))
+        self.register(iota, "W", neg(Prod(eps, iota)))
+        self.register(iota, "L", neg(Prod(iota, vl)))
         # vielbein and its inverse
-        e.register("W", Prod(epsI, e))
-        einv.register("W", neg(Prod(epsI, einv)))
+        self.register(e, "W", Prod(epsI, e))
+        self.register(einv, "W", neg(Prod(epsI, einv)))
         # q = a . e^-1
-        q.register("W", Sum([Prod(eps, q), Prod(deps, einv)], [-1.0, 1.0]))
-        q.register("L", Prod(q, vl))
-        q.register("i", neg(iota))
+        self.register(q, "W", Sum([Prod(eps, q), Prod(deps, einv)], [-1.0, 1.0]))
+        self.register(q, "L", Prod(q, vl))
+        self.register(q, "i", neg(iota))
         # the connection
         self.V = {x: self._v_sector(x) for x in SECTORS}
         for x in SECTORS:
-            self.L_varpi.register(x, _connection_image(self.L_varpi, self.V[x]))
+            self.register(self.L_varpi, x, _connection_image(self.L_varpi, self.V[x]))
 
     def _build_composites(self):
         m = self.m
@@ -600,7 +589,7 @@ class ConformalBRS(_TermOwner):
             v = self.composite_ghost_term("u1")
         else:
             raise ValueError(stage)
-        self._vhat[stage] = _composite_ghost(u, uinv, v, u.stotal())
+        self._vhat[stage] = _composite_ghost(u, uinv, v, self.stotal(u))
         return self._vhat[stage]
 
     # The expected ghosts are compared on their values only, so they are
@@ -657,7 +646,7 @@ def brs_vary(scn, name, sector="all"):
         "varpi0": scn.T_varpi0, "Omega0": scn.T_omega0,
     }
     t = terms[name]
-    st = t.stotal() if sector in ("all", "total") else t.svar(sector)
+    st = scn.stotal(t) if sector in ("all", "total") else scn.s(t, sector)
     if _is_zero(st):
         base = scn.ev(t)
         return MForm.zeros(scn.m, base.shape, base.p, base.q + 1, base.order, base.lead)
@@ -690,10 +679,11 @@ def nilpotency_residuals(scn, names=("varpi", "v", "u1", "u0")):
     out = {}
     for name in names:
         t = fields[name]
-        rows = {f"s2_{name}": t.stotal().stotal(),
-                f"sH2_{name}": t.ssum(_H).ssum(_H),
-                f"sP2_{name}": t.svar("W").svar("W"),
-                f"mixed_{name}": mk_sum([t.svar("W").ssum(_H), t.ssum(_H).svar("W")])}
+        sW, sH = scn.s(t, "W"), scn.ssum(t, _H)
+        rows = {f"s2_{name}": scn.stotal(scn.stotal(t)),
+                f"sH2_{name}": scn.ssum(sH, _H),
+                f"sP2_{name}": scn.s(sW, "W"),
+                f"mixed_{name}": mk_sum([scn.ssum(sW, _H), scn.s(sH, "W")])}
         for row, term in rows.items():
             out[row] = 0.0 if _is_zero(term) else scn.ev(term, 0)
     return out
@@ -704,9 +694,9 @@ def two_steps_in_one(scn):
     ev = partial(scn.ev, need=0)
     u = ev(scn.T_u)
     uinv = ev(scn.T_uinv)
-    su = ev(scn.T_u.stotal())
+    su = ev(scn.stotal(scn.T_u))
     ell = ev(scn.V["L"]) + ev(scn.V["i"])
-    rho = ev(scn.T_u.svar("W"))
+    rho = ev(scn.s(scn.T_u, "W"))
     resid_dec = su + ell.wedge(u) - rho
     vW = ev(scn.V["W"])
     vhat = uinv.wedge(vW.wedge(u)) + uinv.wedge(rho)
@@ -724,9 +714,9 @@ def modified_brs_residuals(scn, stage="full"):
     F = ev(Ft)
     vhat_t = scn.composite_ghost_term(stage)
     vhat = scn.ev(vhat_t, 1)        # its d is taken below
-    sA = ev(At.stotal())
-    sF = ev(Ft.stotal())
-    svhat = ev(vhat_t.stotal())
+    sA = ev(scn.stotal(At))
+    sF = ev(scn.stotal(Ft))
+    svhat = ev(scn.stotal(vhat_t))
     return sA + vhat.ext_d() + gcomm(A, vhat), sF - gcomm(F, vhat), svhat + vhat.wedge(vhat)
 
 
@@ -785,7 +775,7 @@ def residual_weyl_brs(fields, scn):
                         - np.einsum("...rj,...nf->...rnjf", up, tlow))
     # abelian residual symmetry: s_W vhat entry (2,3) = -2 eps g^-1 deps, with
     # eps deps = sum over pool pairs j < k of (e_j d_k - e_k d_j) eta_j eta_k
-    svhat = scn.ev(scn.composite_ghost_term("full").svar("W"), 0)
+    svhat = scn.ev(scn.s(scn.composite_ghost_term("full"), "W"), 0)
     j, k = np.array(ghost_monos(2)).T
     eps_deps = eps[..., None, j] * deps[..., k] - eps[..., None, k] * deps[..., j]
     laws["s_w_vhat_23"] = (model.block(svhat, 2, 3),
@@ -796,7 +786,7 @@ def residual_weyl_brs(fields, scn):
     # sector trivialities after full dressing
     for x in ("L", "i"):
         out[f"s_{x}_trivial"] = tuple(0.0 if _is_zero(t) else scn.ev(t, 0)
-                                      for t in (scn.T_varpi0.svar(x), scn.T_omega0.svar(x)))
+                                      for t in (scn.s(scn.T_varpi0, x), scn.s(scn.T_omega0, x)))
     return out
 
 
@@ -811,8 +801,8 @@ def algebraic_connection(fields, scn):
     entry_defect = vhat - scn.expected_final_ghost()
     A = fields.varpi0
     F = fields.Omega0
-    sA = scn.ev(scn.T_varpi0.stotal(), 0)
-    sv = scn.ev(scn.composite_ghost_term("full").stotal(), 0)
+    sA = scn.ev(scn.stotal(scn.T_varpi0), 0)
+    sv = scn.ev(scn.stotal(scn.composite_ghost_term("full")), 0)
     rr = russian_residual(A, vhat, F, sA, sv)
     return vhat, entry_defect, rr
 
@@ -869,8 +859,8 @@ def linearization_check(conn, e, model, phi, point, h=1e-3):
     # BRS side with the ghost built on phi
     spec = GhostSpec(eps=phi, iota=[_ZERO] * m, lorentz=[_ZERO] * (m * (m - 1) // 2))
     seeds = [0] * math.prod(np.shape(point)[:-1])
-    with ConformalBRS(conn, e, spec, point, seeds, keep_body=True) as scn:
-        vhat = composite_ghost(scn, "full", 1)      # covariant_d takes its d
+    vhat = composite_ghost(ConformalBRS(conn, e, spec, point, seeds, keep_body=True),
+                           "full", 1)               # covariant_d takes its d
     s_varpi0 = covariant_d(varpi0, vhat).scale(-1.0).body()
     s_Omega0 = gcomm(Omega0, vhat).body()
     g, Gamma, P, _, _, C, W = extract_tensors(s_varpi0, s_Omega0, model)
@@ -899,23 +889,23 @@ class PoincareBRS(_TermOwner):
         self.order = conn.order
         korder = max(self.order, 2)
         self.pool = ghost_monos(1)
-        self.cache = {}
+        super().__init__()
         pairs = form_comps(m, 2)
         fields = _ghost_fields(lorentz_spec or ["1"] * len(pairs),
                                [f"vl{a}{b}" for a, b in pairs], self.chart, point, korder, seeds)
-        self.L_vl, self.L_e, self.L_einv, _ = _lorentz_leaves(fields, e, model, korder)
+        self.L_vl, self.L_e, self.L_einv, _ = _lorentz_leaves(self, fields, e, model, korder)
         self.L_varpi = leaf("varpi", conn.omega, p=1, q=0)
         one = leaf("one", MForm.identity(m, 1, self.order))
         self.V = Blk([[self.L_vl, None], [None, Zero(0, 1, (1, 1))]],
                      0, 1, m, self.L_vl.value.order)
-        self.L_varpi.register("L", _connection_image(self.L_varpi, self.V))
+        self.register(self.L_varpi, "L", _connection_image(self.L_varpi, self.V))
         self.T_u = Blk([[self.L_e, None], [None, one]], 0, 0, m, self.order)
         self.T_uinv = Blk([[self.L_einv, None], [None, one]], 0, 0, m, self.order)
         self.T_omega = _curvature(self.L_varpi)
         self.T_varpi_h, self.T_omega_h = _dressed_pair(self.L_varpi, self.T_omega,
                                                        self.T_u, self.T_uinv)
         self.T_vhat = _composite_ghost(self.T_u, self.T_uinv, self.V,
-                                       self.T_u.svar("L"))
+                                       self.s(self.T_u, "L"))
 
     def residuals(self):
         """The brs-gr rows; every one reads values only."""
@@ -923,10 +913,10 @@ class PoincareBRS(_TermOwner):
         out = {}
         out["composite_ghost"] = ev(self.T_vhat)
         # su = -v u
-        su = ev(self.T_u.svar("L"))
+        su = ev(self.s(self.T_u, "L"))
         vu = ev(self.V).wedge(ev(self.T_u))
         out["su_rule"] = su + vu
-        out["s_gamma_hat"] = ev(self.T_varpi_h.svar("L"))
-        out["s_omega_hat"] = ev(self.T_omega_h.svar("L"))
-        out["s2_varpi"] = ev(self.L_varpi.svar("L").svar("L"))
+        out["s_gamma_hat"] = ev(self.s(self.T_varpi_h, "L"))
+        out["s_omega_hat"] = ev(self.s(self.T_omega_h, "L"))
+        out["s2_varpi"] = ev(self.s(self.s(self.L_varpi, "L"), "L"))
         return out

@@ -502,60 +502,65 @@ _NILPOTENT = ("varpi", "v", "u1", "u0")
 
 
 def brs_suite(ctx):
-    from .brs import (ConformalBRS, GhostSpec, PoincareBRS, algebraic_connection,
-                      composite_ghost, linearization_check,
-                      modified_brs_residuals, nilpotency_residuals, residual_weyl_brs,
-                      russian_residual, two_steps_in_one)
+    from .brs import PoincareBRS, linearization_check
     scn, model, point = ctx.scn, ctx.model, ctx.point
-    m = model.m
     ghosts = scn.ghosts or {}
     if model.kind == "poincare":
-        with PoincareBRS(ctx.normal, ctx.e_normal, _parsed_list(scn, ghosts.get("lorentz")),
-                         point, ctx.seed) as pb:
-            return pb.residuals()
+        return PoincareBRS(ctx.normal, ctx.e_normal, _parsed_list(scn, ghosts.get("lorentz")),
+                           point, ctx.seed).residuals()
+    res = _conformal_brs(ctx, ghosts)
+    # the check dresses ctx.normal cut to order 1 and builds its own BRS
+    # object; the suite's is gone with its helper, so a batch never holds two
+    lin = linearization_check(ctx.normal, ctx.e_normal, model,
+                              scn.parsed(scn.weyl or DEFAULT_WEYL), point)
+    res.update({f"linearization_{k}": v for k, v in lin.items()})
+    return res
+
+
+def _conformal_brs(ctx, ghosts):
+    """The brs rows of a Moebius batch but the linearization."""
+    from .brs import (ConformalBRS, GhostSpec, algebraic_connection, composite_ghost,
+                      modified_brs_residuals, nilpotency_residuals, residual_weyl_brs,
+                      russian_residual, two_steps_in_one)
+    scn, model = ctx.scn, ctx.model
     spec = GhostSpec(eps=scn.parsed(ghosts.get("eps", "1/2 + x0/3")),
                      iota=_parsed_list(scn, ghosts.get("iota")),
                      lorentz=_parsed_list(scn, ghosts.get("lorentz")))
     fields = ctx.fields
-    with ConformalBRS(*ctx.base, spec, point, ctx.seed) as scn_b:
-        res = {}
-        # every read is a value but A and v of the Russian formula, whose d it takes
-        ev = partial(scn_b.ev, need=0)
-        vh_t = scn_b.composite_ghost_term("full")
-        for tag, (A, v, F) in (("", (scn_b.L_varpi, scn_b.T_v, scn_b.T_omega)),
-                               ("_dressed", (scn_b.T_varpi0, vh_t, scn_b.T_omega0))):
-            rs = russian_residual(scn_b.ev(A, 1), scn_b.ev(v, 1), ev(F), ev(A.stotal()),
-                                  ev(v.stotal()))
-            res.update({f"russian{tag}_deg{d}": r for d, r in enumerate(rs)})
-        vh = ev(vh_t)
-        res.update(nilpotency_residuals(scn_b, names=_NILPOTENT))
-        v1 = composite_ghost(scn_b, "u1", 0)
-        res["first_ghost"] = v1 - scn_b.expected_first_ghost()
-        res["final_ghost"] = vh - scn_b.expected_final_ghost()
-        # sector transformation rules of the dressing fields
-        u1 = ev(scn_b.T_u1)
-        vi = ev(scn_b.V["i"])
-        vl = ev(scn_b.V["L"])
-        res["u1_inversion_rule"] = ev(scn_b.T_u1.svar("i")) + vi.wedge(u1)
-        res["u1_lorentz_rule"] = ev(scn_b.T_u1.svar("L")) - gcomm(u1, vl)
-        u0 = ev(scn_b.T_u0)
-        epst = scn_b.eps_eye(model.n, range(1, m + 1))
-        su0W = ev(scn_b.T_u0.svar("W"))
-        res["u0_weyl_rule"] = su0W - epst.wedge(u0)
-        _, _, res["two_steps_decomposition"], res["two_steps_ghost"] = two_steps_in_one(scn_b)
-        for stage in ("u1", "full"):
-            conn_r, curv_r, ghost_r = modified_brs_residuals(scn_b, stage)
-            res[f"lemma_{stage}_connection"] = conn_r
-            res[f"lemma_{stage}_curvature"] = curv_r
-            res[f"lemma_{stage}_ghost"] = ghost_r
-        res.update(residual_weyl_brs(fields, scn_b))
-        _, res["algebraic_connection_entries"], res["algebraic_connection_russian"] = (
-            algebraic_connection(fields, scn_b))
-    # the check dresses ctx.normal cut to order 1 itself, after the block
-    # above has freed its term graph: the batch never holds two at once
-    lin = linearization_check(ctx.normal, ctx.e_normal, model,
-                              scn.parsed(scn.weyl or DEFAULT_WEYL), point)
-    res.update({f"linearization_{k}": v for k, v in lin.items()})
+    b = ConformalBRS(*ctx.base, spec, ctx.point, ctx.seed)
+    res = {}
+    # every read is a value but A and v of the Russian formula, whose d it takes
+    ev = partial(b.ev, need=0)
+    vh_t = b.composite_ghost_term("full")
+    for tag, (A, v, F) in (("", (b.L_varpi, b.T_v, b.T_omega)),
+                           ("_dressed", (b.T_varpi0, vh_t, b.T_omega0))):
+        rs = russian_residual(b.ev(A, 1), b.ev(v, 1), ev(F), ev(b.stotal(A)),
+                              ev(b.stotal(v)))
+        res.update({f"russian{tag}_deg{d}": r for d, r in enumerate(rs)})
+    vh = ev(vh_t)
+    res.update(nilpotency_residuals(b, names=_NILPOTENT))
+    v1 = composite_ghost(b, "u1", 0)
+    res["first_ghost"] = v1 - b.expected_first_ghost()
+    res["final_ghost"] = vh - b.expected_final_ghost()
+    # sector transformation rules of the dressing fields
+    u1 = ev(b.T_u1)
+    vi = ev(b.V["i"])
+    vl = ev(b.V["L"])
+    res["u1_inversion_rule"] = ev(b.s(b.T_u1, "i")) + vi.wedge(u1)
+    res["u1_lorentz_rule"] = ev(b.s(b.T_u1, "L")) - gcomm(u1, vl)
+    u0 = ev(b.T_u0)
+    epst = b.eps_eye(model.n, range(1, model.m + 1))
+    su0W = ev(b.s(b.T_u0, "W"))
+    res["u0_weyl_rule"] = su0W - epst.wedge(u0)
+    _, _, res["two_steps_decomposition"], res["two_steps_ghost"] = two_steps_in_one(b)
+    for stage in ("u1", "full"):
+        conn_r, curv_r, ghost_r = modified_brs_residuals(b, stage)
+        res[f"lemma_{stage}_connection"] = conn_r
+        res[f"lemma_{stage}_curvature"] = curv_r
+        res[f"lemma_{stage}_ghost"] = ghost_r
+    res.update(residual_weyl_brs(fields, b))
+    _, res["algebraic_connection_entries"], res["algebraic_connection_russian"] = (
+        algebraic_connection(fields, b))
     return res
 
 

@@ -24,8 +24,9 @@ def worst_entry(residual, lead):
     a tuple by its worst member; a float is the same at every point.  The
     max runs over every axis after the point axes: one value per point, a
     Python float when ``lead`` is () (a lone point).  NaN wins, and no
-    entries give 0.0.  A residual whose leading axes are not ``lead`` raises
-    ShapeError.
+    entries give 0.0.  An MForm whose own point axes are not ``lead`` raises
+    ShapeError; an array has no point axes of its own, so it raises only when
+    its leading sizes are not ``lead``.
     """
     from .forms import MForm    # forms reads its own norms through this function
     lead = tuple(lead)
@@ -34,6 +35,8 @@ def worst_entry(residual, lead):
         for r in residual:
             best = np.maximum(worst_entry(r, lead), best)   # lets a NaN through
         return float(best) if not lead else best
+    if isinstance(residual, MForm) and residual.lead != lead:
+        raise ShapeError(f"a form at point axes {residual.lead} read at {lead}")
     x = residual.data[..., 0] if isinstance(residual, MForm) else np.asarray(residual, dtype=float)
     if x.ndim == 0:
         x = np.broadcast_to(x, lead)

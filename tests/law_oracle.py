@@ -99,7 +99,7 @@ def law_rows(fields, scn):
     out["s_w_cotton"] = worst_entry(tuple(defectsC), ())
     out["s_w_weyl"] = worst_entry(tuple(defectsW), ())
     # s_W vhat entry (2,3) = -2 eps g^-1 deps
-    svhat = scn.ev(scn.composite_ghost_term("full").svar("W"))
+    svhat = scn.ev(scn.s(scn.composite_ghost_term("full"), "W"))
     blk = model.block(svhat, 2, 3)
     defects = []
     for r in range(m):

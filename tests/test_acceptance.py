@@ -213,11 +213,11 @@ def test_criterion_6_brs():
         F = b.T_omega.ev(cache)
         v = b.T_v.ev(cache)
         worst_russe = max(worst_russe, worst_entry(russian_residual(
-            A, v, F, b.L_varpi.stotal().ev(cache), b.T_v.stotal().ev(cache)), ()))
+            A, v, F, b.stotal(b.L_varpi).ev(cache), b.stotal(b.T_v).ev(cache)), ()))
         vt = b.composite_ghost_term("full")
         worst_russe = max(worst_russe, worst_entry(russian_residual(
             b.T_varpi0.ev(cache), vt.ev(cache), b.T_omega0.ev(cache),
-            b.T_varpi0.stotal().ev(cache), vt.stotal().ev(cache)), ()))
+            b.stotal(b.T_varpi0).ev(cache), b.stotal(vt).ev(cache)), ()))
         nil = nilpotency_residuals(b, names=("varpi", "Omega", "v", "u1", "u0"))
         worst_nilp = max(worst_nilp, worst_entry(tuple(nil.values()), ()))
         worst_ghost = max(

@@ -77,8 +77,8 @@ def test_undressed_russian_formula(scn):
     A = scn.L_varpi.ev(cache)
     F = scn.T_omega.ev(cache)
     v = scn.T_v.ev(cache)
-    sA = scn.L_varpi.stotal().ev(cache)
-    sv = scn.T_v.stotal().ev(cache)
+    sA = scn.stotal(scn.L_varpi).ev(cache)
+    sv = scn.stotal(scn.T_v).ev(cache)
     r0, r1, r2 = (worst_entry(r, ()) for r in russian_residual(A, v, F, sA, sv))
     assert r0 < 1e-10 and r1 < 1e-10 and r2 < 1e-10
 
@@ -92,8 +92,8 @@ def test_russian_formula_with_zero_ghost(mobius3, vielbein3):
     A = s.L_varpi.ev(cache)
     F = s.T_omega.ev(cache)
     v = s.T_v.ev(cache)
-    sA = s.L_varpi.stotal().ev(cache)
-    sv = s.T_v.stotal().ev(cache)
+    sA = s.stotal(s.L_varpi).ev(cache)
+    sv = s.stotal(s.T_v).ev(cache)
     assert worst_entry(russian_residual(A, v, F, sA, sv), ()) < 1e-12
 
 
@@ -103,8 +103,8 @@ def test_modified_russian_formula(scn):
     F = scn.T_omega0.ev(cache)
     vt = scn.composite_ghost_term("full")
     v = vt.ev(cache)
-    sA = scn.T_varpi0.stotal().ev(cache)
-    sv = vt.stotal().ev(cache)
+    sA = scn.stotal(scn.T_varpi0).ev(cache)
+    sv = scn.stotal(vt).ev(cache)
     r = russian_residual(A, v, F, sA, sv)
     assert worst_entry(r, ()) < 1e-10
 
@@ -252,8 +252,8 @@ def test_flat_christoffel_variation(mobius3, flat3):
 
 def test_sector_triviality_after_full_dressing(scn):
     for x in ("L", "i"):
-        t0 = scn.T_varpi0.svar(x)
-        t1 = scn.T_omega0.svar(x)
+        t0 = scn.s(scn.T_varpi0, x)
+        t1 = scn.s(scn.T_omega0, x)
         n0 = 0.0 if _is_zero(t0) else t0.ev({}).value_norm()
         n1 = 0.0 if _is_zero(t1) else t1.ev({}).value_norm()
         assert n0 < 1e-12 and n1 < 1e-12
@@ -313,8 +313,8 @@ def test_ds_plus_sd_vanishes(scn):
     """d and s anticommute on every field where both act."""
     from cartanweyl.brs import D
     for term in (scn.L_varpi, scn.T_u1, scn.T_v):
-        lhs = D(term).stotal()
-        rhs = term.stotal()
+        lhs = scn.stotal(D(term))
+        rhs = scn.stotal(term)
         # s(D t) + D(s t) must evaluate to zero
         cache = {}
         got = lhs.ev(cache) + rhs.ev(cache).ext_d()
@@ -337,8 +337,8 @@ def test_first_stage_weyl_brs_blocks(mobius3, vielbein3):
     conn = build_normal(vielbein3, mobius3, POINT3, K)
     s = ConformalBRS(conn, None, GHOSTS, POINT3)
     fields = full_pipeline(conn)
-    sW_varpi1 = s.T_varpi1.svar("W").ev({})
-    sW_omega1 = s.T_omega1.svar("W").ev({})
+    sW_varpi1 = s.s(s.T_varpi1, "W").ev({})
+    sW_omega1 = s.s(s.T_omega1, "W").ev({})
     m = 3
     eps = eps_of(s)
     # s_W theta = eps theta
@@ -374,17 +374,17 @@ def test_first_stage_sector_behavior(scn):
     """After u1: the inversion sector is erased while the Lorentz sector
     still acts as a gauge transformation: s_L varpi1 = -D1 v_L."""
     cache = {}
-    t_i = scn.T_varpi1.svar("i")
+    t_i = scn.s(scn.T_varpi1, "i")
     n_i = 0.0 if _is_zero(t_i) else t_i.ev(cache).value_norm()
     assert n_i < 1e-12
-    t_iO = scn.T_omega1.svar("i")
+    t_iO = scn.s(scn.T_omega1, "i")
     assert (0.0 if _is_zero(t_iO) else t_iO.ev(cache).value_norm()) < 1e-12
-    sL = scn.T_varpi1.svar("L").ev(cache)
+    sL = scn.s(scn.T_varpi1, "L").ev(cache)
     varpi1 = scn.T_varpi1.ev(cache)
     vl = scn.V["L"].ev(cache)
     want = (vl.ext_d() + gcomm(varpi1, vl)).scale(-1.0)
     assert (sL - want).value_norm() < 1e-12
-    sLO = scn.T_omega1.svar("L").ev(cache)
+    sLO = scn.s(scn.T_omega1, "L").ev(cache)
     omega1 = scn.T_omega1.ev(cache)
     assert (sLO - gcomm(omega1, vl)).value_norm() < 1e-12
 
@@ -432,7 +432,7 @@ def test_composite_ghost_and_stotal_are_built_once():
     for stage in ("u1", "full", "u0"):
         assert s.composite_ghost_term(stage) is s.composite_ghost_term(stage)
     vhat = s.composite_ghost_term("full")
-    assert vhat.stotal() is vhat.stotal()
+    assert s.stotal(vhat) is s.stotal(vhat)
     assert s.composite_ghost_term("u0").terms[0].b.a is s.composite_ghost_term("u1")
 
 
@@ -447,7 +447,7 @@ def test_shared_cache_matches_cold_evaluation():
     modified_brs_residuals(s, "full")   # fill the shared cache first
     nilpotency_residuals(s, names=("v", "u1"))
     vhat = s.composite_ghost_term("full")
-    for t in (vhat, vhat.stotal()):
+    for t in (vhat, s.stotal(vhat)):
         warm, cold = s.ev(t), t.ev({})
         assert np.array_equal(warm.body().data, cold.body().data)
         assert _exact_terms(point_of(warm, 0)) == _exact_terms(point_of(cold, 0))
@@ -623,7 +623,7 @@ def _kernel_degree_three_defect(mp):
 
     def ev(self, term, need=brs.FULL):
         out = orig(self, term, need)
-        if term is self.T_v.stotal().stotal():
+        if term is self.stotal(self.stotal(self.T_v)):
             size = space(self.m, self.ghost_order).size
             triples = [_kernel_triple(brs._pool_weights(seed, "eps", size, self.keep_body),
                                       self.m, self.model.n, out.order).data
@@ -813,42 +813,43 @@ def test_each_batch_builds_its_brs_classes_once(name, points, monkeypatch):
     assert built == want
 
 
-def test_leaving_the_block_frees_the_term_graph(monkeypatch):
-    """A BRS term graph is cyclic (a leaf holds its s-images, which hold the
-    leaf), so on its own it outlives its object until a full pass of the
-    cycle collector.  The brs suite leaves each object's block, which breaks
-    the cycles: with the collector off, no ghost field of the run is left."""
+def test_dropping_a_brs_object_frees_its_term_graph(monkeypatch):
+    """No term refers to the BRS object that owns its s-images, so the term
+    graph is acyclic and reference counting frees it: with the collector
+    off, no ghost field of a generic or a Poincare brs run is left, and a
+    BRS object built outside any suite frees its leaf values once dropped."""
     fields = []
-    orig = brs.ConformalBRS.__init__
-
-    def init(self, *args, **kwargs):
-        orig(self, *args, **kwargs)
-        fields.append(weakref.ref(self.L_eps.value.data))
-    monkeypatch.setattr(brs.ConformalBRS, "__init__", init)
+    for cls in (ConformalBRS, PoincareBRS):
+        def init(self, *args, _orig=cls.__init__, **kwargs):
+            _orig(self, *args, **kwargs)
+            fields.append(weakref.ref(self.L_vl.value.data))
+        monkeypatch.setattr(cls, "__init__", init)
     gc.collect()
     gc.disable()
     try:
-        assert run_check(_generic_one_point(), "brs").passed
-        assert len(fields) == 2 and all(ref() is None for ref in fields)
-        s = _generic_brs()          # never entered: the graph keeps its leaves
-        s.ev(s.T_v.stotal(), 0)
-        kept = fields[-1]
-        del s
-        assert kept() is not None
+        for scn in (_generic_one_point(), _one_point_context("poincare", 3).scn):
+            assert run_check(scn, "brs").passed
+        assert len(fields) == 3 and all(ref() is None for ref in fields)
+        for build, term in ((_generic_brs, "T_v"),
+                            (lambda: _poincare_brs(_one_point_context("poincare", 3)),
+                             "L_varpi")):
+            s = build()
+            assert s.ev(s.stotal(getattr(s, term)), 0).value_norm() > 0
+            leaves = [weakref.ref(t.value.data) for t in vars(s).values()
+                      if isinstance(t, brs.Leaf)]
+            del s
+            assert len(leaves) >= 4 and all(ref() is None for ref in leaves)
     finally:
         gc.enable()
 
 
-def test_a_read_after_the_block_fails():
-    """Leaving the block takes the leaves' s-images, so a later read could
-    see them as zero: it raises instead, and so does a leaf's s-image."""
-    with _generic_brs() as s:
-        want = s.ev(s.T_v.stotal(), 0)
-    assert want.value_norm() > 0
-    with pytest.raises(RuntimeError, match="ConformalBRS read after its block was left"):
-        s.ev(s.T_v, 0)
-    with pytest.raises(AttributeError):
-        s.L_eps.svar("W")
+def test_a_term_no_sector_varies_has_a_zero_total_variation():
+    """s of a constant leaf is Zero in each sector and summed over them, so
+    it reads as a structural zero rather than an empty Sum."""
+    s = _generic_brs()
+    assert all(_is_zero(s.s(s.T_one, x)) for x in brs.SECTORS)
+    assert _is_zero(s.stotal(s.T_one))
+    assert _is_zero(s.ssum(s.T_one, ("L", "i")))
 
 
 # -- the reduced Weyl laws: dense closed forms against the per-entry oracle ----
@@ -928,7 +929,7 @@ def _vielbein_weyl_weight_off(mp):
     def register(self):
         orig(self)
         for t in (self.L_e, self.L_einv):
-            t.register("W", brs.Sum([t.images["W"]], [1 + 1e-6]))
+            self.register(t, "W", brs.Sum([self.images[t, "W"]], [1 + 1e-6]))
     mp.setattr(brs.ConformalBRS, "_register_images", register)
 
 

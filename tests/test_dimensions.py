@@ -91,8 +91,8 @@ def test_bianchi_and_brs(m, rng):
     cache = {}
     r = russian_residual(b.L_varpi.ev(cache), b.T_v.ev(cache),
                          b.T_omega.ev(cache),
-                         b.L_varpi.stotal().ev(cache),
-                         b.T_v.stotal().ev(cache))
+                         b.stotal(b.L_varpi).ev(cache),
+                         b.stotal(b.T_v).ev(cache))
     assert worst_entry(r, ()) < 1e-10
     nil = nilpotency_residuals(b, names=("varpi", "v"))
     assert worst_entry(tuple(nil.values()), ()) < 1e-10

@@ -37,7 +37,8 @@ CASES = [
     pytest.param((2.5, _array((2,), (0, 1, 1), -3.0)), (2,), [3.0, 2.5], id="float_in_tuple"),
     pytest.param(_form(-0.75, 4.0, ()), (), 0.75, id="lone_point"),
     pytest.param(_array((3,), (2, 0, 0), 1.0), (2,), ShapeError, id="other_point_axis"),
-    pytest.param(_form(1.0, 0.0, ()), (2,), ShapeError, id="no_point_axis"),
+    # a (2, 2) form at one point has leading sizes (2,), but no point axis
+    pytest.param(MForm.zeros(3, (2, 2), 0, 0, 1), (2,), ShapeError, id="no_point_axis"),
 ]
 
 
