@@ -34,13 +34,13 @@ import math
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import inf
 
 import numpy as np
 
 from .cartan import covariant_d, curvature_form
-from .dressing import extract_u1
+from .dressing import extract_u1, vielbein_of
 from .errors import ShapeError
 from .exprs import Const, compile_expr, eval_jets
 from .forms import GHOST_POOL, MForm, block_matrix, eta_t, form_comps, gcomm, ghost_monos
@@ -70,11 +70,14 @@ class Term:
     Derivatives, 2nd ed., ch. 13), and a d of a value read raises
     JetOrderError.
 
-    ``_build_s(s)`` is the node's image in one sector, given the map ``s``
-    from a child to the child's image (see :class:`_TermOwner`).
+    ``children`` are the terms the node is built from; a leaf has none.
+    ``_build_s(images)`` is a composite's image in one sector by the graded
+    Leibniz rule, given the images of its children in that order; it is
+    called only when some child varies (see :class:`_TermOwner`).
     """
 
     __slots__ = ("p", "q", "shape")
+    children = ()
 
     def __init__(self, p, q, shape):
         self.p = p
@@ -84,10 +87,6 @@ class Term:
     @property
     def total(self):
         return self.p + self.q
-
-    def _build_s(self, s):
-        # a leaf varies only by the images registered for it
-        return Zero(self.p, self.q + 1, self.shape)
 
     def ev(self, cache, need=FULL):
         # keyed on the node itself: the cache then also keeps temporaries
@@ -104,7 +103,7 @@ class Term:
 class Leaf(Term):
     __slots__ = ("name", "value")
 
-    def __init__(self, name, value, p, q):
+    def __init__(self, name, value, p=0, q=0):
         super().__init__(p, q, value.shape)
         self.name = name
         self.value = value
@@ -124,30 +123,28 @@ class Zero(Term):
 
 
 def _is_zero(t):
-    return isinstance(t, Zero)
+    """A structural zero: a Zero, or a product with a Zero factor, as
+    ``Prod._build_s`` writes the side whose factor's image is Zero."""
+    return isinstance(t, Zero) or isinstance(t, Prod) and Zero in (type(t.a), type(t.b))
 
 
 class Sum(Term):
     __slots__ = ("terms", "coeffs")
 
     def __init__(self, terms, coeffs=None):
-        coeffs = list(coeffs) if coeffs is not None else [1.0] * len(terms)
-        live = [(t, c) for t, c in zip(terms, coeffs) if not _is_zero(t)]
-        if live:
-            p, q, shape = live[0][0].p, live[0][0].q, live[0][0].shape
-        else:
-            p, q, shape = terms[0].p, terms[0].q, terms[0].shape
-        super().__init__(p, q, shape)
-        self.terms = [t for t, _ in live]
-        self.coeffs = [c for _, c in live]
+        t = terms[0]
+        super().__init__(t.p, t.q, t.shape)
+        self.terms = list(terms)
+        self.coeffs = list(coeffs) if coeffs is not None else [1.0] * len(terms)
 
-    def _build_s(self, s):
-        return mk_sum([s(t) for t in self.terms], self.coeffs,
-                      self.p, self.q + 1, self.shape)
+    @property
+    def children(self):
+        return self.terms
+
+    def _build_s(self, images):
+        return mk_sum(images, self.coeffs)
 
     def _ev(self, cache, need):
-        if not self.terms:
-            raise ShapeError("empty Sum evaluation needs a Zero context")
         acc = None
         for t, c in zip(self.terms, self.coeffs):
             v = t.ev(cache, need) if c == 1.0 else t.ev(cache, need).scale(c)
@@ -155,14 +152,13 @@ class Sum(Term):
         return acc
 
 
-def mk_sum(terms, coeffs=None, p=None, q=None, shape=None):
-    """Sum that collapses to Zero when every summand is structurally zero."""
+def mk_sum(terms, coeffs=None):
+    """Sum of the terms that are not structural zeros; a Zero if none is."""
     coeffs = list(coeffs) if coeffs is not None else [1.0] * len(terms)
     live = [(t, c) for t, c in zip(terms, coeffs) if not _is_zero(t)]
     if not live:
-        if p is None:
-            p, q, shape = terms[0].p, terms[0].q, terms[0].shape
-        return Zero(p, q, shape)
+        t = terms[0]
+        return Zero(t.p, t.q, t.shape)
     return Sum([t for t, _ in live], [c for _, c in live])
 
 
@@ -176,19 +172,16 @@ class Prod(Term):
         self.a = a
         self.b = b
 
-    def _build_s(self, s):
-        sa, sb = s(self.a), s(self.b)
+    @property
+    def children(self):
+        return (self.a, self.b)
+
+    def _build_s(self, images):
+        # the side whose factor's image is Zero is a structural zero, which
+        # mk_sum drops
+        sa, sb = images
         sign = -1.0 if self.a.total % 2 else 1.0
-        parts, cs = [], []
-        if not _is_zero(sa):
-            parts.append(Prod(sa, self.b))
-            cs.append(1.0)
-        if not _is_zero(sb):
-            parts.append(Prod(self.a, sb))
-            cs.append(sign)
-        if not parts:
-            return Zero(self.p, self.q + 1, self.shape)
-        return Sum(parts, cs)
+        return mk_sum([Prod(sa, self.b), Prod(self.a, sb)], [1.0, sign])
 
     def _ev(self, cache, need):
         return self.a.ev(cache, need).wedge(self.b.ev(cache, need))
@@ -201,11 +194,12 @@ class D(Term):
         super().__init__(t.p + 1, t.q, t.shape)
         self.t = t
 
-    def _build_s(self, s):
-        st = s(self.t)
-        if _is_zero(st):
-            return Zero(self.p, self.q + 1, self.shape)
-        return Sum([D(st)], [-1.0])
+    @property
+    def children(self):
+        return (self.t,)
+
+    def _build_s(self, images):
+        return Sum([D(images[0])], [-1.0])
 
     def _ev(self, cache, need):
         return self.t.ev(cache, need + 1).ext_d()
@@ -220,11 +214,12 @@ class EtaT(Term):
         self.t = t
         self.eta = eta
 
-    def _build_s(self, s):
-        st = s(self.t)
-        if _is_zero(st):
-            return Zero(self.p, self.q + 1, self.shape)
-        return EtaT(st, self.eta)
+    @property
+    def children(self):
+        return (self.t,)
+
+    def _build_s(self, images):
+        return EtaT(images[0], self.eta)
 
     def _ev(self, cache, need):
         return eta_t(self.t.ev(cache, need), self.eta)
@@ -233,44 +228,43 @@ class EtaT(Term):
 class Blk(Term):
     """Block matrix of terms; None entries are zero blocks.
 
-    Zero terms participate in size inference but evaluate as zero blocks,
-    so a row or column of structural zeros just needs one sized Zero.
+    Its degrees are those of its first term entry and its sizes those of
+    its entries.  Zero terms participate in size inference but evaluate as
+    zero blocks, so a row or column of structural zeros just needs one
+    sized Zero.
     """
 
-    __slots__ = ("rows", "m", "order", "row_sizes", "col_sizes")
+    __slots__ = ("rows", "row_sizes", "col_sizes")
 
-    def __init__(self, rows, p, q, m, order):
+    def __init__(self, rows):
         rsz = [None] * len(rows)
         csz = [None] * len(rows[0])
         for i, row in enumerate(rows):
             for j, t in enumerate(row):
-                if isinstance(t, Term):
+                if t is not None:
                     rsz[i] = t.shape[0]
                     csz[j] = t.shape[1]
-        if any(x is None for x in rsz) or any(x is None for x in csz):
+        if None in rsz or None in csz:
             raise ShapeError("cannot infer Blk sizes")
-        super().__init__(p, q, (sum(rsz), sum(csz)))
+        first = next(t for row in rows for t in row if t is not None)
+        super().__init__(first.p, first.q, (sum(rsz), sum(csz)))
         self.rows = rows
-        self.m = m
-        self.order = order
         self.row_sizes, self.col_sizes = rsz, csz
 
-    def _build_s(self, s):
-        new = [[s(t) if isinstance(t, Term) else None for t in row]
-               for row in self.rows]
-        if all(t is None or _is_zero(t) for row in new for t in row):
-            return Zero(self.p, self.q + 1, self.shape)
-        return Blk(new, self.p, self.q + 1, self.m, self.order)
+    @property
+    def children(self):
+        return [t for row in self.rows for t in row if t is not None]
+
+    def _build_s(self, images):
+        images = iter(images)
+        return Blk([[None if t is None else next(images) for t in row] for row in self.rows])
 
     def _ev(self, cache, need):
-        grid = [[None if (t is None or _is_zero(t)) else t.ev(cache, need)
+        grid = [[None if t is None or _is_zero(t) else t.ev(cache, need)
                  for t in row] for row in self.rows]
-        return block_matrix(grid, self.m, self.p, self.q, min(self.order, need),
+        m = next(v for row in grid for v in row if v is not None).m
+        return block_matrix(grid, m, self.p, self.q, need,
                             row_sizes=self.row_sizes, col_sizes=self.col_sizes)
-
-
-def leaf(name, value, p=0, q=0):
-    return Leaf(name, value, p, q)
 
 
 def neg(t):
@@ -278,21 +272,51 @@ def neg(t):
 
 
 class _TermOwner:
-    """What the two BRS classes share: the evaluation cache and the s-images.
+    """What the two BRS classes share: the constructor's prologue, the
+    Lorentz leaves, the evaluation cache and the s-images.
 
     ``images`` maps (term, sector) to s_sector of the term, and (term,
     sector tuple) to its sum over the sectors.  A leaf's images are
-    registered; any other is built once, by the graded Leibniz rule on the
-    images of the term's children, and a leaf with none registered varies to
-    zero.  Terms refer only to their children, never to this object, so the
-    term graph is acyclic: dropping the object frees it, with the cache and
-    the leaf values (a batch's connection, ghosts and vielbein jets), by
-    reference count alone.
+    registered.  Any other image is Zero when no child of the term varies,
+    a leaf with none registered included, and is built otherwise, once, by
+    the graded Leibniz rule on the images of the term's children.  Terms
+    refer only to their children, never to this object, so the term graph
+    is acyclic: dropping the object frees it, with the cache and the leaf
+    values (a batch's connection, ghosts and vielbein jets), by reference
+    count alone.
     """
 
-    def __init__(self):
+    def __init__(self, conn, e, kind):
+        model = conn.model
+        if model.kind != kind:
+            raise ShapeError(f"{type(self).__name__} needs the {kind} model")
+        self.model = model
+        self.chart = model.chart
+        self.m = model.m
+        self.e = vielbein_of(conn) if e is None else e
+        self.order = conn.order
+        self.ghost_order = max(self.order, 2)
+        self.pool = ghost_monos(1)
         self.cache = {}
         self.images = {}
+        self.L_varpi = Leaf("varpi", conn.omega, p=1)
+        self.T_omega = _curvature(self.L_varpi)
+
+    def _lorentz_leaves(self, fields):
+        """The Lorentz ghost, vielbein and inverse-vielbein leaves with their
+        Lorentz images, and the inverse vielbein jets ``einv``.
+
+        s_L v_L = -v_L^2, s_L e = -v_L e and s_L e^-1 = e^-1 v_L.
+        """
+        m = self.m
+        vl = self.L_vl = Leaf("vl", _lorentz_ghost(fields, m, self.ghost_order,
+                                                    self.model.eta), q=1)
+        self.register(vl, "L", neg(Prod(vl, vl)))
+        self.einv = jmat_inv(self.e, m)
+        self.L_e = Leaf("e", MForm.of_jets(m, self.e))
+        self.L_einv = Leaf("einv", MForm.of_jets(m, self.einv))
+        self.register(self.L_e, "L", neg(Prod(vl, self.L_e)))
+        self.register(self.L_einv, "L", Prod(self.L_einv, vl))
 
     def register(self, leaf, sector, term):
         self.images[leaf, sector] = term
@@ -300,7 +324,11 @@ class _TermOwner:
     def s(self, term, sector):
         key = (term, sector)
         if key not in self.images:
-            self.images[key] = term._build_s(lambda t: self.s(t, sector))
+            images = [self.s(c, sector) for c in term.children]
+            if all(_is_zero(t) for t in images):
+                self.images[key] = Zero(term.p, term.q + 1, term.shape)
+            else:
+                self.images[key] = term._build_s(images)
         return self.images[key]
 
     def ssum(self, term, sectors):
@@ -314,7 +342,9 @@ class _TermOwner:
         return self.ssum(term, SECTORS)
 
     def ev(self, term, need=FULL):
-        return term.ev(self.cache, need)
+        """``term`` at jet order ``need``; a structural zero reads 0.0, as
+        the reducer takes it."""
+        return 0.0 if _is_zero(term) else term.ev(self.cache, need)
 
 
 # ---------------------------------------------------------------------------
@@ -422,22 +452,6 @@ def _dressed_pair(w, F, u, uinv):
             Prod(uinv, Prod(F, u)))
 
 
-def _lorentz_leaves(owner, fields, e, model, order):
-    """The Lorentz ghost, vielbein and inverse-vielbein leaves, with their
-    Lorentz images registered with ``owner``, plus the inverse vielbein jets.
-
-    s_L v_L = -v_L^2, s_L e = -v_L e and s_L e^-1 = e^-1 v_L.
-    """
-    m = model.m
-    vl = leaf("vl", _lorentz_ghost(fields, m, order, model.eta), q=1)
-    owner.register(vl, "L", neg(Prod(vl, vl)))
-    einv = jmat_inv(e, m)
-    L_e, L_einv = leaf("e", MForm.of_jets(m, e)), leaf("einv", MForm.of_jets(m, einv))
-    owner.register(L_e, "L", neg(Prod(vl, L_e)))
-    owner.register(L_einv, "L", Prod(L_einv, vl))
-    return vl, L_e, L_einv, einv
-
-
 class ConformalBRS(_TermOwner):
     """Terms, leaves and ghost data of a Moebius scenario at the points of a
     batch, whose axis ``conn`` and ``e`` carry (or at one point, without it).
@@ -451,20 +465,8 @@ class ConformalBRS(_TermOwner):
     """
 
     def __init__(self, conn, e, ghost_spec, point, seeds=(0,), keep_body=False):
-        from .dressing import vielbein_of
-        model = conn.model
-        if model.kind != "mobius":
-            raise ShapeError("ConformalBRS needs the Moebius model")
-        self.model = model
-        self.chart = model.chart
-        m = self.m = model.m
-        self.e = vielbein_of(conn) if e is None else e
-        self.order = conn.order
-        self.ghost_order = max(self.order, 2)
-        self.pool = ghost_monos(1)
-        super().__init__()
-        self._vhat = {}
-        self._final = None
+        super().__init__(conn, e, "mobius")
+        m = self.m
         gs = ghost_spec
         iota = list(gs.iota or ["1"] * m)
         pairs = form_comps(m, 2)
@@ -490,36 +492,30 @@ class ConformalBRS(_TermOwner):
 
     def _build_leaves(self, conn, vl_fields):
         m, order = self.m, self.ghost_order
-        self.L_varpi = leaf("varpi", conn.omega, p=1, q=0)
-        self.L_eps = leaf("eps", _ghost_form(m, (1, 1), order, {(0, 0): self.eps_jet}), q=1)
-        self.L_deps = leaf("deps", _deps_form(self.eps_jet, m, order), q=1)
+        self.L_eps = Leaf("eps", _ghost_form(m, (1, 1), order, {(0, 0): self.eps_jet}), q=1)
+        self.L_deps = Leaf("deps", _deps_form(self.eps_jet, m, order), q=1)
         iota = {(0, a): f for a, f in enumerate(self.iota_jets)}
-        self.L_iota = leaf("iota", _ghost_form(m, (1, m), order, iota), q=1)
-        self.L_epsI_m = leaf("eps_eye_m", self.eps_eye(m), q=1)
-        self.L_vl, self.L_e, self.L_einv, self.einv = _lorentz_leaves(
-            self, vl_fields, self.e, self.model, order)
+        self.L_iota = Leaf("iota", _ghost_form(m, (1, m), order, iota), q=1)
+        self.L_epsI_m = Leaf("eps_eye_m", self.eps_eye(m), q=1)
+        self._lorentz_leaves(vl_fields)
         self.u1 = extract_u1(conn, self.einv)
-        self.L_q = leaf("q", self.u1.q)
+        self.L_q = Leaf("q", self.u1.q)
 
     def _v_sector(self, which):
         m = self.m
-        eta = self.model.eta
         z11 = Zero(0, 1, (1, 1))
         zmm = Zero(0, 1, (m, m))
         if which == "W":
             return Blk([[self.L_eps, None, None],
                         [None, zmm, None],
-                        [None, None, neg(self.L_eps)]],
-                       0, 1, m, self.ghost_order)
+                        [None, None, neg(self.L_eps)]])
         if which == "L":
             return Blk([[z11, None, None],
                         [None, self.L_vl, None],
-                        [None, None, z11]],
-                       0, 1, m, self.L_vl.value.order)
+                        [None, None, z11]])
         return Blk([[z11, self.L_iota, None],
-                    [None, zmm, EtaT(self.L_iota, eta)],
-                    [None, None, z11]],
-                   0, 1, m, self.L_iota.value.order)
+                    [None, zmm, EtaT(self.L_iota, self.model.eta)],
+                    [None, None, z11]])
 
     def _register_images(self):
         eps, deps, iota, vl = self.L_eps, self.L_deps, self.L_iota, self.L_vl
@@ -540,60 +536,41 @@ class ConformalBRS(_TermOwner):
             self.register(self.L_varpi, x, _connection_image(self.L_varpi, self.V[x]))
 
     def _build_composites(self):
+        """The dressings u1, u0 and u = u1 u0, the dressed pairs, and the
+        composite ghosts v-hat = u^-1 v u + u^-1 s u of u1 (``T_vhat1``) and
+        of u in one step (``T_vhat``)."""
         m = self.m
         eta = self.model.eta
         order = self.order
-        one = leaf("one", MForm.identity(m, 1, order))
-        eye = leaf("eye_m", MForm.identity(m, m, order))
+        one = Leaf("one", MForm.identity(m, 1, order))
+        eye = Leaf("eye_m", MForm.identity(m, m, order))
         self.T_one, self.T_eye = one, eye
         q, e, einv = self.L_q, self.L_e, self.L_einv
         qt = EtaT(q, eta)
         self.T_u1 = Blk([[one, q, Sum([Prod(q, qt)], [0.5])],
                          [None, eye, qt],
-                         [None, None, one]], 0, 0, m, order)
+                         [None, None, one]])
         nq = neg(q)
         nqt = EtaT(nq, eta)
         self.T_u1inv = Blk([[one, nq, Sum([Prod(nq, nqt)], [0.5])],
                             [None, eye, nqt],
-                            [None, None, one]], 0, 0, m, order)
-        self.T_u0 = Blk([[one, None, None], [None, e, None], [None, None, one]],
-                        0, 0, m, order)
-        self.T_u0inv = Blk([[one, None, None], [None, einv, None],
-                            [None, None, one]], 0, 0, m, order)
+                            [None, None, one]])
+        self.T_u0 = Blk([[one, None, None], [None, e, None], [None, None, one]])
+        self.T_u0inv = Blk([[one, None, None], [None, einv, None], [None, None, one]])
         self.T_u = Prod(self.T_u1, self.T_u0)
         self.T_uinv = Prod(self.T_u0inv, self.T_u1inv)
         self.T_v = Sum([self.V["W"], self.V["L"], self.V["i"]])
         w = self.L_varpi
-        self.T_omega = _curvature(w)
         self.T_varpi1, self.T_omega1 = _dressed_pair(w, self.T_omega, self.T_u1,
                                                      self.T_u1inv)
         self.T_varpi0, self.T_omega0 = _dressed_pair(w, self.T_omega, self.T_u, self.T_uinv)
+        self.T_vhat1 = _composite_ghost(self.T_u1, self.T_u1inv, self.T_v,
+                                        self.stotal(self.T_u1))
+        self.T_vhat = _composite_ghost(self.T_u, self.T_uinv, self.T_v, self.stotal(self.T_u))
 
-    # -- evaluation helpers ----------------------------------------------------
-
-    def composite_ghost_term(self, stage):
-        """Composite ghost v-hat = u^-1 v u + u^-1 s u, built once per stage.
-
-        Stage 'u1' uses the unipotent dressing on the raw ghost, 'full' the
-        combined u1 u0 in one step, and 'u0' chains the second reduction on
-        top of the first composite ghost; the last two must agree.
-        """
-        if stage in self._vhat:
-            return self._vhat[stage]
-        if stage == "u1":
-            u, uinv, v = self.T_u1, self.T_u1inv, self.T_v
-        elif stage == "full":
-            u, uinv, v = self.T_u, self.T_uinv, self.T_v
-        elif stage == "u0":
-            u, uinv = self.T_u0, self.T_u0inv
-            v = self.composite_ghost_term("u1")
-        else:
-            raise ValueError(stage)
-        self._vhat[stage] = _composite_ghost(u, uinv, v, self.stotal(u))
-        return self._vhat[stage]
-
-    # The expected ghosts are compared on their values only, so they are
-    # built from the leaf values at order 0.
+    # -- the expected ghosts ---------------------------------------------------
+    # They are compared on their values only, so they are built from the leaf
+    # values at order 0.
 
     def expected_first_ghost(self):
         """[[eps, deps.e^-1, 0], [0, v_L, (.)^t], [0, 0, -eps]]."""
@@ -605,16 +582,12 @@ class ConformalBRS(_TermOwner):
                 [None, None, eps.scale(-1.0)]]
         return block_matrix(grid, self.m, 0, 1, 0)
 
+    @cached_property
     def expected_final_ghost(self):
         """[[eps, deps, 0], [0, eps delta, g^-1 deps^T], [0, 0, -eps]].
 
         Built once per batch: three checks compare against it.
         """
-        if self._final is None:
-            self._final = self._final_ghost()
-        return self._final
-
-    def _final_ghost(self):
         m = self.m
         deps = self.L_deps.value.truncate(0)
         ginv = jmat_inv(metric_from_vielbein(jtrunc(self.e, m, 0), self.model.eta), m)[..., 0]
@@ -636,28 +609,6 @@ class ConformalBRS(_TermOwner):
 # public operations
 # ---------------------------------------------------------------------------
 
-def brs_vary(scn, name, sector="all"):
-    """Value of s_sector applied to a named field of the scenario."""
-    terms = {
-        "varpi": scn.L_varpi, "Omega": scn.T_omega, "v": scn.T_v,
-        "u1": scn.T_u1, "u0": scn.T_u0, "u": scn.T_u,
-        "q": scn.L_q, "e": scn.L_e,
-        "varpi1": scn.T_varpi1, "Omega1": scn.T_omega1,
-        "varpi0": scn.T_varpi0, "Omega0": scn.T_omega0,
-    }
-    t = terms[name]
-    st = scn.stotal(t) if sector in ("all", "total") else scn.s(t, sector)
-    if _is_zero(st):
-        base = scn.ev(t)
-        return MForm.zeros(scn.m, base.shape, base.p, base.q + 1, base.order, base.lead)
-    return scn.ev(st)
-
-
-def composite_ghost(scn, stage, need=FULL):
-    """Evaluated composite ghost for 'u1' or 'full' (or 'u0')."""
-    return scn.ev(scn.composite_ghost_term(stage), need)
-
-
 def russian_residual(A, v, F, sA, sv):
     """Ghost-degree split of (d+s)(A+v) + (A+v)^2 - F.
 
@@ -670,22 +621,16 @@ def russian_residual(A, v, F, sA, sv):
 _H = ("L", "i")     # the sectors of h' = Lorentz + inversions
 
 
-def nilpotency_residuals(scn, names=("varpi", "v", "u1", "u0")):
-    """s^2 and the sector-split identities on the requested fields."""
-    fields = {
-        "varpi": scn.L_varpi, "v": scn.T_v, "u1": scn.T_u1, "u0": scn.T_u0,
-        "u": scn.T_u, "Omega": scn.T_omega,
-    }
+def nilpotency_residuals(scn, fields):
+    """s^2 and the sector-split identities on ``fields``, {row name: term}."""
     out = {}
-    for name in names:
-        t = fields[name]
+    for name, t in fields.items():
         sW, sH = scn.s(t, "W"), scn.ssum(t, _H)
         rows = {f"s2_{name}": scn.stotal(scn.stotal(t)),
                 f"sH2_{name}": scn.ssum(sH, _H),
                 f"sP2_{name}": scn.s(sW, "W"),
                 f"mixed_{name}": mk_sum([scn.ssum(sW, _H), scn.s(sH, "W")])}
-        for row, term in rows.items():
-            out[row] = 0.0 if _is_zero(term) else scn.ev(term, 0)
+        out.update({row: scn.ev(term, 0) for row, term in rows.items()})
     return out
 
 
@@ -700,24 +645,18 @@ def two_steps_in_one(scn):
     resid_dec = su + ell.wedge(u) - rho
     vW = ev(scn.V["W"])
     vhat = uinv.wedge(vW.wedge(u)) + uinv.wedge(rho)
-    resid_ghost = vhat - scn.expected_final_ghost()
+    resid_ghost = vhat - scn.expected_final_ghost
     return ell, rho, resid_dec, resid_ghost
 
 
-def modified_brs_residuals(scn, stage="full"):
-    """Lemma check: s A-hat = -D-hat v-hat, s F-hat = [F-hat, v-hat],
-    s v-hat = -v-hat^2 for the requested dressing stage."""
-    At, Ft = ((scn.T_varpi1, scn.T_omega1) if stage == "u1"
-              else (scn.T_varpi0, scn.T_omega0))
+def modified_brs_residuals(scn, A, F, vhat):
+    """Lemma check on the dressed pair (A, F) and its composite ghost vhat,
+    all terms: s A = -D vhat, s F = [F, vhat] and s vhat = -vhat^2."""
     ev = partial(scn.ev, need=0)
-    A = ev(At)
-    F = ev(Ft)
-    vhat_t = scn.composite_ghost_term(stage)
-    vhat = scn.ev(vhat_t, 1)        # its d is taken below
-    sA = ev(scn.stotal(At))
-    sF = ev(scn.stotal(Ft))
-    svhat = ev(scn.stotal(vhat_t))
-    return sA + vhat.ext_d() + gcomm(A, vhat), sF - gcomm(F, vhat), svhat + vhat.wedge(vhat)
+    A_v, F_v = ev(A), ev(F)
+    v = scn.ev(vhat, 1)        # its d is taken below
+    sA, sF, sv = (ev(scn.stotal(t)) for t in (A, F, vhat))
+    return sA + v.ext_d() + gcomm(A_v, v), sF - gcomm(F_v, v), sv + v.wedge(v)
 
 
 def residual_weyl_brs(fields, scn):
@@ -735,7 +674,7 @@ def residual_weyl_brs(fields, scn):
     """
     m = scn.m
     model = scn.model
-    vhat = composite_ghost(scn, "full", 1)      # covariant_d takes its d
+    vhat = scn.ev(scn.T_vhat, 1)        # covariant_d takes its d
     s_varpi0 = covariant_d(fields.varpi0, vhat).scale(-1.0)
     s_Omega0 = gcomm(fields.Omega0, vhat)
     # eps (..., G), d_mu eps (..., m, G) and d_nu d_mu eps (..., m, m, G)
@@ -775,7 +714,7 @@ def residual_weyl_brs(fields, scn):
                         - np.einsum("...rj,...nf->...rnjf", up, tlow))
     # abelian residual symmetry: s_W vhat entry (2,3) = -2 eps g^-1 deps, with
     # eps deps = sum over pool pairs j < k of (e_j d_k - e_k d_j) eta_j eta_k
-    svhat = scn.ev(scn.s(scn.composite_ghost_term("full"), "W"), 0)
+    svhat = scn.ev(scn.s(scn.T_vhat, "W"), 0)
     j, k = np.array(ghost_monos(2)).T
     eps_deps = eps[..., None, j] * deps[..., k] - eps[..., None, k] * deps[..., j]
     laws["s_w_vhat_23"] = (model.block(svhat, 2, 3),
@@ -785,8 +724,8 @@ def residual_weyl_brs(fields, scn):
     out["s_w_eps"] = model.block(svhat, 1, 1)
     # sector trivialities after full dressing
     for x in ("L", "i"):
-        out[f"s_{x}_trivial"] = tuple(0.0 if _is_zero(t) else scn.ev(t, 0)
-                                      for t in (scn.s(scn.T_varpi0, x), scn.s(scn.T_omega0, x)))
+        out[f"s_{x}_trivial"] = tuple(scn.ev(scn.s(t, x), 0)
+                                      for t in (scn.T_varpi0, scn.T_omega0))
     return out
 
 
@@ -797,12 +736,12 @@ def algebraic_connection(fields, scn):
     dx^T g, -eps); returns the pair plus the entrywise defect and the
     modified Russian residuals it satisfies.
     """
-    vhat = composite_ghost(scn, "full", 1)      # the Russian residual takes its d
-    entry_defect = vhat - scn.expected_final_ghost()
+    vhat = scn.ev(scn.T_vhat, 1)        # the Russian residual takes its d
+    entry_defect = vhat - scn.expected_final_ghost
     A = fields.varpi0
     F = fields.Omega0
     sA = scn.ev(scn.stotal(scn.T_varpi0), 0)
-    sv = scn.ev(scn.stotal(scn.composite_ghost_term("full")), 0)
+    sv = scn.ev(scn.stotal(scn.T_vhat), 0)
     rr = russian_residual(A, vhat, F, sA, sv)
     return vhat, entry_defect, rr
 
@@ -859,8 +798,9 @@ def linearization_check(conn, e, model, phi, point, h=1e-3):
     # BRS side with the ghost built on phi
     spec = GhostSpec(eps=phi, iota=[_ZERO] * m, lorentz=[_ZERO] * (m * (m - 1) // 2))
     seeds = [0] * math.prod(np.shape(point)[:-1])
-    vhat = composite_ghost(ConformalBRS(conn, e, spec, point, seeds, keep_body=True),
-                           "full", 1)               # covariant_d takes its d
+    b = ConformalBRS(conn, e, spec, point, seeds, keep_body=True)
+    vhat = b.ev(b.T_vhat, 1)        # covariant_d takes its d
+    del b                           # frees its term graph before the tensors are read
     s_varpi0 = covariant_d(varpi0, vhat).scale(-1.0).body()
     s_Omega0 = gcomm(Omega0, vhat).body()
     g, Gamma, P, _, _, C, W = extract_tensors(s_varpi0, s_Omega0, model)
@@ -879,29 +819,17 @@ class PoincareBRS(_TermOwner):
     Its arguments carry a batch's points as :class:`ConformalBRS`'s do."""
 
     def __init__(self, conn, e, lorentz_spec, point, seeds=(0,)):
-        model = conn.model
-        if model.kind != "poincare":
-            raise ShapeError("PoincareBRS needs the Poincare model")
-        self.model = model
-        self.chart = model.chart
-        m = self.m = model.m
-        self.e = e
-        self.order = conn.order
-        korder = max(self.order, 2)
-        self.pool = ghost_monos(1)
-        super().__init__()
+        super().__init__(conn, e, "poincare")
+        m = self.m
         pairs = form_comps(m, 2)
-        fields = _ghost_fields(lorentz_spec or ["1"] * len(pairs),
-                               [f"vl{a}{b}" for a, b in pairs], self.chart, point, korder, seeds)
-        self.L_vl, self.L_e, self.L_einv, _ = _lorentz_leaves(self, fields, e, model, korder)
-        self.L_varpi = leaf("varpi", conn.omega, p=1, q=0)
-        one = leaf("one", MForm.identity(m, 1, self.order))
-        self.V = Blk([[self.L_vl, None], [None, Zero(0, 1, (1, 1))]],
-                     0, 1, m, self.L_vl.value.order)
+        self._lorentz_leaves(_ghost_fields(lorentz_spec or ["1"] * len(pairs),
+                                           [f"vl{a}{b}" for a, b in pairs], self.chart,
+                                           point, self.ghost_order, seeds))
+        one = Leaf("one", MForm.identity(m, 1, self.order))
+        self.V = Blk([[self.L_vl, None], [None, Zero(0, 1, (1, 1))]])
         self.register(self.L_varpi, "L", _connection_image(self.L_varpi, self.V))
-        self.T_u = Blk([[self.L_e, None], [None, one]], 0, 0, m, self.order)
-        self.T_uinv = Blk([[self.L_einv, None], [None, one]], 0, 0, m, self.order)
-        self.T_omega = _curvature(self.L_varpi)
+        self.T_u = Blk([[self.L_e, None], [None, one]])
+        self.T_uinv = Blk([[self.L_einv, None], [None, one]])
         self.T_varpi_h, self.T_omega_h = _dressed_pair(self.L_varpi, self.T_omega,
                                                        self.T_u, self.T_uinv)
         self.T_vhat = _composite_ghost(self.T_u, self.T_uinv, self.V,

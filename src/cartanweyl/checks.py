@@ -498,9 +498,6 @@ def _redundancy(form, stW, model):
     return model.block(form, 2, 3).data[..., :, 0, :, 0] - want
 
 
-_NILPOTENT = ("varpi", "v", "u1", "u0")
-
-
 def brs_suite(ctx):
     from .brs import PoincareBRS, linearization_check
     scn, model, point = ctx.scn, ctx.model, ctx.point
@@ -519,9 +516,9 @@ def brs_suite(ctx):
 
 def _conformal_brs(ctx, ghosts):
     """The brs rows of a Moebius batch but the linearization."""
-    from .brs import (ConformalBRS, GhostSpec, algebraic_connection, composite_ghost,
-                      modified_brs_residuals, nilpotency_residuals, residual_weyl_brs,
-                      russian_residual, two_steps_in_one)
+    from .brs import (ConformalBRS, GhostSpec, algebraic_connection, modified_brs_residuals,
+                      nilpotency_residuals, residual_weyl_brs, russian_residual,
+                      two_steps_in_one)
     scn, model = ctx.scn, ctx.model
     spec = GhostSpec(eps=scn.parsed(ghosts.get("eps", "1/2 + x0/3")),
                      iota=_parsed_list(scn, ghosts.get("iota")),
@@ -531,17 +528,16 @@ def _conformal_brs(ctx, ghosts):
     res = {}
     # every read is a value but A and v of the Russian formula, whose d it takes
     ev = partial(b.ev, need=0)
-    vh_t = b.composite_ghost_term("full")
     for tag, (A, v, F) in (("", (b.L_varpi, b.T_v, b.T_omega)),
-                           ("_dressed", (b.T_varpi0, vh_t, b.T_omega0))):
+                           ("_dressed", (b.T_varpi0, b.T_vhat, b.T_omega0))):
         rs = russian_residual(b.ev(A, 1), b.ev(v, 1), ev(F), ev(b.stotal(A)),
                               ev(b.stotal(v)))
         res.update({f"russian{tag}_deg{d}": r for d, r in enumerate(rs)})
-    vh = ev(vh_t)
-    res.update(nilpotency_residuals(b, names=_NILPOTENT))
-    v1 = composite_ghost(b, "u1", 0)
-    res["first_ghost"] = v1 - b.expected_first_ghost()
-    res["final_ghost"] = vh - b.expected_final_ghost()
+    vh = ev(b.T_vhat)
+    res.update(nilpotency_residuals(b, {"varpi": b.L_varpi, "v": b.T_v, "u1": b.T_u1,
+                                        "u0": b.T_u0}))
+    res["first_ghost"] = ev(b.T_vhat1) - b.expected_first_ghost()
+    res["final_ghost"] = vh - b.expected_final_ghost
     # sector transformation rules of the dressing fields
     u1 = ev(b.T_u1)
     vi = ev(b.V["i"])
@@ -553,8 +549,9 @@ def _conformal_brs(ctx, ghosts):
     su0W = ev(b.s(b.T_u0, "W"))
     res["u0_weyl_rule"] = su0W - epst.wedge(u0)
     _, _, res["two_steps_decomposition"], res["two_steps_ghost"] = two_steps_in_one(b)
-    for stage in ("u1", "full"):
-        conn_r, curv_r, ghost_r = modified_brs_residuals(b, stage)
+    for stage, terms in (("u1", (b.T_varpi1, b.T_omega1, b.T_vhat1)),
+                         ("full", (b.T_varpi0, b.T_omega0, b.T_vhat))):
+        conn_r, curv_r, ghost_r = modified_brs_residuals(b, *terms)
         res[f"lemma_{stage}_connection"] = conn_r
         res[f"lemma_{stage}_curvature"] = curv_r
         res[f"lemma_{stage}_ghost"] = ghost_r

@@ -17,7 +17,7 @@ import json
 import sys
 
 from .checks import compute_tensors, dof_report, run_check
-from .errors import CartanWeylError
+from .errors import CartanWeylError, ScenarioError
 from .scenarios import CATALOG_NAMES, Scenario, catalog
 
 
@@ -50,13 +50,21 @@ def _load_scenario(args):
     return scn
 
 
+def _write_report(path, text):
+    """Write ``text`` and a newline to ``path``; a path that cannot be
+    written is bad input, not a failed check."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as ex:
+        raise ScenarioError(f"cannot write report {path}: {ex.strerror or ex}") from None
+
+
 def _emit(report, args):
     for line in report.summary_lines():
         print(line)
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+        _write_report(args.json_path, report.to_json())
         print(f"report written to {args.json_path}")
     return 0 if report.passed else 1
 
@@ -93,8 +101,7 @@ def main(argv=None):
             text = json.dumps(table, indent=2, sort_keys=True)
             print(text)
             if args.json_path:
-                with open(args.json_path, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
+                _write_report(args.json_path, text)
             return 0 if table["columns_agree"] else 1
         scn = _load_scenario(args)
         if args.command == "check":

@@ -9,7 +9,6 @@ is used by the package: the tests check its dense value-array laws against
 these.
 """
 
-from cartanweyl.brs import composite_ghost
 from cartanweyl.cartan import covariant_d
 from cartanweyl.forms import form_comps, gcomm
 from cartanweyl.grassmann import GradedScalar
@@ -33,7 +32,7 @@ def law_rows(fields, scn):
     """The rows of :data:`LAWS`, each a worst value defect over entries."""
     m = scn.m
     model = scn.model
-    vhat = composite_ghost(scn, "full")
+    vhat = scn.ev(scn.T_vhat)
     s_varpi0 = covariant_d(fields.varpi0, vhat).scale(-1.0)
     s_Omega0 = gcomm(fields.Omega0, vhat)
     eps = scn.L_eps.value.entry(0, 0, 0).map(lambda c: c.truncate(min(2, c.order)))
@@ -99,7 +98,7 @@ def law_rows(fields, scn):
     out["s_w_cotton"] = worst_entry(tuple(defectsC), ())
     out["s_w_weyl"] = worst_entry(tuple(defectsW), ())
     # s_W vhat entry (2,3) = -2 eps g^-1 deps
-    svhat = scn.ev(scn.s(scn.composite_ghost_term("full"), "W"))
+    svhat = scn.ev(scn.s(scn.T_vhat, "W"))
     blk = model.block(svhat, 2, 3)
     defects = []
     for r in range(m):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cartanweyl.brs import ConformalBRS, GhostSpec, composite_ghost
+from cartanweyl.brs import ConformalBRS, GhostSpec
 from cartanweyl.cartan import covariant_d
 from cartanweyl.dressing import extract_tensors, full_pipeline
 from cartanweyl.exprs import Const, eval_jet
@@ -42,7 +42,8 @@ def full_order_linearization(conn, e, model, phi, point, h=1e-3):
     finite = {k: (4.0 * d2[k] - d1[k]) / 3.0 for k in d1}
     zero = Const(Fraction(0))
     spec = GhostSpec(eps=phi, iota=[zero] * m, lorentz=[zero] * (m * (m - 1) // 2))
-    vhat = composite_ghost(ConformalBRS(conn, e, spec, point, keep_body=True), "full")
+    b = ConformalBRS(conn, e, spec, point, keep_body=True)
+    vhat = b.ev(b.T_vhat)
     s_varpi0 = covariant_d(fields.varpi0, vhat).scale(-1.0).body()
     s_Omega0 = gcomm(fields.Omega0, vhat).body()
     g, Gamma, P, _, _, C, W = extract_tensors(s_varpi0, s_Omega0, model)

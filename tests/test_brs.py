@@ -8,10 +8,10 @@ import pytest
 
 from cartanweyl import brs, dressing, forms
 from cartanweyl.brs import (ConformalBRS, GhostSpec, PoincareBRS,
-                            algebraic_connection, brs_vary, composite_ghost,
-                            linearization_check, modified_brs_residuals,
-                            nilpotency_residuals, residual_weyl_brs,
-                            russian_residual, two_steps_in_one, _is_zero)
+                            algebraic_connection, linearization_check,
+                            modified_brs_residuals, nilpotency_residuals,
+                            residual_weyl_brs, russian_residual, two_steps_in_one,
+                            _is_zero)
 from cartanweyl.cartan import (KleinModel, VielbeinField, build_normal, curvature_form,
                                gauge_transform, random_gauge)
 from cartanweyl.checks import BATCH_SIZE, DEFAULT_WEYL, PointContext, point_of, run_check
@@ -46,6 +46,13 @@ def eps_of(s):
     """The eps ghost field of a one-point ConformalBRS as a ghost-valued jet."""
     return s.L_eps.value.entry(0, 0, 0)
 
+
+def vary(s, t, sector="all"):
+    """s_sector (summed over the sectors for "all") of the term ``t`` at full
+    order; a structural zero reads 0.0."""
+    return s.ev(s.stotal(t) if sector == "all" else s.s(t, sector))
+
+
 GHOSTS = GhostSpec(eps="1/2 + x0/3 - x1*x2/5",
                    iota=["x1/2", "1/3 - x0/4", "x2/2 + 1/5"],
                    lorentz=["x0/2 + 1/6", "x1/3 - 1/7", "1/4 + x2/8"])
@@ -69,7 +76,7 @@ def test_flat_connection_zero_ghost_varies_trivially(mobius3, flat3):
     conn = build_normal(flat3, mobius3, POINT3, K)
     spec = GhostSpec(eps="0", iota=["0"] * 3, lorentz=["0"] * 3)
     s = ConformalBRS(conn, None, spec, POINT3)
-    assert brs_vary(s, "varpi").value_norm() == 0.0
+    assert worst_entry(vary(s, s.L_varpi), ()) == 0.0
 
 
 def test_undressed_russian_formula(scn):
@@ -101,7 +108,7 @@ def test_modified_russian_formula(scn):
     cache = {}
     A = scn.T_varpi0.ev(cache)
     F = scn.T_omega0.ev(cache)
-    vt = scn.composite_ghost_term("full")
+    vt = scn.T_vhat
     v = vt.ev(cache)
     sA = scn.stotal(scn.T_varpi0).ev(cache)
     sv = scn.stotal(vt).ev(cache)
@@ -110,13 +117,14 @@ def test_modified_russian_formula(scn):
 
 
 def test_nilpotency_and_sector_split(scn):
-    out = nilpotency_residuals(scn, names=("varpi", "v", "u1", "u0", "u", "Omega"))
+    out = nilpotency_residuals(scn, {"varpi": scn.L_varpi, "v": scn.T_v, "u1": scn.T_u1,
+                                     "u0": scn.T_u0, "u": scn.T_u, "Omega": scn.T_omega})
     for name, v in out.items():
         assert worst_entry(v, ()) < 1e-10, (name, v)
 
 
 def test_first_composite_ghost(scn):
-    v1 = composite_ghost(scn, "u1")
+    v1 = scn.ev(scn.T_vhat1)
     assert (v1 - scn.expected_first_ghost()).value_norm() < 1e-12
     # the inversion slot (1,2) of v-hat_1 is deps . e^-1, not iota
     blk = scn.model.block(v1, 3, 1)
@@ -124,8 +132,8 @@ def test_first_composite_ghost(scn):
 
 
 def test_final_composite_ghost(scn):
-    vW = composite_ghost(scn, "full")
-    assert (vW - scn.expected_final_ghost()).value_norm() < 1e-12
+    vW = scn.ev(scn.T_vhat)
+    assert (vW - scn.expected_final_ghost).value_norm() < 1e-12
 
 
 def test_composite_ghost_identity_dressing(scn):
@@ -144,12 +152,12 @@ def test_u1_sector_rules(scn):
     u1 = scn.T_u1.ev(cache)
     vi = scn.V["i"].ev(cache)
     vl = scn.V["L"].ev(cache)
-    su1_i = brs_vary(scn, "u1", "i")
+    su1_i = vary(scn, scn.T_u1, "i")
     assert (su1_i + vi.wedge(u1)).value_norm() < 1e-13
-    su1_L = brs_vary(scn, "u1", "L")
+    su1_L = vary(scn, scn.T_u1, "L")
     assert (su1_L - gcomm(u1, vl)).value_norm() < 1e-13
     # the Weyl image's (1,2) slot is -eps q + deps . e^-1
-    su1_W = brs_vary(scn, "u1", "W")
+    su1_W = vary(scn, scn.T_u1, "W")
     blk = scn.model.block(su1_W, 1, 2)
     eps = eps_of(scn)
     einv = scn.einv
@@ -167,10 +175,10 @@ def test_u0_rules(scn):
     u0 = scn.T_u0.ev(cache)
     m, n = scn.m, scn.model.n
     epst = scn.eps_eye(n, range(1, m + 1))
-    assert (brs_vary(scn, "u0", "W") - epst.wedge(u0)).value_norm() < 1e-13
+    assert (vary(scn, scn.T_u0, "W") - epst.wedge(u0)).value_norm() < 1e-13
     vl = scn.V["L"].ev(cache)
-    assert (brs_vary(scn, "u0", "L") + vl.wedge(u0)).value_norm() < 1e-13
-    assert brs_vary(scn, "u0", "i").value_norm() == 0.0
+    assert (vary(scn, scn.T_u0, "L") + vl.wedge(u0)).value_norm() < 1e-13
+    assert worst_entry(vary(scn, scn.T_u0, "i"), ()) == 0.0
 
 
 def test_three_ghost_cases(scn):
@@ -181,15 +189,15 @@ def test_three_ghost_cases(scn):
     vl = scn.V["L"].ev(cache)
     vi = scn.V["i"].ev(cache)
     # case one: s_L u1 = [u1, v_L] keeps the Lorentz ghost unchanged
-    su = brs_vary(scn, "u1", "L")
+    su = vary(scn, scn.T_u1, "L")
     vhat = u1inv.wedge(vl.wedge(u1)) + u1inv.wedge(su)
     assert (vhat - vl).value_norm() < 1e-13
     # case two: s_i u1 = -v_i u1 erases the inversion ghost
-    su = brs_vary(scn, "u1", "i")
+    su = vary(scn, scn.T_u1, "i")
     vhat = u1inv.wedge(vi.wedge(u1)) + u1inv.wedge(su)
     assert vhat.value_norm() < 1e-13
     # case three: the full ghost leaves exactly the first composite ghost
-    assert (composite_ghost(scn, "u1") - scn.expected_first_ghost()).value_norm() < 1e-12
+    assert (scn.ev(scn.T_vhat1) - scn.expected_first_ghost()).value_norm() < 1e-12
 
 
 def test_two_steps_in_one(scn):
@@ -206,7 +214,7 @@ def test_two_steps_pure_erased_sectors(scrambled):
     """v_W = 0: the composite ghost dies and su = -ell u."""
     spec = GhostSpec(eps="0", iota=GHOSTS.iota, lorentz=GHOSTS.lorentz)
     s = ConformalBRS(scrambled, None, spec, POINT3)
-    vhat = composite_ghost(s, "full")
+    vhat = s.ev(s.T_vhat)
     assert vhat.value_norm() < 1e-13
     ell, rho, resid_dec, _ = two_steps_in_one(s)
     assert rho.value_norm() == 0.0
@@ -214,8 +222,9 @@ def test_two_steps_pure_erased_sectors(scrambled):
 
 
 def test_modified_brs_lemma_both_stages(scn):
-    for stage in ("u1", "full"):
-        rA, rF, rv = (worst_entry(r, ()) for r in modified_brs_residuals(scn, stage))
+    for stage, terms in (("u1", (scn.T_varpi1, scn.T_omega1, scn.T_vhat1)),
+                         ("full", (scn.T_varpi0, scn.T_omega0, scn.T_vhat))):
+        rA, rF, rv = (worst_entry(r, ()) for r in modified_brs_residuals(scn, *terms))
         assert rA < 1e-10 and rF < 1e-10 and rv < 1e-10, stage
 
 
@@ -231,7 +240,7 @@ def test_flat_christoffel_variation(mobius3, flat3):
     conn = build_normal(flat3, mobius3, POINT3, K)
     s = ConformalBRS(conn, None, GHOSTS, POINT3)
     fields = full_pipeline(conn)
-    vhat = composite_ghost(s, "full")
+    vhat = s.ev(s.T_vhat)
     s_varpi0 = (vhat.ext_d() + gcomm(fields.varpi0, vhat)).scale(-1.0)
     blk = s.model.block(s_varpi0, 2, 2)
     eps = eps_of(s)
@@ -272,7 +281,7 @@ def test_algebraic_connection_flat(mobius3, flat3):
     conn = build_normal(flat3, mobius3, POINT3, K)
     s = ConformalBRS(conn, None, GHOSTS, POINT3)
     fields = full_pipeline(conn)
-    vhat = composite_ghost(s, "full")
+    vhat = s.ev(s.T_vhat)
     eps = eps_of(s)
     eta = s.model.eta
     m = 3
@@ -285,7 +294,7 @@ def test_algebraic_connection_flat(mobius3, flat3):
     # eps = 0 reduces the algebraic connection to varpi0 itself
     spec0 = GhostSpec(eps="0", iota=["0"] * 3, lorentz=["0"] * 3)
     s0 = ConformalBRS(conn, None, spec0, POINT3)
-    v0 = composite_ghost(s0, "full")
+    v0 = s0.ev(s0.T_vhat)
     assert v0.value_norm() == 0.0
 
 
@@ -322,11 +331,11 @@ def test_ds_plus_sd_vanishes(scn):
 
 
 def test_ghost_degree_bookkeeping(scn):
-    sv = brs_vary(scn, "varpi")
+    sv = vary(scn, scn.L_varpi)
     assert sv.q == 1 and sv.p == 1
-    sO = brs_vary(scn, "Omega")
+    sO = vary(scn, scn.T_omega)
     assert sO.q == 1 and sO.p == 2
-    vhat = composite_ghost(scn, "full")
+    vhat = scn.ev(scn.T_vhat)
     assert vhat.q == 1 and vhat.p == 0
 
 
@@ -389,11 +398,16 @@ def test_first_stage_sector_behavior(scn):
     assert (sLO - gcomm(omega1, vl)).value_norm() < 1e-12
 
 
+def _second_reduction(s):
+    """The first composite ghost dressed by u0: u0^-1 v-hat_1 u0 + u0^-1 s u0."""
+    return brs._composite_ghost(s.T_u0, s.T_u0inv, s.T_vhat1, s.stotal(s.T_u0))
+
+
 def test_second_reduction_chains_to_final_ghost(scn):
     """Dressing the first composite ghost by u0 gives the final ghost."""
-    v0 = composite_ghost(scn, "u0")
-    assert (v0 - scn.expected_final_ghost()).value_norm() < 1e-12
-    assert (v0 - composite_ghost(scn, "full")).value_norm() < 1e-12
+    v0 = scn.ev(_second_reduction(scn))
+    assert (v0 - scn.expected_final_ghost).value_norm() < 1e-12
+    assert (v0 - scn.ev(scn.T_vhat)).value_norm() < 1e-12
 
 
 # -- one evaluation context per point -------------------------------------------
@@ -429,11 +443,9 @@ def test_brs_suite_evaluates_each_node_once(monkeypatch):
 
 def test_composite_ghost_and_stotal_are_built_once():
     s = _generic_brs()
-    for stage in ("u1", "full", "u0"):
-        assert s.composite_ghost_term(stage) is s.composite_ghost_term(stage)
-    vhat = s.composite_ghost_term("full")
+    vhat = s.T_vhat
     assert s.stotal(vhat) is s.stotal(vhat)
-    assert s.composite_ghost_term("u0").terms[0].b.a is s.composite_ghost_term("u1")
+    assert _second_reduction(s).terms[0].b.a is s.T_vhat1
 
 
 def _exact_terms(mform):
@@ -444,9 +456,9 @@ def _exact_terms(mform):
 
 def test_shared_cache_matches_cold_evaluation():
     s = _generic_brs()
-    modified_brs_residuals(s, "full")   # fill the shared cache first
-    nilpotency_residuals(s, names=("v", "u1"))
-    vhat = s.composite_ghost_term("full")
+    modified_brs_residuals(s, s.T_varpi0, s.T_omega0, s.T_vhat)   # fill the shared cache first
+    nilpotency_residuals(s, {"v": s.T_v, "u1": s.T_u1})
+    vhat = s.T_vhat
     for t in (vhat, s.stotal(vhat)):
         warm, cold = s.ev(t), t.ev({})
         assert np.array_equal(warm.body().data, cold.body().data)
@@ -479,14 +491,14 @@ def _record_reads(mp):
     return reads
 
 
-def _record_cut_state(mp):
-    """Patch Leaf and Blk to record every instance with its value or order."""
+def _record_leaf_values(mp):
+    """Patch Leaf to record every instance with its value."""
     built = []
-    for cls, attr in ((brs.Leaf, "value"), (brs.Blk, "order")):
-        def init(self, *args, _orig=cls.__init__, _attr=attr):
-            _orig(self, *args)
-            built.append((self, _attr, getattr(self, _attr)))
-        mp.setattr(cls, "__init__", init)
+
+    def init(self, *args, _orig=brs.Leaf.__init__, **kwargs):
+        _orig(self, *args, **kwargs)
+        built.append((self, self.value))
+    mp.setattr(brs.Leaf, "__init__", init)
     return built
 
 
@@ -496,11 +508,12 @@ def test_every_read_is_exact_at_its_need(name, m, monkeypatch):
     """Every read of the brs suite (with ``linearization_check``, or
     ``PoincareBRS.residuals``) is at its need and equals the same term
     evaluated at full order in a fresh cache, bit for bit at orders 0 and
-    need; the run changes no Leaf value and no Blk order."""
+    need; the run changes no Leaf value (a Blk takes its order from the
+    read, so it has none to change)."""
     scn = catalog(name, m)
     scn.points = scn.points[:1]
     with monkeypatch.context() as mp:
-        reads, built = _record_reads(mp), _record_cut_state(mp)
+        reads, built = _record_reads(mp), _record_leaf_values(mp)
         assert run_check(scn, "brs").passed
     assert {k for _, k, _ in reads} == ({0, 1} if name == "generic" else {0})
     for term, k, got in reads:
@@ -508,7 +521,7 @@ def test_every_read_is_exact_at_its_need(name, m, monkeypatch):
         assert got.order == k <= want.order
         for j in {0, k}:
             assert np.array_equal(got.truncate(j).data, want.truncate(j).data)
-    assert built and all(getattr(t, attr) is v for t, attr, v in built)
+    assert built and all(t.value is v for t, v in built)
 
 
 def test_brs_gr_products_run_at_order_two_at_most(monkeypatch):
@@ -637,7 +650,7 @@ def _kernel_degree_three_defect(mp):
 def _scaled_final_ghost(mp):
     orig = brs.ConformalBRS.expected_final_ghost
     mp.setattr(brs.ConformalBRS, "expected_final_ghost",
-               lambda self: orig(self).scale(1 + 1e-6))
+               property(lambda self: orig.func(self).scale(1 + 1e-6)))
 
 
 def _ghost_derivative_off(mp):
@@ -767,7 +780,7 @@ def test_dense_ghost_leaves_match_the_per_entry_oracle(points, keep_body):
     m, order = b.m, b.ghost_order
     names = (["eps"] + [f"iota{a}" for a in range(m)]
              + [f"vl{a}{c}" for a, c in forms.form_comps(m, 2)])
-    final = b.expected_final_ghost()
+    final = b.expected_final_ghost
     for i, (point, seed) in enumerate(zip(ctx.point, ctx.seed)):
         eps, *rest = ghost_oracle.ghost_jets([g["eps"]] + g["iota"] + g["lorentz"], names,
                                              scn.chart, point, order, seed, keep_body)
@@ -852,6 +865,27 @@ def test_a_term_no_sector_varies_has_a_zero_total_variation():
     assert _is_zero(s.ssum(s.T_one, ("L", "i")))
 
 
+def test_a_composite_no_child_varies_has_a_zero_image():
+    """Sum, Prod, D, EtaT and Blk vary to a Zero of their degrees and shape,
+    built once per sector, whenever no child varies; the Zero reads 0.0.
+    With one child varying, a Prod keeps only the side whose image is not
+    Zero."""
+    s = _generic_brs()
+    one, eye = s.T_one, s.T_eye         # leaves with no registered image
+    terms = (brs.Sum([one, one], [1.0, -2.0]), brs.Prod(one, one), brs.D(one),
+             brs.EtaT(one, s.model.eta), brs.Blk([[one, None], [None, eye]]))
+    for t in terms:
+        for x in brs.SECTORS:
+            z = s.s(t, x)
+            assert type(z) is brs.Zero, (t, x)
+            assert (z.p, z.q, z.shape) == (t.p, t.q + 1, t.shape)
+            assert s.s(t, x) is z
+            assert s.ev(z) == 0.0 and s.ev(z, 0) == 0.0
+    sq = s.s(brs.Prod(one, s.L_q), "W")
+    assert type(sq) is brs.Sum and sq.coeffs == [1.0]
+    assert sq.terms[0].a is one and sq.terms[0].b is s.s(s.L_q, "W")
+
+
 # -- the reduced Weyl laws: dense closed forms against the per-entry oracle ----
 
 LAW_SCENARIOS = [("generic", 3), ("generic", 4), ("generic", 5), ("torsionful", 3),
@@ -910,14 +944,15 @@ def test_residual_weyl_brs_makes_no_grassmann_product(monkeypatch):
 
 
 def test_expected_final_ghost_is_built_once_per_point(monkeypatch):
-    """final_ghost, two_steps_ghost and algebraic_connection_entries share it."""
+    """final_ghost, two_steps_ghost and algebraic_connection_entries share it;
+    only its build reads the metric of the vielbein in brs."""
     built = []
-    orig = brs.ConformalBRS._final_ghost
+    orig = brs.metric_from_vielbein
 
-    def counted(self):
-        built.append(self)
-        return orig(self)
-    monkeypatch.setattr(brs.ConformalBRS, "_final_ghost", counted)
+    def counted(*args):
+        built.append(args)
+        return orig(*args)
+    monkeypatch.setattr(brs, "metric_from_vielbein", counted)
     assert run_check(_generic_one_point(), "brs").passed
     assert len(built) == 1
 

@@ -406,20 +406,25 @@ def test_dof_m3_frozen_values():
     assert table["starting"]["total"] == 5
 
 
+# (catalog name, dimension, suite, golden file): the flat gauge report and
+# the two ghost suites, whose rows only a row count guarded before
+GOLDEN_REPORTS = (("flat", 3, "gauge", "flat_gauge_structure.json"),
+                  ("generic", 3, "brs", "generic_m3_brs_structure.json"),
+                  ("poincare", 3, "all", "poincare_m3_all_structure.json"))
+
+
 def test_golden_report_structure():
-    """The flat gauge report keeps its check names, thresholds and flags."""
+    """Each golden report keeps its check names, thresholds and flags."""
     import pathlib
-    golden = json.loads(
-        (pathlib.Path(__file__).parent / "golden"
-         / "flat_gauge_structure.json").read_text())
-    rep = run_check(catalog("flat", 3), "gauge")
-    payload = rep.payload()
-    got = {
-        "scenario_name": payload["scenario"]["name"],
-        "checks": [{"name": c["name"], "threshold": c["threshold"],
-                    "pass": c["pass"]} for c in payload["checks"]],
-    }
-    assert got == golden
+    for name, m, suite, golden_file in GOLDEN_REPORTS:
+        golden = json.loads((pathlib.Path(__file__).parent / "golden" / golden_file).read_text())
+        payload = run_check(catalog(name, m), suite).payload()
+        got = {
+            "scenario_name": payload["scenario"]["name"],
+            "checks": [{"name": c["name"], "threshold": c["threshold"],
+                        "pass": c["pass"]} for c in payload["checks"]],
+        }
+        assert got == golden, golden_file
 
 
 def test_cli_tolerance_flag(tmp_path):
@@ -614,6 +619,18 @@ def test_suite_the_model_lacks_exits_2(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "poincare" in err and "weyl" in err
+
+
+@pytest.mark.parametrize("argv", [["check", "--catalog", "flat", "--suite", "gauge"],
+                                  ["dof", "-m", "3"]], ids=["check", "dof"])
+def test_unwritable_json_path_exits_2(argv, tmp_path, capsys):
+    """A report that cannot be written is bad input: exit 2 with an error
+    line, not a traceback and exit 1."""
+    path = tmp_path / "missing" / "r.json"
+    assert main(argv + ["--json", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report") and str(path) in err
+    assert "Traceback" not in err and not path.exists()
 
 
 def test_out_of_memory_exits_2(monkeypatch, capsys):

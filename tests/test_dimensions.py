@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from cartanweyl.brs import (ConformalBRS, GhostSpec, composite_ghost,
-                            modified_brs_residuals, nilpotency_residuals,
-                            russian_residual)
+from cartanweyl.brs import (ConformalBRS, GhostSpec, modified_brs_residuals,
+                            nilpotency_residuals, russian_residual)
 from cartanweyl.cartan import (KleinModel, VielbeinField, build_normal, curvature,
                                gauge_transform, random_gauge)
 from cartanweyl.dressing import dressed_normality, full_pipeline
@@ -94,10 +93,10 @@ def test_bianchi_and_brs(m, rng):
                          b.stotal(b.L_varpi).ev(cache),
                          b.stotal(b.T_v).ev(cache))
     assert worst_entry(r, ()) < 1e-10
-    nil = nilpotency_residuals(b, names=("varpi", "v"))
+    nil = nilpotency_residuals(b, {"varpi": b.L_varpi, "v": b.T_v})
     assert worst_entry(tuple(nil.values()), ()) < 1e-10
-    assert (composite_ghost(b, "full") - b.expected_final_ghost()).value_norm() < 1e-11
-    lem = modified_brs_residuals(b, "full")
+    assert (b.ev(b.T_vhat) - b.expected_final_ghost).value_norm() < 1e-11
+    lem = modified_brs_residuals(b, b.T_varpi0, b.T_omega0, b.T_vhat)
     assert worst_entry(lem, ()) < 1e-10
 
 
