@@ -747,15 +747,16 @@ def algebraic_connection(fields, scn):
 
 
 _ZERO = Const(Fraction(0))     # the zero coefficient function, already parsed
+STEP = 1e-3                    # the group parameter step h of linearization_check
 
 
-def linearization_check(conn, e, model, phi, point, h=1e-3):
+def linearization_check(conn, e, model, phi, point):
     """Finite Weyl derivative versus the BRS variation with eps -> phi.
 
     ``conn`` is the normal connection of the vielbein jets ``e``; the check
     dresses it cut to order 1 and moves the dressed pair with that
-    dressing's u0.  Central differences in the group parameter
-    at steps h and h/2 with Richardson extrapolation; the BRS side is the
+    dressing's u0.  Central differences in the group parameter at steps
+    h = ``STEP`` and h/2 with Richardson extrapolation; the BRS side is the
     body map of the ghost variation when the ghost coefficient function
     equals phi.  Both sides read values only, so the Weyl transforms move
     the dressed pair at order 0, with e, z and d phi at order 1: the d of
@@ -792,8 +793,8 @@ def linearization_check(conn, e, model, phi, point, h=1e-3):
         plus, minus = tensors_at(step), tensors_at(-step)
         return {k: (plus[k] - minus[k]) / (2.0 * step) for k in plus}
 
-    d1 = diff_at(h)
-    d2 = diff_at(h / 2.0)
+    d1 = diff_at(STEP)
+    d2 = diff_at(STEP / 2.0)
     finite = {k: (4.0 * d2[k] - d1[k]) / 3.0 for k in d1}
     # BRS side with the ghost built on phi
     spec = GhostSpec(eps=phi, iota=[_ZERO] * m, lorentz=[_ZERO] * (m * (m - 1) // 2))

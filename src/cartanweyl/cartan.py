@@ -23,6 +23,13 @@ from .jets import (Chart, jconst, jcos, jcosh, jmat_inv, jmat_mul, jmul, jrecip,
 # largest |x_i| of the catalog sample points; random gauge polynomials are
 # scaled for it
 SAMPLE_BOX = 0.31
+# largest algebra residual :func:`assemble` accepts, relative to the
+# connection's scale
+ALGEBRA_TOL = 1e-9
+# smallest |det e| a vielbein may have at a sample point
+DET_FLOOR = 1e-8
+# degree of the polynomials :func:`random_gauge` draws
+GAUGE_DEGREE = 2
 
 
 @dataclass(frozen=True)
@@ -125,7 +132,7 @@ class Curvature:
         return self.block(2, 2) if self.model.kind == "mobius" else self.block(1, 1)
 
 
-def assemble(model, a=None, alpha=None, theta=None, A=None, tol=1e-9):
+def assemble(model, a=None, alpha=None, theta=None, A=None):
     """Build the g-valued connection matrix from its independent blocks.
 
     Moebius blocks: a scalar 1-form, alpha row 1-form, theta column 1-form,
@@ -144,7 +151,7 @@ def assemble(model, a=None, alpha=None, theta=None, A=None, tol=1e-9):
         zero_c = MForm.zeros(model.chart.m, (1, 1), 1, 0, order)
         omega = block_matrix([[A, theta], [zero_row, zero_c]],
                              model.chart.m, 1, 0, order)
-        resid = _first_over(algebra_residual(A, "so", eta=np.diag(eta)), omega, tol)
+        resid = _first_over(algebra_residual(A, "so", eta=np.diag(eta)), omega)
         if resid is not None:
             raise AlgebraResidualError(
                 f"A block is not so(eta)-valued: residual {resid:.3e}")
@@ -159,18 +166,18 @@ def assemble(model, a=None, alpha=None, theta=None, A=None, tol=1e-9):
          [theta, A, eta_t(alpha, eta)],
          [None, eta_t(theta, eta), a.scale(-1.0)]],
         model.chart.m, 1, 0, order)
-    resid = _first_over(algebra_residual(omega, "o2m", sigma=model.sigma), omega, tol)
+    resid = _first_over(algebra_residual(omega, "o2m", sigma=model.sigma), omega)
     if resid is not None:
         raise AlgebraResidualError(
             f"assembled connection is not g-valued: residual {resid:.3e}")
     return CartanConnection(model, omega)
 
 
-def _first_over(resid, omega, tol):
+def _first_over(resid, omega):
     """The residual of the first point whose residual, relative to its
-    connection's scale, is not within ``tol``; None when every point is."""
+    connection's scale, is not within ``ALGEBRA_TOL``; None when every point is."""
     resid = np.atleast_1d(resid)
-    bad = np.flatnonzero(~(resid / np.maximum(1.0, omega.full_norm()) <= tol))
+    bad = np.flatnonzero(~(resid / np.maximum(1.0, omega.full_norm()) <= ALGEBRA_TOL))
     return float(resid[bad[0]]) if bad.size else None
 
 
@@ -229,8 +236,7 @@ class VielbeinField:
 
     chart: Chart
     entries: list  # m x m nested list of Expr or str
-    det_floor: float = 1e-8
-    _compiled: list = field(default=None, repr=False)
+    _compiled: list = field(init=False, repr=False)
 
     def __post_init__(self):
         m = self.chart.m
@@ -247,9 +253,9 @@ class VielbeinField:
         dets = np.linalg.det(e[..., 0])
         points = [point] if dets.ndim == 0 else point
         for p, det in zip(points, np.ravel(dets)):
-            if abs(det) < self.det_floor:
+            if abs(det) < DET_FLOOR:
                 raise DegenerateVielbeinError(
-                    f"|det e| = {abs(det):.3e} < {self.det_floor:.1e} at point {tuple(p)}")
+                    f"|det e| = {abs(det):.3e} < {DET_FLOOR:.1e} at point {tuple(p)}")
         return e
 
 
@@ -275,7 +281,7 @@ def spin_connection(e, einv, signature, m):
     return tensors.jeinsum("abc,cm->abm", Aup, e, m)
 
 
-def build_normal(vielbein, model, point, order, tol=1e-9):
+def build_normal(vielbein, model, point, order):
     """Normal Cartan connection from a vielbein at a sample point, or at
     each point of a batch (vielbein jets with leading point axes).
 
@@ -294,12 +300,12 @@ def build_normal(vielbein, model, point, order, tol=1e-9):
     A = MForm.zeros(m, (m, m), 1, 0, order - 1, lead)
     A.data[...] = A_arr
     if model.kind == "poincare":
-        return assemble(model, theta=theta, A=A, tol=tol)
+        return assemble(model, theta=theta, A=A)
     alpha_arr = schouten_form(A_arr, e, einv, model.eta)  # (mu, a, C-2)
     alpha = MForm.zeros(m, (1, m), 1, 0, order_of(m, alpha_arr), lead)
     alpha.data[..., 0, :, :, :] = tensors.tr(alpha_arr, 1, 0)  # [a, comp mu]
     a = MForm.zeros(m, (1, 1), 1, 0, order, lead)
-    return assemble(model, a=a, alpha=alpha, theta=theta, A=A, tol=tol)
+    return assemble(model, a=a, alpha=alpha, theta=theta, A=A)
 
 
 def schouten_form(A, e, einv, eta):
@@ -505,8 +511,7 @@ def random_polynomial(rng, m, degree=2, scale=1.0, radius=SAMPLE_BOX):
                      for u, d in zip(draws.tolist(), sp.degrees.tolist())])
 
 
-def random_gauge(model, rng, degree=2, with_z=True, with_s=True, with_r=True,
-                 point=None):
+def random_gauge(model, rng, with_z=True, with_s=True, with_r=True, point=None):
     """Generic gauge element for scramble tests (seeded, deterministic).
 
     Its polynomials are coefficient arrays, scaled to the coordinates of
@@ -516,7 +521,7 @@ def random_gauge(model, rng, degree=2, with_z=True, with_s=True, with_r=True,
     array over the points.
     """
     if isinstance(rng, list):
-        each = [random_gauge(model, g, degree, with_z, with_s, with_r, p)
+        each = [random_gauge(model, g, with_z, with_s, with_r, p)
                 for g, p in zip(rng, point)]
         return GaugeElement(
             z=np.stack([ge.z for ge in each]) if with_z else None,
@@ -526,7 +531,7 @@ def random_gauge(model, rng, degree=2, with_z=True, with_s=True, with_r=True,
     radius = max(map(abs, point)) if point is not None else SAMPLE_BOX
 
     def poly():
-        return random_polynomial(rng, m, degree, radius=radius)
+        return random_polynomial(rng, m, GAUGE_DEGREE, radius=radius)
 
     z = None
     if with_z:

@@ -169,17 +169,15 @@ def deformed_connection(conn, model, point, order, rng):
     """Add a seeded g-valued 1-form: torsion, trace and Ricci defects at once.
 
     One degree-1 polynomial per entry and form component, drawn for a, then
-    alpha, then the so(eta) part of A, and shifted to the point together;
-    a list of rngs draws each point's polynomials from its own.
+    alpha, then the so(eta) part of A, and shifted to the points together;
+    ``rng`` lists one rng per point, and each point's polynomials come from
+    its own.
     """
     m = model.m
     pairs = form_comps(m, 2)
     count = (1 + m + len(pairs)) * m
-    if isinstance(rng, list):       # one row of coefficients per point
-        polys = list(np.stack([[random_polynomial(g, m, degree=1, scale=0.5)
-                                for _ in range(count)] for g in rng], axis=1))
-    else:
-        polys = [random_polynomial(rng, m, degree=1, scale=0.5) for _ in range(count)]
+    polys = list(np.stack([[random_polynomial(g, m, degree=1, scale=0.5)
+                            for _ in range(count)] for g in rng], axis=1))
     jets = eval_jets(polys, model.chart, point, order)
     jets = jets.reshape(jets.shape[:-2] + (1 + m + len(pairs), m, -1))
     lead = jets.shape[:-3]
@@ -649,7 +647,7 @@ def _run_suites(scn, suite, visit=None):
     return report
 
 
-def _merge(worst, new, where=None, first=0):
+def _merge(worst, new, where, first):
     """Fold each row's values, one per point, into its worst so far.
 
     NaN wins, as in :func:`worst_entry`, and so does the first of equal
@@ -661,7 +659,7 @@ def _merge(worst, new, where=None, first=0):
             old = worst.get(k, 0.0)
             took = not math.isnan(old) and (math.isnan(x) or x > old)
             worst[k] = x if took else old       # old is >= 0 or NaN
-            if where is not None and (took or k not in where):
+            if took or k not in where:
                 where[k] = first + i
 
 

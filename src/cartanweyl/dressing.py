@@ -14,11 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cartan import KleinModel, conjugate, curvature, curvature_form, k1_matrix
+from .cartan import DET_FLOOR, KleinModel, conjugate, curvature, curvature_form, k1_matrix
 from .errors import ShapeError
 from .forms import MForm, block_matrix, two_form_values
 from .jets import jmat_inv, jtrunc, order_of
 from .tensors import dstack, jeinsum, metric_from_vielbein
+
+# :func:`dress` builds u0 from e cut to this order: weyl_matrices and
+# wbar_closed_form cap at zeta's order 3, and every conjugation reads 2 or less
+U0_ORDER = 3
 
 
 @dataclass
@@ -78,7 +82,7 @@ def vielbein_of(conn):
     """Vielbein jets read off the soldering block: theta = e dx."""
     e = np.ascontiguousarray(conn.theta().data[..., 0, :, :])
     for det in np.ravel(np.linalg.det(e[..., 0])):
-        if abs(det) < 1e-8:
+        if abs(det) < DET_FLOOR:
             raise ShapeError(f"soldering block is degenerate: |det e| = {abs(det):.3e}")
     return e
 
@@ -151,7 +155,8 @@ def dress(conn, e=None):
     """
     if e is None:
         e = vielbein_of(conn)
-    u0 = u0_from_vielbein(e, conn.model)
+    m = conn.model.m
+    u0 = u0_from_vielbein(jtrunc(e, m, min(U0_ORDER, order_of(m, e))), conn.model)
     u1 = extract_u1(conn, u0.einv)
     Om = curvature(conn).omega2
     varpi1 = conjugate(conn.omega, u1.mat, u1.inv, connection=True)
@@ -166,6 +171,8 @@ def full_pipeline(conn, e=None):
     the tensors read off the dressed pair."""
     model = conn.model
     m = model.m
+    if e is None:
+        e = vielbein_of(conn)
     u1, u0, Om, varpi1, Omega1, varpi0, Omega0 = dress(conn, e)
     # single step through u = u1 u0
     u = u1.mat.wedge(u0.mat)
@@ -184,7 +191,7 @@ def full_pipeline(conn, e=None):
     # curvature compatibility of the dressed pair
     diag["curvature_compat"] = curvature_form(varpi0) - Omega0
     return DressedFields(
-        model=model, varpi0=varpi0, Omega0=Omega0, e=u0.e, g=g, Gamma=Gamma, P=P,
+        model=model, varpi0=varpi0, Omega0=Omega0, e=e, g=g, Gamma=Gamma, P=P,
         T=T, f0=f0, C=C, W=W, varpi1=varpi1, Omega1=Omega1, u1=u1, u0=u0,
         single_step_residual=single, diagnostics=diag)
 

@@ -9,10 +9,12 @@ Grammar (whitespace-insensitive)::
     atom   := NUMBER | IDENT | FUNC '(' expr ')' | '(' expr ')'
     sint   := ('-')? INTEGER
 
-Numbers are rational literals (integers or decimals); functions are exp,
-sin, cos, sqrt.  Exponents are integers so the grammar is closed under
-differentiation; their magnitude is at most :data:`MAX_EXPONENT`, because a
-power costs one jet product per unit of exponent.
+Numbers are ASCII decimal literals (integers or decimals) within the float
+range, identifiers are ``[A-Za-z_][A-Za-z0-9_]*`` and whitespace is ASCII;
+any other character is a syntax error.  Functions are exp, sin, cos, sqrt.
+Exponents are integers so the grammar is closed under differentiation; their
+magnitude is at most :data:`MAX_EXPONENT`, because a power costs one jet
+product per unit of exponent.
 
 :func:`compile_expr` folds every polynomial subtree (``+``, ``-``, ``*``,
 unary minus, ``^`` with n >= 0 and division by a nonzero constant) into a
@@ -24,6 +26,8 @@ by jet arithmetic, node by node.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +43,10 @@ MAX_EXPONENT = 64
 # A polynomial subtree of higher degree stays on the jet route: the shift
 # matrix has a row per monomial, and few products cost less than that.
 POLY_MAX_DEGREE = 8
+# re.ASCII keeps \s, \d and \w to ASCII: a superscript or Arabic-Indic digit
+# is no digit here
+_SPACE = re.compile(r"\s*", re.ASCII)
+_TOKEN = re.compile(r"(\d+(?:\.\d*)?|\.\d+)|([A-Za-z_]\w*)|(\*\*|[-+*/^()])", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -111,7 +119,10 @@ class Poly:
             beta = [0] * chart.m
             for name, k in mono:
                 beta[_coord_index(chart, name)] += k
-            out.append((tuple(beta), float(c)))
+            try:
+                out.append((tuple(beta), float(c)))
+            except OverflowError:
+                raise ExprDomainError("a folded coefficient is past the float range") from None
         return out
 
 
@@ -127,40 +138,16 @@ class _Tokenizer:
         self.cursor = 0
 
     def _scan(self):
-        text, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-                j = i
-                seen_dot = False
-                while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                    if text[j] == ".":
-                        seen_dot = True
-                    j += 1
-                self.tokens.append(("num", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[i:j], i))
-                i = j
-                continue
-            if text.startswith("**", i):
-                self.tokens.append(("op", "^", i))
-                i += 2
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append(("op", ch, i))
-                i += 1
-                continue
-            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-        self.tokens.append(("end", "", n))
+        text, i = self.text, 0
+        while (i := _SPACE.match(text, i).end()) < len(text):
+            tok = _TOKEN.match(text, i)
+            if tok is None:
+                raise ExprSyntaxError(f"unexpected character {text[i]!r}", i)
+            num, ident, op = tok.groups()
+            kind = "num" if num else "ident" if ident else "op"
+            self.tokens.append((kind, "^" if op == "**" else tok.group(), i))
+            i = tok.end()
+        self.tokens.append(("end", "", len(text)))
 
     def peek(self):
         return self.tokens[self.cursor]
@@ -242,18 +229,22 @@ class _Parser:
             ckind, cval, cpos = self.toks.next()
             if not (ckind == "op" and cval == ")"):
                 raise ExprSyntaxError("expected ')' after exponent", cpos)
-        n = int(val)
-        if n > MAX_EXPONENT:
-            raise ExprSyntaxError(
-                f"exponent magnitude {n} exceeds {MAX_EXPONENT}", pos)
+        digits = val.lstrip("0") or "0"
+        # the length test keeps int() off texts past Python's digit limit
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ExprSyntaxError(f"exponent magnitude exceeds {MAX_EXPONENT}", pos)
+        n = int(digits)
         return -n if neg else n
 
     def _atom(self):
         kind, val, pos = self.toks.next()
         if kind == "num":
-            if "." in val:
+            if not math.isfinite(float(val)):
+                raise ExprSyntaxError("number literal past the float range", pos)
+            try:
                 return Const(Fraction(val))
-            return Const(Fraction(int(val)))
+            except ValueError:      # more digits than Python converts to an int
+                raise ExprSyntaxError("number literal has too many digits", pos) from None
         if kind == "ident":
             nkind, nval, _ = self.toks.peek()
             if nkind == "op" and nval == "(":

@@ -505,31 +505,17 @@ def eta_t(v, eta_diag):
 
 
 def algebra_residual(X, kind, eta=None, sigma=None):
-    """Frobenius defect of the defining relation of a matrix Lie algebra.
+    """Frobenius defect of M^T G + G M, the defining relation of so(eta)
+    (kind 'so', G = eta) or of o(Sigma) (kind 'o2m', G = sigma).
 
     Evaluated on the value coefficients of every form component; the worst
-    component per point.  For the conformal algebra ('co') the trace part
-    is projected out first, matching v^T eta + eta v = eps 1.
+    component per point.
     """
     if X.q:
         raise ShapeError("algebra residuals are defined for float-valued forms")
-    M = np.moveaxis(X.data[..., 0], -1, -3)     # (..., F, r, c)
-    Mt = M.swapaxes(-1, -2)
-    if kind in ("o2m", "h"):
-        R = Mt @ sigma + sigma @ M
-    elif kind in ("so", "co"):
-        R = Mt @ eta + eta @ M
-    else:
+    if kind not in ("so", "o2m"):
         raise ValueError(f"unknown algebra kind {kind!r}")
-    if kind == "co":
-        # linearizing M^T eta M = z^2 eta gives v^T eta + eta v = eps eta,
-        # so the trace part to project out is along eta, not the identity
-        eps = np.trace(np.linalg.inv(eta) @ R, axis1=-2, axis2=-1) / M.shape[-1]
-        R = R - eps[..., None, None] * eta
-    defect = np.linalg.norm(R, axis=(-2, -1))   # (..., F)
-    if kind == "h":
-        n = M.shape[-1]
-        low = np.concatenate([M[..., 1:, 0], M[..., n - 1, 1:n - 1], M[..., 0, n - 1:]],
-                             axis=-1)
-        defect = np.maximum(defect, np.linalg.norm(low, axis=-1))
-    return worst_entry(defect, X.lead)
+    G = eta if kind == "so" else sigma
+    M = np.moveaxis(X.data[..., 0], -1, -3)     # (..., F, r, c)
+    R = M.swapaxes(-1, -2) @ G + G @ M
+    return worst_entry(np.linalg.norm(R, axis=(-2, -1)), X.lead)

@@ -24,8 +24,10 @@ from .jets import Chart
 
 MODELS = ("mobius", "poincare")
 # The Moebius model needs m >= 3, and so does the Poincare model's classical
-# oracle (its Schouten tensor divides by m - 2).  The ceilings bound every
-# allocation: the jet space has C(m + k, k) coefficients.
+# oracle (its Schouten tensor divides by m - 2).  MAX_DIMENSION is the largest
+# m that CI runs under its memory cap; it is no measured limit of the engine.
+# MAX_JET_ORDER is the largest value of the legacy jet order key, which is
+# checked and then dropped.
 MIN_DIMENSION = 3
 MAX_DIMENSION = 6
 MAX_JET_ORDER = 8

@@ -22,7 +22,8 @@ from cartanweyl.weyl import weyl_matrices, weyl_transform_dressed
 
 
 def full_order_linearization(conn, e, model, phi, point, h=1e-3):
-    """The rows of ``linearization_check(conn, e, model, phi, point, h)``."""
+    """The rows of ``linearization_check(conn, e, model, phi, point)``, whose
+    step is ``brs.STEP``; ``h`` is this reference's own."""
     m = model.m
     fields = full_pipeline(conn, e)
     phi_j = eval_jet(phi, model.chart, point, order_of(m, e)).coeffs

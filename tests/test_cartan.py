@@ -402,9 +402,9 @@ def test_deformed_connection_leaves_the_rng_where_it_was():
     scn = catalog("torsionful", 3)
     model = KleinModel("mobius", scn.chart)
     point = scn.points[0]
-    conn = build_normal(VielbeinField(scn.chart, scn.vielbein), model, point, 4)
+    conn = build_normal(VielbeinField(scn.chart, scn.vielbein), model, [point], 4)
     rng = np.random.default_rng(11)
-    deformed_connection(conn, model, point, 4, rng)
+    deformed_connection(conn, model, [point], 4, [rng])
     polys = (1 + 3 + 3) * 3     # a, alpha, so(eta) part of A; one per component
     assert rng.bit_generator.state == _replayed(11, polys * space(3, 1).size).bit_generator.state
     assert rng.uniform() == 0.43600150359233103

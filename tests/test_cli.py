@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cartanweyl import brs, cartan, checks, cli, dressing, weyl
@@ -438,9 +438,9 @@ def test_cli_tolerance_flag(tmp_path):
 
 def test_merge_keeps_nan():
     worst = {}
-    _merge(worst, {"a": 1.0, "b": math.nan})
-    _merge(worst, {"a": math.nan, "b": 2.0})
-    _merge(worst, {"a": 3.0})
+    _merge(worst, {"a": 1.0, "b": math.nan}, {}, 0)
+    _merge(worst, {"a": math.nan, "b": 2.0}, {}, 0)
+    _merge(worst, {"a": 3.0}, {}, 0)
     assert math.isnan(worst["a"]) and math.isnan(worst["b"])
 
 
@@ -482,6 +482,14 @@ BAD_INPUTS = {
     "unknown_variable": {"weyl": "x7"},
     "deep_nesting": {"weyl": "(" * 3000 + "x0" + ")" * 3000},
     "huge_exponent": {"weyl": "x0^1000000000"},
+    "exponent_past_int_digit_limit": {"weyl": "x0^" + "9" * 5000},
+    "superscript_exponent": {"weyl": "x0^²"},
+    "superscript_digit": {"weyl": "1/3²"},
+    "arabic_indic_digit": {"weyl": "٣*x0"},
+    "literal_past_float_range": {"weyl": "x0*" + "9" * 400},
+    "literal_past_int_digit_limit": {"weyl": "0." + "0" * 5000 + "1"},
+    "vielbein_superscript_exponent": {"vielbein": [["x0^²", "0", "0"], ["0", "1", "0"],
+                                                   ["0", "0", "1"]]},
     "poincare_not_normal": {"model": "poincare", "normal": False},
     "not_an_object": None,
 }
@@ -501,6 +509,26 @@ def test_cli_bad_input_exits_2(case, tmp_path, capsys):
     if "jet_order" in case:   # refused by the legacy key's own check
         assert "jet order must be an integer" in err
     assert elapsed < 1.0   # rejected at validation, before any jet arithmetic
+
+
+@pytest.mark.parametrize("key,suite", [("weyl", "weyl"), ("vielbein", "gauge")])
+def test_folded_coefficient_past_float_range_exits_2(key, suite, tmp_path, capsys):
+    """Each literal of (10^11)^64 is in range, so validation takes the file;
+    the suite that compiles the expression refuses the folded 10^704."""
+    doc = _one_point_m3()
+    text = "(100000000000)^64*x0"
+    if key == "weyl":
+        doc["weyl"] = text
+    else:
+        doc["vielbein"][0][0] = text
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", "--scenario", str(path), "--suite", suite])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and err.startswith(f"error: [{suite} suite]")
+    assert "past the float range" in err
+    assert main(["check", "--scenario", str(path)]) == 2
 
 
 def test_suite_error_keeps_its_type_and_exits_2(tmp_path, capsys):
@@ -672,6 +700,8 @@ _ANY = st.one_of(
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(key=st.sampled_from(sorted(_one_point_m3())), value=_ANY)
+@example(key="weyl", value="x0^²")
+@example(key="weyl", value="x0*" + "9" * 400)
 def test_cli_fuzzed_scenario_never_escapes(key, value, capsys):
     doc = {**_one_point_m3(), key: value}
     with tempfile.TemporaryDirectory() as tmp:

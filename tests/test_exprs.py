@@ -1,3 +1,4 @@
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartanweyl.errors import ExprDomainError, ExprSyntaxError
-from cartanweyl.exprs import (POLY_MAX_DEGREE, BinOp, Call, Poly, compile_expr, eval_jet,
-                              eval_jets, parse_expr, print_expr)
+from cartanweyl.exprs import (POLY_MAX_DEGREE, BinOp, Call, Const, Poly, Var, compile_expr,
+                              eval_jet, eval_jets, parse_expr, print_expr)
 from cartanweyl.jets import Chart, shift_matrix, space
 
 
@@ -26,6 +27,42 @@ def test_syntax_error_position():
     with pytest.raises(ExprSyntaxError) as exc:
         parse_expr("x0 +")
     assert exc.value.pos == 4
+
+
+@pytest.mark.parametrize("text,pos", [
+    ("x0^²", 3),                        # passes str.isdigit, not int()
+    ("1/3²", 3),
+    ("٣*x0", 0),                        # an Arabic-Indic three
+    ("x0 +\u00a0x1", 4),               # a non-ASCII space
+    ("x0²", 2),                         # passes str.isalnum
+    ("x0*" + "9" * 400, 3),             # past the float range
+    ("1e5", 1),                         # no exponent notation in literals
+    ("0." + "0" * 5000 + "1", 0),       # past Python's int digit limit
+    ("x0^" + "9" * 5000, 3),
+])
+def test_only_ascii_literals_within_float_range_parse(text, pos):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expr(text, variables=("x0", "x1", "e5"))
+    assert exc.value.pos == pos
+
+
+def test_ascii_literals_keep_their_exact_values():
+    assert parse_expr("1.") == parse_expr("1") == Const(Fraction(1))
+    assert parse_expr(".25") == Const(Fraction(1, 4))
+    assert parse_expr("x0^0064") == parse_expr("x0^64")
+    assert parse_expr("x_1a2\t+ 3") == BinOp("+", Var("x_1a2"), Const(Fraction(3)))
+    big = "9" * 308
+    assert parse_expr(big) == Const(Fraction(int(big)))
+
+
+def test_folded_coefficient_past_float_range_is_a_domain_error():
+    ch = Chart(2, signature=(1, -1))
+    node = compile_expr("(100000000000)^64*x0")
+    with pytest.raises(ExprDomainError):
+        eval_jets([node], ch, (0.1, 0.2), 2)
+    # exact folding cancels what no float could hold
+    got = eval_jets([compile_expr("(100000000000)^64/(100000000000)^64*x0")], ch, (0.1, 0.2), 1)
+    assert got[0, 0] == 0.1
 
 
 def test_unknown_function():

@@ -3,7 +3,7 @@ import pytest
 
 from cartanweyl.cartan import build_normal, gauge_transform, random_gauge
 from cartanweyl.checks import base_connection
-from cartanweyl.dressing import full_pipeline
+from cartanweyl.dressing import U0_ORDER, full_pipeline
 from cartanweyl.jets import jder, jmul
 from cartanweyl.reduction import worst_entry
 from cartanweyl.weyl import (WeylElement, closed_form_laws, wbar_closed_form,
@@ -37,7 +37,7 @@ def test_wbar_closed_form(mobius3, normal_state):
     z, zeta = WeylElement(PHI).at(mobius3.chart, POINT3, K)
     wbar = weyl_matrices(mobius3, z, zeta, fields.u0)["wbar"]
     closed = wbar_closed_form(mobius3, z, zeta, e)
-    assert closed.order == wbar.order
+    assert wbar.order == min(closed.order, U0_ORDER)     # u0 is built no higher
     assert (wbar - closed).full_norm() < 1e-12
 
 
@@ -110,12 +110,12 @@ def test_torsionful_laws(mobius3, vielbein3):
     scn = catalog("torsionful", 3)
     scn.points = [POINT3]
     rng = np.random.default_rng(7)
-    e = vielbein3.jets_at(POINT3, 4)
-    conn, e_full = base_connection(scn, mobius3, build_normal(e, mobius3, POINT3, 4),
-                                   e, POINT3, rng)
+    e = vielbein3.jets_at(scn.points, 4)      # a batch of one point, as checks runs it
+    conn, e_full = base_connection(scn, mobius3, build_normal(e, mobius3, scn.points, 4),
+                                   e, scn.points, [rng])
     fields = full_pipeline(conn, e_full)
     assert np.abs(fields.T).max() > 1e-3  # genuinely torsionful
-    z, zeta = WeylElement(PHI).at(mobius3.chart, POINT3, 4)
+    z, zeta = WeylElement(PHI).at(mobius3.chart, scn.points, 4)
     stW = weyl_transform_dressed(fields, weyl_matrices(mobius3, z, zeta, fields.u0))
     laws = closed_form_laws(fields, z, zeta)
     for key in ("g", "Gamma", "P", "T", "f0", "W", "C"):
@@ -125,11 +125,11 @@ def test_torsionful_laws(mobius3, vielbein3):
         assert np.abs(got - laws[key]).max() < 1e-10, key
     # torsion invariance and the inert antisymmetric part
     assert np.abs(stW.T - fields.T).max() < 1e-12
-    asym = lambda G: 0.5 * (G - G.transpose(0, 2, 1))
+    asym = lambda G: 0.5 * (G - G.swapaxes(-1, -2))
     assert np.abs(asym(stW.Gamma[..., 0]) - asym(fields.Gamma[..., 0])).max() < 1e-12
     # trace law reproduces the antisymmetric Schouten shift
-    asymP = lambda P: P - P.T
-    want = asymP(fields.P[..., 0]) - np.einsum("l,lms->ms", zeta[..., 0], fields.T)
+    asymP = lambda P: P - P.swapaxes(-1, -2)
+    want = asymP(fields.P[..., 0]) - np.einsum("...l,...lms->...ms", zeta[..., 0], fields.T)
     assert np.abs(asymP(stW.P[..., 0]) - want).max() < 1e-11
 
 
