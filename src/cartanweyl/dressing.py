@@ -20,10 +20,6 @@ from .forms import MForm, block_matrix, two_form_values
 from .jets import jmat_inv, jtrunc, order_of
 from .tensors import dstack, jeinsum, metric_from_vielbein
 
-# :func:`dress` builds u0 from e cut to this order: weyl_matrices and
-# wbar_closed_form cap at zeta's order 3, and every conjugation reads 2 or less
-U0_ORDER = 3
-
 
 @dataclass
 class DressingU1:
@@ -68,7 +64,11 @@ class DressedPair:
 
 @dataclass
 class DressedFields(DressedPair):
-    """Everything the two-stage pipeline produces at one sample point."""
+    """Everything the two-stage pipeline produces at one sample point.
+
+    ``u0`` is built from ``e`` cut one order above the input connection
+    (see :func:`dress`), so it may carry fewer orders than ``e``.
+    """
 
     varpi1: MForm
     Omega1: MForm
@@ -151,12 +151,15 @@ def dress(conn, e=None):
     ``e`` defaults to the vielbein read off the soldering block; passing it
     explicitly is only useful to prove invariance statements where the same
     array must serve several scrambled connections.  The pairs come out one
-    order below ``conn``: u1 is built from its a block.
+    order below ``conn``: u1 is built from its a block.  u0 is built from e
+    cut one order above ``conn``: u1's a block and the u0 conjugations read
+    it to the order of ``conn``, and :func:`weyl.weyl_matrices` to zeta's,
+    one order above a normal connection built from the same jets of e.
     """
     if e is None:
         e = vielbein_of(conn)
     m = conn.model.m
-    u0 = u0_from_vielbein(jtrunc(e, m, min(U0_ORDER, order_of(m, e))), conn.model)
+    u0 = u0_from_vielbein(jtrunc(e, m, min(conn.omega.order + 1, order_of(m, e))), conn.model)
     u1 = extract_u1(conn, u0.einv)
     Om = curvature(conn).omega2
     varpi1 = conjugate(conn.omega, u1.mat, u1.inv, connection=True)
@@ -171,8 +174,6 @@ def full_pipeline(conn, e=None):
     the tensors read off the dressed pair."""
     model = conn.model
     m = model.m
-    if e is None:
-        e = vielbein_of(conn)
     u1, u0, Om, varpi1, Omega1, varpi0, Omega0 = dress(conn, e)
     # single step through u = u1 u0
     u = u1.mat.wedge(u0.mat)
@@ -191,8 +192,8 @@ def full_pipeline(conn, e=None):
     # curvature compatibility of the dressed pair
     diag["curvature_compat"] = curvature_form(varpi0) - Omega0
     return DressedFields(
-        model=model, varpi0=varpi0, Omega0=Omega0, e=e, g=g, Gamma=Gamma, P=P,
-        T=T, f0=f0, C=C, W=W, varpi1=varpi1, Omega1=Omega1, u1=u1, u0=u0,
+        model=model, varpi0=varpi0, Omega0=Omega0, e=u0.e if e is None else e, g=g,
+        Gamma=Gamma, P=P, T=T, f0=f0, C=C, W=W, varpi1=varpi1, Omega1=Omega1, u1=u1, u0=u0,
         single_step_residual=single, diagnostics=diag)
 
 

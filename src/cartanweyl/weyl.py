@@ -103,7 +103,9 @@ def wbar_closed_form(model, z, zeta, e):
 def weyl_transform_dressed(state, mats):
     """Conjugation route: move the dressed pair by Wbar.
 
-    ``mats`` is the :func:`weyl_matrices` bundle of the u0 of ``state.e``.
+    ``mats`` is the :func:`weyl_matrices` bundle of the u0 that dressed the
+    pair (``state.u0`` for :class:`DressedFields`), which may be cut below
+    ``state.e``; e is moved at its own order.
     Returns the moved :class:`DressedPair`, with e -> z e and the tensors
     read off anew.
     """

@@ -3,7 +3,7 @@ import pytest
 
 from cartanweyl.cartan import build_normal, gauge_transform, random_gauge
 from cartanweyl.checks import base_connection
-from cartanweyl.dressing import U0_ORDER, full_pipeline
+from cartanweyl.dressing import full_pipeline
 from cartanweyl.jets import jder, jmul
 from cartanweyl.reduction import worst_entry
 from cartanweyl.weyl import (WeylElement, closed_form_laws, wbar_closed_form,
@@ -37,7 +37,7 @@ def test_wbar_closed_form(mobius3, normal_state):
     z, zeta = WeylElement(PHI).at(mobius3.chart, POINT3, K)
     wbar = weyl_matrices(mobius3, z, zeta, fields.u0)["wbar"]
     closed = wbar_closed_form(mobius3, z, zeta, e)
-    assert wbar.order == min(closed.order, U0_ORDER)     # u0 is built no higher
+    assert closed.order == wbar.order
     assert (wbar - closed).full_norm() < 1e-12
 
 
