@@ -45,6 +45,7 @@ from .errors import ShapeError
 from .exprs import Const, compile_expr, eval_jets
 from .forms import GHOST_POOL, MForm, block_matrix, eta_t, form_comps, gcomm, ghost_monos
 from .jets import jder, jmat_inv, jtrunc
+from .orders import order_plan
 from .reduction import worst_entry
 from .tensors import dstack, metric_from_vielbein
 
@@ -63,12 +64,9 @@ class Term:
     value, plus 1 for each d a check takes outside the DAG
     (``curvature_form``, ``covariant_d``, ``ext_d``).  Sum, Prod, EtaT and Blk
     ask their children for ``need``, D asks for ``need + 1`` and a Leaf cuts
-    its value.  A degree-d coefficient of a node depends only on coefficients
-    of degree <= d of its children (<= d + 1 through D), so every node
-    evaluates to the truncation of its full-order value, bit for bit
-    (truncated Taylor propagation: Griewank and Walther, Evaluating
-    Derivatives, 2nd ed., ch. 13), and a d of a value read raises
-    JetOrderError.
+    its value.  By the truncation lemma (:mod:`cartanweyl.orders`) every
+    node evaluates to the truncation of its full-order value, bit for bit,
+    and a d of a value read raises JetOrderError.
 
     ``children`` are the terms the node is built from; a leaf has none.
     ``_build_s(images)`` is a composite's image in one sector by the graded
@@ -295,7 +293,8 @@ class _TermOwner:
         self.m = model.m
         self.e = vielbein_of(conn) if e is None else e
         self.order = conn.order
-        self.ghost_order = max(self.order, 2)
+        self.plan = order_plan(kind)
+        self.ghost_order = max(self.order, self.plan.ghost)
         self.pool = ghost_monos(1)
         self.cache = {}
         self.images = {}
@@ -678,7 +677,7 @@ def residual_weyl_brs(fields, scn):
     s_varpi0 = covariant_d(fields.varpi0, vhat).scale(-1.0)
     s_Omega0 = gcomm(fields.Omega0, vhat)
     # eps (..., G), d_mu eps (..., m, G) and d_nu d_mu eps (..., m, m, G)
-    e2 = jtrunc(scn.eps_jet, m, 2)
+    e2 = jtrunc(scn.eps_jet, m, scn.plan.ghost)
     d1 = dstack(e2, m, 1)
     eps, deps = e2[..., 0], d1[..., 0]
     ddeps = np.stack([jder(d1, m, nu)[..., 0] for nu in range(m)], axis=-2)
@@ -753,14 +752,13 @@ STEP = 1e-3                    # the group parameter step h of linearization_che
 def linearization_check(conn, e, model, phi, point):
     """Finite Weyl derivative versus the BRS variation with eps -> phi.
 
-    ``conn`` is the normal connection of the vielbein jets ``e``; the check
-    dresses it cut to order 1 and moves the dressed pair with that
-    dressing's u0.  Central differences in the group parameter at steps
-    h = ``STEP`` and h/2 with Richardson extrapolation; the BRS side is the
-    body map of the ghost variation when the ghost coefficient function
-    equals phi.  Both sides read values only, so the Weyl transforms move
-    the dressed pair at order 0, with e, z and d phi at order 1: the d of
-    the connection's conjugation.
+    ``conn`` is the normal connection of the vielbein jets ``e``.  Both
+    sides read values, so the check cuts ``conn``, e, z and d phi to the
+    plan's route order (the d of the conjugation) and moves the dressed pair
+    at order 0 with its dressing's u0.  Central differences in the group
+    parameter at steps h = ``STEP`` and h/2 with Richardson extrapolation;
+    the BRS side is the body map of the ghost variation when the ghost
+    coefficient function equals phi.
 
     Unlike every other row, each of g, Gamma, P, C and W is reduced here,
     one value per point relative to max(1, |finite side|), and the report
@@ -769,22 +767,23 @@ def linearization_check(conn, e, model, phi, point):
     which is why the row is held to the looser ``LINEAR`` threshold on a
     relative scale.  It stays a comparison of values: the error of a higher
     jet coefficient of the quotients grows with the derivatives of phi and
-    of the fields it takes, no measurement gives it a scale under
-    ``LINEAR``, and at values the transforms move the pair at order 0 only.
+    of the fields it takes, and no measurement gives it a scale under
+    ``LINEAR``.
     """
     from .dressing import DressedPair, dress, extract_tensors
     from .jets import jexp
     from .weyl import weyl_matrices, weyl_transform_dressed
     m = model.m
-    e1 = jtrunc(e, m, 1)
-    _, u0, _, _, _, varpi0, Omega0 = dress(conn.truncate(1), e1)
+    k = order_plan(model.kind).route
+    e1 = jtrunc(e, m, k)
+    _, u0, _, _, _, varpi0, Omega0 = dress(conn.truncate(k), e1)
     varpi0, Omega0 = varpi0.truncate(0), Omega0.truncate(0)
     low = DressedPair(model, varpi0, Omega0, e1, *extract_tensors(varpi0, Omega0, model))
-    phi_j = eval_jets([compile_expr(phi)], model.chart, point, 2)[..., 0, :]
+    phi_j = eval_jets([compile_expr(phi)], model.chart, point, k + 1)[..., 0, :]
     dphi = dstack(phi_j, m, 0)
 
     def tensors_at(t):
-        z = jexp(t * jtrunc(phi_j, m, 1), m)
+        z = jexp(t * jtrunc(phi_j, m, k), m)
         moved = weyl_transform_dressed(low, weyl_matrices(model, z, t * dphi, u0))
         return {"g": moved.g[..., 0], "Gamma": moved.Gamma[..., 0],
                 "P": moved.P[..., 0], "C": moved.C, "W": moved.W}

@@ -182,10 +182,7 @@ def _first_over(resid, omega):
 
 
 # Each helper below truncates its operands to the order its result keeps and
-# then multiplies.  A degree-d coefficient of a jet product depends only on
-# operand coefficients of degree <= d, summed in the same order at every
-# order >= d, so the result is bit for bit the truncation of the product at
-# the operands' own orders.
+# then multiplies: the truncation lemma (:mod:`cartanweyl.orders`) makes that exact.
 
 def curvature_form(w):
     """d w + w wedge w, the wedge taken at the order of d w."""
@@ -293,7 +290,8 @@ def build_normal(vielbein, model, point, order):
     ch = model.chart
     e = vielbein.jets_at(point, order) if isinstance(vielbein, VielbeinField) else vielbein
     lead = e.shape[:-3]
-    einv = jmat_inv(e, m)
+    # the spin connection's d cuts every product e^-1 enters to order - 1
+    einv = jmat_inv(jtrunc(e, m, order - 1), m)
     A_arr = spin_connection(e, einv, ch.signature, m)  # (a, b, mu, C-1)
     theta = MForm.zeros(m, (m, 1), 1, 0, order, lead)
     theta.data[..., 0, :, :] = e  # component mu <- e[a, mu]

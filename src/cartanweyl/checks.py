@@ -35,8 +35,8 @@ from .errors import CartanWeylError, ScenarioError
 from .exprs import eval_jets
 from .forms import MForm, form_comps, gcomm, scale_by_jet
 from .jets import jmul, jtrunc, order_of
+from .orders import order_plan
 from .reduction import worst_entry
-from .scenarios import MIN_JET_ORDER
 from .weyl import (WeylElement, closed_form_laws, wbar_closed_form, weyl_group_law_residual,
                    weyl_matrices, weyl_transform_dressed, weyl_transform_midlevel)
 
@@ -122,14 +122,6 @@ class Report:
 
 # the Weyl factor exp(phi) of a scenario without one
 DEFAULT_WEYL = "x0/4"
-# The jet order of e the dressing suite's classical oracle runs at: its
-# rows read values, and the Cotton value takes three derivatives of e.  The
-# values equal those of the full order bit for bit.
-ORACLE_JET_ORDER = 3
-# The jet order of the connection every route runs on: a route compares
-# values, and the value of a gauge transform, a dressing or a curvature takes
-# one d of the connection.  Its gauge matrices are built one order above.
-ROUTE_ORDER = 1
 
 
 def _parsed_list(scn, texts):
@@ -207,28 +199,25 @@ class PointContext:
     ``base_connection`` then scrambles that connection and is the first to
     draw from each point's rng.  Every suite that draws resumes from the
     state right after it (:meth:`rng`).  Each piece is built on first use,
-    so a lone gauge suite never runs the dressing pipeline, and no suite
-    changes one in place.
-
-    Every row reads values, so the pieces are built at the model's floor
-    order ``MIN_JET_ORDER``: by the truncation lemma each value is the same
-    at any higher order, so no scenario sets the order.
+    so a lone gauge suite never runs the dressing pipeline, no suite changes
+    one in place, and each takes its jet order from ``plan``, the model's
+    :class:`~cartanweyl.orders.OrderPlan`.
     """
 
     def __init__(self, scn, model, vb, start, stop):
         self.scn, self.model, self.vb = scn, model, vb
         self.seed = [(scn.seed, scn.point_offset + i) for i in range(start, stop)]
         self.point = scn.points[start:stop]
-        self.order = MIN_JET_ORDER[model.kind]
+        self.plan = order_plan(model.kind)
 
     @cached_property
     def e_normal(self):
-        return self.vb.jets_at(self.point, self.order)
+        return self.vb.jets_at(self.point, self.plan.build)
 
     @cached_property
     def normal(self):
         """The normal connection of :attr:`e_normal`."""
-        return build_normal(self.e_normal, self.model, self.point, self.order)
+        return build_normal(self.e_normal, self.model, self.point, self.plan.build)
 
     @cached_property
     def base(self):
@@ -303,8 +292,8 @@ def gauge_suite(ctx):
     # values only
     res["bianchi"] = covariant_d(conn.omega, Om)
     if model.kind == "mobius":
-        conn = conn.truncate(ROUTE_ORDER)
-        k = ROUTE_ORDER + 1
+        conn = conn.truncate(ctx.plan.route)
+        k = conn.order + 1
         rng = ctx.rng()
         mats = random_gauge(model, rng, point=point).matrices(model, point, k)
         m2 = random_gauge(model, rng, point=point).matrices(model, point, k)
@@ -353,8 +342,8 @@ def dressing_suite(ctx):
     # unipotent element's gamma is its gamma_1 and the Lorentz one's its
     # S_emb, so the connection is moved once by each, and both routes are
     # dressed together
-    low = conn.truncate(ROUTE_ORDER)
-    k = ROUTE_ORDER + 1
+    low = conn.truncate(ctx.plan.route)
+    k = low.order + 1
     mats1 = random_gauge(model, rng, with_z=False, with_s=False,
                          point=point).matrices(model, point, k)
     matsS = random_gauge(model, rng, with_z=False, with_r=False,
@@ -377,7 +366,7 @@ def dressing_suite(ctx):
                                    matsS)
     res.update({f"compat_{k}": v for k, v in comp.items()})
     # tensors against the classical oracle, whose rows read values only
-    B = tensors.classical_bundle(jtrunc(e_full, model.m, ORACLE_JET_ORDER),
+    B = tensors.classical_bundle(jtrunc(e_full, model.m, ctx.plan.oracle),
                                  scn.signature, model.m)
     res["oracle_g"] = fields.g[..., 0] - B["g"][..., 0]
     if scn.normal:
@@ -394,16 +383,13 @@ def dressing_suite(ctx):
 def _gr_dressing(ctx):
     """The dressing suite of the Poincare model, on the normal connection.
 
-    Every row reads values.  metricity takes one d of g and curvature_compat
-    one of varpi-hat = e^-1 varpi e + e^-1 de, so the pair is dressed with
-    varpi at order 1 and e at 2, and the oracle takes e at 2 as well; each
-    value is that of the full orders, bit for bit.  The Lorentz scramble
-    draws from a fresh rng, not from the state after ``base_connection``.
+    Every row reads values: metricity takes one d of g and curvature_compat
+    one of varpi-hat = e^-1 varpi e + e^-1 de.  The Lorentz scramble draws
+    from a fresh rng, not from the state after ``base_connection``.
     """
     scn, model, point = ctx.scn, ctx.model, ctx.point
-    conn, e = ctx.normal, ctx.e_normal
-    low = conn.truncate(1)
-    e = jtrunc(e, model.m, 2)
+    low = ctx.normal.truncate(ctx.plan.route)
+    e = jtrunc(ctx.e_normal, model.m, ctx.plan.gr_vielbein)
     _, _, Gamma, R, T, g, diag = gr_dress(low, e)
     res = dict(diag)
     B = tensors.curvature_bundle(e, scn.signature, model.m)
@@ -427,17 +413,16 @@ def weyl_suite(ctx):
     conn, _ = ctx.base
     fields = ctx.fields
     wz = WeylElement(scn.parsed(scn.weyl or DEFAULT_WEYL))
-    z, zeta = wz.at(scn.chart, point, ctx.order)
+    z, zeta = wz.at(scn.chart, point, ctx.plan.build)
     mats = weyl_matrices(model, z, zeta, fields.u0)
     res = {}
     # the one row read on its whole jet, not its values
     res["wbar_closed_form"] = (mats["wbar"] - wbar_closed_form(model, z, zeta, fields.e)).data
     # u1 and k1 commute (both unipotent on the same row pattern)
     res["k1_u1_commute"] = gcomm(mats["k1"], fields.u1.mat)
-    # the moved vielbein z e is read by the rescaled route alone, to
-    # ORACLE_JET_ORDER, so e is cut to that order before the product
+    # z e is read by the rescaled route alone, so e is cut to the oracle order
     stW = weyl_transform_dressed(
-        dataclasses.replace(fields, e=jtrunc(fields.e, model.m, ORACLE_JET_ORDER)), mats)
+        dataclasses.replace(fields, e=jtrunc(fields.e, model.m, ctx.plan.oracle)), mats)
     laws = closed_form_laws(fields, z, zeta)
     res["law_metric"] = stW.g[..., 0] - laws["g"]
     res["law_christoffel"] = stW.Gamma[..., 0] - laws["Gamma"]
@@ -451,8 +436,8 @@ def weyl_suite(ctx):
     asym0 = 0.5 * (fields.Gamma[..., 0] - fields.Gamma[..., 0].swapaxes(-1, -2))
     res["law_antisym_christoffel"] = asym - asym0
     # route three: Weyl-transform the input connection and dress it again
-    low = conn.truncate(ROUTE_ORDER)
-    k = ROUTE_ORDER + 1
+    low = conn.truncate(ctx.plan.route)
+    k = low.order + 1       # a gauge element one order above the connection
     *_, varpi0_W, Omega0_W = dress(gauge_transform(low, mats["W"].truncate(k),
                                                    mats["Winv"].truncate(k)))
     res["route_pipeline_varpi0"] = stW.varpi0 - varpi0_W
@@ -460,7 +445,7 @@ def weyl_suite(ctx):
     if scn.normal:
         # and from the rescaled vielbein through the normal construction,
         # whose rows, like the oracle's, read values of up to three d of e
-        *_, varpi0_2, Omega0_2 = dress(build_normal(stW.e, model, point, ORACLE_JET_ORDER))
+        *_, varpi0_2, Omega0_2 = dress(build_normal(stW.e, model, point, ctx.plan.oracle))
         g2, Gamma2, P2, _, _, C2, W2 = extract_tensors(varpi0_2, Omega0_2, model)
         res["route_rescaled_g"] = stW.g[..., 0] - g2[..., 0]
         res["route_rescaled_Gamma"] = stW.Gamma[..., 0] - Gamma2[..., 0]
@@ -473,10 +458,10 @@ def weyl_suite(ctx):
     # redundancy: entry (2,3) of the transformed pair
     res["redundancy_varpi"] = _redundancy(stW.varpi0, stW, model)
     res["redundancy_omega"] = _redundancy(stW.Omega0, stW, model)
-    # group law
-    w2 = WeylElement(scn.parsed("x1/5 + x0*x0/10"))
-    res["group_law"] = weyl_group_law_residual(
-        fields, stW, (z, zeta), w2.at(scn.chart, point, ctx.order))
+    # group law; the second element's zeta = d phi is read at the law's order
+    law = ctx.plan.group_law
+    w2 = WeylElement(scn.parsed("x1/5 + x0*x0/10")).at(scn.chart, point, law + 1)
+    res["group_law"] = weyl_group_law_residual(fields, stW, (z, zeta), w2, law)
     # first-stage (internal-index) action
     v1W, O1W, closed = weyl_transform_midlevel(fields, mats)
     for nm, ij, M in [("theta", (2, 1), v1W), ("A1", (2, 2), v1W),
@@ -583,12 +568,12 @@ SUITE_TABLE = {
 BATCH_SIZE = 4
 
 
-def _batch_rows(ctx, plan):
-    """{suite: {row: one value per point}} of every suite in ``plan``: each
+def _batch_rows(ctx, suites):
+    """{suite: {row: one value per point}} of every entry of ``suites``: each
     row's residual read through :func:`worst_entry`."""
     out = {}
     lead = (len(ctx.point),)
-    for name, _, residuals, _ in plan:
+    for name, _, residuals, _ in suites:
         try:
             rows = residuals(ctx)
             out[name] = {row: worst_entry(v, lead) for row, v in rows.items()}
@@ -600,17 +585,20 @@ def _batch_rows(ctx, plan):
     return out
 
 
-def _run_suites(scn, suite, visit=None):
+def run_check(scn, suite="all", visit=None):
     """The report of ``suite`` ("all" or one of SUITES) on ``scn``.
 
-    The points run in batches of at most BATCH_SIZE, each batch with one
-    :class:`PointContext` shared by every suite of the run and dropped
-    before the next batch; ``visit(ctx)`` runs after the batch's suites.  A
-    row is the worst residual over the points, and the report's meta names
-    the point it came from.  A batch that raises is run again one point at
-    a time, so the error is the one the first failing point raises, in the
-    first suite that fails on it.  "all" runs the suites the model has; a
-    single suite the model lacks is a :class:`ScenarioError`.
+    Point ``i`` of the scenario is seeded as ``(seed, point_offset + i)``, so
+    a one-point sub-scenario with the matching ``point_offset`` reproduces
+    that point's residuals exactly.  The points run in batches of at most
+    BATCH_SIZE, each with one :class:`PointContext` shared by every suite of
+    the run and dropped before the next batch; ``visit(ctx)`` runs after the
+    batch's suites.  A row is the worst residual over the points, and the
+    report's meta names the point it came from.  A batch that raises is run
+    again one point at a time, so the error is the one the first failing
+    point raises, in the first suite that fails on it.  "all" runs the
+    suites the model has; a single suite the model lacks is a
+    :class:`ScenarioError`.
     """
     if suite != "all" and suite not in SUITES:
         raise ScenarioError(f"unknown suite {suite!r}: "
@@ -619,27 +607,27 @@ def _run_suites(scn, suite, visit=None):
     model = KleinModel(scn.model, scn.chart)
     if suite != "all" and (model.kind, suite) not in SUITE_TABLE:
         raise ScenarioError(f"the {scn.model} model has no {suite} suite")
-    plan = [(name, *SUITE_TABLE[model.kind, name])
-            for name in (SUITES if suite == "all" else (suite,))
-            if (model.kind, name) in SUITE_TABLE]
+    suites = [(name, *SUITE_TABLE[model.kind, name])
+              for name in (SUITES if suite == "all" else (suite,))
+              if (model.kind, name) in SUITE_TABLE]
     vb = VielbeinField(scn.chart, [_parsed_list(scn, row) for row in scn.vielbein])
-    worst = {name: {} for name, *_ in plan}
-    where = {name: {} for name, *_ in plan}
+    worst = {name: {} for name, *_ in suites}
+    where = {name: {} for name, *_ in suites}
     for start in range(0, len(scn.points), BATCH_SIZE):
         stop = min(start + BATCH_SIZE, len(scn.points))
         ctx = PointContext(scn, model, vb, start, stop)
         try:
-            rows = _batch_rows(ctx, plan)
+            rows = _batch_rows(ctx, suites)
         except CartanWeylError:
             for idx in range(start, stop):
-                _batch_rows(PointContext(scn, model, vb, idx, idx + 1), plan)
+                _batch_rows(PointContext(scn, model, vb, idx, idx + 1), suites)
             raise
         for name, got in rows.items():
             _merge(worst[name], got, where[name], scn.point_offset + start)
         if visit is not None:
             visit(ctx)
     report = Report(scenario=scn.to_dict())
-    for name, prefix, _, rules in plan:
+    for name, prefix, _, rules in suites:
         for row, v in sorted(worst[name].items()):
             thr = next((t for pre, t in rules if row.startswith(pre)), scn.tolerance)
             report.add(f"{prefix}/{row}", v, thr, worst_point=where[name][row])
@@ -663,16 +651,6 @@ def _merge(worst, new, where, first):
                 where[k] = first + i
 
 
-def run_check(scn, suite="all"):
-    """Execute a named suite for a scenario; returns the Report.
-
-    Point ``i`` of the scenario is seeded as ``(seed, point_offset + i)``, so
-    a one-point sub-scenario with the matching ``point_offset`` reproduces
-    that point's residuals exactly.
-    """
-    return _run_suites(scn, suite)
-
-
 def compute_tensors(scn):
     """Dressing-suite report plus g, Gamma, P, T, C, W, f0 at each sample
     point (Moebius model only)."""
@@ -688,7 +666,7 @@ def compute_tensors(scn):
                     "C": f.C.tolist(), "W": f.W.tolist(),
                 }
 
-    report = _run_suites(scn, "dressing", visit)
+    report = run_check(scn, "dressing", visit)
     report.tensors = dump
     return report
 

@@ -152,9 +152,7 @@ def dress(conn, e=None):
     explicitly is only useful to prove invariance statements where the same
     array must serve several scrambled connections.  The pairs come out one
     order below ``conn``: u1 is built from its a block.  u0 is built from e
-    cut one order above ``conn``: u1's a block and the u0 conjugations read
-    it to the order of ``conn``, and :func:`weyl.weyl_matrices` to zeta's,
-    one order above a normal connection built from the same jets of e.
+    cut one order above ``conn``, as :mod:`cartanweyl.orders` states.
     """
     if e is None:
         e = vielbein_of(conn)

@@ -6,9 +6,9 @@ ghost coefficient functions, sample points and tolerance.  The JSON form
 is hand-editable and diffable; expression values are strings in the
 field-expression grammar.
 
-No scenario sets a jet order: each point is built at its model's floor
-order (``checks.PointContext``).  :meth:`Scenario.from_dict` checks a
-file's legacy jet order key as it always did, then drops it.
+No scenario sets a jet order: each point is built at its model's build
+order (:func:`~cartanweyl.orders.order_plan`).  :meth:`Scenario.from_dict`
+checks a file's legacy jet order key as it always did, then drops it.
 """
 
 from __future__ import annotations
@@ -21,19 +21,16 @@ from dataclasses import dataclass, field
 from .errors import CartanWeylError, ScenarioError
 from .exprs import parse_expr
 from .jets import Chart
+from .orders import order_plan
 
 MODELS = ("mobius", "poincare")
 # The Moebius model needs m >= 3, and so does the Poincare model's classical
 # oracle (its Schouten tensor divides by m - 2).  MAX_DIMENSION is the largest
-# m that CI runs under its memory cap; it is no measured limit of the engine.
-# MAX_JET_ORDER is the largest value of the legacy jet order key, which is
-# checked and then dropped.
+# m that CI runs under its memory cap, no measured limit of the engine.
+# MAX_JET_ORDER bounds the legacy jet order key, checked and then dropped.
 MIN_DIMENSION = 3
 MAX_DIMENSION = 6
 MAX_JET_ORDER = 8
-# The jet order every point of a model is built at, the lowest every suite
-# finishes at: the Moebius suites run out of Taylor degrees at order 3.
-MIN_JET_ORDER = {"mobius": 4, "poincare": 3}
 
 
 def _is_int(x):
@@ -221,7 +218,7 @@ class Scenario:
         order = kwargs.pop("jet_order", None)
         scn = cls(**kwargs)
         if "jet_order" in d:
-            low = MIN_JET_ORDER[scn.model]
+            low = order_plan(scn.model).build
             if not _is_int(order) or not low <= order <= MAX_JET_ORDER:
                 raise ScenarioError(f"jet order must be an integer in [{low}, {MAX_JET_ORDER}] "
                                     f"for the {scn.model} model, got {order!r}")

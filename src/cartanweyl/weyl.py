@@ -22,10 +22,6 @@ from .forms import MForm, eta_t, scale_by_jet
 from .jets import jexp, jmat_inv, jmul, jrecip, jtrunc, order_of
 from .tensors import dstack, jeinsum, metric_from_vielbein
 
-# The jet order the group law's Weyl matrices are built at: its residuals
-# are values, and a Weyl transform of the dressed pair takes one d of them.
-GROUP_LAW_ORDER = 1
-
 
 @dataclass
 class WeylElement:
@@ -213,25 +209,23 @@ def _eye_times(f, m):
     return out
 
 
-def weyl_group_law_residual(state, moved, first, second):
+def weyl_group_law_residual(state, moved, first, second, order):
     """Apply z1 then z2 versus z1 z2 on the dressed pair: the two defects.
 
     ``state`` is a pipeline output (its u0 serves the combined step),
     ``first`` and ``second`` are the (z, zeta) jets of the two elements, as
     :meth:`WeylElement.at` returns them, and ``moved`` is ``state`` already
-    moved by ``first``.  Only values are read, and the value of a Weyl
-    transform takes one d of its matrices, so z, zeta, e and u0 are cut to
-    order 1 first; the values are those of the full orders, bit for bit.
+    moved by ``first``; z, zeta, e and u0 are cut to ``order`` first.
     """
     m = state.model.m
-    (z1, zeta1), (z2, zeta2) = [tuple(jtrunc(x, m, GROUP_LAW_ORDER) for x in pair)
+    (z1, zeta1), (z2, zeta2) = [tuple(jtrunc(x, m, order) for x in pair)
                                 for pair in (first, second)]
     model = state.model
-    u0_moved = u0_from_vielbein(jtrunc(moved.e, m, GROUP_LAW_ORDER), model)
+    u0_moved = u0_from_vielbein(jtrunc(moved.e, m, order), model)
     s12 = weyl_transform_dressed(moved, weyl_matrices(model, z2, zeta2, u0_moved))
     z12 = jmul(z1, z2, m)
     u0 = state.u0
-    u0_low = DressingU0(*(jtrunc(x, m, GROUP_LAW_ORDER) for x in (u0.e, u0.einv)),
-                        *(x.truncate(GROUP_LAW_ORDER) for x in (u0.mat, u0.inv)))
+    u0_low = DressingU0(*(jtrunc(x, m, order) for x in (u0.e, u0.einv)),
+                        *(x.truncate(order) for x in (u0.mat, u0.inv)))
     s_both = weyl_transform_dressed(state, weyl_matrices(model, z12, zeta1 + zeta2, u0_low))
     return s12.varpi0 - s_both.varpi0, s12.Omega0 - s_both.Omega0

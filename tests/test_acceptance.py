@@ -17,15 +17,17 @@ from cartanweyl.checks import PointContext, dof_report, point_of, run_check
 from cartanweyl.dressing import dressed_normality, full_pipeline
 from cartanweyl.forms import gcomm
 from cartanweyl.jets import Chart
+from cartanweyl.orders import order_plan
 from cartanweyl.reduction import worst_entry
 from cartanweyl.scenarios import catalog
 from cartanweyl.tensors import classical_bundle, jeinsum
 from cartanweyl.weyl import (WeylElement, closed_form_laws, weyl_group_law_residual,
                              weyl_matrices, weyl_transform_dressed)
 
-# The jet order the routes below build at: the Moebius floor, and every
-# value they read is the same at any higher order.
-ORDER = 4
+# The jet order the routes below build at: the Moebius build order, and
+# every value they read is the same at any higher order.
+PLAN = order_plan("mobius")
+ORDER = PLAN.build
 GHOSTS3 = GhostSpec(eps="1/2 + x0/3 - x1*x2/5",
                     iota=["x1/2", "1/3 - x0/4", "x2/2 + 1/5"],
                     lorentz=["x0/2 + 1/6", "x1/3 - 1/7", "1/4 + x2/8"])
@@ -54,14 +56,14 @@ def test_criterion_1_gauge_invariance_of_composites():
         ch, vb = _diag_vielbein(m)
         model = KleinModel("mobius", ch)
         pt = tuple(0.1 + 0.05 * i for i in range(m))
-        conn = build_normal(vb, model, pt, 4)
-        e = vb.jets_at(pt, 4)
+        conn = build_normal(vb, model, pt, ORDER)
+        e = vb.jets_at(pt, ORDER)
         ref = full_pipeline(conn, e)
         scale = max(1.0, ref.varpi0.full_norm(), ref.Omega0.full_norm())
         rng = np.random.default_rng(m)
         for _ in range(20):
             ge = random_gauge(model, rng, with_z=False)
-            mats = ge.matrices(model, pt, 4)
+            mats = ge.matrices(model, pt, ORDER)
             conn_g = gauge_transform(conn, mats["gamma"], mats["gamma_inv"])
             eS = jeinsum("ab,bm->am", mats["Sinv"], e, m)
             fg = full_pipeline(conn_g, eS)
@@ -192,7 +194,8 @@ def test_criterion_5_weyl_group_law():
             first = WeylElement("x0/4 - x1*x2/6").at(scn.chart, pt, ORDER)
             moved = weyl_transform_dressed(f, weyl_matrices(model, *first, f.u0))
             res = weyl_group_law_residual(
-                f, moved, first, WeylElement("x1/5 + x0*x0/10").at(scn.chart, pt, ORDER))
+                f, moved, first, WeylElement("x1/5 + x0*x0/10").at(scn.chart, pt, ORDER),
+                PLAN.group_law)
             worst = max(worst, worst_entry(res, ()))
     _verdict(5, "Weyl group law", worst, 1e-9)
 

@@ -560,7 +560,7 @@ def test_brs_gr_products_run_at_order_two_at_most(monkeypatch):
 def test_linearization_rows_equal_the_full_order_reference(name, m, order):
     """The value-order Weyl transforms and composite ghost give the rows of
     the full-order check bit for bit, and so does the check on the point
-    context, built at the floor order."""
+    context, built at the build order."""
     ctx = _one_point_context(name, m)
     point = ctx.point[0]
     e = ctx.vb.jets_at(point, order)

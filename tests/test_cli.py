@@ -16,8 +16,8 @@ from cartanweyl.checks import (SUITES, CheckRow, _merge, compute_tensors, dof_re
                                run_check)
 from cartanweyl.cli import main
 from cartanweyl.errors import ExprSyntaxError, ScenarioError
-from cartanweyl.scenarios import (CATALOG_NAMES, MAX_JET_ORDER, MIN_JET_ORDER, Scenario,
-                                  catalog)
+from cartanweyl.orders import order_plan
+from cartanweyl.scenarios import CATALOG_NAMES, MAX_JET_ORDER, Scenario, catalog
 
 
 def test_scenario_json_round_trip(tmp_path):
@@ -589,9 +589,9 @@ def _legacy_file(tmp_path, name, m, order):
 
 @pytest.mark.parametrize("name, model", [("generic", "mobius"), ("poincare", "poincare")])
 def test_lowest_admitted_jet_order_runs_every_suite(name, model, tmp_path, capsys):
-    """A file's legacy jet order key is refused below the model's floor, and
-    a file at the floor runs every suite."""
-    low = MIN_JET_ORDER[model]
+    """A file's legacy jet order key is refused below the model's build order,
+    and a file at that order runs every suite."""
+    low = order_plan(model).build
     base = ["check", "--suite", "all", "--scenario"]
     assert main(base + [_legacy_file(tmp_path, name, 3, low - 1)]) == 2
     assert f"[{low}, " in capsys.readouterr().err
@@ -602,8 +602,8 @@ def test_lowest_admitted_jet_order_runs_every_suite(name, model, tmp_path, capsy
                                      ("constant-curvature", 3), ("ricci-flat-m4", 4),
                                      ("poincare", 4)])
 def test_check_rows_do_not_depend_on_the_jet_order(name, m, tmp_path):
-    """Every point is built at the model's floor order, so a file's legacy
-    jet order key changes nothing: at the floor, at the ceiling and left
+    """Every point is built at the model's build order, so a file's legacy
+    jet order key changes nothing: at that order, at the ceiling and left
     out, --suite all reports the same rows byte for byte, and no report
     echoes the key."""
     def report(order):
@@ -614,14 +614,14 @@ def test_check_rows_do_not_depend_on_the_jet_order(name, m, tmp_path):
         assert "jet_order" not in payload["scenario"]
         return json.dumps(payload["checks"])
 
-    low = MIN_JET_ORDER[catalog(name, m).model]
+    low = order_plan(catalog(name, m).model).build
     assert report(low) == report(MAX_JET_ORDER) == report(None)
 
 
 @pytest.mark.parametrize("name", ["generic", "torsionful"])
 def test_routes_dress_connections_of_order_one(name, monkeypatch):
     """The batch's dressed fields dress its input connection at order 2, the
-    floor order's connection, once for all its points; every route, and the
+    build order's connection, once for all its points; every route, and the
     linearization check on an input it cannot reuse them for, dresses a
     connection of order 1."""
     orders = []
