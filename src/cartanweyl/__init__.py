@@ -3,10 +3,9 @@ to the Riemannian parametrization, finite Weyl transformation laws, and the
 BRS ghost algebra, every identity machine-checked against independent routes.
 """
 
-from .jets import Chart, Jet
-from .exprs import parse_expr, print_expr, eval_jet
-from .grassmann import GradedScalar
-from .forms import MForm, wedge, gcomm, ext_d, eta_t, algebra_residual
+from .jets import Chart
+from .exprs import parse_expr, print_expr
+from .forms import MForm, gcomm, eta_t, algebra_residual
 from .cartan import (KleinModel, CartanConnection, Curvature, VielbeinField,
                      GaugeElement, assemble, conjugate, covariant_d, curvature,
                      curvature_form, gauge_transform, build_normal,
@@ -19,9 +18,8 @@ from .scenarios import Scenario, catalog
 from .checks import run_check, compute_tensors, dof_report
 
 __all__ = [
-    "Chart", "Jet", "parse_expr", "print_expr", "eval_jet",
-    "GradedScalar",
-    "MForm", "wedge", "gcomm", "ext_d", "eta_t", "algebra_residual",
+    "Chart", "parse_expr", "print_expr",
+    "MForm", "gcomm", "eta_t", "algebra_residual",
     "KleinModel", "CartanConnection", "Curvature", "VielbeinField",
     "GaugeElement", "assemble", "conjugate", "covariant_d", "curvature",
     "curvature_form", "gauge_transform", "build_normal", "normality_residual",

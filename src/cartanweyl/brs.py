@@ -44,7 +44,7 @@ from .dressing import extract_u1, vielbein_of
 from .errors import ShapeError
 from .exprs import Const, compile_expr, eval_jets
 from .forms import GHOST_POOL, MForm, block_matrix, eta_t, form_comps, gcomm, ghost_monos
-from .jets import jder, jmat_inv, jtrunc
+from .jets import jder, jmat_inv, jtrunc, order_of
 from .orders import order_plan
 from .reduction import worst_entry
 from .tensors import dstack, metric_from_vielbein
@@ -311,7 +311,9 @@ class _TermOwner:
         vl = self.L_vl = Leaf("vl", _lorentz_ghost(fields, m, self.ghost_order,
                                                     self.model.eta), q=1)
         self.register(vl, "L", neg(Prod(vl, vl)))
-        self.einv = jmat_inv(self.e, m)
+        # u^-1 du takes one d of e^-1: e is cut one order above the
+        # connection, as dress cuts it for u0
+        self.einv = jmat_inv(jtrunc(self.e, m, min(self.order + 1, order_of(m, self.e))), m)
         self.L_e = Leaf("e", MForm.of_jets(m, self.e))
         self.L_einv = Leaf("einv", MForm.of_jets(m, self.einv))
         self.register(self.L_e, "L", neg(Prod(vl, self.L_e)))

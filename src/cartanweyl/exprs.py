@@ -34,8 +34,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ExprDomainError, ExprSyntaxError
-from .jets import (Jet, jconst, jcoord, jcos, jexp, jipow, jmul, jrecip, jsin, jsqrt,
-                   order_of, shift_matrix, space)
+from .jets import (jconst, jcoord, jcos, jexp, jipow, jmul, jrecip, jsin, jsqrt, order_of,
+                   shift_matrix, space)
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt")
 _CALLS = {"exp": jexp, "sin": jsin, "cos": jcos, "sqrt": jsqrt}
@@ -450,8 +450,8 @@ def eval_jets(entries, chart, point, order):
         coeffs[..., k, cols] = values
     shifted = iter(np.moveaxis(coeffs @ shift_matrix(list(columns), point, order), -2, 0))
 
-    # the arithmetic of :class:`Jet` on (..., C) arrays: the lower order of a
-    # sum is a prefix of the degree-sorted basis
+    # jet arithmetic on (..., C) arrays: the lower order of a sum is a prefix
+    # of the degree-sorted basis
     def ev(n):
         if isinstance(n, (Poly, np.ndarray)):
             return next(shifted)
@@ -485,8 +485,3 @@ def eval_jets(entries, chart, point, order):
     gather = ev = None
     return out
 
-
-def eval_jet(node, chart, point, order):
-    """Evaluate an Expr (or its text) to a :class:`Jet` of the given order at
-    ``point``; its polynomial subtrees go through the Taylor shift."""
-    return Jet(chart.m, eval_jets([compile_expr(node)], chart, point, order)[0])

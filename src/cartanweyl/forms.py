@@ -31,8 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import JetOrderError, ShapeError
-from .grassmann import GradedScalar, _merge_monomials
-from .jets import Jet, jmul, jtrunc, order_of, space
+from .jets import jmul, jtrunc, order_of, space
 from .jets import jmat_mul  # noqa: F401  (re-exported; perfbench's tracer test rebinds it)
 from .reduction import worst_entry
 
@@ -69,6 +68,38 @@ def ghost_monos(q):
     if not 0 <= q <= GHOST_POOL:
         raise ShapeError(f"ghost degree {q} outside the {GHOST_POOL}-generator pool")
     return tuple(combinations(range(GHOST_POOL), q))
+
+
+def _merge_monomials(a, b):
+    """Merge two sorted generator tuples; return (monomial, sign) or None.
+
+    The sign is the parity of the permutation that interleaves ``b`` into
+    ``a``; a repeated generator kills the product.
+    """
+    if not a:
+        return b, 1.0
+    if not b:
+        return a, 1.0
+    out = []
+    sign = 1.0
+    i, j = 0, 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        x, y = a[i], b[j]
+        if x == y:
+            return None
+        if x < y:
+            out.append(x)
+            i += 1
+        else:
+            # b[j] hops over the remaining la-i generators of a
+            if (la - i) & 1:
+                sign = -sign
+            out.append(y)
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out), sign
 
 
 @lru_cache(maxsize=None)
@@ -202,9 +233,7 @@ class MForm:
     g * C(m, p) + f holds the jet of ghost monomial g times dx monomial f,
     and the leading axes (:attr:`lead`, none for one point) run over sample
     points.  Forms of different leads broadcast against each other, and the
-    norms reduce to one value per point.  :meth:`from_entries` builds a
-    one-point form from one GradedScalar per (row, col, dx comp) and
-    :meth:`entry` reads one back.
+    norms reduce to one value per point.
     """
 
     __slots__ = ("m", "shape", "p", "q", "order", "data")
@@ -224,24 +253,6 @@ class MForm:
         n = len(ghost_monos(q)) * len(form_comps(m, p))
         return cls(m, shape, p, q, order,
                    np.zeros(tuple(lead) + (shape[0], shape[1], n, space(m, order).size)))
-
-    @classmethod
-    def from_entries(cls, m, shape, p, q, order, entries):
-        """MForm from {(row, col, comp): GradedScalar over jets}.
-
-        Every term's key is a ghost monomial of degree q of the pool.
-        Coefficients are trimmed to ``order``; absent entries are zero.
-        """
-        out = cls.zeros(m, shape, p, q, order)
-        where = {g: i for i, g in enumerate(ghost_monos(q))}
-        for (i, j, f), x in entries.items():
-            out._check_entry(i, j, f)
-            for k, c in x.terms.items():
-                if k not in where:
-                    raise ShapeError(f"ghost monomial {k} is not of degree {q} "
-                                     f"in the {GHOST_POOL}-generator pool")
-                out.data[i, j, where[k] * out.n_comps + f] = jtrunc(c.coeffs, m, order)
-        return out
 
     @classmethod
     def of_jets(cls, m, arr):
@@ -271,24 +282,6 @@ class MForm:
         """``data`` when q > 0, else None.  Kept read-only for the benchmark
         tracer, which tells ghost wedges from float ones by it."""
         return self.data if self.q else None
-
-    def _check_entry(self, i, j, f):
-        """IndexError unless (row, col, dx comp) lies inside the form."""
-        if not (0 <= i < self.shape[0] and 0 <= j < self.shape[1] and 0 <= f < self.n_comps):
-            raise IndexError(f"entry ({i}, {j}, {f}) outside shape {self.shape} "
-                             f"with {self.n_comps} components")
-
-    def entry(self, i, j, f):
-        """The (row i, col j, dx comp f) entry as a GradedScalar; all-zero
-        ghost monomials are left out."""
-        self._check_entry(i, j, f)
-        F = self.n_comps
-        terms = {}
-        for g, k in enumerate(ghost_monos(self.q)):
-            c = self.data[i, j, g * F + f]
-            if c.any():
-                terms[k] = Jet(self.m, c.copy())
-        return GradedScalar(terms)
 
     def _like(self, data, order=None, shape=None, q=None):
         return MForm(self.m, self.shape if shape is None else shape, self.p,
@@ -423,18 +416,10 @@ class MForm:
 # derived operations
 # ---------------------------------------------------------------------------
 
-def wedge(a, b):
-    return a.wedge(b)
-
-
 def gcomm(a, b):
     """Graded commutator [a, b] with |.| the total degree p + q."""
     sign = -1.0 if ((a.p + a.q) * (b.p + b.q)) % 2 else 1.0
     return a.wedge(b) - b.wedge(a).scale(sign)
-
-
-def ext_d(a):
-    return a.ext_d()
 
 
 def scale_by_jet(M, z):

@@ -4,50 +4,19 @@ Ghost-valued quantities live in the algebra generated by odd generators over
 a commutative coefficient ring.  Elements are stored as sparse maps from
 strictly sorted generator-id tuples (monomials) to coefficients, so
 nilpotency and the anticommutation signs are structural.  A coefficient is a
-float or a :class:`~cartanweyl.jets.Jet`, so one ghost-valued jet is one
-element: a dense Taylor array per Grassmann monomial.  It is the entry
-type of :meth:`~cartanweyl.forms.MForm.from_entries` and
-:meth:`~cartanweyl.forms.MForm.entry`, the per-entry route the tests check
-the dense ghost forms against.  The ghost fields, the ghost forms and the
-closed forms of the reduced Weyl laws are dense arrays
-(:mod:`cartanweyl.brs`, :mod:`cartanweyl.forms`).
+float or a jet object with ``+``, ``-``, ``*`` and a truth value, so one
+ghost-valued jet is one element: a dense Taylor array per Grassmann
+monomial.  It is the entry type of the tests' per-entry route, which they
+check the dense ghost forms against.  No engine module imports it: the ghost
+fields, the ghost forms and the closed forms of the reduced Weyl laws are
+dense arrays (:mod:`cartanweyl.brs`, :mod:`cartanweyl.forms`), and the
+benchmark tracer is its one reader outside the tests.
 """
 
 from __future__ import annotations
 
+from .forms import _merge_monomials
 from .reduction import worst_entry
-
-
-def _merge_monomials(a, b):
-    """Merge two sorted generator tuples; return (monomial, sign) or None.
-
-    The sign is the parity of the permutation that interleaves ``b`` into
-    ``a``; a repeated generator kills the product.
-    """
-    if not a:
-        return b, 1.0
-    if not b:
-        return a, 1.0
-    out = []
-    sign = 1.0
-    i, j = 0, 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x == y:
-            return None
-        if x < y:
-            out.append(x)
-            i += 1
-        else:
-            # b[j] hops over the remaining la-i generators of a
-            if (la - i) & 1:
-                sign = -sign
-            out.append(y)
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
 
 
 class GradedScalar:

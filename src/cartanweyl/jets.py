@@ -10,10 +10,9 @@ a product gathers each factor once in table order, multiplies (one batched
 sums or scatter-adds.
 
 Jets are flat numpy arrays over the monomial basis of a cached
-:class:`JetSpace`, wrapped as :class:`Jet` for scalar arithmetic.  A ghost
-field is one such array per pool generator, and a ghost form stores one per
-(ghost monomial, dx monomial) component of each entry, in the last axis of
-:attr:`~cartanweyl.forms.MForm.data`.
+:class:`JetSpace`.  A ghost field is one such array per pool generator, and
+a ghost form stores one per (ghost monomial, dx monomial) component of each
+entry, in the last axis of :attr:`~cartanweyl.forms.MForm.data`.
 """
 
 from __future__ import annotations
@@ -428,7 +427,7 @@ def jmat_inv(E, m):
 
 
 # ---------------------------------------------------------------------------
-# public Jet wrapper and Chart
+# the chart
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -437,7 +436,6 @@ class Chart:
 
     m: int
     signature: tuple = None
-    names: tuple = None
 
     def __post_init__(self):
         if self.m < 1:
@@ -449,132 +447,11 @@ class Chart:
         if len(sig) != self.m or any(s not in (-1, 1) for s in sig):
             raise ValueError("signature must be a list of +/-1 of length m")
         object.__setattr__(self, "signature", sig)
-        names = self.names or tuple(f"x{i}" for i in range(self.m))
-        if len(names) != self.m:
-            raise ValueError("need one coordinate name per dimension")
-        object.__setattr__(self, "names", tuple(names))
+
+    @property
+    def names(self):
+        """The coordinate names x0 .. x{m-1}."""
+        return tuple(f"x{i}" for i in range(self.m))
 
     def coord_index(self, name):
         return self.names.index(name)
-
-
-class Jet:
-    """Value plus partial derivatives of a scalar at a chart point."""
-
-    __slots__ = ("m", "coeffs")
-
-    def __init__(self, m, coeffs):
-        self.m = m
-        self.coeffs = np.asarray(coeffs, dtype=float)
-
-    @classmethod
-    def constant(cls, value, m, order):
-        return cls(m, jconst(value, m, order))
-
-    @classmethod
-    def coordinate(cls, i, point, m, order):
-        return cls(m, jcoord(i, point, m, order))
-
-    @property
-    def order(self):
-        return order_of(self.m, self.coeffs)
-
-    @property
-    def value(self):
-        return float(self.coeffs[0])
-
-    def partial(self, beta):
-        """Derivative d^beta f at the point (not Taylor-normalized)."""
-        beta = tuple(beta)
-        sp = space(self.m, self.order)
-        i = sp.index[beta]
-        return float(self.coeffs[i] * sp.factorials[i])
-
-    def derivatives(self):
-        sp = space(self.m, self.order)
-        return {b: float(self.coeffs[i] * sp.factorials[i])
-                for i, b in enumerate(sp.monos)}
-
-    def norm(self):
-        """Largest |Taylor coefficient|; NaN when any coefficient is NaN."""
-        return float(np.abs(self.coeffs).max())
-
-    def __bool__(self):
-        # like a float: false only for the exact zero
-        return bool(self.coeffs.any())
-
-    def truncate(self, to_order):
-        return Jet(self.m, jtrunc(self.coeffs, self.m, to_order))
-
-    def derivative(self, nu):
-        return Jet(self.m, jder(self.coeffs, self.m, nu))
-
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            return other
-        if isinstance(other, (int, float)):
-            return Jet.constant(float(other), self.m, self.order)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # the basis is sorted by degree: the lower order is a prefix
-        n = min(self.coeffs.size, o.coeffs.size)
-        return Jet(self.m, self.coeffs[:n] + o.coeffs[:n])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(self.m, -self.coeffs)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = min(self.coeffs.size, o.coeffs.size)
-        return Jet(self.m, self.coeffs[:n] - o.coeffs[:n])
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.m, jmul(self.coeffs, other.coeffs, self.m))
-        if isinstance(other, (int, float)):
-            # same as the product with a constant jet, which only adds zeros
-            return Jet(self.m, self.coeffs * float(other))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.m, jmul(self.coeffs, jrecip(o.coeffs, self.m), self.m))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o * Jet(self.m, jrecip(self.coeffs, self.m))
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        return Jet(self.m, jipow(self.coeffs, n, self.m))
-
-    def exp(self):
-        return Jet(self.m, jexp(self.coeffs, self.m))
-
-    def sin(self):
-        return Jet(self.m, jsin(self.coeffs, self.m))
-
-    def cos(self):
-        return Jet(self.m, jcos(self.coeffs, self.m))
-
-    def sqrt(self):
-        return Jet(self.m, jsqrt(self.coeffs, self.m))
-
-    def __repr__(self):
-        return f"Jet(m={self.m}, order={self.order}, value={self.value:.6g})"

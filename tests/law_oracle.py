@@ -12,20 +12,16 @@ these.
 from cartanweyl.cartan import covariant_d
 from cartanweyl.forms import form_comps, gcomm
 from cartanweyl.grassmann import GradedScalar
-from cartanweyl.jets import Jet, jmat_inv, jtrunc
+from cartanweyl.jets import jmat_inv, jtrunc
 from cartanweyl.reduction import worst_entry
+from entry_oracle import Jet, d, entry, value_norm
 
 LAWS = ("s_w_metric", "s_w_gamma", "s_w_schouten", "s_w_cotton", "s_w_weyl", "s_w_vhat_23")
 
 
-def _d(g, nu):
-    """Derivative along x^nu of a ghost-valued jet."""
-    return g.map(lambda c: c.derivative(nu))
-
-
 def _value_defect(a, b):
     """Largest value coefficient of the ghost-valued jet a - b."""
-    return (a - b).norm(lambda c: abs(c.value))
+    return value_norm(a - b)
 
 
 def law_rows(fields, scn):
@@ -35,7 +31,7 @@ def law_rows(fields, scn):
     vhat = scn.ev(scn.T_vhat)
     s_varpi0 = covariant_d(fields.varpi0, vhat).scale(-1.0)
     s_Omega0 = gcomm(fields.Omega0, vhat)
-    eps = scn.L_eps.value.entry(0, 0, 0).map(lambda c: c.truncate(min(2, c.order)))
+    eps = entry(scn.L_eps.value, 0, 0, 0).map(lambda c: c.truncate(min(2, c.order)))
     g, Gamma = jtrunc(fields.g, m, 0), jtrunc(fields.Gamma, m, 0)
     ginv = jmat_inv(g, m)
     out = {}
@@ -46,11 +42,11 @@ def law_rows(fields, scn):
     # s_W g = 2 eps g
     blk = model.block(s_varpi0, 3, 2)
     out["s_w_metric"] = worst_entry(tuple(
-        _value_defect(blk.entry(0, nu, mu), (fj(g[mu, nu]) * eps) * 2.0)
+        _value_defect(entry(blk, 0, nu, mu), (fj(g[mu, nu]) * eps) * 2.0)
         for mu in range(m) for nu in range(m)), ())
     # s_W Gamma^r_mn = delta^r_n d_m eps + delta^r_m d_n eps - g^{rl} d_l eps g_mn
     blk = model.block(s_varpi0, 2, 2)
-    deps = [_d(eps, mu) for mu in range(m)]
+    deps = [d(eps, mu) for mu in range(m)]
     defects = []
     for r in range(m):
         for mu in range(m):
@@ -64,17 +60,17 @@ def law_rows(fields, scn):
                 for lam in range(m):
                     corr = corr + (fj(ginv[r, lam]) * deps[lam]) * fj(g[mu, nu])
                 want = want - corr
-                defects.append(_value_defect(blk.entry(r, nu, mu), want))
+                defects.append(_value_defect(entry(blk, r, nu, mu), want))
     out["s_w_gamma"] = worst_entry(tuple(defects), ())
     # s_W P_mn = d_m d_n eps - d_l eps Gamma^l_mn
     blk = model.block(s_varpi0, 1, 2)
     defects = []
     for mu in range(m):
         for nu in range(m):
-            want = _d(deps[mu], nu)
+            want = d(deps[mu], nu)
             for lam in range(m):
                 want = want - deps[lam] * fj(Gamma[lam, mu, nu])
-            defects.append(_value_defect(blk.entry(0, nu, mu), want))
+            defects.append(_value_defect(entry(blk, 0, nu, mu), want))
     out["s_w_schouten"] = worst_entry(tuple(defects), ())
     # s_W C_{n,ms} = f0_{ms} d_n eps - d_l eps W^l_{n,ms}
     # s_W W^r_{n,ms} = T^r_{ms} d_n eps - g^{rl} d_l eps T^a_{ms} g_{an}
@@ -87,14 +83,14 @@ def law_rows(fields, scn):
             want = deps[nu] * float(fields.f0[mu, sg])
             for lam in range(m):
                 want = want - deps[lam] * float(fields.W[lam, nu, mu, sg])
-            defectsC.append(_value_defect(blkC.entry(0, nu, f), want))
+            defectsC.append(_value_defect(entry(blkC, 0, nu, f), want))
         for r in range(m):
             for nu in range(m):
                 tlow = float(fields.T[:, mu, sg] @ gval[:, nu])
                 want = deps[nu] * float(fields.T[r, mu, sg])
                 for lam in range(m):
                     want = want - (fj(ginv[r, lam]) * deps[lam]) * tlow
-                defectsW.append(_value_defect(blkW.entry(r, nu, f), want))
+                defectsW.append(_value_defect(entry(blkW, r, nu, f), want))
     out["s_w_cotton"] = worst_entry(tuple(defectsC), ())
     out["s_w_weyl"] = worst_entry(tuple(defectsW), ())
     # s_W vhat entry (2,3) = -2 eps g^-1 deps
@@ -105,6 +101,6 @@ def law_rows(fields, scn):
         want = GradedScalar()
         for lam in range(m):
             want = want - (fj(ginv[r, lam]) * (eps * deps[lam])) * 2.0
-        defects.append(_value_defect(blk.entry(r, 0, 0), want))
+        defects.append(_value_defect(entry(blk, r, 0, 0), want))
     out["s_w_vhat_23"] = worst_entry(tuple(defects), ())
     return out

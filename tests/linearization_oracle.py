@@ -15,7 +15,7 @@ import numpy as np
 from cartanweyl.brs import ConformalBRS, GhostSpec
 from cartanweyl.cartan import covariant_d
 from cartanweyl.dressing import extract_tensors, full_pipeline
-from cartanweyl.exprs import Const, eval_jet
+from cartanweyl.exprs import Const, compile_expr, eval_jets
 from cartanweyl.forms import gcomm
 from cartanweyl.jets import jder, jexp, order_of
 from cartanweyl.weyl import weyl_matrices, weyl_transform_dressed
@@ -26,7 +26,7 @@ def full_order_linearization(conn, e, model, phi, point, h=1e-3):
     step is ``brs.STEP``; ``h`` is this reference's own."""
     m = model.m
     fields = full_pipeline(conn, e)
-    phi_j = eval_jet(phi, model.chart, point, order_of(m, e)).coeffs
+    phi_j = eval_jets([compile_expr(phi)], model.chart, point, order_of(m, e))[0]
     dphi = np.stack([jder(phi_j, m, mu) for mu in range(m)])
 
     def tensors_at(t):

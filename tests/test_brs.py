@@ -20,31 +20,22 @@ from cartanweyl.dressing import full_pipeline
 from cartanweyl.errors import JetOrderError, ShapeError
 from cartanweyl.forms import MForm, gcomm
 from cartanweyl.grassmann import GradedScalar
-from cartanweyl.jets import Jet, space
+from cartanweyl.jets import space
 from cartanweyl.reduction import worst_entry
 from cartanweyl.scenarios import Scenario, catalog
 
 import ghost_oracle
 from conftest import POINT3
+from entry_oracle import Jet, d, entry, from_entries, value_norm
 from law_oracle import LAWS, law_rows
 from linearization_oracle import full_order_linearization
 
 K = 4
 
 
-def vnorm(g):
-    """Largest value coefficient of a ghost-valued jet (a GradedScalar entry)."""
-    return g.norm(lambda c: abs(c.value))
-
-
-def d(g, mu):
-    """Derivative along x^mu of a ghost-valued jet."""
-    return g.map(lambda c: c.derivative(mu))
-
-
 def eps_of(s):
     """The eps ghost field of a one-point ConformalBRS as a ghost-valued jet."""
-    return s.L_eps.value.entry(0, 0, 0)
+    return entry(s.L_eps.value, 0, 0, 0)
 
 
 def vary(s, t, sector="all"):
@@ -167,7 +158,7 @@ def test_u1_sector_rules(scn):
         want = want - (eps * Jet(scn.m, q.data[0, a, 0, :]))
         for mu in range(scn.m):
             want = want + d(eps, mu) * Jet(scn.m, einv[mu, a])
-        assert vnorm(blk.entry(0, a, 0) - want) < 1e-13
+        assert value_norm(entry(blk, 0, a, 0) - want) < 1e-13
 
 
 def test_u0_rules(scn):
@@ -256,7 +247,7 @@ def test_flat_christoffel_variation(mobius3, flat3):
                     want = want + deps[nu]
                 if mu == nu:
                     want = want - deps[r] * float(eta[r] * eta[mu])
-                assert vnorm(blk.entry(r, nu, mu) - want) < 1e-13
+                assert value_norm(entry(blk, r, nu, mu) - want) < 1e-13
 
 
 def test_sector_triviality_after_full_dressing(scn):
@@ -286,11 +277,11 @@ def test_algebraic_connection_flat(mobius3, flat3):
     eta = s.model.eta
     m = 3
     blk = s.model.block(vhat, 1, 1)
-    assert vnorm(blk.entry(0, 0, 0) - eps) == 0.0
+    assert value_norm(entry(blk, 0, 0, 0) - eps) == 0.0
     blk = s.model.block(vhat, 2, 3)
     for r in range(m):
         want = d(eps, r) * float(eta[r])
-        assert vnorm(blk.entry(r, 0, 0) - want) < 1e-14
+        assert value_norm(entry(blk, r, 0, 0) - want) < 1e-14
     # eps = 0 reduces the algebraic connection to varpi0 itself
     spec0 = GhostSpec(eps="0", iota=["0"] * 3, lorentz=["0"] * 3)
     s0 = ConformalBRS(conn, None, spec0, POINT3)
@@ -356,7 +347,7 @@ def test_first_stage_weyl_brs_blocks(mobius3, vielbein3):
     for a in range(m):
         for mu in range(m):
             want = eps * Jet(m, th.data[a, 0, mu, :])
-            assert vnorm(blk.entry(a, 0, mu) - want) < 1e-13
+            assert value_norm(entry(blk, a, 0, mu) - want) < 1e-13
     # normal case: the middle curvature block is inert
     assert s.model.block(sW_omega1, 2, 2).value_norm() < 1e-12
     # s_W Pi1 = -eps Pi1 - (deps . e^-1) F1
@@ -376,7 +367,7 @@ def test_first_stage_weyl_brs_blocks(mobius3, vielbein3):
             want = (eps * Jet(m, Pi1.data[0, b, f, :])) * -1.0
             for a in range(m):
                 want = want - deps_row[a] * Jet(m, F1.data[a, b, f, :])
-            assert vnorm(blk.entry(0, b, f) - want) < 1e-12
+            assert value_norm(entry(blk, 0, b, f) - want) < 1e-12
 
 
 def test_first_stage_sector_behavior(scn):
@@ -450,7 +441,7 @@ def test_composite_ghost_and_stotal_are_built_once():
 
 def _exact_terms(mform):
     r, c = mform.shape
-    return [{k: x.coeffs.tolist() for k, x in mform.entry(i, j, f).terms.items()}
+    return [{k: x.coeffs.tolist() for k, x in entry(mform, i, j, f).terms.items()}
             for i in range(r) for j in range(c) for f in range(mform.n_comps)]
 
 
@@ -624,7 +615,7 @@ def _kernel_triple(w, m, n, order):
     """
     def factor(k):
         d = w[2 * k] - w[2 * k + 1]
-        return MForm.from_entries(m, (n, n), 0, 1, order, {(0, 0, 0): GradedScalar(
+        return from_entries(m, (n, n), 0, 1, order, {(0, 0, 0): GradedScalar(
             {(j,): Jet.constant(float(d[j]), m, order) for j in range(forms.GHOST_POOL)})})
     return factor(0).wedge(factor(1)).wedge(factor(2))
 

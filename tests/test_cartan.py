@@ -9,7 +9,7 @@ from cartanweyl.cartan import (SAMPLE_BOX, GaugeElement, KleinModel, VielbeinFie
                                spin_connection)
 from cartanweyl.checks import deformed_connection, run_check
 from cartanweyl.errors import AlgebraResidualError, DegenerateVielbeinError
-from cartanweyl.exprs import eval_jet, eval_jets, parse_expr
+from cartanweyl.exprs import compile_expr, eval_jets
 from cartanweyl.forms import MForm, algebra_residual, eta_t, gcomm
 from cartanweyl.jets import Chart, jmat_inv, jmul, space
 from cartanweyl.reduction import worst_entry
@@ -26,8 +26,8 @@ def _expr_block(texts, chart, point, order, shape):
     for i in range(shape[0]):
         for j in range(shape[1]):
             for mu in range(chart.m):
-                out.data[i, j, mu, :] = eval_jet(
-                    parse_expr(texts[i][j][mu]), chart, point, order).coeffs
+                out.data[i, j, mu, :] = eval_jets(
+                    [compile_expr(texts[i][j][mu])], chart, point, order)[0]
     return out
 
 
@@ -54,7 +54,7 @@ def _random_g_valued(model, rng, point, order):
     for i in range(m):
         for j in range(i + 1, m):
             for mu in range(m):
-                c = eval_jet(parse_expr(_poly(rng)), chart, point, order).coeffs
+                c = eval_jets([compile_expr(_poly(rng))], chart, point, order)[0]
                 A.data[i, j, mu, :] += sig[j] * c
                 A.data[j, i, mu, :] -= sig[i] * c
     return assemble(model, a=a, alpha=alpha, theta=theta, A=A)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import cartanweyl
 from cartanweyl import brs, cartan, checks, cli, dressing, weyl
 from cartanweyl.checks import (SUITES, CheckRow, _merge, compute_tensors, dof_report,
                                run_check)
@@ -375,6 +376,21 @@ def test_cli_entry_point_subprocess():
     assert proc.returncode == 0
     table = json.loads(proc.stdout)
     assert table["conformal_class"] == 5
+
+
+@pytest.mark.parametrize("name", ["generic", "poincare"])
+def test_check_never_loads_the_grassmann_algebra(name):
+    """Every field of a check is a dense array: a full run in a fresh
+    process imports no per-entry Grassmann algebra."""
+    script = ("import sys; from cartanweyl.cli import main; "
+              f"code = main(['check', '--catalog', '{name}', '--dimension', '3', "
+              "'--suite', 'all']); print(code, 'cartanweyl.grassmann' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
+
+
+def test_package_exports_no_per_entry_name():
+    assert not {"Jet", "eval_jet", "GradedScalar", "wedge", "ext_d"} & set(cartanweyl.__all__)
 
 
 def test_failed_check_exit_code(tmp_path):

@@ -6,7 +6,7 @@ from collections import defaultdict
 
 import pytest
 
-from cartanweyl import cartan, checks, dressing
+from cartanweyl import brs, cartan, checks, dressing
 from cartanweyl.cartan import GaugeElement
 from cartanweyl.jets import order_of
 from cartanweyl.orders import order_plan
@@ -33,13 +33,18 @@ def _planned(kind):
     if kind == "poincare":
         return {("build_normal", "normal"): {plan.build},
                 ("jmat_inv", "build_normal"): {plan.build - 1},
+                ("jmat_inv", "_lorentz_leaves"): {plan.build},
                 ("matrices", "_gr_dressing"): {plan.route + 1}}
     # the normal connection comes out two orders below e (its Schouten
-    # block), and a gauge element is built one above the connection it moves
+    # block), and a gauge element and the BRS e^-1 are built one above the
+    # connection they act on
     normal = plan.build - 2
     return {("build_normal", "normal"): {plan.build},
             ("build_normal", "weyl_suite"): {plan.oracle},
             ("jmat_inv", "build_normal"): {plan.build - 1, plan.oracle - 1},
+            ("jmat_inv", "_lorentz_leaves"): {normal + 1},
+            ("jmat_inv", "expected_final_ghost"): {0},
+            ("jmat_inv", "residual_weyl_brs"): {0},
             ("matrices", "base_connection"): {normal + 1},
             ("matrices", "gauge_suite"): {plan.route + 1},
             ("matrices", "dressing_suite"): {plan.route + 1},
@@ -53,12 +58,13 @@ def _planned(kind):
 @pytest.mark.parametrize("name", ["generic", "poincare"])
 def test_every_piece_is_built_at_its_planned_order(name, monkeypatch):
     """One batch of the m = 3 catalog entry under --suite all: each call of
-    build_normal, its e^-1, WeylElement.at, GaugeElement.matrices and dress
-    takes the order the plan gives its reader, and no reader goes
-    unplanned."""
+    build_normal, its e^-1, the BRS e^-1 and metric inverses,
+    WeylElement.at, GaugeElement.matrices and dress takes the order the plan
+    gives its reader, and no reader goes unplanned."""
     seen = defaultdict(set)
     _spy(monkeypatch, checks, "build_normal", lambda *a: a[3], seen)
-    _spy(monkeypatch, cartan, "jmat_inv", lambda a, m: order_of(m, a), seen)
+    for owner in (cartan, brs):
+        _spy(monkeypatch, owner, "jmat_inv", lambda a, m: order_of(m, a), seen)
     _spy(monkeypatch, WeylElement, "at", lambda *a: a[3], seen)
     _spy(monkeypatch, GaugeElement, "matrices", lambda *a: a[3], seen)
     for owner in (checks, dressing):

@@ -5,7 +5,7 @@ import pytest
 import sympy as sp
 
 from cartanweyl import tensors
-from cartanweyl.exprs import eval_jet, parse_expr
+from cartanweyl.exprs import compile_expr, eval_jets
 from cartanweyl.jets import Chart
 
 from conftest import DIAG3, POINT3
@@ -17,7 +17,7 @@ def _vielbein_jets(chart, entries, point, order):
     m = chart.m
     rows = []
     for a in range(m):
-        rows.append([eval_jet(parse_expr(entries[a][mu]), chart, point, order).coeffs
+        rows.append([eval_jets([compile_expr(entries[a][mu])], chart, point, order)[0]
                      for mu in range(m)])
     return np.array(rows)
 
