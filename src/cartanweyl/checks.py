@@ -2,16 +2,18 @@
 
 Every suite maps a :class:`PointContext` to its rows' residuals, unreduced
 (an MForm, a value array, a tuple whose worst member counts, or 0.0 for a
-structural zero), and one reducer, :func:`~cartanweyl.reduction.worst_entry`,
-reads each of them down to one value per point.  One loop visits the sample
-points in batches of at most ``BATCH_SIZE``, runs each requested suite once
-per batch, and keeps each row's worst value over the points.  Every piece
-of a batch, the ghost fields and the BRS term caches included, carries a
-leading point axis and every kernel acts on each point alone, so a batch
-reports, bit for bit, what its points report one at a time.  Reports keep
-a deterministic payload (no timings inside) so golden-file comparisons and
-the byte-identical-report guarantee hold; the report's meta names each
-row's worst point.
+structural zero), and builds every row it reports, from fields the context
+builds once; ``SUITE_TABLE`` picks the suite of each model kind.  One
+reducer, :func:`~cartanweyl.reduction.worst_entry`, reads each residual down
+to one value per point.  One loop visits the sample points in batches of at
+most ``BATCH_SIZE``, runs each requested suite once per batch, keeps each
+row's values at every point, and picks each row's worst point with one
+``np.argmax`` at the end.  Every piece of a batch, the ghost fields and the
+BRS term caches included, carries a leading point axis and every kernel
+acts on each point alone, so a batch reports, bit for bit, what its points
+report one at a time.  Reports keep a deterministic payload (no timings
+inside) so golden-file comparisons and the byte-identical-report guarantee
+hold; the report's meta names each row's worst point.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .cartan import (CartanConnection, GaugeElement, KleinModel, VielbeinField, 
                      build_normal, conjugate, covariant_d, curvature, gauge_transform,
                      normality_residual, random_gauge, random_polynomial)
 from .dressing import (DressedPair, DressingU0, DressingU1, compatibility_residuals, dress,
-                       dressed_normality, extract_tensors, full_pipeline, gr_dress)
+                       dressed_normality, extract_tensors, full_pipeline, gr_dress,
+                       pair_residuals)
 from .errors import CartanWeylError, ScenarioError
 from .exprs import eval_jets
 from .forms import MForm, form_comps, gcomm, scale_by_jet
@@ -71,7 +74,6 @@ class Report:
     scenario: dict
     rows: list = field(default_factory=list)
     tensors: dict = field(default_factory=dict)
-    dof: dict = field(default_factory=dict)
     wall_time: float = 0.0
 
     def add(self, name, residual, threshold, worst_point=0):
@@ -92,8 +94,6 @@ class Report:
         }
         if self.tensors:
             out["tensors"] = self.tensors
-        if self.dof:
-            out["dof"] = self.dof
         return out
 
     def meta(self):
@@ -330,14 +330,19 @@ def gauge_suite(ctx):
 
 
 def dressing_suite(ctx):
-    if ctx.model.kind == "poincare":
-        return _gr_dressing(ctx)
+    """The dressing suite of the Moebius model."""
     scn, model, point = ctx.scn, ctx.model, ctx.point
     conn, e_full = ctx.base
     fields = ctx.fields
     rng = ctx.rng()
-    res = dict(fields.diagnostics)
-    res["single_step"] = fields.single_step_residual
+    res = pair_residuals(model, fields.varpi0, fields.Omega0, fields.g, fields.Gamma)
+    res["a1_residual"] = model.block(fields.varpi1, 1, 1)
+    # blocks (1,1) and (3,3) of the dressed connection vanish
+    res["corner_residual"] = (model.block(fields.varpi0, 1, 1), model.block(fields.varpi0, 3, 3))
+    # one step through u = u1 u0 lands on the same pair as the two stages
+    u, uinv = fields.u1.mat.wedge(fields.u0.mat), fields.u0.inv.wedge(fields.u1.inv)
+    res["single_step"] = (fields.varpi0 - conjugate(conn.omega, u, uinv, connection=True),
+                          fields.Omega0 - conjugate(fields.Omega, u, uinv))
     # invariance under the erased sectors, same composite output.  The
     # unipotent element's gamma is its gamma_1 and the Lorentz one's its
     # S_emb, so the connection is moved once by each, and both routes are
@@ -380,7 +385,7 @@ def dressing_suite(ctx):
     return res
 
 
-def _gr_dressing(ctx):
+def gr_dressing_suite(ctx):
     """The dressing suite of the Poincare model, on the normal connection.
 
     Every row reads values: metricity takes one d of g and curvature_compat
@@ -390,8 +395,8 @@ def _gr_dressing(ctx):
     scn, model, point = ctx.scn, ctx.model, ctx.point
     low = ctx.normal.truncate(ctx.plan.route)
     e = jtrunc(ctx.e_normal, model.m, ctx.plan.gr_vielbein)
-    _, _, Gamma, R, T, g, diag = gr_dress(low, e)
-    res = dict(diag)
+    varpi_h, Omega_h, Gamma, R, T, g = gr_dress(low, e)
+    res = pair_residuals(model, varpi_h, Omega_h, g, Gamma)
     B = tensors.curvature_bundle(e, scn.signature, model.m)
     res["oracle_Gamma"] = Gamma[..., 0] - B["Gamma"][..., 0]
     res["oracle_R"] = R - B["Riemann"][..., 0]
@@ -401,7 +406,7 @@ def _gr_dressing(ctx):
     mats = ge.matrices(model, point, low.order + 1)
     conn_S = gauge_transform(low, mats["gamma"], mats["gamma_inv"])
     eS = tensors.jeinsum("ab,bm->am", mats["Sinv"], e, model.m)
-    _, _, G2, R2, T2, _, _ = gr_dress(conn_S, eS)
+    _, _, G2, R2, T2, _ = gr_dress(conn_S, eS)
     res["so_invariance_Gamma"] = Gamma[..., 0] - G2[..., 0]
     res["so_invariance_R"] = R - R2
     res["so_invariance_T"] = T - T2
@@ -482,13 +487,10 @@ def _redundancy(form, stW, model):
 
 
 def brs_suite(ctx):
-    from .brs import PoincareBRS, linearization_check
+    """The brs suite of the Moebius model."""
+    from .brs import linearization_check
     scn, model, point = ctx.scn, ctx.model, ctx.point
-    ghosts = scn.ghosts or {}
-    if model.kind == "poincare":
-        return PoincareBRS(ctx.normal, ctx.e_normal, _parsed_list(scn, ghosts.get("lorentz")),
-                           point, ctx.seed).residuals()
-    res = _conformal_brs(ctx, ghosts)
+    res = _conformal_brs(ctx, scn.ghosts or {})
     # the check dresses ctx.normal cut to order 1 and builds its own BRS
     # object; the suite's is gone with its helper, so a batch never holds two
     lin = linearization_check(ctx.normal, ctx.e_normal, model,
@@ -544,6 +546,13 @@ def _conformal_brs(ctx, ghosts):
     return res
 
 
+def gr_brs_suite(ctx):
+    """The brs suite of the Poincare model, on the normal connection."""
+    from .brs import PoincareBRS
+    lorentz = _parsed_list(ctx.scn, (ctx.scn.ghosts or {}).get("lorentz"))
+    return PoincareBRS(ctx.normal, ctx.e_normal, lorentz, ctx.point, ctx.seed).residuals()
+
+
 SUITES = ("gauge", "dressing", "weyl", "brs")
 # (model kind, suite) -> (row prefix, residuals, threshold rules).
 # A row takes the threshold of the first rule with a prefix its name starts
@@ -553,12 +562,12 @@ SUITE_TABLE = {
     ("mobius", "gauge"): ("gauge", gauge_suite, ((("bianchi",), STRICT),)),
     ("poincare", "gauge"): ("gauge", gauge_suite, ((("bianchi",), STRICT),)),
     ("mobius", "dressing"): ("dressing", dressing_suite, _ORACLE_RULES),
-    ("poincare", "dressing"): ("gr", dressing_suite, _ORACLE_RULES),
+    ("poincare", "dressing"): ("gr", gr_dressing_suite, _ORACLE_RULES),
     ("mobius", "weyl"): ("weyl", weyl_suite, ((("law", "route"), ORACLE),)),
     ("mobius", "brs"): ("brs", brs_suite, (
         (("linearization",), LINEAR),
         (("russian", "s2", "sH2", "sP2", "mixed"), STRICT))),
-    ("poincare", "brs"): ("brs-gr", brs_suite, ((("",), STRICT),)),
+    ("poincare", "brs"): ("brs-gr", gr_brs_suite, ((("",), STRICT),)),
 }
 
 
@@ -593,12 +602,13 @@ def run_check(scn, suite="all", visit=None):
     that point's residuals exactly.  The points run in batches of at most
     BATCH_SIZE, each with one :class:`PointContext` shared by every suite of
     the run and dropped before the next batch; ``visit(ctx)`` runs after the
-    batch's suites.  A row is the worst residual over the points, and the
-    report's meta names the point it came from.  A batch that raises is run
-    again one point at a time, so the error is the one the first failing
-    point raises, in the first suite that fails on it.  "all" runs the
-    suites the model has; a single suite the model lacks is a
-    :class:`ScenarioError`.
+    batch's suites.  A row is the worst residual over the points, the first
+    NaN or else the first of the largest values (one ``np.argmax`` over
+    every point), and the report's meta names the point it came from.  A
+    batch that raises is run again one point at a time, so the error is the
+    one the first failing point raises, in the first suite that fails on it.
+    "all" runs the suites the model has; a single suite the model lacks is
+    a :class:`ScenarioError`.
     """
     if suite != "all" and suite not in SUITES:
         raise ScenarioError(f"unknown suite {suite!r}: "
@@ -611,8 +621,7 @@ def run_check(scn, suite="all", visit=None):
               for name in (SUITES if suite == "all" else (suite,))
               if (model.kind, name) in SUITE_TABLE]
     vb = VielbeinField(scn.chart, [_parsed_list(scn, row) for row in scn.vielbein])
-    worst = {name: {} for name, *_ in suites}
-    where = {name: {} for name, *_ in suites}
+    values = {name: {} for name, *_ in suites}     # {suite: {row: [values per batch]}}
     for start in range(0, len(scn.points), BATCH_SIZE):
         stop = min(start + BATCH_SIZE, len(scn.points))
         ctx = PointContext(scn, model, vb, start, stop)
@@ -623,48 +632,38 @@ def run_check(scn, suite="all", visit=None):
                 _batch_rows(PointContext(scn, model, vb, idx, idx + 1), suites)
             raise
         for name, got in rows.items():
-            _merge(worst[name], got, where[name], scn.point_offset + start)
+            for row, v in got.items():
+                values[name].setdefault(row, []).append(v)
         if visit is not None:
             visit(ctx)
     report = Report(scenario=scn.to_dict())
     for name, prefix, _, rules in suites:
-        for row, v in sorted(worst[name].items()):
+        for row, parts in sorted(values[name].items()):
+            v = np.concatenate(parts)
+            i = int(np.argmax(v))       # the first NaN, else the first largest value
             thr = next((t for pre, t in rules if row.startswith(pre)), scn.tolerance)
-            report.add(f"{prefix}/{row}", v, thr, worst_point=where[name][row])
+            report.add(f"{prefix}/{row}", v[i], thr, worst_point=scn.point_offset + i)
     report.wall_time = time.perf_counter() - t0
     return report
 
 
-def _merge(worst, new, where, first):
-    """Fold each row's values, one per point, into its worst so far.
-
-    NaN wins, as in :func:`worst_entry`, and so does the first of equal
-    values.  ``where`` keeps the absolute index of the point each worst
-    came from, the points of ``new`` being numbered from ``first``.
-    """
-    for k, v in new.items():
-        for i, x in enumerate(np.ravel(v).tolist()):
-            old = worst.get(k, 0.0)
-            took = not math.isnan(old) and (math.isnan(x) or x > old)
-            worst[k] = x if took else old       # old is >= 0 or NaN
-            if took or k not in where:
-                where[k] = first + i
-
-
 def compute_tensors(scn):
     """Dressing-suite report plus g, Gamma, P, T, C, W, f0 at each sample
-    point (Moebius model only)."""
+    point.  The tensors are those of the Moebius dressing: a scenario of
+    another model is a :class:`ScenarioError`."""
+    if scn.model != "mobius":
+        raise ScenarioError(f"compute dumps the Moebius dressing's tensors; "
+                            f"the {scn.model} model has none")
     dump = {}
 
     def visit(ctx):
-        if ctx.model.kind == "mobius":
-            for slot, point in enumerate(ctx.point):
-                f = point_of(ctx.fields, slot)
-                dump[str(list(point))] = {
-                    "g": f.g[..., 0].tolist(), "Gamma": f.Gamma[..., 0].tolist(),
-                    "P": f.P[..., 0].tolist(), "T": f.T.tolist(), "f0": f.f0.tolist(),
-                    "C": f.C.tolist(), "W": f.W.tolist(),
-                }
+        for slot, point in enumerate(ctx.point):
+            f = point_of(ctx.fields, slot)
+            dump[str(list(point))] = {
+                "g": f.g[..., 0].tolist(), "Gamma": f.Gamma[..., 0].tolist(),
+                "P": f.P[..., 0].tolist(), "T": f.T.tolist(), "f0": f.f0.tolist(),
+                "C": f.C.tolist(), "W": f.W.tolist(),
+            }
 
     report = run_check(scn, "dressing", visit)
     report.tensors = dump

@@ -10,11 +10,12 @@ torsion, Cotton- and Weyl-type tensors) in plain coordinate indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import DET_FLOOR, KleinModel, conjugate, curvature, curvature_form, k1_matrix
+from .cartan import (DET_FLOOR, CartanConnection, KleinModel, conjugate, curvature,
+                     curvature_form, k1_matrix)
 from .errors import ShapeError
 from .forms import MForm, block_matrix, two_form_values
 from .jets import jmat_inv, jtrunc, order_of
@@ -64,18 +65,20 @@ class DressedPair:
 
 @dataclass
 class DressedFields(DressedPair):
-    """Everything the two-stage pipeline produces at one sample point.
+    """The fields the two-stage pipeline produces at a batch of points: the
+    dressed pair with its tensors, the curvature ``Omega`` of the input
+    connection, and the stage-one pair and both dressings.  No row is built
+    here; each suite builds its own from these fields.
 
     ``u0`` is built from ``e`` cut one order above the input connection
     (see :func:`dress`), so it may carry fewer orders than ``e``.
     """
 
+    Omega: MForm
     varpi1: MForm
     Omega1: MForm
     u1: DressingU1
     u0: DressingU0
-    single_step_residual: tuple
-    diagnostics: dict = field(default_factory=dict)
 
 
 def vielbein_of(conn):
@@ -168,41 +171,31 @@ def dress(conn, e=None):
 
 
 def full_pipeline(conn, e=None):
-    """:func:`dress` plus the single-step cross-check, the diagnostics and
-    the tensors read off the dressed pair."""
+    """The fields of :func:`dress` and the tensors read off the dressed
+    pair, as one :class:`DressedFields`."""
     model = conn.model
-    m = model.m
     u1, u0, Om, varpi1, Omega1, varpi0, Omega0 = dress(conn, e)
-    # single step through u = u1 u0
-    u = u1.mat.wedge(u0.mat)
-    uinv = u0.inv.wedge(u1.inv)
-    varpi0_b = conjugate(conn.omega, u, uinv, connection=True)
-    Omega0_b = conjugate(Om, u, uinv)
-    single = (varpi0 - varpi0_b, Omega0 - Omega0_b)
-    g, Gamma, P, T, f0, C, W = extract_tensors(varpi0, Omega0, model)
-    diag = {}
-    diag["a1_residual"] = model.block(varpi1, 1, 1)
-    # block (2,1) must be exactly dx and (1,1), (3,3) zero
-    diag["dx_residual"] = model.block(varpi0, 2, 1).data[..., :, 0, :, 0] - np.eye(m)
-    diag["corner_residual"] = (model.block(varpi0, 1, 1), model.block(varpi0, 3, 3))
-    # metricity: d g - Gamma^T g - g Gamma = 0
-    diag["metricity"] = metricity_residual(g, Gamma, m)
-    # curvature compatibility of the dressed pair
-    diag["curvature_compat"] = curvature_form(varpi0) - Omega0
-    return DressedFields(
-        model=model, varpi0=varpi0, Omega0=Omega0, e=u0.e if e is None else e, g=g,
-        Gamma=Gamma, P=P, T=T, f0=f0, C=C, W=W, varpi1=varpi1, Omega1=Omega1, u1=u1, u0=u0,
-        single_step_residual=single, diagnostics=diag)
+    return DressedFields(model, varpi0, Omega0, u0.e if e is None else e,
+                         *extract_tensors(varpi0, Omega0, model), Omega=Om, varpi1=varpi1,
+                         Omega1=Omega1, u1=u1, u0=u0)
 
 
-def metricity_residual(g, Gamma, m):
-    """The values of d_mu g_nr - Gamma^l_mn g_lr - g_nl Gamma^l_mr."""
+def pair_residuals(model, varpi, Omega, g, Gamma):
+    """The rows both models' dressing suites read off a dressed pair
+    (varpi, Omega) with its metric ``g`` and linear connection ``Gamma``:
+    ``dx_residual``, the soldering block minus dx; ``metricity``, the values
+    of d_mu g_nr - Gamma^l_mn g_lr - g_nl Gamma^l_mr; and
+    ``curvature_compat``, the curvature of varpi minus Omega."""
+    m = model.m
     dg = dstack(g, m, 2)  # (mu, n, r)
     # only the values are read, so the products run at order 0
     g0, Gamma0 = jtrunc(g, m, 0), jtrunc(Gamma, m, 0)
     t1 = jeinsum("lmn,lr->mnr", Gamma0, g0, m)
     t2 = jeinsum("nl,lmr->mnr", g0, Gamma0, m)
-    return dg[..., 0] - t1[..., 0] - t2[..., 0]
+    theta = CartanConnection(model, varpi).theta()
+    return {"dx_residual": theta.data[..., :, 0, :, 0] - np.eye(m),
+            "metricity": dg[..., 0] - t1[..., 0] - t2[..., 0],
+            "curvature_compat": curvature_form(varpi) - Omega}
 
 
 def dressed_normality(fields):
@@ -231,15 +224,13 @@ def compatibility_residuals(base, g1, m1, S, mS):
 
 
 def gr_dress(conn, e):
-    """Vielbein dressing of a Poincare connection.
-
-    Returns the dressed pair plus the extracted linear connection, its
-    curvature and the torsion, with the metricity defect in diagnostics.
+    """Vielbein dressing of a Poincare connection: (varpi_h, Omega_h, Gamma,
+    R, T, g), the dressed pair, the linear connection, its curvature, the
+    torsion and the metric of ``e``.
     """
     model = conn.model
     if model.kind != "poincare":
         raise ShapeError("gr_dress applies to the Poincare model")
-    m = model.m
     u0 = u0_from_vielbein(e, model)
     varpi_h = conjugate(conn.omega, u0.mat, u0.inv, connection=True)
     Om = curvature(conn).omega2
@@ -247,10 +238,4 @@ def gr_dress(conn, e):
     Gamma = _form_index_first(model.block(varpi_h, 1, 1).data)
     R = two_form_values(model.block(Omega_h, 1, 1))
     T = two_form_values(model.block(Omega_h, 1, 2))[..., :, 0, :, :]
-    g = metric_from_vielbein(e, model.eta)
-    diag = {
-        "metricity": metricity_residual(g, Gamma, m),
-        "dx_residual": model.block(varpi_h, 1, 2).data[..., :, 0, :, 0] - np.eye(m),
-        "curvature_compat": curvature_form(varpi_h) - Omega_h,
-    }
-    return varpi_h, Omega_h, Gamma, R, T, g, diag
+    return varpi_h, Omega_h, Gamma, R, T, metric_from_vielbein(e, model.eta)

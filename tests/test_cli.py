@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 import cartanweyl
 from cartanweyl import brs, cartan, checks, cli, dressing, weyl
-from cartanweyl.checks import (SUITES, CheckRow, _merge, compute_tensors, dof_report,
-                               run_check)
+from cartanweyl.checks import SUITES, CheckRow, compute_tensors, dof_report, run_check
 from cartanweyl.cli import main
 from cartanweyl.errors import ExprSyntaxError, ScenarioError
 from cartanweyl.orders import order_plan
@@ -452,12 +451,25 @@ def test_cli_tolerance_flag(tmp_path):
     assert doc["payload"]["scenario"]["tolerance"] == 1e-3
 
 
-def test_merge_keeps_nan():
-    worst = {}
-    _merge(worst, {"a": 1.0, "b": math.nan}, {}, 0)
-    _merge(worst, {"a": math.nan, "b": 2.0}, {}, 0)
-    _merge(worst, {"a": 3.0}, {}, 0)
-    assert math.isnan(worst["a"]) and math.isnan(worst["b"])
+def test_a_row_takes_the_first_nan_else_the_first_largest_value(monkeypatch):
+    """Over two batches of points a NaN at a point of the second batch beats
+    larger finite values before and after it, and a tie across batches
+    names the lower point."""
+    values = {"nan": [1e3, 1.0, 2.0, 3.0, 4.0, math.nan, 1e4],
+              "tie": [0.0, 1.0, 7.0, 1.0, 0.0, 7.0, 7.0]}
+
+    def per_point(ctx):
+        idx = [s[1] for s in ctx.seed]
+        return {row: np.array([v[i] for i in idx]) for row, v in values.items()}
+
+    monkeypatch.setitem(checks.SUITE_TABLE, ("mobius", "gauge"), ("gauge", per_point, ()))
+    scn = catalog("generic", 3)
+    scn.points = [scn.points[i % len(scn.points)] for i in range(7)]
+    assert len(scn.points) > checks.BATCH_SIZE
+    report = run_check(scn, "gauge")
+    rows = {r.name: r for r in report.rows}
+    assert math.isnan(rows["gauge/nan"].residual) and rows["gauge/nan"].worst_point == 5
+    assert rows["gauge/tie"].residual == 7.0 and rows["gauge/tie"].worst_point == 2
 
 
 def test_non_finite_residual_never_passes():
@@ -663,6 +675,16 @@ def test_suite_the_model_lacks_exits_2(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "poincare" in err and "weyl" in err
+
+
+def test_compute_on_a_poincare_scenario_exits_2(tmp_path, capsys):
+    """compute dumps the Moebius dressing's tensors: a Poincare scenario is
+    bad input, refused before any report is written."""
+    path = tmp_path / "r.json"
+    assert main(["compute", "--catalog", "poincare", "--json", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and "poincare" in err and "Traceback" not in err
+    assert out == "" and not path.exists()
 
 
 @pytest.mark.parametrize("argv", [["check", "--catalog", "flat", "--suite", "gauge"],

@@ -6,7 +6,7 @@ from cartanweyl.cartan import (GaugeElement, KleinModel, VielbeinField, build_no
                                conjugate, gauge_transform, random_gauge)
 from cartanweyl.dressing import (compatibility_residuals, dress,
                                  dressed_normality, extract_u1, full_pipeline,
-                                 gr_dress, vielbein_of)
+                                 gr_dress, pair_residuals, vielbein_of)
 from cartanweyl.errors import ShapeError
 from cartanweyl.forms import MForm, eta_t
 from cartanweyl.jets import jder, jmat_inv, jmul, jrecip, space
@@ -14,7 +14,7 @@ from cartanweyl.reduction import worst_entry
 from cartanweyl.scenarios import catalog
 from cartanweyl.tensors import classical_bundle, jeinsum
 
-from conftest import POINT3
+from conftest import POINT3, single_step_residual
 
 K = 5
 
@@ -124,8 +124,9 @@ def test_pipeline_normal_case(mobius3, vielbein3):
     assert np.abs(f.P[..., 0] - B["P"][..., 0]).max() < 1e-11
     assert np.abs(f.C - B["C"][..., 0]).max() < 1e-10
     assert np.abs(f.W - B["W"][..., 0]).max() < 1e-10
-    assert worst_entry(f.single_step_residual, ()) < 1e-12
-    assert worst_entry(f.diagnostics["metricity"], ()) < 1e-12
+    assert worst_entry(single_step_residual(conn, f), ()) < 1e-12
+    metricity = pair_residuals(mobius3, f.varpi0, f.Omega0, f.g, f.Gamma)["metricity"]
+    assert worst_entry(metricity, ()) < 1e-12
 
 
 def test_pipeline_gauge_blindness(mobius3, vielbein3, rng):
@@ -230,7 +231,7 @@ def test_q_reextraction_after_S(mobius3, vielbein3, rng):
 def test_gr_dress_flat(poincare3, flat3):
     conn = build_normal(flat3, poincare3, POINT3, K)
     e = flat3.jets_at(POINT3, K)
-    _, _, Gamma, R, T, g, diag = gr_dress(conn, e)
+    _, _, Gamma, R, T, g = gr_dress(conn, e)
     assert np.abs(Gamma).max() == 0.0
     assert np.abs(R).max() == 0.0
     assert np.abs(T).max() == 0.0
@@ -239,23 +240,24 @@ def test_gr_dress_flat(poincare3, flat3):
 def test_gr_dress_matches_classical(poincare3, vielbein3):
     conn = build_normal(vielbein3, poincare3, POINT3, K)
     e = vielbein3.jets_at(POINT3, K)
-    _, _, Gamma, R, T, g, diag = gr_dress(conn, e)
+    varpi_h, Omega_h, Gamma, R, T, g = gr_dress(conn, e)
     B = classical_bundle(e, poincare3.chart.signature, 3)
     assert np.abs(Gamma[..., 0] - B["Gamma"][..., 0]).max() < 1e-11
     assert np.abs(R - B["Riemann"][..., 0]).max() < 1e-10
     assert np.abs(T).max() < 1e-12
-    assert worst_entry(diag["metricity"], ()) < 1e-12
+    metricity = pair_residuals(poincare3, varpi_h, Omega_h, g, Gamma)["metricity"]
+    assert worst_entry(metricity, ()) < 1e-12
 
 
 def test_gr_dress_lorentz_invariance(poincare3, vielbein3, rng):
     conn = build_normal(vielbein3, poincare3, POINT3, K)
     e = vielbein3.jets_at(POINT3, K)
-    _, _, G0, R0, T0, _, _ = gr_dress(conn, e)
+    _, _, G0, R0, T0, _ = gr_dress(conn, e)
     ge = random_gauge(poincare3, rng, with_z=False, with_r=False)
     mats = ge.matrices(poincare3, POINT3, K)
     conn_S = gauge_transform(conn, mats["gamma"], mats["gamma_inv"])
     eS = jeinsum("ab,bm->am", mats["Sinv"], e, 3)
-    _, _, G1, R1, T1, _, _ = gr_dress(conn_S, eS)
+    _, _, G1, R1, T1, _ = gr_dress(conn_S, eS)
     assert np.abs(G0[..., 0] - G1[..., 0]).max() < 1e-11
     assert np.abs(R0 - R1).max() < 1e-11
     assert np.abs(T0 - T1).max() < 1e-11
@@ -270,13 +272,14 @@ def test_gr_dressing_suite_rows_equal_the_full_order_dressing(m):
     model = KleinModel(scn.model, scn.chart)
     ctx = checks.PointContext(scn, model, VielbeinField(scn.chart, scn.vielbein), 0, 1)
     got = {k: worst_entry(v, ())
-           for k, v in checks.point_of(checks.dressing_suite(ctx), 0).items()}
+           for k, v in checks.point_of(checks.gr_dressing_suite(ctx), 0).items()}
     point, seed = ctx.point[0], ctx.seed[0]
     e = ctx.vb.jets_at(point, 5)
     conn = build_normal(e, model, point, 5)
     assert conn.order == 4
-    _, _, Gamma, R, T, _, diag = gr_dress(conn, e)
-    want = {k: worst_entry(v, ()) for k, v in diag.items()}
+    varpi_h, Omega_h, Gamma, R, T, g = gr_dress(conn, e)
+    want = {k: worst_entry(v, ())
+            for k, v in pair_residuals(model, varpi_h, Omega_h, g, Gamma).items()}
     B = classical_bundle(e, scn.signature, m)
     want["oracle_Gamma"] = float(np.abs(Gamma[..., 0] - B["Gamma"][..., 0]).max())
     want["oracle_R"] = float(np.abs(R - B["Riemann"][..., 0]).max())
@@ -285,7 +288,7 @@ def test_gr_dressing_suite_rows_equal_the_full_order_dressing(m):
                       point=point)
     mats = ge.matrices(model, point, conn.order + 1)
     conn_S = gauge_transform(conn, mats["gamma"], mats["gamma_inv"])
-    _, _, G2, R2, T2, _, _ = gr_dress(conn_S, jeinsum("ab,bm->am", mats["Sinv"], e, m))
+    _, _, G2, R2, T2, _ = gr_dress(conn_S, jeinsum("ab,bm->am", mats["Sinv"], e, m))
     want["so_invariance_Gamma"] = float(np.abs(Gamma[..., 0] - G2[..., 0]).max())
     want["so_invariance_R"] = float(np.abs(R - R2).max())
     want["so_invariance_T"] = float(np.abs(T - T2).max())

@@ -34,7 +34,7 @@ def _planned(kind):
         return {("build_normal", "normal"): {plan.build},
                 ("jmat_inv", "build_normal"): {plan.build - 1},
                 ("jmat_inv", "_lorentz_leaves"): {plan.build},
-                ("matrices", "_gr_dressing"): {plan.route + 1}}
+                ("matrices", "gr_dressing_suite"): {plan.route + 1}}
     # the normal connection comes out two orders below e (its Schouten
     # block), and a gauge element and the BRS e^-1 are built one above the
     # connection they act on
