@@ -6,7 +6,7 @@ BRS ghost algebra, every identity machine-checked against independent routes.
 from .jets import Chart
 from .exprs import parse_expr, print_expr
 from .forms import MForm, gcomm, eta_t, algebra_residual
-from .cartan import (KleinModel, CartanConnection, Curvature, VielbeinField,
+from .cartan import (KleinModel, CartanConnection, VielbeinField,
                      GaugeElement, assemble, conjugate, covariant_d, curvature,
                      curvature_form, gauge_transform, build_normal,
                      normality_residual)
@@ -20,7 +20,7 @@ from .checks import run_check, compute_tensors, dof_report
 __all__ = [
     "Chart", "parse_expr", "print_expr",
     "MForm", "gcomm", "eta_t", "algebra_residual",
-    "KleinModel", "CartanConnection", "Curvature", "VielbeinField",
+    "KleinModel", "CartanConnection", "VielbeinField",
     "GaugeElement", "assemble", "conjugate", "covariant_d", "curvature",
     "curvature_form", "gauge_transform", "build_normal", "normality_residual",
     "DressedFields", "DressedPair", "dress", "extract_u1", "full_pipeline",

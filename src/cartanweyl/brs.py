@@ -40,14 +40,15 @@ from math import inf
 import numpy as np
 
 from .cartan import covariant_d, curvature_form
-from .dressing import extract_u1, vielbein_of
+from .dressing import DressedPair, dress, extract_tensors, extract_u1, vielbein_of
 from .errors import ShapeError
 from .exprs import Const, compile_expr, eval_jets
 from .forms import GHOST_POOL, MForm, block_matrix, eta_t, form_comps, gcomm, ghost_monos
-from .jets import jder, jmat_inv, jtrunc, order_of
+from .jets import jder, jexp, jmat_inv, jtrunc, order_of
 from .orders import order_plan
 from .reduction import worst_entry
 from .tensors import dstack, metric_from_vielbein
+from .weyl import weyl_matrices, weyl_transform_dressed
 
 SECTORS = ("W", "L", "i")
 FULL = inf      # the need of a read that keeps every jet order a node has
@@ -269,6 +270,15 @@ def neg(t):
     return Sum([t], [-1.0])
 
 
+def _on_lorentz(model, term, fill):
+    """The block-diagonal term of the model's grid with ``term`` on the
+    Lorentz block and ``fill`` on each other diagonal block."""
+    blocks = range(len(model.edges) - 1)
+    lor = model.lorentz - 1
+    return Blk([[(term if i == lor else fill) if i == j else None for j in blocks]
+                for i in blocks])
+
+
 class _TermOwner:
     """What the two BRS classes share: the constructor's prologue, the
     Lorentz leaves, the evaluation cache and the s-images.
@@ -303,7 +313,8 @@ class _TermOwner:
 
     def _lorentz_leaves(self, fields):
         """The Lorentz ghost, vielbein and inverse-vielbein leaves with their
-        Lorentz images, and the inverse vielbein jets ``einv``.
+        Lorentz images, the inverse vielbein jets ``einv``, and the terms
+        ``V_L``, ``T_u0`` and ``T_u0inv`` that place them on the model's grid.
 
         s_L v_L = -v_L^2, s_L e = -v_L e and s_L e^-1 = e^-1 v_L.
         """
@@ -318,6 +329,10 @@ class _TermOwner:
         self.L_einv = Leaf("einv", MForm.of_jets(m, self.einv))
         self.register(self.L_e, "L", neg(Prod(vl, self.L_e)))
         self.register(self.L_einv, "L", Prod(self.L_einv, vl))
+        one = self.T_one = Leaf("one", MForm.identity(m, 1, self.order))
+        self.V_L = _on_lorentz(self.model, vl, Zero(0, 1, (1, 1)))
+        self.T_u0 = _on_lorentz(self.model, self.L_e, one)
+        self.T_u0inv = _on_lorentz(self.model, self.L_einv, one)
 
     def register(self, leaf, sector, term):
         self.images[leaf, sector] = term
@@ -502,21 +517,14 @@ class ConformalBRS(_TermOwner):
         self.u1 = extract_u1(conn, self.einv)
         self.L_q = Leaf("q", self.u1.q)
 
-    def _v_sector(self, which):
-        m = self.m
-        z11 = Zero(0, 1, (1, 1))
-        zmm = Zero(0, 1, (m, m))
-        if which == "W":
-            return Blk([[self.L_eps, None, None],
-                        [None, zmm, None],
-                        [None, None, neg(self.L_eps)]])
-        if which == "L":
-            return Blk([[z11, None, None],
-                        [None, self.L_vl, None],
-                        [None, None, z11]])
-        return Blk([[z11, self.L_iota, None],
-                    [None, zmm, EtaT(self.L_iota, self.model.eta)],
-                    [None, None, z11]])
+    def _v_sectors(self):
+        """The ghost of each sector, as a term on the Moebius grid."""
+        eps, iota = self.L_eps, self.L_iota
+        z11, zmm = Zero(0, 1, (1, 1)), Zero(0, 1, (self.m, self.m))
+        return {"W": Blk([[eps, None, None], [None, zmm, None], [None, None, neg(eps)]]),
+                "L": self.V_L,
+                "i": Blk([[z11, iota, None], [None, zmm, EtaT(iota, self.model.eta)],
+                          [None, None, z11]])}
 
     def _register_images(self):
         eps, deps, iota, vl = self.L_eps, self.L_deps, self.L_iota, self.L_vl
@@ -532,21 +540,19 @@ class ConformalBRS(_TermOwner):
         self.register(q, "L", Prod(q, vl))
         self.register(q, "i", neg(iota))
         # the connection
-        self.V = {x: self._v_sector(x) for x in SECTORS}
+        self.V = self._v_sectors()
         for x in SECTORS:
             self.register(self.L_varpi, x, _connection_image(self.L_varpi, self.V[x]))
 
     def _build_composites(self):
-        """The dressings u1, u0 and u = u1 u0, the dressed pairs, and the
-        composite ghosts v-hat = u^-1 v u + u^-1 s u of u1 (``T_vhat1``) and
-        of u in one step (``T_vhat``)."""
+        """The dressings u1 and u = u1 u0 (u0 comes with the Lorentz leaves),
+        the dressed pairs, and the composite ghosts v-hat = u^-1 v u + u^-1 s u
+        of u1 (``T_vhat1``) and of u in one step (``T_vhat``)."""
         m = self.m
         eta = self.model.eta
-        order = self.order
-        one = Leaf("one", MForm.identity(m, 1, order))
-        eye = Leaf("eye_m", MForm.identity(m, m, order))
-        self.T_one, self.T_eye = one, eye
-        q, e, einv = self.L_q, self.L_e, self.L_einv
+        one = self.T_one
+        eye = self.T_eye = Leaf("eye_m", MForm.identity(m, m, self.order))
+        q = self.L_q
         qt = EtaT(q, eta)
         self.T_u1 = Blk([[one, q, Sum([Prod(q, qt)], [0.5])],
                          [None, eye, qt],
@@ -556,8 +562,6 @@ class ConformalBRS(_TermOwner):
         self.T_u1inv = Blk([[one, nq, Sum([Prod(nq, nqt)], [0.5])],
                             [None, eye, nqt],
                             [None, None, one]])
-        self.T_u0 = Blk([[one, None, None], [None, e, None], [None, None, one]])
-        self.T_u0inv = Blk([[one, None, None], [None, einv, None], [None, None, one]])
         self.T_u = Prod(self.T_u1, self.T_u0)
         self.T_uinv = Prod(self.T_u0inv, self.T_u1inv)
         self.T_v = Sum([self.V["W"], self.V["L"], self.V["i"]])
@@ -772,9 +776,6 @@ def linearization_check(conn, e, model, phi, point):
     of the fields it takes, and no measurement gives it a scale under
     ``LINEAR``.
     """
-    from .dressing import DressedPair, dress, extract_tensors
-    from .jets import jexp
-    from .weyl import weyl_matrices, weyl_transform_dressed
     m = model.m
     k = order_plan(model.kind).route
     e1 = jtrunc(e, m, k)
@@ -827,15 +828,11 @@ class PoincareBRS(_TermOwner):
         self._lorentz_leaves(_ghost_fields(lorentz_spec or ["1"] * len(pairs),
                                            [f"vl{a}{b}" for a, b in pairs], self.chart,
                                            point, self.ghost_order, seeds))
-        one = Leaf("one", MForm.identity(m, 1, self.order))
-        self.V = Blk([[self.L_vl, None], [None, Zero(0, 1, (1, 1))]])
-        self.register(self.L_varpi, "L", _connection_image(self.L_varpi, self.V))
-        self.T_u = Blk([[self.L_e, None], [None, one]])
-        self.T_uinv = Blk([[self.L_einv, None], [None, one]])
+        self.register(self.L_varpi, "L", _connection_image(self.L_varpi, self.V_L))
         self.T_varpi_h, self.T_omega_h = _dressed_pair(self.L_varpi, self.T_omega,
-                                                       self.T_u, self.T_uinv)
-        self.T_vhat = _composite_ghost(self.T_u, self.T_uinv, self.V,
-                                       self.s(self.T_u, "L"))
+                                                       self.T_u0, self.T_u0inv)
+        self.T_vhat = _composite_ghost(self.T_u0, self.T_u0inv, self.V_L,
+                                       self.s(self.T_u0, "L"))
 
     def residuals(self):
         """The brs-gr rows; every one reads values only."""
@@ -843,8 +840,8 @@ class PoincareBRS(_TermOwner):
         out = {}
         out["composite_ghost"] = ev(self.T_vhat)
         # su = -v u
-        su = ev(self.s(self.T_u, "L"))
-        vu = ev(self.V).wedge(ev(self.T_u))
+        su = ev(self.s(self.T_u0, "L"))
+        vu = ev(self.V_L).wedge(ev(self.T_u0))
         out["su_rule"] = su + vu
         out["s_gamma_hat"] = ev(self.s(self.T_varpi_h, "L"))
         out["s_omega_hat"] = ev(self.s(self.T_omega_h, "L"))

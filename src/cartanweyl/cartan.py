@@ -2,13 +2,16 @@
 
 Supports the Moebius model (matrix size m+2, bilinear form Sigma with -1
 corners and an eta middle block) and the Poincare model (size m+1).  The
-connection and curvature are plain MForms with block accessors following the
-(row, column) labels of the model's 3x3 (or 2x2) block grid.
+model owns its 3x3 (or 2x2) block grid; the connection's block accessors and
+every other module read a block's place from it, and the curvature is a
+plain 2-form read through :meth:`KleinModel.block`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,15 +35,22 @@ DET_FLOOR = 1e-8
 GAUGE_DEGREE = 2
 
 
+# the block grid of each model kind: the sizes of its diagonal blocks, None
+# standing for the m x m Lorentz block, and the (row, column) labels of the
+# soldering block theta = e dx
+_GRIDS = {"mobius": ((1, None, 1), (2, 1)), "poincare": ((None, 1), (1, 2))}
+
+
 @dataclass(frozen=True)
 class KleinModel:
-    """Model geometry: which gauge group and block layout apply."""
+    """Model geometry: the gauge group and its block grid, from which every
+    module reads where a block sits (labels are 1-based)."""
 
     kind: str  # "mobius" | "poincare"
     chart: Chart
 
     def __post_init__(self):
-        if self.kind not in ("mobius", "poincare"):
+        if self.kind not in _GRIDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "mobius" and self.chart.m < 3:
             raise ValueError("the Moebius model needs chart dimension m >= 3")
@@ -49,9 +59,25 @@ class KleinModel:
     def m(self):
         return self.chart.m
 
+    @cached_property
+    def edges(self):
+        """Row/column edges of the block grid: label i spans edges[i-1]:edges[i]."""
+        sizes = (self.m if s is None else s for s in _GRIDS[self.kind][0])
+        return tuple(accumulate(sizes, initial=0))
+
     @property
     def n(self):
-        return self.m + 2 if self.kind == "mobius" else self.m + 1
+        return self.edges[-1]
+
+    @property
+    def lorentz(self):
+        """Label of the m x m Lorentz block."""
+        return _GRIDS[self.kind][0].index(None) + 1
+
+    @property
+    def solder(self):
+        """(row, column) labels of the soldering block."""
+        return _GRIDS[self.kind][1]
 
     @property
     def eta(self):
@@ -66,29 +92,31 @@ class KleinModel:
         S = np.zeros((n, n))
         S[0, n - 1] = -1.0
         S[n - 1, 0] = -1.0
-        S[1:n - 1, 1:n - 1] = np.diag(self.eta)
+        lor = slice(*self.bounds(self.lorentz))
+        S[lor, lor] = np.diag(self.eta)
         return S
 
     def bounds(self, label):
         """(start, stop) row/col range of a 1-based block label."""
-        m = self.m
-        if self.kind == "mobius":
-            edges = [0, 1, m + 1, m + 2]
-        else:
-            edges = [0, m, m + 1]
-        return edges[label - 1], edges[label]
+        return self.edges[label - 1], self.edges[label]
 
     def block(self, mform, i, j):
         return mform.block(self.bounds(i), self.bounds(j))
+
+    def embed(self, M):
+        """The identity (n, n) 0-form with the (..., m, m, C) jets ``M`` on
+        the Lorentz block."""
+        m = self.m
+        out = MForm.identity(m, self.n, order_of(m, M), M.shape[:-3])
+        lor = slice(*self.bounds(self.lorentz))
+        out.data[..., lor, lor, 0, :] = M
+        return out
 
 
 @dataclass
 class CartanConnection:
     model: KleinModel
     omega: MForm
-
-    def block(self, i, j):
-        return self.model.block(self.omega, i, j)
 
     @property
     def order(self):
@@ -99,37 +127,16 @@ class CartanConnection:
 
     # Moebius block names
     def a(self):
-        return self.block(1, 1)
+        return self.model.block(self.omega, 1, 1)
 
     def alpha(self):
-        return self.block(1, 2)
+        return self.model.block(self.omega, 1, 2)
 
     def theta(self):
-        return self.block(2, 1) if self.model.kind == "mobius" else self.block(1, 2)
+        return self.model.block(self.omega, *self.model.solder)
 
     def A(self):
-        return self.block(2, 2) if self.model.kind == "mobius" else self.block(1, 1)
-
-
-@dataclass
-class Curvature:
-    model: KleinModel
-    omega2: MForm
-
-    def block(self, i, j):
-        return self.model.block(self.omega2, i, j)
-
-    def f(self):
-        return self.block(1, 1)
-
-    def Pi(self):
-        return self.block(1, 2)
-
-    def Theta(self):
-        return self.block(2, 1) if self.model.kind == "mobius" else self.block(1, 2)
-
-    def F(self):
-        return self.block(2, 2) if self.model.kind == "mobius" else self.block(1, 1)
+        return self.model.block(self.omega, self.model.lorentz, self.model.lorentz)
 
 
 def assemble(model, a=None, alpha=None, theta=None, A=None):
@@ -146,11 +153,8 @@ def assemble(model, a=None, alpha=None, theta=None, A=None):
     if theta.shape != (m, 1) or A.shape != (m, m):
         raise ShapeError("theta must be (m,1) and A (m,m)")
     if model.kind == "poincare":
-        order = min(theta.order, A.order)
-        zero_row = MForm.zeros(model.chart.m, (1, m), 1, 0, order)
-        zero_c = MForm.zeros(model.chart.m, (1, 1), 1, 0, order)
-        omega = block_matrix([[A, theta], [zero_row, zero_c]],
-                             model.chart.m, 1, 0, order)
+        omega = block_matrix([[A, theta], [None, None]], m, 1, 0, min(theta.order, A.order),
+                             row_sizes=(m, 1))
         resid = _first_over(algebra_residual(A, "so", eta=np.diag(eta)), omega)
         if resid is not None:
             raise AlgebraResidualError(
@@ -209,8 +213,8 @@ def covariant_d(A, v):
 
 
 def curvature(conn):
-    """Omega = d varpi + varpi wedge varpi."""
-    return Curvature(conn.model, curvature_form(conn.omega))
+    """The 2-form Omega = d varpi + varpi wedge varpi of a connection."""
+    return curvature_form(conn.omega)
 
 
 def gauge_transform(conn, gamma, gamma_inv):
@@ -328,14 +332,17 @@ def schouten_form(A, e, einv, eta):
     return tensors.jeinsum("bm,ba->ma", e, P, m)
 
 
-def normality_residual(curv, e_values, model):
-    """The normality defects (Theta, Ric(F), f), each read on its values;
-    f is 0.0 for the Poincare model, which has no trace block."""
-    Fv = two_form_values(curv.F())
+def normality_residual(Omega, e_values, model):
+    """The normality defects (Theta, Ric(F), f) of the curvature 2-form
+    ``Omega``, each read on its values; f is 0.0 for the Poincare model,
+    which has no trace block."""
+    lor = model.lorentz
+    Fv = two_form_values(model.block(Omega, lor, lor))
     einv_v = np.linalg.inv(e_values)
     Ffr = np.einsum("...abmn,...mc,...nd->...abcd", Fv, einv_v, einv_v)
     ric = np.einsum("...abad->...bd", Ffr)
-    return curv.Theta(), ric, 0.0 if model.kind == "poincare" else curv.f()
+    trace = 0.0 if model.kind == "poincare" else model.block(Omega, 1, 1)
+    return model.block(Omega, *model.solder), ric, trace
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +419,6 @@ class GaugeElement:
         jets = eval_jets(z_entry + [c for _, c in rotations] + r_entries, ch, point, order)
         lead = jets.shape[:-2]
         nz, nrot = len(z_entry), len(rotations)
-        out = {}
         # Lorentz factor S as raw (..., m, m, C)
         S = None
         for factor in _so_factors(model, [pair for pair, _ in rotations],
@@ -422,16 +428,9 @@ class GaugeElement:
             S = MForm.identity(m, m, order, lead).data[..., 0, :]
         sig = model.eta
         Sinv = np.einsum("a,...bac,b->...abc", sig, S, sig)  # eta S^T eta
-        out["S"] = S
-        out["Sinv"] = Sinv
-        lor = slice(*model.bounds(2 if mobius else 1))        # the Lorentz block
-        S_emb = MForm.identity(m, n, order, lead)
-        Sinv_emb = MForm.identity(m, n, order, lead)
-        S_emb.data[..., lor, lor, 0, :] = S
-        Sinv_emb.data[..., lor, lor, 0, :] = Sinv
-        out["S_emb"], out["Sinv_emb"] = S_emb, Sinv_emb
+        out = {"S": S, "Sinv": Sinv, "S_emb": model.embed(S), "Sinv_emb": model.embed(Sinv)}
         if not mobius:
-            out["gamma"], out["gamma_inv"] = S_emb, Sinv_emb
+            out["gamma"], out["gamma_inv"] = out["S_emb"], out["Sinv_emb"]
             return out
         # Weyl factor
         if z_entry:
@@ -448,7 +447,7 @@ class GaugeElement:
         out["r"] = r_form
         g1 = k1_matrix(r_form, model)
         out["gamma1"], out["gamma1_inv"] = g1, k1_matrix(r_form.scale(-1.0), model)
-        gamma, ginv = S_emb.copy(), Sinv_emb.copy()
+        gamma, ginv = out["S_emb"].copy(), out["Sinv_emb"].copy()
         gamma.data[..., 0, 0, 0, :] = ginv.data[..., n - 1, n - 1, 0, :] = z
         gamma.data[..., n - 1, n - 1, 0, :] = ginv.data[..., 0, 0, 0, :] = zinv
         if r_entries:
@@ -483,12 +482,12 @@ def weyl_diagonal(z, zinv, model, order):
 def k1_matrix(r, model):
     """Unipotent K1-type matrix [[1, r, r r^t / 2], [0, 1, r^t], [0, 0, 1]]
     of a (1, m) 0-form r, its three blocks written in place."""
-    m, n = model.m, model.n
-    out = MForm.identity(m, n, r.order, r.lead)
-    rt = eta_t(r, model.eta)
-    out.set_block((0, 1), (1, m + 1), r)
-    out.set_block((1, m + 1), (n - 1, n), rt)
-    out.data[..., 0:1, n - 1:n, 0, :] = 0.5 * jmat_mul(r.data[..., 0, :], rt.data[..., 0, :], m)
+    one, mid, last = (slice(*model.bounds(i)) for i in (1, 2, 3))
+    out = MForm.identity(model.m, model.n, r.order, r.lead)
+    row, col = r.data[..., 0, :], eta_t(r, model.eta).data[..., 0, :]
+    grid = out.data[..., 0, :]
+    grid[..., one, mid, :], grid[..., mid, last, :] = row, col
+    grid[..., one, last, :] = 0.5 * jmat_mul(row, col, model.m)
     return out
 
 

@@ -285,8 +285,7 @@ def point_of(x, slot):
 def gauge_suite(ctx):
     scn, model, point = ctx.scn, ctx.model, ctx.point
     conn, _ = ctx.base
-    curv = curvature(conn)
-    Om = curv.omega2
+    Om = curvature(conn)
     res = {}
     # the one row that takes a d of the curvature; the routes after it read
     # values only
@@ -308,9 +307,8 @@ def gauge_suite(ctx):
                                          (m1["gamma1"], m1["gamma1_inv"]),
                                          (mw["W"], mw["Winv"])])
         conn_g, rhs, c1, cw = (point_of(routes, i) for i in range(4))
-        curv_g = curvature(conn_g)
         conj = conjugate(Om, mats["gamma"], mats["gamma_inv"])
-        res["curvature_equivariance"] = curv_g.omega2 - conj
+        res["curvature_equivariance"] = curvature(conn_g) - conj
         # right action on a random pair
         lhs = gauge_transform(conn_g, m2["gamma"], m2["gamma_inv"])
         res["right_action"] = lhs.omega - rhs.omega
@@ -319,7 +317,7 @@ def gauge_suite(ctx):
         zth = scale_by_jet(conn.theta(), mw["z"])
         res["weyl_soldering_scale"] = cw.theta() - zth
     if scn.normal and not scn.gauge:
-        t, r_, f_ = normality_residual(curv, ctx.e_normal[..., 0], model)
+        t, r_, f_ = normality_residual(Om, ctx.e_normal[..., 0], model)
         res["normality_theta"] = t
         if model.kind == "mobius":
             # GR normality is torsion-freeness only: Ric(F) is the
@@ -488,6 +486,8 @@ def _redundancy(form, stW, model):
 
 def brs_suite(ctx):
     """The brs suite of the Moebius model."""
+    # the brs suites import brs on first use: its import takes over 10 ms
+    # (python -X importtime), which gauge, dressing and weyl runs need not pay
     from .brs import linearization_check
     scn, model, point = ctx.scn, ctx.model, ctx.point
     res = _conformal_brs(ctx, scn.ghosts or {})
@@ -530,7 +530,7 @@ def _conformal_brs(ctx, ghosts):
     res["u1_inversion_rule"] = ev(b.s(b.T_u1, "i")) + vi.wedge(u1)
     res["u1_lorentz_rule"] = ev(b.s(b.T_u1, "L")) - gcomm(u1, vl)
     u0 = ev(b.T_u0)
-    epst = b.eps_eye(model.n, range(1, model.m + 1))
+    epst = b.eps_eye(model.n, range(*model.bounds(model.lorentz)))
     su0W = ev(b.s(b.T_u0, "W"))
     res["u0_weyl_rule"] = su0W - epst.wedge(u0)
     _, _, res["two_steps_decomposition"], res["two_steps_ghost"] = two_steps_in_one(b)

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import (DET_FLOOR, CartanConnection, KleinModel, conjugate, curvature,
-                     curvature_form, k1_matrix)
+from .cartan import DET_FLOOR, KleinModel, conjugate, curvature, curvature_form, k1_matrix
 from .errors import ShapeError
-from .forms import MForm, block_matrix, two_form_values
+from .forms import MForm, two_form_values
 from .jets import jmat_inv, jtrunc, order_of
 from .tensors import dstack, jeinsum, metric_from_vielbein
 
@@ -33,7 +32,7 @@ class DressingU1:
 
 @dataclass
 class DressingU0:
-    """Block-diagonal dressing diag(1, e, 1) (or diag(e, 1) for Poincare)."""
+    """Block-diagonal dressing: e on the model's Lorentz block."""
 
     e: np.ndarray     # (m, m, C) jets
     einv: np.ndarray  # its inverse, for the callers that need e^-1 as well
@@ -111,20 +110,8 @@ def extract_u1(conn, einv):
 
 
 def u0_from_vielbein(e, model):
-    m = model.m
-    order = order_of(m, e)
-    einv = jmat_inv(e, m)
-    eform, einvform = MForm.of_jets(m, e), MForm.of_jets(m, einv)
-    one = MForm.identity(m, 1, order)
-    if model.kind == "poincare":
-        mat = block_matrix([[eform, None], [None, one]], m, 0, 0, order)
-        inv = block_matrix([[einvform, None], [None, one]], m, 0, 0, order)
-    else:
-        mat = block_matrix([[one, None, None], [None, eform, None],
-                            [None, None, one]], m, 0, 0, order)
-        inv = block_matrix([[one, None, None], [None, einvform, None],
-                            [None, None, one]], m, 0, 0, order)
-    return DressingU0(e=e, einv=einv, mat=mat, inv=inv)
+    einv = jmat_inv(e, model.m)
+    return DressingU0(e=e, einv=einv, mat=model.embed(e), inv=model.embed(einv))
 
 
 def extract_tensors(varpi0, Omega0, model):
@@ -162,7 +149,7 @@ def dress(conn, e=None):
     m = conn.model.m
     u0 = u0_from_vielbein(jtrunc(e, m, min(conn.omega.order + 1, order_of(m, e))), conn.model)
     u1 = extract_u1(conn, u0.einv)
-    Om = curvature(conn).omega2
+    Om = curvature(conn)
     varpi1 = conjugate(conn.omega, u1.mat, u1.inv, connection=True)
     Omega1 = conjugate(Om, u1.mat, u1.inv)
     varpi0 = conjugate(varpi1, u0.mat, u0.inv, connection=True)
@@ -192,7 +179,7 @@ def pair_residuals(model, varpi, Omega, g, Gamma):
     g0, Gamma0 = jtrunc(g, m, 0), jtrunc(Gamma, m, 0)
     t1 = jeinsum("lmn,lr->mnr", Gamma0, g0, m)
     t2 = jeinsum("nl,lmr->mnr", g0, Gamma0, m)
-    theta = CartanConnection(model, varpi).theta()
+    theta = model.block(varpi, *model.solder)
     return {"dx_residual": theta.data[..., :, 0, :, 0] - np.eye(m),
             "metricity": dg[..., 0] - t1[..., 0] - t2[..., 0],
             "curvature_compat": curvature_form(varpi) - Omega}
@@ -215,6 +202,12 @@ def compatibility_residuals(base, g1, m1, S, mS):
       u1^{gamma1} = gamma1^-1 u1,  u1^S = S^-1 u1 S,
       u0^S = S^-1 u0,              u0^{gamma1} = u0,
     the last because gamma_1 leaves the soldering block, so e, untouched.
+
+    Both u0 rows compare a route's u0, its e read off the moved soldering
+    block, with ``base``'s u0, built from the explicit e, so both carry the
+    rounding gap between that e and the unmoved soldering block.  gamma_1
+    leaves the block bit for bit, so ``u0_gamma1`` is exactly that gap;
+    ``u0_S`` is S^-1 times it, rounded by its own products.
     """
     (u1, u0), (u1_g1, u0_g1), (u1_S, u0_S) = base, g1, S
     return {"u1_gamma1": u1_g1.mat - m1["gamma1_inv"].wedge(u1.mat),
@@ -233,9 +226,9 @@ def gr_dress(conn, e):
         raise ShapeError("gr_dress applies to the Poincare model")
     u0 = u0_from_vielbein(e, model)
     varpi_h = conjugate(conn.omega, u0.mat, u0.inv, connection=True)
-    Om = curvature(conn).omega2
-    Omega_h = conjugate(Om, u0.mat, u0.inv)
-    Gamma = _form_index_first(model.block(varpi_h, 1, 1).data)
-    R = two_form_values(model.block(Omega_h, 1, 1))
-    T = two_form_values(model.block(Omega_h, 1, 2))[..., :, 0, :, :]
+    Omega_h = conjugate(curvature(conn), u0.mat, u0.inv)
+    lor = model.lorentz
+    Gamma = _form_index_first(model.block(varpi_h, lor, lor).data)
+    R = two_form_values(model.block(Omega_h, lor, lor))
+    T = two_form_values(model.block(Omega_h, *model.solder))[..., :, 0, :, :]
     return varpi_h, Omega_h, Gamma, R, T, metric_from_vielbein(e, model.eta)

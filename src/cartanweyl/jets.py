@@ -294,33 +294,37 @@ def jcompose(u, ders, m):
     return out
 
 
-def _compose_rows(a, m, row_ders):
+def _compose_rows(a, m, row_ders, name):
     """phi(a) for a (..., C) jet array, ``row_ders(v, k)`` giving the phi
-    derivatives at one value v: scalars per jet, one batched Horner pass."""
+    derivatives at one value v: scalars per jet, one batched Horner pass.
+    Every composed function takes this path, so a derivative past the float
+    range, of phi or of phi(a), is refused here as an ExprDomainError."""
     k = order_of(m, a)
     flat = a.reshape(-1, a.shape[-1])
-    ders = np.array([row_ders(v, k) for v in flat[:, 0]]).reshape(flat.shape[0], k + 1)
-    return jcompose(flat, ders.T, m).reshape(a.shape)
-
-
-def jrecip(a, m):
-    if np.any(a[..., 0] == 0.0):
-        raise ExprDomainError("division by zero in jet evaluation")
-    return _compose_rows(a, m, lambda v, k: [math.factorial(n) * (-1.0) ** n / v ** (n + 1)
-                                             for n in range(k + 1)])
+    with np.errstate(all="ignore"):     # a non-finite jet is refused below
+        ders = []
+        for v in flat[:, 0]:
+            try:
+                ders.append(row_ders(v, k))
+            except OverflowError:       # math.exp and cosh raise where numpy gives inf
+                ders.append([math.inf] * (k + 1))
+        out = jcompose(flat, np.array(ders).reshape(flat.shape[0], k + 1).T, m)
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=-1))
+    if bad.size:
+        raise ExprDomainError(f"{name}({flat[bad[0], 0]:.6g}) overflows in jet evaluation")
+    return out.reshape(a.shape)
 
 
 def _scalar_compose(fn_ders, name):
-    def row_ders(v, k):
-        try:
-            return fn_ders(v, k)
-        except OverflowError:
-            raise ExprDomainError(
-                f"{name}({v:.6g}) overflows in jet evaluation") from None
-
     def op(a, m):
-        return _compose_rows(a, m, row_ders)
+        return _compose_rows(a, m, fn_ders, name)
     return op
+
+
+def _recip_ders(v, k):
+    if v == 0.0:
+        raise ExprDomainError("division by zero in jet evaluation")
+    return [math.factorial(n) * (-1.0) ** n / v ** (n + 1) for n in range(k + 1)]
 
 
 def _exp_ders(v, k):
@@ -364,6 +368,7 @@ def _sqrt_ders(v, k):
     return ders
 
 
+jrecip = _scalar_compose(_recip_ders, "1/")
 jexp = _scalar_compose(_exp_ders, "exp")
 jsin = _scalar_compose(_sin_ders, "sin")
 jcos = _scalar_compose(_cos_ders, "cos")

@@ -233,11 +233,6 @@ class Scenario:
             raise ScenarioError(f"cannot read scenario {path}: {ex}") from ex
         return cls.from_dict(data)
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
-
 
 def _default_ghosts(m):
     pairs = m * (m - 1) // 2

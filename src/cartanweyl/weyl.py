@@ -56,11 +56,10 @@ def weyl_matrices(model, z, zeta, u0):
     order = min(order_of(m, z), order_of(m, zeta), order_of(m, u0.e))
     zinv = jrecip(z, m)
     W, Winv = weyl_diagonal(z, zinv, model, order)
-    Wt = MForm.identity(m, model.n, order, z.shape[:-1])
-    Wtinv = MForm.identity(m, model.n, order, z.shape[:-1])
-    for i in range(1, m + 1):
-        Wt.data[..., i, i, 0, :] = jtrunc(z, m, order)
-        Wtinv.data[..., i, i, 0, :] = jtrunc(zinv, m, order)
+    # Wtilde = z on the Lorentz diagonal; np.where writes z and 0 exactly
+    eye = np.eye(m, dtype=bool)[:, :, None]
+    Wt, Wtinv = (model.embed(np.where(eye, jtrunc(x, m, order)[..., None, None, :], 0.0))
+                 for x in (z, zinv))
     xi_arr = jeinsum("m,ma->a", zeta, u0.einv, m)  # zeta . e^-1
     xi = MForm.of_jets(m, xi_arr[..., None, :, :])
     k1 = k1_matrix(xi, model)

@@ -280,13 +280,13 @@ def test_criterion_9_bianchi():
         vb = VielbeinField(scn.chart, scn.vielbein)
         for idx, pt in enumerate(scn.points):
             conn, _ = point_of(PointContext(scn, model, vb, idx, idx + 1).base, 0)
-            Om = curvature(conn).omega2
+            Om = curvature(conn)
             res = Om.ext_d() + gcomm(conn.omega.truncate(Om.order), Om)
             scale = max(1.0, Om.full_norm())
             worst = max(worst, res.value_norm() / scale)
             if scn.normal and not scn.gauge:
                 # the trace block vanishes as a Bianchi consequence
-                worst_f = max(worst_f, curvature(conn).f().value_norm())
+                worst_f = max(worst_f, model.block(Om, 1, 1).value_norm())
     _verdict(9, "Bianchi identity", worst, 1e-10)
     _verdict(9, "trace block vanishes on normal inputs", worst_f, 1e-10)
 

@@ -1,8 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 import gauge_oracle
 from cartanweyl import forms, tensors
+from cartanweyl.brs import ConformalBRS, GhostSpec, PoincareBRS
 from cartanweyl.cartan import (SAMPLE_BOX, GaugeElement, KleinModel, VielbeinField,
                                assemble, build_normal, conjugate, covariant_d, curvature,
                                gauge_transform, k1_matrix, normality_residual, random_gauge,
@@ -11,7 +14,7 @@ from cartanweyl.checks import deformed_connection, run_check
 from cartanweyl.errors import AlgebraResidualError, DegenerateVielbeinError
 from cartanweyl.exprs import compile_expr, eval_jets
 from cartanweyl.forms import MForm, algebra_residual, eta_t, gcomm
-from cartanweyl.jets import Chart, jmat_inv, jmul, space
+from cartanweyl.jets import Chart, jmat_inv, jmul, jtrunc, space
 from cartanweyl.reduction import worst_entry
 from cartanweyl.scenarios import catalog
 from cartanweyl.tensors import classical_bundle
@@ -60,6 +63,41 @@ def _random_g_valued(model, rng, point, order):
     return assemble(model, a=a, alpha=alpha, theta=theta, A=A)
 
 
+@pytest.mark.parametrize("kind, lorentz, solder", [("mobius", 2, (2, 1)),
+                                                   ("poincare", 1, (1, 2))])
+def test_the_model_grid_places_u0_theta_and_A(kind, lorentz, solder, chart3, vielbein3, rng):
+    """``embed`` holds M on the Lorentz block and the identity everywhere
+    else; theta and A read the soldering and Lorentz labels; and each BRS
+    class's u0 term (and its inverse) evaluates to ``embed`` of its e (e^-1)
+    cut to the same order, exactly."""
+    model = KleinModel(kind, chart3)
+    m, n = model.m, model.n
+    assert (model.lorentz, model.solder) == (lorentz, solder)
+    lo, hi = model.bounds(lorentz)
+    assert hi - lo == m and n == (m + 2 if kind == "mobius" else m + 1)
+    size = space(m, 2).size
+    M = rng.normal(size=(2, m, m, size))      # two points, order 2
+    E = model.embed(M)
+    assert (E.shape, E.p, E.q, E.order, E.lead) == ((n, n), 0, 0, 2, (2,))
+    want = np.zeros((2, n, n, size))
+    want[:, range(n), range(n), 0] = 1.0
+    want[:, lo:hi, lo:hi] = M
+    assert np.array_equal(E.data[..., 0, :], want)
+    conn = build_normal(vielbein3, model, POINT3, K)
+    e = vielbein3.jets_at(POINT3, K)
+    theta, A = conn.theta(), conn.A()
+    assert np.array_equal(theta.data, model.block(conn.omega, *solder).data)
+    assert np.array_equal(A.data, model.block(conn.omega, lorentz, lorentz).data)
+    assert np.array_equal(theta.data[:, 0], jtrunc(e, m, theta.order))
+    if kind == "mobius":
+        b = ConformalBRS(conn, e, GhostSpec(), POINT3)
+    else:
+        b = PoincareBRS(conn, e, None, POINT3)
+    for term, jets in ((b.T_u0, b.e), (b.T_u0inv, b.einv)):
+        u0 = b.ev(term)
+        assert np.array_equal(u0.data, model.embed(jtrunc(jets, m, u0.order)).data)
+
+
 def test_sigma_matrix(mobius3):
     S = mobius3.sigma
     assert S[0, 4] == -1.0 and S[4, 0] == -1.0
@@ -72,12 +110,12 @@ def test_flat_connection_is_flat(mobius3, flat3):
     assert conn.a().full_norm() == 0.0
     assert conn.alpha().full_norm() == 0.0
     assert conn.A().full_norm() == 0.0
-    assert curvature(conn).omega2.full_norm() == 0.0
+    assert curvature(conn).full_norm() == 0.0
 
 
 def test_flat_poincare(poincare3, flat3):
     conn = build_normal(flat3, poincare3, POINT3, K)
-    assert curvature(conn).omega2.full_norm() == 0.0
+    assert curvature(conn).full_norm() == 0.0
     # theta block is dx
     th = conn.theta()
     for a in range(3):
@@ -121,26 +159,28 @@ def test_curvature_blocks_match_closed_forms(mobius3, rng):
     Pi = al.ext_d() + al.wedge(A - eye_times(a))
     Th = th.ext_d() + (A - eye_times(a)).wedge(th)
     F = A.ext_d() + A.wedge(A) + th.wedge(al) + eta_t(al, eta).wedge(eta_t(th, eta))
-    assert (curv.f() - f).value_norm() < 1e-12
-    assert (curv.Pi() - Pi).value_norm() < 1e-12
-    assert (curv.Theta() - Th).value_norm() < 1e-12
-    assert (curv.F() - F).value_norm() < 1e-12
+    blk = partial(mobius3.block, curv)
+    assert (blk(1, 1) - f).value_norm() < 1e-12
+    assert (blk(1, 2) - Pi).value_norm() < 1e-12
+    assert (blk(2, 1) - Th).value_norm() < 1e-12
+    assert (blk(2, 2) - F).value_norm() < 1e-12
 
 
 def test_poincare_curvature_blocks(poincare3, vielbein3):
     conn = build_normal(vielbein3, poincare3, POINT3, K)
     curv = curvature(conn)
     A, th = conn.A(), conn.theta()
-    assert (curv.F() - (A.ext_d() + A.wedge(A))).value_norm() < 1e-12
-    assert (curv.Theta() - (th.ext_d() + A.wedge(th))).value_norm() < 1e-12
+    F, Theta = poincare3.block(curv, 1, 1), poincare3.block(curv, 1, 2)
+    assert (F - (A.ext_d() + A.wedge(A))).value_norm() < 1e-12
+    assert (Theta - (th.ext_d() + A.wedge(th))).value_norm() < 1e-12
     # the spin connection kills the torsion
-    assert curv.Theta().value_norm() < 1e-12
+    assert Theta.value_norm() < 1e-12
 
 
 def test_bianchi_identity(mobius3, vielbein3, rng):
     for conn in (build_normal(vielbein3, mobius3, POINT3, K),
                  _random_g_valued(mobius3, rng, POINT3, K)):
-        Om = curvature(conn).omega2
+        Om = curvature(conn)
         res = Om.ext_d() + gcomm(conn.omega.truncate(Om.order), Om)
         assert res.value_norm() < 1e-10
 
@@ -164,7 +204,7 @@ def test_helpers_multiply_no_higher_than_they_keep(mobius3, vielbein3, rng, monk
         return out
 
     monkeypatch.setattr(forms.MForm, "wedge", recorded)
-    Om = curvature(conn).omega2
+    Om = curvature(conn)
     assert orders and max(orders) == Om.order == K - 3
     for x, u, connection in ((conn.omega, mats, True), (Om, mats, False),
                              (conn.omega, low, True)):
@@ -229,12 +269,12 @@ def test_gauge_right_action(mobius3, vielbein3, rng):
 
 def test_curvature_equivariance(mobius3, vielbein3, rng):
     conn = build_normal(vielbein3, mobius3, POINT3, K)
-    Om = curvature(conn).omega2
+    Om = curvature(conn)
     ge = random_gauge(mobius3, rng)
     mats = ge.matrices(mobius3, POINT3, K)
     out = curvature(gauge_transform(conn, mats["gamma"], mats["gamma_inv"]))
     conj = mats["gamma_inv"].wedge(Om.wedge(mats["gamma"]))
-    assert (out.omega2 - conj).value_norm() < 1e-12
+    assert (out - conj).value_norm() < 1e-12
 
 
 def test_normality_of_build_normal(mobius3, vielbein3):
@@ -319,7 +359,7 @@ def test_schwarzschild_is_ricci_flat():
     assert np.abs(B["P"][..., 0]).max() < 1e-9
     conn = build_normal(vb, model, pt, K)
     assert conn.alpha().value_norm() < 1e-9
-    assert curvature(conn).Pi().value_norm() < 1e-8
+    assert model.block(curvature(conn), 1, 2).value_norm() < 1e-8
 
 
 def test_spin_connection_properties(vielbein3, chart3, rng):

@@ -23,7 +23,7 @@ from cartanweyl.scenarios import CATALOG_NAMES, MAX_JET_ORDER, Scenario, catalog
 def test_scenario_json_round_trip(tmp_path):
     scn = catalog("diag-poly", 3)
     path = tmp_path / "scn.json"
-    scn.save(path)
+    path.write_text(scn.to_json())
     loaded = Scenario.load(path)
     assert loaded.to_dict() == scn.to_dict()
 
@@ -577,26 +577,42 @@ def test_suite_error_keeps_its_type_and_exits_2(tmp_path, capsys):
     assert "[weyl suite]" in err and "nested too deeply" in err
 
 
-def _overflow_doc(suite):
+def _overflow_doc(case):
+    """(scenario document, suite) of an overflow case."""
     doc = json.loads((Path(__file__).parents[1] / "scenarios" / "demo-diag-poly.json")
                      .read_text())
     big = "x0*10000"   # the first point has x0 = 0.23: exp, cosh of 2300
-    if suite == "weyl":
+    # 0.23e-200: sqrt and 1/ have finite values there but derivatives past
+    # the float range
+    tiny = "x0*0." + "0" * 199 + "1"
+    if case == "weyl":
         doc["weyl"] = big
-    elif suite == "dressing":
+    elif case == "dressing":
         doc["vielbein"][0][0] = f"exp({big})"
-    elif suite == "brs":
+    elif case == "brs":
         doc["ghosts"]["eps"] = f"exp({big})"
-    else:
+    elif case == "gauge":
         doc["gauge"] = {"so": [big, "0", "0"]}
-    return doc
+    elif case == "tiny_sqrt_weyl":
+        # a deformed input: no normality row stands between the NaN and a FAIL
+        doc["points"], doc["normal"] = doc["points"][:1], False
+        doc["weyl"] = f"sqrt({tiny})"
+        return doc, "weyl"
+    else:
+        doc["points"] = doc["points"][:1]
+        doc["vielbein"][0][0] = f"1/({tiny})"
+        return doc, "weyl"
+    return doc, case
 
 
-@pytest.mark.parametrize("suite", ["weyl", "dressing", "brs", "gauge"])
-def test_jet_overflow_exits_2(suite, tmp_path, capsys):
-    """exp, cosh and sinh of an argument past the float range are bad input."""
+@pytest.mark.parametrize("case", ["weyl", "dressing", "brs", "gauge", "tiny_sqrt_weyl",
+                                  "tiny_reciprocal_vielbein"])
+def test_jet_overflow_exits_2(case, tmp_path, capsys):
+    """exp, cosh and sinh of an argument past the float range, and sqrt and 1/
+    of a value whose derivatives are past it, are bad input."""
+    doc, suite = _overflow_doc(case)
     path = tmp_path / "overflow.json"
-    path.write_text(json.dumps(_overflow_doc(suite)))
+    path.write_text(json.dumps(doc))
     code = main(["check", "--scenario", str(path), "--suite", suite])
     err = capsys.readouterr().err
     assert code == 2
@@ -776,7 +792,7 @@ def test_one_check_run_parses_each_expression_once(scn, tmp_path, monkeypatch, c
     once, each of the scenario's own among them."""
     from cartanweyl import exprs, scenarios
     path = tmp_path / "scn.json"
-    scn.save(path)
+    path.write_text(scn.to_json())
     texts = []
     parse = exprs.parse_expr
 

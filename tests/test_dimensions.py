@@ -82,7 +82,7 @@ def test_bianchi_and_brs(m, rng):
     ge = random_gauge(model, rng)
     mats = ge.matrices(model, pt, 4)
     conn = gauge_transform(conn0, mats["gamma"], mats["gamma_inv"])
-    Om = curvature(conn).omega2
+    Om = curvature(conn)
     assert (Om.ext_d() + gcomm(conn.omega.truncate(Om.order), Om)).value_norm() < 1e-10
     pairs = m * (m - 1) // 2
     spec = GhostSpec(eps="1/2 + x0/3 - x1*x2/5",
@@ -108,7 +108,7 @@ def test_higher_jet_order_headroom():
     conn = build_normal(vb, model, pt, 6)
     e = vb.jets_at(pt, 6)
     f = full_pipeline(conn, e)
-    Om = curvature(conn).omega2
+    Om = curvature(conn)
     assert (Om.ext_d() + gcomm(conn.omega.truncate(Om.order), Om)).value_norm() < 1e-12
     assert worst_entry(dressed_normality(f), ()) < 1e-11
     B = classical_bundle(e, ch.signature, 3)

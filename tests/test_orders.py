@@ -67,7 +67,7 @@ def test_every_piece_is_built_at_its_planned_order(name, monkeypatch):
         _spy(monkeypatch, owner, "jmat_inv", lambda a, m: order_of(m, a), seen)
     _spy(monkeypatch, WeylElement, "at", lambda *a: a[3], seen)
     _spy(monkeypatch, GaugeElement, "matrices", lambda *a: a[3], seen)
-    for owner in (checks, dressing):
+    for owner in (checks, dressing, brs):
         _spy(monkeypatch, owner, "dress", lambda conn, e=None: conn.order, seen)
     scn = catalog(name, 3)
     assert len(scn.points) <= checks.BATCH_SIZE
