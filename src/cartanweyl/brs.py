@@ -40,7 +40,8 @@ from math import inf
 import numpy as np
 
 from .cartan import covariant_d, curvature_form
-from .dressing import DressedPair, dress, extract_tensors, extract_u1, vielbein_of
+from .dressing import (DressedPair, DressingU0, dress, extract_tensors, extract_u1,
+                       vielbein_of)
 from .errors import ShapeError
 from .exprs import Const, compile_expr, eval_jets
 from .forms import GHOST_POOL, MForm, block_matrix, eta_t, form_comps, gcomm, ghost_monos
@@ -762,8 +763,8 @@ def linearization_check(conn, e, model, phi, point):
     sides read values, so the check cuts ``conn``, e, z and d phi to the
     plan's route order (the d of the conjugation) and moves the dressed pair
     at order 0 with its dressing's u0.  Central differences in the group
-    parameter at steps h = ``STEP`` and h/2 with Richardson extrapolation;
-    the BRS side is the body map of the ghost variation when the ghost
+    parameter at steps h = ``STEP`` and h/2 with Richardson extrapolation,
+    the pair moved at all four parameters as one 4-stack; the BRS side is the body map of the ghost variation when the ghost
     coefficient function equals phi.
 
     Unlike every other row, each of g, Gamma, P, C and W is reduced here,
@@ -785,18 +786,19 @@ def linearization_check(conn, e, model, phi, point):
     phi_j = eval_jets([compile_expr(phi)], model.chart, point, k + 1)[..., 0, :]
     dphi = dstack(phi_j, m, 0)
 
-    def tensors_at(t):
-        z = jexp(t * jtrunc(phi_j, m, k), m)
-        moved = weyl_transform_dressed(low, weyl_matrices(model, z, t * dphi, u0))
-        return {"g": moved.g[..., 0], "Gamma": moved.Gamma[..., 0],
-                "P": moved.P[..., 0], "C": moved.C, "W": moved.W}
-
-    def diff_at(step):
-        plus, minus = tensors_at(step), tensors_at(-step)
-        return {k: (plus[k] - minus[k]) / (2.0 * step) for k in plus}
-
-    d1 = diff_at(STEP)
-    d2 = diff_at(STEP / 2.0)
+    # the pair moved at t = h, -h, h/2, -h/2 as one 4-stack, t on a leading
+    # axis in front of the point axes, to which u0 broadcasts
+    steps = (STEP, STEP / 2.0)
+    tk = np.array([s * sign for s in steps for sign in (1.0, -1.0)]).reshape(
+        (-1,) + (1,) * phi_j.ndim)
+    u0 = DressingU0(u0.e[None], u0.einv[None], MForm.stack([u0.mat]), MForm.stack([u0.inv]))
+    z = jexp(tk * jtrunc(phi_j, m, k), m)
+    moved = weyl_transform_dressed(low, weyl_matrices(model, z, tk[..., None] * dphi, u0))
+    at = {"g": moved.g[..., 0], "Gamma": moved.Gamma[..., 0], "P": moved.P[..., 0],
+          "C": moved.C, "W": moved.W}
+    # the central difference at each step, then Richardson's extrapolation
+    d1, d2 = ({k: (x[2 * i] - x[2 * i + 1]) / (2.0 * step) for k, x in at.items()}
+              for i, step in enumerate(steps))
     finite = {k: (4.0 * d2[k] - d1[k]) / 3.0 for k in d1}
     # BRS side with the ghost built on phi
     spec = GhostSpec(eps=phi, iota=[_ZERO] * m, lorentz=[_ZERO] * (m * (m - 1) // 2))

@@ -351,8 +351,9 @@ def normality_residual(Omega, e_values, model):
 
 def _so_factors(model, pairs, angles):
     """Plane rotations/boosts embedded in the m x m Lorentz block, one per
-    (pair, angle jet); ``angles`` is (..., pairs, C), and the trigonometric
-    jets of all angles at all points are composed together."""
+    (pair, angle jet), as one (pairs, ..., m, m, C) array; ``angles`` is
+    (..., pairs, C), and the trigonometric jets of all angles at all points
+    are composed together."""
     m = model.m
     sig = model.eta
     rot = np.array([sig[a] == sig[b] for a, b in pairs], dtype=bool)
@@ -361,16 +362,15 @@ def _so_factors(model, pairs, angles):
         if sel.any():
             even[..., sel, :] = fe(angles[..., sel, :], m)
             odd[..., sel, :] = fo(angles[..., sel, :], m)
-    out = []
-    for k, ((a, b), r) in enumerate(zip(pairs, rot)):
-        c, s = even[..., k, :], odd[..., k, :]
-        S = np.zeros(angles.shape[:-2] + (m, m, angles.shape[-1]))
-        for i in range(m):
-            S[..., i, i, 0] = 1.0
-        S[..., a, a, :], S[..., b, b, :] = c, c
-        S[..., a, b, :], S[..., b, a, :] = (-s, s) if r else (s, s)
-        out.append(S)
-    return out
+    c, s = np.moveaxis(even, -2, 0), np.moveaxis(odd, -2, 0)    # (pairs, ..., C)
+    k, (a, b) = np.arange(len(pairs)), np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    S = np.zeros(c.shape[:-1] + (m, m, angles.shape[-1]))
+    S[..., np.arange(m), np.arange(m), 0] = 1.0
+    # a rotation writes -s above the diagonal, a boost s
+    S[k, ..., a, a, :], S[k, ..., b, b, :] = c, c
+    S[k, ..., a, b, :] = np.where(rot.reshape((-1,) + (1,) * (s.ndim - 1)), -s, s)
+    S[k, ..., b, a, :] = s
+    return S
 
 
 @dataclass
@@ -420,12 +420,10 @@ class GaugeElement:
         lead = jets.shape[:-2]
         nz, nrot = len(z_entry), len(rotations)
         # Lorentz factor S as raw (..., m, m, C)
-        S = None
-        for factor in _so_factors(model, [pair for pair, _ in rotations],
-                                  jets[..., nz:nz + nrot, :]):
-            S = factor if S is None else jmat_mul(S, factor, m)
-        if S is None:
-            S = MForm.identity(m, m, order, lead).data[..., 0, :]
+        factors = _so_factors(model, [pair for pair, _ in rotations], jets[..., nz:nz + nrot, :])
+        S = factors[0] if nrot else MForm.identity(m, m, order, lead).data[..., 0, :]
+        for factor in factors[1:]:
+            S = jmat_mul(S, factor, m)
         sig = model.eta
         Sinv = np.einsum("a,...bac,b->...abc", sig, S, sig)  # eta S^T eta
         out = {"S": S, "Sinv": Sinv, "S_emb": model.embed(S), "Sinv_emb": model.embed(Sinv)}
@@ -445,15 +443,14 @@ class GaugeElement:
         r_form = MForm.zeros(m, (1, m), 0, 0, order, lead)
         r_form.data[..., 0, :len(r_entries), 0, :] = jets[..., nz + nrot:, :]
         out["r"] = r_form
-        g1 = k1_matrix(r_form, model)
-        out["gamma1"], out["gamma1_inv"] = g1, k1_matrix(r_form.scale(-1.0), model)
+        out["gamma1"], out["gamma1_inv"] = k1_pair(r_form, model)
         gamma, ginv = out["S_emb"].copy(), out["Sinv_emb"].copy()
         gamma.data[..., 0, 0, 0, :] = ginv.data[..., n - 1, n - 1, 0, :] = z
         gamma.data[..., n - 1, n - 1, 0, :] = ginv.data[..., 0, 0, 0, :] = zinv
         if r_entries:
             # z r, z r r^t / 2 and S r^t; -z r^t and -r S^-1 are their
             # eta-transposes
-            r, rt, rr = (model.block(g1, *ij) for ij in ((1, 2), (2, 3), (1, 3)))
+            r, rt, rr = (model.block(out["gamma1"], *ij) for ij in ((1, 2), (2, 3), (1, 3)))
             if z_entry:
                 r, rr = scale_by_jet(r, z), scale_by_jet(rr, z)
             if rotations:
@@ -479,43 +476,53 @@ def weyl_diagonal(z, zinv, model, order):
     return W, Winv
 
 
-def k1_matrix(r, model):
-    """Unipotent K1-type matrix [[1, r, r r^t / 2], [0, 1, r^t], [0, 0, 1]]
-    of a (1, m) 0-form r, its three blocks written in place."""
+def k1_pair(r, model):
+    """The unipotent K1-type matrix [[1, r, r r^t / 2], [0, 1, r^t], [0, 0, 1]]
+    of a (1, m) 0-form r and its inverse, the matrix of -r, with their blocks
+    written in place and one product: (-r)(-r)^t / 2 is r r^t / 2 bit for bit."""
     one, mid, last = (slice(*model.bounds(i)) for i in (1, 2, 3))
-    out = MForm.identity(model.m, model.n, r.order, r.lead)
+    pair = MForm.identity(model.m, model.n, r.order, (2,) + r.lead)
     row, col = r.data[..., 0, :], eta_t(r, model.eta).data[..., 0, :]
-    grid = out.data[..., 0, :]
-    grid[..., one, mid, :], grid[..., mid, last, :] = row, col
-    grid[..., one, last, :] = 0.5 * jmat_mul(row, col, model.m)
-    return out
+    grid = pair.data[..., 0, :]
+    grid[:, ..., one, last, :] = 0.5 * jmat_mul(row, col, model.m)
+    for g, sign in zip(grid, (1.0, -1.0)):
+        g[..., one, mid, :], g[..., mid, last, :] = sign * row, sign * col
+    return pair.split()
 
 
-def random_polynomial(rng, m, degree=2, scale=1.0, radius=SAMPLE_BOX):
+def random_polynomial(rng, m, degree=2, scale=1.0, radius=SAMPLE_BOX, rows=None):
     """Low-degree polynomial with coefficients drawn from [-1/2, 1/2].
 
     Returns its coefficients over ``space(m, degree).monos``, each rounded to
-    6 decimals.  Nonconstant coefficients shrink with the monomial degree so
-    values stay bounded for |x_i| <= radius and gauge z factors stay
-    positive.  Past the catalog box they shrink by (SAMPLE_BOX / radius)^degree
-    as well; the rng draws, and every polynomial for a point inside the box,
-    stay the same.
+    6 decimals; ``rows`` polynomials come from one draw as a (rows, size)
+    array, bit for bit those of ``rows`` single calls in turn.  Nonconstant
+    coefficients shrink with the monomial degree so values stay bounded for
+    |x_i| <= radius and gauge z factors stay positive.  Past the catalog box
+    they shrink by (SAMPLE_BOX / radius)^degree as well; the rng draws, and
+    every polynomial for a point inside the box, stay the same.
     """
     base = m * max(1.0, radius / SAMPLE_BOX)
     sp = space(m, degree)
-    draws = rng.uniform(-0.5, 0.5, size=sp.size)
-    return np.array([round((u / (2.0 * base ** d) if d > 0 else u) * scale, 6)
-                     for u, d in zip(draws.tolist(), sp.degrees.tolist())])
+    draws = rng.uniform(-0.5, 0.5, size=sp.size if rows is None else (rows, sp.size))
+    # one Python float denominator per degree, 1 for the constant term
+    dens = np.array([1.0] + [2.0 * base ** d for d in range(1, degree + 1)])
+    x = draws / dens[sp.degrees] * scale
+    # np.round scales, rounds and divides back; where x 1e6 lies near a half
+    # its product may round across it, so those entries take Python's round
+    out = np.round(x, 6)
+    near = np.abs(np.abs(x * 1e6) % 1.0 - 0.5) < 1e-6
+    out[near] = [round(v, 6) for v in x[near].tolist()]
+    return out
 
 
 def random_gauge(model, rng, with_z=True, with_s=True, with_r=True, point=None):
     """Generic gauge element for scramble tests (seeded, deterministic).
 
     Its polynomials are coefficient arrays, scaled to the coordinates of
-    ``point`` when given; z is 1 plus one of them.  A list of rngs with a
-    list of as many points draws one element per point, each from its own
-    rng in the order a single draw takes, and stacks every coefficient
-    array over the points.
+    ``point`` when given, and come from one rng draw, in the order z, so,
+    r; z is 1 plus its polynomial.  A list of rngs with a list of as many
+    points draws one element per point, each from its own rng in the order
+    a single draw takes, and stacks every coefficient array over the points.
     """
     if isinstance(rng, list):
         each = [random_gauge(model, g, with_z, with_s, with_r, p)
@@ -526,18 +533,10 @@ def random_gauge(model, rng, with_z=True, with_s=True, with_r=True, point=None):
             r=list(np.stack([ge.r for ge in each], axis=1)) if with_r else None)
     m = model.m
     radius = max(map(abs, point)) if point is not None else SAMPLE_BOX
-
-    def poly():
-        return random_polynomial(rng, m, GAUGE_DEGREE, radius=radius)
-
-    z = None
+    counts = (int(with_z), m * (m - 1) // 2 if with_s else 0, m if with_r else 0)
+    polys = random_polynomial(rng, m, GAUGE_DEGREE, radius=radius, rows=sum(counts))
     if with_z:
-        z = poly()
-        z[0] += 1.0
-    so = None
-    if with_s:
-        so = [poly() for _ in range(m * (m - 1) // 2)]
-    r = None
-    if with_r:
-        r = [poly() for _ in range(m)]
-    return GaugeElement(z=z, so=so, r=r)
+        polys[0, 0] += 1.0
+    z, so, r = np.split(polys, np.cumsum(counts[:2]))
+    return GaugeElement(z=z[0] if with_z else None, so=list(so) if with_s else None,
+                        r=list(r) if with_r else None)

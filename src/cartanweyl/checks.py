@@ -135,8 +135,9 @@ def base_connection(scn, model, conn, e, point, rng):
     Starts from the normal connection ``conn`` of the vielbein jets ``e`` and
     applies the scenario's deformation and gauge scramble, drawing from
     ``rng``.  The theta block of the returned connection equals e dx for the
-    returned e, including the z and S factors of any scramble.  The
-    deformation is built at the order of ``e``, and the scramble, like every
+    returned e, the z and S factors of any scramble included, to rounding:
+    the two are built by different products, and the dressing suite's
+    ``compat_u0_*`` rows read the gap.  The deformation is built at the order of ``e``, and the scramble, like every
     gauge element, one order above the connection: that cuts e to it too.
     """
     if not scn.normal:
@@ -168,8 +169,8 @@ def deformed_connection(conn, model, point, order, rng):
     m = model.m
     pairs = form_comps(m, 2)
     count = (1 + m + len(pairs)) * m
-    polys = list(np.stack([[random_polynomial(g, m, degree=1, scale=0.5)
-                            for _ in range(count)] for g in rng], axis=1))
+    polys = list(np.stack([random_polynomial(g, m, degree=1, scale=0.5, rows=count)
+                           for g in rng], axis=1))
     jets = eval_jets(polys, model.chart, point, order)
     jets = jets.reshape(jets.shape[:-2] + (1 + m + len(pairs), m, -1))
     lead = jets.shape[:-3]
@@ -249,12 +250,8 @@ def transform_routes(conn, routes):
     """``conn`` moved by each (gamma, gamma_inv) pair of ``routes``, as one
     :func:`gauge_transform` over a leading route axis in front of any point
     axes; ``point_of(out, i)`` is route i.  Every pair has one order."""
-    def stacked(forms):
-        f = forms[0]
-        return MForm(f.m, f.shape, f.p, f.q, f.order, np.stack([x.data for x in forms]))
-
     gammas, ginvs = zip(*routes)
-    return gauge_transform(conn, stacked(gammas), stacked(ginvs))
+    return gauge_transform(conn, MForm.stack(gammas), MForm.stack(ginvs))
 
 
 def point_of(x, slot):
@@ -388,23 +385,27 @@ def gr_dressing_suite(ctx):
 
     Every row reads values: metricity takes one d of g and curvature_compat
     one of varpi-hat = e^-1 varpi e + e^-1 de.  The Lorentz scramble draws
-    from a fresh rng, not from the state after ``base_connection``.
+    from a fresh rng, not from the state after ``base_connection``, so it is
+    drawn first, and the connection with its vielbein and their Lorentz
+    moved copies are dressed as one 2-stack in one :func:`gr_dress` call.
     """
     scn, model, point = ctx.scn, ctx.model, ctx.point
     low = ctx.normal.truncate(ctx.plan.route)
     e = jtrunc(ctx.e_normal, model.m, ctx.plan.gr_vielbein)
-    varpi_h, Omega_h, Gamma, R, T, g = gr_dress(low, e)
+    ge = random_gauge(model, ctx.fresh_rng(), with_z=False, with_r=False, point=point)
+    mats = ge.matrices(model, point, low.order + 1)
+    conn_S = gauge_transform(low, mats["gamma"], mats["gamma_inv"])
+    eS = tensors.jeinsum("ab,bm->am", mats["Sinv"], e, model.m)
+    both = gr_dress(CartanConnection(model, MForm.stack([low.omega, conn_S.omega])),
+                    np.stack([e, eS]))
+    (varpi_h, Omega_h, Gamma, R, T, g), (_, _, G2, R2, T2, _) = (
+        point_of(both, i) for i in range(2))
     res = pair_residuals(model, varpi_h, Omega_h, g, Gamma)
     B = tensors.curvature_bundle(e, scn.signature, model.m)
     res["oracle_Gamma"] = Gamma[..., 0] - B["Gamma"][..., 0]
     res["oracle_R"] = R - B["Riemann"][..., 0]
     res["torsion"] = T
     # Lorentz invariance of the dressed outputs
-    ge = random_gauge(model, ctx.fresh_rng(), with_z=False, with_r=False, point=point)
-    mats = ge.matrices(model, point, low.order + 1)
-    conn_S = gauge_transform(low, mats["gamma"], mats["gamma_inv"])
-    eS = tensors.jeinsum("ab,bm->am", mats["Sinv"], e, model.m)
-    _, _, G2, R2, T2, _ = gr_dress(conn_S, eS)
     res["so_invariance_Gamma"] = Gamma[..., 0] - G2[..., 0]
     res["so_invariance_R"] = R - R2
     res["so_invariance_T"] = T - T2

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .checks import compute_tensors, dof_report, run_check
 from .errors import CartanWeylError, ScenarioError
@@ -46,7 +47,8 @@ def _load_scenario(args):
         scn.seed = args.seed
     if args.tolerance is not None:
         scn.tolerance = args.tolerance
-    scn.validate()
+    if args.seed is not None or args.tolerance is not None:
+        scn.validate()      # loading validated the rest
     return scn
 
 
@@ -69,7 +71,10 @@ def _emit(report, args):
     return 0 if report.passed else 1
 
 
-def main(argv=None):
+@lru_cache(maxsize=None)
+def _parser():
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so one parser serves every :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="cartanweyl",
         description="Conformal Cartan connection dressing and its Weyl/BRS "
@@ -93,8 +98,11 @@ def main(argv=None):
     p_dof = sub.add_parser("dof", help="degrees-of-freedom table")
     p_dof.add_argument("-m", "--dimension", type=int, default=4)
     p_dof.add_argument("--json", dest="json_path")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         if args.command == "dof":
             table = dof_report(args.dimension)

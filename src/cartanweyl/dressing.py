@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import DET_FLOOR, KleinModel, conjugate, curvature, curvature_form, k1_matrix
+from .cartan import DET_FLOOR, KleinModel, conjugate, curvature, curvature_form, k1_pair
 from .errors import ShapeError
 from .forms import MForm, two_form_values
 from .jets import jmat_inv, jtrunc, order_of
@@ -104,8 +104,7 @@ def extract_u1(conn, einv):
     arow = np.ascontiguousarray(a.truncate(order).data[..., 0, :, :])   # (1, m, C)
     qarr = jeinsum("om,ma->oa", arow, einv, m)
     q = MForm.of_jets(m, qarr)
-    mat = k1_matrix(q, model)
-    inv = k1_matrix(q.scale(-1.0), model)
+    mat, inv = k1_pair(q, model)
     return DressingU1(q=q, mat=mat, inv=inv)
 
 

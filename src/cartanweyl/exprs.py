@@ -43,10 +43,11 @@ MAX_EXPONENT = 64
 # A polynomial subtree of higher degree stays on the jet route: the shift
 # matrix has a row per monomial, and few products cost less than that.
 POLY_MAX_DEGREE = 8
-# re.ASCII keeps \s, \d and \w to ASCII: a superscript or Arabic-Indic digit
-# is no digit here
-_SPACE = re.compile(r"\s*", re.ASCII)
-_TOKEN = re.compile(r"(\d+(?:\.\d*)?|\.\d+)|([A-Za-z_]\w*)|(\*\*|[-+*/^()])", re.ASCII)
+# One pass of one alternation: whitespace, a number, an identifier, an operator
+# and, a syntax error, any other character.  re.ASCII keeps \s, \d and \w to
+# ASCII: a superscript or Arabic-Indic digit is no digit here.
+_TOKEN = re.compile(r"(\s+)|(\d+(?:\.\d*)?|\.\d+)|([A-Za-z_]\w*)|(\*\*|[-+*/^()])|(.)",
+                    re.ASCII | re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -138,16 +139,16 @@ class _Tokenizer:
         self.cursor = 0
 
     def _scan(self):
-        text, i = self.text, 0
-        while (i := _SPACE.match(text, i).end()) < len(text):
-            tok = _TOKEN.match(text, i)
-            if tok is None:
-                raise ExprSyntaxError(f"unexpected character {text[i]!r}", i)
-            num, ident, op = tok.groups()
-            kind = "num" if num else "ident" if ident else "op"
-            self.tokens.append((kind, "^" if op == "**" else tok.group(), i))
-            i = tok.end()
-        self.tokens.append(("end", "", len(text)))
+        tokens = self.tokens
+        for tok in _TOKEN.finditer(self.text):
+            group = tok.lastindex
+            if group == 5:
+                raise ExprSyntaxError(f"unexpected character {tok.group()!r}", tok.start())
+            if group > 1:
+                val = tok.group()
+                kind = ("num", "ident", "op")[group - 2]
+                tokens.append((kind, "^" if val == "**" else val, tok.start()))
+        tokens.append(("end", "", len(self.text)))
 
     def peek(self):
         return self.tokens[self.cursor]

@@ -267,6 +267,17 @@ class MForm:
             out.data[..., i, i, 0, 0] = 1.0
         return out
 
+    @staticmethod
+    def stack(forms):
+        """Forms of one kind and order on a new leading axis; point axes broadcast."""
+        f = forms[0]
+        data = np.stack(np.broadcast_arrays(*(x.data for x in forms)))
+        return MForm(f.m, f.shape, f.p, f.q, f.order, data)
+
+    def split(self):
+        """The forms along the leading axis of ``data``, as :meth:`stack` put them."""
+        return [self._like(d) for d in self.data]
+
     @property
     def lead(self):
         """The leading (sample point) axes of ``data``."""

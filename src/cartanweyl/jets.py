@@ -213,6 +213,16 @@ def jcoord(i, point, m, order):
     return c
 
 
+@lru_cache(maxsize=None)
+def _shift_tables(top, order):
+    """:func:`shift_matrix`'s (top + 1, order + 1) tables C(b, g) and max(b - g, 0)."""
+    binom = np.array([[math.comb(b, g) for g in range(order + 1)]
+                      for b in range(top + 1)], dtype=float)
+    steps = np.maximum(np.arange(top + 1)[:, None] - np.arange(order + 1), 0)
+    binom.flags.writeable = steps.flags.writeable = False      # shared by every call
+    return binom, steps
+
+
 def shift_matrix(exponents, point, order):
     """Order-``order`` jets at ``point`` of the monomials x^beta, one per row.
 
@@ -228,10 +238,7 @@ def shift_matrix(exponents, point, order):
     exponents = np.asarray(exponents, dtype=int)
     m = exponents.shape[1]
     gamma = space(m, order).exponents
-    top = int(exponents.max(initial=0))
-    binom = np.array([[math.comb(b, g) for g in range(order + 1)]
-                      for b in range(top + 1)], dtype=float)
-    steps = np.maximum(np.arange(top + 1)[:, None] - np.arange(order + 1), 0)
+    binom, steps = _shift_tables(int(exponents.max(initial=0)), order)
     # table[..., i, b, g] = C(b, g) p_i^(b - g); binom is zero where g > b
     point = np.asarray(point, dtype=float)
     table = binom * point[..., None, None] ** steps

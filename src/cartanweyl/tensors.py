@@ -20,6 +20,7 @@ Index conventions (fixed once, shared with the dressing route):
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,45 +42,55 @@ def jeinsum(spec, a, b, m):
     axes, as many in each operand, broadcast between them.  The operands
     are reshaped to (batch, free, contracted) and (batch, contracted, free)
     jet matrices, so the whole contraction is one :func:`jmat_mul`; a spec
-    that contracts nothing is one broadcast :func:`jmul`.
+    that contracts nothing is one broadcast :func:`jmul`.  The axis orders
+    and merged shapes are worked out once per spec and operand shapes.
     """
+    (ta, sa), (tb, sb), summed, shape, back = _jeinsum_plan(spec, a.shape, b.shape)
+    va, vb = a.transpose(ta).reshape(sa), b.transpose(tb).reshape(sb)
+    prod = jmat_mul(va, vb, m) if summed else jmul(va, vb, m)
+    return prod.reshape(shape + prod.shape[-1:]).transpose(back)
+
+
+@lru_cache(maxsize=1024)
+def _jeinsum_plan(spec, shape_a, shape_b):
+    """:func:`jeinsum`'s axis order and merged shape per operand, whether it
+    sums, and the shape and axis order that turn the product into the result."""
     ins, out = spec.split("->")
     la, lb = ins.split(",")
     if len(set(la)) < len(la) or len(set(lb)) < len(lb) or len(set(out)) < len(out):
         raise ValueError(f"jeinsum spec {spec!r} repeats a label within one operand")
     if any(c not in out for c in set(la) ^ set(lb)):
         raise ValueError(f"jeinsum spec {spec!r} sums a label of one operand only")
-    lead_a, lead_b = a.shape[:a.ndim - 1 - len(la)], b.shape[:b.ndim - 1 - len(lb)]
-    if len(lead_a) != len(lead_b):
+    na, nb = len(shape_a) - 1 - len(la), len(shape_b) - 1 - len(lb)
+    if na != nb:
         raise ValueError(f"jeinsum spec {spec!r} does not match the operands' axes")
-    lead = tuple(max(x, y) for x, y in zip(lead_a, lead_b))     # 1 broadcasts
-    sizes = dict(zip(la, a.shape[len(lead_a):-1]))
-    sizes.update(zip(lb, b.shape[len(lead_b):-1]))
+    lead = tuple(max(x, y) for x, y in zip(shape_a[:na], shape_b[:nb]))     # 1 broadcasts
+    sizes = dict(zip(la, shape_a[na:-1]))
+    sizes.update(zip(lb, shape_b[nb:-1]))
     batch = [c for c in out if c in la and c in lb]
     left = [c for c in out if c in la and c not in lb]
     right = [c for c in out if c in lb and c not in la]
     summed = [c for c in la if c not in out]
 
-    def arrange(x, labels, groups):
-        # transpose to the group order and merge each group into one axis
-        n = x.ndim - 1 - len(labels)
+    def arrange(shape, labels, groups):
+        # the transpose to the group order, and the shape merging each group
+        n = len(shape) - 1 - len(labels)
         order = [n + labels.index(c) for g in groups for c in g]
-        shape = [math.prod(sizes[c] for c in g) for g in groups]
-        return x.transpose(*range(n), *order, x.ndim - 1).reshape(
-            x.shape[:n] + tuple(shape) + x.shape[-1:])
+        merged = [math.prod(sizes[c] for c in g) for g in groups]
+        return (*range(n), *order, len(shape) - 1), shape[:n] + tuple(merged) + shape[-1:]
 
     if summed:
-        prod = jmat_mul(arrange(a, la, [[c] for c in batch] + [left, summed]),
-                        arrange(b, lb, [[c] for c in batch] + [summed, right]), m)
+        plan_a = arrange(shape_a, la, [[c] for c in batch] + [left, summed])
+        plan_b = arrange(shape_b, lb, [[c] for c in batch] + [summed, right])
     else:
         # an outer product: singleton axes line the operands up
         full = batch + left + right
-        va = arrange(a, la, [[c] if c in la else [] for c in full])
-        vb = arrange(b, lb, [[c] if c in lb else [] for c in full])
-        prod = jmul(va, vb, m)
+        plan_a = arrange(shape_a, la, [[c] if c in la else [] for c in full])
+        plan_b = arrange(shape_b, lb, [[c] if c in lb else [] for c in full])
     have = batch + left + right
-    prod = prod.reshape(lead + tuple(sizes[c] for c in have) + prod.shape[-1:])
-    return tr(prod, *[have.index(c) for c in out])
+    k = len(lead)
+    back = (*range(k), *(k + have.index(c) for c in out), k + len(have))
+    return plan_a, plan_b, bool(summed), lead + tuple(sizes[c] for c in have), back
 
 
 def dstack(a, m, rank):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import conjugate, k1_matrix, weyl_diagonal
+from .cartan import conjugate, k1_pair, weyl_diagonal
 from .dressing import DressedPair, DressingU0, extract_tensors, u0_from_vielbein
 from .errors import ExprDomainError
 from .exprs import compile_expr, eval_jets
@@ -50,7 +50,9 @@ def weyl_matrices(model, z, zeta, u0):
     ``u0`` is the :class:`DressingU0` of the pair's vielbein e, as the
     dressing built it.  Wbar = u0^-1 k1 u0 W Wtilde and its inverse, with k1
     the unipotent built on xi = zeta . e^-1; W, k1 and their inverses for the
-    first-stage action; and the scalar jets z, z^-1.
+    first-stage action; and the scalar jets z, z^-1.  The two chains run as
+    one 2-stack of four wedges, their factors cut to the order both end at.
+    Point axes broadcast where one side has 1, as in :func:`jeinsum`.
     """
     m = model.m
     order = min(order_of(m, z), order_of(m, zeta), order_of(m, u0.e))
@@ -62,10 +64,14 @@ def weyl_matrices(model, z, zeta, u0):
                  for x in (z, zinv))
     xi_arr = jeinsum("m,ma->a", zeta, u0.einv, m)  # zeta . e^-1
     xi = MForm.of_jets(m, xi_arr[..., None, :, :])
-    k1 = k1_matrix(xi, model)
-    k1inv = k1_matrix(xi.scale(-1.0), model)
-    wbar = u0.inv.wedge(k1.wedge(u0.mat.wedge(W.wedge(Wt))))
-    wbar_inv = Wtinv.wedge(Winv.wedge(u0.inv.wedge(k1inv.wedge(u0.mat))))
+    k1, k1inv = k1_pair(xi, model)
+    # Wbar right to left, u0^-1 (k1 (u0 (W Wt))), beside Wbar^-1 =
+    # Wt^-1 (W^-1 (u0^-1 (k1^-1 u0)))
+    u0mat, u0inv, k1k, k1inv_k = (x.truncate(order) for x in (u0.mat, u0.inv, k1, k1inv))
+    chain = MForm.stack([Wt, u0mat])
+    for left in ((W, k1inv_k), (u0mat, u0inv), (k1k, Winv), (u0inv, Wtinv)):
+        chain = MForm.stack(left).wedge(chain)
+    wbar, wbar_inv = chain.split()
     return {"W": W, "Winv": Winv, "k1": k1, "k1inv": k1inv, "xi": xi,
             "wbar": wbar, "wbar_inv": wbar_inv, "z": z, "zinv": zinv}
 
@@ -214,17 +220,27 @@ def weyl_group_law_residual(state, moved, first, second, order):
     ``state`` is a pipeline output (its u0 serves the combined step),
     ``first`` and ``second`` are the (z, zeta) jets of the two elements, as
     :meth:`WeylElement.at` returns them, and ``moved`` is ``state`` already
-    moved by ``first``; z, zeta, e and u0 are cut to ``order`` first.
+    moved by ``first``; z, zeta, e and u0 are cut to ``order`` first.  The
+    two sides, z2 on ``moved`` and z1 z2 on ``state``, run as one 2-stack
+    through :func:`weyl_matrices` and both conjugations, which is all they
+    read: no tensor is read off either moved pair.
     """
     m = state.model.m
     (z1, zeta1), (z2, zeta2) = [tuple(jtrunc(x, m, order) for x in pair)
                                 for pair in (first, second)]
     model = state.model
-    u0_moved = u0_from_vielbein(jtrunc(moved.e, m, order), model)
-    s12 = weyl_transform_dressed(moved, weyl_matrices(model, z2, zeta2, u0_moved))
-    z12 = jmul(z1, z2, m)
     u0 = state.u0
+    u0_moved = u0_from_vielbein(jtrunc(moved.e, m, order), model)
     u0_low = DressingU0(*(jtrunc(x, m, order) for x in (u0.e, u0.einv)),
                         *(x.truncate(order) for x in (u0.mat, u0.inv)))
-    s_both = weyl_transform_dressed(state, weyl_matrices(model, z12, zeta1 + zeta2, u0_low))
-    return s12.varpi0 - s_both.varpi0, s12.Omega0 - s_both.Omega0
+    u0s = DressingU0(np.stack([u0_moved.e, u0_low.e]), np.stack([u0_moved.einv, u0_low.einv]),
+                     MForm.stack([u0_moved.mat, u0_low.mat]),
+                     MForm.stack([u0_moved.inv, u0_low.inv]))
+    mats = weyl_matrices(model, np.stack([z2, jmul(z1, z2, m)]),
+                         np.stack([zeta2, zeta1 + zeta2]), u0s)
+    wbar, wbar_inv = mats["wbar"], mats["wbar_inv"]
+    varpi0 = conjugate(MForm.stack([moved.varpi0, state.varpi0]), wbar, wbar_inv,
+                       connection=True)
+    Omega0 = conjugate(MForm.stack([moved.Omega0, state.Omega0]), wbar, wbar_inv)
+    (v12, v_both), (O12, O_both) = varpi0.split(), Omega0.split()
+    return v12 - v_both, O12 - O_both

@@ -4,12 +4,26 @@ gamma = W(z) S gamma_1(r) and its inverse gamma_1(-r) S^-1 W(z)^-1 as
 products of dense jet wedges, with S and S^-1 embedded in identities and
 gamma_1 assembled by ``block_matrix`` around the wedge r r^t.  Nothing here
 is used by the package: the tests check the block-by-block matrices of
-``GaugeElement.matrices`` and ``k1_matrix`` against these.
+``GaugeElement.matrices`` and ``k1_pair`` against these.  ``k1_in_place``
+is the one-matrix builder ``k1_pair`` replaced, one product per matrix: the
+tests pin ``k1_pair`` to it bit for bit.
 """
 
 from cartanweyl.cartan import weyl_diagonal
 from cartanweyl.forms import MForm, block_matrix, eta_t
-from cartanweyl.jets import jrecip
+from cartanweyl.jets import jmat_mul, jrecip
+
+
+def k1_in_place(r, model):
+    """[[1, r, r r^t / 2], [0, 1, r^t], [0, 0, 1]], its three blocks written
+    in place."""
+    one, mid, last = (slice(*model.bounds(i)) for i in (1, 2, 3))
+    out = MForm.identity(model.m, model.n, r.order, r.lead)
+    row, col = r.data[..., 0, :], eta_t(r, model.eta).data[..., 0, :]
+    grid = out.data[..., 0, :]
+    grid[..., one, mid, :], grid[..., mid, last, :] = row, col
+    grid[..., one, last, :] = 0.5 * jmat_mul(row, col, model.m)
+    return out
 
 
 def k1_matrix(r, model):

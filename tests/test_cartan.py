@@ -7,14 +7,15 @@ import gauge_oracle
 from cartanweyl import forms, tensors
 from cartanweyl.brs import ConformalBRS, GhostSpec, PoincareBRS
 from cartanweyl.cartan import (SAMPLE_BOX, GaugeElement, KleinModel, VielbeinField,
-                               assemble, build_normal, conjugate, covariant_d, curvature,
-                               gauge_transform, k1_matrix, normality_residual, random_gauge,
+                               _so_factors, assemble, build_normal, conjugate, covariant_d,
+                               curvature, gauge_transform, k1_pair,
+                               normality_residual, random_gauge, random_polynomial,
                                spin_connection)
 from cartanweyl.checks import deformed_connection, run_check
 from cartanweyl.errors import AlgebraResidualError, DegenerateVielbeinError
 from cartanweyl.exprs import compile_expr, eval_jets
 from cartanweyl.forms import MForm, algebra_residual, eta_t, gcomm
-from cartanweyl.jets import Chart, jmat_inv, jmul, jtrunc, space
+from cartanweyl.jets import Chart, jcos, jcosh, jmat_inv, jmul, jsin, jsinh, jtrunc, space
 from cartanweyl.reduction import worst_entry
 from cartanweyl.scenarios import catalog
 from cartanweyl.tensors import classical_bundle
@@ -450,6 +451,99 @@ def test_deformed_connection_leaves_the_rng_where_it_was():
     assert rng.uniform() == 0.43600150359233103
 
 
+def _one_polynomial(rng, m, degree=2, scale=1.0, radius=SAMPLE_BOX):
+    """The single-draw polynomial: one Python ``round`` per coefficient."""
+    base = m * max(1.0, radius / SAMPLE_BOX)
+    sp = space(m, degree)
+    draws = rng.uniform(-0.5, 0.5, size=sp.size)
+    return np.array([round((u / (2.0 * base ** d) if d > 0 else u) * scale, 6)
+                     for u, d in zip(draws.tolist(), sp.degrees.tolist())])
+
+
+class _Planted:
+    """An rng whose uniform draws are fixed values, in row order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float).ravel()
+
+    def uniform(self, low, high, size):
+        out, self.values = np.split(self.values, [int(np.prod(size))])
+        return out.reshape(size)
+
+
+@pytest.mark.parametrize("m, degree, scale, radius",
+                         [(3, 2, 1.0, SAMPLE_BOX), (4, 1, 0.5, SAMPLE_BOX), (5, 2, 1.0, 5.9)])
+def test_random_polynomial_rows_are_the_single_draws_bit_for_bit(m, degree, scale, radius):
+    """n rows from one draw are n single-draw polynomials in turn, and each
+    vectorized coefficient is Python's ``round(x, 6)``, sign of zero
+    included.  2.5e-06 is planted where np.round alone gives 2e-06 (x 1e6 =
+    2.5 rounds to even) and ``round`` gives 3e-06, as -2.5e-06 and as a
+    coefficient of every degree."""
+    size = space(m, degree).size
+    for seed in range(5):
+        rows = random_polynomial(np.random.default_rng(seed), m, degree, scale, radius, rows=7)
+        ref = np.random.default_rng(seed)
+        want = np.stack([_one_polynomial(ref, m, degree, scale, radius) for _ in range(7)])
+        assert rows.tobytes() == want.tobytes()
+        single = random_polynomial(np.random.default_rng(seed), m, degree, scale, radius)
+        assert single.tobytes() == want[0].tobytes()
+    base = m * max(1.0, radius / SAMPLE_BOX)
+    dens = [1.0] + [2.0 * base ** d for d in range(1, degree + 1)]
+    planted = np.full((3, size), 2.5e-06 / scale)
+    planted[1] *= -1.0
+    planted[2] = [2.5e-06 * dens[d] / scale for d in space(m, degree).degrees.tolist()]
+    planted[2, -1] = -1e-9      # rounds to -0.0
+    assert np.round(2.5e-06, 6) != round(2.5e-06, 6)
+    got = random_polynomial(_Planted(planted), m, degree, scale, radius, rows=3)
+    fixed = _Planted(planted)
+    want = np.stack([_one_polynomial(fixed, m, degree, scale, radius) for _ in range(3)])
+    assert got.tobytes() == want.tobytes()
+    assert got[0, 0] == 3e-06 and np.signbit(got[2, -1])
+
+
+def test_k1_pair_is_the_k1_matrices_of_r_and_minus_r(mobius3, rng):
+    """One product serves both: (-r)(-r)^t / 2 = r r^t / 2 bit for bit, so
+    the pair is the one-matrix builder's matrices of r and of -r."""
+    for lead in ((), (3,), (2, 3)):
+        r = MForm.zeros(3, (1, 3), 0, 0, 3, lead)
+        r.data[...] = rng.normal(size=r.data.shape)
+        r.data[..., 0, 1, 0, 2] = 0.0       # a zero entry keeps its sign as well
+        k1, k1inv = k1_pair(r, mobius3)
+        for got, want in ((k1, gauge_oracle.k1_in_place(r, mobius3)),
+                          (k1inv, gauge_oracle.k1_in_place(r.scale(-1.0), mobius3))):
+            assert (got.order, got.lead) == (want.order, want.lead)
+            assert got.data.tobytes() == want.data.tobytes()
+
+
+def _so_factor_list(model, pairs, angles):
+    """The plane factors one pair at a time, m + 4 writes each."""
+    m, sig = model.m, model.eta
+    out = []
+    for k, (a, b) in enumerate(pairs):
+        rot = sig[a] == sig[b]
+        fe, fo = (jcos, jsin) if rot else (jcosh, jsinh)
+        c, s = fe(angles[..., k, :], m), fo(angles[..., k, :], m)
+        S = np.zeros(angles.shape[:-2] + (m, m, angles.shape[-1]))
+        for i in range(m):
+            S[..., i, i, 0] = 1.0
+        S[..., a, a, :], S[..., b, b, :] = c, c
+        S[..., a, b, :], S[..., b, a, :] = (-s, s) if rot else (s, s)
+        out.append(S)
+    return out
+
+
+@pytest.mark.parametrize("m, lead", [(3, ()), (4, (2,)), (5, (3,))])
+def test_so_factors_in_one_array_are_the_per_pair_factors(m, lead):
+    model = KleinModel("mobius", Chart(m))
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    angles = np.random.default_rng(m).normal(size=lead + (len(pairs), space(m, 3).size)) * 0.1
+    got = _so_factors(model, pairs, angles)
+    want = _so_factor_list(model, pairs, angles)
+    assert got.shape == (len(pairs),) + want[0].shape
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert _so_factors(model, [], angles[..., :0, :]).shape == (0,) + want[0].shape
+
+
 @pytest.mark.parametrize("seed,offset,point", [(200, 3, FAR_POINTS[0]),
                                                (209, 6, FAR_POINTS[1])])
 def test_gauge_suite_on_far_schwarzschild_point(seed, offset, point):
@@ -486,7 +580,7 @@ def test_gauge_matrices_by_blocks_match_the_product_route(factors, batch):
         assert got.shape == ref.shape and got.order == ref.order
         assert np.all((got - ref).full_norm() <= 1e-14 * ref.full_norm()), name
     assert np.all((gauge_oracle.k1_matrix(mats["r"], model)
-                   - k1_matrix(mats["r"], model)).full_norm() <= 1e-15)
+                   - k1_pair(mats["r"], model)[0]).full_norm() <= 1e-15)
     # a lacking factor takes no product: the dressing suite's routes rely on it
     same = {"r": ("gamma1", "gamma1_inv"), "S": ("S_emb", "Sinv_emb")}.get(factors, ())
     for got, want in zip(("gamma", "gamma_inv"), same):

@@ -290,8 +290,9 @@ def _count_calls(monkeypatch, names, scn, suite):
 def test_weyl_suite_builds_each_weyl_matrix_once(monkeypatch):
     """Per batch of points: one bundle for the scenario's rescaling, shared
     by the conjugation, the midlevel action, the k1/u1 commutator, route
-    three and the group law's first step; two more for the group law's
-    second step and its product.  The closed form of Wbar is built for its
+    three and the group law's first step; one more, a 2-stack, for the group
+    law's second step and its product, which moves no dressed pair through
+    ``weyl_transform_dressed``.  The closed form of Wbar is built for its
     own row only.
 
     Each vielbein gets one u0: the batch's dressing, the group law's second
@@ -304,7 +305,7 @@ def test_weyl_suite_builds_each_weyl_matrix_once(monkeypatch):
     counts = _count_calls(monkeypatch, ("weyl_matrices", "weyl_transform_dressed",
                                         "wbar_closed_form", "u0_from_vielbein"),
                           scn, "weyl")
-    assert counts == {"weyl_matrices": 3, "weyl_transform_dressed": 3,
+    assert counts == {"weyl_matrices": 2, "weyl_transform_dressed": 1,
                       "wbar_closed_form": 1, "u0_from_vielbein": 4}
     for name in ("generic", "diag-poly"):
         scn = catalog(name, 3)
@@ -449,6 +450,63 @@ def test_cli_tolerance_flag(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["payload"]["scenario"]["tolerance"] == 1e-3
+
+
+def _reuse_calls(tmp_path):
+    """A seeded-scramble scenario file and two check calls on it: the first
+    overrides the seed and tolerance, the second neither."""
+    path = tmp_path / "scn.json"
+    path.write_text(catalog("generic", 3).to_json())
+    return [["check", "--scenario", str(path), "--suite", "gauge", *flags,
+             "--json", str(tmp_path / f"r{i}.json")]
+            for i, flags in enumerate((["--seed", "5", "--tolerance", "1e-3"], []))]
+
+
+def test_main_called_twice_in_process_writes_what_two_processes_write(tmp_path):
+    """``main`` builds one parser per process and keeps nothing of a call:
+    the second call, with no override, runs on the file's own seed and
+    tolerance and reports what a fresh process reports."""
+    calls = _reuse_calls(tmp_path)
+    payloads = {}
+    for mode in ("process", "in-process"):
+        for argv in calls:
+            if mode == "process":
+                proc = subprocess.run([sys.executable, "-m", "cartanweyl.cli", *argv],
+                                      capture_output=True, text=True)
+                assert proc.returncode == 0, proc.stderr
+            else:
+                assert main(argv) == 0
+        payloads[mode] = [json.loads(Path(argv[-1]).read_text())["payload"] for argv in calls]
+    assert payloads["in-process"] == payloads["process"]
+    first, second = (p["scenario"] for p in payloads["in-process"])
+    assert (first["seed"], first["tolerance"]) == (5, 1e-3)
+    own = catalog("generic", 3)
+    assert (second["seed"], second["tolerance"]) == (own.seed, own.tolerance)
+    assert payloads["in-process"][0]["checks"] != payloads["in-process"][1]["checks"]
+    assert cli._parser() is cli._parser()
+
+
+def test_a_call_validates_its_scenario_once_and_again_after_an_override(tmp_path,
+                                                                          monkeypatch):
+    calls = _reuse_calls(tmp_path)
+    counts = []
+    validate = Scenario.validate
+
+    def counted(self):
+        counts[-1] += 1
+        return validate(self)
+
+    monkeypatch.setattr(Scenario, "validate", counted)
+    for argv, want in zip(calls[::-1], (1, 2)):
+        counts.append(0)
+        assert main(argv) == 0
+        assert counts[-1] == want
+
+
+def test_a_zero_tolerance_override_is_bad_input(capsys):
+    assert main(["check", "--catalog", "flat", "--suite", "gauge", "--tolerance", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tolerance must be finite and positive" in err
 
 
 def test_a_row_takes_the_first_nan_else_the_first_largest_value(monkeypatch):

@@ -6,9 +6,10 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import token_oracle
 from cartanweyl.errors import ExprDomainError, ExprSyntaxError
-from cartanweyl.exprs import (POLY_MAX_DEGREE, BinOp, Call, Const, Poly, Var, compile_expr,
-                              eval_jets, parse_expr, print_expr)
+from cartanweyl.exprs import (POLY_MAX_DEGREE, BinOp, Call, Const, Poly, Var, _Tokenizer,
+                              compile_expr, eval_jets, parse_expr, print_expr)
 from cartanweyl.jets import Chart, jmul, shift_matrix, space
 
 
@@ -273,3 +274,32 @@ def test_compile_and_eval_reject_bad_input():
         compile_expr("x0 +")
     with pytest.raises(ValueError):
         _jet("x0", Chart(2, signature=(1, -1)), (0.1,), 2)
+
+
+def _scan_or_error(scan, text):
+    try:
+        return scan(text)
+    except ExprSyntaxError as ex:
+        return ("error", str(ex), ex.pos)
+
+
+_TOKEN_TEXT = st.text(alphabet=st.sampled_from("x0123456789._+-*/^() \t\n\r\f\vaezZ"), max_size=30)
+_ANY_TEXT = st.text(max_size=30)
+
+
+@given(st.one_of(_TOKEN_TEXT, _ANY_TEXT,
+                 st.tuples(_TOKEN_TEXT, _ANY_TEXT, _TOKEN_TEXT).map("".join)))
+@settings(max_examples=300, deadline=None)
+def test_tokenizer_matches_the_two_pattern_scanner(text):
+    """One ``finditer`` pass gives the reference scanner's tokens and
+    positions, and its error text and offset, on ASCII token soup, on any
+    unicode text and on the two mixed."""
+    assert (_scan_or_error(lambda t: _Tokenizer(t).tokens, text)
+            == _scan_or_error(token_oracle.scan, text))
+
+
+@pytest.mark.parametrize("text", ["", "   ", "x0**2 + .5*x1", "1. ", "x0 ² ", "٣",
+                                  "exp(x0)\n*\tsin(x1)", "x0 $ x1", "a\U0001f600"])
+def test_tokenizer_matches_the_two_pattern_scanner_on_edge_cases(text):
+    assert (_scan_or_error(lambda t: _Tokenizer(t).tokens, text)
+            == _scan_or_error(token_oracle.scan, text))

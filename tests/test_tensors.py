@@ -1,12 +1,15 @@
 """The jet-based classical oracle is itself cross-checked against sympy."""
 
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from cartanweyl import tensors
 from cartanweyl.exprs import compile_expr, eval_jets
-from cartanweyl.jets import Chart
+from cartanweyl.jets import Chart, jmat_mul, jmul, space
+from cartanweyl.tensors import jeinsum, tr
 
 from conftest import DIAG3, POINT3
 
@@ -132,3 +135,56 @@ def test_conformally_flat_weyl_vanishes():
     e = _vielbein_jets(ch, vb, (0.2, -0.3, 0.4, 0.1), K)
     B = tensors.classical_bundle(e, ch.signature, 4)
     assert np.abs(B["W"][..., 0]).max() < 1e-10
+
+
+def _jeinsum_unplanned(spec, a, b, m):
+    """:func:`jeinsum` with its labels worked out on every call."""
+    ins, out = spec.split("->")
+    la, lb = ins.split(",")
+    lead_a = a.shape[:a.ndim - 1 - len(la)]
+    lead = tuple(max(x, y) for x, y in zip(lead_a, b.shape[:b.ndim - 1 - len(lb)]))
+    sizes = dict(zip(la, a.shape[len(lead_a):-1]))
+    sizes.update(zip(lb, b.shape[len(lead_a):-1]))
+    batch = [c for c in out if c in la and c in lb]
+    left = [c for c in out if c in la and c not in lb]
+    right = [c for c in out if c in lb and c not in la]
+    summed = [c for c in la if c not in out]
+
+    def arrange(x, labels, groups):
+        n = x.ndim - 1 - len(labels)
+        order = [n + labels.index(c) for g in groups for c in g]
+        shape = [math.prod(sizes[c] for c in g) for g in groups]
+        return x.transpose(*range(n), *order, x.ndim - 1).reshape(
+            x.shape[:n] + tuple(shape) + x.shape[-1:])
+
+    if summed:
+        prod = jmat_mul(arrange(a, la, [[c] for c in batch] + [left, summed]),
+                        arrange(b, lb, [[c] for c in batch] + [summed, right]), m)
+    else:
+        full = batch + left + right
+        prod = jmul(arrange(a, la, [[c] if c in la else [] for c in full]),
+                    arrange(b, lb, [[c] if c in lb else [] for c in full]), m)
+    have = batch + left + right
+    prod = prod.reshape(lead + tuple(sizes[c] for c in have) + prod.shape[-1:])
+    return tr(prod, *[have.index(c) for c in out])
+
+
+@pytest.mark.parametrize("spec, a_axes, b_axes", [("man,mb->abn", (3, 3, 3), (3, 3)),
+                                                  ("acm,cbn->abmn", (3, 3, 3), (3, 3, 3)),
+                                                  ("m,ma->a", (3,), (3, 3)),
+                                                  (",mn->mn", (), (3, 3)),
+                                                  ("ab,cd->dbca", (3, 2), (2, 3))])
+def test_jeinsum_plans_per_spec_and_shapes(spec, a_axes, b_axes):
+    """One spec at two operand shapes, one after the other and back: each
+    call takes the plan of its own shapes and gives, bit for bit, the
+    answer of the labels worked out afresh."""
+    m, size = 3, space(3, 2).size
+    rng = np.random.default_rng(len(spec))
+    for lead_a, lead_b in (((), ()), ((4,), (4,)), ((2, 1), (1, 3)), ((), ())):
+        a = rng.normal(size=lead_a + a_axes + (size,))
+        b = rng.normal(size=lead_b + b_axes + (size,))
+        got = jeinsum(spec, a, b, m)
+        assert got.tobytes() == _jeinsum_unplanned(spec, a, b, m).tobytes()
+        assert got.shape[:len(lead_a)] == np.broadcast_shapes(lead_a, lead_b)
+    with pytest.raises(ValueError, match="does not match"):
+        jeinsum("m,ma->a", np.zeros((2, 3, size)), np.zeros((3, 3, size)), m)
